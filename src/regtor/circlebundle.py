@@ -2,13 +2,14 @@
 
 For a prime r >= 3 and the ring Z[xi]/(1 + xi + ... + xi^{r-1}), the
 holonomy of the flat line bundle at the place sigma is sigma(xi) = e^{i
-theta_sigma}; the fiberwise analytic torsion forms reduce to explicit
-polylogarithm values at these roots of unity.  This module packages those
-coefficients, the u_j constants, the psi-scaling regulator identity, the
-degree-zero Cheeger-Mueller cross-check against the combinatorial torsion of
-0 -> C --(1-sigma(xi))--> C -> 0, the four-periodic dimension table, the
-X-space dimensions, conversion between the competing normalizations of the
-Kamber-Tondeur forms, and the Hatcher constants a_k kappa_k zeta(2k+1).
+theta_sigma}, a root of unity taken in closed form; the fiberwise analytic
+torsion forms reduce to explicit polylogarithm values at these roots of
+unity.  This module packages those coefficients, the u_j constants, the
+psi-scaling regulator identity, the degree-zero Cheeger-Mueller cross-check
+against the combinatorial torsion of 0 -> C --(1-sigma(xi))--> C -> 0, the
+four-periodic dimension table, the X-space dimensions, conversion between
+the competing normalizations of the Kamber-Tondeur forms, and the Hatcher
+constants a_k kappa_k zeta(2k+1).
 """
 
 from __future__ import annotations
@@ -21,10 +22,13 @@ from mpmath import mp, mpc, mpf
 
 from . import rtorsion
 from .errors import TrivialHolonomyAtJZero, ValidationError
-from .numfield import NumberField, build_field
-from .polylog import bernoulli, polylog_circle, zeta_int
+from .numfield import NumberField, roots_of_unity_field
+from .polylog import BERNOULLI_MAX, bernoulli, polylog_circle, zeta_int
 
 GUARD = 10
+
+# hatcher_constant needs B_{2k}, so k is bounded by the Bernoulli index bound.
+HATCHER_K_MAX = BERNOULLI_MAX // 2
 
 
 def _is_prime(r: int) -> bool:
@@ -53,23 +57,19 @@ class CyclotomicSetup:
 
 
 def make_cyclotomic_setup(r: int, digits: int = 50) -> CyclotomicSetup:
+    """The ring of prime order r >= 3 with its places and holonomy angles.
+
+    The embeddings are the closed-form roots of unity e^{2 pi i k/r}; the
+    place representatives are k = 1..(r-1)/2, ordered by ascending real part,
+    so thetas run from 2 pi (r-1)/(2r) down to 2 pi/r.
+    """
     r = int(r)
     if r < 3 or not _is_prime(r):
         raise ValidationError("the cyclotomic order must be a prime >= 3")
-    field = build_field([1] * r, digits)
-    if field.r_real != 0 or field.r_complex != (r - 1) // 2:
-        raise ValidationError("cyclotomic signature (0, (r-1)/2) not reproduced")
+    field = roots_of_unity_field(r, digits)
     with mp.workdps(digits + GUARD):
-        bound = mpf(10) ** (-digits + GUARD)
-        thetas = []
-        for z in field.sigma_star:
-            if abs(abs(z) - 1) > bound:
-                raise ValidationError("embedded root of unity is off the unit circle")
-            th = mp.arg(z)
-            if th <= 0:
-                th += 2 * mp.pi
-            thetas.append(+th)
-    return CyclotomicSetup(r=r, field=field, thetas=tuple(thetas))
+        thetas = tuple(mp.arg(z) for z in field.sigma_star)
+    return CyclotomicSetup(r=r, field=field, thetas=thetas)
 
 
 def _prefactor(j: int):
@@ -278,14 +278,14 @@ def convert(values, frm: str, to: str, j: int, digits: int = 50):
 
 
 def hatcher_constant(k: int, digits: int = 50):
-    """(a_k, kappa_k, a_k kappa_k zeta(2k+1)).
+    """(a_k, kappa_k, a_k kappa_k zeta(2k+1)) for 1 <= k <= HATCHER_K_MAX.
 
     a_k is the denominator of B_{2k}/(4k) in lowest terms (the order of the
     image of the J-homomorphism in degree 4k-1); kappa_k is 1 for odd k and
     1/2 for even k.
     """
-    if k < 1:
-        raise ValidationError("k must be >= 1")
+    if not 1 <= k <= HATCHER_K_MAX:
+        raise ValidationError(f"k must lie in [1, {HATCHER_K_MAX}]")
     a_k = Fraction(bernoulli(2 * k), 4 * k).denominator
     kappa = Fraction(1) if k % 2 == 1 else Fraction(1, 2)
     with mp.workdps(digits + GUARD):

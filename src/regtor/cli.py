@@ -133,14 +133,28 @@ def _parse_complex(field, data):
     )
 
 
+def _rational_arg(text, what):
+    """A decimal or "p/q" argument as an exact rational."""
+    try:
+        return parse_rational(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"{what} must be a decimal or p/q, got {text!r}") from exc
+
+
+def _real_arg(text, digits, what):
+    """A decimal or "p/q" argument at digits + GUARD."""
+    q = _rational_arg(text, what)
+    with mp.workdps(digits + polylog.GUARD):
+        return mp.mpf(q.numerator) / q.denominator
+
+
 def _theta_from_args(args, digits):
     if args.theta_over_2pi is not None:
-        q = parse_rational(args.theta_over_2pi)
+        q = _rational_arg(args.theta_over_2pi, "--theta-over-2pi")
         with mp.workdps(digits + polylog.GUARD):
             return 2 * mp.pi * q.numerator / q.denominator
     if args.theta is not None:
-        with mp.workdps(digits + polylog.GUARD):
-            return mp.mpf(args.theta)
+        return _real_arg(args.theta, digits, "--theta")
     raise ValidationError("give the angle as --theta or --theta-over-2pi")
 
 
@@ -371,7 +385,8 @@ def cmd_borel_dims(args):
 def cmd_normalize(args):
     digits = _resolve_digits(args)
     chern, igusa, (bmag, bpow) = circlebundle.normalization_factors(args.j, digits)
-    out = circlebundle.convert(mp.mpf(args.value), args.frm, args.to, args.j, digits)
+    value = _real_arg(args.value, digits, "--value")
+    out = circlebundle.convert(value, args.frm, args.to, args.j, digits)
     res = {
         "j": args.j,
         "from": args.frm,
@@ -504,7 +519,10 @@ def build_parser() -> argparse.ArgumentParser:
         },
     )
     add("zeta", cmd_zeta, "integer zeta value", **{"--s": {"type": int, "required": True}})
-    add("bernoulli", cmd_bernoulli, "exact Bernoulli number", **{"--m": {"type": int, "required": True}})
+    add(
+        "bernoulli", cmd_bernoulli, "exact Bernoulli number",
+        **{"--m": {"type": int, "required": True, "help": f"index, 0..{polylog.BERNOULLI_MAX}"}},
+    )
     add("beta-check", cmd_beta_check, "quadrature vs exact beta integral", **{"--j": {"type": int, "required": True}})
     add(
         "circle-torsion", cmd_circle_torsion, "torsion-form coefficients T_{sigma,j}",
@@ -536,7 +554,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--to": {"dest": "to", "required": True, "choices": ("bl", "chern", "igusa", "borel")},
         },
     )
-    add("hatcher", cmd_hatcher, "a_k kappa_k zeta(2k+1)", **{"--k": {"type": int, "required": True}})
+    add(
+        "hatcher", cmd_hatcher, "a_k kappa_k zeta(2k+1)",
+        **{"--k": {"type": int, "required": True, "help": f"1..{circlebundle.HATCHER_K_MAX}"}},
+    )
     return top
 
 

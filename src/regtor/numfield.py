@@ -3,9 +3,11 @@
 The defining polynomial is monic, squarefree, with integer coefficients.
 Embeddings into C are the roots of p, found by simultaneous Aberth-Ehrlich
 iteration from deterministic perturbed-circle seeds and polished by Newton
-steps.  Norms are exact rationals computed through the resultant of p with
-the element polynomial (fraction-free Sylvester determinant), never through
-floating products.  The integrality test for units checks power-basis
+steps; for p = 1 + x + ... + x^{r-1} they are the closed-form roots of unity
+e^{2 pi i k/r}.  Either way one routine orders the roots into places and
+checks their residuals.  Norms are exact rationals computed through the
+resultant of p with the element polynomial (fraction-free Sylvester
+determinant), never through floating products.  The integrality test for units checks power-basis
 integrality only; when R is not the maximal order in the power basis, a unit
 of the field lying outside Z[x] is rejected.
 """
@@ -216,40 +218,64 @@ def build_field(poly, digits: int, class_orders=()) -> NumberField:
     if not _poly_gcd_is_constant(p_frac, dp_frac):
         raise NotSquarefree("defining polynomial has a repeated factor")
 
-    wdps = digits + 2 * GUARD
-    with mp.workdps(wdps):
+    with mp.workdps(digits + 2 * GUARD):
         roots = _aberth_roots(coeffs, digits)
-        threshold = mpf(10) ** (-mpf(digits) / 2)
-        reals = []
-        pos = []
-        neg = []
-        for z in roots:
-            if abs(z.imag) <= threshold:
-                x = _newton_polish_real(coeffs, z.real)
-                reals.append(x)
-            elif z.imag > 0:
-                pos.append(z)
-            else:
-                neg.append(z)
-        if len(pos) != len(neg) or len(reals) + 2 * len(pos) != n:
-            raise NoConvergence("could not separate real and complex embeddings")
-        reals.sort()
-        pos.sort(key=lambda z: (z.real, z.imag))
-        neg.sort(key=lambda z: (z.real, -z.imag))
-        for zp, zn in zip(pos, neg):
-            if abs(mp.conj(zp) - zn) > threshold:
-                raise NoConvergence("complex embeddings do not pair into conjugates")
-        resid_bound = mpf(10) ** (-digits + GUARD)
-        for z in list(reals) + pos + neg:
-            if abs(_horner(coeffs, z)) >= resid_bound:
-                raise NoConvergence("root residual exceeds the precision bound")
-        sigma_star = tuple(+x for x in reals) + tuple(+z for z in pos)
-        all_embeddings = sigma_star + tuple(mp.conj(z) for z in pos)
+        return _field_from_roots(coeffs, roots, digits, class_orders)
+
+
+def roots_of_unity_field(r: int, digits: int) -> NumberField:
+    """The order Z[x]/(1 + x + ... + x^{r-1}) for r >= 2, from closed-form roots.
+
+    The roots are the r-th roots of unity other than 1, e^{2 pi i k/r} for
+    k = 1..r-1, taken at digits + 2 GUARD; the field has the place order and
+    the residual guarantee of build_field([1] * r, digits).
+    """
+    if r < 2:
+        raise ValidationError("roots of unity need an order r >= 2")
+    if digits < 1:
+        raise ValidationError("digits must be positive")
+    with mp.workdps(digits + 2 * GUARD):
+        roots = [mp.expjpi(mpf(2 * k) / r) for k in range(1, r)]
+        return _field_from_roots((1,) * r, roots, digits)
+
+
+def _field_from_roots(coeffs, roots, digits: int, class_orders=()) -> NumberField:
+    """Order the roots of p into places and check them; precision is the caller's.
+
+    Roots within 10^(-digits/2) of the real axis are real places (polished
+    by Newton steps); the rest must pair into complex conjugates.  Every
+    stored embedding must satisfy |p(z)| < 10^(-digits + GUARD).
+    """
+    n = len(coeffs) - 1
+    threshold = mpf(10) ** (-mpf(digits) / 2)
+    reals = []
+    pos = []
+    neg = []
+    for z in roots:
+        if abs(z.imag) <= threshold:
+            reals.append(_newton_polish_real(coeffs, z.real))
+        elif z.imag > 0:
+            pos.append(z)
+        else:
+            neg.append(z)
+    if len(pos) != len(neg) or len(reals) + 2 * len(pos) != n:
+        raise NoConvergence("could not separate real and complex embeddings")
+    reals.sort()
+    pos.sort(key=lambda z: (z.real, z.imag))
+    neg.sort(key=lambda z: (z.real, -z.imag))
+    for zp, zn in zip(pos, neg):
+        if abs(mp.conj(zp) - zn) > threshold:
+            raise NoConvergence("complex embeddings do not pair into conjugates")
+    sigma_star = tuple(+x for x in reals) + tuple(+z for z in pos)
+    resid_bound = mpf(10) ** (-digits + GUARD)
+    for z in sigma_star:
+        if abs(_horner(coeffs, z)) >= resid_bound:
+            raise NoConvergence("root residual exceeds the precision bound")
     return NumberField(
-        poly=coeffs,
+        poly=tuple(coeffs),
         digits=digits,
         sigma_star=sigma_star,
-        all_embeddings=all_embeddings,
+        all_embeddings=sigma_star + tuple(mp.conj(z) for z in pos),
         r_real=len(reals),
         r_complex=len(pos),
         class_orders=tuple(int(m) for m in class_orders),

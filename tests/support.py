@@ -1,9 +1,11 @@
 """Shared helpers for the test suite.
 
-Contains the field loaders, an independent polylogarithm oracle (direct
-partial sum plus Euler-Maclaurin tail), exact rational positive-definite
-Gram generators, unimodular base changes over a number ring, and the
-randomized metrized-complex corpus used by the calibration tests.
+Contains the field loaders, independent oracles for the Bernoulli numbers
+(the exact defining recurrence), integer zeta values (Euler-Maclaurin
+summation) and the polylogarithm (direct partial sum plus Euler-Maclaurin
+tail), exact rational positive-definite Gram generators, unimodular base
+changes over a number ring, and the randomized metrized-complex corpus used
+by the calibration tests.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from regtor import (
     parse_descriptor,
     presentation,
 )
-from regtor.polylog import bernoulli
 
 DATA = Path(__file__).parent / "data"
 
@@ -49,6 +50,46 @@ def rel_err(got, want):
     if denom == 0:
         return abs(got)
     return abs(got - want) / denom
+
+
+# ---------------------------------------------------------------------------
+# Independent Bernoulli and zeta oracles.  The recurrence
+# sum_{k=0}^{m} C(m+1, k) B_k = 0, solved for B_m, gives B_1 = -1/2.
+# ---------------------------------------------------------------------------
+
+_BERNOULLI = [Fraction(1)]
+
+
+def bernoulli_recurrence(m: int) -> Fraction:
+    """Exact B_m from the defining recurrence, the table grown on demand."""
+    while len(_BERNOULLI) <= m:
+        n = len(_BERNOULLI)
+        acc = sum(comb(n + 1, k) * _BERNOULLI[k] for k in range(n))
+        _BERNOULLI.append(Fraction(-acc, n + 1))
+    return _BERNOULLI[m]
+
+
+def zeta_euler_maclaurin(s: int, digits: int):
+    """zeta(s) for integer s >= 2 by Euler-Maclaurin summation at digits + 10."""
+    wdps = digits + 10
+    with mp.workdps(wdps):
+        n = 2 * wdps
+        total = mp.fsum(mp.mpf(k) ** -s for k in range(1, n))
+        total += mp.mpf(n) ** -s / 2 + mp.mpf(n) ** (1 - s) / (s - 1)
+        # Correction terms fall off like ((s + 2r) / (2 pi n))^{2r}; with
+        # n = 2 wdps they pass the target before the asymptotic series turns.
+        threshold = mp.mpf(10) ** (-wdps - 5)
+        rising = mp.mpf(s)  # s (s+1) ... (s + 2r - 2)
+        power = mp.mpf(n) ** (-s - 1)  # n^{-s-2r+1}
+        for r in range(1, 4 * wdps):
+            b = bernoulli_recurrence(2 * r)
+            term = mp.mpf(b.numerator) / b.denominator / mp.factorial(2 * r) * rising * power
+            total += term
+            if abs(term) < threshold:
+                return +total
+            rising *= (s + 2 * r - 1) * (s + 2 * r)
+            power /= mp.mpf(n) ** 2
+        raise AssertionError("Euler-Maclaurin tail did not reach the target")
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +144,7 @@ def li_oracle(n: int, theta, digits: int = 30, cut: int = 3000):
 
         tail = integral + deriv(0) / 2
         for r in range(1, 15):
-            b = bernoulli(2 * r)
+            b = bernoulli_recurrence(2 * r)
             tail -= (
                 mp.mpf(b.numerator) / b.denominator / mp.factorial(2 * r) * deriv(2 * r - 1)
             )

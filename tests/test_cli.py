@@ -196,6 +196,33 @@ def test_normalize(capsys):
         assert close(d2["value"]["im"], 3 / mp.pi)
 
 
+def test_normalize_value_at_full_precision(capsys):
+    d = run_json(
+        capsys, "normalize", "--j", "1", "--value", "0.1", "--from", "bl", "--to", "bl", "--digits", "50"
+    )
+    assert close(d["value"], "0.1", "1e-50")
+    d = run_json(capsys, "normalize", "--j", "1", "--value", "1/3", "--from", "bl", "--to", "bl")
+    with mp.workdps(60):
+        assert close(d["value"], mp.mpf(1) / 3, "1e-50")
+    code, _, err = run(capsys, "normalize", "--j", "1", "--value", "x", "--from", "bl", "--to", "bl")
+    assert code == 2 and "--value" in err
+    code, _, err = run(capsys, "polylog", "--n", "2", "--theta", "1/0")
+    assert code == 2 and "--theta" in err
+
+
+def test_bernoulli_and_hatcher_bounds(capsys):
+    d = run_json(capsys, "bernoulli", "--m", "1")
+    assert d["value"] == "-1/2"
+    code, _, err = run(capsys, "bernoulli", "--m", "10001")
+    assert code == 2 and "10000" in err
+    code, _, err = run(capsys, "bernoulli", "--m", "-2")
+    assert code == 2
+    code, _, err = run(capsys, "hatcher", "--k", "5001")
+    assert code == 2 and "5000" in err
+    code, _, err = run(capsys, "hatcher", "--k", "0")
+    assert code == 2
+
+
 def test_hatcher(capsys):
     d = run_json(capsys, "hatcher", "--k", "1")
     assert d["a"] == 24 and d["kappa"] == "1/1"

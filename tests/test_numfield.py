@@ -24,6 +24,7 @@ from regtor import (
     parse_rational,
     verify_unit,
 )
+from regtor.numfield import roots_of_unity_field
 from support import field_units, load_descriptor
 
 small_coeffs = st.lists(
@@ -55,6 +56,22 @@ def test_cyclotomic_field_places():
         for z in field.sigma_star:
             assert abs(abs(z) - 1) < tol
             assert abs(z ** 5 - 1) < tol
+
+
+def test_roots_of_unity_field_matches_aberth():
+    # The closed-form embeddings agree with generic root finding, place by
+    # place, for odd and even orders (r = 2, 4, 6, 12 have the real root -1).
+    for r in (2, 3, 4, 5, 6, 7, 12, 13):
+        closed = roots_of_unity_field(r, 50)
+        found = build_field([1] * r, 50)
+        assert closed.poly == found.poly
+        assert (closed.r_real, closed.r_complex) == (found.r_real, found.r_complex)
+        assert len(closed.all_embeddings) == r - 1
+        with mp.workdps(60):
+            for a, b in zip(closed.all_embeddings, found.all_embeddings):
+                assert abs(a - b) < mp.mpf(10) ** -50, r
+    with pytest.raises(ValidationError):
+        roots_of_unity_field(1, 50)
 
 
 def test_rational_field():

@@ -1,7 +1,8 @@
 """Bernoulli numbers, integer zeta values, and circle polylogarithms.
 
-Oracles: the classical Bernoulli table, the von Staudt-Clausen theorem,
-mpmath's zeta and polylog (independent implementations), the even-zeta
+Oracles: the classical Bernoulli table, the exact Bernoulli recurrence and
+Euler-Maclaurin zeta of tests/support.py (the library delegates both to
+mpmath), the von Staudt-Clausen theorem, mpmath's polylog, the even-zeta
 closed form, and exact Fraction integration for the beta integral.
 """
 
@@ -16,12 +17,16 @@ from mpmath import mp
 from regtor import (
     NoConvergence,
     ThetaOutOfRange,
+    ValidationError,
     bernoulli,
     bernoulli_polynomial,
     beta_integral_check,
     polylog_circle,
     zeta_int,
 )
+from regtor.polylog import BERNOULLI_MAX
+
+from support import bernoulli_recurrence, zeta_euler_maclaurin
 
 BERNOULLI_TABLE = {
     0: Fraction(1),
@@ -69,9 +74,27 @@ def test_bernoulli_von_staudt_clausen():
         assert total.denominator == 1
 
 
+def test_bernoulli_matches_recurrence():
+    for m in range(201):
+        assert bernoulli(m) == bernoulli_recurrence(m), m
+
+
 def test_bernoulli_rejects_negative_index():
     with pytest.raises(ValueError):
         bernoulli(-1)
+
+
+def test_bernoulli_index_bound():
+    # The largest index served is exact: its denominator is the product of
+    # the primes p with (p - 1) | m (von Staudt-Clausen).
+    m = BERNOULLI_MAX
+    den = 1
+    for p in _primes_up_to(m + 1):
+        if m % (p - 1) == 0:
+            den *= p
+    assert bernoulli(m).denominator == den
+    with pytest.raises(ValidationError):
+        bernoulli(m + 1)
 
 
 @given(x=rationals, n=st.integers(min_value=0, max_value=12))
@@ -91,18 +114,18 @@ def test_bernoulli_polynomial_at_zero_is_bernoulli():
         assert bernoulli_polynomial(n, Fraction(0)) == bernoulli(n)
 
 
-def test_zeta_int_against_mpmath():
+def test_zeta_int_against_euler_maclaurin_oracle():
     with mp.workdps(70):
         for s in range(2, 26):
             got = zeta_int(s, 60)
-            assert abs(got - mp.zeta(s)) < mp.mpf(10) ** -60
+            assert abs(got - zeta_euler_maclaurin(s, 60)) < mp.mpf(10) ** -60, s
 
 
 def test_zeta_int_even_closed_form():
     # zeta(2k) = (-1)^{k+1} B_{2k} (2 pi)^{2k} / (2 (2k)!)
     with mp.workdps(70):
         for k in range(1, 9):
-            b = bernoulli(2 * k)
+            b = bernoulli_recurrence(2 * k)
             want = (
                 (-1) ** (k + 1)
                 * mp.mpf(b.numerator)
@@ -115,7 +138,8 @@ def test_zeta_int_even_closed_form():
 
 def test_zeta_int_high_precision():
     with mp.workdps(210):
-        assert abs(zeta_int(3, 200) - mp.zeta(3)) < mp.mpf(10) ** -198
+        for s in (3, 4, 7):
+            assert abs(zeta_int(s, 200) - zeta_euler_maclaurin(s, 200)) < mp.mpf(10) ** -198, s
 
 
 def test_zeta_int_rejects_small_arguments():
@@ -132,6 +156,15 @@ def test_polylog_circle_against_mpmath():
                 got = polylog_circle(n, th, 50)
                 want = mp.polylog(n, mp.expj(th))
                 assert abs(got - want) < mp.mpf(10) ** -45, (n, th)
+
+
+def test_polylog_circle_high_precision_against_mpmath():
+    with mp.workdps(310):
+        for n in range(2, 6):
+            for th in (2 * mp.pi / 7, mp.mpf("2.5"), mp.mpf("5.1")):
+                got = polylog_circle(n, th, 300)
+                want = mp.polylog(n, mp.expj(th))
+                assert abs(got - want) < mp.mpf(10) ** -295, (n, th)
 
 
 def test_polylog_circle_order_one_closed_form():
