@@ -22,10 +22,8 @@ from mpmath import mp, mpc, mpf
 
 from . import rtorsion
 from .errors import TrivialHolonomyAtJZero, ValidationError
-from .numfield import NumberField, roots_of_unity_field
+from .numfield import GUARD, NumberField, roots_of_unity_field
 from .polylog import BERNOULLI_MAX, bernoulli, polylog_circle, zeta_int
-
-GUARD = 10
 
 # hatcher_constant needs B_{2k}, so k is bounded by the Bernoulli index bound.
 HATCHER_K_MAX = BERNOULLI_MAX // 2

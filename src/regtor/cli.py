@@ -12,13 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from mpmath import mp
 
 from . import circlebundle, flatmodel, modtors, polylog, rtorsion
 from .errors import NumericalError, ValidationError
-from .numfield import dirichlet_rank, norm, parse_descriptor, parse_rational
+from .numfield import GUARD, dirichlet_rank, norm, parse_descriptor, parse_rational
 
 DEFAULT_DIGITS = 50
 
@@ -29,7 +28,7 @@ def _resolve_digits(args, descriptor=None) -> int:
         digits = descriptor.get("digits")
     if digits is None:
         digits = DEFAULT_DIGITS
-    digits = int(digits)
+    digits = _int_arg(digits, "digits")
     if not 30 <= digits <= 1000:
         raise ValidationError("digits must lie in [30, 1000]")
     return digits
@@ -50,11 +49,21 @@ def _load_field(args):
     return field, units, digits
 
 
-def _json_arg(text, what):
+def _load_lattice(args):
+    """The field, the regulator lattice of its descriptor units, and digits."""
+    field, units, digits = _load_field(args)
+    return field, flatmodel.build_lattice(field, units), digits
+
+
+def _json_arg(text, what, kind=None):
+    """Parse a JSON argument; kind (list or dict) checks its top-level type."""
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
+    if kind is not None and not isinstance(data, kind):
+        raise ValidationError(f"{what} must be a JSON {'object' if kind is dict else 'list'}")
+    return data
 
 
 def _s(x, digits):
@@ -75,62 +84,84 @@ def _point_dict(x, digits):
 
 
 def _parse_point(lattice, data):
-    if not isinstance(data, dict) or "rank" not in data or "torus" not in data:
-        raise ValidationError('a point class needs {"rank", "cls", "torus"}')
+    if "rank" not in data or not isinstance(data.get("torus"), dict):
+        raise ValidationError('a point class needs {"rank", "cls", "torus"}, "torus" an object')
     torus = data["torus"]
     vals = [torus.get(f"sigma_{k}", "0") for k in range(lattice.field.n_places)]
     f = flatmodel.make_form(lattice.field, 0, vals)
-    return flatmodel.point_class(lattice, int(data["rank"]), data.get("cls", ()), f)
+    cls = data.get("cls", [])
+    if not isinstance(cls, list):
+        raise ValidationError('"cls" must be a list of integers')
+    cls = [_int_arg(c, "a cls entry") for c in cls]
+    return flatmodel.point_class(lattice, _int_arg(data["rank"], "rank"), cls, f)
 
 
 def _ring_cell(field, cell):
     if isinstance(cell, str):
-        return field.element([parse_rational(cell)])
-    if isinstance(cell, (list, tuple)):
-        return field.element([parse_rational(c) for c in cell])
-    raise ValidationError('matrix entries must be "p/q" strings or coefficient lists')
+        cell = [cell]
+    if not isinstance(cell, list):
+        raise ValidationError('matrix entries must be "p/q" strings or coefficient lists')
+    return field.element([_rational_arg(c, "a matrix entry") for c in cell])
+
+
+def _ring_matrix(field, rows, what):
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ValidationError(f"{what} must be a list of rows")
+    return [[_ring_cell(field, cell) for cell in row] for row in rows]
+
+
+def _grams(data, what):
+    if not isinstance(data, list) or not all(
+        isinstance(g, list) and all(isinstance(r, list) for r in g) for g in data
+    ):
+        raise ValidationError(f"{what} must be a list of Gram matrices, each a list of rows")
+    return data
 
 
 def _parse_presentation(field, data):
     entries = data.get("entries") if isinstance(data, dict) else data
-    if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
-        raise ValidationError("presentation entries must be a list of rows")
-    rows = [[_ring_cell(field, cell) for cell in row] for row in entries]
+    rows = _ring_matrix(field, entries, "presentation entries")
     if any(len(r) != len(rows) for r in rows):
         # Shorthand: a single row of strings is one entry's coefficient vector.
         if len(entries) == 1 and all(isinstance(c, str) for c in entries[0]):
-            rows = [[field.element([parse_rational(c) for c in entries[0]])]]
-    if isinstance(data, dict) and "size" in data and int(data["size"]) != len(rows):
+            rows = [[_ring_cell(field, entries[0])]]
+    if isinstance(data, dict) and "size" in data and _int_arg(data["size"], "size") != len(rows):
         raise ValidationError("declared presentation size disagrees with the entries")
     return modtors.presentation(field, rows)
 
 
 def _parse_complex(field, data):
     for key in ("lengths", "diffs", "grams"):
-        if key not in data:
-            raise ValidationError(f'complex JSON needs "{key}"')
-    diffs = [
-        [[_ring_cell(field, cell) for cell in row] for row in m] for m in data["diffs"]
-    ]
+        if not isinstance(data.get(key), list):
+            raise ValidationError(f'complex JSON needs a list "{key}"')
+    lengths = [_int_arg(n, "a length") for n in data["lengths"]]
+    diffs = [_ring_matrix(field, m, "a differential") for m in data["diffs"]]
+    cohomology = data.get("cohomology", [{} for _ in lengths])
+    if not isinstance(cohomology, list) or not all(isinstance(raw, dict) for raw in cohomology):
+        raise ValidationError('"cohomology" must be a list of JSON objects')
     specs = []
-    for raw in data.get("cohomology", [{} for _ in data["lengths"]]):
+    for raw in cohomology:
         torsion = None
         if raw.get("torsion") is not None:
             torsion = _parse_presentation(field, raw["torsion"])
-        reps = [
-            [_ring_cell(field, cell) for cell in row] for row in raw.get("free_reps", [])
-        ]
+        reps = _ring_matrix(field, raw.get("free_reps", []), "free_reps")
         specs.append(
             rtorsion.CohomologySpec(
-                free_rank=int(raw.get("free_rank", 0)),
+                free_rank=_int_arg(raw.get("free_rank", 0), "free_rank"),
                 free_reps=tuple(tuple(r) for r in reps),
-                free_grams=tuple(raw.get("free_grams", ())),
+                free_grams=tuple(_grams(raw.get("free_grams", []), "free_grams")),
                 torsion=torsion,
             )
         )
-    return rtorsion.build_complex_over_r(
-        field, data["lengths"], diffs, data["grams"], specs
-    )
+    grams = [_grams(per_degree, "grams") for per_degree in data["grams"]]
+    return rtorsion.build_complex_over_r(field, lengths, diffs, grams, specs)
+
+
+def _int_arg(value, what):
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from exc
 
 
 def _rational_arg(text, what):
@@ -144,14 +175,14 @@ def _rational_arg(text, what):
 def _real_arg(text, digits, what):
     """A decimal or "p/q" argument at digits + GUARD."""
     q = _rational_arg(text, what)
-    with mp.workdps(digits + polylog.GUARD):
+    with mp.workdps(digits + GUARD):
         return mp.mpf(q.numerator) / q.denominator
 
 
 def _theta_from_args(args, digits):
     if args.theta_over_2pi is not None:
         q = _rational_arg(args.theta_over_2pi, "--theta-over-2pi")
-        with mp.workdps(digits + polylog.GUARD):
+        with mp.workdps(digits + GUARD):
             return 2 * mp.pi * q.numerator / q.denominator
     if args.theta is not None:
         return _real_arg(args.theta, digits, "--theta")
@@ -185,8 +216,8 @@ def cmd_field_info(args):
 
 def cmd_unit_log(args):
     field, _, digits = _load_field(args)
-    vec = _json_arg(args.unit, "--unit")
-    elem = field.element([parse_rational(c) for c in vec])
+    vec = _json_arg(args.unit, "--unit", list)
+    elem = field.element([_rational_arg(c, "--unit") for c in vec])
     f = flatmodel.unit_log(field, elem)
     return {
         "unit": [str(c) for c in elem.coeffs],
@@ -197,8 +228,7 @@ def cmd_unit_log(args):
 
 
 def cmd_lattice(args):
-    field, units, digits = _load_field(args)
-    lat = flatmodel.build_lattice(field, units)
+    _, lat, digits = _load_lattice(args)
     return {
         "rank": lat.rank,
         "tol": _s(lat.tol, 8),
@@ -209,9 +239,8 @@ def cmd_lattice(args):
 
 
 def cmd_reduce(args):
-    field, units, digits = _load_field(args)
-    lat = flatmodel.build_lattice(field, units)
-    vals = _json_arg(args.form, "--form")
+    field, lat, digits = _load_lattice(args)
+    vals = _json_arg(args.form, "--form", list)
     f = flatmodel.make_form(field, 0, vals)
     t, is_zero = flatmodel.reduce_mod_lattice(lat, f)
     return {
@@ -222,25 +251,22 @@ def cmd_reduce(args):
 
 
 def cmd_cycl(args):
-    field, units, digits = _load_field(args)
-    lat = flatmodel.build_lattice(field, units)
-    grams = _json_arg(args.grams, "--grams")
+    field, lat, digits = _load_lattice(args)
+    grams = _grams(_json_arg(args.grams, "--grams"), "--grams")
     x = flatmodel.cycl_free(field, lat, grams)
     return _point_dict(x, digits)
 
 
 def cmd_scale(args):
-    field, units, digits = _load_field(args)
-    lat = flatmodel.build_lattice(field, units)
-    x = _parse_point(lat, _json_arg(args.point, "--point"))
-    lambdas = _json_arg(args.lambdas, "--lambdas")
+    _, lat, digits = _load_lattice(args)
+    x = _parse_point(lat, _json_arg(args.point, "--point", dict))
+    lambdas = _json_arg(args.lambdas, "--lambdas", list)
     y = flatmodel.scale_class(lat, x, lambdas)
     return _point_dict(y, digits)
 
 
 def cmd_zhat(args):
-    field, units, digits = _load_field(args)
-    lat = flatmodel.build_lattice(field, units)
+    field, lat, digits = _load_lattice(args)
     pres = _parse_presentation(field, _json_arg(args.pres, "--pres"))
     x = modtors.zhat(field, lat, pres)
     out = _point_dict(x, digits)
@@ -251,8 +277,8 @@ def cmd_zhat(args):
 
 def cmd_rtorsion(args):
     field, _, digits = _load_field(args)
-    cplx = _parse_complex(field, _json_arg(args.complex, "--complex"))
-    with mp.workdps(digits + polylog.GUARD):
+    cplx = _parse_complex(field, _json_arg(args.complex, "--complex", dict))
+    with mp.workdps(digits + GUARD):
         taus = {}
         for k in range(field.n_places):
             taus[f"sigma_{k}"] = _s(
@@ -267,9 +293,8 @@ def cmd_rtorsion(args):
 
 
 def cmd_euler_check(args):
-    field, units, digits = _load_field(args)
-    lat = flatmodel.build_lattice(field, units)
-    cplx = _parse_complex(field, _json_arg(args.complex, "--complex"))
+    field, lat, digits = _load_lattice(args)
+    cplx = _parse_complex(field, _json_arg(args.complex, "--complex", dict))
     res = rtorsion.verify_euler_identity(field, lat, cplx)
     out = {"residual": _point_dict(res, digits), "is_zero": res.is_zero()}
     return out
@@ -300,7 +325,7 @@ def cmd_bernoulli(args):
 def cmd_beta_check(args):
     digits = _resolve_digits(args)
     quad, exact = polylog.beta_integral_check(args.j, digits)
-    with mp.workdps(digits + polylog.GUARD):
+    with mp.workdps(digits + GUARD):
         err = abs(quad - mp.mpf(exact.numerator) / exact.denominator)
     return {
         "j": args.j,

@@ -21,30 +21,37 @@ from fractions import Fraction
 from mpmath import mp, mpc, mpf
 
 from .errors import NoConvergence, NotAUnit, NotPositiveDefinite, ValidationError
-from .numfield import FieldElement, NumberField, embed, parse_rational, verify_unit
-
-GUARD = 10
+from .numfield import (
+    GUARD,
+    FieldElement,
+    NumberField,
+    embed,
+    parse_rational,
+    rank_cutoff,
+    torus_tolerance,
+    verify_unit,
+)
 
 _LLL_STEP_CAP = 50_000
 
 
 def to_mp(x):
-    """Exact-aware scalar conversion at the current working precision."""
-    if isinstance(x, Fraction):
-        return mpf(x.numerator) / x.denominator
-    if isinstance(x, str) and "/" in x:
-        q = parse_rational(x)
-        return mpf(q.numerator) / q.denominator
+    """Exact-aware scalar conversion at the current working precision.
+
+    Raises ValidationError on anything that is not a number, a decimal or
+    "p/q" string, or an [re, im] pair of those.
+    """
     if isinstance(x, (tuple, list)):
         if len(x) != 2:
             raise ValidationError("complex entries must be [re, im] pairs")
         return mpc(to_mp(x[0]), to_mp(x[1]))
-    return mp.mpmathify(x)
-
-
-def _project_mean_zero(vals):
-    m = mp.fsum(vals) / len(vals)
-    return tuple(v - m for v in vals)
+    try:
+        q = parse_rational(x) if isinstance(x, str) and "/" in x else x
+        if isinstance(q, Fraction):
+            return mpf(q.numerator) / q.denominator
+        return mp.mpmathify(q)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"not a number: {x!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -121,7 +128,8 @@ def make_form(field: NumberField, degree_index: int, values) -> FormElement:
         if degree_index % 2 == 1:
             vals = [mpf(0) if k < field.r_real else v for k, v in enumerate(vals)]
         if degree_index == 0:
-            vals = _project_mean_zero(vals)
+            mean = mp.fsum(vals) / len(vals)
+            vals = [v - mean for v in vals]
         return FormElement(degree_index, tuple(vals), field.digits)
 
 
@@ -137,7 +145,7 @@ def unit_log(field: NumberField, unit: FieldElement) -> FormElement:
         vals = [
             mp.log(abs(embed(field, unit, k))) / 2 for k in range(field.n_places)
         ]
-        return FormElement(0, _project_mean_zero(vals), field.digits)
+    return make_form(field, 0, vals)
 
 
 def _dot(u, v):
@@ -244,7 +252,7 @@ def build_lattice(field: NumberField, units) -> RegulatorLattice:
     """
     images = [unit_log(field, u) for u in units]
     with mp.workdps(field.digits + GUARD):
-        drop = mpf(10) ** (-mpf(field.digits) / 2)
+        drop = rank_cutoff(field.digits)
         basis: list = []
         star: list = []
         for f in images:
@@ -260,7 +268,7 @@ def build_lattice(field: NumberField, units) -> RegulatorLattice:
             star, _ = _gram_schmidt(basis, drop)
         if len(basis) > field.r_real + field.r_complex - 1:
             raise ValidationError("lattice rank exceeds the unit-group rank")
-        tol = mpf(10) ** (-mpf(field.digits) / 3)
+        tol = torus_tolerance(field.digits)
         lat = RegulatorLattice(
             field=field,
             unit_images=tuple(images),
@@ -396,7 +404,7 @@ def hermitian_cholesky(rows, digits: int):
     """Lower Cholesky factor of a Hermitian positive-definite matrix.
 
     Raises NotPositiveDefinite when a pivot fails or the matrix is not
-    Hermitian within 10^(-digits/2) relative to its largest entry.
+    Hermitian within rank_cutoff(digits) relative to its largest entry.
     """
     n = len(rows)
     with mp.workdps(digits + GUARD):
@@ -404,7 +412,7 @@ def hermitian_cholesky(rows, digits: int):
         if any(len(row) != n for row in a):
             raise ValidationError("Gram matrix must be square")
         scale = max((abs(x) for row in a for x in row), default=mpf(0))
-        herm_tol = (scale + 1) * mpf(10) ** (-mpf(digits) / 2)
+        herm_tol = (scale + 1) * rank_cutoff(digits)
         for i in range(n):
             for j in range(i + 1):
                 if abs(a[i][j] - mp.conj(a[j][i])) > herm_tol:
@@ -443,11 +451,10 @@ def cycl_free(field: NumberField, lattice: RegulatorLattice, grams) -> PointClas
     sizes = {len(g) for g in grams}
     if len(sizes) > 1:
         raise ValidationError("Gram matrices must share a single size")
-    n = sizes.pop() if sizes else 0
+    n = sizes.pop()
     with mp.workdps(field.digits + GUARD):
         vals = [lndet_hermitian(g, field.digits) / 4 for g in grams]
-        f = FormElement(0, _project_mean_zero(vals), field.digits) if vals else zero_form(field)
-    t, _ = reduce_mod_lattice(lattice, f)
+    t, _ = reduce_mod_lattice(lattice, make_form(field, 0, vals))
     return PointClass(n, _reduce_cls(field.class_orders, ()), t)
 
 
@@ -464,5 +471,4 @@ def scale_class(lattice: RegulatorLattice, x: PointClass, lambdas) -> PointClass
             if not (mp.im(s) == 0 and mp.re(s) > 0):
                 raise ValidationError("scaling factors must be positive reals")
             vals.append(mp.log(mp.re(s)) / 2)
-        f = FormElement(0, _project_mean_zero(vals), field.digits)
-    return class_add(x, a_map(lattice, f))
+    return class_add(x, a_map(lattice, make_form(field, 0, vals)))

@@ -5,9 +5,10 @@ A finite torsion module T enters through a square presentation
 class depends on M only through its determinant: it is the flat insertion of
 -(1/2) sum over Sigma* of ln|sigma(det M)| b_1(sigma).
 
-Determinants are computed by fraction-free style Bareiss elimination carried
-out in Q[x] representatives of the quotient ring, with exact rational
-arithmetic throughout; no floating point enters before the final embedding.
+Determinants are computed by fraction-free Bareiss elimination carried out
+in Q[x] representatives of the quotient ring, with numfield's polynomial kit
+(exact rational arithmetic throughout); no floating point enters before the
+final embedding.
 """
 
 from __future__ import annotations
@@ -18,59 +19,19 @@ from fractions import Fraction
 from mpmath import mp
 
 from .errors import NotAUnit, SingularPresentation, ValidationError
-from .flatmodel import (
-    FormElement,
-    PointClass,
-    RegulatorLattice,
-    _project_mean_zero,
-    a_map,
+from .flatmodel import PointClass, RegulatorLattice, a_map, make_form
+from .numfield import (
+    GUARD,
+    FieldElement,
+    NumberField,
+    embed,
+    norm,
+    poly_divmod,
+    poly_mul,
+    poly_sub,
+    poly_trim,
+    verify_unit,
 )
-from .numfield import FieldElement, NumberField, embed, norm, verify_unit
-
-GUARD = 10
-
-
-def _pnorm(a: list) -> list:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y != 0:
-                out[i + j] += x * y
-    return _pnorm(out)
-
-
-def _psub(a: list, b: list) -> list:
-    out = list(a) + [Fraction(0)] * (len(b) - len(a))
-    for j, y in enumerate(b):
-        out[j] -= y
-    return _pnorm(out)
-
-
-def _pdiv_exact(a: list, b: list) -> list:
-    """Quotient of polynomials over Q known to divide exactly."""
-    if not a:
-        return []
-    rem = list(a)
-    quo = [Fraction(0)] * (len(a) - len(b) + 1)
-    lead = b[-1]
-    for k in range(len(rem) - 1, len(b) - 2, -1):
-        c = rem[k] / lead
-        quo[k - len(b) + 1] = c
-        if c != 0:
-            for i in range(len(b)):
-                rem[k - len(b) + 1 + i] -= c * b[i]
-    assert all(r == 0 for r in rem[: len(b) - 1])
-    return _pnorm(quo)
 
 
 def exact_det(field: NumberField, rows) -> FieldElement:
@@ -86,13 +47,7 @@ def exact_det(field: NumberField, rows) -> FieldElement:
         raise ValidationError("matrix must be square")
     if m == 0:
         return field.one()
-    a = [
-        [
-            _pnorm(list((x if isinstance(x, FieldElement) else field.element(x)).coeffs))
-            for x in r
-        ]
-        for r in rows
-    ]
+    a = [[poly_trim(list(field.element(x).coeffs)) for x in r] for r in rows]
     sign = 1
     prev = [Fraction(1)]
     for k in range(m - 1):
@@ -108,8 +63,9 @@ def exact_det(field: NumberField, rows) -> FieldElement:
             sign = -sign
         for i in range(k + 1, m):
             for j in range(k + 1, m):
-                num = _psub(_pmul(a[i][j], a[k][k]), _pmul(a[i][k], a[k][j]))
-                a[i][j] = _pdiv_exact(num, prev)
+                num = poly_sub(poly_mul(a[i][j], a[k][k]), poly_mul(a[i][k], a[k][j]))
+                a[i][j], rem = poly_divmod(num, prev)
+                assert not rem
             a[i][k] = []
         prev = a[k][k]
     det_poly = a[m - 1][m - 1]
@@ -131,10 +87,7 @@ class TorsionPresentation:
 def presentation(field: NumberField, rows) -> TorsionPresentation:
     """Validate a square matrix of ring elements as a torsion presentation."""
     m = len(rows)
-    ents = tuple(
-        tuple(x if isinstance(x, FieldElement) else field.element(x) for x in r)
-        for r in rows
-    )
+    ents = tuple(tuple(field.element(x) for x in r) for r in rows)
     if any(len(r) != m for r in ents):
         raise ValidationError("presentation matrix must be square")
     det = exact_det(field, ents)
@@ -154,8 +107,7 @@ def zhat(field: NumberField, lattice: RegulatorLattice, pres: TorsionPresentatio
             -mp.log(abs(embed(field, pres.det_elem, k))) / 2
             for k in range(field.n_places)
         ]
-        f = FormElement(0, _project_mean_zero(vals), field.digits)
-    return a_map(lattice, f)
+    return a_map(lattice, make_form(field, 0, vals))
 
 
 def zhat_wellposed(
@@ -170,8 +122,8 @@ def zhat_wellposed(
     left_unit_diag and right_unit_diag are sequences of units of length
     pres.size; the modified presentation is diag(left) * M * diag(right).
     """
-    left = [x if isinstance(x, FieldElement) else field.element(x) for x in left_unit_diag]
-    right = [x if isinstance(x, FieldElement) else field.element(x) for x in right_unit_diag]
+    left = [field.element(x) for x in left_unit_diag]
+    right = [field.element(x) for x in right_unit_diag]
     if len(left) != pres.size or len(right) != pres.size:
         raise ValidationError("diagonal factors must match the presentation size")
     for u in list(left) + list(right):

@@ -1,4 +1,5 @@
-"""Exact and high-precision arithmetic for an order R = Z[x]/(p).
+"""Exact and high-precision arithmetic for an order R = Z[x]/(p), and the
+arithmetic core the other modules share.
 
 The defining polynomial is monic, squarefree, with integer coefficients.
 Embeddings into C are the roots of p, found by simultaneous Aberth-Ehrlich
@@ -7,9 +8,16 @@ steps; for p = 1 + x + ... + x^{r-1} they are the closed-form roots of unity
 e^{2 pi i k/r}.  Either way one routine orders the roots into places and
 checks their residuals.  Norms are exact rationals computed through the
 resultant of p with the element polynomial (fraction-free Sylvester
-determinant), never through floating products.  The integrality test for units checks power-basis
-integrality only; when R is not the maximal order in the power basis, a unit
-of the field lying outside Z[x] is rejected.
+determinant over Z), never through floating products.  The integrality test
+for units checks power-basis integrality only; when R is not the maximal
+order in the power basis, a unit of the field lying outside Z[x] is rejected.
+
+Shared by every module: the polynomial kit over Q (poly_trim, poly_mul,
+poly_sub, poly_divmod; coefficient lists constant first), the one Horner
+evaluator, and the precision policy.  Each public function works at
+digits + GUARD; the cutoffs rank_cutoff (10^(-digits/2)), torus_tolerance
+(10^(-digits/3)) and residual_tolerance (10^(-digits + GUARD)) are evaluated
+at the caller's working precision.
 """
 
 from __future__ import annotations
@@ -43,52 +51,72 @@ class FieldElement:
         return "(" + ", ".join(str(c) for c in self.coeffs) + ")"
 
 
-def _poly_degree(coeffs: list[Fraction]) -> int:
-    for k in range(len(coeffs) - 1, -1, -1):
-        if coeffs[k] != 0:
-            return k
-    return -1
+def rank_cutoff(digits: int):
+    """10^(-digits/2) at the working precision: the rank cutoff, the real-axis
+    test of the roots and the lattice's drop test for collapsed vectors."""
+    return mpf(10) ** (-mpf(digits) / 2)
 
 
-def _poly_mod(coeffs: list[Fraction], poly: tuple[int, ...]) -> list[Fraction]:
-    """Remainder of a rational polynomial modulo the monic integer poly."""
-    n = len(poly) - 1
-    rem = list(coeffs)
-    for k in range(len(rem) - 1, n - 1, -1):
-        lead = rem[k]
-        if lead == 0:
+def torus_tolerance(digits: int):
+    """10^(-digits/3) at the working precision: a torus element below it is zero."""
+    return mpf(10) ** (-mpf(digits) / 3)
+
+
+def residual_tolerance(digits: int):
+    """10^(-digits + GUARD) at the working precision: the bound on root
+    residuals and on d after d for complexes over C."""
+    return mpf(10) ** (-digits + GUARD)
+
+
+def poly_trim(a: list) -> list:
+    """Drop trailing zero coefficients in place; the zero polynomial is []."""
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def poly_mul(a, b) -> list:
+    """Product of two coefficient lists (constant first), trimmed."""
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
             continue
-        rem[k] = Fraction(0)
-        for i in range(n):
-            rem[k - n + i] -= lead * poly[i]
-    del rem[n:]
-    while len(rem) < n:
-        rem.append(Fraction(0))
-    return rem
+        for j, y in enumerate(b):
+            if y != 0:
+                out[i + j] += x * y
+    return poly_trim(out)
 
 
-def _poly_gcd_is_constant(a: list[Fraction], b: list[Fraction]) -> bool:
-    """True iff gcd of two rational polynomials is a nonzero constant."""
-    a = a[: _poly_degree(a) + 1]
-    b = b[: _poly_degree(b) + 1]
-    while b:
-        if len(b) == 1:
-            return True
-        # remainder of a modulo b
-        r = list(a)
-        while len(r) >= len(b):
-            if r[-1] == 0:
-                r.pop()
-                continue
-            factor = r[-1] / b[-1]
-            shift = len(r) - len(b)
-            for i in range(len(b)):
-                r[shift + i] -= factor * b[i]
-            r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-        a, b = b, r
-    return False
+def poly_sub(a, b) -> list:
+    """Difference of two coefficient lists, trimmed."""
+    out = list(a) + [Fraction(0)] * (len(b) - len(a))
+    for j, y in enumerate(b):
+        out[j] -= y
+    return poly_trim(out)
+
+
+def poly_divmod(a, b) -> tuple[list, list]:
+    """Quotient and remainder of a by b, both trimmed; b[-1] must be nonzero."""
+    nb = len(b)
+    rem = list(a)
+    quo = [Fraction(0)] * max(len(rem) - nb + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + nb - 1] / b[-1]
+        quo[k] = c
+        if c != 0:
+            for i in range(nb - 1):
+                rem[k + i] -= c * b[i]
+    return poly_trim(quo), poly_trim(rem[: nb - 1])
+
+
+def _coprime(a, b) -> bool:
+    """True iff the gcd of two rational polynomials is a nonzero constant."""
+    a, b = poly_trim([Fraction(c) for c in a]), poly_trim([Fraction(c) for c in b])
+    while len(b) > 1:
+        a, b = b, poly_divmod(a, b)[1]
+    return len(b) == 1
 
 
 def _int_bareiss_det(m: list[list[int]]) -> int:
@@ -150,12 +178,13 @@ class NumberField:
         return place_index < self.r_real
 
     def element(self, coeffs) -> FieldElement:
+        """Coefficients reduced modulo p; a FieldElement is returned as it is."""
+        if isinstance(coeffs, FieldElement):
+            return coeffs
         vals = [Fraction(c) for c in coeffs]
         if len(vals) > self.degree:
-            vals = _poly_mod(vals, self.poly)
-        while len(vals) < self.degree:
-            vals.append(Fraction(0))
-        return FieldElement(tuple(vals))
+            vals = poly_divmod(vals, self.poly)[1]
+        return FieldElement(tuple(vals + [Fraction(0)] * (self.degree - len(vals))))
 
     def zero(self) -> FieldElement:
         return self.element([])
@@ -180,15 +209,7 @@ class NumberField:
         return FieldElement(tuple(f * x for x in a.coeffs))
 
     def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        n = self.degree
-        prod = [Fraction(0)] * (2 * n - 1) if n > 0 else [Fraction(0)]
-        for i, x in enumerate(a.coeffs):
-            if x == 0:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y != 0:
-                    prod[i + j] += x * y
-        return FieldElement(tuple(_poly_mod(prod, self.poly)))
+        return self.element(poly_mul(a.coeffs, b.coeffs))
 
 
 def build_field(poly, digits: int, class_orders=()) -> NumberField:
@@ -197,7 +218,7 @@ def build_field(poly, digits: int, class_orders=()) -> NumberField:
     p must be monic with integer coefficients, degree >= 1, and squarefree
     (checked exactly through gcd(p, p')).  Roots are found by Aberth-Ehrlich
     simultaneous iteration from deterministic perturbed-circle seeds and
-    Newton-polished; every root satisfies |p(z)| < 10^(-digits + 10).
+    Newton-polished; every root satisfies |p(z)| < residual_tolerance(digits).
     """
     try:
         coeffs = tuple(int(c) for c in poly)
@@ -213,9 +234,7 @@ def build_field(poly, digits: int, class_orders=()) -> NumberField:
     if digits < 1:
         raise ValidationError("digits must be positive")
 
-    p_frac = [Fraction(c) for c in coeffs]
-    dp_frac = [Fraction(k * coeffs[k]) for k in range(1, n + 1)]
-    if not _poly_gcd_is_constant(p_frac, dp_frac):
+    if not _coprime(coeffs, [k * coeffs[k] for k in range(1, n + 1)]):
         raise NotSquarefree("defining polynomial has a repeated factor")
 
     with mp.workdps(digits + 2 * GUARD):
@@ -242,12 +261,12 @@ def roots_of_unity_field(r: int, digits: int) -> NumberField:
 def _field_from_roots(coeffs, roots, digits: int, class_orders=()) -> NumberField:
     """Order the roots of p into places and check them; precision is the caller's.
 
-    Roots within 10^(-digits/2) of the real axis are real places (polished
-    by Newton steps); the rest must pair into complex conjugates.  Every
-    stored embedding must satisfy |p(z)| < 10^(-digits + GUARD).
+    Roots within rank_cutoff(digits) of the real axis are real places
+    (polished by Newton steps); the rest must pair into complex conjugates.
+    Every stored embedding must satisfy |p(z)| < residual_tolerance(digits).
     """
     n = len(coeffs) - 1
-    threshold = mpf(10) ** (-mpf(digits) / 2)
+    threshold = rank_cutoff(digits)
     reals = []
     pos = []
     neg = []
@@ -267,7 +286,7 @@ def _field_from_roots(coeffs, roots, digits: int, class_orders=()) -> NumberFiel
         if abs(mp.conj(zp) - zn) > threshold:
             raise NoConvergence("complex embeddings do not pair into conjugates")
     sigma_star = tuple(+x for x in reals) + tuple(+z for z in pos)
-    resid_bound = mpf(10) ** (-digits + GUARD)
+    resid_bound = residual_tolerance(digits)
     for z in sigma_star:
         if abs(_horner(coeffs, z)) >= resid_bound:
             raise NoConvergence("root residual exceeds the precision bound")
@@ -283,16 +302,11 @@ def _field_from_roots(coeffs, roots, digits: int, class_orders=()) -> NumberFiel
 
 
 def _horner(coeffs, z):
-    acc = mpc(0)
+    """sum of coeffs[k] z^k (constant first) at the working precision; real
+    for real z."""
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * z + c
-    return acc
-
-
-def _horner_real(coeffs, x):
-    acc = mpf(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
     return acc
 
 
@@ -300,10 +314,10 @@ def _newton_polish_real(coeffs, x):
     n = len(coeffs) - 1
     dcoeffs = [k * coeffs[k] for k in range(1, n + 1)]
     for _ in range(3):
-        d = _horner_real(dcoeffs, x)
+        d = _horner(dcoeffs, x)
         if d == 0:
             break
-        x = x - _horner_real(coeffs, x) / d
+        x = x - _horner(coeffs, x) / d
     return x
 
 
@@ -352,44 +366,40 @@ def _aberth_roots(coeffs, digits):
     return z
 
 
+def _mp_coeffs(elem: FieldElement) -> list:
+    return [mpf(c.numerator) / c.denominator for c in elem.coeffs]
+
+
 def embed(field: NumberField, elem: FieldElement, place_index: int):
     """Embedded value of an element at the chosen place representative."""
-    root = field.sigma_star[place_index]
     with mp.workdps(field.digits + GUARD):
-        acc = mpc(0)
-        for c in reversed(elem.coeffs):
-            acc = acc * root + mpf(c.numerator) / c.denominator
-        if field.is_real_place(place_index):
-            return +acc.real
-        return +acc
+        acc = _horner(_mp_coeffs(elem), field.sigma_star[place_index])
+        return +acc.real if field.is_real_place(place_index) else +acc
 
 
 def embed_all(field: NumberField, elem: FieldElement) -> tuple:
-    """Embedded values at every embedding, ordered like all_embeddings."""
+    """Embedded values (complex) at every embedding, ordered like all_embeddings."""
     with mp.workdps(field.digits + GUARD):
-        out = []
-        for root in field.all_embeddings:
-            acc = mpc(0)
-            for c in reversed(elem.coeffs):
-                acc = acc * root + mpf(c.numerator) / c.denominator
-            out.append(+acc)
-        return tuple(out)
+        coeffs = _mp_coeffs(elem)
+        return tuple(mpc(_horner(coeffs, root)) for root in field.all_embeddings)
 
 
 def norm(field: NumberField, elem: FieldElement) -> Fraction:
     """Exact norm: the product of all embedded values, via a resultant.
 
     Computed as the Sylvester determinant of p and the denominator-cleared
-    element polynomial with a fraction-free elimination, divided by the
-    cleared denominator to the degree of p.
+    element polynomial with a fraction-free elimination over Z, divided by
+    the cleared denominator to the degree of p.  This stays apart from
+    modtors.exact_det on the multiplication matrix, which eliminates over
+    Q[x] and was 20 to 30 times slower on the units of Z[zeta_23].
     """
     n = field.degree
-    q = list(elem.coeffs)
-    m = _poly_degree(q)
+    q = poly_trim(list(elem.coeffs))
+    m = len(q) - 1
     if m < 0:
         return Fraction(0)
-    den = lcm(*(c.denominator for c in q)) if q else 1
-    qi = [int(c * den) for c in q[: m + 1]]
+    den = lcm(*(c.denominator for c in q))
+    qi = [int(c * den) for c in q]
     if m == 0:
         return Fraction(qi[0], den) ** n
     p_desc = [1] + [field.poly[k] for k in range(n - 1, -1, -1)]
@@ -437,8 +447,11 @@ def parse_descriptor(data: dict, digits_override: int | None = None):
     if not isinstance(data, dict) or "poly" not in data:
         raise ValidationError('field descriptor needs a "poly" coefficient list')
     poly = data["poly"]
-    digits = digits_override if digits_override is not None else int(data.get("digits", 50))
-    orders = tuple(int(k) for k in data.get("class_group", {}).get("orders", []))
+    try:
+        digits = digits_override if digits_override is not None else int(data.get("digits", 50))
+        orders = tuple(int(k) for k in data.get("class_group", {}).get("orders", []))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValidationError(f"descriptor digits or class-group orders are malformed: {exc}") from exc
     field = build_field(poly, digits, class_orders=orders)
     try:
         units = [

@@ -16,8 +16,7 @@ from math import comb
 from mpmath import mp, mpc, mpf
 
 from .errors import NoConvergence, ThetaOutOfRange, ValidationError
-
-GUARD = 10
+from .numfield import GUARD
 
 _SERIES_CAP = 10_000
 

@@ -22,8 +22,11 @@ The sign convention is frozen so that the acyclic complex 0 -> C --z--> C -> 0
 with standard metrics has tau = 1/|z|; both routes reproduce it.
 
 Rank decisions (kernel dimensions, singular ranks) refuse to guess: any
-eigenvalue or singular value within a factor 10^3 of the cutoff
-10^(-digits/2) raises RankAmbiguous.
+eigenvalue or singular value within a factor 10^3 of numfield.rank_cutoff
+(10^(-digits/2)) raises RankAmbiguous.  d after d = 0 and the cocycle
+conditions over C are checked against numfield.residual_tolerance
+(10^(-digits + GUARD)); log-determinants of Grams go through
+flatmodel.lndet_hermitian.
 """
 
 from __future__ import annotations
@@ -37,19 +40,18 @@ from .flatmodel import (
     FormElement,
     PointClass,
     RegulatorLattice,
-    _project_mean_zero,
     a_map,
     class_add,
     class_neg,
     cycl_free,
     hermitian_cholesky,
+    lndet_hermitian,
+    make_form,
     to_mp,
     zero_class,
 )
 from .modtors import TorsionPresentation, zhat
-from .numfield import FieldElement, NumberField, embed
-
-GUARD = 10
+from .numfield import GUARD, NumberField, embed, rank_cutoff, residual_tolerance
 
 _AMBIGUITY_FACTOR = 1000
 
@@ -127,7 +129,7 @@ def metrized_complex_at_place(
         for i in range(nd - 1):
             if len(dd[i]) != lengths[i + 1] or any(len(r) != lengths[i] for r in dd[i]):
                 raise ValidationError(f"differential {i} has the wrong shape")
-        tol = mpf(10) ** (-digits + GUARD)
+        tol = residual_tolerance(digits)
         for i in range(nd - 2):
             prod = _mul(dd[i + 1], dd[i])
             if _frob(prod) > tol:
@@ -238,7 +240,7 @@ def cohomology(cplx: MetrizedComplexAtPlace):
     with mp.workdps(cplx.digits + GUARD):
         degs, dt = _orthonormalize(cplx)
         spectra = _laplacian_spectra(cplx, degs, dt)
-        cut = mpf(10) ** (-mpf(cplx.digits) / 2)
+        cut = rank_cutoff(cplx.digits)
         dims = []
         bases = []
         for i, (evals, qrows) in enumerate(spectra):
@@ -273,7 +275,7 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
     with mp.workdps(cplx.digits + GUARD):
         degs, dt = _orthonormalize(cplx)
         spectra = _laplacian_spectra(cplx, degs, dt)
-        cut = mpf(10) ** (-mpf(cplx.digits) / 2)
+        cut = rank_cutoff(cplx.digits)
         dims = []
         lntau = mpf(0)
         for i, (evals, qrows) in enumerate(spectra):
@@ -292,20 +294,12 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
             proj_reps = _mul(zero_cols, _mul(_adj(zero_cols), degs[i].reps_tilde))
             w = _mul(_adj(proj_reps), proj_reps)
             try:
-                lndet_w = 2 * mp.fsum(
-                    mp.log(r[t].real)
-                    for t, r in enumerate(hermitian_cholesky(w, cplx.digits))
-                )
+                lndet_w = lndet_hermitian(w, cplx.digits)
             except NotPositiveDefinite as exc:
                 raise ValidationError(
                     f"degree-{i} representatives do not project onto a cohomology basis"
                 ) from exc
-            lndet_h = 2 * mp.fsum(
-                mp.log(r[t].real)
-                for t, r in enumerate(
-                    hermitian_cholesky(cplx.cohomology_grams[i], cplx.digits)
-                )
-            )
+            lndet_h = lndet_hermitian(cplx.cohomology_grams[i], cplx.digits)
             lntau += sign * (lndet_w - lndet_h) / 2
         _check_rep_count(cplx, dims)
         return mp.exp(lntau)
@@ -325,7 +319,7 @@ def torsion_by_contraction(cplx: MetrizedComplexAtPlace):
     """
     with mp.workdps(cplx.digits + GUARD):
         degs, dt = _orthonormalize(cplx)
-        cut = mpf(10) ** (-mpf(cplx.digits) / 2)
+        cut = rank_cutoff(cplx.digits)
         nd = len(cplx.lengths)
         coimage = []
         for i in range(nd - 1):
@@ -377,13 +371,7 @@ def torsion_by_contraction(cplx: MetrizedComplexAtPlace):
             det = mp.det(mp.matrix(big))
             lntau += sign * mp.log(abs(det))
             if h:
-                lndet_h = 2 * mp.fsum(
-                    mp.log(r[t].real)
-                    for t, r in enumerate(
-                        hermitian_cholesky(cplx.cohomology_grams[i], cplx.digits)
-                    )
-                )
-                lntau -= sign * lndet_h / 2
+                lntau -= sign * lndet_hermitian(cplx.cohomology_grams[i], cplx.digits) / 2
         return mp.exp(lntau)
 
 
@@ -423,13 +411,7 @@ class MetrizedComplexOverR:
 def build_complex_over_r(field, lengths, diffs, grams, cohomology) -> MetrizedComplexOverR:
     lengths = tuple(int(n) for n in lengths)
     nd = len(lengths)
-    dd = tuple(
-        tuple(
-            tuple(x if isinstance(x, FieldElement) else field.element(x) for x in row)
-            for row in m
-        )
-        for m in diffs
-    )
+    dd = tuple(tuple(tuple(field.element(x) for x in row) for row in m) for m in diffs)
     if len(dd) != nd - 1:
         raise ValidationError("expected one differential between consecutive degrees")
     for i in range(nd - 1):
@@ -448,10 +430,7 @@ def build_complex_over_r(field, lengths, diffs, grams, cohomology) -> MetrizedCo
         raise ValidationError("expected one Gram per degree and place representative")
     specs = []
     for i, spec in enumerate(cohomology):
-        reps = tuple(
-            tuple(x if isinstance(x, FieldElement) else field.element(x) for x in row)
-            for row in spec.free_reps
-        )
+        reps = tuple(tuple(field.element(x) for x in row) for row in spec.free_reps)
         if spec.free_rank:
             if len(reps) != lengths[i] or any(len(r) != spec.free_rank for r in reps):
                 raise ValidationError(f"free representatives at degree {i} have the wrong shape")
@@ -501,7 +480,7 @@ def rtorsion_form(field: NumberField, cplx: MetrizedComplexOverR) -> FormElement
         vals = [
             mp.log(reidemeister(at_place(cplx, k))) for k in range(field.n_places)
         ]
-        return FormElement(0, _project_mean_zero(vals), field.digits)
+    return make_form(field, 0, vals)
 
 
 def verify_euler_identity(

@@ -240,6 +240,39 @@ def test_digits_resolution_order(capsys):
     assert len(d["value"].replace("0.", "")) >= 45
 
 
+def _complex(**changes):
+    data = json.loads(ACYCLIC)
+    data.update(changes)
+    return json.dumps(data)
+
+
+# Malformed values inside otherwise well-formed arguments.
+MALFORMED = [
+    ["rtorsion", "--field", Z2, "--complex", "5"],
+    ["rtorsion", "--field", Z2, "--complex", _complex(cohomology=[5, {}])],
+    ["euler-check", "--field", Z2, "--complex", _complex(cohomology=[{}, "x"])],
+    ["rtorsion", "--field", Z2, "--complex", _complex(diffs=[[["x"]]])],
+    ["rtorsion", "--field", Z2, "--complex", _complex(diffs=[[["1/0"]]])],
+    ["rtorsion", "--field", Z2, "--complex", _complex(diffs=5)],
+    ["zhat", "--field", Z2, "--pres", '[["x"]]'],
+    ["zhat", "--field", Z2, "--pres", '[["1/0"]]'],
+    ["zhat", "--field", Z2, "--pres", '[[["2", "1/0"]]]'],
+    ["unit-log", "--field", Z2, "--unit", '["a"]'],
+    ["unit-log", "--field", Z2, "--unit", "5"],
+    ["reduce", "--field", Z2, "--form", '["x","1"]'],
+    ["reduce", "--field", Z2, "--form", "5"],
+    ["scale", "--field", Z2, "--point", '{"rank":1,"torus":5}', "--lambdas", '["1","1"]'],
+    ["cycl", "--field", Z2, "--grams", '[[["x"]],[["1"]]]'],
+    ["cycl", "--field", Z2, "--grams", "[5, 5]"],
+    ["rtorsion", "--field", Z2, "--complex", _complex(grams=[5, 5])],
+    ["rtorsion", "--field", Z2, "--complex", _complex(lengths=["x", 1])],
+    ["rtorsion", "--field", Z2, "--complex", _complex(cohomology=[{"free_rank": "x"}, {}])],
+    ["zhat", "--field", Z2, "--pres", '{"entries": [["2"]], "size": "x"}'],
+    ["scale", "--field", Z2, "--point", '{"rank":"x","torus":{}}', "--lambdas", '["1","1"]'],
+    ["scale", "--field", Z2, "--point", '{"rank":1,"cls":["x"],"torus":{}}', "--lambdas", '["1","1"]'],
+]
+
+
 def test_validation_exit_codes(capsys):
     code, _, err = run(capsys, "zeta", "--s", "3", "--digits", "20")
     assert code == 2 and "digits" in err
@@ -259,6 +292,9 @@ def test_validation_exit_codes(capsys):
     assert code == 2
     code, _, err = run(capsys, "cheeger-muller", "--r", "4")
     assert code == 2
+    for argv in MALFORMED:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: "), argv
 
 
 def test_numerical_exit_code(capsys):
