@@ -279,14 +279,13 @@ def cmd_rtorsion(args):
     field, _, digits = _load_field(args)
     cplx = _parse_complex(field, _json_arg(args.complex, "--complex", dict))
     with mp.workdps(digits + GUARD):
-        taus = {}
-        for k in range(field.n_places):
-            taus[f"sigma_{k}"] = _s(
-                rtorsion.reidemeister(rtorsion.at_place(cplx, k)), digits
-            )
-    f = rtorsion.rtorsion_form(field, cplx)
+        taus = [
+            rtorsion.reidemeister(rtorsion.at_place(cplx, k)) for k in range(field.n_places)
+        ]
+        tau = {f"sigma_{k}": _s(t, digits) for k, t in enumerate(taus)}
+        f = flatmodel.make_form(field, 0, [mp.log(t) for t in taus])
     return {
-        "tau": taus,
+        "tau": tau,
         "form_canonical": f.to_dict(digits)["coeffs"],
         "form_b1_reduced": _form_reduced(f, digits),
     }

@@ -2,13 +2,16 @@
 
 tau is the positive real comparing the metric on the determinant line of a
 complex with the metric induced on the determinant line of its cohomology
-(with respect to chosen cohomology bases and metrics).  Two independent
-algorithms are provided:
+(with respect to chosen cohomology bases and metrics).
 
-  reidemeister         Laplacian route: orthonormalize each degree by the
-                       Cholesky factor of its Gram, take pseudo-determinants
-                       of the combinatorial Laplacians, and correct by the
-                       Gram determinants of the harmonically projected
+metrized_complex_at_place validates a complex at one place and changes it to
+orthonormal coordinates, once: it factors each cochain Gram and takes ln det
+of each cohomology Gram one time.  Two independent algorithms read the
+result:
+
+  reidemeister         Laplacian route: take pseudo-determinants of the
+                       combinatorial Laplacians, and correct by the Gram
+                       determinants of the harmonically projected
                        cohomology representatives against the chosen
                        cohomology Grams.
 
@@ -97,26 +100,37 @@ def _to_rows(m):
 
 @dataclass(frozen=True)
 class MetrizedComplexAtPlace:
-    """A finite cochain complex over C with Grams and cohomology choices.
+    """A finite cochain complex over C, validated and factored once.
 
-    diffs[i] maps degree i to degree i+1 and has shape lengths[i+1] by
-    lengths[i]; cohomology_maps[i] has one column per chosen cohomology
-    class, each column a cocycle in degree i; cohomology_grams[i] is the
-    chosen metric on those classes.
+    With the cochain Grams G_i = L_i L_i^*: ortho_diffs[i] = L_{i+1}^* d_i
+    L_i^{-*} (empty when a degree is zero), ortho_reps[i] = L_i^* K_i for the
+    representative columns K_i, and from_ortho[i] = L_i^{-*} maps orthonormal
+    coordinates back.  cohomology_dims[i] counts the chosen classes and
+    lndet_cohomology[i] is ln det H_i of their Gram (0 when there are none).
     """
 
     digits: int
     lengths: tuple
-    diffs: tuple
-    cochain_grams: tuple
-    cohomology_grams: tuple
-    cohomology_maps: tuple
+    ortho_diffs: tuple
+    ortho_reps: tuple
+    from_ortho: tuple
+    cohomology_dims: tuple
+    lndet_cohomology: tuple
 
 
 def metrized_complex_at_place(
     digits, lengths, diffs, cochain_grams, cohomology_grams, cohomology_maps
 ) -> MetrizedComplexAtPlace:
-    """Validate shapes, d after d = 0, positive Grams, and cocycle columns."""
+    """Validate a complex and change it to orthonormal coordinates.
+
+    diffs[i] maps degree i to degree i+1 and has shape lengths[i+1] by
+    lengths[i]; cohomology_maps[i] has one column per chosen cohomology
+    class, each column a cocycle in degree i; cohomology_grams[i] is the
+    chosen metric on those classes.  Checks shapes, d after d = 0, positive
+    Grams and cocycle columns.  Each Gram is factored exactly once: the
+    Cholesky factor of a cochain Gram gives the orthonormal coordinates, and
+    that of a cohomology Gram gives its log-determinant.
+    """
     lengths = tuple(int(n) for n in lengths)
     nd = len(lengths)
     with mp.workdps(digits + GUARD):
@@ -134,14 +148,16 @@ def metrized_complex_at_place(
             prod = _mul(dd[i + 1], dd[i])
             if _frob(prod) > tol:
                 raise ValidationError(f"d{i + 1} after d{i} is not zero")
+        chol = []
+        lndet_h = []
         for i in range(nd):
             if len(gg[i]) != lengths[i]:
                 raise ValidationError(f"cochain Gram {i} has the wrong size")
-            if lengths[i] > 0:
-                hermitian_cholesky(gg[i], digits)
+            low = hermitian_cholesky(gg[i], digits) if lengths[i] > 0 else ()
+            chol.append(tuple(tuple(row) for row in low))
             h = len(hh[i])
             if h > 0:
-                hermitian_cholesky(hh[i], digits)
+                lndet_h.append(lndet_hermitian(hh[i], digits))
                 if len(kk[i]) != lengths[i]:
                     raise ValidationError(
                         f"cohomology representatives {i} have the wrong height"
@@ -150,6 +166,8 @@ def metrized_complex_at_place(
                     raise ValidationError(
                         f"cohomology representatives {i} disagree with the Gram size"
                     )
+                if lengths[i] == 0:
+                    raise ValidationError(f"degree {i} is zero but lists cohomology")
                 if i < nd - 1:
                     img = _mul(dd[i], kk[i])
                     if _frob(img) > tol:
@@ -159,51 +177,51 @@ def metrized_complex_at_place(
                     raise ValidationError(
                         f"degree {i} provides representatives but no cohomology Gram"
                     )
+                lndet_h.append(mpf(0))
                 kk[i] = ()
-    return MetrizedComplexAtPlace(
-        digits=digits,
-        lengths=lengths,
-        diffs=tuple(dd),
-        cochain_grams=tuple(gg),
-        cohomology_grams=tuple(hh),
-        cohomology_maps=tuple(kk),
-    )
+        from_ortho = tuple(_upper_inv(_adj(low)) if low else () for low in chol)
+        return MetrizedComplexAtPlace(
+            digits=digits,
+            lengths=lengths,
+            ortho_diffs=tuple(
+                _mul(_adj(chol[i + 1]), _mul(dd[i], from_ortho[i]))
+                if lengths[i] and lengths[i + 1]
+                else ()
+                for i in range(nd - 1)
+            ),
+            ortho_reps=tuple(_mul(_adj(low), k) if k else () for low, k in zip(chol, kk)),
+            from_ortho=from_ortho,
+            cohomology_dims=tuple(len(m) for m in hh),
+            lndet_cohomology=tuple(lndet_h),
+        )
 
 
-@dataclass(frozen=True)
-class _DegreeData:
-    chol: tuple        # lower Cholesky factor of the cochain Gram
-    chol_inv_adj: tuple  # inverse of its adjoint (maps tilde coords back)
-    reps_tilde: tuple  # representatives in orthonormal coordinates
+def _count_below(values, cut, message):
+    """How many values lie below cut; refuses any within a factor 10^3 of it.
+
+    message names the decision, with {} where the offending value goes.
+    """
+    k = 0
+    for v in values:
+        if cut / _AMBIGUITY_FACTOR < v < cut * _AMBIGUITY_FACTOR:
+            raise RankAmbiguous(message.format(mp.nstr(v, 8)))
+        if v < cut:
+            k += 1
+    return k
 
 
-def _orthonormalize(cplx: MetrizedComplexAtPlace):
-    """Per-degree Cholesky data and the differentials in orthonormal coords."""
-    degs = []
+def _laplacian_kernels(cplx: MetrizedComplexAtPlace):
+    """Per degree: Laplacian eigenvalues, eigenvector rows, kernel dimension.
+
+    The Laplacian is taken in orthonormal coordinates, and the first
+    (kernel dimension) eigenvector columns span its kernel.  A zero degree
+    yields ((), (), 0).
+    """
+    dt = cplx.ortho_diffs
+    cut = rank_cutoff(cplx.digits)
     for i, n in enumerate(cplx.lengths):
         if n == 0:
-            degs.append(_DegreeData((), (), ()))
-            continue
-        low = hermitian_cholesky(cplx.cochain_grams[i], cplx.digits)
-        low = tuple(tuple(row) for row in low)
-        upper_inv = _upper_inv(_adj(low))
-        reps = _mul(_adj(low), cplx.cohomology_maps[i]) if cplx.cohomology_maps[i] else ()
-        degs.append(_DegreeData(low, upper_inv, reps))
-    dt = []
-    for i in range(len(cplx.lengths) - 1):
-        if cplx.lengths[i] == 0 or cplx.lengths[i + 1] == 0:
-            dt.append(())
-            continue
-        dt.append(_mul(_adj(degs[i + 1].chol), _mul(cplx.diffs[i], degs[i].chol_inv_adj)))
-    return degs, dt
-
-
-def _laplacian_spectra(cplx: MetrizedComplexAtPlace, degs, dt):
-    """Eigen-decompositions of the Laplacians in orthonormal coordinates."""
-    out = []
-    for i, n in enumerate(cplx.lengths):
-        if n == 0:
-            out.append(([], ()))
+            yield (), (), 0
             continue
         lap = [[mpc(0)] * n for _ in range(n)]
         if i < len(dt) and dt[i]:
@@ -217,18 +235,9 @@ def _laplacian_spectra(cplx: MetrizedComplexAtPlace, degs, dt):
                 for c in range(n):
                     lap[r][c] += b[r][c]
         evals, q = mp.eighe(mp.matrix(lap))
-        out.append(([evals[t] for t in range(n)], _to_rows(q)))
-    return out
-
-
-def _kernel_count(evals, cut, what):
-    k = 0
-    for lam in evals:
-        if cut / _AMBIGUITY_FACTOR < lam < cut * _AMBIGUITY_FACTOR:
-            raise RankAmbiguous(f"{what}: eigenvalue {mp.nstr(lam, 8)} sits at the cutoff")
-        if lam < cut:
-            k += 1
-    return k
+        evals = [evals[t] for t in range(n)]
+        h = _count_below(evals, cut, f"Laplacian in degree {i}: eigenvalue {{}} sits at the cutoff")
+        yield evals, _to_rows(q), h
 
 
 def cohomology(cplx: MetrizedComplexAtPlace):
@@ -238,26 +247,18 @@ def cohomology(cplx: MetrizedComplexAtPlace):
     original coordinates, orthonormal for the degree-i Gram.
     """
     with mp.workdps(cplx.digits + GUARD):
-        degs, dt = _orthonormalize(cplx)
-        spectra = _laplacian_spectra(cplx, degs, dt)
-        cut = rank_cutoff(cplx.digits)
         dims = []
         bases = []
-        for i, (evals, qrows) in enumerate(spectra):
-            if not evals:
-                dims.append(0)
-                bases.append(())
-                continue
-            h = _kernel_count(evals, cut, f"Laplacian in degree {i}")
+        for i, (_, qrows, h) in enumerate(_laplacian_kernels(cplx)):
             dims.append(h)
             cols = tuple(tuple(row[:h]) for row in qrows)
-            bases.append(_mul(degs[i].chol_inv_adj, cols) if h else ())
+            bases.append(_mul(cplx.from_ortho[i], cols) if h else ())
         return tuple(dims), tuple(bases)
 
 
 def _check_rep_count(cplx, dims):
     for i, h in enumerate(dims):
-        given = len(cplx.cohomology_grams[i])
+        given = cplx.cohomology_dims[i]
         if given != h:
             raise ValidationError(
                 f"degree {i} supplies {given} cohomology classes but the kernel has dimension {h}"
@@ -273,25 +274,21 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
     columns and H_i the chosen cohomology Gram.
     """
     with mp.workdps(cplx.digits + GUARD):
-        degs, dt = _orthonormalize(cplx)
-        spectra = _laplacian_spectra(cplx, degs, dt)
         cut = rank_cutoff(cplx.digits)
         dims = []
         lntau = mpf(0)
-        for i, (evals, qrows) in enumerate(spectra):
+        for i, (evals, qrows, h) in enumerate(_laplacian_kernels(cplx)):
             sign = -1 if i % 2 else 1
-            if not evals:
-                dims.append(0)
-                continue
-            h = _kernel_count(evals, cut, f"Laplacian in degree {i}")
             dims.append(h)
+            if not evals:
+                continue
             lndet_prime = mp.fsum(mp.log(lam) for lam in evals if lam > cut)
             lntau += sign * i * lndet_prime / 2
             if h == 0:
                 continue
             # harmonic projector in orthonormal coordinates
             zero_cols = tuple(tuple(row[:h]) for row in qrows)
-            proj_reps = _mul(zero_cols, _mul(_adj(zero_cols), degs[i].reps_tilde))
+            proj_reps = _mul(zero_cols, _mul(_adj(zero_cols), cplx.ortho_reps[i]))
             w = _mul(_adj(proj_reps), proj_reps)
             try:
                 lndet_w = lndet_hermitian(w, cplx.digits)
@@ -299,8 +296,7 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
                 raise ValidationError(
                     f"degree-{i} representatives do not project onto a cohomology basis"
                 ) from exc
-            lndet_h = lndet_hermitian(cplx.cohomology_grams[i], cplx.digits)
-            lntau += sign * (lndet_w - lndet_h) / 2
+            lntau += sign * (lndet_w - cplx.lndet_cohomology[i]) / 2
         _check_rep_count(cplx, dims)
         return mp.exp(lntau)
 
@@ -318,7 +314,7 @@ def torsion_by_contraction(cplx: MetrizedComplexAtPlace):
       tau = prod |det M_i|^{(-1)^i} * prod (det H_i)^{-(-1)^i / 2}.
     """
     with mp.workdps(cplx.digits + GUARD):
-        degs, dt = _orthonormalize(cplx)
+        dt = cplx.ortho_diffs
         cut = rank_cutoff(cplx.digits)
         nd = len(cplx.lengths)
         coimage = []
@@ -327,51 +323,36 @@ def torsion_by_contraction(cplx: MetrizedComplexAtPlace):
                 coimage.append(())
                 continue
             _, svals, vh = mp.svd_c(mp.matrix([list(r) for r in dt[i]]))
-            keep = 0
-            for t in range(svals.rows):
-                s = svals[t]
-                if cut / _AMBIGUITY_FACTOR < s < cut * _AMBIGUITY_FACTOR:
-                    raise RankAmbiguous(
-                        f"singular value {mp.nstr(s, 8)} of d{i} sits at the cutoff"
-                    )
-                if s > cut:
-                    keep += 1
+            keep = svals.rows - _count_below(
+                [svals[t] for t in range(svals.rows)],
+                cut,
+                f"singular value {{}} of d{i} sits at the cutoff",
+            )
             rows = _to_rows(vh.H)
             coimage.append(tuple(tuple(row[:keep]) for row in rows) if keep else ())
         lntau = mpf(0)
         for i in range(nd):
             n = cplx.lengths[i]
-            sign = -1 if i % 2 else 1
-            h = len(cplx.cohomology_grams[i])
             if n == 0:
-                if h:
-                    raise ValidationError(f"degree {i} is zero but lists cohomology")
                 continue
+            sign = -1 if i % 2 else 1
+            h = cplx.cohomology_dims[i]
             cols = []
             if i > 0 and coimage[i - 1]:
-                img = _mul(dt[i - 1], coimage[i - 1])
-                cols.append(img)
+                cols.append(_mul(dt[i - 1], coimage[i - 1]))
             if h:
-                cols.append(degs[i].reps_tilde)
+                cols.append(cplx.ortho_reps[i])
             if i < nd - 1 and coimage[i]:
                 cols.append(coimage[i])
-            width = sum(len(c[0]) for c in cols) if cols else 0
+            width = sum(len(c[0]) for c in cols)
             if width != n:
                 raise ValidationError(
                     f"degree {i}: image+cohomology+coimage dimensions {width} != {n}"
                 )
-            big = [[None] * n for _ in range(n)]
-            at = 0
-            for block in cols:
-                w = len(block[0])
-                for r in range(n):
-                    for c in range(w):
-                        big[r][at + c] = block[r][c]
-                at += w
-            det = mp.det(mp.matrix(big))
+            det = mp.det(mp.matrix([[x for block in cols for x in block[r]] for r in range(n)]))
             lntau += sign * mp.log(abs(det))
             if h:
-                lntau -= sign * lndet_hermitian(cplx.cohomology_grams[i], cplx.digits) / 2
+                lntau -= sign * cplx.lndet_cohomology[i] / 2
         return mp.exp(lntau)
 
 

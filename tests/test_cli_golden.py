@@ -1,12 +1,13 @@
 """CLI standard output, byte for byte, against recorded files.
 
 Each case runs cli.main in process and compares what it prints with
-tests/data/golden/<name>.txt.  The cases are the four README examples and
-one 50-digit call of every other subcommand.  Calls whose output prints the
-rounding noise of an exact zero (the euler-check residual on a non-trivial
-complex, the cheeger-muller residual, polylog at theta = pi) are left out,
-except the README's own cheeger-muller table: its residual column is noise,
-and it is kept because the README shows it.
+tests/data/golden/<name>.txt.  The cases are the four README examples,
+one 50-digit call of every other subcommand, and two more rtorsion calls:
+a three-term complex and one with free cohomology.  Calls whose output
+prints the rounding noise of an exact zero (the euler-check residual on a
+non-trivial complex, the cheeger-muller residual, polylog at theta = pi)
+are left out, except the README's own cheeger-muller table: its residual
+column is noise, and it is kept because the README shows it.
 
 After an intended change of output, re-record with
 
@@ -43,6 +44,36 @@ COMPLEX = json.dumps(
         "grams": [[[["2"]], [["3"]]], [[["1"]], [["5"]]]],
     }
 )
+# Three terms over Z[sqrt2]: d1 d0 = 3(1+sqrt2) - (3+3sqrt2) = 0, H^2 = R/(3).
+THREE_TERM = json.dumps(
+    {
+        "lengths": [1, 2, 1],
+        "diffs": [[[["1", "1"]], ["1"]], [["3", ["-3", "-3"]]]],
+        "grams": [
+            [[["2"]], [["5"]]],
+            [[["2", "1"], ["1", "3"]], [["1", "0"], ["0", "4"]]],
+            [[["3"]], [["1/2"]]],
+        ],
+        "cohomology": [{}, {}, {"torsion": [["3"]]}],
+    }
+)
+# Free cohomology: H^1 = R/(2) + R, its free part represented by (3, 1).
+FREE_COHOMOLOGY = json.dumps(
+    {
+        "lengths": [1, 2],
+        "diffs": [[["2"], ["0"]]],
+        "grams": [[[["2"]], [["1"]]], [[["2", "1"], ["1", "3"]], [["1", "0"], ["0", "5"]]]],
+        "cohomology": [
+            {},
+            {
+                "free_rank": 1,
+                "free_reps": [["3"], ["1"]],
+                "free_grams": [[["2"]], [["7"]]],
+                "torsion": [["2"]],
+            },
+        ],
+    }
+)
 POINT = '{"rank":1,"cls":[],"torus":{"sigma_0":"1/4","sigma_1":"-1/4"}}'
 
 CASES = {
@@ -58,6 +89,8 @@ CASES = {
     "scale": ["scale", "--field", Z2, "--point", POINT, "--lambdas", '["2","7/3"]'],
     "zhat": ["zhat", "--field", Z5, "--pres", '[[["2","1","0","0"],"1"],["0",["3","0","1","0"]]]'],
     "rtorsion": ["rtorsion", "--field", Z2, "--complex", COMPLEX],
+    "rtorsion_three_term": ["rtorsion", "--field", Z2, "--complex", THREE_TERM],
+    "rtorsion_free_cohomology": ["rtorsion", "--field", Z2, "--complex", FREE_COHOMOLOGY],
     "polylog": ["polylog", "--n", "3", "--theta-over-2pi", "2/7"],
     "zeta": ["zeta", "--s", "5"],
     "bernoulli": ["bernoulli", "--m", "30"],

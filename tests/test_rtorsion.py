@@ -20,6 +20,7 @@ from regtor import (
     at_place,
     build_complex_over_r,
     cohomology,
+    hermitian_cholesky,
     metrized_complex_at_place,
     presentation,
     reidemeister,
@@ -27,6 +28,7 @@ from regtor import (
     torsion_by_contraction,
     verify_euler_identity,
 )
+from regtor import flatmodel, rtorsion
 from support import field_lattice, field_units, random_complex_over
 
 EYE1 = [[1]]
@@ -179,11 +181,38 @@ def test_rejects_representatives_without_cohomology():
         metrized_complex_at_place(
             50, (1, 1), ([[2]],), (EYE1, EYE1), ((), ()), ([[1]], ())
         )
+    # and cohomology on a degree with no cochains
+    with pytest.raises(ValidationError, match="degree 0 is zero but lists cohomology"):
+        metrized_complex_at_place(50, (0, 1), ([[]],), ((), EYE1), (EYE1, ()), ((), ()))
 
 
 def test_rejects_non_positive_gram():
     with pytest.raises(NotPositiveDefinite):
         metrized_complex_at_place(50, (1, 1), ([[2]],), ([[-1]], EYE1), NOH, NOH)
+
+
+def test_each_gram_is_factored_once(monkeypatch):
+    seen = []
+
+    def counting(rows, digits):
+        seen.append(tuple(tuple(complex(x) for x in row) for row in rows))
+        return hermitian_cholesky(rows, digits)
+
+    monkeypatch.setattr(rtorsion, "hermitian_cholesky", counting)
+    monkeypatch.setattr(flatmodel, "hermitian_cholesky", counting)
+    # H^0 and H^1 are both one-dimensional, so each route meets two
+    # harmonic degrees
+    g0, g1 = [[2, 1], [1, 3]], [[4, 1], [1, 5]]
+    cplx = metrized_complex_at_place(
+        50, (2, 2), ([[1, 0], [0, 0]],), (g0, g1), ([[7]], [[11]]), ([[0], [1]], [[1], [1]])
+    )
+    cohomology(cplx)
+    reidemeister(cplx)
+    torsion_by_contraction(cplx)
+    for gram in (g0, g1, [[7]], [[11]]):
+        assert seen.count(tuple(tuple(complex(x) for x in row) for row in gram)) == 1
+    # the rest are the two W_i of the Laplacian route
+    assert len(seen) == 6
 
 
 def test_rejects_wrong_representative_count():
@@ -329,3 +358,58 @@ def test_randomized_corpus_small():
                     b = torsion_by_contraction(cp)
                     assert abs(a - b) / a < mp.mpf(10) ** -40
             _euler_residual(field, lat, cplx)
+
+
+# ROADMAP item 3 reproductions.  Each xfail pins today's exception; the fix
+# that decides ranks exactly and scales the tolerances flips them to passes.
+
+
+def _small_scalar(e):
+    # 0 -> C --10^-e--> C -> 0 at 50 digits: acyclic, tau = 10^e
+    return metrized_complex_at_place(
+        50, (1, 1), ([[Fraction(1, 10**e)]],), (EYE1, EYE1), NOH, NOH
+    )
+
+
+def _is_ten_to(tau, e):
+    with mp.workdps(60):
+        return abs(tau / mp.mpf(10) ** e - 1) < mp.mpf(10) ** -40
+
+
+@pytest.mark.parametrize("e", (12, 14, 20))
+def test_contraction_resolves_small_scalar_differential(e):
+    assert _is_ten_to(torsion_by_contraction(_small_scalar(e)), e)
+
+
+@pytest.mark.parametrize(
+    "e",
+    [
+        # the eigenvalue 10^(-2e) is tested against the singular-value cutoff
+        pytest.param(12, marks=pytest.mark.xfail(strict=True, raises=RankAmbiguous)),
+        pytest.param(14, marks=pytest.mark.xfail(strict=True, raises=RankAmbiguous)),
+        # 10^-40 counts as a kernel the complex does not list
+        pytest.param(20, marks=pytest.mark.xfail(strict=True, raises=ValidationError)),
+    ],
+)
+def test_laplacian_resolves_small_scalar_differential(e):
+    assert _is_ten_to(reidemeister(_small_scalar(e)), e)
+
+
+@pytest.mark.xfail(strict=True, raises=ValidationError)
+def test_at_place_accepts_exact_complex_with_large_coefficients():
+    # d0 = (a, b)^T, d1 = (b u, -a u) is exact over Z[sqrt2]; the absolute
+    # d after d tolerance at place 0 rejects the rounding of 10^40-sized
+    # entries
+    field, _ = field_units("zsqrt2")
+    a = field.element([10**20 + 3, 10**20 + 7])
+    b = field.element([3 * 10**19 + 1, 7 * 10**19])
+    u = field.element([5 * 10**19, 2 * 10**19 + 9])
+    cplx = build_complex_over_r(
+        field,
+        (1, 2, 1),
+        ([[a], [b]], [[field.mul(b, u), field.neg(field.mul(a, u))]]),
+        [[EYE1, EYE1], [EYE2, EYE2], [EYE1, EYE1]],
+        [CohomologySpec(0)] * 3,
+    )
+    cp = at_place(cplx, 0)
+    assert abs(reidemeister(cp) / torsion_by_contraction(cp) - 1) < mp.mpf(10) ** -40
