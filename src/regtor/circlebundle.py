@@ -22,7 +22,7 @@ from mpmath import mp, mpc, mpf
 
 from . import rtorsion
 from .errors import TrivialHolonomyAtJZero, ValidationError
-from .numfield import GUARD, NumberField, roots_of_unity_field
+from .numfield import GUARD, NumberField, build_field
 from .polylog import BERNOULLI_MAX, bernoulli, polylog_circle, zeta_int
 
 # hatcher_constant needs B_{2k}, so k is bounded by the Bernoulli index bound.
@@ -57,14 +57,15 @@ class CyclotomicSetup:
 def make_cyclotomic_setup(r: int, digits: int = 50) -> CyclotomicSetup:
     """The ring of prime order r >= 3 with its places and holonomy angles.
 
-    The embeddings are the closed-form roots of unity e^{2 pi i k/r}; the
-    place representatives are k = 1..(r-1)/2, ordered by ascending real part,
-    so thetas run from 2 pi (r-1)/(2r) down to 2 pi/r.
+    The field is build_field((1,) * r, digits), so r - 1 is bounded by
+    numfield.DEGREE_MAX and the embeddings are the closed-form roots of unity
+    e^{2 pi i k/r}; the place representatives are k = 1..(r-1)/2, ordered by
+    ascending real part, so thetas run from 2 pi (r-1)/(2r) down to 2 pi/r.
     """
     r = int(r)
     if r < 3 or not _is_prime(r):
         raise ValidationError("the cyclotomic order must be a prime >= 3")
-    field = roots_of_unity_field(r, digits)
+    field = build_field((1,) * r, digits)
     with mp.workdps(digits + GUARD):
         thetas = tuple(mp.arg(z) for z in field.sigma_star)
     return CyclotomicSetup(r=r, field=field, thetas=thetas)

@@ -17,7 +17,7 @@ from mpmath import mp
 
 from . import circlebundle, flatmodel, modtors, polylog, rtorsion
 from .errors import NumericalError, ValidationError
-from .numfield import GUARD, dirichlet_rank, norm, parse_descriptor, parse_rational
+from .numfield import DEGREE_MAX, GUARD, dirichlet_rank, norm, parse_descriptor, parse_rational
 
 DEFAULT_DIGITS = 50
 
@@ -490,6 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
+    # The field of order r has degree r - 1, which build_field bounds.
+    r_arg = {"type": int, "required": True, "help": f"prime cyclotomic order, 3..{DEGREE_MAX + 1}"}
     add("field-info", cmd_field_info, "embeddings, signature, unit rank", field=True)
     add(
         "unit-log", cmd_unit_log, "half-log-absolute-value vector of a unit",
@@ -550,19 +552,19 @@ def build_parser() -> argparse.ArgumentParser:
     add("beta-check", cmd_beta_check, "quadrature vs exact beta integral", **{"--j": {"type": int, "required": True}})
     add(
         "circle-torsion", cmd_circle_torsion, "torsion-form coefficients T_{sigma,j}",
-        **{"--r": {"type": int, "required": True}, "--jmax": {"type": int, "default": 4}},
+        **{"--r": r_arg, "--jmax": {"type": int, "default": 4}},
     )
     add(
         "u-coeff", cmd_u_coeff, "the polylogarithmic constants u_j",
-        **{"--r": {"type": int, "required": True}, "--j": {"type": int, "required": True}},
+        **{"--r": r_arg, "--j": {"type": int, "required": True}},
     )
     add(
         "regulator-check", cmd_regulator_check, "psi-scaling identity, both sides",
-        **{"--r": {"type": int, "required": True}, "--j": {"type": int, "required": True}},
+        **{"--r": r_arg, "--j": {"type": int, "required": True}},
     )
     add(
         "cheeger-muller", cmd_cheeger_muller, "degree-0 torsion cross-check",
-        **{"--r": {"type": int, "required": True}},
+        **{"--r": r_arg},
     )
     add(
         "borel-dims", cmd_borel_dims, "four-periodic dimension table",

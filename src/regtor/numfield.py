@@ -1,16 +1,17 @@
 """Exact and high-precision arithmetic for an order R = Z[x]/(p), and the
 arithmetic core the other modules share.
 
-The defining polynomial is monic, squarefree, with integer coefficients.
-Embeddings into C are the roots of p, found by simultaneous Aberth-Ehrlich
-iteration from deterministic perturbed-circle seeds and polished by Newton
-steps; for p = 1 + x + ... + x^{r-1} they are the closed-form roots of unity
-e^{2 pi i k/r}.  Either way one routine orders the roots into places and
-checks their residuals.  Norms are exact rationals computed through the
-resultant of p with the element polynomial (fraction-free Sylvester
-determinant over Z), never through floating products.  The integrality test
-for units checks power-basis integrality only; when R is not the maximal
-order in the power basis, a unit of the field lying outside Z[x] is rejected.
+The defining polynomial is monic, squarefree, with integer coefficients
+and degree at most DEGREE_MAX.  build_field is the one constructor of a
+field.  Embeddings into C are the roots of p: for p = 1 + x + ... + x^{r-1}
+the closed-form roots of unity e^{2 pi i k/r}, for every other p the roots
+mp.polyroots returns, with no Newton polish.  Either way build_field orders
+the roots into places and checks their residuals.  Norms are exact
+rationals computed through the resultant of p with the element polynomial
+(fraction-free Sylvester determinant over Z), never through floating
+products.  The integrality test for units checks power-basis integrality
+only; when R is not the maximal order in the power basis, a unit of the
+field lying outside Z[x] is rejected.
 
 Shared by every module: the polynomial kit over Q (poly_trim, poly_mul,
 poly_sub, poly_divmod; coefficient lists constant first), the one Horner
@@ -27,12 +28,18 @@ from fractions import Fraction
 from math import lcm
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import dps_to_prec
 
 from .errors import NoConvergence, NotSquarefree, ValidationError
 
 GUARD = 10
 
-_ABERTH_CAP = 400
+# Largest degree of a defining polynomial; 60 admits Z[zeta_61].  A generic
+# degree-60 p costs about 5 s at 50 digits and 30-45 s at 1000 digits on
+# one core of a 2-core x86 machine with mpmath's pure-Python backend.
+DEGREE_MAX = 60
+
+_POLYROOTS_STEPS = 400
 
 
 @dataclass(frozen=True)
@@ -215,10 +222,13 @@ class NumberField:
 def build_field(poly, digits: int, class_orders=()) -> NumberField:
     """Construct the order Z[x]/(p) with embeddings at the given precision.
 
-    p must be monic with integer coefficients, degree >= 1, and squarefree
-    (checked exactly through gcd(p, p')).  Roots are found by Aberth-Ehrlich
-    simultaneous iteration from deterministic perturbed-circle seeds and
-    Newton-polished; every root satisfies |p(z)| < residual_tolerance(digits).
+    p must be monic with integer coefficients, of degree 1..DEGREE_MAX, and
+    squarefree (checked exactly through gcd(p, p')).  For p = 1 + x + ... +
+    x^{r-1} the roots are the closed-form e^{2 pi i k/r}, k = 1..r-1; every
+    other p goes to mp.polyroots, with no Newton polish.  Roots within
+    rank_cutoff(digits) of the real axis are real places; the rest must pair
+    into complex conjugates.  Every stored embedding satisfies
+    |p(z)| < residual_tolerance(digits).
     """
     try:
         coeffs = tuple(int(c) for c in poly)
@@ -229,6 +239,8 @@ def build_field(poly, digits: int, class_orders=()) -> NumberField:
     n = len(coeffs) - 1
     if n < 1:
         raise ValidationError("defining polynomial must have degree >= 1")
+    if n > DEGREE_MAX:
+        raise ValidationError(f"defining polynomial must have degree at most {DEGREE_MAX}")
     if coeffs[-1] != 1:
         raise ValidationError("defining polynomial must be monic")
     if digits < 1:
@@ -238,67 +250,43 @@ def build_field(poly, digits: int, class_orders=()) -> NumberField:
         raise NotSquarefree("defining polynomial has a repeated factor")
 
     with mp.workdps(digits + 2 * GUARD):
-        roots = _aberth_roots(coeffs, digits)
-        return _field_from_roots(coeffs, roots, digits, class_orders)
-
-
-def roots_of_unity_field(r: int, digits: int) -> NumberField:
-    """The order Z[x]/(1 + x + ... + x^{r-1}) for r >= 2, from closed-form roots.
-
-    The roots are the r-th roots of unity other than 1, e^{2 pi i k/r} for
-    k = 1..r-1, taken at digits + 2 GUARD; the field has the place order and
-    the residual guarantee of build_field([1] * r, digits).
-    """
-    if r < 2:
-        raise ValidationError("roots of unity need an order r >= 2")
-    if digits < 1:
-        raise ValidationError("digits must be positive")
-    with mp.workdps(digits + 2 * GUARD):
-        roots = [mp.expjpi(mpf(2 * k) / r) for k in range(1, r)]
-        return _field_from_roots((1,) * r, roots, digits)
-
-
-def _field_from_roots(coeffs, roots, digits: int, class_orders=()) -> NumberField:
-    """Order the roots of p into places and check them; precision is the caller's.
-
-    Roots within rank_cutoff(digits) of the real axis are real places
-    (polished by Newton steps); the rest must pair into complex conjugates.
-    Every stored embedding must satisfy |p(z)| < residual_tolerance(digits).
-    """
-    n = len(coeffs) - 1
-    threshold = rank_cutoff(digits)
-    reals = []
-    pos = []
-    neg = []
-    for z in roots:
-        if abs(z.imag) <= threshold:
-            reals.append(_newton_polish_real(coeffs, z.real))
-        elif z.imag > 0:
-            pos.append(z)
+        if set(coeffs) == {1}:
+            roots = [mp.expjpi(mpf(2 * k) / (n + 1)) for k in range(1, n + 1)]
         else:
-            neg.append(z)
-    if len(pos) != len(neg) or len(reals) + 2 * len(pos) != n:
-        raise NoConvergence("could not separate real and complex embeddings")
-    reals.sort()
-    pos.sort(key=lambda z: (z.real, z.imag))
-    neg.sort(key=lambda z: (z.real, -z.imag))
-    for zp, zn in zip(pos, neg):
-        if abs(mp.conj(zp) - zn) > threshold:
-            raise NoConvergence("complex embeddings do not pair into conjugates")
-    sigma_star = tuple(+x for x in reals) + tuple(+z for z in pos)
-    resid_bound = residual_tolerance(digits)
-    for z in sigma_star:
-        if abs(_horner(coeffs, z)) >= resid_bound:
-            raise NoConvergence("root residual exceeds the precision bound")
-    return NumberField(
-        poly=tuple(coeffs),
-        digits=digits,
-        sigma_star=sigma_star,
-        all_embeddings=sigma_star + tuple(mp.conj(z) for z in pos),
-        r_real=len(reals),
-        r_complex=len(pos),
-        class_orders=tuple(int(m) for m in class_orders),
-    )
+            # 2 GUARD extra digits keep each step's rounding, magnified by the
+            # root's condition number (about 10^13 for Wilkinson's degree-20
+            # polynomial), below the working epsilon that ends the iteration;
+            # the roots then come back rounded alike, so equal real parts tie
+            # exactly in the sorts below.
+            try:
+                roots = mp.polyroots(
+                    coeffs[::-1], maxsteps=_POLYROOTS_STEPS, extraprec=dps_to_prec(2 * GUARD)
+                )
+            except mp.NoConvergence as exc:
+                raise NoConvergence(f"root finding did not converge: {exc}") from exc
+        threshold = rank_cutoff(digits)
+        reals = sorted(z.real for z in roots if abs(z.imag) <= threshold)
+        pos = sorted((z for z in roots if z.imag > threshold), key=lambda z: (z.real, z.imag))
+        neg = sorted((z for z in roots if z.imag < -threshold), key=lambda z: (z.real, -z.imag))
+        if len(pos) != len(neg):
+            raise NoConvergence("could not separate real and complex embeddings")
+        for zp, zn in zip(pos, neg):
+            if abs(mp.conj(zp) - zn) > threshold:
+                raise NoConvergence("complex embeddings do not pair into conjugates")
+        sigma_star = tuple(+x for x in reals) + tuple(+z for z in pos)
+        resid_bound = residual_tolerance(digits)
+        for z in sigma_star:
+            if abs(_horner(coeffs, z)) >= resid_bound:
+                raise NoConvergence("root residual exceeds the precision bound")
+        return NumberField(
+            poly=coeffs,
+            digits=digits,
+            sigma_star=sigma_star,
+            all_embeddings=sigma_star + tuple(mp.conj(z) for z in pos),
+            r_real=len(reals),
+            r_complex=len(pos),
+            class_orders=tuple(int(m) for m in class_orders),
+        )
 
 
 def _horner(coeffs, z):
@@ -308,62 +296,6 @@ def _horner(coeffs, z):
     for c in reversed(coeffs):
         acc = acc * z + c
     return acc
-
-
-def _newton_polish_real(coeffs, x):
-    n = len(coeffs) - 1
-    dcoeffs = [k * coeffs[k] for k in range(1, n + 1)]
-    for _ in range(3):
-        d = _horner(dcoeffs, x)
-        if d == 0:
-            break
-        x = x - _horner(coeffs, x) / d
-    return x
-
-
-def _aberth_roots(coeffs, digits):
-    """All roots of a monic integer polynomial at working precision."""
-    n = len(coeffs) - 1
-    dcoeffs = [k * coeffs[k] for k in range(1, n + 1)]
-    radius = 1 + max(abs(mpf(c)) for c in coeffs[:-1]) if n > 0 else mpf(1)
-    # Deterministic seeds: staggered radii and an offset angle avoid the
-    # symmetric stalls of pure roots-of-unity starts.
-    z = [
-        radius
-        * (1 + mpf(k) / (7 * n + 3))
-        * mp.expjpi(mpf(2 * k) / n + mpf(1) / (2 * n + 1))
-        for k in range(n)
-    ]
-    target = mpf(10) ** (-(digits + 12))
-    for _ in range(_ABERTH_CAP):
-        worst = mpf(0)
-        for k in range(n):
-            pv = _horner(coeffs, z[k])
-            dv = _horner(dcoeffs, z[k])
-            if dv == 0:
-                z[k] += target
-                worst = max(worst, abs(radius))
-                continue
-            w = pv / dv
-            s = mpc(0)
-            for j in range(n):
-                if j != k:
-                    s += 1 / (z[k] - z[j])
-            denom = 1 - w * s
-            corr = w if denom == 0 else w / denom
-            z[k] -= corr
-            worst = max(worst, abs(corr))
-        if worst < target:
-            break
-    else:
-        raise NoConvergence("Aberth-Ehrlich iteration did not converge")
-    for k in range(n):
-        for _ in range(4):
-            dv = _horner(dcoeffs, z[k])
-            if dv == 0:
-                break
-            z[k] -= _horner(coeffs, z[k]) / dv
-    return z
 
 
 def _mp_coeffs(elem: FieldElement) -> list:

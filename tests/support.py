@@ -1,6 +1,7 @@
 """Shared helpers for the test suite.
 
-Contains the field loaders, independent oracles for the Bernoulli numbers
+Contains the field loaders, independent oracles for polynomial roots
+(Aberth-Ehrlich iteration with a Newton polish), the Bernoulli numbers
 (the exact defining recurrence), integer zeta values (Euler-Maclaurin
 summation) and the polylogarithm (direct partial sum plus Euler-Maclaurin
 tail), exact rational positive-definite Gram generators, unimodular base
@@ -16,10 +17,11 @@ from functools import lru_cache
 from math import comb
 from pathlib import Path
 
-from mpmath import mp
+from mpmath import mp, mpc, mpf
 
 from regtor import (
     CohomologySpec,
+    NoConvergence,
     build_complex_over_r,
     build_lattice,
     parse_descriptor,
@@ -50,6 +52,66 @@ def rel_err(got, want):
     if denom == 0:
         return abs(got)
     return abs(got - want) / denom
+
+
+# ---------------------------------------------------------------------------
+# Independent root oracle: simultaneous Aberth-Ehrlich iteration from
+# deterministic perturbed-circle seeds, then Newton steps on every root.
+# ---------------------------------------------------------------------------
+
+_ABERTH_CAP = 400
+
+
+def _horner(coeffs, z):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def aberth_roots(coeffs, digits):
+    """All roots of a monic integer polynomial (constant first) at working precision."""
+    n = len(coeffs) - 1
+    dcoeffs = [k * coeffs[k] for k in range(1, n + 1)]
+    radius = 1 + max(abs(mpf(c)) for c in coeffs[:-1]) if n > 0 else mpf(1)
+    # Deterministic seeds: staggered radii and an offset angle avoid the
+    # symmetric stalls of pure roots-of-unity starts.
+    z = [
+        radius
+        * (1 + mpf(k) / (7 * n + 3))
+        * mp.expjpi(mpf(2 * k) / n + mpf(1) / (2 * n + 1))
+        for k in range(n)
+    ]
+    target = mpf(10) ** (-(digits + 12))
+    for _ in range(_ABERTH_CAP):
+        worst = mpf(0)
+        for k in range(n):
+            pv = _horner(coeffs, z[k])
+            dv = _horner(dcoeffs, z[k])
+            if dv == 0:
+                z[k] += target
+                worst = max(worst, abs(radius))
+                continue
+            w = pv / dv
+            s = mpc(0)
+            for j in range(n):
+                if j != k:
+                    s += 1 / (z[k] - z[j])
+            denom = 1 - w * s
+            corr = w if denom == 0 else w / denom
+            z[k] -= corr
+            worst = max(worst, abs(corr))
+        if worst < target:
+            break
+    else:
+        raise NoConvergence("Aberth-Ehrlich iteration did not converge")
+    for k in range(n):
+        for _ in range(4):
+            dv = _horner(dcoeffs, z[k])
+            if dv == 0:
+                break
+            z[k] -= _horner(coeffs, z[k]) / dv
+    return z
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,15 @@ def test_bernoulli_and_hatcher_bounds(capsys):
     assert code == 2
 
 
+def test_cyclotomic_order_bound(capsys):
+    # r - 1 is the field degree, bounded by numfield.DEGREE_MAX = 60.
+    code, _, err = run(capsys, "circle-torsion", "--r", "67")
+    assert code == 2 and "60" in err
+    with pytest.raises(SystemExit):
+        main(["circle-torsion", "--help"])
+    assert "3..61" in capsys.readouterr().out
+
+
 def test_hatcher(capsys):
     d = run_json(capsys, "hatcher", "--k", "1")
     assert d["a"] == 24 and d["kappa"] == "1/1"

@@ -1,7 +1,9 @@
 """Number-ring construction, embeddings, norms, and unit verification.
 
-Oracles: mpmath's sqrt and polyroots for embedding values, the product of
-embeddings for the norm, and exact Fraction arithmetic for ring laws.
+Oracles: mpmath's sqrt and closed-form roots for embedding values, the
+Aberth-Ehrlich iteration in support.aberth_roots for roots that build_field
+takes from mp.polyroots or from the closed form, the product of embeddings
+for the norm, and exact Fraction arithmetic for ring laws.
 """
 
 from fractions import Fraction
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from regtor import (
+    NoConvergence,
     NotAUnit,
     NotSquarefree,
     ValidationError,
@@ -19,13 +22,15 @@ from regtor import (
     dirichlet_rank,
     embed,
     embed_all,
+    make_cyclotomic_setup,
     norm,
     parse_descriptor,
     parse_rational,
     verify_unit,
 )
-from regtor.numfield import roots_of_unity_field
-from support import field_units, load_descriptor
+from regtor import numfield
+from regtor.cli import main
+from support import aberth_roots, field_units, load_descriptor
 
 small_coeffs = st.lists(
     st.integers(min_value=-6, max_value=6), min_size=1, max_size=4
@@ -58,20 +63,32 @@ def test_cyclotomic_field_places():
             assert abs(z ** 5 - 1) < tol
 
 
+def oracle_embeddings(poly, digits):
+    """Aberth roots in the documented place order: real roots ascending, then
+    positive-imaginary roots by real part (distinct here), then conjugates."""
+    with mp.workdps(digits + 20):
+        roots = aberth_roots(list(poly), digits)
+        cut = mp.mpf(10) ** (-digits / 2)
+        reals = sorted(z.real for z in roots if abs(z.imag) <= cut)
+        pos = sorted((z for z in roots if z.imag > cut), key=lambda z: z.real)
+        return len(reals), len(pos), reals + pos + [mp.conj(z) for z in pos]
+
+
 def test_roots_of_unity_field_matches_aberth():
     # The closed-form embeddings agree with generic root finding, place by
     # place, for odd and even orders (r = 2, 4, 6, 12 have the real root -1).
-    for r in (2, 3, 4, 5, 6, 7, 12, 13):
-        closed = roots_of_unity_field(r, 50)
-        found = build_field([1] * r, 50)
-        assert closed.poly == found.poly
-        assert (closed.r_real, closed.r_complex) == (found.r_real, found.r_complex)
-        assert len(closed.all_embeddings) == r - 1
-        with mp.workdps(60):
-            for a, b in zip(closed.all_embeddings, found.all_embeddings):
-                assert abs(a - b) < mp.mpf(10) ** -50, r
-    with pytest.raises(ValidationError):
-        roots_of_unity_field(1, 50)
+    for r in range(2, 14):
+        fields = [build_field([1] * r, 50)]
+        if r in (3, 5, 7, 11, 13):
+            fields.append(make_cyclotomic_setup(r, 50).field)
+        r_real, r_complex, want = oracle_embeddings([1] * r, 50)
+        for field in fields:
+            assert field.poly == (1,) * r
+            assert (field.r_real, field.r_complex) == (r_real, r_complex)
+            assert len(field.all_embeddings) == r - 1
+            with mp.workdps(70):
+                for a, b in zip(field.all_embeddings, want):
+                    assert abs(a - b) < mp.mpf(10) ** -50, r
 
 
 def test_rational_field():
@@ -93,13 +110,71 @@ def test_embedding_residuals_meet_bound():
 
 
 def test_quintic_against_polyroots():
-    # x^5 - x - 1 has one real root and two conjugate pairs
+    # x^5 - x - 1 has one real root and two conjugate pairs; build_field's
+    # roots come from mp.polyroots, so the oracle is the Aberth iteration.
     field = build_field([-1, -1, 0, 0, 0, 1], 50)
     assert field.r_real == 1 and field.r_complex == 2
-    with mp.workdps(60):
-        want = mp.polyroots([1, 0, 0, 0, -1, -1], maxsteps=200, extraprec=100)
-        for z in field.all_embeddings:
-            assert min(abs(z - w) for w in want) < mp.mpf(10) ** -45
+    r_real, r_complex, want = oracle_embeddings([-1, -1, 0, 0, 0, 1], 50)
+    assert (r_real, r_complex) == (1, 2)
+    with mp.workdps(70):
+        for a, b in zip(field.all_embeddings, want):
+            assert abs(a - b) < mp.mpf(10) ** -50
+
+
+def test_complex_roots_sharing_a_real_part_pair_up():
+    # Each product has two conjugate pairs with the same real part; the
+    # places are ordered by imaginary part, i before sqrt(2) i.
+    cases = [
+        ([2, 0, 3, 0, 1], (50, 60), (0, 0), (1, 2)),  # (x^2+1)(x^2+2)
+        ([2, 3, 4, 2, 1], (30, 50, 80, 300), (-0.5, -0.5), (0.75, 1.75)),  # (x^2+x+1)(x^2+x+2)
+        ([10, 14, 11, 4, 1], (100,), (-1, -1), (1, 4)),  # (x^2+2x+2)(x^2+2x+5)
+    ]
+    for poly, digit_list, re_parts, im_squares in cases:
+        for digits in digit_list:
+            field = build_field(poly, digits)
+            assert (field.r_real, field.r_complex) == (0, 2)
+            with mp.workdps(digits + 20):
+                tol = mp.mpf(10) ** (-digits + 1)
+                want = [mp.mpc(re, mp.sqrt(im2)) for re, im2 in zip(re_parts, im_squares)]
+                want += [mp.conj(z) for z in want]
+                for a, b in zip(field.all_embeddings, want):
+                    assert abs(a - b) < tol, (poly, digits)
+
+
+def test_wilkinson_polynomial_builds():
+    # (x - 1)(x - 2)...(x - 20): its roots are condition-sensitive enough to
+    # stall a root finder that works only a few digits past the target.
+    poly = [1]
+    for k in range(1, 21):
+        poly = [a - k * b for a, b in zip([0] + poly, poly + [0])]
+    field = build_field(poly, 50)
+    assert (field.r_real, field.r_complex) == (20, 0)
+    with mp.workdps(70):
+        for k, x in enumerate(field.sigma_star, start=1):
+            assert abs(x - k) < mp.mpf(10) ** -45
+
+
+def test_root_finder_failure_is_no_convergence(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(numfield, "_POLYROOTS_STEPS", 1)
+    with pytest.raises(NoConvergence):
+        build_field([-1, -1, 0, 0, 0, 1], 50)
+    path = tmp_path / "quintic.json"
+    path.write_text('{"poly": [-1, -1, 0, 0, 0, 1]}')
+    assert main(["field-info", "--field", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "Traceback" not in err
+
+
+def test_degree_bound_precedes_root_finding(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("polyroots called above the degree bound")
+
+    monkeypatch.setattr(numfield.mp, "polyroots", refuse)
+    too_long = numfield.DEGREE_MAX + 1
+    for poly in ([-2] + [0] * (too_long - 1) + [1], [1] * (too_long + 1)):
+        with pytest.raises(ValidationError, match=str(numfield.DEGREE_MAX)):
+            build_field(poly, 50)
+    assert build_field([1] * (numfield.DEGREE_MAX + 1), 30).degree == numfield.DEGREE_MAX
 
 
 def test_build_field_rejects_bad_polynomials():
