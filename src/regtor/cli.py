@@ -164,6 +164,12 @@ def _int_arg(value, what):
         raise ValidationError(f"{what} must be an integer, got {value!r}") from exc
 
 
+def _bounded(value, lo, hi, flag):
+    """An integer flag inside its documented range, checked before any work."""
+    if not lo <= value <= hi:
+        raise ValidationError(f"{flag} must lie in [{lo}, {hi}]")
+
+
 def _rational_arg(text, what):
     """A decimal or "p/q" argument as an exact rational."""
     try:
@@ -336,6 +342,7 @@ def cmd_beta_check(args):
 
 def cmd_circle_torsion(args):
     digits = _resolve_digits(args)
+    _bounded(args.jmax, 0, polylog.ORDER_MAX - 1, "--jmax")
     setup = circlebundle.make_cyclotomic_setup(args.r, digits)
     coeffs = circlebundle.torsion_form_coeffs(setup, args.jmax)
     rows = [
@@ -353,6 +360,7 @@ def cmd_circle_torsion(args):
 
 def cmd_u_coeff(args):
     digits = _resolve_digits(args)
+    _bounded(args.j, 1, polylog.ORDER_MAX - 1, "--j")
     setup = circlebundle.make_cyclotomic_setup(args.r, digits)
     vals = circlebundle.u_coeff(setup, args.j)
     rows = [{"sigma": k, "u": _s(vals[k], digits)} for k in sorted(vals)]
@@ -361,6 +369,7 @@ def cmd_u_coeff(args):
 
 def cmd_regulator_check(args):
     digits = _resolve_digits(args)
+    _bounded(args.j, 1, polylog.ORDER_MAX - 1, "--j")
     setup = circlebundle.make_cyclotomic_setup(args.r, digits)
     chk = circlebundle.regulator_identity_check(setup, args.j)
     rows = [
@@ -392,6 +401,7 @@ def cmd_cheeger_muller(args):
 
 
 def cmd_borel_dims(args):
+    _bounded(args.imax, 0, circlebundle.BOREL_INDEX_MAX, "--imax")
     field, _, _ = _load_field(args)
     dims = circlebundle.borel_dims(field, args.imax)
     xdims = {
@@ -492,6 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     # The field of order r has degree r - 1, which build_field bounds.
     r_arg = {"type": int, "required": True, "help": f"prime cyclotomic order, 3..{DEGREE_MAX + 1}"}
+    # Li_{j+1} is evaluated, so j is bounded by the polylogarithm order bound.
+    j_arg = {"type": int, "required": True, "help": f"1..{polylog.ORDER_MAX - 1}"}
     add("field-info", cmd_field_info, "embeddings, signature, unit rank", field=True)
     add(
         "unit-log", cmd_unit_log, "half-log-absolute-value vector of a unit",
@@ -535,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     add(
         "polylog", cmd_polylog, "Li_n(e^{i theta})",
         **{
-            "--n": {"type": int, "required": True},
+            "--n": {"type": int, "required": True, "help": f"order, 1..{polylog.ORDER_MAX}"},
             "--theta": {"default": None, "help": "angle in (0, 2 pi), decimal"},
             "--theta-over-2pi": {
                 "dest": "theta_over_2pi",
@@ -552,15 +564,15 @@ def build_parser() -> argparse.ArgumentParser:
     add("beta-check", cmd_beta_check, "quadrature vs exact beta integral", **{"--j": {"type": int, "required": True}})
     add(
         "circle-torsion", cmd_circle_torsion, "torsion-form coefficients T_{sigma,j}",
-        **{"--r": r_arg, "--jmax": {"type": int, "default": 4}},
+        **{"--r": r_arg, "--jmax": {"type": int, "default": 4, "help": f"0..{polylog.ORDER_MAX - 1}"}},
     )
     add(
         "u-coeff", cmd_u_coeff, "the polylogarithmic constants u_j",
-        **{"--r": r_arg, "--j": {"type": int, "required": True}},
+        **{"--r": r_arg, "--j": j_arg},
     )
     add(
         "regulator-check", cmd_regulator_check, "psi-scaling identity, both sides",
-        **{"--r": r_arg, "--j": {"type": int, "required": True}},
+        **{"--r": r_arg, "--j": j_arg},
     )
     add(
         "cheeger-muller", cmd_cheeger_muller, "degree-0 torsion cross-check",
@@ -569,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     add(
         "borel-dims", cmd_borel_dims, "four-periodic dimension table",
         field=True,
-        **{"--imax": {"type": int, "default": 13}},
+        **{"--imax": {"type": int, "default": 13, "help": f"0..{circlebundle.BOREL_INDEX_MAX}"}},
     )
     add(
         "normalize", cmd_normalize, "convert between form normalizations",

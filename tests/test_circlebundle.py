@@ -28,6 +28,8 @@ from regtor import (
     u_coeff,
     x_space_dim,
 )
+from regtor.circlebundle import BOREL_INDEX_MAX
+from regtor.polylog import ORDER_MAX
 
 TOL = mp.mpf(10) ** -40
 
@@ -214,3 +216,18 @@ def test_u_coeff_rejects_degree_zero():
         u_coeff(s5, 0)
     with pytest.raises(ValidationError):
         torsion_form_coeffs(s5, -1)
+
+
+def test_order_and_index_bounds():
+    # j + 1 is a polylogarithm order, so every j is below ORDER_MAX.
+    s3 = make_cyclotomic_setup(3, 30)
+    for call in (
+        lambda: torsion_form_coeffs(s3, ORDER_MAX),
+        lambda: u_coeff(s3, ORDER_MAX),
+        lambda: regulator_identity_check(s3, ORDER_MAX),
+        lambda: borel_dims(build_field([0, 1], 30), BOREL_INDEX_MAX + 1),
+    ):
+        with pytest.raises(ValidationError):
+            call()
+    table = borel_dims(build_field([0, 1], 30), BOREL_INDEX_MAX)
+    assert len(table) == BOREL_INDEX_MAX + 1 and table[BOREL_INDEX_MAX] == 0

@@ -232,6 +232,26 @@ def test_cyclotomic_order_bound(capsys):
     assert "3..61" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv, flag, bound",
+    [
+        (["polylog", "--theta-over-2pi", "1/3"], "--n", 100),
+        (["circle-torsion", "--r", "3"], "--jmax", 99),
+        (["u-coeff", "--r", "3"], "--j", 99),
+        (["regulator-check", "--r", "3"], "--j", 99),
+        (["borel-dims", "--field", Z2], "--imax", 10000),
+    ],
+)
+def test_order_and_index_bounds(capsys, argv, flag, bound):
+    # polylog.ORDER_MAX = 100 bounds every Li order; circlebundle.BOREL_INDEX_MAX = 10000.
+    run_json(capsys, *argv, flag, str(bound))
+    code, out, err = run(capsys, *argv, flag, str(bound + 1))
+    assert code == 2 and out == "" and str(bound) in err
+    with pytest.raises(SystemExit):
+        main([argv[0], "--help"])
+    assert f"..{bound}" in capsys.readouterr().out
+
+
 def test_hatcher(capsys):
     d = run_json(capsys, "hatcher", "--k", "1")
     assert d["a"] == 24 and d["kappa"] == "1/1"

@@ -3,7 +3,8 @@
 Oracles: the classical Bernoulli table, the exact Bernoulli recurrence and
 Euler-Maclaurin zeta of tests/support.py (the library delegates both to
 mpmath), the von Staudt-Clausen theorem, mpmath's polylog, the even-zeta
-closed form, and exact Fraction integration for the beta integral.
+closed form, Li_n(-1) = -(1 - 2^(1-n)) zeta(n), and exact Fraction
+integration for the beta integral.
 """
 
 from fractions import Fraction
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from regtor import (
-    NoConvergence,
     ThetaOutOfRange,
     ValidationError,
     bernoulli,
@@ -24,7 +24,8 @@ from regtor import (
     polylog_circle,
     zeta_int,
 )
-from regtor.polylog import BERNOULLI_MAX
+from regtor import polylog
+from regtor.polylog import BERNOULLI_MAX, ORDER_MAX
 
 from support import bernoulli_recurrence, zeta_euler_maclaurin
 
@@ -165,6 +166,49 @@ def test_polylog_circle_high_precision_against_mpmath():
                 got = polylog_circle(n, th, 300)
                 want = mp.polylog(n, mp.expj(th))
                 assert abs(got - want) < mp.mpf(10) ** -295, (n, th)
+
+
+def test_polylog_circle_at_minus_one_thousand_digits():
+    # theta = pi is x = 1/2, the longest fixed-point tail:
+    # Li_n(-1) = -(1 - 2^(1-n)) zeta(n), a real number.
+    with mp.workdps(1020):
+        for n in range(2, 9):
+            got = polylog_circle(n, mp.pi, 1000)
+            want = -(1 - mp.mpf(2) ** (1 - n)) * mp.zeta(n)
+            assert abs(got.real - want) < mp.mpf(10) ** -1000, n
+            assert abs(got.imag) < mp.mpf(10) ** -1000, n
+
+
+def test_polylog_circle_precision_history(monkeypatch):
+    # The zeta(2m) table is shared by every call and kept at the highest
+    # precision seen so far; lower precisions read it shifted right.  Values
+    # must not depend on which precisions came before.
+    monkeypatch.setattr(polylog, "_EVEN_ZETA", polylog._EvenZetaTable())
+
+    def check():
+        for digits in (50, 300):
+            with mp.workdps(digits + 20):
+                for n in (2, 5):
+                    for th in (2 * mp.pi / 7, mp.pi, mp.mpf("5.9")):
+                        got = polylog_circle(n, th, digits)
+                        want = mp.polylog(n, mp.expj(th))
+                        assert abs(got - want) < mp.mpf(10) ** -(digits + 5), (digits, n, th)
+
+    check()
+    before = polylog._EVEN_ZETA.prec
+    with mp.workdps(1010):
+        polylog_circle(3, mp.pi, 1000)
+    assert polylog._EVEN_ZETA.prec > before
+    check()
+
+
+def test_polylog_circle_order_bound():
+    with mp.workdps(60):
+        th = mp.mpf("2.5")
+        got = polylog_circle(ORDER_MAX, th, 50)
+        assert abs(got - mp.polylog(ORDER_MAX, mp.expj(th))) < mp.mpf(10) ** -45
+    with pytest.raises(ValidationError, match=str(ORDER_MAX)):
+        polylog_circle(ORDER_MAX + 1, 1.0, 50)
 
 
 def test_polylog_circle_order_one_closed_form():
