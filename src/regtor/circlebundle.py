@@ -23,7 +23,7 @@ from mpmath import mp, mpc, mpf
 from . import rtorsion
 from .errors import TrivialHolonomyAtJZero, ValidationError
 from .numfield import GUARD, NumberField, build_field
-from .polylog import BERNOULLI_MAX, ORDER_MAX, bernoulli, polylog_circle, zeta_int
+from .polylog import BERNOULLI_MAX, _check_j, bernoulli, polylog_circle, zeta_int
 
 # hatcher_constant needs B_{2k}, so k is bounded by the Bernoulli index bound.
 HATCHER_K_MAX = BERNOULLI_MAX // 2
@@ -74,12 +74,6 @@ def make_cyclotomic_setup(r: int, digits: int = 50) -> CyclotomicSetup:
     with mp.workdps(digits + GUARD):
         thetas = tuple(mp.arg(z) for z in field.sigma_star)
     return CyclotomicSetup(r=r, field=field, thetas=thetas)
-
-
-def _check_j(j: int, lo: int, what: str) -> None:
-    """j + 1 is a polylogarithm order, so lo <= j < ORDER_MAX."""
-    if not lo <= j < ORDER_MAX:
-        raise ValidationError(f"{what} in [{lo}, {ORDER_MAX - 1}]")
 
 
 def _prefactor(j: int):
@@ -240,10 +234,9 @@ def normalization_factors(j: int, digits: int = 50):
     Returns (N_Chern, N_Igusa, (N_Borel signed magnitude, i-power)): the
     Borel factor is (-1)^j (2j+1)!/((2 pi i)^j j!), reported as the real
     number (-1)^j (2j+1)!/((2 pi)^j j!) together with the power of i (mod 4)
-    multiplying it.
+    multiplying it; 0 <= j < ORDER_MAX.
     """
-    if j < 0:
-        raise ValidationError("j must be non-negative")
+    _check_j(j, 0, "j must lie")
     with mp.workdps(digits + GUARD):
         chern = (
             (-1) ** j * 2 * mp.pi * mpf(factorial(2 * j + 1))
@@ -275,8 +268,9 @@ def convert(values, frm: str, to: str, j: int, digits: int = 50):
 
     A value v in normalization X satisfies v = v_standard / N_X, so the
     conversion multiplies by N_frm and divides by N_to.  Accepts a scalar or
-    a sequence; Borel conversions may be complex.
+    a sequence; Borel conversions may be complex.  0 <= j < ORDER_MAX.
     """
+    _check_j(j, 0, "j must lie")
     if frm not in _NORMALIZATION_NAMES or to not in _NORMALIZATION_NAMES:
         raise ValidationError(f"normalizations are named {_NORMALIZATION_NAMES}")
     single = not isinstance(values, (list, tuple))

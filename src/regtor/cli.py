@@ -70,6 +70,16 @@ def _s(x, digits):
     return mp.nstr(mp.mpf(x) if not isinstance(x, (mp.mpf, mp.mpc)) else x, digits)
 
 
+def _q(x) -> str:
+    """An exact rational as text of any length: the int-to-string limit guards input only."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _form_reduced(f, digits):
     return {
         f"b1(sigma_{k + 1})": _s(v, digits)
@@ -226,8 +236,8 @@ def cmd_unit_log(args):
     elem = field.element([_rational_arg(c, "--unit") for c in vec])
     f = flatmodel.unit_log(field, elem)
     return {
-        "unit": [str(c) for c in elem.coeffs],
-        "norm": str(norm(field, elem)),
+        "unit": [_q(c) for c in elem.coeffs],
+        "norm": _q(norm(field, elem)),
         "canonical": f.to_dict(digits)["coeffs"],
         "b1_reduced": _form_reduced(f, digits),
     }
@@ -276,7 +286,7 @@ def cmd_zhat(args):
     pres = _parse_presentation(field, _json_arg(args.pres, "--pres"))
     x = modtors.zhat(field, lat, pres)
     out = _point_dict(x, digits)
-    out["det"] = [str(c) for c in pres.det_elem.coeffs]
+    out["det"] = [_q(c) for c in pres.det_elem.coeffs]
     out["in_lattice"] = x.torus.is_zero()
     return out
 
@@ -324,7 +334,7 @@ def cmd_zeta(args):
 
 def cmd_bernoulli(args):
     _ = _resolve_digits(args)
-    return {"m": args.m, "value": str(polylog.bernoulli(args.m))}
+    return {"m": args.m, "value": _q(polylog.bernoulli(args.m))}
 
 
 def cmd_beta_check(args):
@@ -335,7 +345,7 @@ def cmd_beta_check(args):
     return {
         "j": args.j,
         "quadrature": _s(quad, digits),
-        "exact": str(exact),
+        "exact": _q(exact),
         "abs_err": _s(err, 8),
     }
 
@@ -502,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # The field of order r has degree r - 1, which build_field bounds.
     r_arg = {"type": int, "required": True, "help": f"prime cyclotomic order, 3..{DEGREE_MAX + 1}"}
-    # Li_{j+1} is evaluated, so j is bounded by the polylogarithm order bound.
+    # The degree index j; Li_{j+1} is evaluated, so ORDER_MAX bounds it.
     j_arg = {"type": int, "required": True, "help": f"1..{polylog.ORDER_MAX - 1}"}
     add("field-info", cmd_field_info, "embeddings, signature, unit rank", field=True)
     add(
@@ -529,10 +539,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--lambdas": {"required": True, "help": "JSON list of positive scalars per place"},
         },
     )
+    pres_help = f"presentation matrix JSON, at most {modtors.PRESENTATION_SIZE_MAX} rows"
     add(
         "zhat", cmd_zhat, "secondary class of a torsion-module presentation",
         field=True,
-        **{"--pres": {"required": True, "help": "presentation matrix JSON"}},
+        **{"--pres": {"required": True, "help": pres_help}},
     )
     add(
         "rtorsion", cmd_rtorsion, "Reidemeister torsion of a metrized complex",
@@ -561,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bernoulli", cmd_bernoulli, "exact Bernoulli number",
         **{"--m": {"type": int, "required": True, "help": f"index, 0..{polylog.BERNOULLI_MAX}"}},
     )
-    add("beta-check", cmd_beta_check, "quadrature vs exact beta integral", **{"--j": {"type": int, "required": True}})
+    add("beta-check", cmd_beta_check, "quadrature vs exact beta integral", **{"--j": j_arg})
     add(
         "circle-torsion", cmd_circle_torsion, "torsion-form coefficients T_{sigma,j}",
         **{"--r": r_arg, "--jmax": {"type": int, "default": 4, "help": f"0..{polylog.ORDER_MAX - 1}"}},
@@ -586,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     add(
         "normalize", cmd_normalize, "convert between form normalizations",
         **{
-            "--j": {"type": int, "required": True},
+            "--j": {"type": int, "required": True, "help": f"0..{polylog.ORDER_MAX - 1}"},
             "--value": {"required": True},
             "--from": {"dest": "frm", "required": True, "choices": ("bl", "chern", "igusa", "borel")},
             "--to": {"dest": "to", "required": True, "choices": ("bl", "chern", "igusa", "borel")},

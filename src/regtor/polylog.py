@@ -33,7 +33,7 @@ prec^2/16 bytes: 0.7 MB at 1000 digits.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from mpmath import mp, mpc, mpf
 
@@ -41,16 +41,23 @@ from .errors import ThetaOutOfRange, ValidationError
 from .numfield import GUARD
 
 # Largest polylogarithm order served.  It also bounds the circle-bundle
-# orders: jmax + 1 in torsion_form_coeffs and j + 1 in u_coeff and
-# regulator_identity_check.  At 1000 digits on one core of a 2-core x86
-# machine with mpmath's pure-Python backend, a cold Li_100 at theta = pi
-# takes 1.4 s, most of it zeta(2)..zeta(100) for the head, and
-# circle-torsion --r 61 --jmax 99 takes 33 s.
+# orders, jmax + 1 and j + 1, and the same j in normalize and beta-check
+# (_check_j).  At 1000 digits on one core of a 2-core x86 machine with
+# mpmath's pure-Python backend, a cold Li_100 at theta = pi takes 1.4 s,
+# most of it zeta(2)..zeta(100) for the head, and circle-torsion --r 61
+# --jmax 99 takes 33 s.
 ORDER_MAX = 100
 
 # Largest Bernoulli index served; mp.bernfrac(10_000) takes about 0.5 s on
 # mpmath's pure-Python backend, and the cost grows faster than quadratically.
 BERNOULLI_MAX = 10_000
+
+
+def _check_j(j: int, lo: int, what: str) -> None:
+    """lo <= j < ORDER_MAX for the degree index j of the circle-bundle forms
+    (Li_{j+1} is a polylogarithm order), their normalizations and beta integrals."""
+    if not lo <= j < ORDER_MAX:
+        raise ValidationError(f"{what} in [{lo}, {ORDER_MAX - 1}]")
 
 
 def bernoulli(m: int) -> Fraction:
@@ -190,12 +197,9 @@ def beta_integral_check(j: int, digits: int = 50) -> tuple[mpf, Fraction]:
     """Quadrature and exact value of int_0^1 (x^2 - x)^{j-1} dx.
 
     The exact value is (-1)^{j-1} ((j-1)!)^2 / (2j-1)!, the signed beta
-    integral B(j, j).
+    integral B(j, j); 1 <= j < ORDER_MAX.
     """
-    if j < 1:
-        raise ValidationError("beta integral requires j >= 1")
-    from math import factorial
-
+    _check_j(j, 1, "the beta integral is checked for j")
     exact = Fraction((-1) ** (j - 1) * factorial(j - 1) ** 2, factorial(2 * j - 1))
     with mp.workdps(digits + GUARD):
         numeric = mp.quad(lambda x: (x * x - x) ** (j - 1), [0, 1])

@@ -1,7 +1,8 @@
 """Shared helpers for the test suite.
 
 Contains the field loaders, independent oracles for polynomial roots
-(Aberth-Ehrlich iteration with a Newton polish), the Bernoulli numbers
+(Aberth-Ehrlich iteration with a Newton polish), coprimality (Euclid over
+Q, against the library's resultant test), the Bernoulli numbers
 (the exact defining recurrence), integer zeta values (Euler-Maclaurin
 summation) and the polylogarithm (direct partial sum plus Euler-Maclaurin
 tail), exact rational positive-definite Gram generators, unimodular base
@@ -27,6 +28,7 @@ from regtor import (
     parse_descriptor,
     presentation,
 )
+from regtor.numfield import poly_divmod, poly_trim
 
 DATA = Path(__file__).parent / "data"
 
@@ -112,6 +114,15 @@ def aberth_roots(coeffs, digits):
                 break
             z[k] -= _horner(coeffs, z[k]) / dv
     return z
+
+
+def coprime(a, b) -> bool:
+    """True iff the gcd of two rational polynomials (constant first) is a
+    nonzero constant, by Euclid's algorithm over Q."""
+    a, b = poly_trim([Fraction(c) for c in a]), poly_trim([Fraction(c) for c in b])
+    while len(b) > 1:
+        a, b = b, poly_divmod(a, b)[1]
+    return len(b) == 1
 
 
 # ---------------------------------------------------------------------------

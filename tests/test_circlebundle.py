@@ -15,6 +15,7 @@ from mpmath import mp
 from regtor import (
     TrivialHolonomyAtJZero,
     ValidationError,
+    beta_integral_check,
     borel_dims,
     build_field,
     cheeger_muller_check,
@@ -219,12 +220,16 @@ def test_u_coeff_rejects_degree_zero():
 
 
 def test_order_and_index_bounds():
-    # j + 1 is a polylogarithm order, so every j is below ORDER_MAX.
+    # j + 1 is a polylogarithm order, so every j is below ORDER_MAX; the
+    # normalizations and the beta integral take the same degree index j.
     s3 = make_cyclotomic_setup(3, 30)
     for call in (
         lambda: torsion_form_coeffs(s3, ORDER_MAX),
         lambda: u_coeff(s3, ORDER_MAX),
         lambda: regulator_identity_check(s3, ORDER_MAX),
+        lambda: normalization_factors(ORDER_MAX),
+        lambda: convert(1, "bl", "bl", ORDER_MAX),
+        lambda: beta_integral_check(ORDER_MAX),
         lambda: borel_dims(build_field([0, 1], 30), BOREL_INDEX_MAX + 1),
     ):
         with pytest.raises(ValidationError):

@@ -223,6 +223,33 @@ def test_bernoulli_and_hatcher_bounds(capsys):
     assert code == 2
 
 
+def test_exact_rationals_print_beyond_the_int_string_limit(capsys):
+    # B_10000 has a numerator of more than 4300 digits, Python's default
+    # limit for int-to-string conversion.
+    limit = sys.get_int_max_str_digits()
+    d = run_json(capsys, "bernoulli", "--m", "10000")
+    assert sys.get_int_max_str_digits() == limit  # lifted for output only
+    num, den = mp.bernfrac(10000)
+    sys.set_int_max_str_digits(0)
+    try:
+        want = f"{num}/{den}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert d["value"] == want and len(want) > limit
+
+
+def test_presentation_size_bound(capsys):
+    size = 12  # modtors.PRESENTATION_SIZE_MAX
+    for m, want in ((size, 0), (size + 1, 2)):
+        pres = json.dumps([["2" if i == j else "0" for j in range(m)] for i in range(m)])
+        code, _, err = run(capsys, "zhat", "--field", Z2, "--pres", pres)
+        assert code == want, err
+    assert "12" in err
+    with pytest.raises(SystemExit):
+        main(["zhat", "--help"])
+    assert "at most 12 rows" in capsys.readouterr().out
+
+
 def test_cyclotomic_order_bound(capsys):
     # r - 1 is the field degree, bounded by numfield.DEGREE_MAX = 60.
     code, _, err = run(capsys, "circle-torsion", "--r", "67")
@@ -240,10 +267,13 @@ def test_cyclotomic_order_bound(capsys):
         (["u-coeff", "--r", "3"], "--j", 99),
         (["regulator-check", "--r", "3"], "--j", 99),
         (["borel-dims", "--field", Z2], "--imax", 10000),
+        (["normalize", "--value", "1", "--from", "bl", "--to", "chern"], "--j", 99),
+        (["beta-check"], "--j", 99),
     ],
 )
 def test_order_and_index_bounds(capsys, argv, flag, bound):
-    # polylog.ORDER_MAX = 100 bounds every Li order; circlebundle.BOREL_INDEX_MAX = 10000.
+    # polylog.ORDER_MAX = 100 bounds every Li order and the degree index j of
+    # normalize and beta-check; circlebundle.BOREL_INDEX_MAX = 10000.
     run_json(capsys, *argv, flag, str(bound))
     code, out, err = run(capsys, *argv, flag, str(bound + 1))
     assert code == 2 and out == "" and str(bound) in err

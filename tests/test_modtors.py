@@ -1,12 +1,14 @@
 """Exact determinants over a number ring and secondary torsion classes.
 
 Oracles: recursive cofactor expansion with ring operations (independent of
-the fraction-free elimination), closed-form logs for the worked quadratic
-example, and class-group arithmetic for additivity.
+the Kronecker substitution and the integer elimination), multiplicativity of
+the determinant, closed-form logs for the worked quadratic example, and
+class-group arithmetic for additivity.
 """
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,8 @@ from regtor import (
     zhat,
     zhat_wellposed,
 )
-from support import field_lattice, field_units
+from regtor import modtors
+from support import field_lattice, field_units, rmat_mul
 
 small_entry = st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=2)
 
@@ -65,6 +68,101 @@ def test_exact_det_three_by_three_cyclotomic():
             for _ in range(3)
         ]
         assert exact_det(field, rows).coeffs == _cofactor_det(field, rows).coeffs
+
+
+def _assert_cofactor(field, rows):
+    assert exact_det(field, rows).coeffs == _cofactor_det(field, rows).coeffs
+
+
+def test_exact_det_rational_and_huge_entries():
+    field, _ = field_units("zeta5")
+    rng = random.Random(5)
+    for _ in range(4):
+        rational = [
+            [
+                field.element([Fraction(rng.randint(-9, 9), rng.randint(1, 10**12)) for _ in range(4)])
+                for _ in range(3)
+            ]
+            for _ in range(3)
+        ]
+        _assert_cofactor(field, rational)
+        huge = [
+            [field.element([rng.randint(-(10**30), 10**30) for _ in range(4)]) for _ in range(3)]
+            for _ in range(3)
+        ]
+        _assert_cofactor(field, huge)
+
+
+def test_exact_det_zero_row_one_by_one_and_degree_one():
+    field, _ = field_units("zeta5")
+    a, b = field.element([1, -2, 3]), field.element([0, 0, 0, 7])
+    assert exact_det(field, [[a, b], [field.zero(), field.zero()]]).is_zero()
+    assert exact_det(field, [[a]]).coeffs == a.coeffs
+    assert exact_det(field, [[b]]).coeffs == b.coeffs
+    assert exact_det(field, []).coeffs == field.one().coeffs
+    rationals = build_field([0, 1], 50)  # Q itself: elements are constants
+    rng = random.Random(1)
+    for m in (1, 2, 4):
+        rows = [
+            [rationals.element([Fraction(rng.randint(-50, 50), rng.randint(1, 9))]) for _ in range(m)]
+            for _ in range(m)
+        ]
+        _assert_cofactor(rationals, rows)
+
+
+def test_exact_det_zeta23_three_by_three():
+    field = build_field([1] * 23, 50)
+    rng = random.Random(23)
+    for _ in range(3):
+        rows = [
+            [field.element([rng.randint(-3, 3) for _ in range(22)]) for _ in range(3)]
+            for _ in range(3)
+        ]
+        _assert_cofactor(field, rows)
+
+
+def test_exact_det_coefficient_reaching_the_bound():
+    # On a diagonal of single terms -c_i x^{k_i} with sum k_i < n, the
+    # determinant is +-(prod c_i) x^{sum k_i}: one coefficient equals the
+    # bound H = prod_i sum_j ||a_ij||_1 exactly, so B = bitlength(H) + 1 is tight.
+    field = build_field([1] * 23, 50)
+    for diag in ([(3, 0)], [(3, 1), (5, 2)], [(3, 1), (5, 2), (7, 0)], [(9, 4), (11, 0), (13, 5), (15, 3)]):
+        m = len(diag)
+        rows = [[field.zero()] * m for _ in range(m)]
+        for i, (c, k) in enumerate(diag):
+            rows[i][i] = field.element([0] * k + [-c])
+        det = exact_det(field, rows)
+        assert det.coeffs == _cofactor_det(field, rows).coeffs
+        h = prod(c for c, _ in diag)
+        assert det.coeffs[sum(k for _, k in diag)] == (-1) ** m * h
+
+
+def test_exact_det_is_multiplicative():
+    field = build_field([1] * 23, 50)
+    rng = random.Random(55)
+    for _ in range(2):
+        a, b = (
+            [[field.element([rng.randint(-2, 2) for _ in range(22)]) for _ in range(5)] for _ in range(5)]
+            for _ in range(2)
+        )
+        lhs = exact_det(field, rmat_mul(field, a, b))
+        assert lhs.coeffs == field.mul(exact_det(field, a), exact_det(field, b)).coeffs
+
+
+def test_presentation_size_bound_precedes_the_determinant(monkeypatch):
+    field, _ = field_units("zsqrt2")
+    bound = modtors.PRESENTATION_SIZE_MAX
+    two = field.element([2])
+    diag = [[two if i == j else field.zero() for j in range(bound)] for i in range(bound)]
+    assert presentation(field, diag).det_elem.coeffs == field.element([2**bound]).coeffs
+
+    def refuse(*args):
+        raise AssertionError("exact_det called above the size bound")
+
+    monkeypatch.setattr(modtors, "exact_det", refuse)
+    big = [[two if i == j else field.zero() for j in range(bound + 1)] for i in range(bound + 1)]
+    with pytest.raises(ValidationError, match=str(bound)):
+        presentation(field, big)
 
 
 def test_exact_det_survives_zero_divisor_pivots():

@@ -6,6 +6,7 @@ takes from mp.polyroots or from the closed form, the product of embeddings
 for the norm, and exact Fraction arithmetic for ring laws.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,7 @@ from regtor import (
 )
 from regtor import numfield
 from regtor.cli import main
-from support import aberth_roots, field_units, load_descriptor
+from support import aberth_roots, coprime, field_units, load_descriptor
 
 small_coeffs = st.lists(
     st.integers(min_value=-6, max_value=6), min_size=1, max_size=4
@@ -194,6 +195,44 @@ def test_build_field_accepts_reducible_squarefree():
     field = build_field([-1, 0, 1], 50)  # (x-1)(x+1)
     assert field.r_real == 2
     assert norm(field, field.gen()) == -1
+
+
+def test_squarefree_test_matches_euclid():
+    # build_field rejects p exactly when Euclid over Q finds gcd(p, p') nonconstant.
+    rng = random.Random(12)
+
+    def monic(degree):
+        return [rng.randint(-4, 4) for _ in range(degree)] + [1]
+
+    rejected = 0
+    for _ in range(40):
+        if rng.random() < 0.5:
+            f = monic(rng.randint(1, 3))
+            g = monic(rng.randint(0, 6))
+            p = [int(c) for c in numfield.poly_mul(numfield.poly_mul(f, f), g)]
+        else:
+            p = monic(rng.randint(1, 12))
+        n = len(p) - 1
+        if coprime(p, [k * p[k] for k in range(1, n + 1)]):
+            assert build_field(p, 30).degree == n
+        else:
+            rejected += 1
+            with pytest.raises(NotSquarefree):
+                build_field(p, 30)
+    assert rejected >= 15
+
+
+def test_all_ones_polynomial_skips_the_resultant(monkeypatch):
+    # 1 + x + ... + x^{r-1} vanishes at the distinct r-th roots of unity other
+    # than 1, so it is squarefree without a test.
+    def refuse(*args):
+        raise AssertionError("resultant computed for an all-ones polynomial")
+
+    monkeypatch.setattr(numfield, "_resultant", refuse)
+    for r in range(2, numfield.DEGREE_MAX + 2):
+        assert build_field([1] * r, 30).degree == r - 1
+    with pytest.raises(AssertionError):
+        build_field([2, 1, 1], 30)
 
 
 def test_element_reduction_and_arithmetic():
