@@ -294,14 +294,11 @@ def cmd_zhat(args):
 def cmd_rtorsion(args):
     field, _, digits = _load_field(args)
     cplx = _parse_complex(field, _json_arg(args.complex, "--complex", dict))
-    with mp.workdps(digits + GUARD):
-        taus = [
-            rtorsion.reidemeister(rtorsion.at_place(cplx, k)) for k in range(field.n_places)
-        ]
-        tau = {f"sigma_{k}": _s(t, digits) for k, t in enumerate(taus)}
-        f = flatmodel.make_form(field, 0, [mp.log(t) for t in taus])
+    f = rtorsion.rtorsion_form(field, cplx)
+    # rtorsion_form has built every place and its tau; these calls reuse them
+    taus = [rtorsion.reidemeister(rtorsion.at_place(cplx, k)) for k in range(field.n_places)]
     return {
-        "tau": tau,
+        "tau": {f"sigma_{k}": _s(t, digits) for k, t in enumerate(taus)},
         "form_canonical": f.to_dict(digits)["coeffs"],
         "form_b1_reduced": _form_reduced(f, digits),
     }
@@ -545,15 +542,17 @@ def build_parser() -> argparse.ArgumentParser:
         field=True,
         **{"--pres": {"required": True, "help": pres_help}},
     )
+    # build_complex_over_r bounds the degree count and every length
+    size = f"at most {rtorsion.COMPLEX_SIZE_MAX} degrees of length 0..{rtorsion.COMPLEX_SIZE_MAX}"
     add(
         "rtorsion", cmd_rtorsion, "Reidemeister torsion of a metrized complex",
         field=True,
-        **{"--complex": {"required": True, "help": "complex JSON (lengths/diffs/grams/cohomology)"}},
+        **{"--complex": {"required": True, "help": f"complex JSON (lengths/diffs/grams/cohomology), {size}"}},
     )
     add(
         "euler-check", cmd_euler_check, "Euler-characteristic identity residual",
         field=True,
-        **{"--complex": {"required": True, "help": "complex JSON with cohomology data"}},
+        **{"--complex": {"required": True, "help": f"complex JSON with cohomology data, {size}"}},
     )
     add(
         "polylog", cmd_polylog, "Li_n(e^{i theta})",

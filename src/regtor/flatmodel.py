@@ -432,11 +432,15 @@ def hermitian_cholesky(rows, digits: int):
         return low
 
 
-def lndet_hermitian(rows, digits: int):
-    """ln det of a Hermitian positive-definite matrix via Cholesky."""
-    low = hermitian_cholesky(rows, digits)
+def _lndet_of_factor(low, digits: int):
+    """ln det L L^* = 2 sum_i ln L_ii for a lower Cholesky factor L."""
     with mp.workdps(digits + GUARD):
         return 2 * mp.fsum(mp.log(low[i][i].real) for i in range(len(low)))
+
+
+def lndet_hermitian(rows, digits: int):
+    """ln det of a Hermitian positive-definite matrix via Cholesky."""
+    return _lndet_of_factor(hermitian_cholesky(rows, digits), digits)
 
 
 def cycl_free(field: NumberField, lattice: RegulatorLattice, grams) -> PointClass:
@@ -452,10 +456,17 @@ def cycl_free(field: NumberField, lattice: RegulatorLattice, grams) -> PointClas
     if len(sizes) > 1:
         raise ValidationError("Gram matrices must share a single size")
     n = sizes.pop()
+    return _cycl_from_lndets(
+        field, lattice, n, [lndet_hermitian(g, field.digits) for g in grams]
+    )
+
+
+def _cycl_from_lndets(field: NumberField, lattice: RegulatorLattice, rank, lndets) -> PointClass:
+    """cycl_free of a module of the given rank from ln det G_sigma per representative."""
     with mp.workdps(field.digits + GUARD):
-        vals = [lndet_hermitian(g, field.digits) / 4 for g in grams]
+        vals = [ld / 4 for ld in lndets]
     t, _ = reduce_mod_lattice(lattice, make_form(field, 0, vals))
-    return PointClass(n, _reduce_cls(field.class_orders, ()), t)
+    return PointClass(rank, _reduce_cls(field.class_orders, ()), t)
 
 
 def scale_class(lattice: RegulatorLattice, x: PointClass, lambdas) -> PointClass:

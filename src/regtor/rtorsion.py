@@ -5,9 +5,13 @@ complex with the metric induced on the determinant line of its cohomology
 (with respect to chosen cohomology bases and metrics).
 
 metrized_complex_at_place validates a complex at one place and changes it to
-orthonormal coordinates, once: it factors each cochain Gram and takes ln det
-of each cohomology Gram one time.  Two independent algorithms read the
-result:
+orthonormal coordinates, once: it factors each cochain Gram one time, and
+keeps ln det of each cochain and cohomology Gram.  Each place and its tau are
+built once per complex object: at_place keeps the MetrizedComplexAtPlace of
+every place it has built on the MetrizedComplexOverR, and reidemeister keeps
+tau on the MetrizedComplexAtPlace, so rtorsion_form and
+verify_euler_identity reuse what a caller has already computed.  Two
+independent algorithms read the result:
 
   reidemeister         Laplacian route: take pseudo-determinants of the
                        combinatorial Laplacians, and correct by the Gram
@@ -28,12 +32,13 @@ Rank decisions (kernel dimensions, singular ranks) refuse to guess: any
 eigenvalue or singular value within a factor 10^3 of numfield.rank_cutoff
 (10^(-digits/2)) raises RankAmbiguous.  d after d = 0 and the cocycle
 conditions over C are checked against numfield.residual_tolerance
-(10^(-digits + GUARD)); log-determinants of Grams go through
-flatmodel.lndet_hermitian.
+(10^(-digits + GUARD)); the log-determinant of a Gram is 2 sum ln L_jj of its
+Cholesky factor L (flatmodel.lndet_hermitian).
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
@@ -43,10 +48,11 @@ from .flatmodel import (
     FormElement,
     PointClass,
     RegulatorLattice,
+    _cycl_from_lndets,
+    _lndet_of_factor,
     a_map,
     class_add,
     class_neg,
-    cycl_free,
     hermitian_cholesky,
     lndet_hermitian,
     make_form,
@@ -57,6 +63,15 @@ from .modtors import TorsionPresentation, zhat
 from .numfield import GUARD, NumberField, embed, rank_cutoff, residual_tolerance
 
 _AMBIGUITY_FACTOR = 1000
+# Largest number of degrees, and largest rank of each cochain module, of a
+# complex over R.  A 12-degree complex of rank 12 in every degree already
+# costs 10 * 12^3 exact ring products for its d after d check alone.
+COMPLEX_SIZE_MAX = 12
+
+
+def _memo_field():
+    """A private per-object cache, outside init, repr and equality."""
+    return dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _adj(rows):
@@ -105,8 +120,9 @@ class MetrizedComplexAtPlace:
     With the cochain Grams G_i = L_i L_i^*: ortho_diffs[i] = L_{i+1}^* d_i
     L_i^{-*} (empty when a degree is zero), ortho_reps[i] = L_i^* K_i for the
     representative columns K_i, and from_ortho[i] = L_i^{-*} maps orthonormal
-    coordinates back.  cohomology_dims[i] counts the chosen classes and
-    lndet_cohomology[i] is ln det H_i of their Gram (0 when there are none).
+    coordinates back.  lndet_cochain[i] is ln det G_i.  cohomology_dims[i]
+    counts the chosen classes and lndet_cohomology[i] is ln det H_i of their
+    Gram (0 when there are none).  reidemeister keeps its tau in _memo.
     """
 
     digits: int
@@ -114,8 +130,10 @@ class MetrizedComplexAtPlace:
     ortho_diffs: tuple
     ortho_reps: tuple
     from_ortho: tuple
+    lndet_cochain: tuple
     cohomology_dims: tuple
     lndet_cohomology: tuple
+    _memo: dict = _memo_field()
 
 
 def metrized_complex_at_place(
@@ -128,8 +146,8 @@ def metrized_complex_at_place(
     class, each column a cocycle in degree i; cohomology_grams[i] is the
     chosen metric on those classes.  Checks shapes, d after d = 0, positive
     Grams and cocycle columns.  Each Gram is factored exactly once: the
-    Cholesky factor of a cochain Gram gives the orthonormal coordinates, and
-    that of a cohomology Gram gives its log-determinant.
+    Cholesky factor of a cochain Gram gives the orthonormal coordinates and
+    its log-determinant, and that of a cohomology Gram its log-determinant.
     """
     lengths = tuple(int(n) for n in lengths)
     nd = len(lengths)
@@ -191,6 +209,7 @@ def metrized_complex_at_place(
             ),
             ortho_reps=tuple(_mul(_adj(low), k) if k else () for low, k in zip(chol, kk)),
             from_ortho=from_ortho,
+            lndet_cochain=tuple(_lndet_of_factor(low, digits) for low in chol),
             cohomology_dims=tuple(len(m) for m in hh),
             lndet_cohomology=tuple(lndet_h),
         )
@@ -271,8 +290,12 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
     ln tau = (1/2) sum_i (-1)^i [ i * ln det'(Lap_i)
                                   + ln det W_i - ln det H_i ]
     where W_i is the Gram of the harmonic projections of the representative
-    columns and H_i the chosen cohomology Gram.
+    columns and H_i the chosen cohomology Gram.  tau is computed once per
+    MetrizedComplexAtPlace, always at its digits + GUARD, and kept on it; a
+    call that raises keeps nothing, so the next call raises again.
     """
+    if "tau" in cplx._memo:
+        return cplx._memo["tau"]
     with mp.workdps(cplx.digits + GUARD):
         cut = rank_cutoff(cplx.digits)
         dims = []
@@ -298,7 +321,8 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
                 ) from exc
             lntau += sign * (lndet_w - cplx.lndet_cohomology[i]) / 2
         _check_rep_count(cplx, dims)
-        return mp.exp(lntau)
+        tau = cplx._memo["tau"] = mp.exp(lntau)
+        return tau
 
 
 def torsion_by_contraction(cplx: MetrizedComplexAtPlace):
@@ -379,7 +403,8 @@ class MetrizedComplexOverR:
     diffs[i] is a lengths[i+1] by lengths[i] matrix of ring elements with
     exact d d = 0; grams[i][k] is the Gram at degree i, place k.  Conjugate
     places carry the conjugated data by construction, so only the
-    representatives in Sigma* are stored.
+    representatives in Sigma* are stored.  at_place keeps each place it
+    builds in _memo.
     """
 
     field: NumberField
@@ -387,11 +412,23 @@ class MetrizedComplexOverR:
     diffs: tuple
     grams: tuple
     cohomology: tuple
+    _memo: dict = _memo_field()
 
 
 def build_complex_over_r(field, lengths, diffs, grams, cohomology) -> MetrizedComplexOverR:
+    """Check a complex of free R-modules exactly and store it.
+
+    At most COMPLEX_SIZE_MAX degrees, each of rank at most COMPLEX_SIZE_MAX;
+    the bound is checked before any ring element is built.  d after d = 0 is
+    decided exactly in K.
+    """
     lengths = tuple(int(n) for n in lengths)
     nd = len(lengths)
+    if nd > COMPLEX_SIZE_MAX or any(not 0 <= n <= COMPLEX_SIZE_MAX for n in lengths):
+        raise ValidationError(
+            f"a complex has at most {COMPLEX_SIZE_MAX} degrees, "
+            f"each of length 0..{COMPLEX_SIZE_MAX}"
+        )
     dd = tuple(tuple(tuple(field.element(x) for x in row) for row in m) for m in diffs)
     if len(dd) != nd - 1:
         raise ValidationError("expected one differential between consecutive degrees")
@@ -437,8 +474,17 @@ def _embed_matrix(field, rows, place):
 
 
 def at_place(cplx: MetrizedComplexOverR, place: int) -> MetrizedComplexAtPlace:
-    """The embedded metrized complex at one place representative."""
+    """The embedded metrized complex at one place representative.
+
+    Each place is built once per complex object: later calls return the same
+    MetrizedComplexAtPlace, and so share its tau.  A call that raises keeps
+    nothing.
+    """
+    if place in cplx._memo:
+        return cplx._memo[place]
     field = cplx.field
+    if not 0 <= place < field.n_places:
+        raise ValidationError(f"place {place} is not in 0..{field.n_places - 1}")
     diffs = [_embed_matrix(field, m, place) for m in cplx.diffs]
     grams = [cplx.grams[i][place] for i in range(len(cplx.lengths))]
     hgrams = []
@@ -450,9 +496,10 @@ def at_place(cplx: MetrizedComplexOverR, place: int) -> MetrizedComplexAtPlace:
         else:
             hgrams.append(())
             hmaps.append(())
-    return metrized_complex_at_place(
+    at = cplx._memo[place] = metrized_complex_at_place(
         field.digits, cplx.lengths, diffs, grams, hgrams, hmaps
     )
+    return at
 
 
 def rtorsion_form(field: NumberField, cplx: MetrizedComplexOverR) -> FormElement:
@@ -475,14 +522,20 @@ def verify_euler_identity(
     torsion-form coefficient is 1/2, the unique value compatible with the
     quarter-log-determinant normalization of the cycle map under metric
     scaling; see the scaling lemma.
+
+    The cycle classes come from the log-determinants that at_place keeps for
+    each place, and tau from reidemeister's memo, so after a caller has run
+    the routes at every place no Gram is factored again.
     """
+    places = [at_place(cplx, k) for k in range(field.n_places)]
     total = zero_class(lattice)
-    for i in range(len(cplx.lengths)):
-        term = cycl_free(field, lattice, cplx.grams[i])
+    for i, n in enumerate(cplx.lengths):
+        term = _cycl_from_lndets(field, lattice, n, [at.lndet_cochain[i] for at in places])
         total = class_add(total, term if i % 2 == 0 else class_neg(term))
     for i, spec in enumerate(cplx.cohomology):
         if spec.free_rank:
-            term = cycl_free(field, lattice, spec.free_grams)
+            lndets = [at.lndet_cohomology[i] for at in places]
+            term = _cycl_from_lndets(field, lattice, spec.free_rank, lndets)
             total = class_add(total, class_neg(term) if i % 2 == 0 else term)
         if spec.torsion is not None:
             term = zhat(field, lattice, spec.torsion)

@@ -250,6 +250,37 @@ def test_presentation_size_bound(capsys):
     assert "at most 12 rows" in capsys.readouterr().out
 
 
+def _alternating_complex(degrees):
+    # R --1--> R --0--> R --1--> R ... over Z: acyclic for an even degree count
+    return json.dumps(
+        {
+            "lengths": [1] * degrees,
+            "diffs": [[["1" if i % 2 == 0 else "0"]] for i in range(degrees - 1)],
+            "grams": [[[[1]]]] * degrees,
+        }
+    )
+
+
+def _identity_complex(n):
+    eye = [["1" if r == c else "0" for c in range(n)] for r in range(n)]
+    return json.dumps({"lengths": [n, n], "diffs": [eye], "grams": [[eye], [eye]]})
+
+
+def test_complex_size_bound(capsys):
+    size = 12  # rtorsion.COMPLEX_SIZE_MAX, for the degree count and every length
+    for cmd in ("rtorsion", "euler-check"):
+        for make in (_alternating_complex, _identity_complex):
+            code, out, err = run(capsys, cmd, "--field", ZZ, "--complex", make(size))
+            assert code == 0, err
+            if cmd == "rtorsion":
+                assert close(json.loads(out)["tau"]["sigma_0"], 1)
+            code, _, err = run(capsys, cmd, "--field", ZZ, "--complex", make(size + 1))
+            assert code == 2 and "at most 12 degrees" in err
+        with pytest.raises(SystemExit):
+            main([cmd, "--help"])
+        assert "at most 12 degrees of length 0..12" in " ".join(capsys.readouterr().out.split())
+
+
 def test_cyclotomic_order_bound(capsys):
     # r - 1 is the field degree, bounded by numfield.DEGREE_MAX = 60.
     code, _, err = run(capsys, "circle-torsion", "--r", "67")

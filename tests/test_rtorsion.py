@@ -360,6 +360,129 @@ def test_randomized_corpus_small():
             _euler_residual(field, lat, cplx)
 
 
+# Each place and its tau are built once per complex object.
+
+
+def _free_cohomology_complex(field):
+    # H^1 = R/(2) + R over Z[sqrt2], its free part represented by (3, 1)
+    return build_complex_over_r(
+        field,
+        (1, 2),
+        ([[field.element([2])], [field.zero()]],),
+        [[[[2]], EYE1], [[[2, 1], [1, 3]], [[1, 0], [0, 5]]]],
+        [
+            CohomologySpec(0),
+            CohomologySpec(
+                1,
+                ((field.element([3]),), (field.one(),)),
+                ([[2]], [[7]]),
+                torsion=presentation(field, [[field.element([2])]]),
+            ),
+        ],
+    )
+
+
+def test_at_place_is_built_once_per_complex():
+    field, _ = field_units("zsqrt2")
+    cplx = _free_cohomology_complex(field)
+    for k in range(field.n_places):
+        assert at_place(cplx, k) is at_place(cplx, k)
+    assert at_place(cplx, 0) is not at_place(cplx, 1)
+    # one key per place: no negative alias of the last one
+    for k in (-1, field.n_places):
+        with pytest.raises(ValidationError, match="not in 0..1"):
+            at_place(cplx, k)
+    # the kept places take no part in equality
+    assert cplx == _free_cohomology_complex(field)
+    assert at_place(cplx, 0) == at_place(_free_cohomology_complex(field), 0)
+
+
+def test_warm_euler_identity_factors_nothing(monkeypatch):
+    field, _, lat = field_lattice("zsqrt2")
+    warm = _free_cohomology_complex(field)
+    for k in range(field.n_places):
+        reidemeister(at_place(warm, k))
+        torsion_by_contraction(at_place(warm, k))
+    calls = {"eighe": 0, "cholesky": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    with monkeypatch.context() as m:
+        m.setattr(mp, "eighe", counting("eighe", mp.eighe))
+        chol = counting("cholesky", hermitian_cholesky)
+        m.setattr(rtorsion, "hermitian_cholesky", chol)
+        m.setattr(flatmodel, "hermitian_cholesky", chol)
+        res = verify_euler_identity(field, lat, warm)
+    assert calls == {"eighe": 0, "cholesky": 0}
+    assert res.is_zero()
+    # a cold complex from the same data gives the same residual, bit for bit
+    cold = verify_euler_identity(field, lat, _free_cohomology_complex(field))
+    assert cold.rank == res.rank and cold.cls == res.cls
+    assert cold.torus.values == res.torus.values
+    assert all(isinstance(v, mp.mpf) for v in res.torus.values)
+
+
+def test_failures_are_not_kept():
+    field, _ = field_units("zsqrt2")
+    tiny = field.element([Fraction(1, 10**12)])
+    cplx = build_complex_over_r(
+        field, (1, 1), ([[tiny]],), [[EYE1, EYE1], [EYE1, EYE1]], [CohomologySpec(0)] * 2
+    )
+    at = at_place(cplx, 0)
+    # Laplacian eigenvalue 10^-24 sits at the 10^-25 cutoff, on every call
+    for _ in range(2):
+        with pytest.raises(RankAmbiguous):
+            reidemeister(at)
+    assert at_place(cplx, 0) is at
+    bad = build_complex_over_r(
+        field, (1, 1), ([[tiny]],), [[EYE1, [[-1]]], [EYE1, EYE1]], [CohomologySpec(0)] * 2
+    )
+    assert at_place(bad, 0).lengths == (1, 1)
+    for _ in range(2):
+        with pytest.raises(NotPositiveDefinite):
+            at_place(bad, 1)
+
+
+def _alternating(field, degrees):
+    # 0 -> R --1--> R --0--> R --1--> R ... : acyclic once degrees is even
+    one, zero = field.one(), field.zero()
+    return build_complex_over_r(
+        field,
+        (1,) * degrees,
+        [[[one if i % 2 == 0 else zero]] for i in range(degrees - 1)],
+        [[EYE1] * field.n_places] * degrees,
+        [CohomologySpec(0)] * degrees,
+    )
+
+
+def _identity(field, n):
+    ident = [[field.one() if r == c else field.zero() for c in range(n)] for r in range(n)]
+    eye = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+    return build_complex_over_r(
+        field, (n, n), (ident,), [[eye] * field.n_places] * 2, [CohomologySpec(0)] * 2
+    )
+
+
+def test_complex_size_bound():
+    size = rtorsion.COMPLEX_SIZE_MAX
+    assert size == 12
+    field, _ = field_units("zsqrt2")
+    with mp.workdps(60):
+        for cplx in (_alternating(field, size), _identity(field, size)):
+            for k in range(field.n_places):
+                assert abs(reidemeister(at_place(cplx, k)) - 1) < mp.mpf(10) ** -45
+    for make in (_alternating, _identity):
+        with pytest.raises(ValidationError, match="at most 12 degrees"):
+            make(field, size + 1)
+    with pytest.raises(ValidationError, match="at most 12 degrees"):
+        build_complex_over_r(field, (1, -1), ([[]],), [[EYE1, EYE1]] * 2, [CohomologySpec(0)] * 2)
+
+
 # ROADMAP item 3 reproductions.  Each xfail pins today's exception; the fix
 # that decides ranks exactly and scales the tolerances flips them to passes.
 
