@@ -197,10 +197,15 @@ def beta_integral_check(j: int, digits: int = 50) -> tuple[mpf, Fraction]:
     """Quadrature and exact value of int_0^1 (x^2 - x)^{j-1} dx.
 
     The exact value is (-1)^{j-1} ((j-1)!)^2 / (2j-1)!, the signed beta
-    integral B(j, j); 1 <= j < ORDER_MAX.
+    integral B(j, j); 1 <= j < ORDER_MAX.  The quadrature runs on
+    (4 (x - x^2))^{j-1}, whose peak at x = 1/2 is 1, and scales the result
+    exactly by (-1)^{j-1} 4^{-(j-1)}: the integrand itself falls to about
+    4^{-(j-1)}, below mp.quad's absolute tolerance, and the quadrature would
+    stop too early.
     """
     _check_j(j, 1, "the beta integral is checked for j")
     exact = Fraction((-1) ** (j - 1) * factorial(j - 1) ** 2, factorial(2 * j - 1))
     with mp.workdps(digits + GUARD):
-        numeric = mp.quad(lambda x: (x * x - x) ** (j - 1), [0, 1])
-        return +numeric, exact
+        scaled = mp.quad(lambda x: (4 * (x - x * x)) ** (j - 1), [0, 1])
+        numeric = mp.ldexp(scaled, -2 * (j - 1))
+        return +(numeric if j % 2 else -numeric), exact

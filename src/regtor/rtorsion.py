@@ -17,13 +17,16 @@ independent algorithms read the result:
                        combinatorial Laplacians, and correct by the Gram
                        determinants of the harmonically projected
                        cohomology representatives against the chosen
-                       cohomology Grams.
+                       cohomology Grams.  Eigenvectors are computed only in
+                       the degrees that list cohomology.
 
   torsion_by_contraction
-                       Basis-chase route: pick orthonormal coimage bases from
-                       singular vectors, form per-degree square matrices
-                       [d(coimage below) | representatives | coimage] and
-                       alternate their absolute determinants.
+                       Basis-chase route: decide each rank on singular values
+                       alone, complete the image and representative columns
+                       of each degree by the unit vectors on the pivot
+                       columns that complete pivoting picks on its
+                       differential, and alternate the absolute minors that
+                       remain.  It takes no logarithm.
 
 The sign convention is frozen so that the acyclic complex 0 -> C --z--> C -> 0
 with standard metrics has tau = 1/|z|; both routes reproduce it.
@@ -229,12 +232,14 @@ def _count_below(values, cut, message):
     return k
 
 
-def _laplacian_kernels(cplx: MetrizedComplexAtPlace):
+def _laplacian_kernels(cplx: MetrizedComplexAtPlace, vectors):
     """Per degree: Laplacian eigenvalues, eigenvector rows, kernel dimension.
 
-    The Laplacian is taken in orthonormal coordinates, and the first
-    (kernel dimension) eigenvector columns span its kernel.  A zero degree
-    yields ((), (), 0).
+    The Laplacian is taken in orthonormal coordinates.  Eigenvectors are
+    computed only in the degrees listed in vectors, and there the first
+    (kernel dimension) eigenvector columns span its kernel; every other
+    degree, and a zero degree, yields () for them.  The eigenvalues do not
+    depend on whether eigenvectors are asked for.
     """
     dt = cplx.ortho_diffs
     cut = rank_cutoff(cplx.digits)
@@ -253,10 +258,14 @@ def _laplacian_kernels(cplx: MetrizedComplexAtPlace):
             for r in range(n):
                 for c in range(n):
                     lap[r][c] += b[r][c]
-        evals, q = mp.eighe(mp.matrix(lap))
+        if i in vectors:
+            evals, q = mp.eighe(mp.matrix(lap))
+            qrows = _to_rows(q)
+        else:
+            evals, qrows = mp.eighe(mp.matrix(lap), eigvals_only=True), ()
         evals = [evals[t] for t in range(n)]
         h = _count_below(evals, cut, f"Laplacian in degree {i}: eigenvalue {{}} sits at the cutoff")
-        yield evals, _to_rows(q), h
+        yield evals, qrows, h
 
 
 def cohomology(cplx: MetrizedComplexAtPlace):
@@ -268,7 +277,8 @@ def cohomology(cplx: MetrizedComplexAtPlace):
     with mp.workdps(cplx.digits + GUARD):
         dims = []
         bases = []
-        for i, (_, qrows, h) in enumerate(_laplacian_kernels(cplx)):
+        every_degree = range(len(cplx.lengths))
+        for i, (_, qrows, h) in enumerate(_laplacian_kernels(cplx, every_degree)):
             dims.append(h)
             cols = tuple(tuple(row[:h]) for row in qrows)
             bases.append(_mul(cplx.from_ortho[i], cols) if h else ())
@@ -298,16 +308,17 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
         return cplx._memo["tau"]
     with mp.workdps(cplx.digits + GUARD):
         cut = rank_cutoff(cplx.digits)
+        listed = {i for i, h in enumerate(cplx.cohomology_dims) if h}
         dims = []
         lntau = mpf(0)
-        for i, (evals, qrows, h) in enumerate(_laplacian_kernels(cplx)):
+        for i, (evals, qrows, h) in enumerate(_laplacian_kernels(cplx, listed)):
             sign = -1 if i % 2 else 1
             dims.append(h)
-            if not evals:
-                continue
-            lndet_prime = mp.fsum(mp.log(lam) for lam in evals if lam > cut)
-            lntau += sign * i * lndet_prime / 2
-            if h == 0:
+            if i > 0 and evals:
+                lndet_prime = mp.log(mp.fprod(lam for lam in evals if lam > cut))
+                lntau += sign * i * lndet_prime / 2
+            # a kernel the complex does not list fails the count below
+            if h == 0 or i not in listed:
                 continue
             # harmonic projector in orthonormal coordinates
             zero_cols = tuple(tuple(row[:h]) for row in qrows)
@@ -325,59 +336,92 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
         return tau
 
 
+def _pivot_columns(rows, rank):
+    """The rank columns that Gaussian elimination with complete pivoting picks.
+
+    Their unit vectors span a complement of the kernel of the matrix rows,
+    one that stays well away from the kernel.
+    """
+    a = [list(r) for r in rows]
+    live_rows, live_cols = list(range(len(a))), list(range(len(a[0])))
+    for _ in range(rank):
+        p, q = max(
+            ((r, c) for r in live_rows for c in live_cols), key=lambda rc: abs(a[rc[0]][rc[1]])
+        )
+        live_rows.remove(p)
+        live_cols.remove(q)
+        for r in live_rows:
+            f = a[r][q] / a[p][q]
+            for c in live_cols:
+                a[r][c] -= f * a[p][c]
+    return tuple(c for c in range(len(a[0])) if c not in live_cols)
+
+
 def torsion_by_contraction(cplx: MetrizedComplexAtPlace):
     """tau by the basis-chase: alternate determinants of per-degree bases.
 
-    In orthonormal coordinates choose, for each i, the coimage basis V_i
-    (right singular vectors of d_i with singular value above the cutoff).
-    The square matrix M_i = [ d_{i-1} V_{i-1} | K_i | V_i ] expresses a
-    combined image/cohomology/coimage basis, with the raw representative
-    columns K_i standing in for their harmonic parts (column operations
-    against the image block cancel the difference).  Then
+    In orthonormal coordinates the rank of each d_i is decided on its
+    singular values, and d_i's coimage is stood in for by the unit vectors
+    on the rank columns P_i that complete pivoting picks on d_i: any basis
+    of a complement of ker d_i gives the same tau, because a change of it
+    scales det M_i and det M_{i+1} alike and its kernel components cancel
+    against the image and representative columns.  The square matrix
+    M_i = [ d_{i-1} E_{P_{i-1}} | K_i | E_{P_i} ] expresses a combined
+    image/cohomology/complement basis, with the raw representative columns
+    K_i standing in for their harmonic parts (column operations against the
+    image block cancel the difference).  Expanding along the unit columns,
+    |det M_i| is the minor of [ d_{i-1}[:, P_{i-1}] | K_i ] on the rows
+    outside P_i, and
 
-      tau = prod |det M_i|^{(-1)^i} * prod (det H_i)^{-(-1)^i / 2}.
+      tau = prod |det M_i|^{(-1)^i} * exp(-sum (-1)^i ln det H_i / 2).
+
+    A minor that is numerically singular, as when the representatives of a
+    degree do not complete its image to the kernel, raises ValidationError.
     """
     with mp.workdps(cplx.digits + GUARD):
         dt = cplx.ortho_diffs
         cut = rank_cutoff(cplx.digits)
         nd = len(cplx.lengths)
-        coimage = []
+        pivots = []
         for i in range(nd - 1):
             if not dt[i]:
-                coimage.append(())
+                pivots.append(())
                 continue
-            _, svals, vh = mp.svd_c(mp.matrix([list(r) for r in dt[i]]))
+            svals = mp.svd_c(mp.matrix([list(r) for r in dt[i]]), compute_uv=False)
             keep = svals.rows - _count_below(
                 [svals[t] for t in range(svals.rows)],
                 cut,
                 f"singular value {{}} of d{i} sits at the cutoff",
             )
-            rows = _to_rows(vh.H)
-            coimage.append(tuple(tuple(row[:keep]) for row in rows) if keep else ())
-        lntau = mpf(0)
+            pivots.append(_pivot_columns(dt[i], keep))
+        tau = mpf(1)
+        lndet_h = mpf(0)
         for i in range(nd):
             n = cplx.lengths[i]
             if n == 0:
                 continue
             sign = -1 if i % 2 else 1
-            h = cplx.cohomology_dims[i]
-            cols = []
-            if i > 0 and coimage[i - 1]:
-                cols.append(_mul(dt[i - 1], coimage[i - 1]))
-            if h:
-                cols.append(cplx.ortho_reps[i])
-            if i < nd - 1 and coimage[i]:
-                cols.append(coimage[i])
-            width = sum(len(c[0]) for c in cols)
+            below = pivots[i - 1] if i > 0 else ()
+            own = pivots[i] if i < nd - 1 else ()
+            width = len(below) + cplx.cohomology_dims[i] + len(own)
             if width != n:
                 raise ValidationError(
                     f"degree {i}: image+cohomology+coimage dimensions {width} != {n}"
                 )
-            det = mp.det(mp.matrix([[x for block in cols for x in block[r]] for r in range(n)]))
-            lntau += sign * mp.log(abs(det))
-            if h:
-                lntau -= sign * cplx.lndet_cohomology[i] / 2
-        return mp.exp(lntau)
+            reps = cplx.ortho_reps[i] or ((),) * n
+            minor = [
+                [dt[i - 1][r][c] for c in below] + list(reps[r])
+                for r in range(n)
+                if r not in own
+            ]
+            det = abs(mp.det(mp.matrix(minor))) if minor else mpf(1)
+            if not det:
+                raise ValidationError(
+                    f"degree {i}: the image, cohomology and coimage columns are dependent"
+                )
+            tau = tau * det if sign > 0 else tau / det
+            lndet_h += sign * cplx.lndet_cohomology[i]
+        return tau * mp.exp(-lndet_h / 2)
 
 
 @dataclass(frozen=True)

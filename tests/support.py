@@ -6,8 +6,9 @@ Q, against the library's resultant test), the Bernoulli numbers
 (the exact defining recurrence), integer zeta values (Euler-Maclaurin
 summation) and the polylogarithm (direct partial sum plus Euler-Maclaurin
 tail), exact rational positive-definite Gram generators, unimodular base
-changes over a number ring, and the randomized metrized-complex corpus used
-by the calibration tests.
+changes over a number ring, the randomized metrized-complex corpus used
+by the calibration tests, and the basis-chase torsion over orthonormal SVD
+coimage bases (against the library's pivot-column route).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from regtor import (
     parse_descriptor,
     presentation,
 )
-from regtor.numfield import poly_divmod, poly_trim
+from regtor.numfield import GUARD, poly_divmod, poly_trim, rank_cutoff
 
 DATA = Path(__file__).parent / "data"
 
@@ -542,3 +543,44 @@ def hermitian_det(rows):
                 a[i][j] = _c_add(a[i][j], _c_mul((-f[0], -f[1]), a[k][j]))
     assert det[1] == 0
     return det[0]
+
+
+# ---------------------------------------------------------------------------
+# Independent basis-chase oracle: orthonormal coimage bases from the full
+# singular value decomposition, one log per determinant.
+# ---------------------------------------------------------------------------
+
+
+def torsion_by_coimage(cplx):
+    """tau of a MetrizedComplexAtPlace by the basis-chase over SVD coimages.
+
+    In orthonormal coordinates V_i holds the right singular vectors of d_i
+    with singular value above the rank cutoff, M_i = [ d_{i-1} V_{i-1} | K_i
+    | V_i ], and ln tau = sum (-1)^i [ ln |det M_i| - ln det H_i / 2 ].
+    """
+    with mp.workdps(cplx.digits + GUARD):
+        cut = rank_cutoff(cplx.digits)
+        nd = len(cplx.lengths)
+        diffs = [mp.matrix([list(r) for r in d]) if d else None for d in cplx.ortho_diffs]
+        coimage = []
+        for d in diffs:
+            keep = 0
+            if d is not None:
+                _, svals, vh = mp.svd_c(d)
+                keep = sum(1 for t in range(svals.rows) if svals[t] > cut)
+            coimage.append(vh.H[:, 0:keep] if keep else None)
+        lntau = mpf(0)
+        for i, n in enumerate(cplx.lengths):
+            if n == 0:
+                continue
+            blocks = []
+            if i > 0 and coimage[i - 1] is not None:
+                blocks.append(diffs[i - 1] * coimage[i - 1])
+            if cplx.cohomology_dims[i]:
+                blocks.append(mp.matrix([list(r) for r in cplx.ortho_reps[i]]))
+            if i < nd - 1 and coimage[i] is not None:
+                blocks.append(coimage[i])
+            m = mp.matrix([[b[r, c] for b in blocks for c in range(b.cols)] for r in range(n)])
+            sign = -1 if i % 2 else 1
+            lntau += sign * (mp.log(abs(mp.det(m))) - cplx.lndet_cohomology[i] / 2)
+        return mp.exp(lntau)

@@ -290,6 +290,17 @@ def test_beta_integral_exact_and_quadrature():
             assert err < mp.mpf(10) ** -20
 
 
+@pytest.mark.parametrize("digits", (30, 50))
+@pytest.mark.parametrize("j", (50, 99))
+def test_beta_integral_quadrature_is_relatively_accurate(j, digits):
+    # the integrand peaks at 4^-(j-1), far below an absolute quadrature tolerance
+    numeric, exact = beta_integral_check(j, digits)
+    assert exact == _beta_exact_by_expansion(j)
+    with mp.workdps(digits + 20):
+        want = mp.mpf(exact.numerator) / exact.denominator
+        assert abs(numeric - want) / abs(want) < mp.mpf(10) ** -digits
+
+
 def test_beta_integral_rejects_bad_j():
     with pytest.raises(ValueError):
         beta_integral_check(0)

@@ -1,7 +1,8 @@
 """Reidemeister torsion of metrized complexes, both computation paths.
 
 Oracles: closed forms for two-term, contracted, and zero-differential
-complexes; the basis-chase path against the Laplacian path; invariance under
+complexes; the basis-chase path against the Laplacian path and against the
+SVD-coimage basis-chase of tests/support.py; invariance under
 unitary base change, degree shift, and direct sum; and the point-level
 Euler-characteristic identity on designed and randomized complexes.
 """
@@ -29,7 +30,7 @@ from regtor import (
     verify_euler_identity,
 )
 from regtor import flatmodel, rtorsion
-from support import field_lattice, field_units, random_complex_over
+from support import field_lattice, field_units, random_complex_over, torsion_by_coimage
 
 EYE1 = [[1]]
 EYE2 = [[1, 0], [0, 1]]
@@ -483,7 +484,133 @@ def test_complex_size_bound():
         build_complex_over_r(field, (1, -1), ([[]],), [[EYE1, EYE1]] * 2, [CohomologySpec(0)] * 2)
 
 
-# ROADMAP item 3 reproductions.  Each xfail pins today's exception; the fix
+# Each route computes only what tau needs.
+
+
+def _counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls.append((name, kwargs))
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def _corpus_places():
+    for name, count, seed in (("zsqrt2", 6, 303), ("zeta5", 3, 404)):
+        field, _ = field_units(name)
+        rng = random.Random(seed)
+        for _ in range(count):
+            cplx = random_complex_over(field, rng)
+            for k in range(field.n_places):
+                yield at_place(cplx, k)
+
+
+def test_contraction_takes_singular_values_only(monkeypatch):
+    calls = []
+    for name in ("svd_c", "eighe", "log"):
+        monkeypatch.setattr(mp, name, _counting(calls, name, getattr(mp, name)))
+    field, _ = field_units("zsqrt2")
+    places = [at_place(_free_cohomology_complex(field), 0), *_corpus_places()]
+    calls.clear()
+    for at in places:
+        torsion_by_contraction(at)
+    assert calls and all(name == "svd_c" for name, _ in calls)
+    assert all(kwargs == {"compute_uv": False} for _, kwargs in calls)
+
+
+def test_laplacian_takes_eigenvectors_only_where_cohomology_is_listed(monkeypatch):
+    calls = []
+    monkeypatch.setattr(mp, "eighe", _counting(calls, "eighe", mp.eighe))
+    field, _ = field_units("zsqrt2")
+    places = [at_place(_free_cohomology_complex(field), 0), *_corpus_places()]
+    for at in places:
+        calls.clear()
+        reidemeister(at)
+        listed = [h > 0 for n, h in zip(at.lengths, at.cohomology_dims) if n]
+        assert [not kwargs.get("eigvals_only") for _, kwargs in calls] == listed
+    # cohomology() still returns a basis in every degree
+    calls.clear()
+    dims, bases = cohomology(places[0])
+    assert dims == (0, 1) and len(bases[1][0]) == 1
+    assert [kwargs for _, kwargs in calls] == [{}, {}]
+
+
+def _row_complex(digits, row, reps):
+    # 0 -> C^3 --row--> C -> 0, H^0 spanned by the two columns of reps
+    return metrized_complex_at_place(
+        digits, (3, 1), ([row],), ([[1, 0, 0], [0, 2, 1], [0, 1, 3]], EYE1),
+        ([[2, 1], [1, 7]], ()), (reps, ()),
+    )
+
+
+def _pivot_cases(digits):
+    eps, big = Fraction(1, 10**15), 10**15
+    # leading columns in the kernel of d1; the complex is acyclic
+    yield metrized_complex_at_place(
+        digits, (2, 3, 1), ([[1, 2], [3, 5], [0, 0]], [[0, 0, 3]]),
+        ([[2, 1], [1, 1]], [[1, 0, 0], [0, 4, 1], [0, 1, 2]], [[5]]), ((), (), ()), ((), (), ()),
+    )
+    yield _row_complex(digits, [0, 0, 3], [[1, 1], [1, 2], [0, 0]])
+    # the first column scaled by 10^-15 against the others, or the others by
+    # 10^15: e_0 lies within 10^-15 of the kernel, and the representatives
+    # mix the kernel densely
+    reps = [[1, 2], [1 - eps, 1 - 2 * eps], [1, 1]]
+    yield _row_complex(digits, [eps, 1, -1], reps)
+    yield _row_complex(digits, [1, big, -big], reps)
+
+
+@pytest.mark.parametrize("digits", (50, 300))
+def test_pivot_columns_hold_up(digits):
+    for cplx in _pivot_cases(digits):
+        a, b = reidemeister(cplx), torsion_by_contraction(cplx)
+        with mp.workdps(digits + 10):
+            assert abs(a - b) / a < mp.mpf(10) ** -digits
+
+
+def test_contraction_agrees_with_svd_coimage_oracle():
+    worst = mp.mpf(0)
+    count = 0
+    for name, total, seed in (("zsqrt2", 28, 505), ("zeta5", 12, 606)):
+        field, _ = field_units(name)
+        rng = random.Random(seed)
+        for _ in range(total):
+            cplx = random_complex_over(field, rng)
+            count += 1
+            for k in range(field.n_places):
+                at = at_place(cplx, k)
+                got, want = torsion_by_contraction(at), torsion_by_coimage(at)
+                with mp.workdps(at.digits + 10):
+                    worst = max(worst, abs(got - want) / want)
+    assert count == 40
+    assert worst < mp.mpf(10) ** -field.digits
+
+
+def test_error_paths_are_unchanged():
+    # degree 0 has a kernel that the complex does not list
+    cplx = metrized_complex_at_place(50, (1, 1), ([[0]],), (EYE1, EYE1), ((), EYE1), ((), EYE1))
+    with pytest.raises(ValidationError, match="degree 0 supplies 0 cohomology classes "
+                       "but the kernel has dimension 1"):
+        reidemeister(cplx)
+    with pytest.raises(ValidationError, match=r"degree 0: image\+cohomology\+coimage "
+                       "dimensions 0 != 1"):
+        torsion_by_contraction(cplx)
+    # listed cohomology with a projection that degenerates comes first
+    cplx = metrized_complex_at_place(
+        50, (1, 2, 1), ([[2], [0]], [[0, 0]]), (EYE1, EYE2, EYE1), ((), EYE1, ()), ((), [[5], [0]], ())
+    )
+    with pytest.raises(ValidationError, match="degree-1 representatives do not project"):
+        reidemeister(cplx)
+    # the basis-chase refuses the dependent columns instead of dividing by 0
+    with pytest.raises(ValidationError, match="degree 1: the image, cohomology and "
+                       "coimage columns are dependent"):
+        torsion_by_contraction(cplx)
+    with pytest.raises(RankAmbiguous, match="of d0 sits at the cutoff"):
+        torsion_by_contraction(
+            metrized_complex_at_place(50, (1, 1), ([[Fraction(1, 10**25)]],), (EYE1, EYE1), NOH, NOH)
+        )
+
+
+# ROADMAP item 2 reproductions.  Each xfail pins today's exception; the fix
 # that decides ranks exactly and scales the tolerances flips them to passes.
 
 
