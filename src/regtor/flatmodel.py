@@ -401,10 +401,11 @@ def a_map(lattice: RegulatorLattice, f: FormElement) -> PointClass:
 
 
 def hermitian_cholesky(rows, digits: int):
-    """Lower Cholesky factor of a Hermitian positive-definite matrix.
+    """Lower Cholesky factor L (G = L L^*) of a Hermitian positive-definite G.
 
-    Raises NotPositiveDefinite when a pivot fails or the matrix is not
-    Hermitian within rank_cutoff(digits) relative to its largest entry.
+    Returns an mp.matrix.  Raises NotPositiveDefinite when a pivot is not
+    positive or the matrix is not Hermitian within rank_cutoff(digits)
+    relative to its largest entry.
     """
     n = len(rows)
     with mp.workdps(digits + GUARD):
@@ -413,29 +414,26 @@ def hermitian_cholesky(rows, digits: int):
             raise ValidationError("Gram matrix must be square")
         scale = max((abs(x) for row in a for x in row), default=mpf(0))
         herm_tol = (scale + 1) * rank_cutoff(digits)
+        gram = mp.matrix(n, n)
         for i in range(n):
             for j in range(i + 1):
                 if abs(a[i][j] - mp.conj(a[j][i])) > herm_tol:
                     raise NotPositiveDefinite("Gram matrix is not Hermitian")
-        low = [[mpc(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1):
-                s = a[i][j] - mp.fsum(
-                    low[i][k] * mp.conj(low[j][k]) for k in range(j)
-                )
-                if i == j:
-                    if abs(s.imag) > herm_tol or s.real <= 0:
-                        raise NotPositiveDefinite("Cholesky pivot is not positive")
-                    low[i][j] = mp.sqrt(s.real)
-                else:
-                    low[i][j] = s / low[j][j]
-        return low
+                gram[i, j] = a[i][j]
+            gram[i, i] = mp.re(a[i][i])
+        # mp.cholesky reads the lower triangle.  With a real diagonal and
+        # tol = 0 it refuses exactly the pivots <= 0: a negative one raises
+        # ValueError, a zero one ZeroDivisionError.
+        try:
+            return mp.cholesky(gram, tol=0)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise NotPositiveDefinite("Cholesky pivot is not positive") from exc
 
 
 def _lndet_of_factor(low, digits: int):
     """ln det L L^* = 2 sum_i ln L_ii for a lower Cholesky factor L."""
     with mp.workdps(digits + GUARD):
-        return 2 * mp.fsum(mp.log(low[i][i].real) for i in range(len(low)))
+        return 2 * mp.fsum(mp.log(mp.re(low[i, i])) for i in range(low.rows))
 
 
 def lndet_hermitian(rows, digits: int):

@@ -72,7 +72,8 @@ def torus_tolerance(digits: int):
 
 def residual_tolerance(digits: int):
     """10^(-digits + GUARD) at the working precision: the bound on root
-    residuals and on d after d for complexes over C."""
+    residuals, and for complexes over C the bound on d after d and on the
+    cocycle conditions relative to the Frobenius norms of their factors."""
     return mpf(10) ** (-digits + GUARD)
 
 

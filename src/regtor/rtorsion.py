@@ -31,12 +31,19 @@ independent algorithms read the result:
 The sign convention is frozen so that the acyclic complex 0 -> C --z--> C -> 0
 with standard metrics has tau = 1/|z|; both routes reproduce it.
 
+Every per-place matrix is an mp.matrix, and products, adjoints, norms, the
+Cholesky factor and the triangular solves are mpmath's own.
+
 Rank decisions (kernel dimensions, singular ranks) refuse to guess: any
 eigenvalue or singular value within a factor 10^3 of numfield.rank_cutoff
 (10^(-digits/2)) raises RankAmbiguous.  d after d = 0 and the cocycle
-conditions over C are checked against numfield.residual_tolerance
-(10^(-digits + GUARD)); the log-determinant of a Gram is 2 sum ln L_jj of its
-Cholesky factor L (flatmodel.lndet_hermitian).
+conditions over C are checked relative to the data: |d_{i+1} d_i|_F must not
+exceed numfield.residual_tolerance (10^(-digits + GUARD)) times
+|d_{i+1}|_F |d_i|_F, and |d_i K_i|_F that times |d_i|_F |K_i|_F.  The
+log-determinant of a Gram is 2 sum ln L_jj of its Cholesky factor L
+(flatmodel.lndet_hermitian).  The one Gram not factored is that of the
+harmonic projections in reidemeister: its log-determinant comes in closed
+form from a square determinant, which does not square the conditioning.
 """
 
 from __future__ import annotations
@@ -44,9 +51,9 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpf
 
-from .errors import NotPositiveDefinite, RankAmbiguous, ValidationError
+from .errors import RankAmbiguous, ValidationError
 from .flatmodel import (
     FormElement,
     PointClass,
@@ -77,55 +84,36 @@ def _memo_field():
     return dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def _adj(rows):
-    if not rows:
-        return ()
-    return tuple(
-        tuple(mp.conj(rows[i][j]) for i in range(len(rows)))
-        for j in range(len(rows[0]))
-    )
+def _matrix(rows, cols):
+    """A len(rows) by cols mp.matrix of entries already converted."""
+    m = mp.matrix(len(rows), cols)
+    for r, row in enumerate(rows):
+        for c, x in enumerate(row):
+            m[r, c] = x
+    return m
 
 
-def _mul(a, b):
-    if not a or not b:
-        return ()
-    n, k, m = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(mp.fsum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
-        for i in range(n)
-    )
-
-
-def _frob(rows):
-    return mp.sqrt(mp.fsum(abs(x) ** 2 for r in rows for x in r)) if rows else mpf(0)
-
-
-def _upper_inv(u):
-    """Inverse of an upper-triangular matrix by back substitution."""
-    n = len(u)
-    inv = [[mpc(0)] * n for _ in range(n)]
-    for c in range(n):
-        inv[c][c] = 1 / u[c][c]
-        for r in range(c - 1, -1, -1):
-            s = mp.fsum(u[r][t] * inv[t][c] for t in range(r + 1, c + 1))
-            inv[r][c] = -s / u[r][r]
-    return tuple(tuple(row) for row in inv)
-
-
-def _to_rows(m):
-    return tuple(tuple(m[i, j] for j in range(m.cols)) for i in range(m.rows))
+def _inverse_upper(up):
+    """U^{-1} of an upper-triangular U, by back substitution."""
+    eye = mp.eye(up.rows)
+    inv = mp.matrix(up.rows, up.rows)
+    for c in range(up.rows):
+        inv[:, c] = mp.U_solve(up, eye[:, c])
+    return inv
 
 
 @dataclass(frozen=True)
 class MetrizedComplexAtPlace:
     """A finite cochain complex over C, validated and factored once.
 
-    With the cochain Grams G_i = L_i L_i^*: ortho_diffs[i] = L_{i+1}^* d_i
-    L_i^{-*} (empty when a degree is zero), ortho_reps[i] = L_i^* K_i for the
-    representative columns K_i, and from_ortho[i] = L_i^{-*} maps orthonormal
-    coordinates back.  lndet_cochain[i] is ln det G_i.  cohomology_dims[i]
-    counts the chosen classes and lndet_cohomology[i] is ln det H_i of their
-    Gram (0 when there are none).  reidemeister keeps its tau in _memo.
+    Every matrix field is an mp.matrix, 0 by n or n by 0 where a degree or a
+    cohomology is zero.  With the cochain Grams G_i = L_i L_i^*:
+    ortho_diffs[i] = L_{i+1}^* d_i L_i^{-*}, ortho_reps[i] = L_i^* K_i for
+    the representative columns K_i, and from_ortho[i] = L_i^{-*} maps
+    orthonormal coordinates back.  lndet_cochain[i] is ln det G_i.
+    cohomology_dims[i] counts the chosen classes and lndet_cohomology[i] is
+    ln det H_i of their Gram (0 when there are none).  reidemeister keeps
+    its tau in _memo.
     """
 
     digits: int
@@ -155,27 +143,32 @@ def metrized_complex_at_place(
     lengths = tuple(int(n) for n in lengths)
     nd = len(lengths)
     with mp.workdps(digits + GUARD):
-        dd = [tuple(tuple(to_mp(x) for x in row) for row in m) for m in diffs]
-        gg = [tuple(tuple(to_mp(x) for x in row) for row in m) for m in cochain_grams]
-        hh = [tuple(tuple(to_mp(x) for x in row) for row in m) for m in cohomology_grams]
-        kk = [tuple(tuple(to_mp(x) for x in row) for row in m) for m in cohomology_maps]
+        dd = [[[to_mp(x) for x in row] for row in m] for m in diffs]
+        gg = [[[to_mp(x) for x in row] for row in m] for m in cochain_grams]
+        hh = [[[to_mp(x) for x in row] for row in m] for m in cohomology_grams]
+        kk = [[[to_mp(x) for x in row] for row in m] for m in cohomology_maps]
         if len(dd) != nd - 1 or len(gg) != nd or len(hh) != nd or len(kk) != nd:
             raise ValidationError("degree counts of the complex data disagree")
         for i in range(nd - 1):
             if len(dd[i]) != lengths[i + 1] or any(len(r) != lengths[i] for r in dd[i]):
                 raise ValidationError(f"differential {i} has the wrong shape")
+        dd = [_matrix(m, lengths[i]) for i, m in enumerate(dd)]
+        norms = [mp.mnorm(m, "f") for m in dd]
+        # exact zeros carry the rounding of entries as large as the factors
         tol = residual_tolerance(digits)
         for i in range(nd - 2):
-            prod = _mul(dd[i + 1], dd[i])
-            if _frob(prod) > tol:
+            if mp.mnorm(dd[i + 1] * dd[i], "f") > tol * norms[i + 1] * norms[i]:
                 raise ValidationError(f"d{i + 1} after d{i} is not zero")
-        chol = []
+        ups = []
+        reps = []
+        lndet_g = []
         lndet_h = []
         for i in range(nd):
             if len(gg[i]) != lengths[i]:
                 raise ValidationError(f"cochain Gram {i} has the wrong size")
-            low = hermitian_cholesky(gg[i], digits) if lengths[i] > 0 else ()
-            chol.append(tuple(tuple(row) for row in low))
+            low = hermitian_cholesky(gg[i], digits)
+            lndet_g.append(_lndet_of_factor(low, digits))
+            ups.append(low.H)
             h = len(hh[i])
             if h > 0:
                 lndet_h.append(lndet_hermitian(hh[i], digits))
@@ -189,9 +182,10 @@ def metrized_complex_at_place(
                     )
                 if lengths[i] == 0:
                     raise ValidationError(f"degree {i} is zero but lists cohomology")
+                k = _matrix(kk[i], h)
                 if i < nd - 1:
-                    img = _mul(dd[i], kk[i])
-                    if _frob(img) > tol:
+                    bound = tol * norms[i] * mp.mnorm(k, "f")
+                    if mp.mnorm(dd[i] * k, "f") > bound:
                         raise ValidationError(f"a degree-{i} representative is not a cocycle")
             else:
                 if any(len(r) for r in kk[i]):
@@ -199,20 +193,16 @@ def metrized_complex_at_place(
                         f"degree {i} provides representatives but no cohomology Gram"
                     )
                 lndet_h.append(mpf(0))
-                kk[i] = ()
-        from_ortho = tuple(_upper_inv(_adj(low)) if low else () for low in chol)
+                k = mp.matrix(lengths[i], 0)
+            reps.append(ups[i] * k)
+        from_ortho = tuple(_inverse_upper(up) for up in ups)
         return MetrizedComplexAtPlace(
             digits=digits,
             lengths=lengths,
-            ortho_diffs=tuple(
-                _mul(_adj(chol[i + 1]), _mul(dd[i], from_ortho[i]))
-                if lengths[i] and lengths[i + 1]
-                else ()
-                for i in range(nd - 1)
-            ),
-            ortho_reps=tuple(_mul(_adj(low), k) if k else () for low, k in zip(chol, kk)),
+            ortho_diffs=tuple(ups[i + 1] * dd[i] * from_ortho[i] for i in range(nd - 1)),
+            ortho_reps=tuple(reps),
             from_ortho=from_ortho,
-            lndet_cochain=tuple(_lndet_of_factor(low, digits) for low in chol),
+            lndet_cochain=tuple(lndet_g),
             cohomology_dims=tuple(len(m) for m in hh),
             lndet_cohomology=tuple(lndet_h),
         )
@@ -233,55 +223,46 @@ def _count_below(values, cut, message):
 
 
 def _laplacian_kernels(cplx: MetrizedComplexAtPlace, vectors):
-    """Per degree: Laplacian eigenvalues, eigenvector rows, kernel dimension.
+    """Per degree: Laplacian eigenvalues, eigenvectors, kernel dimension.
 
-    The Laplacian is taken in orthonormal coordinates.  Eigenvectors are
-    computed only in the degrees listed in vectors, and there the first
-    (kernel dimension) eigenvector columns span its kernel; every other
-    degree, and a zero degree, yields () for them.  The eigenvalues do not
-    depend on whether eigenvectors are asked for.
+    The Laplacian d_i^* d_i + d_{i-1} d_{i-1}^* is taken in orthonormal
+    coordinates.  Eigenvectors are computed only in the degrees listed in
+    vectors, and there the first (kernel dimension) eigenvector columns span
+    its kernel; every other degree yields None for them, and a zero degree
+    a 0 by 0 matrix.  The eigenvalues do not depend on whether eigenvectors
+    are asked for.
     """
     dt = cplx.ortho_diffs
     cut = rank_cutoff(cplx.digits)
     for i, n in enumerate(cplx.lengths):
         if n == 0:
-            yield (), (), 0
+            yield [], mp.matrix(0, 0), 0
             continue
-        lap = [[mpc(0)] * n for _ in range(n)]
-        if i < len(dt) and dt[i]:
-            a = _mul(_adj(dt[i]), dt[i])
-            for r in range(n):
-                for c in range(n):
-                    lap[r][c] += a[r][c]
-        if i > 0 and dt[i - 1]:
-            b = _mul(dt[i - 1], _adj(dt[i - 1]))
-            for r in range(n):
-                for c in range(n):
-                    lap[r][c] += b[r][c]
+        d = dt[i] if i < len(dt) else mp.matrix(0, n)
+        e = dt[i - 1] if i > 0 else mp.matrix(n, 0)
+        lap = d.H * d + e * e.H
         if i in vectors:
-            evals, q = mp.eighe(mp.matrix(lap))
-            qrows = _to_rows(q)
+            evals, q = mp.eighe(lap)
         else:
-            evals, qrows = mp.eighe(mp.matrix(lap), eigvals_only=True), ()
+            evals, q = mp.eighe(lap, eigvals_only=True), None
         evals = [evals[t] for t in range(n)]
         h = _count_below(evals, cut, f"Laplacian in degree {i}: eigenvalue {{}} sits at the cutoff")
-        yield evals, qrows, h
+        yield evals, q, h
 
 
 def cohomology(cplx: MetrizedComplexAtPlace):
     """Kernel dimensions of the Laplacians and orthonormal harmonic bases.
 
-    Returns (dims, bases); bases[i] is a lengths[i] by dims[i] matrix in the
-    original coordinates, orthonormal for the degree-i Gram.
+    Returns (dims, bases); bases[i] is a lengths[i] by dims[i] mp.matrix in
+    the original coordinates, orthonormal for the degree-i Gram.
     """
     with mp.workdps(cplx.digits + GUARD):
         dims = []
         bases = []
         every_degree = range(len(cplx.lengths))
-        for i, (_, qrows, h) in enumerate(_laplacian_kernels(cplx, every_degree)):
+        for i, (_, q, h) in enumerate(_laplacian_kernels(cplx, every_degree)):
             dims.append(h)
-            cols = tuple(tuple(row[:h]) for row in qrows)
-            bases.append(_mul(cplx.from_ortho[i], cols) if h else ())
+            bases.append(cplx.from_ortho[i] * q[:, 0:h])
         return tuple(dims), tuple(bases)
 
 
@@ -300,9 +281,13 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
     ln tau = (1/2) sum_i (-1)^i [ i * ln det'(Lap_i)
                                   + ln det W_i - ln det H_i ]
     where W_i is the Gram of the harmonic projections of the representative
-    columns and H_i the chosen cohomology Gram.  tau is computed once per
-    MetrizedComplexAtPlace, always at its digits + GUARD, and kept on it; a
-    call that raises keeps nothing, so the next call raises again.
+    columns K_i and H_i the chosen cohomology Gram.  With Z_i an orthonormal
+    basis of the harmonic space, W_i = (Z_i^* K_i)^* (Z_i^* K_i), and
+    Z_i^* K_i is square when the complex lists as many classes as the kernel
+    has dimensions, so ln det W_i = 2 ln |det Z_i^* K_i| without forming
+    W_i.  tau is computed once per MetrizedComplexAtPlace, always at its
+    digits + GUARD, and kept on it; a call that raises keeps nothing, so the
+    next call raises again.
     """
     if "tau" in cplx._memo:
         return cplx._memo["tau"]
@@ -311,39 +296,34 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
         listed = {i for i, h in enumerate(cplx.cohomology_dims) if h}
         dims = []
         lntau = mpf(0)
-        for i, (evals, qrows, h) in enumerate(_laplacian_kernels(cplx, listed)):
+        for i, (evals, q, h) in enumerate(_laplacian_kernels(cplx, listed)):
             sign = -1 if i % 2 else 1
             dims.append(h)
             if i > 0 and evals:
                 lndet_prime = mp.log(mp.fprod(lam for lam in evals if lam > cut))
                 lntau += sign * i * lndet_prime / 2
-            # a kernel the complex does not list fails the count below
-            if h == 0 or i not in listed:
+            # a count that differs from the kernel dimension fails below
+            if h == 0 or h != cplx.cohomology_dims[i]:
                 continue
-            # harmonic projector in orthonormal coordinates
-            zero_cols = tuple(tuple(row[:h]) for row in qrows)
-            proj_reps = _mul(zero_cols, _mul(_adj(zero_cols), cplx.ortho_reps[i]))
-            w = _mul(_adj(proj_reps), proj_reps)
-            try:
-                lndet_w = lndet_hermitian(w, cplx.digits)
-            except NotPositiveDefinite as exc:
+            det = mp.det(q[:, 0:h].H * cplx.ortho_reps[i])
+            if not det:
                 raise ValidationError(
                     f"degree-{i} representatives do not project onto a cohomology basis"
-                ) from exc
-            lntau += sign * (lndet_w - cplx.lndet_cohomology[i]) / 2
+                )
+            lntau += sign * (mp.log(abs(det)) - cplx.lndet_cohomology[i] / 2)
         _check_rep_count(cplx, dims)
         tau = cplx._memo["tau"] = mp.exp(lntau)
         return tau
 
 
-def _pivot_columns(rows, rank):
+def _pivot_columns(d, rank):
     """The rank columns that Gaussian elimination with complete pivoting picks.
 
-    Their unit vectors span a complement of the kernel of the matrix rows,
-    one that stays well away from the kernel.
+    Their unit vectors span a complement of the kernel of the matrix d, one
+    that stays well away from the kernel.
     """
-    a = [list(r) for r in rows]
-    live_rows, live_cols = list(range(len(a))), list(range(len(a[0])))
+    a = d.tolist()
+    live_rows, live_cols = list(range(d.rows)), list(range(d.cols))
     for _ in range(rank):
         p, q = max(
             ((r, c) for r in live_rows for c in live_cols), key=lambda rc: abs(a[rc[0]][rc[1]])
@@ -354,7 +334,7 @@ def _pivot_columns(rows, rank):
             f = a[r][q] / a[p][q]
             for c in live_cols:
                 a[r][c] -= f * a[p][c]
-    return tuple(c for c in range(len(a[0])) if c not in live_cols)
+    return tuple(c for c in range(d.cols) if c not in live_cols)
 
 
 def torsion_by_contraction(cplx: MetrizedComplexAtPlace):
@@ -384,10 +364,7 @@ def torsion_by_contraction(cplx: MetrizedComplexAtPlace):
         nd = len(cplx.lengths)
         pivots = []
         for i in range(nd - 1):
-            if not dt[i]:
-                pivots.append(())
-                continue
-            svals = mp.svd_c(mp.matrix([list(r) for r in dt[i]]), compute_uv=False)
+            svals = mp.svd_c(dt[i], compute_uv=False)
             keep = svals.rows - _count_below(
                 [svals[t] for t in range(svals.rows)],
                 cut,
@@ -408,9 +385,9 @@ def torsion_by_contraction(cplx: MetrizedComplexAtPlace):
                 raise ValidationError(
                     f"degree {i}: image+cohomology+coimage dimensions {width} != {n}"
                 )
-            reps = cplx.ortho_reps[i] or ((),) * n
+            reps = cplx.ortho_reps[i]
             minor = [
-                [dt[i - 1][r][c] for c in below] + list(reps[r])
+                [dt[i - 1][r, c] for c in below] + [reps[r, c] for c in range(reps.cols)]
                 for r in range(n)
                 if r not in own
             ]

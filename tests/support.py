@@ -29,6 +29,7 @@ from regtor import (
     parse_descriptor,
     presentation,
 )
+from regtor.flatmodel import to_mp
 from regtor.numfield import GUARD, poly_divmod, poly_trim, rank_cutoff
 
 DATA = Path(__file__).parent / "data"
@@ -274,6 +275,28 @@ def random_pd_gram(rng, n: int, complex_entries: bool = False):
     if complex_entries:
         return [[[x[0], x[1]] for x in row] for row in gram]
     return [[x[0] for x in row] for row in gram]
+
+
+def cholesky_oracle(rows, digits: int):
+    """Lower Cholesky factor of a Hermitian positive-definite matrix, as rows.
+
+    The textbook loop, with its own pivot sums and square roots, at
+    digits + GUARD; raises ValueError on a pivot that is not positive.
+    """
+    n = len(rows)
+    with mp.workdps(digits + GUARD):
+        a = [[to_mp(x) for x in row] for row in rows]
+        low = [[mpc(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                s = a[i][j] - mp.fsum(low[i][k] * mp.conj(low[j][k]) for k in range(j))
+                if i == j:
+                    if s.real <= 0:
+                        raise ValueError("Cholesky pivot is not positive")
+                    low[i][j] = mp.sqrt(s.real)
+                else:
+                    low[i][j] = s / low[j][j]
+        return low
 
 
 def fraction_det(rows):
@@ -561,11 +584,11 @@ def torsion_by_coimage(cplx):
     with mp.workdps(cplx.digits + GUARD):
         cut = rank_cutoff(cplx.digits)
         nd = len(cplx.lengths)
-        diffs = [mp.matrix([list(r) for r in d]) if d else None for d in cplx.ortho_diffs]
+        diffs = cplx.ortho_diffs
         coimage = []
         for d in diffs:
             keep = 0
-            if d is not None:
+            if d.rows and d.cols:
                 _, svals, vh = mp.svd_c(d)
                 keep = sum(1 for t in range(svals.rows) if svals[t] > cut)
             coimage.append(vh.H[:, 0:keep] if keep else None)
@@ -577,7 +600,7 @@ def torsion_by_coimage(cplx):
             if i > 0 and coimage[i - 1] is not None:
                 blocks.append(diffs[i - 1] * coimage[i - 1])
             if cplx.cohomology_dims[i]:
-                blocks.append(mp.matrix([list(r) for r in cplx.ortho_reps[i]]))
+                blocks.append(cplx.ortho_reps[i])
             if i < nd - 1 and coimage[i] is not None:
                 blocks.append(coimage[i])
             m = mp.matrix([[b[r, c] for b in blocks for c in range(b.cols)] for r in range(n)])

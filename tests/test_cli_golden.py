@@ -11,9 +11,10 @@ residual on the free-cohomology complex is kept because its noise pins, bit
 for bit, how the cycle classes are summed from the per-place
 log-determinants of the cochain and cohomology Grams.
 
-After an intended change of output, re-record with
+After an intended change of output, re-record every case, or only the
+named ones, with
 
-    PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python tests/test_cli_golden.py [NAME ...]
 """
 
 import contextlib
@@ -127,9 +128,13 @@ def test_stdout_matches_golden(name):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(CASES)
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"no such case: {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
-        code, out = _stdout(argv)
+    for name in names:
+        code, out = _stdout(CASES[name])
         if code != 0:
             sys.exit(f"{name}: exit {code}")
         (GOLDEN / f"{name}.txt").write_text(out)

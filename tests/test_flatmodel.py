@@ -32,7 +32,7 @@ from regtor import (
     zero_form,
 )
 from regtor.flatmodel import lndet_hermitian
-from support import field_lattice, field_units, fraction_det, random_pd_gram
+from support import cholesky_oracle, field_lattice, field_units, fraction_det, random_pd_gram
 
 small_ints = st.integers(min_value=-4, max_value=4)
 
@@ -231,7 +231,7 @@ def test_hermitian_cholesky_reconstructs():
             n = 3
             for i in range(n):
                 for j in range(n):
-                    got = mp.fsum(low[i][k] * mp.conj(low[j][k]) for k in range(n))
+                    got = mp.fsum(low[i, k] * mp.conj(low[j, k]) for k in range(n))
                     want = (
                         mp.mpc(_mpq(g[i][j][0]), _mpq(g[i][j][1]))
                         if complex_entries
@@ -241,10 +241,41 @@ def test_hermitian_cholesky_reconstructs():
 
 
 def test_hermitian_cholesky_rejects_bad_input():
-    with pytest.raises(NotPositiveDefinite):
-        hermitian_cholesky([[1, 0], [0, -1]], 50)
-    with pytest.raises(ValidationError):
-        hermitian_cholesky([[1, 2], [3, 1]], 50)
+    # a negative pivot, a zero one
+    for bad in ([[1, 0], [0, -1]], [[1, 2], [2, 1]], [[1, 1], [1, 1]], [[0]]):
+        with pytest.raises(NotPositiveDefinite, match="Cholesky pivot is not positive"):
+            hermitian_cholesky(bad, 50)
+    for bad in ([[1, 2], [3, 1]], [[[1, 1]]], [[1, [0, 1]], [[0, 1], 1]]):
+        with pytest.raises(NotPositiveDefinite, match="Gram matrix is not Hermitian"):
+            hermitian_cholesky(bad, 50)
+    with pytest.raises(ValidationError, match="Gram matrix must be square"):
+        hermitian_cholesky([[1, 0]], 50)
+
+
+def test_hermitian_cholesky_has_no_absolute_floor():
+    # Grams of tiny scale are positive definite, and a diagonal off the real
+    # axis within the Hermitian tolerance is accepted
+    for e in (40, 80):
+        tiny = Fraction(1, 10**e)
+        low = hermitian_cholesky([[tiny, tiny / 2], [tiny / 2, tiny]], 50)
+        with mp.workdps(60):
+            assert abs(low[0, 0] / mp.sqrt(mp.mpf(10) ** -e) - 1) < mp.mpf(10) ** -50
+    assert hermitian_cholesky([[[1, "1e-70"]]], 50)[0, 0] == 1
+
+
+@pytest.mark.parametrize("digits", (50, 300))
+def test_hermitian_cholesky_matches_textbook_oracle(digits):
+    rng = random.Random(digits)
+    with mp.workdps(digits + 10):
+        for complex_entries in (False, True):
+            for n in range(9):
+                g = random_pd_gram(rng, n, complex_entries)
+                low = hermitian_cholesky(g, digits)
+                want = cholesky_oracle(g, digits)
+                assert (low.rows, low.cols) == (n, n)
+                for i in range(n):
+                    for j in range(n):
+                        assert abs(low[i, j] - want[i][j]) < mp.mpf(10) ** -digits
 
 
 def test_lndet_matches_exact_determinant():
