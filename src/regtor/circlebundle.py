@@ -94,10 +94,10 @@ def torsion_form_coeffs(setup: CyclotomicSetup, jmax: int) -> dict:
     digits = setup.field.digits
     out = {}
     with mp.workdps(digits + GUARD):
+        prefs = [_prefactor(j) for j in range(jmax + 1)]
         for k, th in enumerate(setup.thetas):
-            for j in range(jmax + 1):
+            for j, pref in enumerate(prefs):
                 li = polylog_circle(j + 1, th, digits)
-                pref = _prefactor(j)
                 if j % 2 == 0:
                     val = (-1) ** (j // 2) * pref * li.real
                 else:

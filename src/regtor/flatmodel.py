@@ -11,6 +11,11 @@ The regulator lattice is the image of the units under u -> (1/2) ln|sigma(u)|
 in quotient coordinates, LLL-reduced; torus elements are Babai-reduced
 residues modulo that lattice.  A point class is (rank, class-group exponents,
 torus element) with componentwise addition.
+
+A Gram determinant is kept as the determinant (prod of the Cholesky
+diagonal)^2, and a logarithm is taken only where a coefficient vector needs
+one: lndet_hermitian takes one per Gram, and callers that combine several
+determinants multiply them first.
 """
 
 from __future__ import annotations
@@ -413,7 +418,7 @@ def hermitian_cholesky(rows, digits: int):
         if any(len(row) != n for row in a):
             raise ValidationError("Gram matrix must be square")
         scale = max((abs(x) for row in a for x in row), default=mpf(0))
-        herm_tol = (scale + 1) * rank_cutoff(digits)
+        herm_tol = scale * rank_cutoff(digits)
         gram = mp.matrix(n, n)
         for i in range(n):
             for j in range(i + 1):
@@ -430,15 +435,23 @@ def hermitian_cholesky(rows, digits: int):
             raise NotPositiveDefinite("Cholesky pivot is not positive") from exc
 
 
-def _lndet_of_factor(low, digits: int):
-    """ln det L L^* = 2 sum_i ln L_ii for a lower Cholesky factor L."""
+def _det_of_factor(low, digits: int):
+    """det L L^* = (prod_i Re L_ii)^2 for a lower Cholesky factor L.
+
+    No logarithm: callers that combine several determinants multiply them
+    and take one logarithm of the product.
+    """
     with mp.workdps(digits + GUARD):
-        return 2 * mp.fsum(mp.log(mp.re(low[i, i])) for i in range(low.rows))
+        return mp.fprod(mp.re(low[i, i]) for i in range(low.rows)) ** 2
 
 
 def lndet_hermitian(rows, digits: int):
-    """ln det of a Hermitian positive-definite matrix via Cholesky."""
-    return _lndet_of_factor(hermitian_cholesky(rows, digits), digits)
+    """ln det of a Hermitian positive-definite matrix via Cholesky.
+
+    One logarithm, of the determinant (prod of the factor's diagonal)^2.
+    """
+    with mp.workdps(digits + GUARD):
+        return mp.log(_det_of_factor(hermitian_cholesky(rows, digits), digits))
 
 
 def cycl_free(field: NumberField, lattice: RegulatorLattice, grams) -> PointClass:

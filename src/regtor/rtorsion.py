@@ -6,7 +6,7 @@ complex with the metric induced on the determinant line of its cohomology
 
 metrized_complex_at_place validates a complex at one place and changes it to
 orthonormal coordinates, once: it factors each cochain Gram one time, and
-keeps ln det of each cochain and cohomology Gram.  Each place and its tau are
+keeps det of each cochain and cohomology Gram.  Each place and its tau are
 built once per complex object: at_place keeps the MetrizedComplexAtPlace of
 every place it has built on the MetrizedComplexOverR, and reidemeister keeps
 tau on the MetrizedComplexAtPlace, so rtorsion_form and
@@ -40,10 +40,16 @@ eigenvalue or singular value within a factor 10^3 of numfield.rank_cutoff
 conditions over C are checked relative to the data: |d_{i+1} d_i|_F must not
 exceed numfield.residual_tolerance (10^(-digits + GUARD)) times
 |d_{i+1}|_F |d_i|_F, and |d_i K_i|_F that times |d_i|_F |K_i|_F.  The
-log-determinant of a Gram is 2 sum ln L_jj of its Cholesky factor L
-(flatmodel.lndet_hermitian).  The one Gram not factored is that of the
-harmonic projections in reidemeister: its log-determinant comes in closed
-form from a square determinant, which does not square the conditioning.
+determinant of a Gram is (prod L_jj)^2 of its Cholesky factor L.  The one
+Gram not factored is that of the harmonic projections in reidemeister: its
+determinant comes in closed form from a square determinant, which does not
+square the conditioning.
+
+Neither route takes a logarithm: each multiplies determinants, eigenvalues
+and minors and ends in one square root.  Logarithms are taken only where a
+form needs one: rtorsion_form takes ln tau once per place, and
+verify_euler_identity multiplies each place's Gram determinants and
+1 / tau^2 into one number and takes one logarithm of it.
 """
 
 from __future__ import annotations
@@ -59,12 +65,10 @@ from .flatmodel import (
     PointClass,
     RegulatorLattice,
     _cycl_from_lndets,
-    _lndet_of_factor,
-    a_map,
+    _det_of_factor,
     class_add,
     class_neg,
     hermitian_cholesky,
-    lndet_hermitian,
     make_form,
     to_mp,
     zero_class,
@@ -110,10 +114,11 @@ class MetrizedComplexAtPlace:
     cohomology is zero.  With the cochain Grams G_i = L_i L_i^*:
     ortho_diffs[i] = L_{i+1}^* d_i L_i^{-*}, ortho_reps[i] = L_i^* K_i for
     the representative columns K_i, and from_ortho[i] = L_i^{-*} maps
-    orthonormal coordinates back.  lndet_cochain[i] is ln det G_i.
-    cohomology_dims[i] counts the chosen classes and lndet_cohomology[i] is
-    ln det H_i of their Gram (0 when there are none).  reidemeister keeps
-    its tau in _memo.
+    orthonormal coordinates back.  det_cochain[i] is det G_i.
+    cohomology_dims[i] counts the chosen classes and det_cohomology[i] is
+    det H_i of their Gram (1 when there are none).  Determinants, not their
+    logarithms, are kept, so the torsion routes multiply them.
+    reidemeister keeps its tau in _memo.
     """
 
     digits: int
@@ -121,9 +126,9 @@ class MetrizedComplexAtPlace:
     ortho_diffs: tuple
     ortho_reps: tuple
     from_ortho: tuple
-    lndet_cochain: tuple
+    det_cochain: tuple
     cohomology_dims: tuple
-    lndet_cohomology: tuple
+    det_cohomology: tuple
     _memo: dict = _memo_field()
 
 
@@ -138,7 +143,8 @@ def metrized_complex_at_place(
     chosen metric on those classes.  Checks shapes, d after d = 0, positive
     Grams and cocycle columns.  Each Gram is factored exactly once: the
     Cholesky factor of a cochain Gram gives the orthonormal coordinates and
-    its log-determinant, and that of a cohomology Gram its log-determinant.
+    its determinant, and that of a cohomology Gram its determinant.  No
+    logarithm is taken.
     """
     lengths = tuple(int(n) for n in lengths)
     nd = len(lengths)
@@ -161,17 +167,17 @@ def metrized_complex_at_place(
                 raise ValidationError(f"d{i + 1} after d{i} is not zero")
         ups = []
         reps = []
-        lndet_g = []
-        lndet_h = []
+        det_g = []
+        det_h = []
         for i in range(nd):
             if len(gg[i]) != lengths[i]:
                 raise ValidationError(f"cochain Gram {i} has the wrong size")
             low = hermitian_cholesky(gg[i], digits)
-            lndet_g.append(_lndet_of_factor(low, digits))
+            det_g.append(_det_of_factor(low, digits))
             ups.append(low.H)
             h = len(hh[i])
             if h > 0:
-                lndet_h.append(lndet_hermitian(hh[i], digits))
+                det_h.append(_det_of_factor(hermitian_cholesky(hh[i], digits), digits))
                 if len(kk[i]) != lengths[i]:
                     raise ValidationError(
                         f"cohomology representatives {i} have the wrong height"
@@ -192,7 +198,7 @@ def metrized_complex_at_place(
                     raise ValidationError(
                         f"degree {i} provides representatives but no cohomology Gram"
                     )
-                lndet_h.append(mpf(0))
+                det_h.append(mpf(1))
                 k = mp.matrix(lengths[i], 0)
             reps.append(ups[i] * k)
         from_ortho = tuple(_inverse_upper(up) for up in ups)
@@ -202,9 +208,9 @@ def metrized_complex_at_place(
             ortho_diffs=tuple(ups[i + 1] * dd[i] * from_ortho[i] for i in range(nd - 1)),
             ortho_reps=tuple(reps),
             from_ortho=from_ortho,
-            lndet_cochain=tuple(lndet_g),
+            det_cochain=tuple(det_g),
             cohomology_dims=tuple(len(m) for m in hh),
-            lndet_cohomology=tuple(lndet_h),
+            det_cohomology=tuple(det_h),
         )
 
 
@@ -278,16 +284,16 @@ def _check_rep_count(cplx, dims):
 def reidemeister(cplx: MetrizedComplexAtPlace):
     """tau by the Laplacian formula with the cohomology base-change correction.
 
-    ln tau = (1/2) sum_i (-1)^i [ i * ln det'(Lap_i)
-                                  + ln det W_i - ln det H_i ]
+    tau^2 = prod_i [ det'(Lap_i)^i * det W_i / det H_i ]^((-1)^i)
     where W_i is the Gram of the harmonic projections of the representative
     columns K_i and H_i the chosen cohomology Gram.  With Z_i an orthonormal
     basis of the harmonic space, W_i = (Z_i^* K_i)^* (Z_i^* K_i), and
     Z_i^* K_i is square when the complex lists as many classes as the kernel
-    has dimensions, so ln det W_i = 2 ln |det Z_i^* K_i| without forming
-    W_i.  tau is computed once per MetrizedComplexAtPlace, always at its
-    digits + GUARD, and kept on it; a call that raises keeps nothing, so the
-    next call raises again.
+    has dimensions, so det W_i = |det Z_i^* K_i|^2 without forming W_i.  The
+    product and one square root give tau; no logarithm is taken.  tau is
+    computed once per MetrizedComplexAtPlace, always at its digits + GUARD,
+    and kept on it; a call that raises keeps nothing, so the next call raises
+    again.
     """
     if "tau" in cplx._memo:
         return cplx._memo["tau"]
@@ -295,24 +301,27 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
         cut = rank_cutoff(cplx.digits)
         listed = {i for i, h in enumerate(cplx.cohomology_dims) if h}
         dims = []
-        lntau = mpf(0)
+        # tau^2 = even / odd, the products of the even and the odd degrees' factors
+        even, odd = mpf(1), mpf(1)
         for i, (evals, q, h) in enumerate(_laplacian_kernels(cplx, listed)):
-            sign = -1 if i % 2 else 1
             dims.append(h)
+            factor = mpf(1)
             if i > 0 and evals:
-                lndet_prime = mp.log(mp.fprod(lam for lam in evals if lam > cut))
-                lntau += sign * i * lndet_prime / 2
+                factor = mp.fprod(lam for lam in evals if lam > cut) ** i
             # a count that differs from the kernel dimension fails below
-            if h == 0 or h != cplx.cohomology_dims[i]:
-                continue
-            det = mp.det(q[:, 0:h].H * cplx.ortho_reps[i])
-            if not det:
-                raise ValidationError(
-                    f"degree-{i} representatives do not project onto a cohomology basis"
-                )
-            lntau += sign * (mp.log(abs(det)) - cplx.lndet_cohomology[i] / 2)
+            if h and h == cplx.cohomology_dims[i]:
+                det = mp.det(q[:, 0:h].H * cplx.ortho_reps[i])
+                if not det:
+                    raise ValidationError(
+                        f"degree-{i} representatives do not project onto a cohomology basis"
+                    )
+                factor *= abs(det) ** 2 / cplx.det_cohomology[i]
+            if i % 2:
+                odd *= factor
+            else:
+                even *= factor
         _check_rep_count(cplx, dims)
-        tau = cplx._memo["tau"] = mp.exp(lntau)
+        tau = cplx._memo["tau"] = mp.sqrt(even / odd)
         return tau
 
 
@@ -353,7 +362,7 @@ def torsion_by_contraction(cplx: MetrizedComplexAtPlace):
     |det M_i| is the minor of [ d_{i-1}[:, P_{i-1}] | K_i ] on the rows
     outside P_i, and
 
-      tau = prod |det M_i|^{(-1)^i} * exp(-sum (-1)^i ln det H_i / 2).
+      tau = prod |det M_i|^{(-1)^i} / sqrt(prod det H_i^{(-1)^i}).
 
     A minor that is numerically singular, as when the representatives of a
     degree do not complete its image to the kernel, raises ValidationError.
@@ -372,12 +381,11 @@ def torsion_by_contraction(cplx: MetrizedComplexAtPlace):
             )
             pivots.append(_pivot_columns(dt[i], keep))
         tau = mpf(1)
-        lndet_h = mpf(0)
+        det_h = mpf(1)
         for i in range(nd):
             n = cplx.lengths[i]
             if n == 0:
                 continue
-            sign = -1 if i % 2 else 1
             below = pivots[i - 1] if i > 0 else ()
             own = pivots[i] if i < nd - 1 else ()
             width = len(below) + cplx.cohomology_dims[i] + len(own)
@@ -396,9 +404,11 @@ def torsion_by_contraction(cplx: MetrizedComplexAtPlace):
                 raise ValidationError(
                     f"degree {i}: the image, cohomology and coimage columns are dependent"
                 )
-            tau = tau * det if sign > 0 else tau / det
-            lndet_h += sign * cplx.lndet_cohomology[i]
-        return tau * mp.exp(-lndet_h / 2)
+            if i % 2:
+                tau, det_h = tau / det, det_h / cplx.det_cohomology[i]
+            else:
+                tau, det_h = tau * det, det_h * cplx.det_cohomology[i]
+        return tau / mp.sqrt(det_h)
 
 
 @dataclass(frozen=True)
@@ -544,23 +554,29 @@ def verify_euler_identity(
     quarter-log-determinant normalization of the cycle map under metric
     scaling; see the scaling lemma.
 
-    The cycle classes come from the log-determinants that at_place keeps for
-    each place, and tau from reidemeister's memo, so after a caller has run
-    the routes at every place no Gram is factored again.
+    Every term but the torsion classes Z(tors H^i) is a rank and a vector of
+    quarter log-determinants, so they add up to one class: its rank is
+    sum (-1)^i (n_i - free rank of H^i), and its coefficient at each place
+    is (1/4) ln [ prod_i (det G_i / det H_i)^((-1)^i) / tau^2 ], one
+    logarithm per place.  The Gram determinants are those that at_place
+    keeps for each place, and tau is reidemeister's memo, so after a caller
+    has run the routes at every place no Gram is factored again.
     """
     places = [at_place(cplx, k) for k in range(field.n_places)]
     total = zero_class(lattice)
-    for i, n in enumerate(cplx.lengths):
-        term = _cycl_from_lndets(field, lattice, n, [at.lndet_cochain[i] for at in places])
-        total = class_add(total, term if i % 2 == 0 else class_neg(term))
     for i, spec in enumerate(cplx.cohomology):
-        if spec.free_rank:
-            lndets = [at.lndet_cohomology[i] for at in places]
-            term = _cycl_from_lndets(field, lattice, spec.free_rank, lndets)
-            total = class_add(total, class_neg(term) if i % 2 == 0 else term)
         if spec.torsion is not None:
             term = zhat(field, lattice, spec.torsion)
             total = class_add(total, class_neg(term) if i % 2 == 0 else term)
-    half_tau = rtorsion_form(field, cplx).scale(mpf(1) / 2)
-    total = class_add(total, class_neg(a_map(lattice, half_tau)))
-    return total
+    rank = sum(
+        (n - spec.free_rank) * (-1) ** i
+        for i, (n, spec) in enumerate(zip(cplx.lengths, cplx.cohomology))
+    )
+    with mp.workdps(field.digits + GUARD):
+        lndets = []
+        for at in places:
+            x = mpf(1)
+            for i, (g, h) in enumerate(zip(at.det_cochain, at.det_cohomology)):
+                x = x * g / h if i % 2 == 0 else x * h / g
+            lndets.append(mp.log(x / reidemeister(at) ** 2))
+    return class_add(total, _cycl_from_lndets(field, lattice, rank, lndets))

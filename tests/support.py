@@ -7,8 +7,10 @@ Q, against the library's resultant test), the Bernoulli numbers
 summation) and the polylogarithm (direct partial sum plus Euler-Maclaurin
 tail), exact rational positive-definite Gram generators, unimodular base
 changes over a number ring, the randomized metrized-complex corpus used
-by the calibration tests, and the basis-chase torsion over orthonormal SVD
-coimage bases (against the library's pivot-column route).
+by the calibration tests, the basis-chase torsion over orthonormal SVD
+coimage bases (against the library's pivot-column route), and the
+Euler-characteristic residual summed one class per term (against the
+library's single class per complex).
 """
 
 from __future__ import annotations
@@ -24,10 +26,18 @@ from mpmath import mp, mpc, mpf
 from regtor import (
     CohomologySpec,
     NoConvergence,
+    a_map,
     build_complex_over_r,
     build_lattice,
+    class_add,
+    class_neg,
+    make_form,
     parse_descriptor,
+    point_class,
     presentation,
+    rtorsion_form,
+    zero_class,
+    zhat,
 )
 from regtor.flatmodel import to_mp
 from regtor.numfield import GUARD, poly_divmod, poly_trim, rank_cutoff
@@ -41,13 +51,13 @@ def load_descriptor(name: str) -> dict:
 
 
 @lru_cache(maxsize=None)
-def field_units(name: str):
-    return parse_descriptor(load_descriptor(name))
+def field_units(name: str, digits: int | None = None):
+    return parse_descriptor(load_descriptor(name), digits_override=digits)
 
 
 @lru_cache(maxsize=None)
-def field_lattice(name: str):
-    field, units = field_units(name)
+def field_lattice(name: str, digits: int | None = None):
+    field, units = field_units(name, digits)
     return field, units, build_lattice(field, units)
 
 
@@ -605,5 +615,39 @@ def torsion_by_coimage(cplx):
                 blocks.append(coimage[i])
             m = mp.matrix([[b[r, c] for b in blocks for c in range(b.cols)] for r in range(n)])
             sign = -1 if i % 2 else 1
-            lntau += sign * (mp.log(abs(mp.det(m))) - cplx.lndet_cohomology[i] / 2)
+            lntau += sign * (mp.log(abs(mp.det(m))) - mp.log(cplx.det_cohomology[i]) / 2)
         return mp.exp(lntau)
+
+
+# ---------------------------------------------------------------------------
+# Euler-characteristic residual, one class per term: each cycle class from
+# the log-determinant 2 sum ln L_jj of the textbook Cholesky factor of its
+# Gram, and tau through rtorsion_form.
+# ---------------------------------------------------------------------------
+
+
+def euler_residual_by_classes(field, lattice, cplx):
+    """sum (-1)^i cycl(V^i) - sum (-1)^i [cycl(free H^i) + Z(tors H^i)]
+    - a((1/2) ln tau form), added up one point class at a time."""
+
+    def cycl(rank, grams):
+        with mp.workdps(field.digits + GUARD):
+            lndets = []
+            for g in grams:
+                low = cholesky_oracle(g, field.digits)
+                lndets.append(2 * mp.fsum(mp.log(low[j][j].real) for j in range(len(low))))
+            return point_class(lattice, rank, (), make_form(field, 0, [x / 4 for x in lndets]))
+
+    total = zero_class(lattice)
+    for i, n in enumerate(cplx.lengths):
+        term = cycl(n, cplx.grams[i])
+        total = class_add(total, term if i % 2 == 0 else class_neg(term))
+    for i, spec in enumerate(cplx.cohomology):
+        if spec.free_rank:
+            term = cycl(spec.free_rank, spec.free_grams)
+            total = class_add(total, class_neg(term) if i % 2 == 0 else term)
+        if spec.torsion is not None:
+            term = zhat(field, lattice, spec.torsion)
+            total = class_add(total, class_neg(term) if i % 2 == 0 else term)
+    half_tau = rtorsion_form(field, cplx).scale(mpf(1) / 2)
+    return class_add(total, class_neg(a_map(lattice, half_tau)))

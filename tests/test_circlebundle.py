@@ -29,6 +29,7 @@ from regtor import (
     u_coeff,
     x_space_dim,
 )
+from regtor import circlebundle
 from regtor.circlebundle import BOREL_INDEX_MAX
 from regtor.polylog import ORDER_MAX
 
@@ -82,6 +83,14 @@ def test_coefficients_match_mpmath_polylog():
                 assert abs(t[(k, j)] - want) < mp.mpf(10) ** -35
         frozen = mp.mpf("0.10147985495086520602566741405179091")
         assert abs(t[(0, 1)] - frozen) < mp.mpf("1e-30")
+
+
+def test_prefactor_is_computed_once_per_order(monkeypatch):
+    calls = []
+    prefactor = circlebundle._prefactor
+    monkeypatch.setattr(circlebundle, "_prefactor", lambda j: calls.append(j) or prefactor(j))
+    torsion_form_coeffs(make_cyclotomic_setup(7, 50), 2)
+    assert calls == [0, 1, 2]
 
 
 def test_u_and_trivial_holonomy_decompose_the_coefficients():

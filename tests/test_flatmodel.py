@@ -263,6 +263,17 @@ def test_hermitian_cholesky_has_no_absolute_floor():
     assert hermitian_cholesky([[[1, "1e-70"]]], 50)[0, 0] == 1
 
 
+def test_hermitian_test_scales_with_the_matrix():
+    # the upper triangle is 10 % of the scale away from the lower one; a
+    # tolerance with an absolute floor of rank_cutoff would let it pass
+    tiny = Fraction(1, 10**40)
+    with pytest.raises(NotPositiveDefinite, match="Gram matrix is not Hermitian"):
+        hermitian_cholesky([[tiny, tiny / 10], [0, tiny]], 50)
+    # the zero matrix is exactly Hermitian, and its zero pivot is refused
+    with pytest.raises(NotPositiveDefinite, match="Cholesky pivot is not positive"):
+        hermitian_cholesky([[0, 0], [0, 0]], 50)
+
+
 @pytest.mark.parametrize("digits", (50, 300))
 def test_hermitian_cholesky_matches_textbook_oracle(digits):
     rng = random.Random(digits)

@@ -30,7 +30,13 @@ from regtor import (
     verify_euler_identity,
 )
 from regtor import flatmodel, rtorsion
-from support import field_lattice, field_units, random_complex_over, torsion_by_coimage
+from support import (
+    euler_residual_by_classes,
+    field_lattice,
+    field_units,
+    random_complex_over,
+    torsion_by_coimage,
+)
 
 EYE1 = [[1]]
 EYE2 = [[1, 0], [0, 1]]
@@ -364,8 +370,10 @@ def test_randomized_corpus_small():
 # Each place and its tau are built once per complex object.
 
 
-def _free_cohomology_complex(field):
-    # H^1 = R/(2) + R over Z[sqrt2], its free part represented by (3, 1)
+def _free_cohomology_complex(field, torsion=None):
+    # H^1 = R/(2) + R over Z[sqrt2], its free part represented by (3, 1); a
+    # torsion element other than 2 misstates H^1
+    torsion = field.element([2]) if torsion is None else torsion
     return build_complex_over_r(
         field,
         (1, 2),
@@ -377,7 +385,7 @@ def _free_cohomology_complex(field):
                 1,
                 ((field.element([3]),), (field.one(),)),
                 ([[2]], [[7]]),
-                torsion=presentation(field, [[field.element([2])]]),
+                torsion=presentation(field, [[torsion]]),
             ),
         ],
     )
@@ -495,19 +503,23 @@ def _counting(calls, name, fn):
     return wrapper
 
 
-def _corpus_places():
+def _corpus_complexes():
     for name, count, seed in (("zsqrt2", 6, 303), ("zeta5", 3, 404)):
-        field, _ = field_units(name)
+        field, _, lat = field_lattice(name)
         rng = random.Random(seed)
         for _ in range(count):
-            cplx = random_complex_over(field, rng)
-            for k in range(field.n_places):
-                yield at_place(cplx, k)
+            yield field, lat, random_complex_over(field, rng)
+
+
+def _corpus_places():
+    for field, _, cplx in _corpus_complexes():
+        for k in range(field.n_places):
+            yield at_place(cplx, k)
 
 
 def test_contraction_takes_singular_values_only(monkeypatch):
     calls = []
-    for name in ("svd_c", "eighe", "log"):
+    for name in ("svd_c", "eighe", "log", "exp"):
         monkeypatch.setattr(mp, name, _counting(calls, name, getattr(mp, name)))
     field, _ = field_units("zsqrt2")
     places = [at_place(_free_cohomology_complex(field), 0), *_corpus_places()]
@@ -684,3 +696,73 @@ def test_at_place_accepts_exact_complex_with_large_coefficients():
     for k in range(field.n_places):
         cp = at_place(cplx, k)
         assert abs(reidemeister(cp) / torsion_by_contraction(cp) - 1) < mp.mpf(10) ** -40
+
+
+# Logarithms are taken only where a form needs one.
+
+
+def test_places_and_routes_take_no_logarithm(monkeypatch):
+    field, _, lat = field_lattice("zsqrt2")
+    complexes = [(field, lat, _free_cohomology_complex(field)), *_corpus_complexes()]
+    calls = []
+    for name in ("log", "exp"):
+        monkeypatch.setattr(mp, name, _counting(calls, name, getattr(mp, name)))
+    for field, _, cplx in complexes:
+        for k in range(field.n_places):
+            at = at_place(cplx, k)
+            reidemeister(at)
+            torsion_by_contraction(at)
+    assert calls == []
+
+
+def test_warm_euler_identity_takes_one_log_per_place(monkeypatch):
+    field, _, lat = field_lattice("zsqrt2")
+    complexes = [(field, lat, _free_cohomology_complex(field)), *_corpus_complexes()]
+    for field, _, cplx in complexes:
+        for k in range(field.n_places):
+            reidemeister(at_place(cplx, k))
+            torsion_by_contraction(at_place(cplx, k))
+    calls, in_zhat = [], []
+    for name in ("log", "exp"):
+        monkeypatch.setattr(mp, name, _counting(calls, name, getattr(mp, name)))
+    zhat = rtorsion.zhat
+
+    def zhat_apart(*args):
+        start = len(calls)
+        out = zhat(*args)
+        in_zhat.extend(calls[start:])
+        del calls[start:]
+        return out
+
+    monkeypatch.setattr(rtorsion, "zhat", zhat_apart)
+    for field, lat, cplx in complexes:
+        calls.clear()
+        assert verify_euler_identity(field, lat, cplx).is_zero()
+        assert [name for name, _ in calls] == ["log"] * field.n_places
+    # the torsion classes still take their own logarithms
+    assert in_zhat and {name for name, _ in in_zhat} == {"log"}
+
+
+@pytest.mark.parametrize("digits", (50, 300))
+def test_euler_identity_matches_per_class_oracle(digits):
+    outcomes = []
+    for name, count, seed in (("zsqrt2", 8, 707), ("zeta5", 4, 808)):
+        field, _, lat = field_lattice(name, digits)
+        rng = random.Random(seed)
+        cases = [random_complex_over(field, rng) for _ in range(count)]
+        if name == "zsqrt2":
+            # the rtorsion_free_cohomology complex, and the same with H^1
+            # misstated as R/(3 + sqrt2) + R
+            cases += [
+                _free_cohomology_complex(field),
+                _free_cohomology_complex(field, field.element([3, 1])),
+            ]
+        for cplx in cases:
+            got = verify_euler_identity(field, lat, cplx)
+            want = euler_residual_by_classes(field, lat, cplx)
+            assert (got.rank, got.cls, got.is_zero()) == (want.rank, want.cls, want.is_zero())
+            assert got.torus.same_as(want.torus)
+            torsion = any(spec.torsion is not None for spec in cplx.cohomology)
+            outcomes.append((torsion, got.is_zero()))
+    assert outcomes.count((True, False)) == 1
+    assert outcomes.count((True, True)) >= 3
