@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
 
 from mpmath import mp
 
@@ -25,8 +24,9 @@ from .numfield import (
     GUARD,
     FieldElement,
     NumberField,
-    _horner,
     _int_bareiss_det,
+    _kronecker_digits,
+    _kronecker_matrix,
     embed,
     norm,
     verify_unit,
@@ -43,32 +43,20 @@ PRESENTATION_SIZE_MAX = 12
 def exact_det(field: NumberField, rows) -> FieldElement:
     """Exact determinant of a square matrix of ring elements.
 
-    Entries are lifted to their degree < n representatives in Q[x] and put
-    over one common denominator D, leaving integer polynomials a_ij.  Each
-    coefficient of det(a_ij) in Z[x] is at most H = prod_i sum_j ||a_ij||_1
-    in absolute value, since ||det||_1 <= perm(||a_ij||_1) <= H.  With
-    B = bitlength(H) + 1 the one integer determinant det(a_ij(2^B)) holds
-    those coefficients as balanced base-2^B digits (Kronecker substitution:
-    von zur Gathen and Gerhard, Modern Computer Algebra, section 8.4).  They
-    are divided by D^m and reduced modulo p only at the end.  The Q[x]
-    determinant is unique, so no pivot is chosen in R, and a factoring p
-    raises no zero-divisor case.
+    _kronecker_matrix puts the entries over one common denominator D and
+    substitutes x = 2^B into the integer polynomials left, with B large
+    enough that the one integer determinant holds the coefficients of the
+    Z[x] determinant as balanced base-2^B digits.  They are divided by D^m
+    and reduced modulo p only at the end.  The Q[x] determinant is unique,
+    so no pivot is chosen in R, and a factoring p raises no zero-divisor
+    case.
     """
     m = len(rows)
     if any(len(r) != m for r in rows):
         raise ValidationError("matrix must be square")
-    lifted = [[field.element(x).coeffs for x in r] for r in rows]
-    den = lcm(*(c.denominator for r in lifted for e in r for c in e))
-    a = [[[c.numerator * (den // c.denominator) for c in e] for e in r] for r in lifted]
-    bits = prod(sum(abs(c) for e in r for c in e) for r in a).bit_length() + 1
-    det = _int_bareiss_det([[_horner(e, 1 << bits) for e in r] for r in a])
-    half, mask, scale = 1 << (bits - 1), (1 << bits) - 1, den**m
-    coeffs = []
-    while det:
-        digit = ((det + half) & mask) - half
-        coeffs.append(Fraction(digit, scale))
-        det = (det - digit) >> bits
-    return field.element(coeffs)
+    a, bits, den = _kronecker_matrix(field, rows)
+    det = _int_bareiss_det(a)
+    return field.element([Fraction(c, den**m) for c in _kronecker_digits(det, bits)])
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,13 @@ basis, a unit of the field lying outside Z[x] is rejected.
 
 Shared by every module: the polynomial kit over Q (poly_trim, poly_mul,
 poly_divmod; coefficient lists constant first), the one Horner evaluator,
-the one fraction-free elimination kernel _int_bareiss_det over Z (it serves
-norm and the squarefree test through _resultant, and modtors.exact_det
-through Kronecker substitution), and the precision policy.  Each public
+the one fraction-free elimination step _bareiss_step over Z, and the
+precision policy.  _int_bareiss_det runs that step to a determinant: it
+serves norm and the squarefree test through _resultant, the subresultant
+gcd, and modtors.exact_det through Kronecker substitution
+(_kronecker_matrix).  exact_ranks runs it with complete pivoting on the
+Kronecker form of a matrix to decide its rank at each place exactly in K,
+splitting p where a pivot is a zero divisor.  Each public
 function works at digits + GUARD; the cutoffs rank_cutoff (10^(-digits/2)),
 torus_tolerance (10^(-digits/3)) and residual_tolerance
 (10^(-digits + GUARD)) are evaluated at the caller's working precision.
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import dps_to_prec
@@ -99,17 +103,37 @@ def poly_mul(a, b) -> list:
 
 
 def poly_divmod(a, b) -> tuple[list, list]:
-    """Quotient and remainder of a by b, both trimmed; b[-1] must be nonzero."""
+    """Quotient and remainder of a by b, both trimmed; b[-1] must be nonzero.
+    A monic b keeps integer coefficients integer."""
     nb = len(b)
     rem = list(a)
-    quo = [Fraction(0)] * max(len(rem) - nb + 1, 0)
+    quo = [0] * max(len(rem) - nb + 1, 0)
     for k in range(len(quo) - 1, -1, -1):
-        c = rem[k + nb - 1] / b[-1]
+        c = rem[k + nb - 1]
+        if b[-1] != 1:
+            c = c / b[-1]
         quo[k] = c
         if c != 0:
             for i in range(nb - 1):
                 rem[k + i] -= c * b[i]
     return poly_trim(quo), poly_trim(rem[: nb - 1])
+
+
+def _bareiss_step(m, k, prev):
+    """Eliminate below the pivot m[k][k], fraction-free (Bareiss).
+
+    Each entry right of and below the pivot becomes the minor of the input
+    on the pivot rows and columns so far and its own row and column, by one
+    exact division by prev, the previous pivot (1 at the first step).
+    """
+    pivot, top = m[k][k], m[k]
+    for row in m[k + 1 :]:
+        a = row[k]
+        for j in range(k + 1, len(row)):
+            q, r = divmod(row[j] * pivot - a * top[j], prev)
+            assert r == 0
+            row[j] = q
+        row[k] = 0
 
 
 def _int_bareiss_det(m: list[list[int]]) -> int:
@@ -130,13 +154,7 @@ def _int_bareiss_det(m: list[list[int]]) -> int:
                     break
             else:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                q, r = divmod(num, prev)
-                assert r == 0
-                m[i][j] = q
-            m[i][k] = 0
+        _bareiss_step(m, k, prev)
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
 
@@ -150,6 +168,148 @@ def _resultant(p, q) -> int:
     syl = [[0] * k + p_desc + [0] * (m - 1 - k) for k in range(m)]
     syl += [[0] * k + q_desc + [0] * (n - 1 - k) for k in range(n)]
     return _int_bareiss_det(syl)
+
+
+def _kronecker_matrix(field, rows) -> tuple[list[list[int]], int, int]:
+    """A matrix of field elements as one integer matrix (Kronecker substitution).
+
+    Entries are lifted to their degree < n representatives in Q[x] and put
+    over one common denominator D, leaving integer polynomials a_ij.  Each
+    coefficient of any minor of (a_ij) in Z[x] is at most
+    H = prod_i max(1, sum_j ||a_ij||_1) in absolute value, since
+    ||det||_1 <= perm(||a_ij||_1).  Returns (a_ij(2^B), B, D) with
+    B = bitlength(H) + 1: every minor of the integer matrix holds the
+    coefficients of the matching minor in Z[x] as balanced base-2^B digits
+    (von zur Gathen and Gerhard, Modern Computer Algebra, section 8.4).
+    """
+    lifted = [[field.element(x).coeffs for x in r] for r in rows]
+    den = lcm(*(c.denominator for r in lifted for e in r for c in e))
+    a = [[[c.numerator * (den // c.denominator) for c in e] for e in r] for r in lifted]
+    bits = prod(max(1, sum(abs(c) for e in r for c in e)) for r in a).bit_length() + 1
+    return [[_horner(e, 1 << bits) for e in r] for r in a], bits, den
+
+
+def _kronecker_digits(value: int, bits: int) -> list[int]:
+    """The integer polynomial (constant first, trimmed) whose balanced
+    base-2^bits digits make up value."""
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    coeffs = []
+    while value:
+        digit = ((value + half) & mask) - half
+        coeffs.append(digit)
+        value = (value - digit) >> bits
+    return coeffs
+
+
+def _subresultant_gcd(f, e) -> list[int]:
+    """The monic gcd of a monic integer f and a nonzero integer e of lower
+    degree that share a root, Res(f, e) = 0.
+
+    S_j stacks the coefficient rows (highest power first) of
+    x^(m-j-1) f, ..., f and x^(n-j-1) e, ..., e, for deg f = n and
+    deg e = m.  The gcd has the least degree d whose principal subresultant
+    psc_d, the determinant of the leading square block of S_d, is nonzero,
+    and the subresultant polynomial of S_d, whose x^i coefficient is the
+    determinant of that block with its last column swapped for the x^i
+    column, is psc_d times the monic gcd (von zur Gathen and Gerhard,
+    Modern Computer Algebra, ch. 6).  The search ends by j = m at the
+    latest, where psc_m = lc(e)^(n-m).  Every determinant goes through
+    _int_bareiss_det.
+    """
+    n, m = len(f) - 1, len(e) - 1
+    f_desc, e_desc = f[::-1], e[::-1]
+
+    def minor(rows, size, col):
+        return _int_bareiss_det([r[: size - 1] + [r[col]] for r in rows])
+
+    for j in range(1, m + 1):
+        rows = [[0] * k + f_desc + [0] * (m - j - 1 - k) for k in range(m - j)]
+        rows += [[0] * k + e_desc + [0] * (n - j - 1 - k) for k in range(n - j)]
+        # column n + m - j - 1 - i holds the x^i coefficients
+        size = n + m - 2 * j
+        psc = minor(rows, size, size - 1)
+        if psc:
+            gcd = []
+            for i in range(j):
+                q, r = divmod(minor(rows, size, n + m - j - 1 - i), psc)
+                assert r == 0
+                gcd.append(q)
+            return gcd + [1]
+
+
+def _bareiss_ranks(m, bits, f) -> list[tuple[list[int], int]]:
+    """Ranks of an integer polynomial matrix modulo the factors of a monic,
+    squarefree f, by Bareiss elimination with complete pivoting.
+
+    m holds the polynomials in Kronecker form at x = 2^bits, so every entry
+    stays a minor in Z[x], its coefficients the digits of an integer, and
+    the exact divisions hold in Z[x] whatever the pivots are mod f.  Any
+    entry that is nonzero mod f serves as a pivot.  Elimination stops after
+    r pivots when every entry left is 0 mod f: those entries are the
+    (r+1)-minors that border the last pivot e, itself the leading r-minor.
+    When e is a
+    unit mod f, that is e mod f != 0 and Res(f, e mod f) != 0, the rank is r
+    modulo every factor of f.  Otherwise f splits into g = gcd(f, e), on
+    which e vanishes and elimination starts again, and f / g, on which e is
+    a unit and the rank is r (dynamic evaluation, D5: Della Dora,
+    Dicrescenzo and Duval, EUROCAL 1985).  So f needs one resultant, and
+    one more per split.  Returns (factor, rank) per branch; the factors
+    multiply to f.
+    """
+    done = []
+    todo = [f]
+    while todo:
+        f = todo.pop()
+        a = [row[:] for row in m]
+        k, last = 0, None
+        while True:
+            pivot = None
+            for i in range(k, len(a)):
+                for j in range(k, len(a[i])):
+                    if a[i][j]:
+                        e = poly_divmod(_kronecker_digits(a[i][j], bits), f)[1]
+                        if e:
+                            pivot, last = (i, j), e
+                            break
+                if pivot:
+                    break
+            if pivot is None:
+                break
+            i, j = pivot
+            a[k], a[i] = a[i], a[k]
+            for row in a:
+                row[k], row[j] = row[j], row[k]
+            _bareiss_step(a, k, a[k - 1][k - 1] if k else 1)
+            k += 1
+        if k and not _resultant(f, last):
+            g = _subresultant_gcd(f, last)
+            todo.append(g)
+            f = poly_divmod(f, g)[0]
+        done.append((f, k))
+    return done
+
+
+def exact_ranks(field, rows) -> tuple[int, ...]:
+    """Rank of a matrix of field elements at each place, decided in K.
+
+    The rank at a place is the rank over the factor field Q[x]/(g) of K
+    for the irreducible factor g of p that the place's root annihilates.
+    _bareiss_ranks finds one rank modulo each factor of p that dynamic
+    evaluation splits off, shared by the irreducible factors it holds.
+    When p does not split, every place takes that one rank; otherwise each
+    place takes the rank of the factor nearest zero at its root, the one
+    factor that the root annihilates.
+    """
+    if not rows or not rows[0]:
+        return (0,) * field.n_places
+    m, bits, _ = _kronecker_matrix(field, rows)
+    branches = _bareiss_ranks(m, bits, list(field.poly))
+    if len(branches) == 1:
+        return (branches[0][1],) * field.n_places
+    with mp.workdps(field.digits + GUARD):
+        return tuple(
+            min(branches, key=lambda fr: abs(_horner(fr[0], z)))[1] for z in field.sigma_star
+        )
 
 
 @dataclass(frozen=True)

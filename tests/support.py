@@ -128,13 +128,19 @@ def aberth_roots(coeffs, digits):
     return z
 
 
+def monic_gcd(a, b) -> list:
+    """The monic gcd of two rational polynomials (constant first, not both
+    zero), by Euclid's algorithm over Q."""
+    a, b = poly_trim([Fraction(c) for c in a]), poly_trim([Fraction(c) for c in b])
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
 def coprime(a, b) -> bool:
     """True iff the gcd of two rational polynomials (constant first) is a
     nonzero constant, by Euclid's algorithm over Q."""
-    a, b = poly_trim([Fraction(c) for c in a]), poly_trim([Fraction(c) for c in b])
-    while len(b) > 1:
-        a, b = b, poly_divmod(a, b)[1]
-    return len(b) == 1
+    return len(monic_gcd(a, b)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -399,6 +399,23 @@ def test_numerical_exit_code(capsys):
     assert code == 3 and "cutoff" in err
 
 
+def test_misjudged_kernel_exit_code(capsys):
+    # 10^-30 has exact rank 1, but at 50 digits its Laplacian eigenvalue
+    # 10^-60 falls below the cutoff: more digits help, so the exit is 3
+    cplx = json.dumps(
+        {
+            "lengths": [1, 1],
+            "diffs": [[["1/" + "1" + "0" * 30]]],
+            "grams": [[[[1]], [[1]]], [[[1]], [[1]]]],
+        }
+    )
+    code, out, err = run(capsys, "rtorsion", "--field", Z2, "--complex", cplx, "--digits", "50")
+    assert code == 3 and out == "" and "cutoff" in err
+    d = run_json(capsys, "rtorsion", "--field", Z2, "--complex", cplx, "--digits", "130")
+    for k in (0, 1):
+        assert close(d["tau"][f"sigma_{k}"], "1e30", "1e-10")
+
+
 def test_table_format(capsys):
     code, out, _ = run(capsys, "cheeger-muller", "--r", "5", "--format", "table")
     assert code == 0

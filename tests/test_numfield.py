@@ -31,7 +31,7 @@ from regtor import (
 )
 from regtor import numfield
 from regtor.cli import main
-from support import aberth_roots, coprime, field_units, load_descriptor
+from support import aberth_roots, coprime, field_units, load_descriptor, monic_gcd
 
 small_coeffs = st.lists(
     st.integers(min_value=-6, max_value=6), min_size=1, max_size=4
@@ -233,6 +233,89 @@ def test_all_ones_polynomial_skips_the_resultant(monkeypatch):
         assert build_field([1] * r, 30).degree == r - 1
     with pytest.raises(AssertionError):
         build_field([2, 1, 1], 30)
+
+
+def test_subresultant_gcd_matches_euclid():
+    # f = g h and e = g u share the roots of g; Euclid over Q is the oracle
+    rng = random.Random(31)
+
+    def poly(degree):
+        return [rng.randint(-4, 4) for _ in range(degree)] + [1]
+
+    for _ in range(30):
+        g, h = poly(rng.randint(1, 3)), poly(rng.randint(1, 4))
+        f = [int(c) for c in numfield.poly_mul(g, h)]
+        # deg u < deg h keeps deg e below deg f
+        u = [rng.randint(-3, 3) for _ in range(rng.randint(0, len(h) - 2))] + [rng.choice((-2, 1, 3))]
+        e = [int(c) for c in numfield.poly_mul(g, u)]
+        assert numfield._resultant(f, e) == 0
+        assert numfield._subresultant_gcd(f, e) == monic_gcd(f, e)
+
+
+def _transvections(field, rng, n, count):
+    # a product of elementary matrices I + w E_kl with dense w: unimodular,
+    # so it keeps the rank at every place
+    u = [[field.one() if r == c else field.zero() for c in range(n)] for r in range(n)]
+    for _ in range(count if n > 1 else 0):
+        k, l = rng.sample(range(n), 2)
+        w = field.element([rng.randint(-2, 2) for _ in range(field.degree)])
+        u[k] = [field.add(x, field.mul(w, y)) for x, y in zip(u[k], u[l])]
+    return u
+
+
+def _mat_mul(field, a, b):
+    out = []
+    for row in a:
+        out.append([field.zero()] * len(b[0]))
+        for t, x in enumerate(row):
+            out[-1] = [field.add(acc, field.mul(x, y)) for acc, y in zip(out[-1], b[t])]
+    return out
+
+
+@pytest.mark.parametrize(
+    "poly, factors",
+    [
+        ([2, 0, 3, 0, 1], ([1, 0, 1], [2, 0, 1])),  # (x^2 + 1)(x^2 + 2)
+        ([-6, 11, -6, 1], ([-1, 1], [-2, 1], [-3, 1], [2, -3, 1])),  # (x - 1)(x - 2)(x - 3)
+        ([-2, 0, 1], ()),
+        ([1, 1, 1, 1, 1], ()),
+    ],
+)
+def test_exact_ranks_follow_the_factors_of_p(poly, factors):
+    # M = U D V with unimodular U, V and D diagonal in 1, 0 and factors of p:
+    # at each place the rank counts the diagonal entries its root keeps
+    # nonzero, read off the embedded values
+    field = build_field(poly, 50)
+    rng = random.Random(sum(poly))
+    pool = [[1], [0], [2, 1]] + [list(f) for f in factors]
+    for _ in range(12):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        diag = [field.element(rng.choice(pool)) for _ in range(min(rows, cols))]
+        d = [[diag[r] if r == c else field.zero() for c in range(cols)] for r in range(rows)]
+        m = _mat_mul(field, _transvections(field, rng, rows, 4), d)
+        m = _mat_mul(field, m, _transvections(field, rng, cols, 4))
+        with mp.workdps(60):
+            want = tuple(
+                sum(1 for x in diag if abs(embed(field, x, k)) > mp.mpf(10) ** -40)
+                for k in range(field.n_places)
+            )
+        assert numfield.exact_ranks(field, m) == want
+
+
+def test_exact_ranks_take_one_resultant_per_matrix(monkeypatch):
+    # over an irreducible p only the last pivot's unit test needs a resultant
+    field, _ = field_units("zeta5")
+    calls = []
+    resultant = numfield._resultant
+    monkeypatch.setattr(numfield, "_resultant", lambda f, e: calls.append(1) or resultant(f, e))
+    rng = random.Random(5)
+    m = _mat_mul(field, _transvections(field, rng, 4, 8), _transvections(field, rng, 4, 8))
+    assert numfield.exact_ranks(field, m) == (4, 4)
+    assert len(calls) == 1
+    calls.clear()
+    assert numfield.exact_ranks(field, [[field.zero()] * 3] * 2) == (0, 0)
+    assert numfield.exact_ranks(field, []) == (0, 0)
+    assert calls == []
 
 
 def test_element_reduction_and_arithmetic():

@@ -7,6 +7,7 @@ unitary base change, degree shift, and direct sum; and the point-level
 Euler-characteristic identity on designed and randomized complexes.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -29,7 +30,8 @@ from regtor import (
     torsion_by_contraction,
     verify_euler_identity,
 )
-from regtor import flatmodel, rtorsion
+from regtor import build_field, flatmodel, rtorsion
+from regtor.numfield import rank_cutoff
 from support import (
     euler_residual_by_classes,
     field_lattice,
@@ -269,6 +271,30 @@ def test_build_complex_over_r_checks_exactly():
         build_complex_over_r(
             field, (1, 1), ([[two]],), [[EYE1]], [CohomologySpec(0)] * 2
         )
+
+
+def test_build_complex_over_r_checks_cohomology_exactly():
+    field, _ = field_units("zsqrt2")
+    two, one, zero = field.element([2]), field.one(), field.zero()
+    grams = [[EYE1, EYE1], [EYE2, EYE2]]
+    # 0 -> R --(2, 0)^T--> R^2 -> 0 has H^1 = R/(2) + R, with free part (0, 1)
+    def make(reps, free_rank=1):
+        free = CohomologySpec(free_rank, reps, ([[1]] * free_rank,) * 2) if free_rank else CohomologySpec(0)
+        return build_complex_over_r(field, (1, 2), ([[two], [zero]],), grams, [CohomologySpec(0), free])
+
+    assert make(((zero,), (one,))).ranks == ((1,), (1,))
+    with pytest.raises(ValidationError, match="degree 1 supplies 0 cohomology classes "
+                       "but the kernel has dimension 1"):
+        make((), 0)
+    with pytest.raises(ValidationError, match="degree 1 supplies 2 cohomology classes "
+                       "but the kernel has dimension 1"):
+        make(((zero, one), (one, zero)), 2)
+    # d0 = (1, -1) has kernel R (1, 1), so (1, 2) is no cocycle
+    row = [[one, field.neg(one)]]
+    spec = CohomologySpec(1, ((one,), (two,)), ([[1]], [[1]]))
+    with pytest.raises(ValidationError, match="a degree-0 representative is not a cocycle"):
+        build_complex_over_r(field, (2, 1), (row,), [[EYE2, EYE2], [EYE1, EYE1]],
+                             [spec, CohomologySpec(0)])
 
 
 def test_rtorsion_form_of_rational_multiplier_is_balanced():
@@ -517,17 +543,52 @@ def _corpus_places():
             yield at_place(cplx, k)
 
 
-def test_contraction_takes_singular_values_only(monkeypatch):
+def test_contraction_over_r_takes_no_numeric_rank(monkeypatch):
+    # places of a complex over R carry exact ranks, so the basis-chase takes
+    # no singular value, eigenvalue or logarithm
+    field, _ = field_units("zsqrt2")
+    places = [at_place(_free_cohomology_complex(field), 0), *_corpus_places()]
+    assert all(at.ranks is not None for at in places)
     calls = []
     for name in ("svd_c", "eighe", "log", "exp"):
         monkeypatch.setattr(mp, name, _counting(calls, name, getattr(mp, name)))
-    field, _ = field_units("zsqrt2")
-    places = [at_place(_free_cohomology_complex(field), 0), *_corpus_places()]
-    calls.clear()
     for at in places:
+        torsion_by_contraction(at)
+    assert calls == []
+
+
+def test_contraction_on_bare_complexes_takes_singular_values_only(monkeypatch):
+    # a complex built directly over C has no K: its ranks come from singular
+    # values alone, and they agree with the exact ranks where both exist
+    field, _ = field_units("zsqrt2")
+    over_r = [at_place(_free_cohomology_complex(field), 0), *_corpus_places()]
+    want = [torsion_by_contraction(at) for at in over_r]
+    bare = [dataclasses.replace(at, ranks=None) for at in over_r]
+    calls = []
+    for name in ("svd_c", "eighe", "log", "exp"):
+        monkeypatch.setattr(mp, name, _counting(calls, name, getattr(mp, name)))
+    got = [torsion_by_contraction(at) for at in bare]
+    for at in _pivot_cases(50):
         torsion_by_contraction(at)
     assert calls and all(name == "svd_c" for name, _ in calls)
     assert all(kwargs == {"compute_uv": False} for _, kwargs in calls)
+    with mp.workdps(60):
+        assert all(abs(a / b - 1) < mp.mpf(10) ** -45 for a, b in zip(got, want))
+
+
+def test_exact_ranks_agree_with_singular_values():
+    # on the well-conditioned corpus the exact rank of each d_i is the count
+    # of its singular values above the cutoff
+    for field, _, cplx in _corpus_complexes():
+        for k in range(field.n_places):
+            at = at_place(cplx, k)
+            with mp.workdps(at.digits + 10):
+                cut = rank_cutoff(at.digits)
+                numeric = tuple(
+                    sum(1 for v in mp.svd_c(d, compute_uv=False) if v > cut) if d.rows and d.cols else 0
+                    for d in at.ortho_diffs
+                )
+            assert cplx.ranks[k] == at.ranks == numeric
 
 
 def test_laplacian_takes_eigenvectors_only_where_cohomology_is_listed(monkeypatch):
@@ -659,6 +720,62 @@ def test_contraction_resolves_small_scalar_differential(e):
 )
 def test_laplacian_resolves_small_scalar_differential(e):
     assert _is_ten_to(reidemeister(_small_scalar(e)), e)
+
+
+def test_laplacian_misjudged_kernel_over_r_is_ambiguous():
+    # 0 -> R --10^-30--> R -> 0: at 50 digits the Laplacian eigenvalue
+    # 10^-60 falls below the cutoff 10^-25, far outside its band, but the
+    # exact rank is 1, so more digits would help: RankAmbiguous, not the
+    # rep-count ValidationError.  The basis-chase takes the exact rank.
+    for digits in (50, 130):
+        field, _ = field_units("zsqrt2", digits)
+        tiny = field.element([Fraction(1, 10**30)])
+        cplx = build_complex_over_r(
+            field, (1, 1), ([[tiny]],), [[EYE1, EYE1], [EYE1, EYE1]], [CohomologySpec(0)] * 2
+        )
+        for k in range(field.n_places):
+            at = at_place(cplx, k)
+            assert _is_ten_to(torsion_by_contraction(at), 30)
+            if digits == 50:
+                with pytest.raises(RankAmbiguous, match="Laplacian in degree 0: 1 eigenvalues "
+                                   "fall below the cutoff but the exact kernel has dimension 0"):
+                    reidemeister(at)
+            else:
+                assert _is_ten_to(reidemeister(at), 30)
+
+
+def test_ranks_split_where_p_factors():
+    # p = (x^2 + 1)(x^2 + 2): place 0 is i, a root of x^2 + 1, and place 1
+    # is i sqrt2.  d0 = diag(x^2 + 1, x^2 + 2) has rank 1 at both, while an
+    # elimination that treats p as irreducible finds rank 2.
+    field = build_field([2, 0, 3, 0, 1], 50)
+    a, b = field.element([1, 0, 1]), field.element([2, 0, 1])
+    zero, one = field.zero(), field.one()
+    grams = [[EYE2, EYE2], [EYE2, EYE2]]
+    cplx = build_complex_over_r(
+        field,
+        (2, 2),
+        ([[a, zero], [zero, b]],),
+        grams,
+        [
+            CohomologySpec(1, ((b,), (a,)), ([[1]], [[1]])),
+            CohomologySpec(1, ((one,), (one,)), ([[1]], [[1]])),
+        ],
+    )
+    assert cplx.ranks == ((1,), (1,))
+    with mp.workdps(60):
+        for k in range(field.n_places):
+            at = at_place(cplx, k)
+            want = torsion_by_coimage(at)
+            assert abs(want - 1) < mp.mpf(10) ** -45
+            for got in (reidemeister(at), torsion_by_contraction(at)):
+                assert abs(got / want - 1) < mp.mpf(10) ** -45
+    # diag(x^2 + 1, 1) has rank 1 at i but 2 at i sqrt2: the cohomology
+    # differs between the places, and no one free rank fits both
+    with pytest.raises(ValidationError, match="degree 0 supplies 0 cohomology classes "
+                       "but the kernel has dimension 1"):
+        build_complex_over_r(field, (2, 2), ([[a, zero], [zero, one]],), grams,
+                             [CohomologySpec(0)] * 2)
 
 
 def test_at_place_accepts_exact_complex_with_large_coefficients():
