@@ -8,9 +8,10 @@ always mean-zero, and the printable coordinates eliminate the first place
 through b_1(sigma_0) = -sum of the others.
 
 The regulator lattice is the image of the units under u -> (1/2) ln|sigma(u)|
-in quotient coordinates, LLL-reduced; torus elements are Babai-reduced
-residues modulo that lattice.  A point class is (rank, class-group exponents,
-torus element) with componentwise addition.
+in quotient coordinates, reduced by one LLL pass over all the unit images;
+torus elements are Babai-reduced residues modulo that lattice.  A point
+class is (rank, class-group exponents, torus element) with componentwise
+addition.
 
 A Gram determinant is kept as the determinant (prod of the Cholesky
 diagonal)^2, and a logarithm is taken only where a coefficient vector needs
@@ -161,59 +162,52 @@ def _vec_norm(v):
     return mp.sqrt(_dot(v, v))
 
 
-def _gram_schmidt(basis, tiny):
-    """Orthogonalization with mu coefficients; near-zero directions give mu = 0."""
-    star = []
-    mu = [[mpf(0)] * len(basis) for _ in basis]
-    for i, b in enumerate(basis):
-        v = list(b)
-        for j in range(i):
-            bj2 = _dot(star[j], star[j])
-            mu[i][j] = _dot(b, star[j]) / bj2 if bj2 > tiny * tiny else mpf(0)
-            v = [v[t] - mu[i][j] * star[j][t] for t in range(len(v))]
-        star.append(v)
-    return star, mu
+def _lll(vectors, drop):
+    """LLL reduction (delta = 0.99) of a generating set; returns (basis, star).
 
-
-def _lll(basis, drop_tol):
-    """LLL reduction (delta = 0.99) that discards collapsed directions.
-
-    Inputs may be linearly dependent; dependent vectors shrink to (near) zero
-    through the swap steps and are removed.
+    One incremental pass in the manner of Schnorr and Euchner (Math.
+    Programming 66, 1994): the Gram-Schmidt rows below k stay current, and
+    row k is orthogonalized afresh, by classical Gram-Schmidt against the
+    unreduced b_k, each time k is reached.  Size reduction updates the mu of
+    row k in place.  Vectors of norm <= drop are removed up front, and a
+    vector that size reduction collapses to norm <= drop is removed where it
+    stands: the rows below it do not change.  Size reduction of row k
+    against an LLL-reduced prefix is Babai's nearest plane, so the pass
+    gives the basis that reducing one generator at a time gives.  star
+    holds the Gram-Schmidt vectors of the returned basis.
     """
     delta = mpf("0.99")
-    b = [list(v) for v in basis]
-    steps = 0
-    while True:
-        b = [v for v in b if _vec_norm(v) > drop_tol]
-        n = len(b)
-        if n <= 1:
-            return b
-        star, mu = _gram_schmidt(b, drop_tol)
-        k = 1
-        collapsed = False
-        while k < n:
-            steps += 1
-            if steps > _LLL_STEP_CAP:
-                raise NoConvergence("lattice reduction did not terminate")
-            for j in range(k - 1, -1, -1):
-                q = int(mp.nint(mu[k][j]))
-                if q != 0:
-                    b[k] = [b[k][t] - q * b[j][t] for t in range(len(b[k]))]
-                    star, mu = _gram_schmidt(b, drop_tol)
-            if _vec_norm(b[k]) <= drop_tol:
-                collapsed = True
-                break
-            bk = _dot(star[k], star[k])
-            bk1 = _dot(star[k - 1], star[k - 1])
-            if bk >= (delta - mu[k][k - 1] ** 2) * bk1:
-                k += 1
-            else:
-                b[k], b[k - 1] = b[k - 1], b[k]
-                star, mu = _gram_schmidt(b, drop_tol)
-                k = max(k - 1, 1)
-        if not collapsed:
-            return b
+    b = [list(v) for v in vectors if _vec_norm(v) > drop]
+    star, norms, mu = [], [], []
+    k = steps = 0
+    while k < len(b):
+        steps += 1
+        if steps > _LLL_STEP_CAP:
+            raise NoConvergence("lattice reduction did not terminate")
+        mu_k = [
+            _dot(b[k], star[j]) / norms[j] if norms[j] > drop * drop else mpf(0)
+            for j in range(k)
+        ]
+        v = list(b[k])
+        for j in range(k):
+            v = [x - mu_k[j] * s for x, s in zip(v, star[j])]
+        for j in range(k - 1, -1, -1):
+            q = int(mp.nint(mu_k[j]))
+            if q != 0:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                mu_k[j] -= q
+                for i in range(j):
+                    mu_k[i] -= q * mu[j][i]
+        if _vec_norm(b[k]) <= drop:
+            del b[k]
+            continue
+        star[k:], norms[k:], mu[k:] = [v], [_dot(v, v)], [mu_k]
+        if k == 0 or norms[k] >= (delta - mu_k[k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            k -= 1
+    return b, star
 
 
 def _babai(basis, star, target):
@@ -252,25 +246,16 @@ class RegulatorLattice:
 def build_lattice(field: NumberField, units) -> RegulatorLattice:
     """Lattice generated by the unit-log images of the given units.
 
-    Torsion units map to (near) zero and are discarded; generators dependent
-    on the ones already kept are detected by nearest-plane reduction.
+    One LLL pass over all the images: torsion units map to (near) zero and
+    are dropped up front, and each dependence among the images shows as a
+    vector that size reduction collapses, which is dropped where it stands.
+    Raises ValidationError when the rank exceeds the unit-group rank, and
+    NoConvergence when the pass exceeds its step cap or the basis fails to
+    absorb a unit image.
     """
     images = [unit_log(field, u) for u in units]
     with mp.workdps(field.digits + GUARD):
-        drop = rank_cutoff(field.digits)
-        basis: list = []
-        star: list = []
-        for f in images:
-            vec = list(f.values)
-            if _vec_norm(vec) <= drop:
-                continue
-            if basis:
-                vec, _ = _babai(basis, star, vec)
-                if _vec_norm(vec) <= drop:
-                    continue
-            basis.append(vec)
-            basis = _lll(basis, drop)
-            star, _ = _gram_schmidt(basis, drop)
+        basis, star = _lll([f.values for f in images], rank_cutoff(field.digits))
         if len(basis) > field.r_real + field.r_complex - 1:
             raise ValidationError("lattice rank exceeds the unit-group rank")
         tol = torus_tolerance(field.digits)

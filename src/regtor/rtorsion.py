@@ -538,6 +538,9 @@ def build_complex_over_r(field, lengths, diffs, grams, cohomology) -> MetrizedCo
     gg = tuple(tuple(m for m in per_degree) for per_degree in grams)
     if len(gg) != nd or any(len(per) != field.n_places for per in gg):
         raise ValidationError("expected one Gram per degree and place representative")
+    cohomology = tuple(cohomology)
+    if len(cohomology) != nd:
+        raise ValidationError("expected one cohomology description per degree")
     specs = []
     for i, spec in enumerate(cohomology):
         reps = tuple(tuple(field.element(x) for x in row) for row in spec.free_reps)
@@ -554,8 +557,6 @@ def build_complex_over_r(field, lengths, diffs, grams, cohomology) -> MetrizedCo
                 torsion=spec.torsion,
             )
         )
-    if len(specs) != nd:
-        raise ValidationError("expected one cohomology description per degree")
     for i, spec in enumerate(specs[:-1]):
         if spec.free_rank and not _product_is_zero(field, dd[i], spec.free_reps):
             raise ValidationError(f"a degree-{i} representative is not a cocycle")

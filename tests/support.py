@@ -1,16 +1,17 @@
 """Shared helpers for the test suite.
 
-Contains the field loaders, independent oracles for polynomial roots
-(Aberth-Ehrlich iteration with a Newton polish), coprimality (Euclid over
-Q, against the library's resultant test), the Bernoulli numbers
-(the exact defining recurrence), integer zeta values (Euler-Maclaurin
-summation) and the polylogarithm (direct partial sum plus Euler-Maclaurin
-tail), exact rational positive-definite Gram generators, unimodular base
-changes over a number ring, the randomized metrized-complex corpus used
-by the calibration tests, the basis-chase torsion over orthonormal SVD
-coimage bases (against the library's pivot-column route), and the
-Euler-characteristic residual summed one class per term (against the
-library's single class per complex).
+Contains the field loaders, the incremental lattice-basis reduction (the
+oracle for the library's single LLL pass), independent oracles for
+polynomial roots (Aberth-Ehrlich iteration with a Newton polish),
+coprimality (Euclid over Q, against the library's resultant test), the
+Bernoulli numbers (the exact defining recurrence), integer zeta values
+(Euler-Maclaurin summation) and the polylogarithm (direct partial sum plus
+Euler-Maclaurin tail), exact rational positive-definite Gram generators,
+unimodular base changes over a number ring, the randomized
+metrized-complex corpus used by the calibration tests, the basis-chase
+torsion over orthonormal SVD coimage bases (against the library's
+pivot-column route), and the Euler-characteristic residual summed one
+class per term (against the library's single class per complex).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from regtor import (
     point_class,
     presentation,
     rtorsion_form,
+    unit_log,
     zero_class,
     zhat,
 )
@@ -66,6 +68,117 @@ def rel_err(got, want):
     if denom == 0:
         return abs(got)
     return abs(got - want) / denom
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_units(p: int, digits: int):
+    """Z[zeta_p] with the units -1, zeta and 1 + zeta + ... + zeta^(a-1) for
+    a = 2..(p-1)/2, as in perfbench's cyclotomic descriptors."""
+    units = [["-1"], ["0", "1"]] + [["1"] * a for a in range(2, (p - 1) // 2 + 1)]
+    return parse_descriptor(
+        {"poly": [1] * p, "units": units, "digits": digits, "class_group": {"orders": []}}
+    )
+
+
+# ---------------------------------------------------------------------------
+# Independent lattice-basis oracle: the incremental reduction that rebuilds
+# everything it can.  Each new unit image is Babai-reduced against the basis
+# so far and appended, and LLL (delta = 0.99) runs again on the whole basis.
+# LLL recomputes the whole Gram-Schmidt basis after every size reduction and
+# every swap, and starts over after a vector collapses.
+# ---------------------------------------------------------------------------
+
+_ORACLE_LLL_STEP_CAP = 50_000
+
+
+def _oracle_dot(u, v):
+    return mp.fsum(a * b for a, b in zip(u, v))
+
+
+def _oracle_norm(v):
+    return mp.sqrt(_oracle_dot(v, v))
+
+
+def _oracle_gram_schmidt(basis, tiny):
+    star = []
+    mu = [[mpf(0)] * len(basis) for _ in basis]
+    for i, b in enumerate(basis):
+        v = list(b)
+        for j in range(i):
+            bj2 = _oracle_dot(star[j], star[j])
+            mu[i][j] = _oracle_dot(b, star[j]) / bj2 if bj2 > tiny * tiny else mpf(0)
+            v = [v[t] - mu[i][j] * star[j][t] for t in range(len(v))]
+        star.append(v)
+    return star, mu
+
+
+def _oracle_lll(basis, drop_tol):
+    delta = mpf("0.99")
+    b = [list(v) for v in basis]
+    steps = 0
+    while True:
+        b = [v for v in b if _oracle_norm(v) > drop_tol]
+        n = len(b)
+        if n <= 1:
+            return b
+        star, mu = _oracle_gram_schmidt(b, drop_tol)
+        k = 1
+        collapsed = False
+        while k < n:
+            steps += 1
+            if steps > _ORACLE_LLL_STEP_CAP:
+                raise NoConvergence("oracle lattice reduction did not terminate")
+            for j in range(k - 1, -1, -1):
+                q = int(mp.nint(mu[k][j]))
+                if q != 0:
+                    b[k] = [b[k][t] - q * b[j][t] for t in range(len(b[k]))]
+                    star, mu = _oracle_gram_schmidt(b, drop_tol)
+            if _oracle_norm(b[k]) <= drop_tol:
+                collapsed = True
+                break
+            bk = _oracle_dot(star[k], star[k])
+            bk1 = _oracle_dot(star[k - 1], star[k - 1])
+            if bk >= (delta - mu[k][k - 1] ** 2) * bk1:
+                k += 1
+            else:
+                b[k], b[k - 1] = b[k - 1], b[k]
+                star, mu = _oracle_gram_schmidt(b, drop_tol)
+                k = max(k - 1, 1)
+        if not collapsed:
+            return b
+
+
+def _oracle_babai(basis, star, target):
+    t = list(target)
+    for i in range(len(basis) - 1, -1, -1):
+        bi2 = _oracle_dot(star[i], star[i])
+        if bi2 == 0:
+            continue
+        c = int(mp.nint(_oracle_dot(t, star[i]) / bi2))
+        if c != 0:
+            t = [t[k] - c * basis[i][k] for k in range(len(t))]
+    return t
+
+
+def lattice_basis_oracle(field, units) -> list:
+    """Reduced basis of the unit-log images, one generator at a time."""
+    images = [unit_log(field, u) for u in units]
+    with mp.workdps(field.digits + GUARD):
+        drop = rank_cutoff(field.digits)
+        basis: list = []
+        star: list = []
+        for f in images:
+            vec = list(f.values)
+            if _oracle_norm(vec) <= drop:
+                continue
+            if basis:
+                vec = _oracle_babai(basis, star, vec)
+                if _oracle_norm(vec) <= drop:
+                    continue
+            basis.append(vec)
+            basis = _oracle_lll(basis, drop)
+            star, _ = _oracle_gram_schmidt(basis, drop)
+        return basis
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,17 @@ def test_rtorsion(capsys):
     assert close(d["form_b1_reduced"]["b1(sigma_1)"], 0)
 
 
+def test_rtorsion_refuses_extra_cohomology(capsys):
+    # lengths [1, 1] with a third description that has a free rank
+    cplx = json.loads(ACYCLIC)
+    cplx["cohomology"] = [{}, {}, {"free_rank": 1, "free_reps": [["1"]],
+                                   "free_grams": [[[1]], [[1]]]}]
+    code, out, err = run(capsys, "rtorsion", "--field", Z2, "--complex", json.dumps(cplx))
+    assert code == 2 and out == ""
+    assert "expected one cohomology description per degree" in err
+    assert "Traceback" not in err
+
+
 def test_euler_check(capsys):
     cplx = json.loads(ACYCLIC)
     cplx["cohomology"] = [{}, {"torsion": [["2"]]}]

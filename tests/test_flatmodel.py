@@ -1,7 +1,8 @@
 """Degree-wise coefficient vectors, the regulator lattice, and point classes.
 
 Oracles: mpmath logs of closed-form unit values (ln(1 + sqrt 2), the golden
-ratio), exact determinants of rational Grams, and the group laws themselves.
+ratio), the incremental lattice reduction in support, exact determinants of
+rational Grams, and the group laws themselves.
 """
 
 import random
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from regtor import (
+    NoConvergence,
     NotAUnit,
     NotPositiveDefinite,
     ValidationError,
@@ -31,8 +33,17 @@ from regtor import (
     zero_class,
     zero_form,
 )
+from regtor import flatmodel
 from regtor.flatmodel import lndet_hermitian
-from support import cholesky_oracle, field_lattice, field_units, fraction_det, random_pd_gram
+from support import (
+    cholesky_oracle,
+    cyclotomic_units,
+    field_lattice,
+    field_units,
+    fraction_det,
+    lattice_basis_oracle,
+    random_pd_gram,
+)
 
 small_ints = st.integers(min_value=-4, max_value=4)
 
@@ -148,6 +159,71 @@ def test_lattice_with_redundant_units():
     with mp.workdps(60):
         want = mp.log(1 + mp.sqrt(2))
         assert abs(abs(lat.basis_form(0).reduced_b1_coords()[0]) - want) < mp.mpf(10) ** -45
+
+
+def _printed(basis, digits):
+    return [[mp.nstr(x, digits) for x in v] for v in basis]
+
+
+def _covolume(basis, digits):
+    with mp.workdps(digits + 20):
+        gram = mp.matrix([[mp.fsum(a * b for a, b in zip(u, v)) for v in basis] for u in basis])
+        return mp.sqrt(mp.det(gram))
+
+
+@pytest.mark.parametrize("p, digits", [(7, 1000), (11, 50), (13, 300), (17, 50), (23, 50)])
+def test_lattice_basis_matches_incremental_oracle(p, digits):
+    field, units = cyclotomic_units(p, digits)
+    lat = build_lattice(field, units)
+    assert lat.rank == (p - 3) // 2
+    assert _printed(lat.basis, digits) == _printed(lattice_basis_oracle(field, units), digits)
+
+
+@pytest.mark.parametrize(
+    "p, digits, seed", [(11, 50, 1), (11, 50, 2), (13, 300, 3), (13, 300, 4), (17, 50, 5), (17, 50, 6)]
+)
+def test_lattice_of_dependent_units_matches_oracle(p, digits, seed):
+    # u_a u_b goes first, before both of its factors; u_a^2 u_b and the
+    # descriptor units follow in a shuffled order
+    field, units = cyclotomic_units(p, digits)
+    rng = random.Random(seed)
+    ua, ub = rng.sample(units[2:], 2)
+    rest = [*units, field.mul(field.mul(ua, ua), ub)]
+    rng.shuffle(rest)
+    gens = [field.mul(ua, ub), *rest]
+    lat = build_lattice(field, gens)
+    want = lattice_basis_oracle(field, gens)
+    assert lat.rank == len(want) == (p - 3) // 2
+    got_cov, want_cov = _covolume(lat.basis, digits), _covolume(want, digits)
+    with mp.workdps(digits + 20):
+        assert abs(got_cov / want_cov - 1) < mp.mpf(10) ** -(digits - 5)
+    for u in gens:
+        _, absorbed = reduce_mod_lattice(lat, unit_log(field, u))
+        assert absorbed
+
+
+def test_lattice_reduction_work_is_bounded(monkeypatch):
+    # one incremental LLL pass makes 907 inner products over Z[zeta31] at 50
+    # digits; rebuilding Gram-Schmidt after every step and re-reducing the
+    # whole basis per generator made 4277
+    field, units = cyclotomic_units(31, 50)
+    calls = [0]
+    dot = flatmodel._dot
+
+    def counting(u, v):
+        calls[0] += 1
+        return dot(u, v)
+
+    monkeypatch.setattr(flatmodel, "_dot", counting)
+    assert build_lattice(field, units).rank == 14
+    assert calls[0] <= 1500
+
+
+def test_lattice_step_cap_raises(monkeypatch):
+    monkeypatch.setattr(flatmodel, "_LLL_STEP_CAP", 3)
+    field, units = cyclotomic_units(11, 50)
+    with pytest.raises(NoConvergence, match="lattice reduction did not terminate"):
+        build_lattice(field, units)
 
 
 def test_lattice_rank_zero_field():

@@ -271,6 +271,12 @@ def test_build_complex_over_r_checks_exactly():
         build_complex_over_r(
             field, (1, 1), ([[two]],), [[EYE1]], [CohomologySpec(0)] * 2
         )
+    # the count comes first: the third description names no degree
+    extra = CohomologySpec(1, ((field.one(),),), ([[1]], [[1]]))
+    with pytest.raises(ValidationError, match="expected one cohomology description per degree"):
+        build_complex_over_r(
+            field, (1, 1), ([[two]],), [[EYE1, EYE1]] * 2, [CohomologySpec(0)] * 2 + [extra]
+        )
 
 
 def test_build_complex_over_r_checks_cohomology_exactly():
@@ -686,9 +692,11 @@ def test_error_paths_are_unchanged():
         )
 
 
-# ROADMAP item 2 reproductions.  Each xfail pins today's exception; the fix
-# that decides ranks exactly flips them to passes.  The d after d tolerance
-# already scales with the data, so the large-coefficient case passes.
+# Small-scalar reproductions.  Each xfail pins today's exception.  Exact
+# ranks over K do not reach these complexes, which are built directly over
+# C; the open fix is a cutoff relative to the data (ROADMAP item 1).  The d
+# after d tolerance already scales with the data, so the large-coefficient
+# case passes.
 
 
 def _small_scalar(e):
