@@ -14,7 +14,6 @@ constants a_k kappa_k zeta(2k+1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -22,7 +21,7 @@ from mpmath import mp, mpc, mpf
 
 from . import rtorsion
 from .errors import TrivialHolonomyAtJZero, ValidationError
-from .numfield import GUARD, NumberField, build_field
+from .numfield import GUARD, NumberField, Record, build_field
 from .polylog import BERNOULLI_MAX, _check_j, bernoulli, polylog_circle, zeta_int
 
 # hatcher_constant needs B_{2k}, so k is bounded by the Bernoulli index bound.
@@ -45,8 +44,7 @@ def _is_prime(r: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CyclotomicSetup:
+class CyclotomicSetup(Record):
     """The cyclotomic ring of prime order r with embedded holonomies.
 
     thetas[k] is the argument in (0, 2 pi) of the k-th place representative
@@ -54,9 +52,12 @@ class CyclotomicSetup:
     land in (0, pi).
     """
 
-    r: int
-    field: NumberField
-    thetas: tuple
+    __slots__ = _fields = ("r", "field", "thetas")
+
+    def __init__(self, r: int, field: NumberField, thetas: tuple):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "thetas", thetas)
 
 
 def make_cyclotomic_setup(r: int, digits: int = 50) -> CyclotomicSetup:

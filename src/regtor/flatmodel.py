@@ -21,7 +21,6 @@ determinants multiply them first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
@@ -31,6 +30,7 @@ from .numfield import (
     GUARD,
     FieldElement,
     NumberField,
+    Record,
     embed,
     parse_rational,
     rank_cutoff,
@@ -60,8 +60,7 @@ def to_mp(x):
         raise ValidationError(f"not a number: {x!r}") from exc
 
 
-@dataclass(frozen=True)
-class FormElement:
+class FormElement(Record):
     """Coefficient vector of degree 2j+1 over the place representatives.
 
     digits records the precision the values were produced at; arithmetic on
@@ -69,9 +68,12 @@ class FormElement:
     ambient default.
     """
 
-    degree_index: int
-    values: tuple
-    digits: int
+    __slots__ = _fields = ("degree_index", "values", "digits")
+
+    def __init__(self, degree_index: int, values: tuple, digits: int):
+        object.__setattr__(self, "degree_index", degree_index)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "digits", digits)
 
     @property
     def degree(self) -> int:
@@ -163,7 +165,8 @@ def _vec_norm(v):
 
 
 def _lll(vectors, drop):
-    """LLL reduction (delta = 0.99) of a generating set; returns (basis, star).
+    """LLL reduction (delta = 0.99) of a generating set; returns (basis, star,
+    norms).
 
     One incremental pass in the manner of Schnorr and Euchner (Math.
     Programming 66, 1994): the Gram-Schmidt rows below k stay current, and
@@ -174,7 +177,8 @@ def _lll(vectors, drop):
     stands: the rows below it do not change.  Size reduction of row k
     against an LLL-reduced prefix is Babai's nearest plane, so the pass
     gives the basis that reducing one generator at a time gives.  star
-    holds the Gram-Schmidt vectors of the returned basis.
+    holds the Gram-Schmidt vectors of the returned basis and norms their
+    squared lengths.
     """
     delta = mpf("0.99")
     b = [list(v) for v in vectors if _vec_norm(v) > drop]
@@ -207,15 +211,17 @@ def _lll(vectors, drop):
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
             k -= 1
-    return b, star
+    return b, star, norms
 
 
-def _babai(basis, star, target):
-    """Nearest-plane reduction; returns (residual, integer coefficients)."""
+def _babai(lattice, target):
+    """Nearest-plane reduction against the lattice's basis, with the squared
+    Gram-Schmidt lengths it keeps; returns (residual, integer coefficients)."""
+    basis, star = lattice.basis, lattice.star
     t = list(target)
     coeffs = [0] * len(basis)
     for i in range(len(basis) - 1, -1, -1):
-        bi2 = _dot(star[i], star[i])
+        bi2 = lattice.norms[i]
         if bi2 == 0:
             continue
         c = int(mp.nint(_dot(t, star[i]) / bi2))
@@ -225,15 +231,24 @@ def _babai(basis, star, target):
     return t, coeffs
 
 
-@dataclass(frozen=True)
-class RegulatorLattice:
-    """LLL-reduced lattice of unit-log images in quotient coordinates."""
+class RegulatorLattice(Record):
+    """LLL-reduced lattice of unit-log images in quotient coordinates.
 
-    field: NumberField
-    unit_images: tuple
-    basis: tuple
-    star: tuple
-    tol: object
+    star holds the Gram-Schmidt vectors of basis and norms their squared
+    lengths, both as _lll left them at digits + GUARD.
+    """
+
+    __slots__ = _fields = ("field", "unit_images", "basis", "star", "tol", "norms")
+
+    def __init__(
+        self, field: NumberField, unit_images: tuple, basis: tuple, star: tuple, tol, norms: tuple
+    ):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "unit_images", unit_images)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "star", star)
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "norms", norms)
 
     @property
     def rank(self) -> int:
@@ -255,7 +270,7 @@ def build_lattice(field: NumberField, units) -> RegulatorLattice:
     """
     images = [unit_log(field, u) for u in units]
     with mp.workdps(field.digits + GUARD):
-        basis, star = _lll([f.values for f in images], rank_cutoff(field.digits))
+        basis, star, norms = _lll([f.values for f in images], rank_cutoff(field.digits))
         if len(basis) > field.r_real + field.r_complex - 1:
             raise ValidationError("lattice rank exceeds the unit-group rank")
         tol = torus_tolerance(field.digits)
@@ -265,20 +280,26 @@ def build_lattice(field: NumberField, units) -> RegulatorLattice:
             basis=tuple(tuple(v) for v in basis),
             star=tuple(tuple(v) for v in star),
             tol=tol,
+            norms=tuple(norms),
         )
         for f in images:
-            red, _ = _babai(lat.basis, lat.star, list(f.values))
+            red, _ = _babai(lat, f.values)
             if _vec_norm(red) > tol:
                 raise NoConvergence("reduced basis fails to absorb a unit image")
         return lat
 
 
-@dataclass(frozen=True, eq=False)
-class TorusElement:
-    """Residue of a degree-1 vector modulo the regulator lattice."""
+class TorusElement(Record):
+    """Residue of a degree-1 vector modulo the regulator lattice; two residues
+    are equal only as the same object (same_as compares them on the torus)."""
 
-    lattice: RegulatorLattice
-    values: tuple
+    __slots__ = _fields = ("lattice", "values")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, lattice: RegulatorLattice, values: tuple):
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "values", values)
 
     def norm(self):
         with mp.workdps(self.lattice.field.digits + GUARD):
@@ -290,13 +311,13 @@ class TorusElement:
     def add(self, other: "TorusElement") -> "TorusElement":
         with mp.workdps(self.lattice.field.digits + GUARD):
             s = [a + b for a, b in zip(self.values, other.values)]
-            red, _ = _babai(self.lattice.basis, self.lattice.star, s)
+            red, _ = _babai(self.lattice, s)
             return TorusElement(self.lattice, tuple(red))
 
     def neg(self) -> "TorusElement":
         with mp.workdps(self.lattice.field.digits + GUARD):
             s = [-a for a in self.values]
-            red, _ = _babai(self.lattice.basis, self.lattice.star, s)
+            red, _ = _babai(self.lattice, s)
             return TorusElement(self.lattice, tuple(red))
 
     def same_as(self, other: "TorusElement") -> bool:
@@ -314,7 +335,7 @@ def reduce_mod_lattice(lattice: RegulatorLattice, f: FormElement):
     if f.degree_index != 0:
         raise ValidationError("only degree-1 vectors reduce against the lattice")
     with mp.workdps(lattice.field.digits + GUARD):
-        red, _ = _babai(lattice.basis, lattice.star, list(f.values))
+        red, _ = _babai(lattice, f.values)
         t = TorusElement(lattice, tuple(red))
         return t, t.is_zero()
 
@@ -327,13 +348,18 @@ def _reduce_cls(orders, cls) -> tuple:
     return tuple(c % m for c, m in zip(vec, orders))
 
 
-@dataclass(frozen=True, eq=False)
-class PointClass:
-    """(rank, class-group exponents, torus element), added componentwise."""
+class PointClass(Record):
+    """(rank, class-group exponents, torus element), added componentwise;
+    equal only as the same object, like its torus element."""
 
-    rank: int
-    cls: tuple
-    torus: TorusElement
+    __slots__ = _fields = ("rank", "cls", "torus")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, rank: int, cls: tuple, torus: TorusElement):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "cls", cls)
+        object.__setattr__(self, "torus", torus)
 
     def same_as(self, other: "PointClass") -> bool:
         return (

@@ -13,7 +13,6 @@ substitution); no floating point enters before the final embedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
@@ -24,6 +23,7 @@ from .numfield import (
     GUARD,
     FieldElement,
     NumberField,
+    Record,
     _int_bareiss_det,
     _kronecker_digits,
     _kronecker_matrix,
@@ -59,14 +59,16 @@ def exact_det(field: NumberField, rows) -> FieldElement:
     return field.element([Fraction(c, den**m) for c in _kronecker_digits(det, bits)])
 
 
-@dataclass(frozen=True)
-class TorsionPresentation:
+class TorsionPresentation(Record):
     """Square presentation matrix of a finite torsion module over R."""
 
-    field: NumberField
-    size: int
-    entries: tuple
-    det_elem: FieldElement
+    __slots__ = _fields = ("field", "size", "entries", "det_elem")
+
+    def __init__(self, field: NumberField, size: int, entries: tuple, det_elem: FieldElement):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "det_elem", det_elem)
 
 
 def presentation(field: NumberField, rows) -> TorsionPresentation:

@@ -12,23 +12,23 @@ never through floating products.  The integrality test for units checks
 power-basis integrality only; when R is not the maximal order in the power
 basis, a unit of the field lying outside Z[x] is rejected.
 
-Shared by every module: the polynomial kit over Q (poly_trim, poly_mul,
-poly_divmod; coefficient lists constant first), the one Horner evaluator,
-the one fraction-free elimination step _bareiss_step over Z, and the
-precision policy.  _int_bareiss_det runs that step to a determinant: it
-serves norm and the squarefree test through _resultant, the subresultant
-gcd, and modtors.exact_det through Kronecker substitution
-(_kronecker_matrix).  exact_ranks runs it with complete pivoting on the
-Kronecker form of a matrix to decide its rank at each place exactly in K,
-splitting p where a pivot is a zero divisor.  Each public
-function works at digits + GUARD; the cutoffs rank_cutoff (10^(-digits/2)),
-torus_tolerance (10^(-digits/3)) and residual_tolerance
-(10^(-digits + GUARD)) are evaluated at the caller's working precision.
+Shared by every module: Record, the base of every immutable value type;
+the polynomial kit over Q (poly_trim, poly_mul, poly_divmod; coefficient
+lists constant first), the one Horner evaluator, the one fraction-free
+elimination step _bareiss_step over Z, and the precision policy.
+_int_bareiss_det runs that step to a determinant: it serves norm and the
+squarefree test through _resultant, the subresultant gcd, and
+modtors.exact_det through Kronecker substitution (_kronecker_matrix).
+exact_ranks runs it with complete pivoting on the Kronecker form of a
+matrix to decide its rank at each place exactly in K, splitting p where a
+pivot is a zero divisor.  Each public function works at digits + GUARD;
+the cutoffs rank_cutoff (10^(-digits/2)), torus_tolerance (10^(-digits/3))
+and residual_tolerance (10^(-digits + GUARD)) are evaluated at the
+caller's working precision.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 
@@ -47,11 +47,54 @@ DEGREE_MAX = 60
 _POLYROOTS_STEPS = 400
 
 
-@dataclass(frozen=True)
-class FieldElement:
+class Record:
+    """Base of regtor's immutable values: plain classes with __slots__.
+
+    A subclass names its fields, in constructor order, in _fields and
+    declares them in __slots__ (with any private cache after them), and its
+    written-out __init__ sets them through object.__setattr__; every other
+    assignment raises AttributeError.  Equality and hashing go by the class
+    and the tuple of fields, repr lists the fields by name, and copy and
+    pickle rebuild through the constructor.  A subclass compared by identity
+    sets __eq__ and __hash__ back to object's.  No code is generated at
+    import: each CLI call is a fresh process and would pay for it.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class FieldElement(Record):
     """Element of R tensor Q in the power basis 1, x, ..., x^{n-1}."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = _fields = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[Fraction, ...]):
+        _set_coeffs(self, coeffs)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -61,6 +104,11 @@ class FieldElement:
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coeffs) + ")"
+
+
+# The slot's own setter: FieldElement is built in the exact-arithmetic loops,
+# and this write skips the attribute lookup that object.__setattr__ makes.
+_set_coeffs = FieldElement.coeffs.__set__
 
 
 def rank_cutoff(digits: int):
@@ -312,8 +360,7 @@ def exact_ranks(field, rows) -> tuple[int, ...]:
         )
 
 
-@dataclass(frozen=True)
-class NumberField:
+class NumberField(Record):
     """An order R = Z[x]/(p) with its embeddings and chosen place representatives.
 
     sigma_star lists all real embeddings in ascending order, then one member
@@ -323,13 +370,27 @@ class NumberField:
     matching order.
     """
 
-    poly: tuple[int, ...]
-    digits: int
-    sigma_star: tuple
-    all_embeddings: tuple
-    r_real: int
-    r_complex: int
-    class_orders: tuple[int, ...] = ()
+    __slots__ = _fields = (
+        "poly", "digits", "sigma_star", "all_embeddings", "r_real", "r_complex", "class_orders"
+    )
+
+    def __init__(
+        self,
+        poly: tuple[int, ...],
+        digits: int,
+        sigma_star: tuple,
+        all_embeddings: tuple,
+        r_real: int,
+        r_complex: int,
+        class_orders: tuple[int, ...] = (),
+    ):
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "sigma_star", sigma_star)
+        object.__setattr__(self, "all_embeddings", all_embeddings)
+        object.__setattr__(self, "r_real", r_real)
+        object.__setattr__(self, "r_complex", r_complex)
+        object.__setattr__(self, "class_orders", class_orders)
 
     @property
     def degree(self) -> int:

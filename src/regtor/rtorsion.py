@@ -61,9 +61,6 @@ verify_euler_identity multiplies each place's Gram determinants and
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-
 from mpmath import mp, mpf
 
 from .errors import RankAmbiguous, ValidationError
@@ -84,6 +81,7 @@ from .modtors import TorsionPresentation, zhat
 from .numfield import (
     GUARD,
     NumberField,
+    Record,
     embed,
     exact_ranks,
     rank_cutoff,
@@ -100,11 +98,6 @@ _AMBIGUITY_FACTOR = 1000
 # differentials 1.6 / 1.9 s, on one core of a 2-core x86 machine with
 # mpmath's pure-Python backend.
 COMPLEX_SIZE_MAX = 12
-
-
-def _memo_field():
-    """A private per-object cache, outside init, repr and equality."""
-    return dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _matrix(rows, cols):
@@ -125,8 +118,7 @@ def _inverse_upper(up):
     return inv
 
 
-@dataclass(frozen=True)
-class MetrizedComplexAtPlace:
+class MetrizedComplexAtPlace(Record):
     """A finite cochain complex over C, validated and factored once.
 
     Every matrix field is an mp.matrix, 0 by n or n by 0 where a degree or a
@@ -140,19 +132,38 @@ class MetrizedComplexAtPlace:
     the rank of d_i decided exactly in K when the complex comes from a
     complex over R (at_place), and ranks is None for a complex built
     directly over C, whose ranks only singular values can tell.
-    reidemeister keeps its tau in _memo.
+    reidemeister keeps its tau in _memo, a fresh dict per object outside
+    the constructor, repr and equality.
     """
 
-    digits: int
-    lengths: tuple
-    ortho_diffs: tuple
-    ortho_reps: tuple
-    from_ortho: tuple
-    det_cochain: tuple
-    cohomology_dims: tuple
-    det_cohomology: tuple
-    ranks: tuple | None = None
-    _memo: dict = _memo_field()
+    _fields = (
+        "digits", "lengths", "ortho_diffs", "ortho_reps", "from_ortho",
+        "det_cochain", "cohomology_dims", "det_cohomology", "ranks",
+    )
+    __slots__ = _fields + ("_memo",)
+
+    def __init__(
+        self,
+        digits: int,
+        lengths: tuple,
+        ortho_diffs: tuple,
+        ortho_reps: tuple,
+        from_ortho: tuple,
+        det_cochain: tuple,
+        cohomology_dims: tuple,
+        det_cohomology: tuple,
+        ranks: tuple | None = None,
+    ):
+        object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "ortho_diffs", ortho_diffs)
+        object.__setattr__(self, "ortho_reps", ortho_reps)
+        object.__setattr__(self, "from_ortho", from_ortho)
+        object.__setattr__(self, "det_cochain", det_cochain)
+        object.__setattr__(self, "cohomology_dims", cohomology_dims)
+        object.__setattr__(self, "det_cohomology", det_cohomology)
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "_memo", {})
 
 
 def metrized_complex_at_place(
@@ -460,8 +471,7 @@ def torsion_by_contraction(cplx: MetrizedComplexAtPlace):
         return tau / mp.sqrt(det_h)
 
 
-@dataclass(frozen=True)
-class CohomologySpec:
+class CohomologySpec(Record):
     """Cohomology of one degree of an R-module complex.
 
     free_reps is a lengths[i] by free_rank matrix of ring elements whose
@@ -470,14 +480,22 @@ class CohomologySpec:
     a square presentation of the torsion part (invisible at every place).
     """
 
-    free_rank: int
-    free_reps: tuple = ()
-    free_grams: tuple = ()
-    torsion: TorsionPresentation | None = None
+    __slots__ = _fields = ("free_rank", "free_reps", "free_grams", "torsion")
+
+    def __init__(
+        self,
+        free_rank: int,
+        free_reps: tuple = (),
+        free_grams: tuple = (),
+        torsion: TorsionPresentation | None = None,
+    ):
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "free_reps", free_reps)
+        object.__setattr__(self, "free_grams", free_grams)
+        object.__setattr__(self, "torsion", torsion)
 
 
-@dataclass(frozen=True)
-class MetrizedComplexOverR:
+class MetrizedComplexOverR(Record):
     """Complex of free R-modules with one Gram per place and degree.
 
     diffs[i] is a lengths[i+1] by lengths[i] matrix of ring elements with
@@ -485,16 +503,29 @@ class MetrizedComplexOverR:
     places carry the conjugated data by construction, so only the
     representatives in Sigma* are stored.  ranks[k][i] is the rank of d_i
     at place k, decided exactly in K; when p factors it can differ between
-    places.  at_place keeps each place it builds in _memo.
+    places.  at_place keeps each place it builds in _memo, a fresh dict per
+    object outside the constructor, repr and equality.
     """
 
-    field: NumberField
-    lengths: tuple
-    diffs: tuple
-    grams: tuple
-    cohomology: tuple
-    ranks: tuple
-    _memo: dict = _memo_field()
+    _fields = ("field", "lengths", "diffs", "grams", "cohomology", "ranks")
+    __slots__ = _fields + ("_memo",)
+
+    def __init__(
+        self,
+        field: NumberField,
+        lengths: tuple,
+        diffs: tuple,
+        grams: tuple,
+        cohomology: tuple,
+        ranks: tuple,
+    ):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "diffs", diffs)
+        object.__setattr__(self, "grams", grams)
+        object.__setattr__(self, "cohomology", cohomology)
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "_memo", {})
 
 
 def _product_is_zero(field, left, right) -> bool:

@@ -203,9 +203,9 @@ def test_lattice_of_dependent_units_matches_oracle(p, digits, seed):
 
 
 def test_lattice_reduction_work_is_bounded(monkeypatch):
-    # one incremental LLL pass makes 907 inner products over Z[zeta31] at 50
-    # digits; rebuilding Gram-Schmidt after every step and re-reducing the
-    # whole basis per generator made 4277
+    # one incremental LLL pass and the absorption checks make 683 inner
+    # products over Z[zeta31] at 50 digits; rebuilding Gram-Schmidt after
+    # every step and re-reducing the whole basis per generator made 4277
     field, units = cyclotomic_units(31, 50)
     calls = [0]
     dot = flatmodel._dot
@@ -217,6 +217,25 @@ def test_lattice_reduction_work_is_bounded(monkeypatch):
     monkeypatch.setattr(flatmodel, "_dot", counting)
     assert build_lattice(field, units).rank == 14
     assert calls[0] <= 1500
+
+
+def test_reduction_reuses_the_lattice_norms(monkeypatch):
+    # Babai takes one inner product per basis vector and the zero test one
+    # more; recomputing each squared Gram-Schmidt length made it 2 rank + 1
+    field, units = cyclotomic_units(31, 50)
+    lat = build_lattice(field, units)
+    f = make_form(field, 0, [Fraction(k, 7) for k in range(field.n_places)])
+    calls = [0]
+    dot = flatmodel._dot
+
+    def counting(u, v):
+        calls[0] += 1
+        return dot(u, v)
+
+    monkeypatch.setattr(flatmodel, "_dot", counting)
+    reduce_mod_lattice(lat, f)
+    assert lat.rank == 14
+    assert calls[0] == lat.rank + 1
 
 
 def test_lattice_step_cap_raises(monkeypatch):

@@ -1,14 +1,49 @@
-"""The package's public names, and the functions the benchmark traces.
+"""The package's public names, the functions the benchmark traces, what
+importing the CLI loads, and the behaviour of the records.
 
 Moving code between modules must not change regtor.__all__, and must not
 drop a function that perfbench/tracing.py wraps for its per-layer times.
+Each CLI call is a fresh process, so importing regtor.cli must not load the
+code-generation machinery of dataclasses (inspect, ast, dis, tokenize).
 """
 
+import copy
 import importlib
 import importlib.util
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import regtor
+from regtor import (
+    CohomologySpec,
+    CyclotomicSetup,
+    FieldElement,
+    FormElement,
+    MetrizedComplexAtPlace,
+    MetrizedComplexOverR,
+    NumberField,
+    PointClass,
+    RegulatorLattice,
+    TorsionPresentation,
+    TorusElement,
+    at_place,
+    build_complex_over_r,
+    build_field,
+    build_lattice,
+    make_cyclotomic_setup,
+    make_form,
+    metrized_complex_at_place,
+    point_class,
+    presentation,
+    reduce_mod_lattice,
+    reidemeister,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 PUBLIC = [
     "CohomologySpec", "CyclotomicSetup", "FieldElement", "FormElement",
@@ -51,3 +86,88 @@ def test_traced_functions_exist():
         mod_name, func = qual.split(".")
         mod = importlib.import_module(f"regtor.{mod_name}")
         assert callable(getattr(mod, func, None)), qual
+
+
+def test_cli_import_loads_no_code_generation():
+    # compare module sets, since site may already have loaded typing and more
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); before = set(sys.modules); "
+        "import regtor.cli; print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True
+    )
+    added = set(proc.stdout.split())
+    assert "regtor.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
+def _complex_over_r(field):
+    return build_complex_over_r(
+        field, (1, 1), ([[field.element([2])]],), [[[[1]], [[1]]]] * 2, [CohomologySpec(0)] * 2
+    )
+
+
+def _complex_at_place():
+    return metrized_complex_at_place(30, (1, 1), ([[2]],), ([[1]], [[1]]), ((), ()), ((), ()))
+
+
+def _record_table():
+    """Each record with a builder of fresh instances from fixed data, one of
+    its fields, and whether it compares by value (else by identity)."""
+    field = build_field((-2, 0, 1), 30)
+    lat = build_lattice(field, [field.element([1, 1])])
+    form = make_form(field, 0, ["1/3", "2/7"])
+    return [
+        (FieldElement, lambda: field.element([1, 2]), "coeffs", True),
+        (NumberField, lambda: build_field((-2, 0, 1), 30), "digits", True),
+        (FormElement, lambda: make_form(field, 0, ["1/3", "2/7"]), "values", True),
+        (RegulatorLattice, lambda: build_lattice(field, [field.element([1, 1])]), "basis", True),
+        (TorusElement, lambda: reduce_mod_lattice(lat, form)[0], "values", False),
+        (PointClass, lambda: point_class(lat, 1, (), form), "rank", False),
+        (TorsionPresentation, lambda: presentation(field, [[field.element([2])]]), "size", True),
+        (CyclotomicSetup, lambda: make_cyclotomic_setup(5, 30), "thetas", True),
+        (MetrizedComplexAtPlace, _complex_at_place, "lengths", True),
+        (CohomologySpec, lambda: CohomologySpec(free_rank=0), "free_rank", True),
+        (MetrizedComplexOverR, lambda: _complex_over_r(field), "ranks", True),
+    ]
+
+
+def test_records_keep_their_semantics():
+    table = _record_table()
+    assert len(table) == 11
+    for record, build, name, by_value in table:
+        a, b = build(), build()
+        assert type(a) is record
+        before = getattr(a, name)
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        assert getattr(a, name) is before
+        if by_value:
+            assert a == b and copy.copy(a) == a
+        else:
+            assert a == a and a != b
+
+    one, two = Fraction(1), Fraction(2)
+    assert FieldElement(coeffs=(one, two)) == FieldElement((one, two))
+    assert hash(FieldElement((one, two))) == hash(FieldElement((one, two)))
+    assert FieldElement((one, two)) != FieldElement((two, one))
+
+    spec = CohomologySpec(free_rank=0)
+    assert (spec.free_reps, spec.free_grams, spec.torsion) == ((), (), None)
+    fields = (
+        "digits", "lengths", "ortho_diffs", "ortho_reps", "from_ortho",
+        "det_cochain", "cohomology_dims", "det_cohomology",
+    )
+    at = _complex_at_place()
+    assert MetrizedComplexAtPlace(**{f: getattr(at, f) for f in fields}).ranks is None
+
+    # each complex caches in its own _memo, outside equality and repr
+    field = build_field((-2, 0, 1), 30)
+    x, y = _complex_over_r(field), _complex_over_r(field)
+    at_place(x, 0)
+    assert x._memo and not y._memo and x == y
+    p, q = _complex_at_place(), _complex_at_place()
+    reidemeister(p)
+    assert p._memo and not q._memo and p == q
+    assert "_memo" not in repr(x) + repr(p)
