@@ -22,7 +22,14 @@ from mpmath import mp, mpc, mpf
 from . import rtorsion
 from .errors import TrivialHolonomyAtJZero, ValidationError
 from .numfield import GUARD, NumberField, Record, build_field
-from .polylog import BERNOULLI_MAX, _check_j, bernoulli, polylog_circle, zeta_int
+from .polylog import (
+    BERNOULLI_MAX,
+    _check_j,
+    bernoulli,
+    polylog_circle,
+    polylog_orders,
+    zeta_int,
+)
 
 # hatcher_constant needs B_{2k}, so k is bounded by the Bernoulli index bound.
 HATCHER_K_MAX = BERNOULLI_MAX // 2
@@ -47,9 +54,9 @@ def _is_prime(r: int) -> bool:
 class CyclotomicSetup(Record):
     """The cyclotomic ring of prime order r with embedded holonomies.
 
-    thetas[k] is the argument in (0, 2 pi) of the k-th place representative
-    of xi; since representatives carry positive imaginary part, the arguments
-    land in (0, pi).
+    thetas[k] is the argument of the k-th place representative of xi, the
+    closed form 2 pi ((r-1)/2 - k) / r; since representatives carry positive
+    imaginary part, the arguments land in (0, pi).
     """
 
     __slots__ = _fields = ("r", "field", "thetas")
@@ -67,13 +74,15 @@ def make_cyclotomic_setup(r: int, digits: int = 50) -> CyclotomicSetup:
     numfield.DEGREE_MAX and the embeddings are the closed-form roots of unity
     e^{2 pi i k/r}; the place representatives are k = 1..(r-1)/2, ordered by
     ascending real part, so thetas run from 2 pi (r-1)/(2r) down to 2 pi/r.
+    The angles are these closed forms, not arguments taken of the embeddings.
     """
     r = int(r)
     if r < 3 or not _is_prime(r):
         raise ValidationError("the cyclotomic order must be a prime >= 3")
     field = build_field((1,) * r, digits)
     with mp.workdps(digits + GUARD):
-        thetas = tuple(mp.arg(z) for z in field.sigma_star)
+        turn = 2 * mp.pi / r
+        thetas = tuple(k * turn for k in range((r - 1) // 2, 0, -1))
     return CyclotomicSetup(r=r, field=field, thetas=thetas)
 
 
@@ -89,6 +98,7 @@ def torsion_form_coeffs(setup: CyclotomicSetup, jmax: int) -> dict:
 
     Even j uses (-1)^(j/2) Re Li_{j+1}, odd j uses (-1)^((j-1)/2) Im Li_{j+1},
     both times the prefactor; at j = 0 this reduces to -ln|1 - sigma(xi)|.
+    Li_1 .. Li_{jmax+1} come from one polylog_orders pass per place.
     0 <= jmax < ORDER_MAX.
     """
     _check_j(jmax, 0, "jmax must lie")
@@ -97,8 +107,8 @@ def torsion_form_coeffs(setup: CyclotomicSetup, jmax: int) -> dict:
     with mp.workdps(digits + GUARD):
         prefs = [_prefactor(j) for j in range(jmax + 1)]
         for k, th in enumerate(setup.thetas):
-            for j, pref in enumerate(prefs):
-                li = polylog_circle(j + 1, th, digits)
+            lis = polylog_orders(1, jmax + 1, th, digits)
+            for j, (pref, li) in enumerate(zip(prefs, lis)):
                 if j % 2 == 0:
                     val = (-1) ** (j // 2) * pref * li.real
                 else:

@@ -2,38 +2,61 @@
 
 Bernoulli numbers are exact rationals from mpmath's bernfrac, one index at a
 time (convention B_1 = -1/2).  zeta_int is mpmath's zeta at the working
-precision.  polylog_circle evaluates Li_n(e^{i theta}) for integer
-1 <= n <= ORDER_MAX and theta in (0, 2pi).  Order 1 is the closed form
--ln(1 - e^{i theta}).  For n >= 2, theta is folded into (0, pi] and the
-logarithmic series about mu = i theta is split in two.  Its head, k = 0..n,
-is summed in complex mpmath arithmetic.  Its tail holds only the terms
-k = n-1+2m, m >= 1, because zeta vanishes at the negative even integers.
-The functional equation zeta(1-2m) = (-1)^m 2 (2m-1)! zeta(2m) / (2pi)^{2m}
-makes each of them real up to the factor i^{n-1}:
+precision.  polylog_orders evaluates Li_lo(e^{i theta}) .. Li_hi(e^{i theta})
+for integers 1 <= lo <= hi <= ORDER_MAX and theta in (0, 2pi) in one pass;
+polylog_circle is its single-order case lo = hi = n, so every order goes
+through one code path.
+
+Order 1 is the real closed form
+Li_1(e^{i theta}) = -ln(2 sin(theta/2)) + i (pi - theta)/2 on (0, 2pi): one
+real sine and one real logarithm, exact at theta = pi and accurate to the
+last digit near theta = 0 and 2pi, where 1 - e^{i theta} cancels.
+
+For n >= 2, theta is folded into (0, pi] and the logarithmic series about
+mu = i theta is split in two.  Its head, k = 0..n, is real up to powers of
+i; it is summed in mpmath arithmetic from theta^k / k!, ln theta,
+zeta(2) .. zeta(hi) and a running harmonic number, all computed once per
+call.  Its tail holds only the terms k = n-1+2m, m >= 1, because zeta
+vanishes at the negative even integers.  The functional equation
+zeta(1-2m) = (-1)^m 2 (2m-1)! zeta(2m) / (2pi)^{2m} makes each of them real
+up to the factor i^{n-1}:
 
     zeta(1-2m) mu^k / k! = mu^{n-1} 2 zeta(2m) x^{2m} / [(2m)(2m+1)...(2m+n-1)]
 
-with x = theta / 2pi <= 1/2.  The tail is summed in fixed-point Python
-integers at wp = mp.prec + 20 bits, with a running term and no factorial.
-Since x <= 1/2, every term after the first wp / (2 log2(1/x)) is below
+with x = theta / 2pi <= 1/2.  The tail coefficients
+c_m = 2 zeta(2m) x^{2m} (2m-1)! / (2m+lo-1)! are built once in fixed-point
+Python integers, with a running term and no factorial.  Each later order
+divides every c_m by the small integer 2m+n-1, so no order after the first
+takes a product of two long integers.  A call evaluates no order below lo.
+Since x <= 1/2, every c_m after the first wp / (2 log2(1/x)) is below
 2^-wp, so the number of terms is known before the sum starts.
+
+The factor theta^{n-1} stays outside the fixed point and multiplies the sum
+per order.  It reaches pi^99, about 2^164, while the c_m of high orders are
+tiny, so the fixed point carries ceil((hi-1) log2 theta) guard bits above
+wz = mp.prec + 20: wp = wz + guard.  Both are decided in floats.  Without the
+guard, Li_2 .. Li_100 at theta = pi and 1000 digits were off by up to
+1.2e-965, 45 digits short of the working precision.
 
 The coefficients 2 zeta(2m) depend on neither the angle nor the order.  One
 table for the module holds them as integers 2 zeta(2m) 2^prec, at the
-highest working precision requested so far.  A lower precision reads it
-shifted right, a higher one rebuilds it, and a call extends it only as far
-as its own terms need.  Below 2m = prec/6 an entry comes from mpmath's
-zeta(1-2m), which reads mpmath's cached Bernoulli numbers.  Above it, an
-entry is 1 + sum_{2 <= j <= 64} j^{-2m} in fixed point, and the neglected
-part, below 65^{-2m} (1 + 65/(2m-1)), is a few units of 2^-prec at most.
-The table has at most about prec/2 entries of prec bits each, about
-prec^2/16 bytes: 0.7 MB at 1000 digits.
+highest working precision requested so far.  Every call reads it at wz bits,
+whatever its guard, so a batched call raises the table's precision no more
+than a single order at the same digits.  A lower precision reads it shifted
+right, a higher one rebuilds it, and a call extends it only as far as its
+own terms need.  The even values zeta(2) .. zeta(hi) of the head come from
+the same table.  Below 2m = prec/6 an entry comes from mpmath's zeta(1-2m),
+which reads mpmath's cached Bernoulli numbers.  Above it, an entry is
+1 + sum_{2 <= j <= 64} j^{-2m} in fixed point, and the neglected part, below
+65^{-2m} (1 + 65/(2m-1)), is a few units of 2^-prec at most.  The table has
+at most about prec/2 entries of prec bits each, about prec^2/16 bytes:
+0.7 MB at 1000 digits.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import ceil, comb, factorial, log2
 
 from mpmath import mp, mpc, mpf
 
@@ -43,9 +66,10 @@ from .numfield import GUARD
 # Largest polylogarithm order served.  It also bounds the circle-bundle
 # orders, jmax + 1 and j + 1, and the same j in normalize and beta-check
 # (_check_j).  At 1000 digits on one core of a 2-core x86 machine with
-# mpmath's pure-Python backend, a cold Li_100 at theta = pi takes 1.4 s,
-# most of it zeta(2)..zeta(100) for the head, and circle-torsion --r 61
-# --jmax 99 takes 33 s.
+# mpmath's pure-Python backend, a cold Li_100 at theta = pi takes 0.7-0.8 s
+# in process (1.0 s as a CLI process), most of it the odd zeta(3)..zeta(99)
+# of the head and the zeta(2m) table, and circle-torsion --r 61 --jmax 99
+# takes 7-8 s as a CLI process.
 ORDER_MAX = 100
 
 # Largest Bernoulli index served; mp.bernfrac(10_000) takes about 0.5 s on
@@ -124,73 +148,119 @@ class _EvenZetaTable:
 _EVEN_ZETA = _EvenZetaTable()
 
 
-def polylog_circle(n: int, theta, digits: int = 50) -> mpc:
-    """Li_n(e^{i theta}) for integer 1 <= n <= ORDER_MAX and theta in (0, 2pi).
+def _log2(v) -> float:
+    """log2 of a positive mpf, in floats at any exponent."""
+    man, exp = mp.frexp(v)
+    return log2(float(man)) + exp
 
-    n = 1 returns the principal branch of -ln(1 - e^{i theta}).  For n >= 2
-    the series in mu = i theta with integer zeta coefficients is used, with
-    the k = n-1 term carrying the harmonic number and -ln(-mu):
+
+def _series_orders(lo: int, hi: int, th) -> list:
+    """Li_lo .. Li_hi at e^{i th} for 2 <= lo <= hi and th in (0, pi], at the
+    working precision."""
+    x = th / (2 * mp.pi)
+    # Tail: c_m = 2 zeta(2m) x^{2m} (2m-1)! / (2m+lo-1)! in fixed point at wp
+    # bits, whose guard bits absorb the factor theta^{n-1} multiplied back
+    # per order.  The zeta table is read at wz bits, whatever the guard.
+    wz = mp.prec + 20
+    wp = wz + max(0, ceil((hi - 1) * _log2(th)))
+    # c_m <= x^{2m} 2^wp, so c_m vanishes once 2m log2(1/x) > wp.
+    m_max = int(wp / (-2 * _log2(x))) + 2
+    zeta2, shift = _EVEN_ZETA.read(max(m_max, hi // 2), wz)
+    with mp.workprec(wp):
+        x2 = int(mp.ldexp(x * x, wz))
+        t = int(mp.ldexp(x * x / mp.factorial(lo + 1), wp))
+    c = []
+    for m in range(1, m_max + 1):
+        if not t:
+            break
+        # The table entry and x^2, both at wz bits, are cut to the length of
+        # t first: their lower bits do not reach the floor of the product.
+        cut = max(0, wz - 8 - t.bit_length())
+        c.append((zeta2[m] >> (shift + cut)) * t >> (wz - cut))
+        t = (x2 >> cut) * t >> (wz - cut)
+        t = t * (2 * m * (2 * m + 1)) // ((2 * m + lo) * (2 * m + lo + 1))
+
+    # Head: theta^k / k!, zeta(2) .. zeta(hi) (the even ones from the
+    # table), ln theta and the harmonic number, once for all orders.
+    powers = [mpf(1)]
+    for k in range(1, hi + 1):
+        powers.append(powers[-1] * th / k)
+    zetas = [None, None] + [
+        mp.ldexp(mpf(zeta2[s // 2] >> shift), -wz - 1) if s % 2 == 0 else mp.zeta(s)
+        for s in range(2, hi + 1)
+    ]
+    log_th = mp.log(th)
+    half_pi = mp.pi / 2
+    harmonic = sum(mpf(1) / m for m in range(1, lo - 1))
+
+    out = []
+    th_pow = th ** (lo - 1)
+    for n in range(lo, hi + 1):
+        if n > lo:
+            c = [cm // (2 * m + n - 1) for m, cm in enumerate(c, 1)]
+            th_pow *= th
+        harmonic += mpf(1) / (n - 1)
+        # quarter[q] collects the real coefficients of i^q.
+        quarter = [mp.fdot((zetas[n - k], powers[k]) for k in range(q, n - 1, 4)) for q in range(4)]
+        tail = th_pow * mp.ldexp(mpf(sum(c)), -wp)
+        quarter[(n - 1) % 4] += powers[n - 1] * (harmonic - log_th) + tail
+        quarter[n % 4] += powers[n - 1] * half_pi - powers[n] / 2
+        out.append(mpc(quarter[0] - quarter[2], quarter[1] - quarter[3]))
+    return out
+
+
+def polylog_orders(lo: int, hi: int, theta, digits: int = 50) -> list:
+    """[Li_lo(e^{i theta}), ..., Li_hi(e^{i theta})] in one pass, for integer
+    1 <= lo <= hi <= ORDER_MAX and theta in (0, 2pi).
+
+    Order 1 is the closed form -ln(2 sin(theta/2)) + i (pi - theta)/2.  For
+    n >= 2 the series in mu = i theta with integer zeta coefficients is used,
+    with the k = n-1 term carrying the harmonic number and -ln(-mu):
 
         Li_n(e^mu) = sum_{k >= 0, k != n-1} zeta(n-k) mu^k / k!
                      + mu^{n-1} / (n-1)! (H_{n-1} - ln(-mu)).
 
     Arguments above pi are folded to 2pi - theta and conjugated back, keeping
-    x = theta / 2pi at most one half.  The head k = 0..n is summed in mpc.
-    Beyond it only k = n-1+2m is nonzero, and
+    x = theta / 2pi at most one half.  The head k = 0..n shares theta^k / k!
+    and zeta(2) .. zeta(hi) across orders.  Beyond it only k = n-1+2m is
+    nonzero, and
 
         zeta(1-2m) mu^k / k! = mu^{n-1} 2 zeta(2m) x^{2m} / [(2m)...(2m+n-1)].
 
-    This real tail is summed in fixed-point integers at mp.prec + 20 bits over
-    a known number of terms, with the running term
-    t_m = theta^{n-1} x^{2m} (2m-1)! / (2m+n-1)! and the module's shared
-    table of 2 zeta(2m) (at most about prec^2/16 bytes; 0.7 MB at 1000 digits).
+    This real tail is summed in fixed-point integers over a known number of
+    terms.  c_m = 2 zeta(2m) x^{2m} (2m-1)! / (2m+lo-1)! is built once, and
+    each later order divides every c_m by the small integer 2m+n-1.  No
+    order lower than lo is evaluated.
     """
-    if n < 1:
+    if lo < 1:
         raise ValidationError("polylog order must be a positive integer")
-    if n > ORDER_MAX:
+    if hi > ORDER_MAX:
         raise ValidationError(f"polylog order must be at most {ORDER_MAX}")
-    wdps = digits + GUARD
-    with mp.workdps(wdps):
+    if hi < lo:
+        raise ValidationError("polylog orders must satisfy lo <= hi")
+    with mp.workdps(digits + GUARD):
         th = mpf(theta)
         two_pi = 2 * mp.pi
         if not (0 < th < two_pi):
             raise ThetaOutOfRange(f"theta must lie strictly inside (0, 2pi), got {th}")
-        conjugate = th > mp.pi
-        if conjugate:
-            th = two_pi - th
-        if n == 1:
-            value = -mp.log(1 - mp.expjpi(th / mp.pi))
-            return mp.conj(value) if conjugate else +value
-
-        mu = mpc(0, th)
-        log_neg_mu = mp.log(th) - mpc(0, mp.pi / 2)
-        harmonic = sum(mpf(1) / m for m in range(1, n))
-        total = mpc(0)
-        term = mpc(1)  # mu^k / k!
-        for k in range(n + 1):
-            if k == n - 1:
-                total += term * (harmonic - log_neg_mu)
+        out = []
+        if lo == 1:
+            half = th / 2
+            out.append(mpc(-mp.log(2 * mp.sin(half)), mp.pi / 2 - half))
+            lo = 2
+        if lo <= hi:
+            if th > mp.pi:
+                out += [mp.conj(li) for li in _series_orders(lo, hi, two_pi - th)]
             else:
-                total += mp.zeta(n - k) * term
-            term = term * mu / (k + 1)
+                out += _series_orders(lo, hi, th)
+        return out
 
-        wp = mp.prec + 20
-        x = th / two_pi
-        with mp.workprec(wp):
-            x2 = int(mp.ldexp(x * x, wp))
-            t = int(mp.ldexp(th ** (n - 1) * x * x / mp.factorial(n + 1), wp))
-        with mp.workprec(53):
-            # t_m <= x^{2m} 2^wp, so t_m vanishes once 2m log2(1/x) > wp.
-            m_max = int(wp / (-2 * float(mp.log(x, 2)))) + 2
-        zeta2, shift = _EVEN_ZETA.read(m_max, wp)
-        acc = 0
-        for m in range(1, m_max + 1):
-            if not t:
-                break
-            acc += (zeta2[m] >> shift) * t
-            t = ((t * x2) >> wp) * (2 * m * (2 * m + 1)) // ((2 * m + n) * (2 * m + n + 1))
-        total += (1, 1j, -1, -1j)[(n - 1) % 4] * mp.ldexp(mpf(acc), -2 * wp)
-        return mp.conj(total) if conjugate else +total
+
+def polylog_circle(n: int, theta, digits: int = 50) -> mpc:
+    """Li_n(e^{i theta}) for integer 1 <= n <= ORDER_MAX and theta in (0, 2pi):
+    the single order n of polylog_orders.  n = 1 is the principal branch of
+    -ln(1 - e^{i theta})."""
+    return polylog_orders(n, n, theta, digits)[0]
 
 
 def beta_integral_check(j: int, digits: int = 50) -> tuple[mpf, Fraction]:

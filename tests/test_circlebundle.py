@@ -29,8 +29,9 @@ from regtor import (
     u_coeff,
     x_space_dim,
 )
-from regtor import circlebundle
+from regtor import circlebundle, polylog
 from regtor.circlebundle import BOREL_INDEX_MAX
+from regtor.numfield import GUARD
 from regtor.polylog import ORDER_MAX
 
 TOL = mp.mpf(10) ** -40
@@ -54,6 +55,36 @@ def test_setup_orders_and_validation():
         assert abs(s5.thetas[1] - 2 * mp.pi / 5) < TOL
         for k, num in enumerate((6, 4, 2)):
             assert abs(s7.thetas[k] - num * mp.pi / 7) < TOL
+
+
+@pytest.mark.parametrize("digits", (50, 300, 1000))
+def test_setup_angles_are_the_arguments_of_the_embeddings(digits):
+    # thetas are the closed forms 2 pi k / r, k = (r-1)/2 down to 1; they
+    # must be the arguments of the embedded place representatives.
+    for r in (3, 7, 31, 61):
+        setup = make_cyclotomic_setup(r, digits)
+        assert len(setup.thetas) == setup.field.n_places == (r - 1) // 2
+        with mp.workdps(digits + GUARD):
+            for th, z in zip(setup.thetas, setup.field.sigma_star):
+                assert abs(th - mp.arg(z)) < mp.mpf(10) ** -(digits + 5), (r, th)
+
+
+@pytest.mark.parametrize("jmax", (0, 3, 20))
+def test_coefficients_take_one_polylog_pass_per_place(monkeypatch, jmax):
+    # All orders 1..jmax+1 at one angle come from one call of the kernel.
+    calls = []
+    orders = polylog.polylog_orders
+
+    def counting(lo, hi, theta, digits=50):
+        calls.append((lo, hi))
+        return orders(lo, hi, theta, digits)
+
+    monkeypatch.setattr(polylog, "polylog_orders", counting)
+    monkeypatch.setattr(circlebundle, "polylog_orders", counting)
+    setup = make_cyclotomic_setup(11, 50)
+    coeffs = torsion_form_coeffs(setup, jmax)
+    assert len(coeffs) == setup.field.n_places * (jmax + 1)
+    assert calls == [(1, jmax + 1)] * setup.field.n_places
 
 
 def test_degree_zero_is_log_of_cyclotomic_unit_norm():

@@ -6,10 +6,11 @@ one 50-digit call of every other subcommand, and two more rtorsion calls:
 a three-term complex and one with free cohomology.  Calls whose output
 prints the rounding noise of an exact zero (the cheeger-muller residual,
 polylog at theta = pi) are left out, with two exceptions.  The README's own
-cheeger-muller table is kept because the README shows it.  The euler-check
-residual on the free-cohomology complex is kept because its noise pins, bit
-for bit, how the cycle classes are summed from the per-place
-log-determinants of the cochain and cohomology Grams.
+cheeger-muller table is kept because the README shows it; with Li_1 in the
+real closed form -ln(2 sin(theta/2)), its residuals at r = 5 print 0.0.
+The euler-check residual on the free-cohomology complex is kept because its
+noise pins, bit for bit, how the cycle classes are summed from the
+per-place log-determinants of the cochain and cohomology Grams.
 
 After an intended change of output, re-record every case, or only the
 named ones, with

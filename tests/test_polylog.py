@@ -3,8 +3,9 @@
 Oracles: the classical Bernoulli table, the exact Bernoulli recurrence and
 Euler-Maclaurin zeta of tests/support.py (the library delegates both to
 mpmath), the von Staudt-Clausen theorem, mpmath's polylog, the even-zeta
-closed form, Li_n(-1) = -(1 - 2^(1-n)) zeta(n), and exact Fraction
-integration for the beta integral.
+closed form, Li_n(-1) = -(1 - 2^(1-n)) zeta(n), the Bernoulli reflection
+formula, -ln(1 - e^{i theta}) at extra precision for Li_1, and exact
+Fraction integration for the beta integral.
 """
 
 from fractions import Fraction
@@ -25,7 +26,8 @@ from regtor import (
     zeta_int,
 )
 from regtor import polylog
-from regtor.polylog import BERNOULLI_MAX, ORDER_MAX
+from regtor.numfield import GUARD
+from regtor.polylog import BERNOULLI_MAX, ORDER_MAX, polylog_orders
 
 from support import bernoulli_recurrence, zeta_euler_maclaurin
 
@@ -195,11 +197,109 @@ def test_polylog_circle_precision_history(monkeypatch):
                         assert abs(got - want) < mp.mpf(10) ** -(digits + 5), (digits, n, th)
 
     check()
-    before = polylog._EVEN_ZETA.prec
+    # A batched call near pi carries guard bits for theta^99 in its tail, but
+    # reads the table at the precision a single order at these digits reads.
+    single = polylog._EVEN_ZETA.prec
+    with mp.workdps(320):
+        polylog_orders(1, ORDER_MAX, mp.pi - mp.mpf("1e-3"), 300)
+    assert polylog._EVEN_ZETA.prec == single
     with mp.workdps(1010):
         polylog_circle(3, mp.pi, 1000)
-    assert polylog._EVEN_ZETA.prec > before
+        thousand = polylog._EVEN_ZETA.prec
+        assert thousand > single
+        polylog_orders(1, ORDER_MAX, mp.pi, 1000)
+    assert polylog._EVEN_ZETA.prec == thousand
     check()
+
+
+def _angles(digits):
+    """theta near 0, near pi, at 2 pi / r and beyond pi, rounded to the
+    working precision of a call at these digits."""
+    with mp.workdps(digits + GUARD):
+        return (mp.mpf("1e-3"), mp.pi - mp.mpf("1e-3"), 2 * mp.pi / 61, mp.mpf("5.9"))
+
+
+@pytest.mark.parametrize("digits", (50, 300))
+def test_polylog_orders_against_mpmath(digits):
+    # mp.polylog takes 2-6 s for 100 orders at one angle at 300 digits, so
+    # the angle beyond pi, the conjugate branch, is compared at 50 digits.
+    for th in _angles(digits)[: 4 if digits == 50 else 3]:
+        got = polylog_orders(1, ORDER_MAX, th, digits)
+        assert len(got) == ORDER_MAX
+        with mp.workdps(digits + 20):
+            for n, li in enumerate(got, 1):
+                want = mp.polylog(n, mp.expj(th))
+                assert abs(li - want) < mp.mpf(10) ** -(digits + 5), (digits, th, n)
+
+
+def test_polylog_orders_near_pi_at_thousand_digits():
+    # The tail leaves theta^{n-1} (up to 3^99) outside the fixed point, so
+    # it carries that many guard bits.  References: Li_n(-1) at theta = pi,
+    # and at theta = 60 pi / 61 the Bernoulli reflection
+    # Li_n(e^{i t}) + (-1)^n conj Li_n(e^{i t}) = -(2 pi i)^n B_n(t / 2 pi) / n!.
+    digits = 1000
+    tol = mp.mpf(10) ** -(digits + 5)
+    with mp.workdps(digits + GUARD):
+        th = 2 * mp.pi * 30 / 61
+    at_pi = polylog_orders(1, ORDER_MAX, mp.pi, digits)
+    near_pi = polylog_orders(1, ORDER_MAX, th, digits)
+    with mp.workdps(digits + 20):
+        assert abs(at_pi[0] + mp.log(2)) < tol
+        for n in (2, 3, 50, 99, 100):
+            want = -(1 - mp.mpf(2) ** (1 - n)) * mp.zeta(n)
+            assert abs(at_pi[n - 1] - want) < tol, n
+        for n in range(2, ORDER_MAX + 1):
+            li = near_pi[n - 1]
+            lhs = 2 * li.real if n % 2 == 0 else 2j * li.imag
+            b = bernoulli_polynomial(n, Fraction(30, 61))
+            rhs = -((2j * mp.pi) ** n) * mp.mpf(b.numerator) / b.denominator / mp.factorial(n)
+            assert abs(lhs - rhs) < tol, n
+
+
+@pytest.mark.parametrize("digits", (50, 300))
+def test_polylog_orders_match_single_orders(digits):
+    # Each entry of a batched call is polylog_circle's value for its order,
+    # up to a few units in the last place of the working precision.
+    for th in _angles(digits) + (mp.pi,):
+        batch = polylog_orders(1, ORDER_MAX, th, digits)
+        with mp.workdps(digits + GUARD):
+            for n, li in enumerate(batch, 1):
+                assert abs(li - polylog_circle(n, th, digits)) < mp.mpf(10) ** -(digits + 9), (th, n)
+    with mp.workdps(digits + GUARD):
+        th = mp.mpf("2.5")
+        assert polylog_orders(4, 7, th, digits) == polylog_orders(1, 7, th, digits)[3:]
+
+
+def test_polylog_orders_bounds():
+    for lo, hi in ((0, 3), (2, ORDER_MAX + 1), (3, 2)):
+        with pytest.raises(ValidationError):
+            polylog_orders(lo, hi, 1.0, 50)
+    for bad in (0, -1, 7):
+        with pytest.raises(ThetaOutOfRange):
+            polylog_orders(1, 3, bad, 50)
+
+
+@pytest.mark.parametrize("digits", (50, 300, 1000))
+def test_polylog_order_one_closed_form_at_the_extremes(digits):
+    # -ln(2 sin(theta/2)) + i (pi - theta)/2 against -ln(1 - e^{i theta}) at
+    # 60 more digits, which absorb the cancellation in 1 - e^{i theta} near
+    # theta = 0 and 2 pi.  At pi/3 the real part is 0 and at pi the
+    # imaginary part is exactly 0.
+    with mp.workdps(digits + GUARD):
+        tiny = mp.mpf(10) ** -30
+        angles = (tiny, 2 * mp.pi - tiny, mp.pi / 3, +mp.pi)
+    tol = mp.mpf(10) ** -(digits + 5)
+    for th in angles:
+        got = polylog_circle(1, th, digits)
+        with mp.workdps(digits + 60):
+            assert abs(got - -mp.log(1 - mp.expj(th))) < tol, th
+    assert abs(polylog_circle(1, angles[2], digits).real) < tol
+    assert polylog_circle(1, angles[3], digits).imag == 0
+    with mp.workdps(digits + GUARD):
+        for th in (mp.mpf("0.7"), angles[2], mp.mpf("2.5")):
+            a = polylog_circle(1, th, digits)
+            b = polylog_circle(1, 2 * mp.pi - th, digits)
+            assert abs(a - mp.conj(b)) < tol, th
 
 
 def test_polylog_circle_order_bound():
