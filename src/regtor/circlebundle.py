@@ -10,6 +10,11 @@ against the combinatorial torsion of 0 -> C --(1-sigma(xi))--> C -> 0, the
 four-periodic dimension table, the X-space dimensions, conversion between
 the competing normalizations of the Kamber-Tondeur forms, and the Hatcher
 constants a_k kappa_k zeta(2k+1).
+
+The coefficients, u_j, the regulator identity and the Cheeger-Mueller check
+read the same values Li_n(sigma(xi)); a CyclotomicSetup keeps those whose
+bits do not depend on the call that made them, so each is evaluated once per
+setup.
 """
 
 from __future__ import annotations
@@ -57,14 +62,25 @@ class CyclotomicSetup(Record):
     thetas[k] is the argument of the k-th place representative of xi, the
     closed form 2 pi ((r-1)/2 - k) / r; since representatives carry positive
     imaginary part, the arguments land in (0, pi).
+
+    _memo, a fresh dict per object outside the constructor, repr and
+    equality, maps (k, n) to Li_n at the k-th place with the bits of
+    polylog_circle(n, thetas[k], digits), so a session that reads several
+    invariants of one setup evaluates each value once: at most ORDER_MAX
+    values per place.  Li_1 of a batched polylog_orders pass is that same
+    closed form and is kept.  Its orders >= 2 are not, because their guard
+    bits depend on the highest order of the pass, and a value read back
+    would then depend on which call ran first.
     """
 
-    __slots__ = _fields = ("r", "field", "thetas")
+    _fields = ("r", "field", "thetas")
+    __slots__ = _fields + ("_memo",)
 
     def __init__(self, r: int, field: NumberField, thetas: tuple):
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "thetas", thetas)
+        object.__setattr__(self, "_memo", {})
 
 
 def make_cyclotomic_setup(r: int, digits: int = 50) -> CyclotomicSetup:
@@ -93,21 +109,35 @@ def _prefactor(j: int):
     return num / den
 
 
+def _li(setup: CyclotomicSetup, k: int, n: int):
+    """polylog_circle(n, thetas[k]) at the setup's digits, evaluated once per setup."""
+    key = (k, n)
+    if key not in setup._memo:
+        setup._memo[key] = polylog_circle(n, setup.thetas[k], setup.field.digits)
+    return setup._memo[key]
+
+
 def torsion_form_coeffs(setup: CyclotomicSetup, jmax: int) -> dict:
     """T_{sigma, j} for all places and 0 <= j <= jmax.
 
     Even j uses (-1)^(j/2) Re Li_{j+1}, odd j uses (-1)^((j-1)/2) Im Li_{j+1},
     both times the prefactor; at j = 0 this reduces to -ln|1 - sigma(xi)|.
-    Li_1 .. Li_{jmax+1} come from one polylog_orders pass per place.
+    Li_1 .. Li_{jmax+1} come from one polylog_orders pass per place.  Li_1
+    is kept in the setup, and once it is there the pass starts at Li_2.
     0 <= jmax < ORDER_MAX.
     """
     _check_j(jmax, 0, "jmax must lie")
     digits = setup.field.digits
+    memo = setup._memo
     out = {}
     with mp.workdps(digits + GUARD):
         prefs = [_prefactor(j) for j in range(jmax + 1)]
         for k, th in enumerate(setup.thetas):
-            lis = polylog_orders(1, jmax + 1, th, digits)
+            if (k, 1) in memo:
+                lis = [memo[(k, 1)]] + (polylog_orders(2, jmax + 1, th, digits) if jmax else [])
+            else:
+                lis = polylog_orders(1, jmax + 1, th, digits)
+                memo[(k, 1)] = lis[0]
             for j, (pref, li) in enumerate(zip(prefs, lis)):
                 if j % 2 == 0:
                     val = (-1) ** (j // 2) * pref * li.real
@@ -122,12 +152,13 @@ def trivial_holonomy_coeff(j: int, digits: int = 50):
 
     Odd j vanishes (Im Li_{j+1}(1) = 0); even j >= 2 is (-1)^(j/2) times the
     prefactor times zeta(j+1).  j = 0 would need the divergent zeta(1), which
-    the formal sum over even j includes; the request is refused.
+    the formal sum over even j includes; the request is refused.  Like every
+    degree index, j is bounded, 1 <= j < ORDER_MAX: the cost of the
+    prefactor's (2j+1)! grows without bound.
     """
     if j == 0:
         raise TrivialHolonomyAtJZero("Li_1(1) diverges; no degree-zero coefficient")
-    if j < 0:
-        raise ValidationError("j must be non-negative")
+    _check_j(j, 1, "j must lie")
     with mp.workdps(digits + GUARD):
         if j % 2 == 1:
             return mpf(0)
@@ -144,15 +175,16 @@ def _u_value(j: int, pref, li, zv):
 def u_coeff(setup: CyclotomicSetup, j: int) -> dict:
     """The constants u_j(sigma): prefactor times Im Li_{j+1}(sigma(xi)) for
     odd j, prefactor times (Re Li_{j+1}(sigma(xi)) - zeta(j+1)) for even j,
-    for 1 <= j < ORDER_MAX."""
+    for 1 <= j < ORDER_MAX.  Li_{j+1} is the single-order value, evaluated
+    once per place and setup and shared with regulator_identity_check."""
     _check_j(j, 1, "u_j is defined for j")
     digits = setup.field.digits
     out = {}
     with mp.workdps(digits + GUARD):
         pref = _prefactor(j)
         zv = zeta_int(j + 1, digits) if j % 2 == 0 else None
-        for k, th in enumerate(setup.thetas):
-            out[k] = _u_value(j, pref, polylog_circle(j + 1, th, digits), zv)
+        for k in range(len(setup.thetas)):
+            out[k] = _u_value(j, pref, _li(setup, k, j + 1), zv)
     return out
 
 
@@ -164,7 +196,8 @@ def regulator_identity_check(setup: CyclotomicSetup, j: int) -> dict:
     (-1)^j (2j+1)!/j!, and divides by (2pi i)^j; rhs is
     (-1)^j j! 2^(2j) u_j(sigma).  The ratio is the sign left over after the
     prefactors cancel.  Both sides come from one evaluation of Li_{j+1} per
-    place; 1 <= j < ORDER_MAX.
+    place, the single-order value shared with u_coeff through the setup;
+    1 <= j < ORDER_MAX.
     """
     _check_j(j, 1, "the identity is checked for j")
     digits = setup.field.digits
@@ -173,8 +206,8 @@ def regulator_identity_check(setup: CyclotomicSetup, j: int) -> dict:
         pref = _prefactor(j)
         amp = mpf(factorial(2 * j + 1)) / factorial(j)
         zv = zeta_int(j + 1, digits)
-        for k, th in enumerate(setup.thetas):
-            li = polylog_circle(j + 1, th, digits)
+        for k in range(len(setup.thetas)):
+            li = _li(setup, k, j + 1)
             z = li - zv
             if j % 2 == 0:
                 lhs = (-1) ** (j // 2) * amp * z.real / (2 * mp.pi) ** j
@@ -191,6 +224,8 @@ def cheeger_muller_check(setup: CyclotomicSetup) -> dict:
 
     The combinatorial torsion comes from the independent metrized-complex
     route; returns (|T_{sigma,0}|, ln tau_sigma, absolute residual) per place.
+    T_{sigma,0} reads Li_1 from the setup when an earlier torsion_form_coeffs
+    call left it there, and then takes no sine or logarithm of its own.
     """
     digits = setup.field.digits
     t0 = torsion_form_coeffs(setup, 0)

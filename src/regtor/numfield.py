@@ -4,9 +4,10 @@ arithmetic core the other modules share.
 The defining polynomial is monic, squarefree, with integer coefficients
 and degree at most DEGREE_MAX.  build_field is the one constructor of a
 field.  Embeddings into C are the roots of p: for p = 1 + x + ... + x^{r-1}
-the closed-form roots of unity e^{2 pi i k/r}, for every other p the roots
-mp.polyroots returns, with no Newton polish.  Either way build_field orders
-the roots into places and checks their residuals.  Norms are exact
+the closed-form roots of unity e^{2 pi i k/r}, of which only the upper half
+2k <= r is evaluated and the rest are its conjugates, for every other p the
+roots mp.polyroots returns, with no Newton polish.  Either way build_field
+orders the roots into places and checks their residuals.  Norms are exact
 rationals computed through the resultant of p with the element polynomial,
 never through floating products.  The integrality test for units checks
 power-basis integrality only; when R is not the maximal order in the power
@@ -445,11 +446,12 @@ def build_field(poly, digits: int, class_orders=()) -> NumberField:
     squarefree: Res(p, p') != 0, decided exactly before any root finding.
     p = 1 + x + ... + x^{r-1} skips that test, which would cost about 20 /
     160 ms at r = 31 / 61: its roots are the distinct closed-form
-    e^{2 pi i k/r}, k = 1..r-1.  Every other p goes to mp.polyroots, with no
-    Newton polish.  Roots within
-    rank_cutoff(digits) of the real axis are real places; the rest must pair
-    into complex conjugates.  Every stored embedding satisfies
-    |p(z)| < residual_tolerance(digits).
+    e^{2 pi i k/r}, k = 1..r-1.  Only k <= r/2 is evaluated (for even r,
+    k = r/2 is the real root -1), and the roots with 2k > r are taken as the
+    conjugates of those with 2k < r.  Every other p goes to mp.polyroots, with no Newton
+    polish.  Roots within rank_cutoff(digits) of the real axis are real
+    places; the rest must pair into complex conjugates.  Every stored
+    embedding satisfies |p(z)| < residual_tolerance(digits).
     """
     try:
         coeffs = tuple(int(c) for c in poly)
@@ -473,7 +475,9 @@ def build_field(poly, digits: int, class_orders=()) -> NumberField:
 
     with mp.workdps(digits + 2 * GUARD):
         if cyclotomic:
-            roots = [mp.expjpi(mpf(2 * k) / (n + 1)) for k in range(1, n + 1)]
+            # e^{2 pi i k/r} for 2k <= r; those with 2k > r are their conjugates.
+            upper = [mp.expjpi(mpf(2 * k) / (n + 1)) for k in range(1, (n + 1) // 2 + 1)]
+            roots = upper + [mp.conj(z) for z in upper[: n // 2]]
         else:
             # 2 GUARD extra digits keep each step's rounding, magnified by the
             # root's condition number (about 10^13 for Wilkinson's degree-20

@@ -87,6 +87,49 @@ def test_coefficients_take_one_polylog_pass_per_place(monkeypatch, jmax):
     assert calls == [(1, jmax + 1)] * setup.field.n_places
 
 
+def _bits(rows):
+    """The values of a result mapping as exact strings, one per mpf."""
+    out = {}
+    with mp.workdps(3000):
+        for key, val in rows.items():
+            out[key] = [repr(v) for v in (val if isinstance(val, tuple) else (val,))]
+    return out
+
+
+@pytest.mark.parametrize(
+    "r, digits, jmax, j", [(31, 50, 2, 1), (11, 50, 4, 3), (3, 300, 4, 3), (7, 1000, 2, 2)]
+)
+def test_a_warm_setup_repeats_no_polylog_work(monkeypatch, r, digits, jmax, j):
+    # After circle-torsion and u_j, the Cheeger-Mueller check and the
+    # regulator identity read every polylogarithm they need from the setup,
+    # and each value has the bits a fresh setup gives.
+    calls = []
+    orders = polylog.polylog_orders
+
+    def counting(lo, hi, theta, digits=50):
+        calls.append((lo, hi))
+        return orders(lo, hi, theta, digits)
+
+    monkeypatch.setattr(polylog, "polylog_orders", counting)
+    monkeypatch.setattr(circlebundle, "polylog_orders", counting)
+    warm = make_cyclotomic_setup(r, digits)
+    t = torsion_form_coeffs(warm, jmax)
+    u = u_coeff(warm, j)
+    del calls[:]
+    cm = cheeger_muller_check(warm)
+    reg = regulator_identity_check(warm, j)
+    assert calls == []
+    # a second pass needs orders 2..jmax+1 only
+    again = torsion_form_coeffs(warm, jmax)
+    assert calls == [(2, jmax + 1)] * warm.field.n_places
+
+    fresh = [make_cyclotomic_setup(r, digits) for _ in range(4)]
+    assert _bits(cm) == _bits(cheeger_muller_check(fresh[0]))
+    assert _bits(reg) == _bits(regulator_identity_check(fresh[1], j))
+    assert _bits(t) == _bits(again) == _bits(torsion_form_coeffs(fresh[2], jmax))
+    assert _bits(u) == _bits(u_coeff(fresh[3], j))
+
+
 def test_degree_zero_is_log_of_cyclotomic_unit_norm():
     s5 = make_cyclotomic_setup(5, 50)
     t = torsion_form_coeffs(s5, 0)
@@ -267,6 +310,7 @@ def test_order_and_index_bounds():
         lambda: torsion_form_coeffs(s3, ORDER_MAX),
         lambda: u_coeff(s3, ORDER_MAX),
         lambda: regulator_identity_check(s3, ORDER_MAX),
+        lambda: trivial_holonomy_coeff(ORDER_MAX),
         lambda: normalization_factors(ORDER_MAX),
         lambda: convert(1, "bl", "bl", ORDER_MAX),
         lambda: beta_integral_check(ORDER_MAX),

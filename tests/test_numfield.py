@@ -92,6 +92,33 @@ def test_roots_of_unity_field_matches_aberth():
                     assert abs(a - b) < mp.mpf(10) ** -50, r
 
 
+@pytest.mark.parametrize("r, digits", [(r, 50) for r in range(2, 14)] + [(61, 50), (61, 300)])
+def test_roots_of_unity_take_the_upper_half(monkeypatch, r, digits):
+    # Only e^{2 pi i k/r} with 2k <= r is evaluated; the field stores what
+    # the full list of r - 1 closed-form roots gives in the documented order:
+    # real roots ascending, then the upper roots by real part, then their
+    # conjugates.
+    expjpi = mp.expjpi
+    with mp.workdps(digits + 2 * numfield.GUARD):
+        roots = [expjpi(mp.mpf(2 * k) / r) for k in range(1, r)]
+        reals = sorted(z.real for z in roots if z.imag == 0)
+        pos = sorted((z for z in roots if z.imag > 0), key=lambda z: z.real)
+        lower = sorted((z for z in roots if z.imag < 0), key=lambda z: z.real)
+    calls = []
+    monkeypatch.setattr(mp, "expjpi", lambda x: calls.append(x) or expjpi(x))
+    field = build_field((1,) * r, digits)
+    assert len(calls) == r // 2
+    want = tuple(reals) + tuple(pos)
+    with mp.workdps(2 * digits):
+        assert [repr(z) for z in field.sigma_star] == [repr(z) for z in want]
+        assert [repr(z) for z in field.all_embeddings] == [
+            repr(z) for z in want + tuple(mp.conj(z) for z in pos)
+        ]
+        # the stored conjugates are the closed forms with 2k > r to rounding
+        for z, w in zip(field.all_embeddings[len(want):], lower):
+            assert abs(z - w) < mp.mpf(10) ** -(digits + numfield.GUARD)
+
+
 def test_rational_field():
     field, units = field_units("z")
     assert field.degree == 1

@@ -41,6 +41,7 @@ from regtor import (
     presentation,
     reduce_mod_lattice,
     reidemeister,
+    torsion_form_coeffs,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -162,7 +163,8 @@ def test_records_keep_their_semantics():
     at = _complex_at_place()
     assert MetrizedComplexAtPlace(**{f: getattr(at, f) for f in fields}).ranks is None
 
-    # each complex caches in its own _memo, outside equality and repr
+    # each complex and each cyclotomic setup caches in its own _memo, outside
+    # equality, repr and copies
     field = build_field((-2, 0, 1), 30)
     x, y = _complex_over_r(field), _complex_over_r(field)
     at_place(x, 0)
@@ -170,4 +172,8 @@ def test_records_keep_their_semantics():
     p, q = _complex_at_place(), _complex_at_place()
     reidemeister(p)
     assert p._memo and not q._memo and p == q
-    assert "_memo" not in repr(x) + repr(p)
+    s, t = make_cyclotomic_setup(5, 30), make_cyclotomic_setup(5, 30)
+    torsion_form_coeffs(s, 2)
+    assert s._memo and not t._memo and s == t and hash(s) == hash(t)
+    assert "_memo" not in repr(x) + repr(p) + repr(s)
+    assert not any(copy.copy(v)._memo for v in (x, p, s))
