@@ -76,12 +76,6 @@ class CyclotomicSetup(Record):
     _fields = ("r", "field", "thetas")
     __slots__ = _fields + ("_memo",)
 
-    def __init__(self, r: int, field: NumberField, thetas: tuple):
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "_memo", {})
-
 
 def make_cyclotomic_setup(r: int, digits: int = 50) -> CyclotomicSetup:
     """The ring of prime order r >= 3 with its places and holonomy angles.

@@ -42,7 +42,7 @@ def _load_field(args):
             data = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read field descriptor: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"field descriptor is not valid JSON: {exc}") from exc
     digits = _resolve_digits(args, data)
     field, units = parse_descriptor(data, digits_override=digits)
@@ -59,7 +59,7 @@ def _json_arg(text, what, kind=None):
     """Parse a JSON argument; kind (list or dict) checks its top-level type."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
     if kind is not None and not isinstance(data, kind):
         raise ValidationError(f"{what} must be a JSON {'object' if kind is dict else 'list'}")

@@ -70,11 +70,6 @@ class FormElement(Record):
 
     __slots__ = _fields = ("degree_index", "values", "digits")
 
-    def __init__(self, degree_index: int, values: tuple, digits: int):
-        object.__setattr__(self, "degree_index", degree_index)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "digits", digits)
-
     @property
     def degree(self) -> int:
         return 2 * self.degree_index + 1
@@ -240,16 +235,6 @@ class RegulatorLattice(Record):
 
     __slots__ = _fields = ("field", "unit_images", "basis", "star", "tol", "norms")
 
-    def __init__(
-        self, field: NumberField, unit_images: tuple, basis: tuple, star: tuple, tol, norms: tuple
-    ):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "unit_images", unit_images)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "star", star)
-        object.__setattr__(self, "tol", tol)
-        object.__setattr__(self, "norms", norms)
-
     @property
     def rank(self) -> int:
         return len(self.basis)
@@ -274,14 +259,8 @@ def build_lattice(field: NumberField, units) -> RegulatorLattice:
         if len(basis) > field.r_real + field.r_complex - 1:
             raise ValidationError("lattice rank exceeds the unit-group rank")
         tol = torus_tolerance(field.digits)
-        lat = RegulatorLattice(
-            field=field,
-            unit_images=tuple(images),
-            basis=tuple(tuple(v) for v in basis),
-            star=tuple(tuple(v) for v in star),
-            tol=tol,
-            norms=tuple(norms),
-        )
+        basis, star = tuple(map(tuple, basis)), tuple(map(tuple, star))
+        lat = RegulatorLattice(field, tuple(images), basis, star, tol, tuple(norms))
         for f in images:
             red, _ = _babai(lat, f.values)
             if _vec_norm(red) > tol:
@@ -296,10 +275,6 @@ class TorusElement(Record):
     __slots__ = _fields = ("lattice", "values")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(self, lattice: RegulatorLattice, values: tuple):
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "values", values)
 
     def norm(self):
         with mp.workdps(self.lattice.field.digits + GUARD):
@@ -355,11 +330,6 @@ class PointClass(Record):
     __slots__ = _fields = ("rank", "cls", "torus")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(self, rank: int, cls: tuple, torus: TorusElement):
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "cls", cls)
-        object.__setattr__(self, "torus", torus)
 
     def same_as(self, other: "PointClass") -> bool:
         return (

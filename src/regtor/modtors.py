@@ -64,12 +64,6 @@ class TorsionPresentation(Record):
 
     __slots__ = _fields = ("field", "size", "entries", "det_elem")
 
-    def __init__(self, field: NumberField, size: int, entries: tuple, det_elem: FieldElement):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "det_elem", det_elem)
-
 
 def presentation(field: NumberField, rows) -> TorsionPresentation:
     """Validate a square matrix of ring elements, of size at most

@@ -13,8 +13,9 @@ never through floating products.  The integrality test for units checks
 power-basis integrality only; when R is not the maximal order in the power
 basis, a unit of the field lying outside Z[x] is rejected.
 
-Shared by every module: Record, the base of every immutable value type;
-the polynomial kit over Q (poly_trim, poly_mul, poly_divmod; coefficient
+Shared by every module: Record, the base of every immutable value type,
+with the one constructor that binds the fields each type names; the
+polynomial kit over Q (poly_trim, poly_mul, poly_divmod; coefficient
 lists constant first), the one Horner evaluator, the one fraction-free
 elimination step _bareiss_step over Z, and the precision policy.
 _int_bareiss_det runs that step to a determinant: it serves norm and the
@@ -30,6 +31,7 @@ caller's working precision.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import lcm, prod
 
@@ -51,9 +53,12 @@ _POLYROOTS_STEPS = 400
 class Record:
     """Base of regtor's immutable values: plain classes with __slots__.
 
-    A subclass names its fields, in constructor order, in _fields and
-    declares them in __slots__ (with any private cache after them), and its
-    written-out __init__ sets them through object.__setattr__; every other
+    A subclass names its fields, in constructor order, in _fields, declares
+    them in __slots__ (with any private cache after them) and maps each
+    field that may be left out to its value in _defaults.  The one
+    constructor below binds arguments to _fields as a written-out signature
+    would, raising its TypeErrors, sets each field through
+    object.__setattr__ and gives a _memo slot a fresh dict; any other
     assignment raises AttributeError.  Equality and hashing go by the class
     and the tuple of fields, repr lists the fields by name, and copy and
     pickle rebuild through the constructor.  A subclass compared by identity
@@ -63,6 +68,24 @@ class Record:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        cls, names = type(self).__qualname__, self._fields
+        if len(args) > len(names):
+            raise TypeError(f"{cls}() takes {len(names)} arguments but {len(args)} were given")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        for name in names[len(args) :]:
+            if name not in kwargs and name not in self._defaults:
+                raise TypeError(f"{cls}() missing required argument {name!r}")
+            object.__setattr__(self, name, kwargs.pop(name, self._defaults.get(name)))
+        if kwargs:
+            name = next(iter(kwargs))
+            how = "multiple values for" if name in names else "an unexpected keyword"
+            raise TypeError(f"{cls}() got {how} argument {name!r}")
+        if "_memo" in self.__slots__:
+            object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -368,30 +391,14 @@ class NumberField(Record):
     of each complex-conjugate pair with positive imaginary part, ordered by
     ascending real part (ties by imaginary part).  all_embeddings lists the
     real roots, then the complex representatives, then their conjugates in
-    matching order.
+    matching order.  class_orders, the orders of the cyclic factors of the
+    class group, defaults to () (a trivial class group).
     """
 
     __slots__ = _fields = (
         "poly", "digits", "sigma_star", "all_embeddings", "r_real", "r_complex", "class_orders"
     )
-
-    def __init__(
-        self,
-        poly: tuple[int, ...],
-        digits: int,
-        sigma_star: tuple,
-        all_embeddings: tuple,
-        r_real: int,
-        r_complex: int,
-        class_orders: tuple[int, ...] = (),
-    ):
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "digits", digits)
-        object.__setattr__(self, "sigma_star", sigma_star)
-        object.__setattr__(self, "all_embeddings", all_embeddings)
-        object.__setattr__(self, "r_real", r_real)
-        object.__setattr__(self, "r_complex", r_complex)
-        object.__setattr__(self, "class_orders", class_orders)
+    _defaults = {"class_orders": ()}
 
     @property
     def degree(self) -> int:
@@ -568,12 +575,22 @@ def dirichlet_rank(field: NumberField) -> int:
 
 
 def parse_rational(text) -> Fraction:
-    """Parse 'p/q' or 'p' into an exact rational."""
+    """Parse 'p/q', 'p' or a decimal into an exact rational.
+
+    A decimal whose mantissa digits and |exponent| add up to more than
+    sys.get_int_max_str_digits() raises ValueError before Fraction builds
+    its power of ten, as the same number written out as digits would.
+    """
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
         return Fraction(text)
-    return Fraction(str(text))
+    text = str(text)
+    mantissa, e, exponent = text.lower().partition("e")
+    limit = sys.get_int_max_str_digits()
+    if e and limit and sum(c.isdigit() for c in mantissa) + abs(int(exponent)) > limit:
+        raise ValueError(f"decimal exceeds the limit of {limit} digits")
+    return Fraction(text)
 
 
 def parse_descriptor(data: dict, digits_override: int | None = None):

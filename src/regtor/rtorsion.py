@@ -77,7 +77,7 @@ from .flatmodel import (
     to_mp,
     zero_class,
 )
-from .modtors import TorsionPresentation, zhat
+from .modtors import zhat
 from .numfield import (
     GUARD,
     NumberField,
@@ -130,8 +130,8 @@ class MetrizedComplexAtPlace(Record):
     det H_i of their Gram (1 when there are none).  Determinants, not their
     logarithms, are kept, so the torsion routes multiply them.  ranks[i] is
     the rank of d_i decided exactly in K when the complex comes from a
-    complex over R (at_place), and ranks is None for a complex built
-    directly over C, whose ranks only singular values can tell.
+    complex over R (at_place), and ranks is None, its default, for a
+    complex built directly over C, whose ranks only singular values can tell.
     reidemeister keeps its tau in _memo, a fresh dict per object outside
     the constructor, repr and equality.
     """
@@ -141,29 +141,7 @@ class MetrizedComplexAtPlace(Record):
         "det_cochain", "cohomology_dims", "det_cohomology", "ranks",
     )
     __slots__ = _fields + ("_memo",)
-
-    def __init__(
-        self,
-        digits: int,
-        lengths: tuple,
-        ortho_diffs: tuple,
-        ortho_reps: tuple,
-        from_ortho: tuple,
-        det_cochain: tuple,
-        cohomology_dims: tuple,
-        det_cohomology: tuple,
-        ranks: tuple | None = None,
-    ):
-        object.__setattr__(self, "digits", digits)
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "ortho_diffs", ortho_diffs)
-        object.__setattr__(self, "ortho_reps", ortho_reps)
-        object.__setattr__(self, "from_ortho", from_ortho)
-        object.__setattr__(self, "det_cochain", det_cochain)
-        object.__setattr__(self, "cohomology_dims", cohomology_dims)
-        object.__setattr__(self, "det_cohomology", det_cohomology)
-        object.__setattr__(self, "ranks", ranks)
-        object.__setattr__(self, "_memo", {})
+    _defaults = {"ranks": None}
 
 
 def metrized_complex_at_place(
@@ -185,9 +163,8 @@ def metrized_complex_at_place(
     nd = len(lengths)
     with mp.workdps(digits + GUARD):
         dd = [[[to_mp(x) for x in row] for row in m] for m in diffs]
-        gg = [[[to_mp(x) for x in row] for row in m] for m in cochain_grams]
-        hh = [[[to_mp(x) for x in row] for row in m] for m in cohomology_grams]
         kk = [[[to_mp(x) for x in row] for row in m] for m in cohomology_maps]
+        gg, hh = cochain_grams, cohomology_grams  # hermitian_cholesky converts each
         if len(dd) != nd - 1 or len(gg) != nd or len(hh) != nd or len(kk) != nd:
             raise ValidationError("degree counts of the complex data disagree")
         for i in range(nd - 1):
@@ -478,21 +455,12 @@ class CohomologySpec(Record):
     columns represent a basis of the free part; free_grams gives one
     free_rank-sized Gram per place representative; torsion, when present, is
     a square presentation of the torsion part (invisible at every place).
+    free_reps and free_grams default to () and torsion to None, which with
+    free_rank 0 is a zero cohomology.
     """
 
     __slots__ = _fields = ("free_rank", "free_reps", "free_grams", "torsion")
-
-    def __init__(
-        self,
-        free_rank: int,
-        free_reps: tuple = (),
-        free_grams: tuple = (),
-        torsion: TorsionPresentation | None = None,
-    ):
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "free_reps", free_reps)
-        object.__setattr__(self, "free_grams", free_grams)
-        object.__setattr__(self, "torsion", torsion)
+    _defaults = {"free_reps": (), "free_grams": (), "torsion": None}
 
 
 class MetrizedComplexOverR(Record):
@@ -509,23 +477,6 @@ class MetrizedComplexOverR(Record):
 
     _fields = ("field", "lengths", "diffs", "grams", "cohomology", "ranks")
     __slots__ = _fields + ("_memo",)
-
-    def __init__(
-        self,
-        field: NumberField,
-        lengths: tuple,
-        diffs: tuple,
-        grams: tuple,
-        cohomology: tuple,
-        ranks: tuple,
-    ):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "diffs", diffs)
-        object.__setattr__(self, "grams", grams)
-        object.__setattr__(self, "cohomology", cohomology)
-        object.__setattr__(self, "ranks", ranks)
-        object.__setattr__(self, "_memo", {})
 
 
 def _product_is_zero(field, left, right) -> bool:
@@ -580,14 +531,7 @@ def build_complex_over_r(field, lengths, diffs, grams, cohomology) -> MetrizedCo
                 raise ValidationError(f"free representatives at degree {i} have the wrong shape")
             if len(spec.free_grams) != field.n_places:
                 raise ValidationError(f"free cohomology at degree {i} needs a Gram per place")
-        specs.append(
-            CohomologySpec(
-                free_rank=spec.free_rank,
-                free_reps=reps,
-                free_grams=tuple(spec.free_grams),
-                torsion=spec.torsion,
-            )
-        )
+        specs.append(CohomologySpec(spec.free_rank, reps, tuple(spec.free_grams), spec.torsion))
     for i, spec in enumerate(specs[:-1]):
         if spec.free_rank and not _product_is_zero(field, dd[i], spec.free_reps):
             raise ValidationError(f"a degree-{i} representative is not a cocycle")
@@ -600,9 +544,7 @@ def build_complex_over_r(field, lengths, diffs, grams, cohomology) -> MetrizedCo
                     f"degree {i} supplies {spec.free_rank} cohomology classes "
                     f"but the kernel has dimension {h}"
                 )
-    return MetrizedComplexOverR(
-        field=field, lengths=lengths, diffs=dd, grams=gg, cohomology=tuple(specs), ranks=ranks
-    )
+    return MetrizedComplexOverR(field, lengths, dd, gg, tuple(specs), ranks)
 
 
 def _embed_matrix(field, rows, place):

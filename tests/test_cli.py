@@ -9,6 +9,7 @@ representative failure paths.  One subprocess run covers the entry point.
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -371,6 +372,10 @@ MALFORMED = [
     ["zhat", "--field", Z2, "--pres", '{"entries": [["2"]], "size": "x"}'],
     ["scale", "--field", Z2, "--point", '{"rank":"x","torus":{}}', "--lambdas", '["1","1"]'],
     ["scale", "--field", Z2, "--point", '{"rank":1,"cls":["x"],"torus":{}}', "--lambdas", '["1","1"]'],
+    # json raises a plain ValueError past the int-string limit, and
+    # RecursionError on deep nesting
+    ["reduce", "--field", Z2, "--form", "[" + "1" * 5000 + ", 0]"],
+    ["reduce", "--field", Z2, "--form", "[" * 3000 + "]" * 3000],
 ]
 
 
@@ -396,6 +401,32 @@ def test_validation_exit_codes(capsys):
     for argv in MALFORMED:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error: "), argv
+
+
+def test_malformed_descriptor_files(capsys, tmp_path):
+    big, deep = tmp_path / "big.json", tmp_path / "deep.json"
+    big.write_text('{"poly": [' + "1" * 5000 + ", 0, 1]}")
+    deep.write_text("[" * 100000 + "]" * 100000)
+    for path in (big, deep):
+        code, out, err = run(capsys, "field-info", "--field", str(path))
+        assert code == 2 and out == "" and err.startswith("error: field descriptor"), path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["polylog", "--n", "2", "--theta", "1e-1000000"],
+        ["polylog", "--n", "2", "--theta", "1e-3000000"],
+        ["polylog", "--n", "2", "--theta", "1e-10000000"],
+        ["unit-log", "--field", Z2, "--unit", '["1e4400","1"]'],
+    ],
+)
+def test_decimal_exponents_keep_the_int_string_limit(capsys, argv):
+    # each would build a power of ten of millions of digits, or print one
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: "), err
+    assert time.perf_counter() - start < 1
 
 
 def test_numerical_exit_code(capsys):

@@ -7,6 +7,7 @@ for the norm, and exact Fraction arithmetic for ring laws.
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -434,6 +435,19 @@ def test_parse_rational():
     assert parse_rational("-2") == Fraction(-2)
     assert parse_rational(5) == Fraction(5)
     assert parse_rational(Fraction(7, 3)) == Fraction(7, 3)
+    assert parse_rational("1e-30") == Fraction(1, 10**30)
+    assert parse_rational("2.5e3") == Fraction(2500)
+
+
+def test_parse_rational_bounds_decimal_exponents():
+    # mantissa digits plus |exponent| may not pass the int-string limit, the
+    # bound an integer literal of as many digits already meets
+    limit = sys.get_int_max_str_digits()
+    assert parse_rational(f"1e{limit - 1}") == 10 ** (limit - 1)
+    assert parse_rational(f"0.5e-{limit - 2}") == Fraction(1, 2 * 10 ** (limit - 2))
+    for text in (f"1e{limit}", f"1.5e-{limit - 1}", "1e-10000000", "1e4400"):
+        with pytest.raises(ValueError):
+            parse_rational(text)
 
 
 def test_parse_descriptor_and_digit_override():

@@ -1,5 +1,6 @@
 """The package's public names, the functions the benchmark traces, what
-importing the CLI loads, and the behaviour of the records.
+importing the CLI loads, and the behaviour of the records and of their one
+constructor.
 
 Moving code between modules must not change regtor.__all__, and must not
 drop a function that perfbench/tracing.py wraps for its per-layer times.
@@ -10,6 +11,7 @@ code-generation machinery of dataclasses (inspect, ast, dis, tokenize).
 import copy
 import importlib
 import importlib.util
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -43,6 +45,7 @@ from regtor import (
     reidemeister,
     torsion_form_coeffs,
 )
+from regtor.numfield import Record
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -177,3 +180,44 @@ def test_records_keep_their_semantics():
     assert s._memo and not t._memo and s == t and hash(s) == hash(t)
     assert "_memo" not in repr(x) + repr(p) + repr(s)
     assert not any(copy.copy(v)._memo for v in (x, p, s))
+
+
+def _subclasses(cls):
+    return {c for sub in cls.__subclasses__() for c in {sub} | _subclasses(sub)}
+
+
+def test_records_share_one_constructor():
+    table = _record_table()
+    assert {record for record, *_ in table} == _subclasses(Record)
+    own = [record for record, *_ in table if "__init__" in vars(record)]
+    assert own == [FieldElement]  # its slot setter serves the exact-arithmetic loops
+
+    for record, build, _, by_value in table:
+        a = build()
+        names = record._fields
+        values = tuple(getattr(a, f) for f in names)
+        pos, kw = record(*values), record(**dict(zip(names, values)))
+        copies = [pos, kw, copy.copy(a)]
+        # mpmath makes its matrix class per context, so an mp.matrix field does not pickle
+        if record is not MetrizedComplexAtPlace:
+            copies.append(pickle.loads(pickle.dumps(a)))
+        for b in copies:
+            assert type(b) is record and repr(b) == repr(a)
+            assert not getattr(b, "_memo", None)
+            assert b == a if by_value else b != a
+        for b in (pos, kw):
+            assert all(getattr(b, f) is v for f, v in zip(names, values))
+
+        # the messages of a written-out signature
+        with pytest.raises(TypeError, match="but .* were given"):
+            record(*values, None)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+            record(*values, bogus=None)
+        with pytest.raises(TypeError, match=f"multiple values for argument '{names[0]}'"):
+            record(*values, **{names[0]: values[0]})
+        with pytest.raises(TypeError, match=f"missing .*'{names[0]}'"):
+            record(**dict(zip(names[1:], values[1:])))
+
+    field = build_field((-2, 0, 1), 30)
+    values = tuple(getattr(field, f) for f in NumberField._fields[:-1])
+    assert NumberField(*values).class_orders == () and NumberField(*values) == field
