@@ -23,10 +23,11 @@ from fractions import Fraction
 from math import factorial
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import isprime
 
 from . import rtorsion
 from .errors import TrivialHolonomyAtJZero, ValidationError
-from .numfield import GUARD, NumberField, Record, build_field
+from .numfield import DEGREE_MAX, GUARD, NumberField, Record, build_field
 from .polylog import (
     BERNOULLI_MAX,
     _check_j,
@@ -43,17 +44,6 @@ HATCHER_K_MAX = BERNOULLI_MAX // 2
 # i = 2; borel-dims --imax 10000 prints 220 kB in 0.17 s at any precision,
 # and the time and output grow linearly beyond it.
 BOREL_INDEX_MAX = 10_000
-
-
-def _is_prime(r: int) -> bool:
-    if r < 2:
-        return False
-    d = 2
-    while d * d <= r:
-        if r % d == 0:
-            return False
-        d += 1
-    return True
 
 
 class CyclotomicSetup(Record):
@@ -87,8 +77,10 @@ def make_cyclotomic_setup(r: int, digits: int = 50) -> CyclotomicSetup:
     The angles are these closed forms, not arguments taken of the embeddings.
     """
     r = int(r)
-    if r < 3 or not _is_prime(r):
+    if r < 3 or not isprime(r):
         raise ValidationError("the cyclotomic order must be a prime >= 3")
+    if r - 1 > DEGREE_MAX:  # refused before p = 1 + x + ... + x^{r-1} is built
+        raise ValidationError(f"defining polynomial must have degree at most {DEGREE_MAX}")
     field = build_field((1,) * r, digits)
     with mp.workdps(digits + GUARD):
         turn = 2 * mp.pi / r
@@ -103,6 +95,13 @@ def _prefactor(j: int):
     return num / den
 
 
+def _r_j(z, j: int):
+    """The projection onto the R(j)-line that every circle-bundle constant
+    reads: (-1)^(j//2) times Re z for even j and Im z for odd j.  The sign
+    is exact, so the bits are those of the part it takes."""
+    return (-1) ** (j // 2) * (z.imag if j % 2 else z.real)
+
+
 def _li(setup: CyclotomicSetup, k: int, n: int):
     """polylog_circle(n, thetas[k]) at the setup's digits, evaluated once per setup."""
     key = (k, n)
@@ -114,8 +113,9 @@ def _li(setup: CyclotomicSetup, k: int, n: int):
 def torsion_form_coeffs(setup: CyclotomicSetup, jmax: int) -> dict:
     """T_{sigma, j} for all places and 0 <= j <= jmax.
 
-    Even j uses (-1)^(j/2) Re Li_{j+1}, odd j uses (-1)^((j-1)/2) Im Li_{j+1},
-    both times the prefactor; at j = 0 this reduces to -ln|1 - sigma(xi)|.
+    The prefactor times _r_j(Li_{j+1}, j): (-1)^(j/2) Re Li_{j+1} for even
+    j, (-1)^((j-1)/2) Im Li_{j+1} for odd j; at j = 0 this reduces to
+    -ln|1 - sigma(xi)|.
     Li_1 .. Li_{jmax+1} come from one polylog_orders pass per place.  Li_1
     is kept in the setup, and once it is there the pass starts at Li_2.
     0 <= jmax < ORDER_MAX.
@@ -133,11 +133,7 @@ def torsion_form_coeffs(setup: CyclotomicSetup, jmax: int) -> dict:
                 lis = polylog_orders(1, jmax + 1, th, digits)
                 memo[(k, 1)] = lis[0]
             for j, (pref, li) in enumerate(zip(prefs, lis)):
-                if j % 2 == 0:
-                    val = (-1) ** (j // 2) * pref * li.real
-                else:
-                    val = (-1) ** ((j - 1) // 2) * pref * li.imag
-                out[(k, j)] = +val
+                out[(k, j)] = +(pref * _r_j(li, j))
     return out
 
 
@@ -187,7 +183,8 @@ def regulator_identity_check(setup: CyclotomicSetup, j: int) -> dict:
 
     lhs projects Li_{j+1}(sigma(xi)) - zeta(j+1) onto the R(j)-line (real
     part for even j, i times imaginary part for odd j), scales by
-    (-1)^j (2j+1)!/j!, and divides by (2pi i)^j; rhs is
+    (-1)^j (2j+1)!/j!, and divides by (2pi i)^j, which is
+    (-1)^j (2j+1)!/j! _r_j(z, j) / (2 pi)^j for that difference z; rhs is
     (-1)^j j! 2^(2j) u_j(sigma).  The ratio is the sign left over after the
     prefactors cancel.  Both sides come from one evaluation of Li_{j+1} per
     place, the single-order value shared with u_coeff through the setup;
@@ -202,11 +199,7 @@ def regulator_identity_check(setup: CyclotomicSetup, j: int) -> dict:
         zv = zeta_int(j + 1, digits)
         for k in range(len(setup.thetas)):
             li = _li(setup, k, j + 1)
-            z = li - zv
-            if j % 2 == 0:
-                lhs = (-1) ** (j // 2) * amp * z.real / (2 * mp.pi) ** j
-            else:
-                lhs = -((-1) ** ((j - 1) // 2)) * amp * z.imag / (2 * mp.pi) ** j
+            lhs = (-1) ** j * amp * _r_j(li - zv, j) / (2 * mp.pi) ** j
             rhs = (-1) ** j * factorial(j) * mpf(2) ** (2 * j) * _u_value(j, pref, li, zv)
             ratio = lhs / rhs if rhs != 0 else mp.nan
             out[k] = (+lhs, +rhs, +ratio)
@@ -290,19 +283,6 @@ def normalization_factors(j: int, digits: int = 50):
         return +chern, +igusa, (+borel_signed, (-j) % 4)
 
 
-def _factor_complex(name: str, j: int):
-    if name == "bl":
-        return mpc(1)
-    chern, igusa, (bmag, bpow) = normalization_factors(j, mp.dps)
-    if name == "chern":
-        return mpc(chern)
-    if name == "igusa":
-        return mpc(igusa)
-    if name == "borel":
-        return mpc(bmag) * mpc(0, 1) ** bpow
-    raise ValidationError(f"unknown normalization {name!r}")
-
-
 def convert(values, frm: str, to: str, j: int, digits: int = 50):
     """Re-express Kamber-Tondeur values between normalizations.
 
@@ -316,7 +296,10 @@ def convert(values, frm: str, to: str, j: int, digits: int = 50):
     single = not isinstance(values, (list, tuple))
     vals = [values] if single else list(values)
     with mp.workdps(digits + GUARD):
-        fac = _factor_complex(frm, j) / _factor_complex(to, j)
+        chern, igusa, (bmag, bpow) = normalization_factors(j, mp.dps)
+        table = {"bl": mpc(1), "chern": mpc(chern), "igusa": mpc(igusa)}
+        table["borel"] = mpc(bmag) * mpc(0, 1) ** bpow
+        fac = table[frm] / table[to]
         out = []
         for v in vals:
             w = mp.mpmathify(v) * fac

@@ -3,8 +3,10 @@
 Every operation is exposed as a subcommand with JSON input arguments and
 JSON (default) or aligned-table output.  All numbers are serialized as
 decimal strings at the working precision, so results survive round-trips
-beyond double precision.  Exit codes: 0 success, 2 validation error,
-3 numerical failure; diagnostics go to standard error.
+beyond double precision.  Numbers are formatted here only: _s for one
+value, _sigmas for one value per place, _q for an exact rational; no
+record of the library formats itself.  Exit codes: 0 success, 2 validation
+error, 3 numerical failure; diagnostics go to standard error.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from mpmath import mp
 
 from . import circlebundle, flatmodel, modtors, polylog, rtorsion
 from .errors import NumericalError, ValidationError
-from .numfield import DEGREE_MAX, GUARD, dirichlet_rank, norm, parse_descriptor, parse_rational
+from .numfield import (
+    DEGREE_MAX, GUARD, dirichlet_rank, norm, parse_descriptor, parse_rational, to_mp
+)
 
 DEFAULT_DIGITS = 50
 
@@ -70,6 +74,11 @@ def _s(x, digits):
     return mp.nstr(mp.mpf(x) if not isinstance(x, (mp.mpf, mp.mpc)) else x, digits)
 
 
+def _sigmas(values, digits) -> dict:
+    """One value per place, keyed sigma_0, sigma_1, ..."""
+    return {f"sigma_{k}": _s(v, digits) for k, v in enumerate(values)}
+
+
 def _q(x) -> str:
     """An exact rational as text of any length: the int-to-string limit guards input only."""
     limit = sys.get_int_max_str_digits()
@@ -88,9 +97,12 @@ def _form_reduced(f, digits):
 
 
 def _point_dict(x, digits):
-    d = x.to_dict(digits)
-    d["torus_b1_reduced"] = _form_reduced(x.torus.as_form(), digits)
-    return d
+    return {
+        "rank": x.rank,
+        "cls": list(x.cls),
+        "torus": _sigmas(x.torus.values, digits),
+        "torus_b1_reduced": _form_reduced(x.torus.as_form(), digits),
+    }
 
 
 def _parse_point(lattice, data):
@@ -185,14 +197,14 @@ def _rational_arg(text, what):
     try:
         return parse_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"{what} must be a decimal or p/q, got {text!r}") from exc
+        raise ValidationError(f"{what} must be a decimal or p/q, got {text!r} ({exc})") from exc
 
 
 def _real_arg(text, digits, what):
     """A decimal or "p/q" argument at digits + GUARD."""
     q = _rational_arg(text, what)
     with mp.workdps(digits + GUARD):
-        return mp.mpf(q.numerator) / q.denominator
+        return to_mp(q)
 
 
 def _theta_from_args(args, digits):
@@ -238,7 +250,7 @@ def cmd_unit_log(args):
     return {
         "unit": [_q(c) for c in elem.coeffs],
         "norm": _q(norm(field, elem)),
-        "canonical": f.to_dict(digits)["coeffs"],
+        "canonical": _sigmas(f.values, digits),
         "b1_reduced": _form_reduced(f, digits),
     }
 
@@ -261,7 +273,7 @@ def cmd_reduce(args):
     t, is_zero = flatmodel.reduce_mod_lattice(lat, f)
     return {
         "is_zero": is_zero,
-        "torus": t.to_dict(digits),
+        "torus": _sigmas(t.values, digits),
         "b1_reduced": _form_reduced(t.as_form(), digits),
     }
 
@@ -298,8 +310,8 @@ def cmd_rtorsion(args):
     # rtorsion_form has built every place and its tau; these calls reuse them
     taus = [rtorsion.reidemeister(rtorsion.at_place(cplx, k)) for k in range(field.n_places)]
     return {
-        "tau": {f"sigma_{k}": _s(t, digits) for k, t in enumerate(taus)},
-        "form_canonical": f.to_dict(digits)["coeffs"],
+        "tau": _sigmas(taus, digits),
+        "form_canonical": _sigmas(f.values, digits),
         "form_b1_reduced": _form_reduced(f, digits),
     }
 
@@ -338,7 +350,7 @@ def cmd_beta_check(args):
     digits = _resolve_digits(args)
     quad, exact = polylog.beta_integral_check(args.j, digits)
     with mp.workdps(digits + GUARD):
-        err = abs(quad - mp.mpf(exact.numerator) / exact.denominator)
+        err = abs(quad - to_mp(exact))
     return {
         "j": args.j,
         "quadrature": _s(quad, digits),

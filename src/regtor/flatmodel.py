@@ -17,13 +17,14 @@ A Gram determinant is kept as the determinant (prod of the Cholesky
 diagonal)^2, and a logarithm is taken only where a coefficient vector needs
 one: lndet_hermitian takes one per Gram, and callers that combine several
 determinants multiply them first.
+
+Scalars given as input are converted by numfield.to_mp.  No record here
+formats itself: the CLI alone decides how a value is printed.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpf
 
 from .errors import NoConvergence, NotAUnit, NotPositiveDefinite, ValidationError
 from .numfield import (
@@ -32,32 +33,13 @@ from .numfield import (
     NumberField,
     Record,
     embed,
-    parse_rational,
     rank_cutoff,
+    to_mp,
     torus_tolerance,
     verify_unit,
 )
 
 _LLL_STEP_CAP = 50_000
-
-
-def to_mp(x):
-    """Exact-aware scalar conversion at the current working precision.
-
-    Raises ValidationError on anything that is not a number, a decimal or
-    "p/q" string, or an [re, im] pair of those.
-    """
-    if isinstance(x, (tuple, list)):
-        if len(x) != 2:
-            raise ValidationError("complex entries must be [re, im] pairs")
-        return mpc(to_mp(x[0]), to_mp(x[1]))
-    try:
-        q = parse_rational(x) if isinstance(x, str) and "/" in x else x
-        if isinstance(q, Fraction):
-            return mpf(q.numerator) / q.denominator
-        return mp.mpmathify(q)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"not a number: {x!r}") from exc
 
 
 class FormElement(Record):
@@ -110,14 +92,6 @@ class FormElement(Record):
             raise ValidationError("reduced coordinates exist in degree 1 only")
         with mp.workdps(self.digits + GUARD):
             return tuple(v - self.values[0] for v in self.values[1:])
-
-    def to_dict(self, dps: int = 30) -> dict:
-        return {
-            "degree": self.degree,
-            "coeffs": {
-                f"sigma_{k}": mp.nstr(v, dps) for k, v in enumerate(self.values)
-            },
-        }
 
 
 def make_form(field: NumberField, degree_index: int, values) -> FormElement:
@@ -230,10 +204,12 @@ class RegulatorLattice(Record):
     """LLL-reduced lattice of unit-log images in quotient coordinates.
 
     star holds the Gram-Schmidt vectors of basis and norms their squared
-    lengths, both as _lll left them at digits + GUARD.
+    lengths, both as _lll left them at digits + GUARD.  The unit images are
+    not kept: build_lattice reads them only to check that the basis absorbs
+    each one.
     """
 
-    __slots__ = _fields = ("field", "unit_images", "basis", "star", "tol", "norms")
+    __slots__ = _fields = ("field", "basis", "star", "tol", "norms")
 
     @property
     def rank(self) -> int:
@@ -260,7 +236,7 @@ def build_lattice(field: NumberField, units) -> RegulatorLattice:
             raise ValidationError("lattice rank exceeds the unit-group rank")
         tol = torus_tolerance(field.digits)
         basis, star = tuple(map(tuple, basis)), tuple(map(tuple, star))
-        lat = RegulatorLattice(field, tuple(images), basis, star, tol, tuple(norms))
+        lat = RegulatorLattice(field, basis, star, tol, tuple(norms))
         for f in images:
             red, _ = _babai(lat, f.values)
             if _vec_norm(red) > tol:
@@ -301,9 +277,6 @@ class TorusElement(Record):
     def as_form(self) -> FormElement:
         return FormElement(0, self.values, self.lattice.field.digits)
 
-    def to_dict(self, dps: int = 30) -> dict:
-        return {f"sigma_{k}": mp.nstr(v, dps) for k, v in enumerate(self.values)}
-
 
 def reduce_mod_lattice(lattice: RegulatorLattice, f: FormElement):
     """Babai-reduce a degree-1 vector; returns (torus element, is_zero)."""
@@ -340,13 +313,6 @@ class PointClass(Record):
 
     def is_zero(self) -> bool:
         return self.rank == 0 and all(c == 0 for c in self.cls) and self.torus.is_zero()
-
-    def to_dict(self, dps: int = 30) -> dict:
-        return {
-            "rank": self.rank,
-            "cls": list(self.cls),
-            "torus": self.torus.to_dict(dps),
-        }
 
 
 def zero_torus(lattice: RegulatorLattice) -> TorusElement:

@@ -16,17 +16,17 @@ basis, a unit of the field lying outside Z[x] is rejected.
 Shared by every module: Record, the base of every immutable value type,
 with the one constructor that binds the fields each type names; the
 polynomial kit over Q (poly_trim, poly_mul, poly_divmod; coefficient
-lists constant first), the one Horner evaluator, the one fraction-free
-elimination step _bareiss_step over Z, and the precision policy.
-_int_bareiss_det runs that step to a determinant: it serves norm and the
-squarefree test through _resultant, the subresultant gcd, and
-modtors.exact_det through Kronecker substitution (_kronecker_matrix).
-exact_ranks runs it with complete pivoting on the Kronecker form of a
-matrix to decide its rank at each place exactly in K, splitting p where a
-pivot is a zero divisor.  Each public function works at digits + GUARD;
-the cutoffs rank_cutoff (10^(-digits/2)), torus_tolerance (10^(-digits/3))
-and residual_tolerance (10^(-digits + GUARD)) are evaluated at the
-caller's working precision.
+lists constant first), the one Horner evaluator, the one number
+conversion to_mp, the one fraction-free elimination _bareiss over Z, and
+the precision policy.  _bareiss gives every exact determinant and rank:
+_int_bareiss_det for norm and the squarefree test through _resultant and
+for modtors.exact_det through Kronecker substitution (_kronecker_matrix),
+all the subresultants of one Sylvester matrix S_j for the gcd, and the rank
+at each place, decided exactly in K on the Kronecker form of a matrix, for
+exact_ranks, splitting p where a pivot is a zero divisor.  Each public
+function works at digits + GUARD; the cutoffs rank_cutoff
+(10^(-digits/2)), torus_tolerance (10^(-digits/3)) and residual_tolerance
+(10^(-digits + GUARD)) are evaluated at the caller's working precision.
 """
 
 from __future__ import annotations
@@ -62,8 +62,11 @@ class Record:
     assignment raises AttributeError.  Equality and hashing go by the class
     and the tuple of fields, repr lists the fields by name, and copy and
     pickle rebuild through the constructor.  A subclass compared by identity
-    sets __eq__ and __hash__ back to object's.  No code is generated at
-    import: each CLI call is a fresh process and would pay for it.
+    sets __eq__ and __hash__ back to object's.  rtorsion's
+    MetrizedComplexAtPlace, whose fields are mp.matrix, compares by value
+    but neither hashes (its __hash__ is None) nor pickles.  No code is
+    generated at import: each CLI call is a fresh process and would pay for
+    it.
     """
 
     __slots__ = ()
@@ -191,55 +194,75 @@ def poly_divmod(a, b) -> tuple[list, list]:
     return poly_trim(quo), poly_trim(rem[: nb - 1])
 
 
-def _bareiss_step(m, k, prev):
-    """Eliminate below the pivot m[k][k], fraction-free (Bareiss).
+def _bareiss(m, live=bool, width=None) -> tuple[int, int]:
+    """Fraction-free elimination of an integer matrix in place, with complete
+    pivoting (Bareiss, Math. Comp. 22, 1968).
 
-    Each entry right of and below the pivot becomes the minor of the input
-    on the pivot rows and columns so far and its own row and column, by one
-    exact division by prev, the previous pivot (1 at the first step).
+    Step k swaps to (k, k) the first entry, scanning rows then columns, of
+    rows k.. and columns k..width-1 (width defaults to all) for which live
+    is true.  Each entry right of and below it becomes, by one exact
+    division by the previous pivot, the minor of the permuted m on the
+    pivots so far and its own row and column.  So the k-th pivot is the
+    leading k-minor, once no entry is live those below the last pivot are
+    the minors that border it, and Hadamard's bound limits every entry.
+    Returns (number of pivots, sign of the swaps' permutation).
     """
-    pivot, top = m[k][k], m[k]
-    for row in m[k + 1 :]:
-        a = row[k]
-        for j in range(k + 1, len(row)):
-            q, r = divmod(row[j] * pivot - a * top[j], prev)
-            assert r == 0
-            row[j] = q
-        row[k] = 0
+    if width is None:
+        width = len(m[0]) if m else 0
+    sign, prev = 1, 1
+    for k in range(min(len(m), width)):
+        found = next(
+            ((i, j) for i in range(k, len(m)) for j in range(k, width) if live(m[i][j])), None
+        )
+        if found is None:
+            return k, sign
+        i, j = found
+        if i != k:
+            m[k], m[i] = m[i], m[k]
+            sign = -sign
+        if j != k:
+            for row in m:
+                row[k], row[j] = row[j], row[k]
+            sign = -sign
+        top = m[k]
+        pivot = top[k]
+        for row in m[k + 1 :]:
+            a = row[k]
+            for c in range(k + 1, len(row)):
+                q, r = divmod(row[c] * pivot - a * top[c], prev)
+                assert r == 0
+                row[c] = q
+            row[k] = 0
+        prev = pivot
+    return min(len(m), width), sign
 
 
 def _int_bareiss_det(m: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix (Bareiss): every
-    intermediate entry is a minor of m, so Hadamard's bound limits its size."""
-    n = len(m)
-    if n == 0:
+    """Determinant of a square integer matrix: the sign of _bareiss's swaps
+    times its last pivot.  When it finds fewer pivots than rows, every entry
+    left, the last diagonal one too, is 0, and so is the determinant."""
+    if not m:
         return 1
     m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        _bareiss_step(m, k, prev)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return _bareiss(m)[1] * m[-1][-1]
+
+
+def _sylvester(f, e, j) -> list[list[int]]:
+    """S_j of two integer polynomials (constant first) of degrees n and m:
+    the coefficient rows, highest power first, of x^(m-j-1) f, ..., f and
+    x^(n-j-1) e, ..., e, with n + m - j columns.  Column n + m - j - 1 - i
+    holds the x^i coefficients."""
+    n, m = len(f) - 1, len(e) - 1
+    f_desc, e_desc = list(f[::-1]), list(e[::-1])
+    rows = [[0] * k + f_desc + [0] * (m - j - 1 - k) for k in range(m - j)]
+    return rows + [[0] * k + e_desc + [0] * (n - j - 1 - k) for k in range(n - j)]
 
 
 def _resultant(p, q) -> int:
     """Res(p, q) of two integer polynomials (constant first, nonzero leading
-    coefficients): the determinant of their Sylvester matrix.  A constant q
-    gives the diagonal matrix q I_{deg p}."""
-    n, m = len(p) - 1, len(q) - 1
-    p_desc, q_desc = list(p[::-1]), list(q[::-1])
-    syl = [[0] * k + p_desc + [0] * (m - 1 - k) for k in range(m)]
-    syl += [[0] * k + q_desc + [0] * (n - 1 - k) for k in range(n)]
-    return _int_bareiss_det(syl)
+    coefficients): det S_0, the determinant of their Sylvester matrix.  A
+    constant q gives the diagonal matrix q I_{deg p}."""
+    return _int_bareiss_det(_sylvester(p, q, 0))
 
 
 def _kronecker_matrix(field, rows) -> tuple[list[list[int]], int, int]:
@@ -277,33 +300,31 @@ def _subresultant_gcd(f, e) -> list[int]:
     """The monic gcd of a monic integer f and a nonzero integer e of lower
     degree that share a root, Res(f, e) = 0.
 
-    S_j stacks the coefficient rows (highest power first) of
-    x^(m-j-1) f, ..., f and x^(n-j-1) e, ..., e, for deg f = n and
-    deg e = m.  The gcd has the least degree d whose principal subresultant
+    For deg f = n and deg e = m, S_j (_sylvester) has size = n + m - 2j
+    rows.  The gcd has the least degree d whose principal subresultant
     psc_d, the determinant of the leading square block of S_d, is nonzero,
     and the subresultant polynomial of S_d, whose x^i coefficient is the
     determinant of that block with its last column swapped for the x^i
     column, is psc_d times the monic gcd (von zur Gathen and Gerhard,
     Modern Computer Algebra, ch. 6).  The search ends by j = m at the
-    latest, where psc_m = lc(e)^(n-m).  Every determinant goes through
-    _int_bareiss_det.
+    latest, where psc_m = lc(e)^(n-m).  One _bareiss per j, pivoting in
+    the first size - 1 columns only, gives all these determinants: with
+    size - 1 pivots the last row holds the minors bordering them, each the
+    sign of the swaps times one determinant, and the sign cancels in the
+    quotients.  Fewer pivots make psc_j = 0.
     """
     n, m = len(f) - 1, len(e) - 1
-    f_desc, e_desc = f[::-1], e[::-1]
-
-    def minor(rows, size, col):
-        return _int_bareiss_det([r[: size - 1] + [r[col]] for r in rows])
-
     for j in range(1, m + 1):
-        rows = [[0] * k + f_desc + [0] * (m - j - 1 - k) for k in range(m - j)]
-        rows += [[0] * k + e_desc + [0] * (n - j - 1 - k) for k in range(n - j)]
-        # column n + m - j - 1 - i holds the x^i coefficients
+        rows = _sylvester(f, e, j)
         size = n + m - 2 * j
-        psc = minor(rows, size, size - 1)
+        if _bareiss(rows, width=size - 1)[0] < size - 1:
+            continue
+        last = rows[-1]
+        psc = last[size - 1]
         if psc:
             gcd = []
             for i in range(j):
-                q, r = divmod(minor(rows, size, n + m - j - 1 - i), psc)
+                q, r = divmod(last[n + m - j - 1 - i], psc)
                 assert r == 0
                 gcd.append(q)
             return gcd + [1]
@@ -311,52 +332,37 @@ def _subresultant_gcd(f, e) -> list[int]:
 
 def _bareiss_ranks(m, bits, f) -> list[tuple[list[int], int]]:
     """Ranks of an integer polynomial matrix modulo the factors of a monic,
-    squarefree f, by Bareiss elimination with complete pivoting.
+    squarefree f, by _bareiss with any entry nonzero mod f as a pivot.
 
     m holds the polynomials in Kronecker form at x = 2^bits, so every entry
     stays a minor in Z[x], its coefficients the digits of an integer, and
-    the exact divisions hold in Z[x] whatever the pivots are mod f.  Any
-    entry that is nonzero mod f serves as a pivot.  Elimination stops after
-    r pivots when every entry left is 0 mod f: those entries are the
-    (r+1)-minors that border the last pivot e, itself the leading r-minor.
-    When e is a
-    unit mod f, that is e mod f != 0 and Res(f, e mod f) != 0, the rank is r
-    modulo every factor of f.  Otherwise f splits into g = gcd(f, e), on
-    which e vanishes and elimination starts again, and f / g, on which e is
-    a unit and the rank is r (dynamic evaluation, D5: Della Dora,
-    Dicrescenzo and Duval, EUROCAL 1985).  So f needs one resultant, and
-    one more per split.  Returns (factor, rank) per branch; the factors
-    multiply to f.
+    the exact divisions hold in Z[x] whatever the pivots are mod f.
+    Elimination stops after r pivots when every entry left is 0 mod f: those
+    entries are the (r+1)-minors that border the last pivot e, itself the
+    leading r-minor.  When e is a unit mod f, that is e mod f != 0 and
+    Res(f, e mod f) != 0, the rank is r modulo every factor of f.  Otherwise
+    f splits into g = gcd(f, e), on which e vanishes and elimination starts
+    again, and f / g, on which e is a unit and the rank is r (dynamic
+    evaluation, D5: Della Dora, Dicrescenzo and Duval, EUROCAL 1985).  So f
+    needs one resultant, and one more per split.  Returns (factor, rank)
+    per branch; the factors multiply to f.
     """
     done = []
     todo = [f]
     while todo:
         f = todo.pop()
+
+        def mod_f(x):
+            return poly_divmod(_kronecker_digits(x, bits), f)[1]
+
         a = [row[:] for row in m]
-        k, last = 0, None
-        while True:
-            pivot = None
-            for i in range(k, len(a)):
-                for j in range(k, len(a[i])):
-                    if a[i][j]:
-                        e = poly_divmod(_kronecker_digits(a[i][j], bits), f)[1]
-                        if e:
-                            pivot, last = (i, j), e
-                            break
-                if pivot:
-                    break
-            if pivot is None:
-                break
-            i, j = pivot
-            a[k], a[i] = a[i], a[k]
-            for row in a:
-                row[k], row[j] = row[j], row[k]
-            _bareiss_step(a, k, a[k - 1][k - 1] if k else 1)
-            k += 1
-        if k and not _resultant(f, last):
-            g = _subresultant_gcd(f, last)
-            todo.append(g)
-            f = poly_divmod(f, g)[0]
+        k, _ = _bareiss(a, lambda x: x and mod_f(x))
+        if k:
+            last = mod_f(a[k - 1][k - 1])
+            if not _resultant(f, last):
+                g = _subresultant_gcd(f, last)
+                todo.append(g)
+                f = poly_divmod(f, g)[0]
         done.append((f, k))
     return done
 
@@ -437,10 +443,6 @@ class NumberField(Record):
 
     def neg(self, a: FieldElement) -> FieldElement:
         return FieldElement(tuple(-x for x in a.coeffs))
-
-    def scalar_mul(self, q, a: FieldElement) -> FieldElement:
-        f = Fraction(q)
-        return FieldElement(tuple(f * x for x in a.coeffs))
 
     def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
         return self.element(poly_mul(a.coeffs, b.coeffs))
@@ -532,7 +534,7 @@ def _horner(coeffs, z):
 
 
 def _mp_coeffs(elem: FieldElement) -> list:
-    return [mpf(c.numerator) / c.denominator for c in elem.coeffs]
+    return [to_mp(c) for c in elem.coeffs]
 
 
 def embed(field: NumberField, elem: FieldElement, place_index: int):
@@ -591,6 +593,28 @@ def parse_rational(text) -> Fraction:
     if e and limit and sum(c.isdigit() for c in mantissa) + abs(int(exponent)) > limit:
         raise ValueError(f"decimal exceeds the limit of {limit} digits")
     return Fraction(text)
+
+
+def to_mp(x):
+    """Exact-aware scalar conversion at the current working precision: a
+    rational, or a "p/q" string, is its numerator divided by its denominator
+    in one rounding.
+
+    Raises ValidationError on anything that is not a number, a decimal or
+    "p/q" string, or an [re, im] pair of those.
+    """
+    if isinstance(x, Fraction):
+        return mpf(x.numerator) / x.denominator
+    if isinstance(x, (tuple, list)):
+        if len(x) != 2:
+            raise ValidationError("complex entries must be [re, im] pairs")
+        return mpc(to_mp(x[0]), to_mp(x[1]))
+    try:
+        if isinstance(x, str) and "/" in x:
+            return to_mp(parse_rational(x))
+        return mp.mpmathify(x)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"not a number: {x!r}") from exc
 
 
 def parse_descriptor(data: dict, digits_override: int | None = None):

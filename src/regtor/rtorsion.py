@@ -41,9 +41,12 @@ basis-chase takes no singular value there.  The Laplacian route stays
 numeric, so that the two routes stay independent, and a kernel dimension of
 its own that differs from the exact one raises RankAmbiguous.  Only a
 complex built directly over C, which has no K, has its ranks decided on
-singular values.  Numeric decisions refuse to guess: any eigenvalue or
-singular value within a factor 10^3 of numfield.rank_cutoff
-(10^(-digits/2)) raises RankAmbiguous.  d after d = 0 and the cocycle
+singular values.  Numeric decisions scale with the data and refuse to
+guess.  With c = numfield.rank_cutoff (10^(-digits/2)), an eigenvalue of
+the Laplacian L_i counts toward its kernel when it is at most
+c^2 |L_i|_F, and a singular value of d_i toward the kernel of d_i when it
+is at most c |d_i|_F, so a zero matrix has rank 0; any value within a
+factor 10^3 of its cut raises RankAmbiguous.  d after d = 0 and the cocycle
 conditions over C are checked relative to the data: |d_{i+1} d_i|_F must not
 exceed numfield.residual_tolerance (10^(-digits + GUARD)) times
 |d_{i+1}|_F |d_i|_F, and |d_i K_i|_F that times |d_i|_F |K_i|_F.  The
@@ -74,7 +77,6 @@ from .flatmodel import (
     class_neg,
     hermitian_cholesky,
     make_form,
-    to_mp,
     zero_class,
 )
 from .modtors import zhat
@@ -86,6 +88,7 @@ from .numfield import (
     exact_ranks,
     rank_cutoff,
     residual_tolerance,
+    to_mp,
 )
 
 _AMBIGUITY_FACTOR = 1000
@@ -134,6 +137,10 @@ class MetrizedComplexAtPlace(Record):
     complex built directly over C, whose ranks only singular values can tell.
     reidemeister keeps its tau in _memo, a fresh dict per object outside
     the constructor, repr and equality.
+
+    It compares by value, but an mp.matrix neither hashes nor pickles
+    (mpmath makes its matrix class per context), so this record does
+    neither: __hash__ is None, and hash() raises TypeError naming it.
     """
 
     _fields = (
@@ -142,6 +149,7 @@ class MetrizedComplexAtPlace(Record):
     )
     __slots__ = _fields + ("_memo",)
     _defaults = {"ranks": None}
+    __hash__ = None
 
 
 def metrized_complex_at_place(
@@ -230,7 +238,8 @@ def metrized_complex_at_place(
 
 
 def _count_below(values, cut, message):
-    """How many values lie below cut; refuses any within a factor 10^3 of it.
+    """How many values lie at or below cut; refuses any within a factor 10^3
+    of it.  A zero matrix has cut 0 and all its values count.
 
     message names the decision, with {} where the offending value goes.
     """
@@ -238,7 +247,7 @@ def _count_below(values, cut, message):
     for v in values:
         if cut / _AMBIGUITY_FACTOR < v < cut * _AMBIGUITY_FACTOR:
             raise RankAmbiguous(message.format(mp.nstr(v, 8)))
-        if v < cut:
+        if v <= cut:
             k += 1
     return k
 
@@ -247,14 +256,16 @@ def _laplacian_kernels(cplx: MetrizedComplexAtPlace, vectors):
     """Per degree: Laplacian eigenvalues, eigenvectors, kernel dimension.
 
     The Laplacian d_i^* d_i + d_{i-1} d_{i-1}^* is taken in orthonormal
-    coordinates.  Eigenvectors are computed only in the degrees listed in
-    vectors, and there the first (kernel dimension) eigenvector columns span
-    its kernel; every other degree yields None for them, and a zero degree
-    a 0 by 0 matrix.  The eigenvalues do not depend on whether eigenvectors
-    are asked for.
+    coordinates, and an eigenvalue at most rank_cutoff^2 times its Frobenius
+    norm counts toward the kernel.  The eigenvalues come in ascending order,
+    so the kernel ones come first.  Eigenvectors are computed only in the
+    degrees listed in vectors, and there the first (kernel dimension)
+    eigenvector columns span its kernel; every other degree yields None for
+    them, and a zero degree a 0 by 0 matrix.  The eigenvalues do not depend
+    on whether eigenvectors are asked for.
     """
     dt = cplx.ortho_diffs
-    cut = rank_cutoff(cplx.digits)
+    cut2 = rank_cutoff(cplx.digits) ** 2
     for i, n in enumerate(cplx.lengths):
         if n == 0:
             yield [], mp.matrix(0, 0), 0
@@ -267,7 +278,8 @@ def _laplacian_kernels(cplx: MetrizedComplexAtPlace, vectors):
         else:
             evals, q = mp.eighe(lap, eigvals_only=True), None
         evals = [evals[t] for t in range(n)]
-        h = _count_below(evals, cut, f"Laplacian in degree {i}: eigenvalue {{}} sits at the cutoff")
+        msg = f"Laplacian in degree {i}: eigenvalue {{}} sits at the cutoff"
+        h = _count_below(evals, cut2 * mp.mnorm(lap, "f"), msg)
         yield evals, q, h
 
 
@@ -324,7 +336,6 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
     if "tau" in cplx._memo:
         return cplx._memo["tau"]
     with mp.workdps(cplx.digits + GUARD):
-        cut = rank_cutoff(cplx.digits)
         listed = {i for i, h in enumerate(cplx.cohomology_dims) if h}
         exact = () if cplx.ranks is None else _kernel_dims(cplx.lengths, cplx.ranks)
         dims = []
@@ -338,8 +349,9 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
                 )
             dims.append(h)
             factor = mpf(1)
-            if i > 0 and evals:
-                factor = mp.fprod(lam for lam in evals if lam > cut) ** i
+            if i > 0:
+                # det' multiplies the eigenvalues above the kernel counted
+                factor = mp.fprod(evals[h:]) ** i
             # a count that differs from the kernel dimension fails below
             if h and h == cplx.cohomology_dims[i]:
                 det = mp.det(q[:, 0:h].H * cplx.ortho_reps[i])
@@ -383,7 +395,8 @@ def torsion_by_contraction(cplx: MetrizedComplexAtPlace):
 
     The rank of each d_i is the exact one the complex carries (ranks); only
     for a complex built directly over C, which has none, is it decided on
-    the singular values of d_i in orthonormal coordinates.  d_i's coimage is
+    the singular values of d_i in orthonormal coordinates, against
+    rank_cutoff times its Frobenius norm.  d_i's coimage is
     stood in for by the unit vectors on the rank columns P_i that complete
     pivoting picks on d_i: any basis of a complement of ker d_i gives the
     same tau, because a change of it scales det M_i and det M_{i+1} alike
@@ -413,7 +426,7 @@ def torsion_by_contraction(cplx: MetrizedComplexAtPlace):
                 svals = mp.svd_c(dt[i], compute_uv=False)
                 keep = svals.rows - _count_below(
                     [svals[t] for t in range(svals.rows)],
-                    cut,
+                    cut * mp.mnorm(dt[i], "f"),
                     f"singular value {{}} of d{i} sits at the cutoff",
                 )
             pivots.append(_pivot_columns(dt[i], keep))

@@ -297,6 +297,11 @@ def test_cyclotomic_order_bound(capsys):
     # r - 1 is the field degree, bounded by numfield.DEGREE_MAX = 60.
     code, _, err = run(capsys, "circle-torsion", "--r", "67")
     assert code == 2 and "60" in err
+    # a huge prime is refused before 1 + x + ... + x^{r-1} is built
+    start = time.perf_counter()
+    code, _, err = run(capsys, "circle-torsion", "--r", str(2**61 - 1))
+    assert code == 2 and "60" in err
+    assert time.perf_counter() - start < 1
     with pytest.raises(SystemExit):
         main(["circle-torsion", "--help"])
     assert "3..61" in capsys.readouterr().out
@@ -426,33 +431,36 @@ def test_decimal_exponents_keep_the_int_string_limit(capsys, argv):
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error: "), err
+    assert "exceeds the limit of" in err, err
     assert time.perf_counter() - start < 1
 
 
-def test_numerical_exit_code(capsys):
-    cplx = json.dumps(
+def _diag_complex(small):
+    # 0 -> R^2 --diag(1, small)--> R^2 -> 0 with standard Grams
+    eye = [[1, 0], [0, 1]]
+    return json.dumps(
         {
-            "lengths": [1, 1],
-            "diffs": [[["1/1000000000000"]]],
-            "grams": [[[[1]], [[1]]], [[[1]], [[1]]]],
+            "lengths": [2, 2],
+            "diffs": [[["1", "0"], ["0", small]]],
+            "grams": [[eye, eye], [eye, eye]],
         }
     )
+
+
+def test_numerical_exit_code(capsys):
+    # the Laplacian eigenvalue 10^-50 sits at its cutoff 10^-50 |L|_F
+    cplx = _diag_complex("1/1" + "0" * 25)
     code, _, err = run(capsys, "rtorsion", "--field", Z2, "--complex", cplx)
-    assert code == 3 and "cutoff" in err
+    assert code == 3 and "sits at the cutoff" in err
 
 
 def test_misjudged_kernel_exit_code(capsys):
-    # 10^-30 has exact rank 1, but at 50 digits its Laplacian eigenvalue
-    # 10^-60 falls below the cutoff: more digits help, so the exit is 3
-    cplx = json.dumps(
-        {
-            "lengths": [1, 1],
-            "diffs": [[["1/" + "1" + "0" * 30]]],
-            "grams": [[[[1]], [[1]]], [[[1]], [[1]]]],
-        }
-    )
+    # diag(1, 10^-30) has exact rank 2, but at 50 digits the Laplacian
+    # eigenvalue 10^-60 falls below its cutoff 10^-50 |L|_F: more digits
+    # help, so the exit is 3
+    cplx = _diag_complex("1/1" + "0" * 30)
     code, out, err = run(capsys, "rtorsion", "--field", Z2, "--complex", cplx, "--digits", "50")
-    assert code == 3 and out == "" and "cutoff" in err
+    assert code == 3 and out == "" and "but the exact kernel has dimension 0" in err
     d = run_json(capsys, "rtorsion", "--field", Z2, "--complex", cplx, "--digits", "130")
     for k in (0, 1):
         assert close(d["tau"][f"sigma_{k}"], "1e30", "1e-10")

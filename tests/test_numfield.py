@@ -32,7 +32,7 @@ from regtor import (
 )
 from regtor import numfield
 from regtor.cli import main
-from support import aberth_roots, coprime, field_units, load_descriptor, monic_gcd
+from support import aberth_roots, coprime, field_units, fraction_det, load_descriptor, monic_gcd
 
 small_coeffs = st.lists(
     st.integers(min_value=-6, max_value=6), min_size=1, max_size=4
@@ -263,21 +263,62 @@ def test_all_ones_polynomial_skips_the_resultant(monkeypatch):
         build_field([2, 1, 1], 30)
 
 
+def test_int_bareiss_det_matches_fractions():
+    # half of the entries are zero, so pivots are found by column swaps; a
+    # row that is a combination of two others, a zero row or a zero column
+    # makes the matrix singular, and the determinant 0
+    rng = random.Random(19)
+    assert numfield._int_bareiss_det([]) == 1
+    assert numfield._int_bareiss_det([[0, 1], [1, 0]]) == -1
+    assert numfield._int_bareiss_det([[0, 0, 2], [0, 3, 0], [5, 0, 0]]) == -30
+    singular = 0
+    for _ in range(150):
+        n = rng.randint(1, 8)
+        m = [[rng.randint(-9, 9) if rng.random() < 0.5 else 0 for _ in range(n)] for _ in range(n)]
+        kind = rng.randrange(8)
+        if n > 2 and kind == 1:
+            a, b, c = rng.sample(range(n), 3)
+            m[c] = [rng.randint(-3, 3) * x + rng.randint(-3, 3) * y for x, y in zip(m[a], m[b])]
+        elif kind == 2:
+            m[rng.randrange(n)] = [0] * n
+        elif kind == 3:
+            col = rng.randrange(n)
+            for row in m:
+                row[col] = 0
+        want = fraction_det(m)
+        singular += want == 0
+        before = [row[:] for row in m]
+        assert numfield._int_bareiss_det(m) == want
+        assert m == before
+        # pivots taken in the first n - 1 columns only need row swaps on a
+        # nonsingular m too; the last entry is then the minor that borders
+        # them, the whole determinant up to the sign of the swaps
+        pivots, sign = numfield._bareiss(m, width=n - 1)
+        assert (sign * m[-1][-1] if pivots == n - 1 else 0) == want
+    assert 40 <= singular <= 110
+
+
 def test_subresultant_gcd_matches_euclid():
-    # f = g h and e = g u share the roots of g; Euclid over Q is the oracle
+    # f = g h and e = g u share the roots of g; Euclid over Q is the oracle.
+    # A gcd of degree d comes after d - 1 subresultants whose psc_j is 0.
     rng = random.Random(31)
 
     def poly(degree):
         return [rng.randint(-4, 4) for _ in range(degree)] + [1]
 
-    for _ in range(30):
-        g, h = poly(rng.randint(1, 3)), poly(rng.randint(1, 4))
+    degrees = [rng.randint(1, 3) for _ in range(30)] + [2, 3] * 10
+    deep = 0
+    for d in degrees:
+        g, h = poly(d), poly(rng.randint(1, 4))
         f = [int(c) for c in numfield.poly_mul(g, h)]
         # deg u < deg h keeps deg e below deg f
         u = [rng.randint(-3, 3) for _ in range(rng.randint(0, len(h) - 2))] + [rng.choice((-2, 1, 3))]
         e = [int(c) for c in numfield.poly_mul(g, u)]
         assert numfield._resultant(f, e) == 0
-        assert numfield._subresultant_gcd(f, e) == monic_gcd(f, e)
+        want = monic_gcd(f, e)
+        assert numfield._subresultant_gcd(f, e) == want
+        deep += len(want) > 3
+    assert deep >= 10
 
 
 def _transvections(field, rng, n, count):

@@ -241,19 +241,22 @@ def test_rejects_degenerate_representatives():
         reidemeister(cplx)
 
 
+def _ill_conditioned(small):
+    # 0 -> C^2 --diag(1, small)--> C^2 -> 0 at 50 digits: the cutoffs scale
+    # with the norm of the data, which the entry 1 keeps near 1
+    return metrized_complex_at_place(
+        50, (2, 2), ([[1, 0], [0, small]],), (EYE2, EYE2), NOH, NOH
+    )
+
+
 def test_ambiguous_rank_is_reported():
-    # Laplacian eigenvalue (10^-12)^2 = 10^-24 sits at the 10^-25 cutoff
-    cplx = metrized_complex_at_place(
-        50, (1, 1), ([[Fraction(1, 10**12)]],), (EYE1, EYE1), NOH, NOH
-    )
-    with pytest.raises(RankAmbiguous):
+    # singular value 10^-25 of d sits at its cutoff 10^-25 |d|_F, and the
+    # Laplacian eigenvalue 10^-50 at 10^-50 |L|_F
+    cplx = _ill_conditioned(Fraction(1, 10**25))
+    with pytest.raises(RankAmbiguous, match="degree 0: eigenvalue"):
         reidemeister(cplx)
-    # the basis-chase tests singular values, so it needs 10^-25 directly
-    cplx2 = metrized_complex_at_place(
-        50, (1, 1), ([[Fraction(1, 10**25)]],), (EYE1, EYE1), NOH, NOH
-    )
-    with pytest.raises(RankAmbiguous):
-        torsion_by_contraction(cplx2)
+    with pytest.raises(RankAmbiguous, match="of d0 sits at the cutoff"):
+        torsion_by_contraction(cplx)
 
 
 def test_build_complex_over_r_checks_exactly():
@@ -468,14 +471,23 @@ def test_warm_euler_identity_factors_nothing(monkeypatch):
     assert all(isinstance(v, mp.mpf) for v in res.torus.values)
 
 
+def _ill_conditioned_over_r(field):
+    # 0 -> R^2 --diag(1, 10^-30)--> R^2 -> 0, of exact rank 2 at every place
+    one, zero = field.one(), field.zero()
+    tiny = field.element([Fraction(1, 10**30)])
+    return build_complex_over_r(
+        field, (2, 2), ([[one, zero], [zero, tiny]],), [[EYE2, EYE2], [EYE2, EYE2]],
+        [CohomologySpec(0)] * 2,
+    )
+
+
 def test_failures_are_not_kept():
     field, _ = field_units("zsqrt2")
     tiny = field.element([Fraction(1, 10**12)])
-    cplx = build_complex_over_r(
-        field, (1, 1), ([[tiny]],), [[EYE1, EYE1], [EYE1, EYE1]], [CohomologySpec(0)] * 2
-    )
+    cplx = _ill_conditioned_over_r(field)
     at = at_place(cplx, 0)
-    # Laplacian eigenvalue 10^-24 sits at the 10^-25 cutoff, on every call
+    # at 50 digits the Laplacian eigenvalue 10^-60 falls below its cutoff
+    # 10^-50 |L|_F against the exact rank, on every call
     for _ in range(2):
         with pytest.raises(RankAmbiguous):
             reidemeister(at)
@@ -693,16 +705,13 @@ def test_error_paths_are_unchanged():
                        "coimage columns are dependent"):
         torsion_by_contraction(cplx)
     with pytest.raises(RankAmbiguous, match="of d0 sits at the cutoff"):
-        torsion_by_contraction(
-            metrized_complex_at_place(50, (1, 1), ([[Fraction(1, 10**25)]],), (EYE1, EYE1), NOH, NOH)
-        )
+        torsion_by_contraction(_ill_conditioned(Fraction(1, 10**25)))
 
 
-# Small-scalar reproductions.  Each xfail pins today's exception.  Exact
-# ranks over K do not reach these complexes, which are built directly over
-# C; the open fix is a cutoff relative to the data (ROADMAP item 1).  The d
-# after d tolerance already scales with the data, so the large-coefficient
-# case passes.
+# Small-scalar complexes.  Exact ranks over K do not reach them, since they
+# are built directly over C; both routes resolve them because every cutoff
+# scales with the data, so a scalar differential is well-conditioned however
+# small it is.
 
 
 def _small_scalar(e):
@@ -722,31 +731,20 @@ def test_contraction_resolves_small_scalar_differential(e):
     assert _is_ten_to(torsion_by_contraction(_small_scalar(e)), e)
 
 
-@pytest.mark.parametrize(
-    "e",
-    [
-        # the eigenvalue 10^(-2e) is tested against the singular-value cutoff
-        pytest.param(12, marks=pytest.mark.xfail(strict=True, raises=RankAmbiguous)),
-        pytest.param(14, marks=pytest.mark.xfail(strict=True, raises=RankAmbiguous)),
-        # 10^-40 counts as a kernel the complex does not list
-        pytest.param(20, marks=pytest.mark.xfail(strict=True, raises=ValidationError)),
-    ],
-)
+@pytest.mark.parametrize("e", (12, 14, 20))
 def test_laplacian_resolves_small_scalar_differential(e):
     assert _is_ten_to(reidemeister(_small_scalar(e)), e)
 
 
 def test_laplacian_misjudged_kernel_over_r_is_ambiguous():
-    # 0 -> R --10^-30--> R -> 0: at 50 digits the Laplacian eigenvalue
-    # 10^-60 falls below the cutoff 10^-25, far outside its band, but the
-    # exact rank is 1, so more digits would help: RankAmbiguous, not the
-    # rep-count ValidationError.  The basis-chase takes the exact rank.
+    # 0 -> R^2 --diag(1, 10^-30)--> R^2 -> 0: at 50 digits the Laplacian
+    # eigenvalue 10^-60 falls below its cutoff 10^-50 |L|_F, far outside its
+    # band, but the exact rank is 2, so more digits would help:
+    # RankAmbiguous, not the rep-count ValidationError.  The basis-chase
+    # takes the exact rank.
     for digits in (50, 130):
         field, _ = field_units("zsqrt2", digits)
-        tiny = field.element([Fraction(1, 10**30)])
-        cplx = build_complex_over_r(
-            field, (1, 1), ([[tiny]],), [[EYE1, EYE1], [EYE1, EYE1]], [CohomologySpec(0)] * 2
-        )
+        cplx = _ill_conditioned_over_r(field)
         for k in range(field.n_places):
             at = at_place(cplx, k)
             assert _is_ten_to(torsion_by_contraction(at), 30)

@@ -165,6 +165,9 @@ def test_records_keep_their_semantics():
     )
     at = _complex_at_place()
     assert MetrizedComplexAtPlace(**{f: getattr(at, f) for f in fields}).ranks is None
+    # its mp.matrix fields do not hash, so the record says so under its own name
+    with pytest.raises(TypeError, match="unhashable type: 'MetrizedComplexAtPlace'"):
+        hash(at)
 
     # each complex and each cyclotomic setup caches in its own _memo, outside
     # equality, repr and copies
