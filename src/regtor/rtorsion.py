@@ -13,12 +13,14 @@ tau on the MetrizedComplexAtPlace, so rtorsion_form and
 verify_euler_identity reuse what a caller has already computed.  Two
 independent algorithms read the result:
 
-  reidemeister         Laplacian route: take pseudo-determinants of the
-                       combinatorial Laplacians, and correct by the Gram
+  reidemeister         Laplacian route: the Ray-Singer product of
+                       pseudo-determinants of the combinatorial Laplacians,
+                       telescoped to one eigenvalue-only problem per
+                       nonzero differential, corrected by the Gram
                        determinants of the harmonically projected
                        cohomology representatives against the chosen
-                       cohomology Grams.  Eigenvectors are computed only in
-                       the degrees that list cohomology.
+                       cohomology Grams.  It computes no eigenvector: the
+                       determinant lemma gives each correction.
 
   torsion_by_contraction
                        Basis-chase route: take each rank from the complex,
@@ -42,18 +44,22 @@ numeric, so that the two routes stay independent, and a kernel dimension of
 its own that differs from the exact one raises RankAmbiguous.  Only a
 complex built directly over C, which has no K, has its ranks decided on
 singular values.  Numeric decisions scale with the data and refuse to
-guess.  With c = numfield.rank_cutoff (10^(-digits/2)), an eigenvalue of
-the Laplacian L_i counts toward its kernel when it is at most
-c^2 |L_i|_F, and a singular value of d_i toward the kernel of d_i when it
-is at most c |d_i|_F, so a zero matrix has rank 0; any value within a
-factor 10^3 of its cut raises RankAmbiguous.  d after d = 0 and the cocycle
-conditions over C are checked relative to the data: |d_{i+1} d_i|_F must not
-exceed numfield.residual_tolerance (10^(-digits + GUARD)) times
-|d_{i+1}|_F |d_i|_F, and |d_i K_i|_F that times |d_i|_F |K_i|_F.  The
+guess, and each is taken on one differential, so that differentials of
+very different scale do not swallow each other's small values.  With
+c = numfield.rank_cutoff (10^(-digits/2)) and G_i the smaller of
+d_i^* d_i and d_i d_i^*, an eigenvalue of G_i counts as zero when it is
+at most c^2 |G_i|_F, and a singular value of d_i when it is at most
+c |d_i|_F, so a zero matrix has rank 0; any value within a factor 10^3 of
+its cut raises RankAmbiguous.  cohomology, which needs the harmonic
+vectors, judges the eigenvalues of each Laplacian L_i against c^2 |L_i|_F.
+d after d = 0 and the cocycle conditions over C are checked relative to the
+data: |d_{i+1} d_i|_F must not exceed numfield.residual_tolerance
+(10^(-digits + GUARD)) times |d_{i+1}|_F |d_i|_F, and |d_i K_i|_F that
+times |d_i|_F |K_i|_F.  The
 determinant of a Gram is (prod L_jj)^2 of its Cholesky factor L.  The one
 Gram not factored is that of the harmonic projections in reidemeister: its
-determinant comes in closed form from a square determinant, which does not
-square the conditioning.
+determinant comes from a QR factor of the representatives and one square
+determinant, which does not square their conditioning.
 
 Neither route takes a logarithm: each multiplies determinants, eigenvalues
 and minors and ends in one square root.  Logarithms are taken only where a
@@ -252,48 +258,40 @@ def _count_below(values, cut, message):
     return k
 
 
-def _laplacian_kernels(cplx: MetrizedComplexAtPlace, vectors):
-    """Per degree: Laplacian eigenvalues, eigenvectors, kernel dimension.
-
-    The Laplacian d_i^* d_i + d_{i-1} d_{i-1}^* is taken in orthonormal
-    coordinates, and an eigenvalue at most rank_cutoff^2 times its Frobenius
-    norm counts toward the kernel.  The eigenvalues come in ascending order,
-    so the kernel ones come first.  Eigenvectors are computed only in the
-    degrees listed in vectors, and there the first (kernel dimension)
-    eigenvector columns span its kernel; every other degree yields None for
-    them, and a zero degree a 0 by 0 matrix.  The eigenvalues do not depend
-    on whether eigenvectors are asked for.
-    """
+def _laplacian(cplx: MetrizedComplexAtPlace, i):
+    """d_i^* d_i + d_{i-1} d_{i-1}^* in degree i, in orthonormal coordinates."""
+    n = cplx.lengths[i]
     dt = cplx.ortho_diffs
-    cut2 = rank_cutoff(cplx.digits) ** 2
-    for i, n in enumerate(cplx.lengths):
-        if n == 0:
-            yield [], mp.matrix(0, 0), 0
-            continue
-        d = dt[i] if i < len(dt) else mp.matrix(0, n)
-        e = dt[i - 1] if i > 0 else mp.matrix(n, 0)
-        lap = d.H * d + e * e.H
-        if i in vectors:
-            evals, q = mp.eighe(lap)
-        else:
-            evals, q = mp.eighe(lap, eigvals_only=True), None
-        evals = [evals[t] for t in range(n)]
-        msg = f"Laplacian in degree {i}: eigenvalue {{}} sits at the cutoff"
-        h = _count_below(evals, cut2 * mp.mnorm(lap, "f"), msg)
-        yield evals, q, h
+    d = dt[i] if i < len(dt) else mp.matrix(0, n)
+    e = dt[i - 1] if i > 0 else mp.matrix(n, 0)
+    return d.H * d + e * e.H
 
 
 def cohomology(cplx: MetrizedComplexAtPlace):
     """Kernel dimensions of the Laplacians and orthonormal harmonic bases.
 
-    Returns (dims, bases); bases[i] is a lengths[i] by dims[i] mp.matrix in
-    the original coordinates, orthonormal for the degree-i Gram.
+    An eigenvalue of the Laplacian L_i at most rank_cutoff^2 |L_i|_F counts
+    toward its kernel.  The eigenvalues come in ascending order, so the
+    eigenvectors of the kernel ones come first and span it.  Returns
+    (dims, bases); bases[i] is a lengths[i] by dims[i] mp.matrix in the
+    original coordinates, orthonormal for the degree-i Gram.
     """
     with mp.workdps(cplx.digits + GUARD):
+        cut2 = rank_cutoff(cplx.digits) ** 2
         dims = []
         bases = []
-        every_degree = range(len(cplx.lengths))
-        for i, (_, q, h) in enumerate(_laplacian_kernels(cplx, every_degree)):
+        for i, n in enumerate(cplx.lengths):
+            if n == 0:
+                dims.append(0)
+                bases.append(mp.matrix(0, 0))
+                continue
+            lap = _laplacian(cplx, i)
+            evals, q = mp.eighe(lap)
+            h = _count_below(
+                [evals[t] for t in range(n)],
+                cut2 * mp.mnorm(lap, "f"),
+                f"Laplacian in degree {i}: eigenvalue {{}} sits at the cutoff",
+            )
             dims.append(h)
             bases.append(cplx.from_ortho[i] * q[:, 0:h])
         return tuple(dims), tuple(bases)
@@ -317,16 +315,37 @@ def _check_rep_count(cplx, dims):
 def reidemeister(cplx: MetrizedComplexAtPlace):
     """tau by the Laplacian formula with the cohomology base-change correction.
 
-    tau^2 = prod_i [ det'(Lap_i)^i * det W_i / det H_i ]^((-1)^i)
+    The Ray-Singer product prod_i det'(Lap_i)^(i (-1)^i) (Ray and Singer,
+    Adv. Math. 7, 1971) telescopes: d after d = 0 makes the nonzero
+    spectrum of Lap_i the union of those of d_i^* d_i and
+    d_{i-1}^* d_{i-1}, so with G_i the smaller of d_i^* d_i and d_i d_i^*,
+    which share their nonzero spectrum,
+
+      tau^2 = prod_i det'(G_i)^((-1)^(i+1)) * prod_i [ det W_i / det H_i ]^((-1)^i)
+
     where W_i is the Gram of the harmonic projections of the representative
-    columns K_i and H_i the chosen cohomology Gram.  With Z_i an orthonormal
-    basis of the harmonic space, W_i = (Z_i^* K_i)^* (Z_i^* K_i), and
-    Z_i^* K_i is square when the complex lists as many classes as the kernel
-    has dimensions, so det W_i = |det Z_i^* K_i|^2 without forming W_i.  The
-    product and one square root give tau; no logarithm is taken.  tau is
-    computed once per MetrizedComplexAtPlace, always at its digits + GUARD,
-    and kept on it; a call that raises keeps nothing, so the next call raises
-    again.
+    columns K_i and H_i the chosen cohomology Gram.  Each nonzero d_i takes
+    one eigenvalue-only problem on G_i: the eigenvalues at most
+    rank_cutoff^2 |G_i|_F count toward its kernel, which gives the rank r_i,
+    and det'(G_i) multiplies the others.  The kernel dimension in degree i
+    is n_i - r_i - r_{i-1}.
+
+    det W_i needs no eigenvector.  With K_i = Q R, Q orthonormal, and
+    c^2 = |Lap_i|_F (1 when Lap_i = 0), the determinant lemma in the
+    eigenbasis of Lap_i gives
+
+      det W_i = |prod R_jj|^2 det(Lap_i + c^2 Q Q^*) / (c^(2 h_i) det'(Lap_i))
+
+    with det'(Lap_i) = det'(G_i) det'(G_{i-1}), when the complex lists as
+    many classes as the kernel has dimensions; the determinant on the right
+    comes from a Cholesky factor.  Taking the lemma on Q, not on K_i, keeps
+    the conditioning of K_i out of the determinant, where it would enter
+    squared.  The Laplacian is built only in the degrees that list
+    cohomology.  The product and one square root give tau; no
+    logarithm is taken.  tau is computed once per MetrizedComplexAtPlace,
+    always at its digits + GUARD, the corrections and the product at GUARD
+    more, and kept on it; a call that raises keeps nothing, so the next
+    call raises again.
 
     The route stays numeric even when the complex carries exact ranks, so
     that it checks the basis-chase independently.  A kernel dimension that
@@ -336,36 +355,72 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
     if "tau" in cplx._memo:
         return cplx._memo["tau"]
     with mp.workdps(cplx.digits + GUARD):
-        listed = {i for i, h in enumerate(cplx.cohomology_dims) if h}
+        cut2 = rank_cutoff(cplx.digits) ** 2
+        ranks = []
+        # det'(G_i), with det'(G_{-1}) = det'(G_{nd-1}) = 1 around them
+        dets = [mpf(1)]
+        for i, d in enumerate(cplx.ortho_diffs):
+            if not mp.mnorm(d, "f"):
+                ranks.append(0)
+                dets.append(mpf(1))
+                continue
+            g = d.H * d if d.cols <= d.rows else d * d.H
+            evals = mp.eighe(g, eigvals_only=True)
+            evals = [evals[t] for t in range(g.rows)]
+            k = _count_below(
+                evals,
+                cut2 * mp.mnorm(g, "f"),
+                f"d{i} out of degree {i}: eigenvalue {{}} sits at the cutoff",
+            )
+            ranks.append(g.rows - k)
+            dets.append(mp.fprod(evals[k:]))
+        dets.append(mpf(1))
+        dims = _kernel_dims(cplx.lengths, ranks)
         exact = () if cplx.ranks is None else _kernel_dims(cplx.lengths, cplx.ranks)
-        dims = []
-        # tau^2 = even / odd, the products of the even and the odd degrees' factors
+        # tau^2 = even / odd, the products of the factors with exponent +1 and -1
         even, odd = mpf(1), mpf(1)
-        for i, (evals, q, h) in enumerate(_laplacian_kernels(cplx, listed)):
-            if exact and h != exact[i]:
-                raise RankAmbiguous(
-                    f"Laplacian in degree {i}: {h} eigenvalues fall below the cutoff "
-                    f"but the exact kernel has dimension {exact[i]}"
-                )
-            dims.append(h)
-            factor = mpf(1)
-            if i > 0:
-                # det' multiplies the eigenvalues above the kernel counted
-                factor = mp.fprod(evals[h:]) ** i
-            # a count that differs from the kernel dimension fails below
-            if h and h == cplx.cohomology_dims[i]:
-                det = mp.det(q[:, 0:h].H * cplx.ortho_reps[i])
-                if not det:
-                    raise ValidationError(
-                        f"degree-{i} representatives do not project onto a cohomology basis"
+        # the factors combine at GUARD more digits, so that tau rounds once
+        with mp.extradps(GUARD):
+            for i, h in enumerate(dims):
+                if exact and h != exact[i]:
+                    raise RankAmbiguous(
+                        f"Laplacian in degree {i}: {h} eigenvalues fall below the cutoff "
+                        f"but the exact kernel has dimension {exact[i]}"
                     )
-                factor *= abs(det) ** 2 / cplx.det_cohomology[i]
-            if i % 2:
-                odd *= factor
-            else:
-                even *= factor
+                # det'(G_i), at dets[i + 1], enters with the opposite exponent
+                factor = 1 / dets[i + 1]
+                # a count that differs from the kernel dimension fails below
+                if h and h == cplx.cohomology_dims[i]:
+                    q, r = mp.qr(cplx.ortho_reps[i], mode="skinny")
+                    lap = _laplacian(cplx, i)
+                    c2 = mp.mnorm(lap, "f") or mpf(1)
+                    m = lap + c2 * q * q.H
+                    for j in range(m.rows):
+                        m[j, j] = mp.re(m[j, j])
+                    # det m from its Cholesky factor, which, unlike mp.det, has
+                    # no singularity threshold relative to |m|: a Laplacian
+                    # whose spectrum spans more than the working precision
+                    # still factors.  It refuses exactly the pivots <= 0.
+                    try:
+                        low = mp.cholesky(m, tol=0)
+                    except (ValueError, ZeroDivisionError):
+                        w = 0
+                    else:
+                        diag = [mp.re(low[j, j]) for j in range(m.rows)]
+                        w = (abs(mp.fprod(r[j, j] for j in range(h))) * mp.fprod(diag)) ** 2
+                    if not w:
+                        raise ValidationError(
+                            f"degree-{i} representatives do not project onto a cohomology basis"
+                        )
+                    w /= c2**h * dets[i] * dets[i + 1]
+                    factor *= w / cplx.det_cohomology[i]
+                if i % 2:
+                    odd *= factor
+                else:
+                    even *= factor
+            tau2 = even / odd
         _check_rep_count(cplx, dims)
-        tau = cplx._memo["tau"] = mp.sqrt(even / odd)
+        tau = cplx._memo["tau"] = mp.sqrt(tau2)
         return tau
 
 

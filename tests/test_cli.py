@@ -466,6 +466,23 @@ def test_misjudged_kernel_exit_code(capsys):
         assert close(d["tau"][f"sigma_{k}"], "1e30", "1e-10")
 
 
+@pytest.mark.parametrize("e", (15, 20))
+def test_differentials_of_different_scale_exit_zero(capsys, e):
+    # 0 -> R --(10^-e, 0)^T--> R^2 --(0, 10^e)--> R -> 0 is acyclic with
+    # tau = 10^(2e); its degree-1 Laplacian spans 4e digits
+    eye1, eye2 = [[1]], [[1, 0], [0, 1]]
+    cplx = json.dumps(
+        {
+            "lengths": [1, 2, 1],
+            "diffs": [[["1/1" + "0" * e], ["0"]], [["0", "1" + "0" * e]]],
+            "grams": [[eye1, eye1], [eye2, eye2], [eye1, eye1]],
+        }
+    )
+    d = run_json(capsys, "rtorsion", "--field", Z2, "--complex", cplx, "--digits", "50")
+    for k in (0, 1):
+        assert close(d["tau"][f"sigma_{k}"], f"1e{2 * e}", f"1e{2 * e - 40}")
+
+
 def test_table_format(capsys):
     code, out, _ = run(capsys, "cheeger-muller", "--r", "5", "--format", "table")
     assert code == 0

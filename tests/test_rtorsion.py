@@ -220,7 +220,7 @@ def test_each_gram_is_factored_once(monkeypatch):
     torsion_by_contraction(cplx)
     for gram in (g0, g1, [[7]], [[11]]):
         assert seen.count(tuple(tuple(complex(x) for x in row) for row in gram)) == 1
-    # and nothing else: the Laplacian route reads det W_i from Z_i^* K_i
+    # and nothing else: the Laplacian route reads det W_i from a QR factor of K_i
     assert len(seen) == 4
 
 
@@ -615,16 +615,25 @@ def test_exact_ranks_agree_with_singular_values():
             assert cplx.ranks[k] == at.ranks == numeric
 
 
-def test_laplacian_takes_eigenvectors_only_where_cohomology_is_listed(monkeypatch):
+def test_laplacian_route_takes_one_eigenvalue_problem_per_differential(monkeypatch):
     calls = []
-    monkeypatch.setattr(mp, "eighe", _counting(calls, "eighe", mp.eighe))
+    eighe = mp.eighe
+
+    def counting(matrix, **kwargs):
+        calls.append((matrix.rows, kwargs))
+        return eighe(matrix, **kwargs)
+
+    monkeypatch.setattr(mp, "eighe", counting)
     field, _ = field_units("zsqrt2")
     places = [at_place(_free_cohomology_complex(field), 0), *_corpus_places()]
     for at in places:
         calls.clear()
         reidemeister(at)
-        listed = [h > 0 for n, h in zip(at.lengths, at.cohomology_dims) if n]
-        assert [not kwargs.get("eigvals_only") for _, kwargs in calls] == listed
+        # a differential is nonzero at a place exactly when its rank there is
+        n = at.lengths
+        want = [min(n[i], n[i + 1]) for i, r in enumerate(at.ranks) if r]
+        assert [size for size, _ in calls] == want
+        assert all(kwargs == {"eigvals_only": True} for _, kwargs in calls)
     # cohomology() still returns a basis in every degree
     calls.clear()
     dims, bases = cohomology(places[0])
@@ -665,6 +674,28 @@ def test_pivot_columns_hold_up(digits):
         a, b = reidemeister(cplx), torsion_by_contraction(cplx)
         with mp.workdps(digits + 10):
             assert abs(a - b) / a < mp.mpf(10) ** -digits
+
+
+@pytest.mark.parametrize("digits", (50, 300))
+def test_laplacian_route_keeps_representatives_conditioning(digits):
+    # 0 -> C^3 --(3, 1, -2)--> C -> 0 with standard metrics, so orthonormal
+    # coordinates keep the data exact.  H^0 is spanned by two columns 10^15
+    # long that differ by a short kernel vector, along no coordinate axis;
+    # their harmonic Gram is K^T K, so tau^2 = det(K^T K) / (det H |d|^2)
+    # exactly.  The Laplacian route must not square the conditioning of K.
+    big = 10**15
+    reps = [[big + 1, big + 2], [big - 3, big - 6], [2 * big, 2 * big]]
+    cols = list(zip(*reps))
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in cols] for u in cols]
+    tau2 = Fraction(gram[0][0] * gram[1][1] - gram[0][1] ** 2, 13 * 14)
+    cplx = metrized_complex_at_place(
+        digits, (3, 1), ([[3, 1, -2]],), ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], EYE1),
+        ([[2, 1], [1, 7]], ()), (reps, ()),
+    )
+    got = reidemeister(cplx)
+    with mp.workdps(digits + 10):
+        want = mp.sqrt(mp.mpf(tau2.numerator) / tau2.denominator)
+        assert abs(got - want) / want < mp.mpf(10) ** -digits
 
 
 def test_contraction_agrees_with_svd_coimage_oracle():
@@ -754,6 +785,57 @@ def test_laplacian_misjudged_kernel_over_r_is_ambiguous():
                     reidemeister(at)
             else:
                 assert _is_ten_to(reidemeister(at), 30)
+
+
+# Adjacent differentials of very different scale: 0 -> C --(10^-e, 0)^T-->
+# C^2 --(0, 10^e)--> C -> 0, acyclic with tau = 10^(2e).  The degree-1
+# Laplacian diag(10^-2e, 10^2e) spans more than 50 digits; each differential
+# is judged against its own norm.
+
+
+def _scale_split_diffs(small, big, zero):
+    return ([[small], [zero]], [[zero, big]])
+
+
+def _agree_at_ten_to(at, e):
+    a, b = reidemeister(at), torsion_by_contraction(at)
+    with mp.workdps(at.digits + 10):
+        assert abs(a - b) / a < mp.mpf(10) ** -at.digits
+    assert _is_ten_to(a, e)
+
+
+@pytest.mark.parametrize("e", (15, 20))
+def test_laplacian_resolves_differentials_of_different_scale(e):
+    diffs = _scale_split_diffs(Fraction(1, 10**e), 10**e, 0)
+    cplx = metrized_complex_at_place(
+        50, (1, 2, 1), diffs, (EYE1, EYE2, EYE1), ((),) * 3, ((),) * 3
+    )
+    _agree_at_ten_to(cplx, 2 * e)
+
+
+@pytest.mark.parametrize("e", (15, 20))
+def test_laplacian_resolves_differentials_of_different_scale_around_cohomology(e):
+    # 0 -> C --(10^-e, 0, 0)^T--> C^3 --(0, 10^e, 0)--> C -> 0 with H^1
+    # spanned by e_3, tau = 10^(2e): the harmonic correction factors
+    # diag(10^-2e, 10^2e, 0) + |L|_F e_3 e_3^*, which spans 4e digits
+    eye3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    cplx = metrized_complex_at_place(
+        50, (1, 3, 1), ([[Fraction(1, 10**e)], [0], [0]], [[0, 10**e, 0]]),
+        (EYE1, eye3, EYE1), ((), EYE1, ()), ((), [[0], [0], [1]], ()),
+    )
+    _agree_at_ten_to(cplx, 2 * e)
+
+
+@pytest.mark.parametrize("e", (15, 20))
+def test_laplacian_resolves_differentials_of_different_scale_over_r(e):
+    field, _ = field_units("zsqrt2")
+    small, big = field.element([Fraction(1, 10**e)]), field.element([10**e])
+    diffs = _scale_split_diffs(small, big, field.zero())
+    cplx = build_complex_over_r(
+        field, (1, 2, 1), diffs, [[EYE1] * 2, [EYE2] * 2, [EYE1] * 2], [CohomologySpec(0)] * 3
+    )
+    for k in range(field.n_places):
+        _agree_at_ten_to(at_place(cplx, k), 2 * e)
 
 
 def test_ranks_split_where_p_factors():
