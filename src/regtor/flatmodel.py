@@ -32,6 +32,7 @@ from .numfield import (
     FieldElement,
     NumberField,
     Record,
+    _abs2,
     embed,
     rank_cutoff,
     to_mp,
@@ -364,12 +365,13 @@ def hermitian_cholesky(rows, digits: int):
         a = [[to_mp(x) for x in row] for row in rows]
         if any(len(row) != n for row in a):
             raise ValidationError("Gram matrix must be square")
-        scale = max((abs(x) for row in a for x in row), default=mpf(0))
-        herm_tol = scale * rank_cutoff(digits)
+        # squared magnitudes: no square root per entry
+        scale2 = max((_abs2(x) for row in a for x in row), default=mpf(0))
+        herm_tol2 = scale2 * rank_cutoff(digits) ** 2
         gram = mp.matrix(n, n)
         for i in range(n):
             for j in range(i + 1):
-                if abs(a[i][j] - mp.conj(a[j][i])) > herm_tol:
+                if _abs2(a[i][j] - mp.conj(a[j][i])) > herm_tol2:
                     raise NotPositiveDefinite("Gram matrix is not Hermitian")
                 gram[i, j] = a[i][j]
             gram[i, i] = mp.re(a[i][i])

@@ -7,9 +7,11 @@ field.  Embeddings into C are the roots of p: for p = 1 + x + ... + x^{r-1}
 the closed-form roots of unity e^{2 pi i k/r}, of which only the upper half
 2k <= r is evaluated and the rest are its conjugates, for every other p the
 roots mp.polyroots returns, with no Newton polish.  Either way build_field
-orders the roots into places and checks their residuals.  Norms are exact
-rationals computed through the resultant of p with the element polynomial,
-never through floating products.  The integrality test for units checks
+orders the roots into places and checks their backward errors.  embed keeps
+the powers of each place's root, so an element embeds as one exact dot
+product of integer numerators and one division.  Norms are exact rationals
+computed through the resultant of p with the element polynomial, never
+through floating products.  The integrality test for units checks
 power-basis integrality only; when R is not the maximal order in the power
 basis, a unit of the field lying outside Z[x] is rejected.
 
@@ -22,8 +24,9 @@ the precision policy.  _bareiss gives every exact determinant and rank:
 _int_bareiss_det for norm and the squarefree test through _resultant and
 for modtors.exact_det through Kronecker substitution (_kronecker_matrix),
 all the subresultants of one Sylvester matrix S_j for the gcd, and the rank
-at each place, decided exactly in K on the Kronecker form of a matrix, for
-exact_ranks, splitting p where a pivot is a zero divisor.  Each public
+and the pivot columns at each place, decided exactly in K on the Kronecker
+form of a matrix, for exact_pivots and exact_ranks, splitting p where a
+pivot is a zero divisor.  Each public
 function works at digits + GUARD; the cutoffs rank_cutoff
 (10^(-digits/2)), torus_tolerance (10^(-digits/3)) and residual_tolerance
 (10^(-digits + GUARD)) are evaluated at the caller's working precision.
@@ -150,9 +153,10 @@ def torus_tolerance(digits: int):
 
 
 def residual_tolerance(digits: int):
-    """10^(-digits + GUARD) at the working precision: the bound on root
-    residuals, and for complexes over C the bound on d after d and on the
-    cocycle conditions relative to the Frobenius norms of their factors."""
+    """10^(-digits + GUARD) at the working precision: the bound on the
+    backward error of each root, and for complexes over C the bound on d
+    after d and on the cocycle conditions relative to the Frobenius norms of
+    their factors."""
     return mpf(10) ** (-digits + GUARD)
 
 
@@ -194,7 +198,7 @@ def poly_divmod(a, b) -> tuple[list, list]:
     return poly_trim(quo), poly_trim(rem[: nb - 1])
 
 
-def _bareiss(m, live=bool, width=None) -> tuple[int, int]:
+def _bareiss(m, live=bool, width=None, order=None) -> tuple[int, int]:
     """Fraction-free elimination of an integer matrix in place, with complete
     pivoting (Bareiss, Math. Comp. 22, 1968).
 
@@ -204,8 +208,10 @@ def _bareiss(m, live=bool, width=None) -> tuple[int, int]:
     division by the previous pivot, the minor of the permuted m on the
     pivots so far and its own row and column.  So the k-th pivot is the
     leading k-minor, once no entry is live those below the last pivot are
-    the minors that border it, and Hadamard's bound limits every entry.
-    Returns (number of pivots, sign of the swaps' permutation).
+    the minors that border it, and Hadamard's bound limits every entry.  A
+    list given as order is permuted along with the columns, so that its
+    first k entries name the columns of the first k pivots.  Returns
+    (number of pivots, sign of the swaps' permutation).
     """
     if width is None:
         width = len(m[0]) if m else 0
@@ -223,6 +229,8 @@ def _bareiss(m, live=bool, width=None) -> tuple[int, int]:
         if j != k:
             for row in m:
                 row[k], row[j] = row[j], row[k]
+            if order is not None:
+                order[k], order[j] = order[j], order[k]
             sign = -sign
         top = m[k]
         pivot = top[k]
@@ -330,22 +338,23 @@ def _subresultant_gcd(f, e) -> list[int]:
             return gcd + [1]
 
 
-def _bareiss_ranks(m, bits, f) -> list[tuple[list[int], int]]:
-    """Ranks of an integer polynomial matrix modulo the factors of a monic,
-    squarefree f, by _bareiss with any entry nonzero mod f as a pivot.
+def _bareiss_pivots(m, bits, f) -> list[tuple[list[int], tuple[int, ...]]]:
+    """Pivot columns of an integer polynomial matrix modulo the factors of a
+    monic, squarefree f, by _bareiss with any entry nonzero mod f as a pivot.
 
     m holds the polynomials in Kronecker form at x = 2^bits, so every entry
     stays a minor in Z[x], its coefficients the digits of an integer, and
     the exact divisions hold in Z[x] whatever the pivots are mod f.
     Elimination stops after r pivots when every entry left is 0 mod f: those
     entries are the (r+1)-minors that border the last pivot e, itself the
-    leading r-minor.  When e is a unit mod f, that is e mod f != 0 and
-    Res(f, e mod f) != 0, the rank is r modulo every factor of f.  Otherwise
-    f splits into g = gcd(f, e), on which e vanishes and elimination starts
-    again, and f / g, on which e is a unit and the rank is r (dynamic
-    evaluation, D5: Della Dora, Dicrescenzo and Duval, EUROCAL 1985).  So f
-    needs one resultant, and one more per split.  Returns (factor, rank)
-    per branch; the factors multiply to f.
+    leading r-minor, on the r pivot columns.  When e is a unit mod f, that
+    is e mod f != 0 and Res(f, e mod f) != 0, the rank is r modulo every
+    factor of f, and the pivot columns are independent modulo each.
+    Otherwise f splits into g = gcd(f, e), on which e vanishes and
+    elimination starts again, and f / g, on which e is a unit and the rank
+    is r (dynamic evaluation, D5: Della Dora, Dicrescenzo and Duval, EUROCAL
+    1985).  So f needs one resultant, and one more per split.  Returns
+    (factor, sorted pivot columns) per branch; the factors multiply to f.
     """
     done = []
     todo = [f]
@@ -356,38 +365,46 @@ def _bareiss_ranks(m, bits, f) -> list[tuple[list[int], int]]:
             return poly_divmod(_kronecker_digits(x, bits), f)[1]
 
         a = [row[:] for row in m]
-        k, _ = _bareiss(a, lambda x: x and mod_f(x))
+        order = list(range(len(a[0])))
+        k, _ = _bareiss(a, lambda x: x and mod_f(x), order=order)
         if k:
             last = mod_f(a[k - 1][k - 1])
             if not _resultant(f, last):
                 g = _subresultant_gcd(f, last)
                 todo.append(g)
                 f = poly_divmod(f, g)[0]
-        done.append((f, k))
+        done.append((f, tuple(sorted(order[:k]))))
     return done
 
 
-def exact_ranks(field, rows) -> tuple[int, ...]:
-    """Rank of a matrix of field elements at each place, decided in K.
+def exact_pivots(field, rows) -> tuple[tuple[int, ...], ...]:
+    """Pivot columns of a matrix of field elements at each place, decided in K.
 
-    The rank at a place is the rank over the factor field Q[x]/(g) of K
-    for the irreducible factor g of p that the place's root annihilates.
-    _bareiss_ranks finds one rank modulo each factor of p that dynamic
-    evaluation splits off, shared by the irreducible factors it holds.
-    When p does not split, every place takes that one rank; otherwise each
-    place takes the rank of the factor nearest zero at its root, the one
-    factor that the root annihilates.
+    At a place they are independent columns, as many as the rank over the
+    factor field Q[x]/(g) of K for the irreducible factor g of p that the
+    place's root annihilates.  _bareiss_pivots finds one set modulo each
+    factor of p that dynamic evaluation splits off, shared by the
+    irreducible factors it holds.  When p does not split, every place takes
+    that one set; otherwise each place takes the set of the factor nearest
+    zero at its root, the one factor that the root annihilates.
     """
     if not rows or not rows[0]:
-        return (0,) * field.n_places
+        return ((),) * field.n_places
     m, bits, _ = _kronecker_matrix(field, rows)
-    branches = _bareiss_ranks(m, bits, list(field.poly))
+    branches = _bareiss_pivots(m, bits, list(field.poly))
     if len(branches) == 1:
         return (branches[0][1],) * field.n_places
     with mp.workdps(field.digits + GUARD):
         return tuple(
-            min(branches, key=lambda fr: abs(_horner(fr[0], z)))[1] for z in field.sigma_star
+            min(branches, key=lambda fp: abs(_horner(fp[0], z)))[1] for z in field.sigma_star
         )
+
+
+def exact_ranks(field, rows) -> tuple[int, ...]:
+    """Rank of a matrix of field elements at each place, decided in K: the
+    number of its exact_pivots there.  A 1 by 1 matrix tells at which places
+    its entry vanishes."""
+    return tuple(len(p) for p in exact_pivots(field, rows))
 
 
 class NumberField(Record):
@@ -398,12 +415,15 @@ class NumberField(Record):
     ascending real part (ties by imaginary part).  all_embeddings lists the
     real roots, then the complex representatives, then their conjugates in
     matching order.  class_orders, the orders of the cyclic factors of the
-    class group, defaults to () (a trivial class group).
+    class group, defaults to () (a trivial class group).  embed keeps the
+    powers of each place it has evaluated at in _memo, a fresh dict per
+    object outside the constructor, repr and equality.
     """
 
-    __slots__ = _fields = (
+    _fields = (
         "poly", "digits", "sigma_star", "all_embeddings", "r_real", "r_complex", "class_orders"
     )
+    __slots__ = _fields + ("_memo",)
     _defaults = {"class_orders": ()}
 
     @property
@@ -460,7 +480,8 @@ def build_field(poly, digits: int, class_orders=()) -> NumberField:
     conjugates of those with 2k < r.  Every other p goes to mp.polyroots, with no Newton
     polish.  Roots within rank_cutoff(digits) of the real axis are real
     places; the rest must pair into complex conjugates.  Every stored
-    embedding satisfies |p(z)| < residual_tolerance(digits).
+    embedding has backward error |p(z)| / sum |c_i| |z|^i at most
+    residual_tolerance(digits).
     """
     try:
         coeffs = tuple(int(c) for c in poly)
@@ -509,10 +530,14 @@ def build_field(poly, digits: int, class_orders=()) -> NumberField:
             if abs(mp.conj(zp) - zn) > threshold:
                 raise NoConvergence("complex embeddings do not pair into conjugates")
         sigma_star = tuple(+x for x in reals) + tuple(+z for z in pos)
+        # backward error |p(z)| / sum |c_i| |z|^i (Higham, Accuracy and
+        # Stability of Numerical Algorithms, section 5.1): the size of z
+        # scales the rounding in p(z) and cannot push it over the bound
         resid_bound = residual_tolerance(digits)
+        sizes = [abs(c) for c in coeffs]
         for z in sigma_star:
-            if abs(_horner(coeffs, z)) >= resid_bound:
-                raise NoConvergence("root residual exceeds the precision bound")
+            if abs(_horner(coeffs, z)) > resid_bound * _horner(sizes, abs(z)):
+                raise NoConvergence("root backward error exceeds the precision bound")
         return NumberField(
             poly=coeffs,
             digits=digits,
@@ -533,22 +558,50 @@ def _horner(coeffs, z):
     return acc
 
 
-def _mp_coeffs(elem: FieldElement) -> list:
-    return [to_mp(c) for c in elem.coeffs]
+def _powers(field: NumberField, place_index: int) -> tuple:
+    """z^0, ..., z^(n-1) of a place representative z, each rounded once to
+    digits + GUARD from a product chain at 2 GUARD more digits, kept in the
+    field's _memo."""
+    key = ("powers", place_index)
+    if key not in field._memo:
+        z = field.sigma_star[place_index]
+        with mp.workdps(field.digits + 3 * GUARD):
+            chain = [mpf(1)]
+            for _ in range(field.degree - 1):
+                chain.append(chain[-1] * z)
+        with mp.workdps(field.digits + GUARD):
+            field._memo[key] = tuple(+w for w in chain)
+    return field._memo[key]
 
 
 def embed(field: NumberField, elem: FieldElement, place_index: int):
-    """Embedded value of an element at the chosen place representative."""
+    """Embedded value of an element at the chosen place representative: real
+    at a real place, complex at a complex one.
+
+    The coefficients are put over one common denominator D, and the integer
+    numerators times the place's kept powers of z are summed exactly and
+    rounded once (mp.fdot), then divided by D: two roundings at
+    digits + GUARD, whatever the degree.
+    """
+    powers = _powers(field, place_index)
+    coeffs = elem.coeffs
+    den = lcm(*(c.denominator for c in coeffs))
     with mp.workdps(field.digits + GUARD):
-        acc = _horner(_mp_coeffs(elem), field.sigma_star[place_index])
-        return +acc.real if field.is_real_place(place_index) else +acc
+        return mp.fdot([c.numerator * (den // c.denominator) for c in coeffs], powers) / den
 
 
 def embed_all(field: NumberField, elem: FieldElement) -> tuple:
-    """Embedded values (complex) at every embedding, ordered like all_embeddings."""
-    with mp.workdps(field.digits + GUARD):
-        coeffs = _mp_coeffs(elem)
-        return tuple(mpc(_horner(coeffs, root)) for root in field.all_embeddings)
+    """Embedded values (complex) at every embedding, ordered like
+    all_embeddings; each conjugate root gives the conjugate value."""
+    upper = [mpc(embed(field, elem, k)) for k in range(field.n_places)]
+    return tuple(upper) + tuple(mp.conj(v) for v in upper[field.r_real :])
+
+
+def _abs2(x):
+    """|x|^2 of an mpf or mpc at the working precision, with no square root."""
+    if isinstance(x, mpc):
+        return x.real * x.real + x.imag * x.imag
+    return x * x
 
 
 def norm(field: NumberField, elem: FieldElement) -> Fraction:

@@ -23,12 +23,16 @@ independent algorithms read the result:
                        determinant lemma gives each correction.
 
   torsion_by_contraction
-                       Basis-chase route: take each rank from the complex,
-                       complete the image and representative columns of
-                       each degree by the unit vectors on the pivot columns
-                       that complete pivoting picks on its differential, and
-                       alternate the absolute minors that remain.  It takes
-                       no logarithm.
+                       Basis-chase route: complete the image and
+                       representative columns of each degree by the unit
+                       vectors on pivot columns of its differential, and
+                       alternate the determinants of these bases.  Over R
+                       the determinants are exact: build_complex_over_r
+                       takes each delta_i in K once per complex, at_place
+                       embeds it once, and tau^2 is the alternating product
+                       of |sigma(delta_i)|^2 det G_i / det H_i.  A complex
+                       built directly over C takes the ranks, pivots and
+                       minors numerically.  It takes no logarithm.
 
 The sign convention is frozen so that the acyclic complex 0 -> C --z--> C -> 0
 with standard metrics has tau = 1/|z|; both routes reproduce it.
@@ -36,10 +40,12 @@ with standard metrics has tau = 1/|z|; both routes reproduce it.
 Every per-place matrix is an mp.matrix, and products, adjoints, norms, the
 Cholesky factor and the triangular solves are mpmath's own.
 
-Rank decisions.  For a complex over R the rank of each differential at each
-place is decided exactly in K, once, by build_complex_over_r
-(numfield.exact_ranks), and at_place hands it to the place, so the
-basis-chase takes no singular value there.  The Laplacian route stays
+Rank decisions.  For a complex over R the rank and pivot columns of each
+differential at each place are decided exactly in K, once, by
+build_complex_over_r (numfield.exact_pivots), and so are the basis
+determinants delta_i and the places where they vanish; at_place hands the
+ranks and |sigma(delta_i)|^2 to the place, so the basis-chase takes no
+singular value, pivot or minor there.  The Laplacian route stays
 numeric, so that the two routes stay independent, and a kernel dimension of
 its own that differs from the exact one raises RankAmbiguous.  Only a
 complex built directly over C, which has no K, has its ranks decided on
@@ -51,7 +57,9 @@ d_i^* d_i and d_i d_i^*, an eigenvalue of G_i counts as zero when it is
 at most c^2 |G_i|_F, and a singular value of d_i when it is at most
 c |d_i|_F, so a zero matrix has rank 0; any value within a factor 10^3 of
 its cut raises RankAmbiguous.  cohomology, which needs the harmonic
-vectors, judges the eigenvalues of each Laplacian L_i against c^2 |L_i|_F.
+vectors, judges the eigenvalues of each Laplacian with its two
+differentials divided by their Frobenius norms, which has the same kernel,
+against c^2 times its own Frobenius norm.
 d after d = 0 and the cocycle conditions over C are checked relative to the
 data: |d_{i+1} d_i|_F must not exceed numfield.residual_tolerance
 (10^(-digits + GUARD)) times |d_{i+1}|_F |d_i|_F, and |d_i K_i|_F that
@@ -64,8 +72,9 @@ determinant, which does not square their conditioning.
 Neither route takes a logarithm: each multiplies determinants, eigenvalues
 and minors and ends in one square root.  Logarithms are taken only where a
 form needs one: rtorsion_form takes ln tau once per place, and
-verify_euler_identity multiplies each place's Gram determinants and
-1 / tau^2 into one number and takes one logarithm of it.
+verify_euler_identity multiplies each place's Gram determinants, the
+|sigma(det T_i)|^2 of its torsion presentations and 1 / tau^2 into one
+number and takes one logarithm of it: one per place in all.
 """
 
 from __future__ import annotations
@@ -79,18 +88,17 @@ from .flatmodel import (
     RegulatorLattice,
     _cycl_from_lndets,
     _det_of_factor,
-    class_add,
-    class_neg,
     hermitian_cholesky,
     make_form,
-    zero_class,
 )
-from .modtors import zhat
+from .modtors import exact_det
 from .numfield import (
     GUARD,
     NumberField,
     Record,
+    _abs2,
     embed,
+    exact_pivots,
     exact_ranks,
     rank_cutoff,
     residual_tolerance,
@@ -103,9 +111,10 @@ _AMBIGUITY_FACTOR = 1000
 # costs 10 * 12^3 exact ring products for its d after d check alone.  Over
 # Z[zeta_61] at 50 digits, with each d_i of rank 6 and dense entries (12 x 12
 # blocks mixed by 3 or 8 elementary base changes with coefficients in
-# {-1, 0, 1}), d after d took 2.9 / 6.8 s and the exact ranks of all 11
-# differentials 1.6 / 1.9 s, on one core of a 2-core x86 machine with
-# mpmath's pure-Python backend.
+# {-1, 0, 1}), d after d took 2.9 / 6.8 s, the exact ranks of all 11
+# differentials 1.6 / 1.9 s and the 12 basis determinants delta_i 0.15 /
+# 0.23 s, on one core of a 2-core x86 machine with mpmath's pure-Python
+# backend.
 COMPLEX_SIZE_MAX = 12
 
 
@@ -139,10 +148,11 @@ class MetrizedComplexAtPlace(Record):
     det H_i of their Gram (1 when there are none).  Determinants, not their
     logarithms, are kept, so the torsion routes multiply them.  ranks[i] is
     the rank of d_i decided exactly in K when the complex comes from a
-    complex over R (at_place), and ranks is None, its default, for a
-    complex built directly over C, whose ranks only singular values can tell.
-    reidemeister keeps its tau in _memo, a fresh dict per object outside
-    the constructor, repr and equality.
+    complex over R (at_place), and delta_sq[i] is |sigma(delta_i)|^2 of the
+    exact basis determinant delta_i in K of MetrizedComplexOverR; both are
+    None, their default, for a complex built directly over C, whose ranks
+    only singular values can tell.  reidemeister keeps its tau in _memo, a
+    fresh dict per object outside the constructor, repr and equality.
 
     It compares by value, but an mp.matrix neither hashes nor pickles
     (mpmath makes its matrix class per context), so this record does
@@ -151,15 +161,16 @@ class MetrizedComplexAtPlace(Record):
 
     _fields = (
         "digits", "lengths", "ortho_diffs", "ortho_reps", "from_ortho",
-        "det_cochain", "cohomology_dims", "det_cohomology", "ranks",
+        "det_cochain", "cohomology_dims", "det_cohomology", "ranks", "delta_sq",
     )
     __slots__ = _fields + ("_memo",)
-    _defaults = {"ranks": None}
+    _defaults = {"ranks": None, "delta_sq": None}
     __hash__ = None
 
 
 def metrized_complex_at_place(
-    digits, lengths, diffs, cochain_grams, cohomology_grams, cohomology_maps, ranks=None
+    digits, lengths, diffs, cochain_grams, cohomology_grams, cohomology_maps, ranks=None,
+    delta_sq=None,
 ) -> MetrizedComplexAtPlace:
     """Validate a complex and change it to orthonormal coordinates.
 
@@ -170,8 +181,9 @@ def metrized_complex_at_place(
     Grams and cocycle columns.  Each Gram is factored exactly once: the
     Cholesky factor of a cochain Gram gives the orthonormal coordinates and
     its determinant, and that of a cohomology Gram its determinant.  No
-    logarithm is taken.  ranks, the exact rank of each differential, is
-    kept as given; at_place passes those of the complex over R.
+    logarithm is taken.  ranks, the exact rank of each differential, and
+    delta_sq, |sigma(delta_i)|^2 per degree, are kept as given; at_place
+    passes those of the complex over R.
     """
     lengths = tuple(int(n) for n in lengths)
     nd = len(lengths)
@@ -186,6 +198,8 @@ def metrized_complex_at_place(
                 raise ValidationError(f"differential {i} has the wrong shape")
         if ranks is not None and len(ranks) != nd - 1:
             raise ValidationError("expected one rank per differential")
+        if delta_sq is not None and len(delta_sq) != nd:
+            raise ValidationError("expected one basis determinant per degree")
         dd = [_matrix(m, lengths[i]) for i, m in enumerate(dd)]
         norms = [mp.mnorm(m, "f") for m in dd]
         # exact zeros carry the rounding of entries as large as the factors
@@ -240,6 +254,7 @@ def metrized_complex_at_place(
             cohomology_dims=tuple(len(m) for m in hh),
             det_cohomology=tuple(det_h),
             ranks=None if ranks is None else tuple(ranks),
+            delta_sq=None if delta_sq is None else tuple(delta_sq),
         )
 
 
@@ -258,21 +273,31 @@ def _count_below(values, cut, message):
     return k
 
 
-def _laplacian(cplx: MetrizedComplexAtPlace, i):
-    """d_i^* d_i + d_{i-1} d_{i-1}^* in degree i, in orthonormal coordinates."""
+def _laplacian(cplx: MetrizedComplexAtPlace, i, scaled=False):
+    """d_i^* d_i + d_{i-1} d_{i-1}^* in degree i, in orthonormal coordinates.
+
+    scaled divides each differential by its Frobenius norm first (a zero one
+    stays zero), which keeps the kernel and puts both terms on one scale.
+    """
     n = cplx.lengths[i]
     dt = cplx.ortho_diffs
     d = dt[i] if i < len(dt) else mp.matrix(0, n)
     e = dt[i - 1] if i > 0 else mp.matrix(n, 0)
+    if scaled:
+        d, e = (m / (mp.mnorm(m, "f") or 1) for m in (d, e))
     return d.H * d + e * e.H
 
 
 def cohomology(cplx: MetrizedComplexAtPlace):
     """Kernel dimensions of the Laplacians and orthonormal harmonic bases.
 
-    An eigenvalue of the Laplacian L_i at most rank_cutoff^2 |L_i|_F counts
-    toward its kernel.  The eigenvalues come in ascending order, so the
-    eigenvectors of the kernel ones come first and span it.  Returns
+    Each Laplacian is judged with its two terms on one scale:
+    L~_i = d_i^* d_i / |d_i|_F^2 + d_{i-1} d_{i-1}^* / |d_{i-1}|_F^2 has
+    the kernel of L_i, and an eigenvalue of it at most
+    rank_cutoff^2 |L~_i|_F counts toward that kernel, so differentials of
+    very different scale do not swallow each other's small eigenvalues.
+    The eigenvalues come in ascending order, so the eigenvectors of the
+    kernel ones come first and span it.  Returns
     (dims, bases); bases[i] is a lengths[i] by dims[i] mp.matrix in the
     original coordinates, orthonormal for the degree-i Gram.
     """
@@ -285,7 +310,7 @@ def cohomology(cplx: MetrizedComplexAtPlace):
                 dims.append(0)
                 bases.append(mp.matrix(0, 0))
                 continue
-            lap = _laplacian(cplx, i)
+            lap = _laplacian(cplx, i, scaled=True)
             evals, q = mp.eighe(lap)
             h = _count_below(
                 [evals[t] for t in range(n)],
@@ -448,42 +473,47 @@ def _pivot_columns(d, rank):
 def torsion_by_contraction(cplx: MetrizedComplexAtPlace):
     """tau by the basis-chase: alternate determinants of per-degree bases.
 
-    The rank of each d_i is the exact one the complex carries (ranks); only
-    for a complex built directly over C, which has none, is it decided on
-    the singular values of d_i in orthonormal coordinates, against
-    rank_cutoff times its Frobenius norm.  d_i's coimage is
-    stood in for by the unit vectors on the rank columns P_i that complete
-    pivoting picks on d_i: any basis of a complement of ker d_i gives the
-    same tau, because a change of it scales det M_i and det M_{i+1} alike
-    and its kernel components cancel against the image and representative
-    columns.  The square matrix
-    M_i = [ d_{i-1} E_{P_{i-1}} | K_i | E_{P_i} ] expresses a combined
+    With P_i a set of columns whose unit vectors E_{P_i} complete ker d_i,
+    as many as the rank of d_i, the square matrix
+    M_i = [ d_{i-1}[:, P_{i-1}] | K_i | E_{P_i} ] expresses a combined
     image/cohomology/complement basis, with the raw representative columns
     K_i standing in for their harmonic parts (column operations against the
-    image block cancel the difference).  Expanding along the unit columns,
-    |det M_i| is the minor of [ d_{i-1}[:, P_{i-1}] | K_i ] on the rows
-    outside P_i, and
+    image block cancel the difference).  Any complement of ker d_i gives
+    the same tau, because a change of it scales det M_i and det M_{i+1}
+    alike and its kernel components cancel against the image and
+    representative columns (Milnor, "Whitehead torsion", Bull. AMS 72, 1966,
+    section 3).  In orthonormal coordinates |det M_i|^2 gains the factor
+    det G_i, so
 
-      tau = prod |det M_i|^{(-1)^i} / sqrt(prod det H_i^{(-1)^i}).
+      tau^2 = prod_i ( |det M_i|^2 det G_i / det H_i )^((-1)^i).
 
-    A minor that is numerically singular, as when the representatives of a
-    degree do not complete its image to the kernel, raises ValidationError.
+    A complex over R (at_place) carries |sigma(delta_i)|^2 for the exact
+    delta_i = det M_i in K (delta_sq), and tau comes from it and the Gram
+    determinants the place keeps, with no numeric rank, pivot or minor.
+    A complex built directly over C has none: there the rank of each d_i is
+    the count of its singular values in orthonormal coordinates above
+    rank_cutoff times its Frobenius norm, P_i are the columns complete
+    pivoting picks on it, and, expanding along the unit columns, |det M_i|
+    is the minor of [ d_{i-1}[:, P_{i-1}] | K_i ] on the rows outside P_i.
+
+    A delta_i that vanishes, or a minor that is numerically singular, as
+    when the representatives of a degree do not complete its image to the
+    kernel, raises ValidationError.  No logarithm is taken.
     """
+    if cplx.delta_sq is not None:
+        return _exact_torsion(cplx)
     with mp.workdps(cplx.digits + GUARD):
         dt = cplx.ortho_diffs
         cut = rank_cutoff(cplx.digits)
         nd = len(cplx.lengths)
         pivots = []
         for i in range(nd - 1):
-            if cplx.ranks is not None:
-                keep = cplx.ranks[i]
-            else:
-                svals = mp.svd_c(dt[i], compute_uv=False)
-                keep = svals.rows - _count_below(
-                    [svals[t] for t in range(svals.rows)],
-                    cut * mp.mnorm(dt[i], "f"),
-                    f"singular value {{}} of d{i} sits at the cutoff",
-                )
+            svals = mp.svd_c(dt[i], compute_uv=False)
+            keep = svals.rows - _count_below(
+                [svals[t] for t in range(svals.rows)],
+                cut * mp.mnorm(dt[i], "f"),
+                f"singular value {{}} of d{i} sits at the cutoff",
+            )
             pivots.append(_pivot_columns(dt[i], keep))
         tau = mpf(1)
         det_h = mpf(1)
@@ -506,14 +536,30 @@ def torsion_by_contraction(cplx: MetrizedComplexAtPlace):
             ]
             det = abs(mp.det(mp.matrix(minor))) if minor else mpf(1)
             if not det:
-                raise ValidationError(
-                    f"degree {i}: the image, cohomology and coimage columns are dependent"
-                )
+                raise _dependent(i)
             if i % 2:
                 tau, det_h = tau / det, det_h / cplx.det_cohomology[i]
             else:
                 tau, det_h = tau * det, det_h * cplx.det_cohomology[i]
         return tau / mp.sqrt(det_h)
+
+
+def _dependent(i):
+    return ValidationError(f"degree {i}: the image, cohomology and coimage columns are dependent")
+
+
+def _exact_torsion(cplx: MetrizedComplexAtPlace):
+    """The basis-chase tau from |sigma(delta_i)|^2 and the Gram determinants."""
+    with mp.workdps(cplx.digits + GUARD):
+        even, odd = mpf(1), mpf(1)
+        for i, (d2, g, h) in enumerate(zip(cplx.delta_sq, cplx.det_cochain, cplx.det_cohomology)):
+            if not d2:
+                raise _dependent(i)
+            if i % 2:
+                odd *= d2 * g / h
+            else:
+                even *= d2 * g / h
+        return mp.sqrt(even / odd)
 
 
 class CohomologySpec(Record):
@@ -538,12 +584,17 @@ class MetrizedComplexOverR(Record):
     exact d d = 0; grams[i][k] is the Gram at degree i, place k.  Conjugate
     places carry the conjugated data by construction, so only the
     representatives in Sigma* are stored.  ranks[k][i] is the rank of d_i
-    at place k, decided exactly in K; when p factors it can differ between
-    places.  at_place keeps each place it builds in _memo, a fresh dict per
-    object outside the constructor, repr and equality.
+    at place k, decided exactly in K; it is the same at every place, since
+    each free rank fixes it degree by degree, but when p factors the pivot
+    columns behind deltas can differ.  deltas[k][i] is the basis determinant
+    delta_i = det [ d_{i-1}[:, P_{i-1}] | K_i | E_{P_i} ] in K for the
+    exact pivot columns P of the differentials at place k and the free
+    representatives K_i, or 0 where it vanishes at place k.  at_place keeps
+    each place it builds in _memo, a fresh dict per object outside the
+    constructor, repr and equality.
     """
 
-    _fields = ("field", "lengths", "diffs", "grams", "cohomology", "ranks")
+    _fields = ("field", "lengths", "diffs", "grams", "cohomology", "ranks", "deltas")
     __slots__ = _fields + ("_memo",)
 
 
@@ -559,15 +610,50 @@ def _product_is_zero(field, left, right) -> bool:
     return True
 
 
+def _basis_determinants(field, lengths, dd, specs, pivots):
+    """deltas of MetrizedComplexOverR, from the pivot columns at each place.
+
+    Expanding M_i along its unit columns leaves the minor of
+    [ d_{i-1}[:, P_{i-1}] | K_i ] on the rows outside P_i, whose exact_det
+    is delta_i up to sign.  Each minor is taken once, however many places
+    share its pivots, and exact_ranks of delta_i tells the places where it
+    vanishes: none when Res(p, delta_i) != 0.
+    """
+    nd = len(lengths)
+    seen = {}
+    out = []
+    for piv in pivots:
+        row = []
+        for i, spec in enumerate(specs):
+            below = piv[i - 1] if i > 0 else ()
+            own = piv[i] if i < nd - 1 else ()
+            if (i, below, own) not in seen:
+                reps = spec.free_reps if spec.free_rank else ((),) * lengths[i]
+                minor = [
+                    [dd[i - 1][r][c] for c in below] + list(reps[r])
+                    for r in range(lengths[i])
+                    if r not in own
+                ]
+                delta = exact_det(field, minor) if minor else field.one()
+                seen[i, below, own] = (delta, exact_ranks(field, [[delta]]))
+            delta, nonzero = seen[i, below, own]
+            row.append(delta if nonzero[len(out)] else field.zero())
+        out.append(tuple(row))
+    return tuple(out)
+
+
 def build_complex_over_r(field, lengths, diffs, grams, cohomology) -> MetrizedComplexOverR:
     """Check a complex of free R-modules exactly and store it.
 
     At most COMPLEX_SIZE_MAX degrees, each of rank at most COMPLEX_SIZE_MAX;
     the bound is checked before any ring element is built.  Everything
-    exact is decided in K: d after d = 0, the rank r_i of each d_i at each
-    place (numfield.exact_ranks), that each free representative is a
-    cocycle, and that each free rank is the dimension n_i - r_i - r_{i-1}
-    of the cohomology at every place.
+    exact is decided in K: d after d = 0, the pivot columns and so the rank
+    r_i of each d_i at each place (numfield.exact_pivots), that each free
+    representative is a cocycle, and that each free rank is the dimension
+    n_i - r_i - r_{i-1} of the cohomology at every place.  Then the basis
+    determinants delta_i of the basis-chase are taken exactly in K, once
+    per complex; a delta_i that vanishes at a place is kept as 0, and the
+    basis-chase refuses that place.
     """
     lengths = tuple(int(n) for n in lengths)
     nd = len(lengths)
@@ -603,8 +689,9 @@ def build_complex_over_r(field, lengths, diffs, grams, cohomology) -> MetrizedCo
     for i, spec in enumerate(specs[:-1]):
         if spec.free_rank and not _product_is_zero(field, dd[i], spec.free_reps):
             raise ValidationError(f"a degree-{i} representative is not a cocycle")
-    per_diff = [exact_ranks(field, m) for m in dd]
-    ranks = tuple(tuple(r[k] for r in per_diff) for k in range(field.n_places))
+    per_diff = [exact_pivots(field, m) for m in dd]
+    pivots = tuple(tuple(p[k] for p in per_diff) for k in range(field.n_places))
+    ranks = tuple(tuple(len(p) for p in piv) for piv in pivots)
     for r in ranks:
         for i, (h, spec) in enumerate(zip(_kernel_dims(lengths, r), specs)):
             if spec.free_rank != h:
@@ -612,7 +699,8 @@ def build_complex_over_r(field, lengths, diffs, grams, cohomology) -> MetrizedCo
                     f"degree {i} supplies {spec.free_rank} cohomology classes "
                     f"but the kernel has dimension {h}"
                 )
-    return MetrizedComplexOverR(field, lengths, dd, gg, tuple(specs), ranks)
+    deltas = _basis_determinants(field, lengths, dd, specs, pivots)
+    return MetrizedComplexOverR(field, lengths, dd, gg, tuple(specs), ranks, deltas)
 
 
 def _embed_matrix(field, rows, place):
@@ -622,7 +710,9 @@ def _embed_matrix(field, rows, place):
 def at_place(cplx: MetrizedComplexOverR, place: int) -> MetrizedComplexAtPlace:
     """The embedded metrized complex at one place representative.
 
-    Each place is built once per complex object: later calls return the same
+    It carries the exact ranks of the place and |sigma(delta_i)|^2 of each
+    basis determinant, embedded once here, for the basis-chase.  Each place
+    is built once per complex object: later calls return the same
     MetrizedComplexAtPlace, and so share its tau.  A call that raises keeps
     nothing.
     """
@@ -642,8 +732,10 @@ def at_place(cplx: MetrizedComplexOverR, place: int) -> MetrizedComplexAtPlace:
         else:
             hgrams.append(())
             hmaps.append(())
+    with mp.workdps(field.digits + GUARD):
+        delta_sq = [_abs2(embed(field, d, place)) for d in cplx.deltas[place]]
     at = cplx._memo[place] = metrized_complex_at_place(
-        field.digits, cplx.lengths, diffs, grams, hgrams, hmaps, cplx.ranks[place]
+        field.digits, cplx.lengths, diffs, grams, hgrams, hmaps, cplx.ranks[place], delta_sq
     )
     return at
 
@@ -669,29 +761,33 @@ def verify_euler_identity(
     quarter-log-determinant normalization of the cycle map under metric
     scaling; see the scaling lemma.
 
-    Every term but the torsion classes Z(tors H^i) is a rank and a vector of
-    quarter log-determinants, so they add up to one class: its rank is
-    sum (-1)^i (n_i - free rank of H^i), and its coefficient at each place
-    is (1/4) ln [ prod_i (det G_i / det H_i)^((-1)^i) / tau^2 ], one
-    logarithm per place.  The Gram determinants are those that at_place
-    keeps for each place, and tau is reidemeister's memo, so after a caller
-    has run the routes at every place no Gram is factored again.
+    Every term is a rank and a vector of quarter log-determinants, the
+    torsion classes too: Z(tors H^i) has coefficient
+    -(1/2) ln|sigma(det T_i)| = (1/4) ln |sigma(det T_i)|^(-2) for the
+    presentation T_i (modtors.zhat).  So they add up to one class: its rank
+    is sum (-1)^i (n_i - free rank of H^i), and its coefficient at each
+    place is
+
+      (1/4) ln [ prod_i (det G_i |sigma(det T_i)|^2 / det H_i)^((-1)^i) / tau^2 ],
+
+    one logarithm per place and one lattice reduction in all.  The Gram
+    determinants are those that at_place keeps for each place, and tau is
+    reidemeister's memo, so after a caller has run the routes at every
+    place no Gram is factored again.
     """
     places = [at_place(cplx, k) for k in range(field.n_places)]
-    total = zero_class(lattice)
-    for i, spec in enumerate(cplx.cohomology):
-        if spec.torsion is not None:
-            term = zhat(field, lattice, spec.torsion)
-            total = class_add(total, class_neg(term) if i % 2 == 0 else term)
     rank = sum(
         (n - spec.free_rank) * (-1) ** i
         for i, (n, spec) in enumerate(zip(cplx.lengths, cplx.cohomology))
     )
     with mp.workdps(field.digits + GUARD):
         lndets = []
-        for at in places:
+        for k, at in enumerate(places):
             x = mpf(1)
-            for i, (g, h) in enumerate(zip(at.det_cochain, at.det_cohomology)):
+            dets = zip(at.det_cochain, at.det_cohomology, cplx.cohomology)
+            for i, (g, h, spec) in enumerate(dets):
+                if spec.torsion is not None:
+                    g = g * _abs2(embed(field, spec.torsion.det_elem, k))
                 x = x * g / h if i % 2 == 0 else x * h / g
             lndets.append(mp.log(x / reidemeister(at) ** 2))
-    return class_add(total, _cycl_from_lndets(field, lattice, rank, lndets))
+    return _cycl_from_lndets(field, lattice, rank, lndets)

@@ -183,6 +183,35 @@ def test_wilkinson_polynomial_builds():
             assert abs(x - k) < mp.mpf(10) ** -45
 
 
+@pytest.mark.parametrize("digits", (50, 100))
+def test_large_roots_are_judged_by_backward_error(digits):
+    # x^2 - (10^41 + 1): p(z) carries the rounding of z^2 ~ 10^41, far above
+    # 10^-(digits - 10) at any precision, while the backward error
+    # |p(z)| / (|z|^2 + 10^41 + 1) stays at the working epsilon
+    c = 10**41 + 1
+    field = build_field([-c, 0, 1], digits)
+    assert (field.r_real, field.r_complex) == (2, 0)
+    with mp.workdps(digits + 10):
+        root = mp.sqrt(c)
+        assert abs(field.sigma_star[0] + root) / root < mp.mpf(10) ** -digits
+        assert abs(field.sigma_star[1] - root) / root < mp.mpf(10) ** -digits
+
+
+def test_embed_keeps_one_power_table_per_place():
+    field, _ = field_units("zeta5")
+    x = field.element([Fraction(1, 3), -2, Fraction(5, 7), 4])
+    with mp.workdps(70):
+        for k, z in enumerate(field.sigma_star):
+            want = sum(mp.mpf(c.numerator) / c.denominator * z**j for j, c in enumerate(x.coeffs))
+            assert abs(embed(field, x, k) - want) < mp.mpf(10) ** -58
+    assert sorted(field._memo) == [("powers", 0), ("powers", 1)]
+    table = field._memo["powers", 1]
+    embed(field, field.gen(), 1)
+    assert field._memo["powers", 1] is table
+    # the table stays outside equality, repr and copies
+    assert field == build_field(field.poly, field.digits) and "_memo" not in repr(field)
+
+
 def test_root_finder_failure_is_no_convergence(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(numfield, "_POLYROOTS_STEPS", 1)
     with pytest.raises(NoConvergence):

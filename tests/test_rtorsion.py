@@ -30,7 +30,7 @@ from regtor import (
     torsion_by_contraction,
     verify_euler_identity,
 )
-from regtor import build_field, flatmodel, rtorsion
+from regtor import build_field, flatmodel, modtors, numfield, rtorsion
 from regtor.numfield import rank_cutoff
 from support import (
     euler_residual_by_classes,
@@ -838,6 +838,28 @@ def test_laplacian_resolves_differentials_of_different_scale_over_r(e):
         _agree_at_ten_to(at_place(cplx, k), 2 * e)
 
 
+@pytest.mark.parametrize("e", (15, 20))
+def test_cohomology_judges_each_differential_on_its_own_scale(e):
+    # the degree-1 Laplacian diag(10^-2e, 10^2e) has no kernel; judged
+    # against its own Frobenius norm its small eigenvalue looked like one
+    diffs = _scale_split_diffs(Fraction(1, 10**e), 10**e, 0)
+    cplx = metrized_complex_at_place(
+        50, (1, 2, 1), diffs, (EYE1, EYE2, EYE1), ((),) * 3, ((),) * 3
+    )
+    dims, bases = cohomology(cplx)
+    assert dims == (0, 0, 0) and [b.cols for b in bases] == [0, 0, 0]
+    # with H^1 = span(e_3) between the same differentials, the kernel stays
+    eye3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    cplx = metrized_complex_at_place(
+        50, (1, 3, 1), ([[Fraction(1, 10**e)], [0], [0]], [[0, 10**e, 0]]),
+        (EYE1, eye3, EYE1), ((), EYE1, ()), ((), [[0], [0], [1]], ()),
+    )
+    dims, bases = cohomology(cplx)
+    assert dims == (0, 1, 0)
+    with mp.workdps(60):
+        assert abs(abs(bases[1][2, 0]) - 1) < mp.mpf(10) ** -45
+
+
 def test_ranks_split_where_p_factors():
     # p = (x^2 + 1)(x^2 + 2): place 0 is i, a root of x^2 + 1, and place 1
     # is i sqrt2.  d0 = diag(x^2 + 1, x^2 + 2) has rank 1 at both, while an
@@ -927,31 +949,23 @@ def test_places_and_routes_take_no_logarithm(monkeypatch):
 
 
 def test_warm_euler_identity_takes_one_log_per_place(monkeypatch):
+    # the torsion classes fold into the per-place product: one logarithm per
+    # place in all, and no zhat
     field, _, lat = field_lattice("zsqrt2")
     complexes = [(field, lat, _free_cohomology_complex(field)), *_corpus_complexes()]
+    assert any(spec.torsion is not None for _, _, c in complexes for spec in c.cohomology)
     for field, _, cplx in complexes:
         for k in range(field.n_places):
             reidemeister(at_place(cplx, k))
             torsion_by_contraction(at_place(cplx, k))
-    calls, in_zhat = [], []
+    calls = []
     for name in ("log", "exp"):
         monkeypatch.setattr(mp, name, _counting(calls, name, getattr(mp, name)))
-    zhat = rtorsion.zhat
-
-    def zhat_apart(*args):
-        start = len(calls)
-        out = zhat(*args)
-        in_zhat.extend(calls[start:])
-        del calls[start:]
-        return out
-
-    monkeypatch.setattr(rtorsion, "zhat", zhat_apart)
+    monkeypatch.setattr(modtors, "zhat", _counting(calls, "zhat", modtors.zhat))
     for field, lat, cplx in complexes:
         calls.clear()
         assert verify_euler_identity(field, lat, cplx).is_zero()
         assert [name for name, _ in calls] == ["log"] * field.n_places
-    # the torsion classes still take their own logarithms
-    assert in_zhat and {name for name, _ in in_zhat} == {"log"}
 
 
 @pytest.mark.parametrize("digits", (50, 300))
@@ -977,3 +991,147 @@ def test_euler_identity_matches_per_class_oracle(digits):
             outcomes.append((torsion, got.is_zero()))
     assert outcomes.count((True, False)) == 1
     assert outcomes.count((True, True)) >= 3
+
+
+# The basis-chase over R: tau^2 = prod (|sigma(delta_i)|^2 det G_i / det H_i)^((-1)^i)
+# from the exact basis determinants delta_i in K.
+
+
+def _numeric(at):
+    # the same place as a complex built directly over C
+    return MetrizedComplexAtPlace(
+        at.digits, at.lengths, at.ortho_diffs, at.ortho_reps, at.from_ortho,
+        at.det_cochain, at.cohomology_dims, at.det_cohomology,
+    )
+
+
+@pytest.mark.parametrize("digits", (50, 300))
+def test_exact_basis_chase_matches_numeric_routes(digits):
+    count = 0
+    for name, total, seed in (("z", 6, 11), ("zsqrt2", 6, 12), ("zeta5", 4, 13)):
+        field, _ = field_units(name, digits)
+        rng = random.Random(seed)
+        for _ in range(total):
+            cplx = random_complex_over(field, rng)
+            for k in range(field.n_places):
+                at = at_place(cplx, k)
+                assert at.delta_sq is not None
+                got = torsion_by_contraction(at)
+                count += 1
+                with mp.workdps(digits + 10):
+                    for want in (torsion_by_contraction(_numeric(at)), reidemeister(at)):
+                        assert abs(got - want) / want < mp.mpf(10) ** -digits
+    assert count == 6 + 12 + 8
+
+
+def test_exact_basis_chase_takes_pivots_per_branch():
+    # p = (x^2 - 2)(x^2 - 3), places -sqrt3, -sqrt2, sqrt2, sqrt3.  d0 = (a, b)
+    # with a = x^2 - 2, b = x^2 - 3 and ab = 0 in K has rank 1 everywhere,
+    # but a vanishes at +-sqrt2 and b at +-sqrt3, so the pivot column, and
+    # with it each delta_i, differs between the branches of p
+    field = build_field([6, 0, -5, 0, 1], 50)
+    assert (field.r_real, field.r_complex) == (4, 0)
+    a, b = field.element([-2, 0, 1]), field.element([-3, 0, 1])
+    d0 = [[a, b]]
+    assert numfield.exact_pivots(field, d0) == ((0,), (1,), (1,), (0,))
+    cplx = build_complex_over_r(
+        field, (2, 1), (d0,), [[EYE2, [[2, 1], [1, 3]]] * 2, [EYE1, [[5]]] * 2],
+        [CohomologySpec(1, ((b,), (field.neg(a),)), ([[1]], [[2]]) * 2), CohomologySpec(0)],
+    )
+    assert cplx.ranks == ((1,),) * 4
+    # delta_1 = d0 on the pivot column: a at +-sqrt3, b at +-sqrt2
+    assert [deltas[1] for deltas in cplx.deltas] == [a, b, b, a]
+    for k in range(field.n_places):
+        at = at_place(cplx, k)
+        got = torsion_by_contraction(at)
+        with mp.workdps(60):
+            for want in (torsion_by_coimage(at), reidemeister(at)):
+                assert abs(got / want - 1) < mp.mpf(10) ** -48
+
+
+def test_exact_basis_chase_refuses_representatives_in_the_image():
+    # over Z[sqrt2]: H^1 of 0 -> R --(2, 0)^T--> R^2 -> 0 represented by
+    # (1, 0)^T, which lies in the image, so delta_1 = 0 in K
+    field, _ = field_units("zsqrt2")
+    two, zero, one = field.element([2]), field.zero(), field.one()
+    cplx = build_complex_over_r(
+        field, (1, 2), ([[two], [zero]],), [[EYE1] * 2, [EYE2] * 2],
+        [CohomologySpec(0), CohomologySpec(1, ((one,), (zero,)), ([[1]], [[1]]))],
+    )
+    assert all(deltas[1].is_zero() for deltas in cplx.deltas)
+    for k in range(field.n_places):
+        with pytest.raises(ValidationError, match="degree 1: the image, cohomology and "
+                           "coimage columns are dependent"):
+            torsion_by_contraction(at_place(cplx, k))
+    # over (x^2 - 2)(x^2 - 3) the representative (0, x^2 - 2)^T of the same
+    # H^1 completes the image only where x^2 - 2 does not vanish: delta_1 is
+    # 0 at +-sqrt2 alone, decided exactly
+    field = build_field([6, 0, -5, 0, 1], 50)
+    a, one, zero = field.element([-2, 0, 1]), field.one(), field.zero()
+    cplx = build_complex_over_r(
+        field, (1, 2), ([[one], [zero]],), [[EYE1] * 4, [EYE2] * 4],
+        [CohomologySpec(0), CohomologySpec(1, ((zero,), (a,)), ([[1]],) * 4)],
+    )
+    assert [deltas[1] for deltas in cplx.deltas] == [a, zero, zero, a]
+    for k in (1, 2):
+        with pytest.raises(ValidationError, match="dependent"):
+            torsion_by_contraction(at_place(cplx, k))
+    for k in (0, 3):
+        # tau = |sigma(a)| = 1 at +-sqrt3
+        with mp.workdps(60):
+            assert abs(torsion_by_contraction(at_place(cplx, k)) - 1) < mp.mpf(10) ** -48
+
+
+def test_exact_basis_chase_keeps_every_digit_of_an_ill_conditioned_differential():
+    # 0 -> R^2 --[[1, 1], [1, 1 + 10^-20]]--> R^2 -> 0 over Z[sqrt2] with
+    # standard metrics: tau = 1/|det d| = 10^20, while d^* d has condition
+    # number about 10^41
+    field, _ = field_units("zsqrt2")
+    one = field.one()
+    d = [[one, one], [one, field.element([1 + Fraction(1, 10**20)])]]
+    cplx = build_complex_over_r(
+        field, (2, 2), (d,), [[EYE2] * 2] * 2, [CohomologySpec(0)] * 2
+    )
+    for k in range(field.n_places):
+        tau = torsion_by_contraction(at_place(cplx, k))
+        with mp.workdps(70):
+            assert abs(tau / mp.mpf(10) ** 20 - 1) < mp.mpf(10) ** -50
+
+
+@pytest.mark.parametrize("e", (15, 30))
+def test_exact_basis_chase_keeps_representatives_conditioning(e):
+    # the case of test_laplacian_route_keeps_representatives_conditioning
+    # over Z: two H^0 representatives 10^e long and nearly parallel, along
+    # no coordinate axis, which the minors of the numeric basis-chase lose
+    field, _ = field_units("z")
+    big = 10**e
+    reps = [[big + 1, big + 2], [big - 3, big - 6], [2 * big, 2 * big]]
+    cols = list(zip(*reps))
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in cols] for u in cols]
+    tau2 = Fraction(gram[0][0] * gram[1][1] - gram[0][1] ** 2, 13 * 14)
+    ring = [[field.element([x]) for x in row] for row in reps]
+    cplx = build_complex_over_r(
+        field, (3, 1), ([[field.element([x]) for x in (3, 1, -2)]],),
+        [[[[1, 0, 0], [0, 1, 0], [0, 0, 1]]], [EYE1]],
+        [CohomologySpec(2, ring, ([[2, 1], [1, 7]],)), CohomologySpec(0)],
+    )
+    got = torsion_by_contraction(at_place(cplx, 0))
+    with mp.workdps(60):
+        want = mp.sqrt(mp.mpf(tau2.numerator) / tau2.denominator)
+        assert abs(got - want) / want < mp.mpf(10) ** -50
+
+
+def test_contraction_over_r_takes_no_minor_or_pivot(monkeypatch):
+    field, _ = field_units("zsqrt2")
+    places = [at_place(_free_cohomology_complex(field), 0), *_corpus_places()]
+    calls = []
+    monkeypatch.setattr(mp, "det", _counting(calls, "det", mp.det))
+    pivots = _counting(calls, "pivots", rtorsion._pivot_columns)
+    monkeypatch.setattr(rtorsion, "_pivot_columns", pivots)
+    for at in places:
+        torsion_by_contraction(at)
+    assert calls == []
+    # the same places built directly over C take both
+    for at in places[:3]:
+        torsion_by_contraction(_numeric(at))
+    assert {name for name, _ in calls} == {"det", "pivots"}
