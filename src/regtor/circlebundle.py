@@ -27,7 +27,7 @@ from mpmath.libmp import isprime
 
 from . import rtorsion
 from .errors import TrivialHolonomyAtJZero, ValidationError
-from .numfield import DEGREE_MAX, GUARD, NumberField, Record, build_field
+from .numfield import DEGREE_MAX, GUARD, NumberField, Record, build_field, ln
 from .polylog import (
     BERNOULLI_MAX,
     _check_j,
@@ -223,7 +223,7 @@ def cheeger_muller_check(setup: CyclotomicSetup) -> dict:
             cplx = rtorsion.metrized_complex_at_place(
                 digits, [1, 1], [[[z]]], [[[1]], [[1]]], [(), ()], [(), ()]
             )
-            lntau = mp.log(rtorsion.reidemeister(cplx))
+            lntau = ln(rtorsion.reidemeister(cplx))
             resid = abs(abs(t0[(k, 0)]) - abs(lntau))
             out[k] = (abs(t0[(k, 0)]), +lntau, +resid)
     return out

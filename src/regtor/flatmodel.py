@@ -34,6 +34,7 @@ from .numfield import (
     Record,
     _abs2,
     embed,
+    ln,
     rank_cutoff,
     to_mp,
     torus_tolerance,
@@ -121,7 +122,7 @@ def unit_log(field: NumberField, unit: FieldElement) -> FormElement:
         raise NotAUnit(f"not a power-basis unit: {unit}")
     with mp.workdps(field.digits + GUARD):
         vals = [
-            mp.log(abs(embed(field, unit, k))) / 2 for k in range(field.n_places)
+            ln(abs(embed(field, unit, k))) / 2 for k in range(field.n_places)
         ]
     return make_form(field, 0, vals)
 
@@ -400,7 +401,7 @@ def lndet_hermitian(rows, digits: int):
     One logarithm, of the determinant (prod of the factor's diagonal)^2.
     """
     with mp.workdps(digits + GUARD):
-        return mp.log(_det_of_factor(hermitian_cholesky(rows, digits), digits))
+        return ln(_det_of_factor(hermitian_cholesky(rows, digits), digits))
 
 
 def cycl_free(field: NumberField, lattice: RegulatorLattice, grams) -> PointClass:
@@ -441,5 +442,5 @@ def scale_class(lattice: RegulatorLattice, x: PointClass, lambdas) -> PointClass
             s = to_mp(v)
             if not (mp.im(s) == 0 and mp.re(s) > 0):
                 raise ValidationError("scaling factors must be positive reals")
-            vals.append(mp.log(mp.re(s)) / 2)
+            vals.append(ln(mp.re(s)) / 2)
     return class_add(x, a_map(lattice, make_form(field, 0, vals)))

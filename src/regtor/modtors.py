@@ -28,6 +28,7 @@ from .numfield import (
     _kronecker_digits,
     _kronecker_matrix,
     embed,
+    ln,
     norm,
     verify_unit,
 )
@@ -88,7 +89,7 @@ def zhat(field: NumberField, lattice: RegulatorLattice, pres: TorsionPresentatio
     """
     with mp.workdps(field.digits + GUARD):
         vals = [
-            -mp.log(abs(embed(field, pres.det_elem, k))) / 2
+            -ln(abs(embed(field, pres.det_elem, k))) / 2
             for k in range(field.n_places)
         ]
     return a_map(lattice, make_form(field, 0, vals))

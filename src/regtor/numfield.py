@@ -29,7 +29,9 @@ form of a matrix, for exact_pivots and exact_ranks, splitting p where a
 pivot is a zero divisor.  Each public
 function works at digits + GUARD; the cutoffs rank_cutoff
 (10^(-digits/2)), torus_tolerance (10^(-digits/3)) and residual_tolerance
-(10^(-digits + GUARD)) are evaluated at the caller's working precision.
+(10^(-digits + GUARD)) are evaluated at the caller's working precision, and
+so is ln, the one logarithm every module takes: next to 1, where mp.log
+would double its precision, two terms of the series of ln(1 + t).
 """
 
 from __future__ import annotations
@@ -158,6 +160,24 @@ def residual_tolerance(digits: int):
     after d and on the cocycle conditions relative to the Frobenius norms of
     their factors."""
     return mpf(10) ** (-digits + GUARD)
+
+
+def ln(x):
+    """The natural logarithm of a positive mpf at the working precision; every
+    logarithm regtor takes is this one.
+
+    Near 1, mp.log adds the cancellation of x - 1 to its working precision,
+    and above 2500 bits its AGM then runs at about twice the precision.
+    With t = x - 1, which is exact there, two terms of
+    ln(1 + t) = t - t^2/2 + t^3/3 - ... suffice once |t| < 2^(-prec/2 - 4):
+    the terms left out are below 2^-prec relative to t (Brent and
+    Zimmermann, Modern Computer Arithmetic, sections 4.4 and 4.8).  ln(1)
+    is exactly 0, and an x farther from 1 takes mp.log.
+    """
+    t = x - 1
+    if mp.mag(t) < -(mp.prec // 2) - 4:
+        return t - t * t / 2
+    return mp.log(x)
 
 
 def poly_trim(a: list) -> list:

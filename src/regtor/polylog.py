@@ -61,7 +61,7 @@ from math import ceil, comb, factorial, log2
 from mpmath import mp, mpc, mpf
 
 from .errors import ThetaOutOfRange, ValidationError
-from .numfield import GUARD
+from .numfield import GUARD, ln
 
 # Largest polylogarithm order served.  It also bounds the circle-bundle
 # orders, jmax + 1 and j + 1, and the same j in normalize and beta-check
@@ -189,7 +189,7 @@ def _series_orders(lo: int, hi: int, th) -> list:
         mp.ldexp(mpf(zeta2[s // 2] >> shift), -wz - 1) if s % 2 == 0 else mp.zeta(s)
         for s in range(2, hi + 1)
     ]
-    log_th = mp.log(th)
+    log_th = ln(th)
     half_pi = mp.pi / 2
     harmonic = sum(mpf(1) / m for m in range(1, lo - 1))
 
@@ -230,7 +230,9 @@ def polylog_orders(lo: int, hi: int, theta, digits: int = 50) -> list:
     This real tail is summed in fixed-point integers over a known number of
     terms.  c_m = 2 zeta(2m) x^{2m} (2m-1)! / (2m+lo-1)! is built once, and
     each later order divides every c_m by the small integer 2m+n-1.  No
-    order lower than lo is evaluated.
+    order lower than lo is evaluated.  At theta = pi to the working
+    precision every order is the real Li_n(-1) = -(1 - 2^(1-n)) zeta(n),
+    and its imaginary part is exactly 0.
     """
     if lo < 1:
         raise ValidationError("polylog order must be a positive integer")
@@ -246,13 +248,16 @@ def polylog_orders(lo: int, hi: int, theta, digits: int = 50) -> list:
         out = []
         if lo == 1:
             half = th / 2
-            out.append(mpc(-mp.log(2 * mp.sin(half)), mp.pi / 2 - half))
+            out.append(mpc(-ln(2 * mp.sin(half)), mp.pi / 2 - half))
             lo = 2
         if lo <= hi:
             if th > mp.pi:
                 out += [mp.conj(li) for li in _series_orders(lo, hi, two_pi - th)]
             else:
                 out += _series_orders(lo, hi, th)
+        if th == mp.pi:
+            # Li_n(-1) = -(1 - 2^(1-n)) zeta(n) is real
+            out = [mpc(li.real) for li in out]
         return out
 
 

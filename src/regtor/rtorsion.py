@@ -60,10 +60,13 @@ its cut raises RankAmbiguous.  cohomology, which needs the harmonic
 vectors, judges the eigenvalues of each Laplacian with its two
 differentials divided by their Frobenius norms, which has the same kernel,
 against c^2 times its own Frobenius norm.
-d after d = 0 and the cocycle conditions over C are checked relative to the
-data: |d_{i+1} d_i|_F must not exceed numfield.residual_tolerance
+d after d = 0 and the cocycle conditions are checked numerically only for
+a complex built directly over C (metrized_complex_at_place), relative to
+the data: |d_{i+1} d_i|_F must not exceed numfield.residual_tolerance
 (10^(-digits + GUARD)) times |d_{i+1}|_F |d_i|_F, and |d_i K_i|_F that
-times |d_i|_F |K_i|_F.  The
+times |d_i|_F |K_i|_F.  For a complex over R, build_complex_over_r has
+decided both exactly in K, and at_place builds its places from the same
+shape checks and assembly without these products.  The
 determinant of a Gram is (prod L_jj)^2 of its Cholesky factor L.  The one
 Gram not factored is that of the harmonic projections in reidemeister: its
 determinant comes from a QR factor of the representatives and one square
@@ -71,10 +74,12 @@ determinant, which does not square their conditioning.
 
 Neither route takes a logarithm: each multiplies determinants, eigenvalues
 and minors and ends in one square root.  Logarithms are taken only where a
-form needs one: rtorsion_form takes ln tau once per place, and
-verify_euler_identity multiplies each place's Gram determinants, the
-|sigma(det T_i)|^2 of its torsion presentations and 1 / tau^2 into one
-number and takes one logarithm of it: one per place in all.
+form needs one, each by numfield.ln: rtorsion_form takes ln tau once per
+place, and verify_euler_identity multiplies each place's Gram
+determinants, the |sigma(det T_i)|^2 of its torsion presentations and
+1 / tau^2 into one number and takes one logarithm of it: one per place in
+all.  Where the identity holds that number is 1 up to rounding, and ln
+takes it in two terms of its series.
 """
 
 from __future__ import annotations
@@ -100,6 +105,7 @@ from .numfield import (
     embed,
     exact_pivots,
     exact_ranks,
+    ln,
     rank_cutoff,
     residual_tolerance,
     to_mp,
@@ -177,85 +183,112 @@ def metrized_complex_at_place(
     diffs[i] maps degree i to degree i+1 and has shape lengths[i+1] by
     lengths[i]; cohomology_maps[i] has one column per chosen cohomology
     class, each column a cocycle in degree i; cohomology_grams[i] is the
-    chosen metric on those classes.  Checks shapes, d after d = 0, positive
-    Grams and cocycle columns.  Each Gram is factored exactly once: the
-    Cholesky factor of a cochain Gram gives the orthonormal coordinates and
-    its determinant, and that of a cohomology Gram its determinant.  No
-    logarithm is taken.  ranks, the exact rank of each differential, and
-    delta_sq, |sigma(delta_i)|^2 per degree, are kept as given; at_place
-    passes those of the complex over R.
+    chosen metric on those classes.  Checks shapes, d after d = 0 and the
+    cocycle columns numerically, relative to the data, then positive Grams.
+    Each Gram is factored exactly once: the Cholesky factor of a cochain
+    Gram gives the orthonormal coordinates and its determinant, and that of
+    a cohomology Gram its determinant.  No logarithm is taken.  ranks, the
+    exact rank of each differential, and delta_sq, |sigma(delta_i)|^2 per
+    degree, are kept as given; they do not stand in for any check, which
+    runs for every caller.  at_place builds its places from the same shape
+    checks and assembly, without the numeric d after d and cocycle
+    products, which build_complex_over_r has decided exactly in K.
     """
+    with mp.workdps(digits + GUARD):
+        lengths, dd, kk = _complex_matrices(
+            lengths, diffs, cochain_grams, cohomology_grams, cohomology_maps
+        )
+        _check_zero_products(digits, dd, kk)
+        return _orthonormal_complex(
+            digits, lengths, dd, kk, cochain_grams, cohomology_grams, ranks, delta_sq
+        )
+
+
+def _complex_matrices(lengths, diffs, cochain_grams, cohomology_grams, cohomology_maps):
+    """The checked shapes: (lengths, diffs, representatives) with the
+    differentials and the representative columns of each degree as
+    mp.matrix, at the working precision."""
     lengths = tuple(int(n) for n in lengths)
     nd = len(lengths)
-    with mp.workdps(digits + GUARD):
-        dd = [[[to_mp(x) for x in row] for row in m] for m in diffs]
-        kk = [[[to_mp(x) for x in row] for row in m] for m in cohomology_maps]
-        gg, hh = cochain_grams, cohomology_grams  # hermitian_cholesky converts each
-        if len(dd) != nd - 1 or len(gg) != nd or len(hh) != nd or len(kk) != nd:
-            raise ValidationError("degree counts of the complex data disagree")
-        for i in range(nd - 1):
-            if len(dd[i]) != lengths[i + 1] or any(len(r) != lengths[i] for r in dd[i]):
-                raise ValidationError(f"differential {i} has the wrong shape")
-        if ranks is not None and len(ranks) != nd - 1:
-            raise ValidationError("expected one rank per differential")
-        if delta_sq is not None and len(delta_sq) != nd:
-            raise ValidationError("expected one basis determinant per degree")
-        dd = [_matrix(m, lengths[i]) for i, m in enumerate(dd)]
-        norms = [mp.mnorm(m, "f") for m in dd]
-        # exact zeros carry the rounding of entries as large as the factors
-        tol = residual_tolerance(digits)
-        for i in range(nd - 2):
-            if mp.mnorm(dd[i + 1] * dd[i], "f") > tol * norms[i + 1] * norms[i]:
-                raise ValidationError(f"d{i + 1} after d{i} is not zero")
-        ups = []
-        reps = []
-        det_g = []
-        det_h = []
-        for i in range(nd):
-            if len(gg[i]) != lengths[i]:
-                raise ValidationError(f"cochain Gram {i} has the wrong size")
-            low = hermitian_cholesky(gg[i], digits)
-            det_g.append(_det_of_factor(low, digits))
-            ups.append(low.H)
-            h = len(hh[i])
-            if h > 0:
-                det_h.append(_det_of_factor(hermitian_cholesky(hh[i], digits), digits))
-                if len(kk[i]) != lengths[i]:
-                    raise ValidationError(
-                        f"cohomology representatives {i} have the wrong height"
-                    )
-                if any(len(r) != h for r in kk[i]):
-                    raise ValidationError(
-                        f"cohomology representatives {i} disagree with the Gram size"
-                    )
-                if lengths[i] == 0:
-                    raise ValidationError(f"degree {i} is zero but lists cohomology")
-                k = _matrix(kk[i], h)
-                if i < nd - 1:
-                    bound = tol * norms[i] * mp.mnorm(k, "f")
-                    if mp.mnorm(dd[i] * k, "f") > bound:
-                        raise ValidationError(f"a degree-{i} representative is not a cocycle")
-            else:
-                if any(len(r) for r in kk[i]):
-                    raise ValidationError(
-                        f"degree {i} provides representatives but no cohomology Gram"
-                    )
-                det_h.append(mpf(1))
-                k = mp.matrix(lengths[i], 0)
-            reps.append(ups[i] * k)
-        from_ortho = tuple(_inverse_upper(up) for up in ups)
-        return MetrizedComplexAtPlace(
-            digits=digits,
-            lengths=lengths,
-            ortho_diffs=tuple(ups[i + 1] * dd[i] * from_ortho[i] for i in range(nd - 1)),
-            ortho_reps=tuple(reps),
-            from_ortho=from_ortho,
-            det_cochain=tuple(det_g),
-            cohomology_dims=tuple(len(m) for m in hh),
-            det_cohomology=tuple(det_h),
-            ranks=None if ranks is None else tuple(ranks),
-            delta_sq=None if delta_sq is None else tuple(delta_sq),
-        )
+    dd = [[[to_mp(x) for x in row] for row in m] for m in diffs]
+    kk = [[[to_mp(x) for x in row] for row in m] for m in cohomology_maps]
+    gg, hh = cochain_grams, cohomology_grams  # hermitian_cholesky converts each
+    if len(dd) != nd - 1 or len(gg) != nd or len(hh) != nd or len(kk) != nd:
+        raise ValidationError("degree counts of the complex data disagree")
+    for i in range(nd - 1):
+        if len(dd[i]) != lengths[i + 1] or any(len(r) != lengths[i] for r in dd[i]):
+            raise ValidationError(f"differential {i} has the wrong shape")
+    reps = []
+    for i in range(nd):
+        if len(gg[i]) != lengths[i]:
+            raise ValidationError(f"cochain Gram {i} has the wrong size")
+        h = len(hh[i])
+        if h > 0:
+            if len(kk[i]) != lengths[i]:
+                raise ValidationError(f"cohomology representatives {i} have the wrong height")
+            if any(len(r) != h for r in kk[i]):
+                raise ValidationError(
+                    f"cohomology representatives {i} disagree with the Gram size"
+                )
+            if lengths[i] == 0:
+                raise ValidationError(f"degree {i} is zero but lists cohomology")
+            reps.append(_matrix(kk[i], h))
+        else:
+            if any(len(r) for r in kk[i]):
+                raise ValidationError(
+                    f"degree {i} provides representatives but no cohomology Gram"
+                )
+            reps.append(mp.matrix(lengths[i], 0))
+    return lengths, [_matrix(m, lengths[i]) for i, m in enumerate(dd)], reps
+
+
+def _check_zero_products(digits, dd, kk):
+    """d after d = 0 and d_i K_i = 0 within residual_tolerance, relative to
+    the Frobenius norms of the factors: exact zeros carry the rounding of
+    entries as large as the factors."""
+    tol = residual_tolerance(digits)
+    norms = [mp.mnorm(m, "f") for m in dd]
+    for i in range(len(dd) - 1):
+        if mp.mnorm(dd[i + 1] * dd[i], "f") > tol * norms[i + 1] * norms[i]:
+            raise ValidationError(f"d{i + 1} after d{i} is not zero")
+    for i, k in enumerate(kk[:-1]):
+        if k.cols and mp.mnorm(dd[i] * k, "f") > tol * norms[i] * mp.mnorm(k, "f"):
+            raise ValidationError(f"a degree-{i} representative is not a cocycle")
+
+
+def _orthonormal_complex(digits, lengths, dd, kk, gg, hh, ranks, delta_sq):
+    """The MetrizedComplexAtPlace of checked shapes (_complex_matrices): each
+    Gram factored once, and the differentials and representatives in
+    orthonormal coordinates."""
+    nd = len(lengths)
+    if ranks is not None and len(ranks) != nd - 1:
+        raise ValidationError("expected one rank per differential")
+    if delta_sq is not None and len(delta_sq) != nd:
+        raise ValidationError("expected one basis determinant per degree")
+    ups = []
+    det_g = []
+    det_h = []
+    for i in range(nd):
+        low = hermitian_cholesky(gg[i], digits)
+        det_g.append(_det_of_factor(low, digits))
+        ups.append(low.H)
+        if len(hh[i]):
+            det_h.append(_det_of_factor(hermitian_cholesky(hh[i], digits), digits))
+        else:
+            det_h.append(mpf(1))
+    from_ortho = tuple(_inverse_upper(up) for up in ups)
+    return MetrizedComplexAtPlace(
+        digits=digits,
+        lengths=lengths,
+        ortho_diffs=tuple(ups[i + 1] * dd[i] * from_ortho[i] for i in range(nd - 1)),
+        ortho_reps=tuple(up * k for up, k in zip(ups, kk)),
+        from_ortho=from_ortho,
+        det_cochain=tuple(det_g),
+        cohomology_dims=tuple(len(m) for m in hh),
+        det_cohomology=tuple(det_h),
+        ranks=None if ranks is None else tuple(ranks),
+        delta_sq=None if delta_sq is None else tuple(delta_sq),
+    )
 
 
 def _count_below(values, cut, message):
@@ -711,7 +744,10 @@ def at_place(cplx: MetrizedComplexOverR, place: int) -> MetrizedComplexAtPlace:
     """The embedded metrized complex at one place representative.
 
     It carries the exact ranks of the place and |sigma(delta_i)|^2 of each
-    basis determinant, embedded once here, for the basis-chase.  Each place
+    basis determinant, embedded once here, for the basis-chase.  It shares
+    the shape checks and the assembly of metrized_complex_at_place but takes
+    no numeric d after d or cocycle product: build_complex_over_r decided
+    both exactly in K.  Each place
     is built once per complex object: later calls return the same
     MetrizedComplexAtPlace, and so share its tau.  A call that raises keeps
     nothing.
@@ -732,11 +768,14 @@ def at_place(cplx: MetrizedComplexOverR, place: int) -> MetrizedComplexAtPlace:
         else:
             hgrams.append(())
             hmaps.append(())
-    with mp.workdps(field.digits + GUARD):
+    digits = field.digits
+    with mp.workdps(digits + GUARD):
         delta_sq = [_abs2(embed(field, d, place)) for d in cplx.deltas[place]]
-    at = cplx._memo[place] = metrized_complex_at_place(
-        field.digits, cplx.lengths, diffs, grams, hgrams, hmaps, cplx.ranks[place], delta_sq
-    )
+        # d after d = 0 and the cocycles are decided in K: no numeric products
+        lengths, dd, kk = _complex_matrices(cplx.lengths, diffs, grams, hgrams, hmaps)
+        at = cplx._memo[place] = _orthonormal_complex(
+            digits, lengths, dd, kk, grams, hgrams, cplx.ranks[place], delta_sq
+        )
     return at
 
 
@@ -744,7 +783,7 @@ def rtorsion_form(field: NumberField, cplx: MetrizedComplexOverR) -> FormElement
     """The degree-1 vector of per-place ln tau, in quotient coordinates."""
     with mp.workdps(field.digits + GUARD):
         vals = [
-            mp.log(reidemeister(at_place(cplx, k))) for k in range(field.n_places)
+            ln(reidemeister(at_place(cplx, k))) for k in range(field.n_places)
         ]
     return make_form(field, 0, vals)
 
@@ -789,5 +828,5 @@ def verify_euler_identity(
                 if spec.torsion is not None:
                     g = g * _abs2(embed(field, spec.torsion.det_elem, k))
                 x = x * g / h if i % 2 == 0 else x * h / g
-            lndets.append(mp.log(x / reidemeister(at) ** 2))
+            lndets.append(ln(x / reidemeister(at) ** 2))
     return _cycl_from_lndets(field, lattice, rank, lndets)

@@ -2,12 +2,13 @@
 
 Each case runs cli.main in process and compares what it prints with
 tests/data/golden/<name>.txt.  The cases are the four README examples,
-one 50-digit call of every other subcommand, and two more rtorsion calls:
-a three-term complex and one with free cohomology.  Calls whose output
-prints the rounding noise of an exact zero (the cheeger-muller residual,
-polylog at theta = pi) are left out, with two exceptions.  The README's own
-cheeger-muller table is kept because the README shows it; with Li_1 in the
-real closed form -ln(2 sin(theta/2)), its residuals at r = 5 print 0.0.
+one 50-digit call of every other subcommand, two more rtorsion calls (a
+three-term complex and one with free cohomology) and polylog at theta = pi,
+where Li_3(-1) is real and its imaginary part prints as an exact 0.0.
+Calls whose output prints the rounding noise of an exact zero (the
+cheeger-muller residual) are left out, with two exceptions.  The README's
+own cheeger-muller table is kept because the README shows it; with Li_1 in
+the real closed form -ln(2 sin(theta/2)), its residuals at r = 5 print 0.0.
 The euler-check residual on the free-cohomology complex is kept because its
 noise pins, bit for bit, how the cycle classes are summed from the
 per-place log-determinants of the cochain and cohomology Grams.
@@ -97,6 +98,7 @@ CASES = {
     "rtorsion_three_term": ["rtorsion", "--field", Z2, "--complex", THREE_TERM],
     "rtorsion_free_cohomology": ["rtorsion", "--field", Z2, "--complex", FREE_COHOMOLOGY],
     "polylog": ["polylog", "--n", "3", "--theta-over-2pi", "2/7"],
+    "polylog_minus_one": ["polylog", "--n", "3", "--theta-over-2pi", "1/2"],
     "zeta": ["zeta", "--s", "5"],
     "bernoulli": ["bernoulli", "--m", "30"],
     "beta_check": ["beta-check", "--j", "4"],

@@ -542,3 +542,36 @@ def test_parse_descriptor_rejects_garbage():
     for bad in ({"class_group": 5}, {"class_group": {"orders": ["x"]}}, {"digits": "x"}):
         with pytest.raises(ValidationError):
             parse_descriptor({"poly": [-2, 0, 1], **bad})
+
+
+@pytest.mark.parametrize("digits", (50, 300, 1000))
+def test_ln_matches_mp_log(digits):
+    # on both sides of the switch to t - t^2/2 at |x - 1| = 2^(-prec/2 - 4),
+    # and far from 1, against mp.log 30 digits higher
+    with mp.workdps(digits + numfield.GUARD):
+        prec, half = mp.prec, mp.prec // 2
+        xs = [1 + s * mp.ldexp(1, -k) for k in range(half - 8, half + 9) for s in (1, -1)]
+        xs += [mp.mpf(x) for x in ("1e-300", "0.5", "2", "3.25", "1e40")] + [+mp.pi]
+        got = [numfield.ln(x) for x in xs]
+        assert numfield.ln(mp.mpf(1)) == 0
+    with mp.workdps(digits + numfield.GUARD + 30):
+        for x, y in zip(xs, got):
+            want = mp.log(x)
+            assert abs(y - want) <= abs(want) * mp.ldexp(1, 1 - prec), x
+
+
+def test_ln_takes_no_mp_log_next_to_one(monkeypatch):
+    # mp.log(1 + 10^-1005) at 1000 digits runs at twice the precision;
+    # ln takes two terms of its series instead
+    calls = []
+    log = mp.log
+    monkeypatch.setattr(mp, "log", lambda x: calls.append(x) or log(x))
+    with mp.workdps(1000 + numfield.GUARD):
+        x = 1 + mp.mpf(10) ** -1005
+        assert x != 1
+        y = numfield.ln(x)
+        assert calls == []
+        numfield.ln(mp.mpf(2))
+        assert calls == [2]
+    with mp.workdps(1040):
+        assert abs(y - log(x)) <= y * mp.mpf(10) ** -1009

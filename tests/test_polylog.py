@@ -181,6 +181,22 @@ def test_polylog_circle_at_minus_one_thousand_digits():
             assert abs(got.imag) < mp.mpf(10) ** -1000, n
 
 
+@pytest.mark.parametrize("digits", (50, 300))
+def test_polylog_at_minus_one_is_real(digits):
+    # Li_n(-1) = -(1 - 2^(1-n)) zeta(n): at theta = pi, as the CLI computes it
+    # from theta / 2pi = 1/2, the imaginary part is exactly 0, not rounding
+    # noise, for one order and for a batched pass
+    with mp.workdps(digits + GUARD):
+        th = 2 * mp.pi * 1 / 2
+    batch = polylog_orders(1, 8, th, digits)
+    with mp.workdps(digits + 20):
+        for n in range(2, 9):
+            want = -(1 - mp.mpf(2) ** (1 - n)) * mp.zeta(n)
+            for got in (polylog_circle(n, th, digits), batch[n - 1]):
+                assert abs(got.real - want) < mp.mpf(10) ** -digits, n
+                assert got.imag == 0, n
+
+
 def test_polylog_circle_precision_history(monkeypatch):
     # The zeta(2m) table is shared by every call and kept at the highest
     # precision seen so far; lower precisions read it shifted right.  Values

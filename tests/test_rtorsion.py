@@ -940,6 +940,7 @@ def test_places_and_routes_take_no_logarithm(monkeypatch):
     calls = []
     for name in ("log", "exp"):
         monkeypatch.setattr(mp, name, _counting(calls, name, getattr(mp, name)))
+    monkeypatch.setattr(rtorsion, "ln", _counting(calls, "ln", rtorsion.ln))
     for field, _, cplx in complexes:
         for k in range(field.n_places):
             at = at_place(cplx, k)
@@ -949,8 +950,9 @@ def test_places_and_routes_take_no_logarithm(monkeypatch):
 
 
 def test_warm_euler_identity_takes_one_log_per_place(monkeypatch):
-    # the torsion classes fold into the per-place product: one logarithm per
-    # place in all, and no zhat
+    # the torsion classes fold into the per-place product: one logarithm
+    # (numfield.ln, which takes mp.log only away from 1) per place in all,
+    # and no zhat
     field, _, lat = field_lattice("zsqrt2")
     complexes = [(field, lat, _free_cohomology_complex(field)), *_corpus_complexes()]
     assert any(spec.torsion is not None for _, _, c in complexes for spec in c.cohomology)
@@ -959,13 +961,13 @@ def test_warm_euler_identity_takes_one_log_per_place(monkeypatch):
             reidemeister(at_place(cplx, k))
             torsion_by_contraction(at_place(cplx, k))
     calls = []
-    for name in ("log", "exp"):
-        monkeypatch.setattr(mp, name, _counting(calls, name, getattr(mp, name)))
+    monkeypatch.setattr(rtorsion, "ln", _counting(calls, "ln", rtorsion.ln))
+    monkeypatch.setattr(mp, "exp", _counting(calls, "exp", mp.exp))
     monkeypatch.setattr(modtors, "zhat", _counting(calls, "zhat", modtors.zhat))
     for field, lat, cplx in complexes:
         calls.clear()
         assert verify_euler_identity(field, lat, cplx).is_zero()
-        assert [name for name, _ in calls] == ["log"] * field.n_places
+        assert [name for name, _ in calls] == ["ln"] * field.n_places
 
 
 @pytest.mark.parametrize("digits", (50, 300))
@@ -1135,3 +1137,59 @@ def test_contraction_over_r_takes_no_minor_or_pivot(monkeypatch):
     for at in places[:3]:
         torsion_by_contraction(_numeric(at))
     assert {name for name, _ in calls} == {"det", "pivots"}
+
+
+def _embedded(cplx, k):
+    # the arguments of metrized_complex_at_place for place k of a complex over R
+    field = cplx.field
+    hgrams = [spec.free_grams[k] if spec.free_rank else () for spec in cplx.cohomology]
+    hmaps = [
+        rtorsion._embed_matrix(field, spec.free_reps, k) if spec.free_rank else ()
+        for spec in cplx.cohomology
+    ]
+    return (
+        field.digits, cplx.lengths, [rtorsion._embed_matrix(field, m, k) for m in cplx.diffs],
+        [g[k] for g in cplx.grams], hgrams, hmaps,
+    )
+
+
+def test_at_place_takes_no_numeric_zero_product(monkeypatch):
+    # K decides d after d = 0 and every cocycle of a complex over R, so its
+    # places take neither product, nor the Frobenius norms that only they
+    # need; the same data given to metrized_complex_at_place takes both and
+    # gives the same place
+    field, _ = field_units("zsqrt2")
+    complexes = [(field, _free_cohomology_complex(field))]
+    complexes += [(f, c) for f, _, c in _corpus_complexes()]
+    assert any(spec.free_rank for _, c in complexes for spec in c.cohomology)
+    calls = []
+    monkeypatch.setattr(mp, "mnorm", _counting(calls, "mnorm", mp.mnorm))
+    checks = _counting(calls, "check", rtorsion._check_zero_products)
+    monkeypatch.setattr(rtorsion, "_check_zero_products", checks)
+    for field, cplx in complexes:
+        for k in range(field.n_places):
+            calls.clear()
+            at = at_place(cplx, k)
+            assert calls == []
+            args = _embedded(cplx, k)
+            over_c = metrized_complex_at_place(*args, cplx.ranks[k], at.delta_sq)
+            assert over_c == at
+            names = [name for name, _ in calls]
+            assert names[0] == "check" and names.count("mnorm") >= len(cplx.diffs)
+
+
+@pytest.mark.parametrize("exact", (False, True))
+def test_complexes_over_c_keep_the_numeric_zero_products(exact):
+    # ranks and basis determinants that a caller passes do not stand in for
+    # the checks: a complex built over C has no K to decide them
+    def build(lengths, diffs, hgrams, hmaps):
+        nd = len(lengths)
+        extra = {"ranks": (1,) * (nd - 1), "delta_sq": (1,) * nd} if exact else {}
+        return metrized_complex_at_place(
+            50, lengths, diffs, (EYE1,) * nd, hgrams, hmaps, **extra
+        )
+
+    with pytest.raises(ValidationError, match="d1 after d0 is not zero"):
+        build((1, 1, 1), ([[1]], [[1]]), ((),) * 3, ((),) * 3)
+    with pytest.raises(ValidationError, match="a degree-0 representative is not a cocycle"):
+        build((1, 1), ([[2]],), (EYE1, ()), ([[1]], ()))

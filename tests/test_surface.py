@@ -6,12 +6,15 @@ Moving code between modules must not change regtor.__all__, and must not
 drop a function that perfbench/tracing.py wraps for its per-layer times.
 Each CLI call is a fresh process, so importing regtor.cli must not load the
 code-generation machinery of dataclasses (inspect, ast, dis, tokenize).
+Every logarithm goes through numfield.ln, the one logarithm of the
+precision policy.
 """
 
 import copy
 import importlib
 import importlib.util
 import pickle
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -104,6 +107,15 @@ def test_cli_import_loads_no_code_generation():
     added = set(proc.stdout.split())
     assert "regtor.cli" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+def test_only_numfield_calls_mp_log():
+    call = re.compile(r"\b(?:mp|mpmath)\.(?:log|ln)\s*\(")
+    modules = sorted((SRC / "regtor").glob("*.py"))
+    assert len(modules) > 5
+    for path in modules:
+        found = call.findall(path.read_text())
+        assert len(found) == (path.name == "numfield.py"), path.name
 
 
 def _complex_over_r(field):
