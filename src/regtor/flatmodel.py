@@ -13,18 +13,27 @@ torus elements are Babai-reduced residues modulo that lattice.  A point
 class is (rank, class-group exponents, torus element) with componentwise
 addition.
 
-A Gram determinant is kept as the determinant (prod of the Cholesky
-diagonal)^2, and a logarithm is taken only where a coefficient vector needs
-one: lndet_hermitian takes one per Gram, and callers that combine several
+Every Gram is factored by gram_ldl, exactly: its entries are rationals,
+or Gaussian rationals, or mpf and mpc read as the dyadic rationals they
+are, and one fraction-free elimination gives the Hermitian and positivity
+decisions, det G as a Fraction and the unit-lower L of G = L D L^H with
+its inverse.  The Cholesky factor, and in rtorsion the orthonormal
+coordinates, take one square root per pivot from it.  A logarithm is taken
+only where a coefficient vector needs one: lndet_hermitian takes one per
+Gram, of its exact determinant, and callers that combine several
 determinants multiply them first.
 
-Scalars given as input are converted by numfield.to_mp.  No record here
+Scalars given as input are converted by numfield.to_mp, and Gram entries
+are read by numfield.to_exact as the rationals to_mp rounds.  No record here
 formats itself: the CLI alone decides how a value is printed.
 """
 
 from __future__ import annotations
 
-from mpmath import mp, mpf
+from fractions import Fraction
+from math import isqrt, lcm
+
+from mpmath import mp, mpc, mpf
 
 from .errors import NoConvergence, NotAUnit, NotPositiveDefinite, ValidationError
 from .numfield import (
@@ -32,16 +41,18 @@ from .numfield import (
     FieldElement,
     NumberField,
     Record,
-    _abs2,
+    _bareiss,
     embed,
     ln,
     rank_cutoff,
+    to_exact,
     to_mp,
     torus_tolerance,
     verify_unit,
 )
 
 _LLL_STEP_CAP = 50_000
+_ZERO = Fraction(0)
 
 
 class FormElement(Record):
@@ -354,54 +365,118 @@ def a_map(lattice: RegulatorLattice, f: FormElement) -> PointClass:
     return PointClass(0, _reduce_cls(lattice.field.class_orders, ()), t)
 
 
-def hermitian_cholesky(rows, digits: int):
-    """Lower Cholesky factor L (G = L L^*) of a Hermitian positive-definite G.
+def _positive_pivot(x) -> bool:
+    """gram_ldl's live test for _bareiss: a pivot must be positive."""
+    if x <= 0:
+        raise NotPositiveDefinite("Cholesky pivot is not positive")
+    return True
 
-    Returns an mp.matrix.  Raises NotPositiveDefinite when a pivot is not
-    positive or the matrix is not Hermitian within rank_cutoff(digits)
-    relative to its largest entry.
+
+def gram_ldl(rows, digits: int):
+    """The exact LDL^H of a Hermitian positive-definite Gram G; every Gram
+    regtor factors goes through here.
+
+    Each entry is read exactly (numfield.to_exact).  G must be square, and
+    Hermitian within rank_cutoff(digits) relative to its largest entry,
+    decided exactly: |g_ij - conj(g_ji)|^2 10^digits <= max |g|^2.  Its
+    lower triangle and the real part of its diagonal then define it.  Over
+    one common denominator den, den G is an integer matrix when G is real;
+    otherwise its real 2n by 2n image, each entry a + bi the block
+    [[a, -b], [b, a]], is, and the LDL^T of the image is the image of the
+    LDL^H of G.  One numfield._bareiss of that matrix beside the identity,
+    with no pivoting, leaves in row k the k-th leading minor p_k, the
+    entries of D L^H times p_{k-1} and beside them those of L^-1 times
+    p_{k-1}.  _bareiss scans for a pivot from (k, k), so the first entry
+    its live test meets at step k is the pivot p_k: a test that refuses
+    each p_k <= 0 decides positivity by Sylvester's criterion as the
+    pivots come, every D_k = p_k / (den p_{k-1}) > 0, and lets no swap
+    happen.  Returns (det G, factor): det G = prod D_k is an exact
+    Fraction, and factor is what _cholesky_pair reads.  Raises
+    NotPositiveDefinite on a Gram that is not Hermitian or not positive
+    definite.
     """
     n = len(rows)
     with mp.workdps(digits + GUARD):
-        a = [[to_mp(x) for x in row] for row in rows]
-        if any(len(row) != n for row in a):
-            raise ValidationError("Gram matrix must be square")
-        # squared magnitudes: no square root per entry
-        scale2 = max((_abs2(x) for row in a for x in row), default=mpf(0))
-        herm_tol2 = scale2 * rank_cutoff(digits) ** 2
-        gram = mp.matrix(n, n)
-        for i in range(n):
-            for j in range(i + 1):
-                if _abs2(a[i][j] - mp.conj(a[j][i])) > herm_tol2:
-                    raise NotPositiveDefinite("Gram matrix is not Hermitian")
-                gram[i, j] = a[i][j]
-            gram[i, i] = mp.re(a[i][i])
-        # mp.cholesky reads the lower triangle.  With a real diagonal and
-        # tol = 0 it refuses exactly the pivots <= 0: a negative one raises
-        # ValueError, a zero one ZeroDivisionError.
-        try:
-            return mp.cholesky(gram, tol=0)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise NotPositiveDefinite("Cholesky pivot is not positive") from exc
+        a = [[to_exact(x) for x in row] for row in rows]
+    if any(len(row) != n for row in a):
+        raise ValidationError("Gram matrix must be square")
+    scale2 = max((re * re + im * im for row in a for re, im in row), default=0)
+    for i in range(n):
+        for j in range(i + 1):
+            (p, q), (r, s) = a[i][j], a[j][i]
+            if (p != r or q != -s) and ((p - r) ** 2 + (q + s) ** 2) * 10**digits > scale2:
+                raise NotPositiveDefinite("Gram matrix is not Hermitian")
+    herm = [
+        [a[i][j] if j < i else (a[i][i][0], _ZERO) if j == i else (a[j][i][0], -a[j][i][1])
+         for j in range(n)]
+        for i in range(n)
+    ]
+    den = lcm(*(c.denominator for row in herm for z in row for c in z))
+    ints = [[[c.numerator * (den // c.denominator) for c in z] for z in row] for row in herm]
+    step = 2 if any(im for row in ints for _, im in row) else 1
+    size = step * n
+    m = []
+    for row in ints:
+        if step == 1:
+            m.append([re for re, _ in row])
+        else:
+            m.append([x for re, im in row for x in (re, -im)])
+            m.append([x for re, im in row for x in (im, re)])
+    for r, row in enumerate(m):
+        row.extend(int(r == c) for c in range(size))
+    _bareiss(m, _positive_pivot, width=size)
+    last = m[-1][size - 1] if m else 1
+    det = Fraction(last if step == 1 else isqrt(last), den**n)
+    return det, (den, step, m)
 
 
-def _det_of_factor(low, digits: int):
-    """det L L^* = (prod_i Re L_ii)^2 for a lower Cholesky factor L.
+def _cholesky_pair(factor):
+    """(U, U^-1) at the working precision for the upper Cholesky factor
+    U = D^(1/2) L^H of gram_ldl's exact factor.
 
-    No logarithm: callers that combine several determinants multiply them
-    and take one logarithm of the product.
+    With s_k = 1 / sqrt(den p_k p_{k-1}), one square root per pivot, row k
+    of U is row k of the elimination times s_k, and column k of U^-1, which
+    is L^-H D^(-1/2), the conjugate of its row k beside the identity times
+    den s_k.  For a complex Gram the rows of the real image at 2k carry
+    the real parts and the negated imaginary parts of U, in alternate
+    columns.
+    """
+    den, step, m = factor
+    size = len(m)
+    n = size // step
+    up, inv = mp.matrix(n, n), mp.matrix(n, n)
+    prev = 1
+    for k in range(n):
+        row = m[step * k]
+        s = 1 / mp.sqrt(den * row[step * k] * prev)
+        t = den * s
+        for j in range(k, n):
+            up[k, j] = row[j] * s if step == 1 else mpc(row[2 * j], -row[2 * j + 1]) * s
+        for j in range(k + 1):
+            c = size + step * j
+            inv[j, k] = row[c] * t if step == 1 else mpc(row[c], row[c + 1]) * t
+        prev = m[step * k + step - 1][step * k + step - 1]
+    return up, inv
+
+
+def hermitian_cholesky(rows, digits: int):
+    """Lower Cholesky factor L D^(1/2) (G = L D L^H) of a Hermitian
+    positive-definite G, from its exact gram_ldl.
+
+    Returns an mp.matrix at digits + GUARD.  Raises NotPositiveDefinite
+    when a pivot is not positive or the matrix is not Hermitian within
+    rank_cutoff(digits) relative to its largest entry, both decided
+    exactly.
     """
     with mp.workdps(digits + GUARD):
-        return mp.fprod(mp.re(low[i, i]) for i in range(low.rows)) ** 2
+        return _cholesky_pair(gram_ldl(rows, digits)[1])[0].H
 
 
 def lndet_hermitian(rows, digits: int):
-    """ln det of a Hermitian positive-definite matrix via Cholesky.
-
-    One logarithm, of the determinant (prod of the factor's diagonal)^2.
-    """
+    """ln det of a Hermitian positive-definite matrix: one logarithm of the
+    exact determinant that gram_ldl gives, rounded once."""
     with mp.workdps(digits + GUARD):
-        return ln(_det_of_factor(hermitian_cholesky(rows, digits), digits))
+        return ln(to_mp(gram_ldl(rows, digits)[0]))
 
 
 def cycl_free(field: NumberField, lattice: RegulatorLattice, grams) -> PointClass:

@@ -17,17 +17,18 @@ basis, a unit of the field lying outside Z[x] is rejected.
 
 Shared by every module: Record, the base of every immutable value type,
 with the one constructor that binds the fields each type names; the
-polynomial kit over Q (poly_trim, poly_mul, poly_divmod; coefficient
-lists constant first), the one Horner evaluator, the one number
-conversion to_mp, the one fraction-free elimination _bareiss over Z, and
-the precision policy.  _bareiss gives every exact determinant and rank:
-_int_bareiss_det for norm and the squarefree test through _resultant and
+polynomial kit over Q (poly_trim, poly_mul, poly_divmod; coefficient lists
+constant first), the one Horner evaluator, the one number conversion to_mp
+and to_exact, the exact value it rounds, the one fraction-free elimination
+_bareiss over Z, and the precision policy.  _bareiss gives every exact
+determinant and rank: _int_bareiss_det for norm and the squarefree test
+through _resultant, the determinant of multiplication by q on Z[x]/(p), and
 for modtors.exact_det through Kronecker substitution (_kronecker_matrix),
-all the subresultants of one Sylvester matrix S_j for the gcd, and the rank
-and the pivot columns at each place, decided exactly in K on the Kronecker
-form of a matrix, for exact_pivots and exact_ranks, splitting p where a
-pivot is a zero divisor.  Each public
-function works at digits + GUARD; the cutoffs rank_cutoff
+all the subresultants of one Sylvester matrix S_j for the gcd, the rank and
+the pivot columns at each place, decided exactly in K on the Kronecker form
+of a matrix, for exact_pivots and exact_ranks, splitting p where a pivot is
+a zero divisor, and flatmodel.gram_ldl's exact factor of each Gram.  Each
+public function works at digits + GUARD; the cutoffs rank_cutoff
 (10^(-digits/2)), torus_tolerance (10^(-digits/3)) and residual_tolerance
 (10^(-digits + GUARD)) are evaluated at the caller's working precision, and
 so is ln, the one logarithm every module takes: next to 1, where mp.log
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm, log2, prod
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import dps_to_prec
@@ -53,6 +54,9 @@ GUARD = 10
 DEGREE_MAX = 60
 
 _POLYROOTS_STEPS = 400
+
+_ZERO = Fraction(0)
+_LOG2_10 = log2(10)
 
 
 class Record:
@@ -287,10 +291,22 @@ def _sylvester(f, e, j) -> list[list[int]]:
 
 
 def _resultant(p, q) -> int:
-    """Res(p, q) of two integer polynomials (constant first, nonzero leading
-    coefficients): det S_0, the determinant of their Sylvester matrix.  A
-    constant q gives the diagonal matrix q I_{deg p}."""
-    return _int_bareiss_det(_sylvester(p, q, 0))
+    """Res(p, q) of a monic integer p of degree n and an integer q (constant
+    first): prod q(a) over the roots a of p, which is det q(C_p), the
+    determinant of multiplication by q on Z[x]/(p).  Column j of that n by n
+    matrix holds x^j q mod p, and p monic keeps each column integral.  A q
+    that p divides gives 0, and a constant q the power q^n."""
+    n = len(p) - 1
+    col = poly_divmod(list(q), p)[1]
+    col += [0] * (n - len(col))
+    cols = []
+    for _ in range(n):
+        cols.append(col)
+        # x col mod p: shift up, and take the x^n coefficient times p away
+        top, col = col[-1], [0] + col[:-1]
+        if top:
+            col = [c - top * a for c, a in zip(col, p)]
+    return _int_bareiss_det(cols)
 
 
 def _kronecker_matrix(field, rows) -> tuple[list[list[int]], int, int]:
@@ -668,6 +684,16 @@ def parse_rational(text) -> Fraction:
     return Fraction(text)
 
 
+def _pair(x):
+    """The [re, im] parts of a complex scalar input, or None for a real one.
+    A part may not be a pair itself."""
+    if not isinstance(x, (tuple, list)):
+        return None
+    if len(x) != 2 or any(isinstance(v, (tuple, list)) for v in x):
+        raise ValidationError("complex entries must be [re, im] pairs")
+    return x
+
+
 def to_mp(x):
     """Exact-aware scalar conversion at the current working precision: a
     rational, or a "p/q" string, is its numerator divided by its denominator
@@ -678,16 +704,56 @@ def to_mp(x):
     """
     if isinstance(x, Fraction):
         return mpf(x.numerator) / x.denominator
-    if isinstance(x, (tuple, list)):
-        if len(x) != 2:
-            raise ValidationError("complex entries must be [re, im] pairs")
-        return mpc(to_mp(x[0]), to_mp(x[1]))
+    pair = _pair(x)
+    if pair is not None:
+        return mpc(to_mp(pair[0]), to_mp(pair[1]))
     try:
         if isinstance(x, str) and "/" in x:
             return to_mp(parse_rational(x))
         return mp.mpmathify(x)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"not a number: {x!r}") from exc
+
+
+def to_exact(x) -> tuple[Fraction, Fraction]:
+    """The exact pair (re, im) of rationals that a scalar input is: the
+    value to_mp rounds.
+
+    Reads what to_mp reads.  An int, a Fraction and a "p/q" or decimal
+    string are read by parse_rational; anything else goes through to_mp at
+    the current working precision, and the parts of the mpf or mpc it gives
+    are read as the dyadic rationals they are.  Raises ValidationError on
+    what to_mp refuses, on what is not finite, and on an mpf whose
+    |exponent| passes the bits of an integer of sys.get_int_max_str_digits()
+    digits, the bound parse_rational sets on a decimal: reading it would
+    build a power of two of that many bits.
+    """
+    pair = _pair(x)
+    if pair is not None:
+        (a, b), (c, d) = to_exact(pair[0]), to_exact(pair[1])
+        return a - d, b + c
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x), _ZERO
+    if isinstance(x, str):
+        try:
+            return parse_rational(x), _ZERO
+        except (ValueError, ZeroDivisionError):
+            pass
+    z = mpc(to_mp(x))
+    if not mp.isfinite(z):
+        raise ValidationError(f"not a number: {x!r}")
+    return _dyadic(z.real), _dyadic(z.imag)
+
+
+def _dyadic(v) -> Fraction:
+    """The rational an mpf is exactly (man_exp gives |mantissa|), within
+    to_exact's bound on the exponent."""
+    man, exp = v.man_exp
+    limit = sys.get_int_max_str_digits()
+    if limit and abs(exp) > limit * _LOG2_10:
+        raise ValidationError(f"number exceeds the limit of {limit} digits: {mp.nstr(v, 8)}")
+    man = -man if v < 0 else man
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 def parse_descriptor(data: dict, digits_override: int | None = None):

@@ -5,8 +5,9 @@ complex with the metric induced on the determinant line of its cohomology
 (with respect to chosen cohomology bases and metrics).
 
 metrized_complex_at_place validates a complex at one place and changes it to
-orthonormal coordinates, once: it factors each cochain Gram one time, and
-keeps det of each cochain and cohomology Gram.  Each place and its tau are
+orthonormal coordinates, once: it factors each cochain and cohomology Gram
+one time, exactly (flatmodel.gram_ldl), and keeps their determinants as
+exact rationals.  Each place and its tau are
 built once per complex object: at_place keeps the MetrizedComplexAtPlace of
 every place it has built on the MetrizedComplexOverR, and reidemeister keeps
 tau on the MetrizedComplexAtPlace, so rtorsion_form and
@@ -37,8 +38,10 @@ independent algorithms read the result:
 The sign convention is frozen so that the acyclic complex 0 -> C --z--> C -> 0
 with standard metrics has tau = 1/|z|; both routes reproduce it.
 
-Every per-place matrix is an mp.matrix, and products, adjoints, norms, the
-Cholesky factor and the triangular solves are mpmath's own.
+Every per-place matrix is an mp.matrix, and products, adjoints and norms
+are mpmath's own.  The orthonormal coordinates come from the exact
+G = L D L^H of each Gram: U = D^(1/2) L^H and U^-1 = L^-H D^(-1/2), with one
+square root per pivot, so no triangular factor is solved numerically.
 
 Rank decisions.  For a complex over R the rank and pivot columns of each
 differential at each place are decided exactly in K, once, by
@@ -67,10 +70,12 @@ the data: |d_{i+1} d_i|_F must not exceed numfield.residual_tolerance
 times |d_i|_F |K_i|_F.  For a complex over R, build_complex_over_r has
 decided both exactly in K, and at_place builds its places from the same
 shape checks and assembly without these products.  The
-determinant of a Gram is (prod L_jj)^2 of its Cholesky factor L.  The one
-Gram not factored is that of the harmonic projections in reidemeister: its
-determinant comes from a QR factor of the representatives and one square
-determinant, which does not square their conditioning.
+determinant of a Gram is prod D_k of its exact factor, a Fraction, and the
+Gram determinants a route combines are multiplied exactly and rounded
+once.  The one Gram not given is that of the harmonic projections in
+reidemeister: its determinant comes from a QR factor of the
+representatives and one numeric Cholesky factor of a square matrix, which
+does not square their conditioning.
 
 Neither route takes a logarithm: each multiplies determinants, eigenvalues
 and minors and ends in one square root.  Logarithms are taken only where a
@@ -84,6 +89,9 @@ takes it in two terms of its series.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import prod
+
 from mpmath import mp, mpf
 
 from .errors import RankAmbiguous, ValidationError
@@ -91,9 +99,9 @@ from .flatmodel import (
     FormElement,
     PointClass,
     RegulatorLattice,
+    _cholesky_pair,
     _cycl_from_lndets,
-    _det_of_factor,
-    hermitian_cholesky,
+    gram_ldl,
     make_form,
 )
 from .modtors import exact_det
@@ -133,26 +141,18 @@ def _matrix(rows, cols):
     return m
 
 
-def _inverse_upper(up):
-    """U^{-1} of an upper-triangular U, by back substitution."""
-    eye = mp.eye(up.rows)
-    inv = mp.matrix(up.rows, up.rows)
-    for c in range(up.rows):
-        inv[:, c] = mp.U_solve(up, eye[:, c])
-    return inv
-
-
 class MetrizedComplexAtPlace(Record):
     """A finite cochain complex over C, validated and factored once.
 
     Every matrix field is an mp.matrix, 0 by n or n by 0 where a degree or a
-    cohomology is zero.  With the cochain Grams G_i = L_i L_i^*:
-    ortho_diffs[i] = L_{i+1}^* d_i L_i^{-*}, ortho_reps[i] = L_i^* K_i for
-    the representative columns K_i, and from_ortho[i] = L_i^{-*} maps
-    orthonormal coordinates back.  det_cochain[i] is det G_i.
-    cohomology_dims[i] counts the chosen classes and det_cohomology[i] is
-    det H_i of their Gram (1 when there are none).  Determinants, not their
-    logarithms, are kept, so the torsion routes multiply them.  ranks[i] is
+    cohomology is zero.  With the cochain Grams G_i = U_i^* U_i, U_i the
+    upper Cholesky factor: ortho_diffs[i] = U_{i+1} d_i U_i^-1,
+    ortho_reps[i] = U_i K_i for the representative columns K_i, and
+    from_ortho[i] = U_i^-1 maps orthonormal coordinates back.
+    det_cochain[i] is det G_i, an exact Fraction.  cohomology_dims[i] counts
+    the chosen classes and det_cohomology[i] is det H_i of their Gram (1
+    when there are none), exact too.  Determinants, not their logarithms,
+    are kept, so the torsion routes multiply them.  ranks[i] is
     the rank of d_i decided exactly in K when the complex comes from a
     complex over R (at_place), and delta_sq[i] is |sigma(delta_i)|^2 of the
     exact basis determinant delta_i in K of MetrizedComplexOverR; both are
@@ -185,9 +185,9 @@ def metrized_complex_at_place(
     class, each column a cocycle in degree i; cohomology_grams[i] is the
     chosen metric on those classes.  Checks shapes, d after d = 0 and the
     cocycle columns numerically, relative to the data, then positive Grams.
-    Each Gram is factored exactly once: the Cholesky factor of a cochain
-    Gram gives the orthonormal coordinates and its determinant, and that of
-    a cohomology Gram its determinant.  No logarithm is taken.  ranks, the
+    Each Gram is factored once, exactly (flatmodel.gram_ldl): the factor of
+    a cochain Gram gives the orthonormal coordinates and its determinant,
+    and that of a cohomology Gram its determinant.  No logarithm is taken.  ranks, the
     exact rank of each differential, and delta_sq, |sigma(delta_i)|^2 per
     degree, are kept as given; they do not stand in for any check, which
     runs for every caller.  at_place builds its places from the same shape
@@ -212,7 +212,7 @@ def _complex_matrices(lengths, diffs, cochain_grams, cohomology_grams, cohomolog
     nd = len(lengths)
     dd = [[[to_mp(x) for x in row] for row in m] for m in diffs]
     kk = [[[to_mp(x) for x in row] for row in m] for m in cohomology_maps]
-    gg, hh = cochain_grams, cohomology_grams  # hermitian_cholesky converts each
+    gg, hh = cochain_grams, cohomology_grams  # gram_ldl reads each entry exactly
     if len(dd) != nd - 1 or len(gg) != nd or len(hh) != nd or len(kk) != nd:
         raise ValidationError("degree counts of the complex data disagree")
     for i in range(nd - 1):
@@ -247,42 +247,40 @@ def _check_zero_products(digits, dd, kk):
     the Frobenius norms of the factors: exact zeros carry the rounding of
     entries as large as the factors."""
     tol = residual_tolerance(digits)
-    norms = [mp.mnorm(m, "f") for m in dd]
+    norms = [mp.norm(m, 2) for m in dd]
     for i in range(len(dd) - 1):
-        if mp.mnorm(dd[i + 1] * dd[i], "f") > tol * norms[i + 1] * norms[i]:
+        if mp.norm(dd[i + 1] * dd[i], 2) > tol * norms[i + 1] * norms[i]:
             raise ValidationError(f"d{i + 1} after d{i} is not zero")
     for i, k in enumerate(kk[:-1]):
-        if k.cols and mp.mnorm(dd[i] * k, "f") > tol * norms[i] * mp.mnorm(k, "f"):
+        if k.cols and mp.norm(dd[i] * k, 2) > tol * norms[i] * mp.norm(k, 2):
             raise ValidationError(f"a degree-{i} representative is not a cocycle")
 
 
 def _orthonormal_complex(digits, lengths, dd, kk, gg, hh, ranks, delta_sq):
     """The MetrizedComplexAtPlace of checked shapes (_complex_matrices): each
-    Gram factored once, and the differentials and representatives in
-    orthonormal coordinates."""
+    Gram factored once, exactly, and the differentials and representatives
+    in orthonormal coordinates."""
     nd = len(lengths)
     if ranks is not None and len(ranks) != nd - 1:
         raise ValidationError("expected one rank per differential")
     if delta_sq is not None and len(delta_sq) != nd:
         raise ValidationError("expected one basis determinant per degree")
     ups = []
+    from_ortho = []
     det_g = []
-    det_h = []
-    for i in range(nd):
-        low = hermitian_cholesky(gg[i], digits)
-        det_g.append(_det_of_factor(low, digits))
-        ups.append(low.H)
-        if len(hh[i]):
-            det_h.append(_det_of_factor(hermitian_cholesky(hh[i], digits), digits))
-        else:
-            det_h.append(mpf(1))
-    from_ortho = tuple(_inverse_upper(up) for up in ups)
+    for g in gg:
+        det, factor = gram_ldl(g, digits)
+        det_g.append(det)
+        up, inv = _cholesky_pair(factor)
+        ups.append(up)
+        from_ortho.append(inv)
+    det_h = [gram_ldl(h, digits)[0] if len(h) else Fraction(1) for h in hh]
     return MetrizedComplexAtPlace(
         digits=digits,
         lengths=lengths,
         ortho_diffs=tuple(ups[i + 1] * dd[i] * from_ortho[i] for i in range(nd - 1)),
         ortho_reps=tuple(up * k for up, k in zip(ups, kk)),
-        from_ortho=from_ortho,
+        from_ortho=tuple(from_ortho),
         det_cochain=tuple(det_g),
         cohomology_dims=tuple(len(m) for m in hh),
         det_cohomology=tuple(det_h),
@@ -317,7 +315,7 @@ def _laplacian(cplx: MetrizedComplexAtPlace, i, scaled=False):
     d = dt[i] if i < len(dt) else mp.matrix(0, n)
     e = dt[i - 1] if i > 0 else mp.matrix(n, 0)
     if scaled:
-        d, e = (m / (mp.mnorm(m, "f") or 1) for m in (d, e))
+        d, e = (m / (mp.norm(m, 2) or 1) for m in (d, e))
     return d.H * d + e * e.H
 
 
@@ -347,7 +345,7 @@ def cohomology(cplx: MetrizedComplexAtPlace):
             evals, q = mp.eighe(lap)
             h = _count_below(
                 [evals[t] for t in range(n)],
-                cut2 * mp.mnorm(lap, "f"),
+                cut2 * mp.norm(lap, 2),
                 f"Laplacian in degree {i}: eigenvalue {{}} sits at the cutoff",
             )
             dims.append(h)
@@ -399,8 +397,10 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
     comes from a Cholesky factor.  Taking the lemma on Q, not on K_i, keeps
     the conditioning of K_i out of the determinant, where it would enter
     squared.  The Laplacian is built only in the degrees that list
-    cohomology.  The product and one square root give tau; no
-    logarithm is taken.  tau is computed once per MetrizedComplexAtPlace,
+    cohomology.  A differential with no nonzero entry is a zero one, read
+    exactly.  The product, times the exact alternating product of the
+    det H_i rounded once, and one square root give tau; no logarithm is
+    taken.  tau is computed once per MetrizedComplexAtPlace,
     always at its digits + GUARD, the corrections and the product at GUARD
     more, and kept on it; a call that raises keeps nothing, so the next
     call raises again.
@@ -418,7 +418,7 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
         # det'(G_i), with det'(G_{-1}) = det'(G_{nd-1}) = 1 around them
         dets = [mpf(1)]
         for i, d in enumerate(cplx.ortho_diffs):
-            if not mp.mnorm(d, "f"):
+            if not any(d[r, c] for r in range(d.rows) for c in range(d.cols)):
                 ranks.append(0)
                 dets.append(mpf(1))
                 continue
@@ -427,7 +427,7 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
             evals = [evals[t] for t in range(g.rows)]
             k = _count_below(
                 evals,
-                cut2 * mp.mnorm(g, "f"),
+                cut2 * mp.norm(g, 2),
                 f"d{i} out of degree {i}: eigenvalue {{}} sits at the cutoff",
             )
             ranks.append(g.rows - k)
@@ -435,7 +435,10 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
         dets.append(mpf(1))
         dims = _kernel_dims(cplx.lengths, ranks)
         exact = () if cplx.ranks is None else _kernel_dims(cplx.lengths, cplx.ranks)
-        # tau^2 = even / odd, the products of the factors with exponent +1 and -1
+        # tau^2 = even / odd, the products of the factors with exponent +1 and
+        # -1, over the chosen cohomology Grams' prod_i det H_i^((-1)^i),
+        # exact until then: a degree with no classes has det H_i = 1, and a
+        # count that differs from the classes listed fails below
         even, odd = mpf(1), mpf(1)
         # the factors combine at GUARD more digits, so that tau rounds once
         with mp.extradps(GUARD):
@@ -451,7 +454,7 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
                 if h and h == cplx.cohomology_dims[i]:
                     q, r = mp.qr(cplx.ortho_reps[i], mode="skinny")
                     lap = _laplacian(cplx, i)
-                    c2 = mp.mnorm(lap, "f") or mpf(1)
+                    c2 = mp.norm(lap, 2) or mpf(1)
                     m = lap + c2 * q * q.H
                     for j in range(m.rows):
                         m[j, j] = mp.re(m[j, j])
@@ -470,13 +473,12 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
                         raise ValidationError(
                             f"degree-{i} representatives do not project onto a cohomology basis"
                         )
-                    w /= c2**h * dets[i] * dets[i + 1]
-                    factor *= w / cplx.det_cohomology[i]
+                    factor *= w / (c2**h * dets[i] * dets[i + 1])
                 if i % 2:
                     odd *= factor
                 else:
                     even *= factor
-            tau2 = even / odd
+            tau2 = even / odd / to_mp(_alternating(cplx.det_cohomology))
         _check_rep_count(cplx, dims)
         tau = cplx._memo["tau"] = mp.sqrt(tau2)
         return tau
@@ -544,12 +546,11 @@ def torsion_by_contraction(cplx: MetrizedComplexAtPlace):
             svals = mp.svd_c(dt[i], compute_uv=False)
             keep = svals.rows - _count_below(
                 [svals[t] for t in range(svals.rows)],
-                cut * mp.mnorm(dt[i], "f"),
+                cut * mp.norm(dt[i], 2),
                 f"singular value {{}} of d{i} sits at the cutoff",
             )
             pivots.append(_pivot_columns(dt[i], keep))
         tau = mpf(1)
-        det_h = mpf(1)
         for i in range(nd):
             n = cplx.lengths[i]
             if n == 0:
@@ -570,11 +571,14 @@ def torsion_by_contraction(cplx: MetrizedComplexAtPlace):
             det = abs(mp.det(mp.matrix(minor))) if minor else mpf(1)
             if not det:
                 raise _dependent(i)
-            if i % 2:
-                tau, det_h = tau / det, det_h / cplx.det_cohomology[i]
-            else:
-                tau, det_h = tau * det, det_h * cplx.det_cohomology[i]
-        return tau / mp.sqrt(det_h)
+            tau = tau / det if i % 2 else tau * det
+        return tau / mp.sqrt(to_mp(_alternating(cplx.det_cohomology)))
+
+
+def _alternating(factors):
+    """prod_i f_i^((-1)^i): exact for Fractions, at the working precision for
+    mpf."""
+    return prod(f if i % 2 == 0 else 1 / f for i, f in enumerate(factors))
 
 
 def _dependent(i):
@@ -582,17 +586,14 @@ def _dependent(i):
 
 
 def _exact_torsion(cplx: MetrizedComplexAtPlace):
-    """The basis-chase tau from |sigma(delta_i)|^2 and the Gram determinants."""
+    """The basis-chase tau from |sigma(delta_i)|^2 and the exact Gram
+    determinants, whose alternating product is rounded once."""
+    for i, d2 in enumerate(cplx.delta_sq):
+        if not d2:
+            raise _dependent(i)
+    grams = _alternating(g / h for g, h in zip(cplx.det_cochain, cplx.det_cohomology))
     with mp.workdps(cplx.digits + GUARD):
-        even, odd = mpf(1), mpf(1)
-        for i, (d2, g, h) in enumerate(zip(cplx.delta_sq, cplx.det_cochain, cplx.det_cohomology)):
-            if not d2:
-                raise _dependent(i)
-            if i % 2:
-                odd *= d2 * g / h
-            else:
-                even *= d2 * g / h
-        return mp.sqrt(even / odd)
+        return mp.sqrt(_alternating(cplx.delta_sq) * to_mp(grams))
 
 
 class CohomologySpec(Record):
@@ -810,9 +811,11 @@ def verify_euler_identity(
       (1/4) ln [ prod_i (det G_i |sigma(det T_i)|^2 / det H_i)^((-1)^i) / tau^2 ],
 
     one logarithm per place and one lattice reduction in all.  The Gram
-    determinants are those that at_place keeps for each place, and tau is
-    reidemeister's memo, so after a caller has run the routes at every
-    place no Gram is factored again.
+    determinants are the exact ones that at_place keeps for each place,
+    multiplied exactly and rounded once, so where the identity holds the
+    residual is the rounding of tau alone.  tau is reidemeister's memo, so
+    after a caller has run the routes at every place no Gram is factored
+    again.
     """
     places = [at_place(cplx, k) for k in range(field.n_places)]
     rank = sum(
@@ -822,11 +825,10 @@ def verify_euler_identity(
     with mp.workdps(field.digits + GUARD):
         lndets = []
         for k, at in enumerate(places):
-            x = mpf(1)
-            dets = zip(at.det_cochain, at.det_cohomology, cplx.cohomology)
-            for i, (g, h, spec) in enumerate(dets):
-                if spec.torsion is not None:
-                    g = g * _abs2(embed(field, spec.torsion.det_elem, k))
-                x = x * g / h if i % 2 == 0 else x * h / g
-            lndets.append(ln(x / reidemeister(at) ** 2))
+            grams = _alternating(g / h for g, h in zip(at.det_cochain, at.det_cohomology))
+            tors = _alternating(
+                mpf(1) if spec.torsion is None else _abs2(embed(field, spec.torsion.det_elem, k))
+                for spec in cplx.cohomology
+            )
+            lndets.append(ln(to_mp(grams) * tors / reidemeister(at) ** 2))
     return _cycl_from_lndets(field, lattice, rank, lndets)

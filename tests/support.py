@@ -256,6 +256,30 @@ def coprime(a, b) -> bool:
     return len(monic_gcd(a, b)) == 1
 
 
+def sylvester_resultant(p, q) -> int:
+    """Res(p, q) of two integer polynomials (constant first, nonzero leading
+    coefficients) as the determinant of their (n + m)-square Sylvester
+    matrix, by the textbook fraction-free elimination with row swaps."""
+    n, m = len(p) - 1, len(q) - 1
+    rows = [[0] * k + list(p[::-1]) + [0] * (m - 1 - k) for k in range(m)]
+    rows += [[0] * k + list(q[::-1]) + [0] * (n - 1 - k) for k in range(n)]
+    size, sign, prev = n + m, 1, 1
+    for k in range(size):
+        pivot = next((i for i in range(k, size) if rows[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            rows[i] = [
+                (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev if j > k else 0
+                for j in range(size)
+            ]
+        prev = rows[k][k]
+    return sign * rows[-1][-1] if size else 1
+
+
 # ---------------------------------------------------------------------------
 # Independent Bernoulli and zeta oracles.  The recurrence
 # sum_{k=0}^{m} C(m+1, k) B_k = 0, solved for B_m, gives B_1 = -1/2.

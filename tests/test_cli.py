@@ -424,6 +424,11 @@ def test_malformed_descriptor_files(capsys, tmp_path):
         ["polylog", "--n", "2", "--theta", "1e-3000000"],
         ["polylog", "--n", "2", "--theta", "1e-10000000"],
         ["unit-log", "--field", Z2, "--unit", '["1e4400","1"]'],
+        # a Gram entry is read exactly, so its binary exponent has the same bound
+        ["cycl", "--field", Z2, "--grams", '[[["1e-1000000000"]], [["1"]]]'],
+        ["rtorsion", "--field", Z2, "--complex",
+         '{"lengths": [1, 1], "diffs": [[["1"]]], "grams": [[[["1"]], [["1"]]], '
+         '[[["1e1000000000"]], [["1"]]]]}'],
     ],
 )
 def test_decimal_exponents_keep_the_int_string_limit(capsys, argv):

@@ -11,7 +11,8 @@ own cheeger-muller table is kept because the README shows it; with Li_1 in
 the real closed form -ln(2 sin(theta/2)), its residuals at r = 5 print 0.0.
 The euler-check residual on the free-cohomology complex is kept because its
 noise pins, bit for bit, how the cycle classes are summed from the
-per-place log-determinants of the cochain and cohomology Grams.
+per-place Gram determinants, which are exact, and the Laplacian tau, whose
+rounding is all the noise there is.
 
 After an intended change of output, re-record every case, or only the
 named ones, with

@@ -34,7 +34,7 @@ from regtor import (
     zero_form,
 )
 from regtor import flatmodel
-from regtor.flatmodel import lndet_hermitian
+from regtor.flatmodel import gram_ldl, lndet_hermitian
 from support import (
     cholesky_oracle,
     cyclotomic_units,
@@ -367,6 +367,49 @@ def test_hermitian_test_scales_with_the_matrix():
     # the zero matrix is exactly Hermitian, and its zero pivot is refused
     with pytest.raises(NotPositiveDefinite, match="Cholesky pivot is not positive"):
         hermitian_cholesky([[0, 0], [0, 0]], 50)
+
+
+def test_hermitian_tolerance_is_decided_exactly():
+    # |g_10 - conj(g_01)|^2 10^digits against max |g|^2 = 1: the boundary
+    # itself is accepted, and 10^-40 of it further is refused
+    edge = Fraction(1, 10**25)
+    low = hermitian_cholesky([[1, 0], [edge, 1]], 50)
+    with mp.workdps(60):
+        assert abs(low[1, 0] - mp.mpf(10) ** -25) < mp.mpf(10) ** -85
+    with pytest.raises(NotPositiveDefinite, match="Gram matrix is not Hermitian"):
+        hermitian_cholesky([[1, 0], [edge * (1 + Fraction(1, 10**40)), 1]], 50)
+    # the same as the imaginary part of a diagonal entry
+    assert hermitian_cholesky([[[1, edge / 2]]], 50)[0, 0] == 1
+    with pytest.raises(NotPositiveDefinite, match="Gram matrix is not Hermitian"):
+        hermitian_cholesky([[[1, edge]]], 50)
+
+
+def test_gram_ldl_is_exact():
+    # det G is a Fraction: 2 * 3 - 1, and 2 * 3 - |1 + i|^2 for the Hermitian G
+    assert gram_ldl([[2, 1], [1, 3]], 50)[0] == 5
+    assert gram_ldl([[2, [1, 1]], [[1, -1], 3]], 50)[0] == 4
+    assert gram_ldl([[2, mp.mpc(1, 1)], [mp.mpc(1, -1), 3]], 50)[0] == 4
+    assert gram_ldl([[2, mp.mpf(-1.5)], [mp.mpf(-1.5), 3]], 50)[0] == Fraction(15, 4)
+    assert gram_ldl([], 50)[0] == 1
+    # an mpf entry is the dyadic rational it is, not the rational it rounds
+    with mp.workdps(30):
+        third = mp.mpf(1) / 3
+    man, exp = third.man_exp
+    det = gram_ldl([[third, 0], [0, "1/3"]], 50)[0]
+    assert det == Fraction(man, 2**-exp) / 3 and isinstance(det, Fraction)
+    assert Fraction(man, 2**-exp) != Fraction(1, 3)
+    # a decimal string is read exactly too
+    assert gram_ldl([["0.1"]], 50)[0] == Fraction(1, 10)
+    with pytest.raises(ValidationError, match="not a number"):
+        gram_ldl([["one"]], 50)
+
+
+def test_gram_ldl_refuses_huge_exponents():
+    # each would otherwise scale the Gram to a denominator of ~3.3e9 bits
+    for g in ([["1e-1000000000"]], [["1", "0"], ["0", "1e-1000000000"]],
+              [["1e1000000000"]], [[mp.mpf("1e-1000000000")]], [["1e-100000"]]):
+        with pytest.raises(ValidationError, match="exceeds the limit"):
+            gram_ldl(g, 50)
 
 
 @pytest.mark.parametrize("digits", (50, 300))

@@ -32,7 +32,15 @@ from regtor import (
 )
 from regtor import numfield
 from regtor.cli import main
-from support import aberth_roots, coprime, field_units, fraction_det, load_descriptor, monic_gcd
+from support import (
+    aberth_roots,
+    coprime,
+    field_units,
+    fraction_det,
+    load_descriptor,
+    monic_gcd,
+    sylvester_resultant,
+)
 
 small_coeffs = st.lists(
     st.integers(min_value=-6, max_value=6), min_size=1, max_size=4
@@ -327,6 +335,32 @@ def test_int_bareiss_det_matches_fractions():
     assert 40 <= singular <= 110
 
 
+def test_resultant_matches_sylvester():
+    # det q(C_p) on Z[x]/(p) against the (n + m)-square Sylvester determinant:
+    # q of higher and equal degree than p, of lower degree, and constant
+    rng = random.Random(60)
+
+    def poly(degree, lead=1):
+        return [rng.randint(-9, 9) for _ in range(degree)] + [lead]
+
+    pairs = []
+    for n in (1, 2, 3, 7, 16, 33, 60):
+        p = poly(n)
+        for m in (n, n + rng.randint(1, 6), rng.randint(1, n)):
+            pairs.append((p, poly(m, rng.choice((-3, -1, 1, 2, 7)))))
+        pairs.append((p, [rng.choice((-5, 2, 3))]))
+    for p, q in pairs:
+        assert numfield._resultant(p, q) == sylvester_resultant(p, q)
+    # a shared factor makes both 0, and so does a q that p divides
+    g = [-2, 0, 1]
+    p = [int(c) for c in numfield.poly_mul(g, [3, 1, 0, 1])]
+    for u in ([1, -1], [5, 0, 2, 1, 1]):
+        q = [int(c) for c in numfield.poly_mul(g, u)]
+        assert numfield._resultant(p, q) == sylvester_resultant(p, q) == 0
+    assert numfield._resultant([2, 0, 1], [0, 0, 0, 4, 0, 2]) == 0
+    assert numfield._resultant([-2, 0, 1], [3]) == 9
+
+
 def test_subresultant_gcd_matches_euclid():
     # f = g h and e = g u share the roots of g; Euclid over Q is the oracle.
     # A gcd of degree d comes after d - 1 subresultants whose psc_j is 0.
@@ -520,6 +554,41 @@ def test_parse_rational_bounds_decimal_exponents():
             parse_rational(text)
 
 
+def test_to_exact_is_what_to_mp_rounds():
+    with mp.workdps(60):
+        third = mp.mpf(1) / 3
+        for x in ("0.1", "1/3", "-2.5e-7", 3, Fraction(2, 7), [1, "2/3"], third, 0.1, "1e-300"):
+            re, im = numfield.to_exact(x)
+            assert isinstance(re, Fraction) and isinstance(im, Fraction)
+            assert mp.mpc(numfield.to_mp(re), numfield.to_mp(im)) == numfield.to_mp(x)
+        assert numfield.to_exact([1, "2/3"]) == (1, Fraction(2, 3))
+        man, exp = third.man_exp
+        assert numfield.to_exact(third) == (Fraction(man, 2**-exp), 0)
+        # a part that is a pair itself was read as re + i im by one and lost
+        # its im by the other
+        for bad, message in (("one", "not a number"), ([1, 2, 3], "pairs"),
+                             ([[1, 2], "0.5"], "pairs")):
+            for read in (numfield.to_exact, numfield.to_mp):
+                with pytest.raises(ValidationError, match=message):
+                    read(bad)
+        with pytest.raises(ValidationError, match="not a number"):
+            numfield.to_exact("inf")
+
+
+def test_to_exact_bounds_the_exponent():
+    # a decimal past parse_rational's bound reaches to_mp, which keeps it as
+    # a cheap mpf; reading that exactly would build a power of two of as many
+    # bits as its exponent, so the exponent has the int-string bound in bits
+    limit = sys.get_int_max_str_digits()
+    bits = int(limit * 3.3219)
+    assert numfield.to_exact(mp.ldexp(1, -bits))[0] == Fraction(1, 2**bits)
+    assert numfield.to_exact(mp.ldexp(1, bits))[0] == 2**bits
+    for x in ("1e-1000000000", "1e1000000000", "-1e-100000", mp.ldexp(1, -bits - 2),
+              mp.ldexp(3, bits + 2), ["0", "1e-100000"]):
+        with pytest.raises(ValidationError, match="exceeds the limit"):
+            numfield.to_exact(x)
+
+
 def test_parse_descriptor_and_digit_override():
     data = load_descriptor("zsqrt2")
     field, units = parse_descriptor(data)
@@ -546,11 +615,13 @@ def test_parse_descriptor_rejects_garbage():
 
 @pytest.mark.parametrize("digits", (50, 300, 1000))
 def test_ln_matches_mp_log(digits):
-    # on both sides of the switch to t - t^2/2 at |x - 1| = 2^(-prec/2 - 4),
-    # and far from 1, against mp.log 30 digits higher
+    # x = 1 +- 2^-k for k from prec/10, where mp.log runs, to past prec/2, on
+    # both sides of the switch to t - t^2/2 at |x - 1| = 2^(-prec/2 - 4), and
+    # far from 1, against mp.log 30 digits higher
     with mp.workdps(digits + numfield.GUARD):
         prec, half = mp.prec, mp.prec // 2
-        xs = [1 + s * mp.ldexp(1, -k) for k in range(half - 8, half + 9) for s in (1, -1)]
+        ks = set(range(half - 8, half + 9)) | set(range(prec // 10, half, max(1, prec // 40)))
+        xs = [1 + s * mp.ldexp(1, -k) for k in sorted(ks) for s in (1, -1)]
         xs += [mp.mpf(x) for x in ("1e-300", "0.5", "2", "3.25", "1e40")] + [+mp.pi]
         got = [numfield.ln(x) for x in xs]
         assert numfield.ln(mp.mpf(1)) == 0

@@ -22,7 +22,6 @@ from regtor import (
     at_place,
     build_complex_over_r,
     cohomology,
-    hermitian_cholesky,
     metrized_complex_at_place,
     presentation,
     reidemeister,
@@ -31,6 +30,7 @@ from regtor import (
     verify_euler_identity,
 )
 from regtor import build_field, flatmodel, modtors, numfield, rtorsion
+from regtor.flatmodel import gram_ldl
 from regtor.numfield import rank_cutoff
 from support import (
     euler_residual_by_classes,
@@ -201,14 +201,15 @@ def test_rejects_non_positive_gram():
 
 
 def test_each_gram_is_factored_once(monkeypatch):
+    # every Gram goes through the one exact factorization, once
     seen = []
 
     def counting(rows, digits):
         seen.append(tuple(tuple(complex(x) for x in row) for row in rows))
-        return hermitian_cholesky(rows, digits)
+        return gram_ldl(rows, digits)
 
-    monkeypatch.setattr(rtorsion, "hermitian_cholesky", counting)
-    monkeypatch.setattr(flatmodel, "hermitian_cholesky", counting)
+    monkeypatch.setattr(rtorsion, "gram_ldl", counting)
+    monkeypatch.setattr(flatmodel, "gram_ldl", counting)
     # H^0 and H^1 are both one-dimensional, so each route meets two
     # harmonic degrees
     g0, g1 = [[2, 1], [1, 3]], [[4, 1], [1, 5]]
@@ -222,6 +223,32 @@ def test_each_gram_is_factored_once(monkeypatch):
         assert seen.count(tuple(tuple(complex(x) for x in row) for row in gram)) == 1
     # and nothing else: the Laplacian route reads det W_i from a QR factor of K_i
     assert len(seen) == 4
+
+
+def test_gram_determinants_are_exact():
+    # det G and det H are Fractions: 2 * 3 - 1 = 5, and 2 * 3 - |1 + i|^2 = 4
+    # for the Hermitian Gram; with identity representatives of the whole
+    # cohomology, W_i = H_i and tau = 1 on both routes
+    real, herm = [[2, 1], [1, 3]], [[2, [1, 1]], [[1, -1], 3]]
+    eye = [[1, 0], [0, 1]]
+    cplx = metrized_complex_at_place(
+        50, (2, 2), ([[0, 0], [0, 0]],), (real, herm), (real, herm), (eye, eye)
+    )
+    assert cplx.det_cochain == (5, 4) and cplx.det_cohomology == (5, 4)
+    assert all(isinstance(d, Fraction) for d in cplx.det_cochain + cplx.det_cohomology)
+    for tau in (reidemeister(cplx), torsion_by_contraction(cplx)):
+        assert abs(tau - 1) < mp.mpf(10) ** -50
+
+
+@pytest.mark.parametrize("digits", (50, 300))
+def test_euler_residual_is_the_laplacian_rounding(digits):
+    # with exact Gram determinants the residual on the free-cohomology
+    # complex is the rounding of the Laplacian tau alone, far below 10^-digits
+    field, _, lat = field_lattice("zsqrt2", digits)
+    res = verify_euler_identity(field, lat, _free_cohomology_complex(field))
+    assert res.is_zero()
+    with mp.workdps(digits + 10):
+        assert all(abs(v) < mp.mpf(10) ** -(digits + 10) for v in res.torus.values)
 
 
 def test_rejects_wrong_representative_count():
@@ -447,7 +474,7 @@ def test_warm_euler_identity_factors_nothing(monkeypatch):
     for k in range(field.n_places):
         reidemeister(at_place(warm, k))
         torsion_by_contraction(at_place(warm, k))
-    calls = {"eighe": 0, "cholesky": 0}
+    calls = {"eighe": 0, "factor": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -458,11 +485,11 @@ def test_warm_euler_identity_factors_nothing(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(mp, "eighe", counting("eighe", mp.eighe))
-        chol = counting("cholesky", hermitian_cholesky)
-        m.setattr(rtorsion, "hermitian_cholesky", chol)
-        m.setattr(flatmodel, "hermitian_cholesky", chol)
+        ldl = counting("factor", gram_ldl)
+        m.setattr(rtorsion, "gram_ldl", ldl)
+        m.setattr(flatmodel, "gram_ldl", ldl)
         res = verify_euler_identity(field, lat, warm)
-    assert calls == {"eighe": 0, "cholesky": 0}
+    assert calls == {"eighe": 0, "factor": 0}
     assert res.is_zero()
     # a cold complex from the same data gives the same residual, bit for bit
     cold = verify_euler_identity(field, lat, _free_cohomology_complex(field))
@@ -1163,7 +1190,7 @@ def test_at_place_takes_no_numeric_zero_product(monkeypatch):
     complexes += [(f, c) for f, _, c in _corpus_complexes()]
     assert any(spec.free_rank for _, c in complexes for spec in c.cohomology)
     calls = []
-    monkeypatch.setattr(mp, "mnorm", _counting(calls, "mnorm", mp.mnorm))
+    monkeypatch.setattr(mp, "norm", _counting(calls, "norm", mp.norm))
     checks = _counting(calls, "check", rtorsion._check_zero_products)
     monkeypatch.setattr(rtorsion, "_check_zero_products", checks)
     for field, cplx in complexes:
@@ -1175,7 +1202,7 @@ def test_at_place_takes_no_numeric_zero_product(monkeypatch):
             over_c = metrized_complex_at_place(*args, cplx.ranks[k], at.delta_sq)
             assert over_c == at
             names = [name for name, _ in calls]
-            assert names[0] == "check" and names.count("mnorm") >= len(cplx.diffs)
+            assert names[0] == "check" and names.count("norm") >= len(cplx.diffs)
 
 
 @pytest.mark.parametrize("exact", (False, True))

@@ -118,6 +118,19 @@ def test_only_numfield_calls_mp_log():
         assert len(found) == (path.name == "numfield.py"), path.name
 
 
+def test_grams_take_no_numeric_factor():
+    # every Gram goes through flatmodel.gram_ldl, exactly: mp.cholesky stays
+    # only in reidemeister's correction, and no triangular factor is inverted
+    call = re.compile(r"\bmp\.cholesky\s*\(")
+    sources = {p.name: p.read_text() for p in sorted((SRC / "regtor").glob("*.py"))}
+    assert [name for name, text in sources.items() for _ in call.finditer(text)] == ["rtorsion.py"]
+    text = sources["rtorsion.py"]
+    start = text.index("\ndef reidemeister(")
+    assert call.search(text[start : text.index("\ndef ", start + 1)])
+    for name, text in sources.items():
+        assert not re.search(r"_inverse_upper|\bmp\.[UL]_solve\b", text), name
+
+
 def _complex_over_r(field):
     return build_complex_over_r(
         field, (1, 1), ([[field.element([2])]],), [[[[1]], [[1]]]] * 2, [CohomologySpec(0)] * 2
