@@ -439,7 +439,8 @@ def _cholesky_pair(factor):
     is L^-H D^(-1/2), the conjugate of its row k beside the identity times
     den s_k.  For a complex Gram the rows of the real image at 2k carry
     the real parts and the negated imaginary parts of U, in alternate
-    columns.
+    columns.  Each part of an entry is its exact integer times s_k (or
+    den s_k), rounded once, as a real entry is.
     """
     den, step, m = factor
     size = len(m)
@@ -451,10 +452,10 @@ def _cholesky_pair(factor):
         s = 1 / mp.sqrt(den * row[step * k] * prev)
         t = den * s
         for j in range(k, n):
-            up[k, j] = row[j] * s if step == 1 else mpc(row[2 * j], -row[2 * j + 1]) * s
+            up[k, j] = row[j] * s if step == 1 else mpc(row[2 * j] * s, -row[2 * j + 1] * s)
         for j in range(k + 1):
             c = size + step * j
-            inv[j, k] = row[c] * t if step == 1 else mpc(row[c], row[c + 1]) * t
+            inv[j, k] = row[c] * t if step == 1 else mpc(row[c] * t, row[c + 1] * t)
         prev = m[step * k + step - 1][step * k + step - 1]
     return up, inv
 

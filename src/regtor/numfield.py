@@ -8,8 +8,9 @@ the closed-form roots of unity e^{2 pi i k/r}, of which only the upper half
 2k <= r is evaluated and the rest are its conjugates, for every other p the
 roots mp.polyroots returns, with no Newton polish.  Either way build_field
 orders the roots into places and checks their backward errors.  embed keeps
-the powers of each place's root, so an element embeds as one exact dot
-product of integer numerators and one division.  Norms are exact rationals
+the powers of each place's root as one table of integers over a common
+power of two, so an element embeds as one exact integer dot product,
+rounded once, and one division.  Norms are exact rationals
 computed through the resultant of p with the element polynomial, never
 through floating products.  The integrality test for units checks
 power-basis integrality only; when R is not the maximal order in the power
@@ -39,10 +40,11 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import lcm, log2, prod
+from math import isqrt, lcm, log2, prod
+from operator import mul
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import dps_to_prec
+from mpmath.libmp import dps_to_prec, from_int, from_man_exp, fzero, mpf_div, round_nearest
 
 from .errors import NoConvergence, NotSquarefree, ValidationError
 
@@ -473,6 +475,15 @@ class NumberField(Record):
     def is_real_place(self, place_index: int) -> bool:
         return place_index < self.r_real
 
+    @property
+    def known_irreducible(self) -> bool:
+        """Whether the form of p alone shows it irreducible: degree 1, or
+        1 + x + ... + x^(r-1) with r prime, the cyclotomic polynomial Phi_r.
+        Then an element that is not 0 in K is nonzero at every place.  False
+        decides nothing: x^2 - 2 is irreducible too."""
+        r = len(self.poly)
+        return r == 2 or (set(self.poly) == {1} and all(r % q for q in range(2, isqrt(r) + 1)))
+
     def element(self, coeffs) -> FieldElement:
         """Coefficients reduced modulo p; a FieldElement is returned as it is."""
         if isinstance(coeffs, FieldElement):
@@ -595,9 +606,12 @@ def _horner(coeffs, z):
 
 
 def _powers(field: NumberField, place_index: int) -> tuple:
-    """z^0, ..., z^(n-1) of a place representative z, each rounded once to
-    digits + GUARD from a product chain at 2 GUARD more digits, kept in the
-    field's _memo."""
+    """The powers z^0, ..., z^(n-1) of a place representative z, each
+    rounded once to digits + GUARD from a product chain at 2 GUARD more
+    digits, kept in the field's _memo as one integer table (e, re, im): the
+    real parts of z^k are re[k] 2^e and the imaginary parts im[k] 2^e, over
+    the least binary exponent e of any part, and im is None at a real place.
+    """
     key = ("powers", place_index)
     if key not in field._memo:
         z = field.sigma_star[place_index]
@@ -606,24 +620,50 @@ def _powers(field: NumberField, place_index: int) -> tuple:
             for _ in range(field.degree - 1):
                 chain.append(chain[-1] * z)
         with mp.workdps(field.digits + GUARD):
-            field._memo[key] = tuple(+w for w in chain)
+            chain = [+w for w in chain]
+        real = not isinstance(z, mpc)
+        parts = [w.real._mpf_ for w in chain] + ([] if real else [w.imag._mpf_ for w in chain])
+        e = min(exp for _, man, exp, _ in parts if man)
+        ints = tuple((-man if sign else man) << (exp - e) for sign, man, exp, _ in parts)
+        n = len(chain)
+        field._memo[key] = (e, ints[:n], None if real else ints[n:])
     return field._memo[key]
+
+
+def _round_dot(nums, table, e, prec, den):
+    """The raw mpf of sum nums[k] table[k] 2^e, rounded once to prec bits,
+    divided by den and rounded again.  The trailing zero bits of the exact
+    sum go in one shift, where mpmath's normalization would strip them a
+    byte at a time."""
+    s = sum(map(mul, nums, table))
+    if not s:
+        return fzero
+    t = (s & -s).bit_length() - 1
+    return mpf_div(from_man_exp(s >> t, e + t, prec, round_nearest), from_int(den), prec, round_nearest)
 
 
 def embed(field: NumberField, elem: FieldElement, place_index: int):
     """Embedded value of an element at the chosen place representative: real
     at a real place, complex at a complex one.
 
-    The coefficients are put over one common denominator D, and the integer
-    numerators times the place's kept powers of z are summed exactly and
-    rounded once (mp.fdot), then divided by D: two roundings at
-    digits + GUARD, whatever the degree.
+    The coefficients are put over one common denominator D, the integer
+    numerators are dotted exactly with the place's integer table of powers
+    of z (_powers), and each part is rounded once to digits + GUARD, then
+    divided by D: two roundings at digits + GUARD, whatever the degree.
+    This is the value mp.fdot of the numerators and the powers, divided by
+    D, gives whenever that dot sums exactly, as it does unless two of its
+    partial sums lie more than twice the precision apart, where mp.fdot
+    drops the smaller one.
     """
-    powers = _powers(field, place_index)
+    e, re, im = _powers(field, place_index)
     coeffs = elem.coeffs
     den = lcm(*(c.denominator for c in coeffs))
-    with mp.workdps(field.digits + GUARD):
-        return mp.fdot([c.numerator * (den // c.denominator) for c in coeffs], powers) / den
+    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    prec = dps_to_prec(field.digits + GUARD)
+    x = _round_dot(nums, re, e, prec, den)
+    if im is None:
+        return mp.make_mpf(x)
+    return mp.make_mpc((x, _round_dot(nums, im, e, prec, den)))
 
 
 def embed_all(field: NumberField, elem: FieldElement) -> tuple:

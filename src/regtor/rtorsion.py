@@ -38,8 +38,12 @@ independent algorithms read the result:
 The sign convention is frozen so that the acyclic complex 0 -> C --z--> C -> 0
 with standard metrics has tau = 1/|z|; both routes reproduce it.
 
-Every per-place matrix is an mp.matrix, and products, adjoints and norms
-are mpmath's own.  The orthonormal coordinates come from the exact
+Every per-place matrix is an mp.matrix, and norms and factorizations are
+mpmath's own.  Products are one mp.fdot per entry over row and column
+lists (_product), and the Hermitian A^H A and A A^H one per entry on and
+above the diagonal (_gram), with the conjugates below: the values mpmath's
+matrix product gives, with no conjugate transpose copied and no lower
+triangle formed twice.  The orthonormal coordinates come from the exact
 G = L D L^H of each Gram: U = D^(1/2) L^H and U^-1 = L^-H D^(-1/2), with one
 square root per pivot, so no triangular factor is solved numerically.
 
@@ -139,6 +143,44 @@ def _matrix(rows, cols):
         for c, x in enumerate(row):
             m[r, c] = x
     return m
+
+
+def _cols(m):
+    """The columns of an mp.matrix as lists.  An entry it does not store, a
+    zero, reads as mpmath's real zero, as in m.tolist() and in mpmath's own
+    product."""
+    return [[m[r, c] for r in range(m.rows)] for c in range(m.cols)]
+
+
+def _product(rows, cols, conjugate=False):
+    """The mp.matrix whose (i, j) entry is mp.fdot(rows[i], cols[j],
+    conjugate): the product of the matrix with these rows and the one with
+    these columns, or with the conjugates of these columns when conjugate
+    is set.  mpmath's own product rounds each entry as the same fdot."""
+    m = mp.matrix(len(rows), len(cols))
+    for i, r in enumerate(rows):
+        for j, c in enumerate(cols):
+            m[i, j] = mp.fdot(r, c, conjugate)
+    return m
+
+
+def _gram(a, adjoint_first):
+    """The Hermitian Gram A^H A of an mp.matrix A when adjoint_first, else
+    A A^H.  Each entry on or above the diagonal is one
+    mp.fdot(..., conjugate=True) over two columns (A^H A) or two rows
+    (A A^H) and its conjugate goes below: the rounding of A.H * A and
+    A * A.H, which form both triangles, with no conjugate transpose copied.
+    """
+    vecs = _cols(a) if adjoint_first else a.tolist()
+    n = len(vecs)
+    g = mp.matrix(n, n)
+    for i in range(n):
+        for j in range(i, n):
+            u, v = (vecs[j], vecs[i]) if adjoint_first else (vecs[i], vecs[j])
+            x = g[i, j] = mp.fdot(u, v, True)
+            if j > i:
+                g[j, i] = mp.conj(x)
+    return g
 
 
 class MetrizedComplexAtPlace(Record):
@@ -249,17 +291,18 @@ def _check_zero_products(digits, dd, kk):
     tol = residual_tolerance(digits)
     norms = [mp.norm(m, 2) for m in dd]
     for i in range(len(dd) - 1):
-        if mp.norm(dd[i + 1] * dd[i], 2) > tol * norms[i + 1] * norms[i]:
+        if mp.norm(_product(dd[i + 1].tolist(), _cols(dd[i])), 2) > tol * norms[i + 1] * norms[i]:
             raise ValidationError(f"d{i + 1} after d{i} is not zero")
     for i, k in enumerate(kk[:-1]):
-        if k.cols and mp.norm(dd[i] * k, 2) > tol * norms[i] * mp.norm(k, 2):
+        if k.cols and mp.norm(_product(dd[i].tolist(), _cols(k)), 2) > tol * norms[i] * mp.norm(k, 2):
             raise ValidationError(f"a degree-{i} representative is not a cocycle")
 
 
 def _orthonormal_complex(digits, lengths, dd, kk, gg, hh, ranks, delta_sq):
     """The MetrizedComplexAtPlace of checked shapes (_complex_matrices): each
     Gram factored once, exactly, and the differentials and representatives
-    in orthonormal coordinates."""
+    in orthonormal coordinates, U_{i+1} d_i U_i^-1 (left to right) and
+    U_i K_i, each a _product over the rows of U."""
     nd = len(lengths)
     if ranks is not None and len(ranks) != nd - 1:
         raise ValidationError("expected one rank per differential")
@@ -272,14 +315,17 @@ def _orthonormal_complex(digits, lengths, dd, kk, gg, hh, ranks, delta_sq):
         det, factor = gram_ldl(g, digits)
         det_g.append(det)
         up, inv = _cholesky_pair(factor)
-        ups.append(up)
+        ups.append(up.tolist())
         from_ortho.append(inv)
     det_h = [gram_ldl(h, digits)[0] if len(h) else Fraction(1) for h in hh]
     return MetrizedComplexAtPlace(
         digits=digits,
         lengths=lengths,
-        ortho_diffs=tuple(ups[i + 1] * dd[i] * from_ortho[i] for i in range(nd - 1)),
-        ortho_reps=tuple(up * k for up, k in zip(ups, kk)),
+        ortho_diffs=tuple(
+            _product(_product(ups[i + 1], _cols(dd[i])).tolist(), _cols(from_ortho[i]))
+            for i in range(nd - 1)
+        ),
+        ortho_reps=tuple(_product(up, _cols(k)) for up, k in zip(ups, kk)),
         from_ortho=tuple(from_ortho),
         det_cochain=tuple(det_g),
         cohomology_dims=tuple(len(m) for m in hh),
@@ -305,7 +351,8 @@ def _count_below(values, cut, message):
 
 
 def _laplacian(cplx: MetrizedComplexAtPlace, i, scaled=False):
-    """d_i^* d_i + d_{i-1} d_{i-1}^* in degree i, in orthonormal coordinates.
+    """d_i^* d_i + d_{i-1} d_{i-1}^* in degree i, in orthonormal coordinates,
+    the sum of two _gram products.
 
     scaled divides each differential by its Frobenius norm first (a zero one
     stays zero), which keeps the kernel and puts both terms on one scale.
@@ -316,7 +363,7 @@ def _laplacian(cplx: MetrizedComplexAtPlace, i, scaled=False):
     e = dt[i - 1] if i > 0 else mp.matrix(n, 0)
     if scaled:
         d, e = (m / (mp.norm(m, 2) or 1) for m in (d, e))
-    return d.H * d + e * e.H
+    return _gram(d, True) + _gram(e, False)
 
 
 def cohomology(cplx: MetrizedComplexAtPlace):
@@ -349,7 +396,7 @@ def cohomology(cplx: MetrizedComplexAtPlace):
                 f"Laplacian in degree {i}: eigenvalue {{}} sits at the cutoff",
             )
             dims.append(h)
-            bases.append(cplx.from_ortho[i] * q[:, 0:h])
+            bases.append(_product(cplx.from_ortho[i].tolist(), _cols(q)[:h]))
         return tuple(dims), tuple(bases)
 
 
@@ -397,10 +444,15 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
     comes from a Cholesky factor.  Taking the lemma on Q, not on K_i, keeps
     the conditioning of K_i out of the determinant, where it would enter
     squared.  The Laplacian is built only in the degrees that list
-    cohomology.  A differential with no nonzero entry is a zero one, read
-    exactly.  The product, times the exact alternating product of the
-    det H_i rounded once, and one square root give tau; no logarithm is
-    taken.  tau is computed once per MetrizedComplexAtPlace,
+    cohomology.  G_i and the Laplacian are _gram products, and c^2 Q Q^*
+    is the _product of c^2 Q with the conjugates of the rows of Q, the
+    scalar taken into the matrix first, so no scalar meets an mp.matrix on
+    its left, where mpmath fails a conversion whose message holds the repr
+    of the whole matrix before it falls back to the entrywise product.  A
+    differential with no nonzero entry is a zero one, read exactly.  The
+    product, times the exact alternating product of the det H_i rounded
+    once, and one square root give tau; no logarithm is taken.  tau is
+    computed once per MetrizedComplexAtPlace,
     always at its digits + GUARD, the corrections and the product at GUARD
     more, and kept on it; a call that raises keeps nothing, so the next
     call raises again.
@@ -422,7 +474,7 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
                 ranks.append(0)
                 dets.append(mpf(1))
                 continue
-            g = d.H * d if d.cols <= d.rows else d * d.H
+            g = _gram(d, d.cols <= d.rows)
             evals = mp.eighe(g, eigvals_only=True)
             evals = [evals[t] for t in range(g.rows)]
             k = _count_below(
@@ -455,7 +507,7 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
                     q, r = mp.qr(cplx.ortho_reps[i], mode="skinny")
                     lap = _laplacian(cplx, i)
                     c2 = mp.norm(lap, 2) or mpf(1)
-                    m = lap + c2 * q * q.H
+                    m = lap + _product((q * c2).tolist(), q.tolist(), conjugate=True)
                     for j in range(m.rows):
                         m[j, j] = mp.re(m[j, j])
                     # det m from its Cholesky factor, which, unlike mp.det, has
@@ -650,8 +702,10 @@ def _basis_determinants(field, lengths, dd, specs, pivots):
     Expanding M_i along its unit columns leaves the minor of
     [ d_{i-1}[:, P_{i-1}] | K_i ] on the rows outside P_i, whose exact_det
     is delta_i up to sign.  Each minor is taken once, however many places
-    share its pivots, and exact_ranks of delta_i tells the places where it
-    vanishes: none when Res(p, delta_i) != 0.
+    share its pivots.  When p is known irreducible (degree 1 or Phi_r, r
+    prime), delta_i != 0 in K is nonzero at every place; otherwise
+    exact_ranks of delta_i tells the places where it vanishes: none when
+    Res(p, delta_i) != 0.
     """
     nd = len(lengths)
     seen = {}
@@ -669,7 +723,11 @@ def _basis_determinants(field, lengths, dd, specs, pivots):
                     if r not in own
                 ]
                 delta = exact_det(field, minor) if minor else field.one()
-                seen[i, below, own] = (delta, exact_ranks(field, [[delta]]))
+                if field.known_irreducible:
+                    nonzero = (not delta.is_zero(),) * field.n_places
+                else:
+                    nonzero = exact_ranks(field, [[delta]])
+                seen[i, below, own] = (delta, nonzero)
             delta, nonzero = seen[i, below, own]
             row.append(delta if nonzero[len(out)] else field.zero())
         out.append(tuple(row))

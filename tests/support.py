@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 from pathlib import Path
 
 from mpmath import mp, mpc, mpf
@@ -719,6 +719,52 @@ def hermitian_det(rows):
                 a[i][j] = _c_add(a[i][j], _c_mul((-f[0], -f[1]), a[k][j]))
     assert det[1] == 0
     return det[0]
+
+
+# ---------------------------------------------------------------------------
+# Rounding oracles for the per-place kernels: an element embedded by mp.fdot
+# over the mpf powers of its place, and mpmath's own matrix products.  The
+# library must give the same raw mpf and mpc values, bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def raw_value(x):
+    """The raw tuple of an mpf or mpc, with its type: equal only when bit-identical."""
+    return ("mpc", x._mpc_) if isinstance(x, mpc) else ("mpf", x._mpf_)
+
+
+def raw_matrix(m):
+    """Shape and raw entries of an mp.matrix, unstored zeros included."""
+    return (m.rows, m.cols, [raw_value(m[i, j]) for i in range(m.rows) for j in range(m.cols)])
+
+
+def fdot_embed(field, elem, place):
+    """An element at a place as mp.fdot of its denominator-cleared numerators
+    with z^0, ..., z^(n-1), each power rounded once to digits + GUARD from a
+    product chain at 2 GUARD more digits, then divided by the common
+    denominator at digits + GUARD."""
+    z = field.sigma_star[place]
+    with mp.workdps(field.digits + 3 * GUARD):
+        chain = [mpf(1)]
+        for _ in range(field.degree - 1):
+            chain.append(chain[-1] * z)
+    den = 1
+    for c in elem.coeffs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    with mp.workdps(field.digits + GUARD):
+        powers = [+w for w in chain]
+        nums = [c.numerator * (den // c.denominator) for c in elem.coeffs]
+        return mp.fdot(nums, powers) / den
+
+
+def gram_by_matrix_product(a, adjoint_first):
+    """a^H a when adjoint_first, else a a^H, as mpmath multiplies them."""
+    return a.H * a if adjoint_first else a * a.H
+
+
+def triple_by_matrix_product(u, d, v):
+    """(u d) v, as mpmath multiplies them."""
+    return (u * d) * v
 
 
 # ---------------------------------------------------------------------------

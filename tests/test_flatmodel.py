@@ -404,6 +404,35 @@ def test_gram_ldl_is_exact():
         gram_ldl([["one"]], 50)
 
 
+def test_cholesky_pair_rounds_each_complex_part_once():
+    # the eliminated rows of this Gram hold integers of 70 digits and more,
+    # past the 40 digits of the working precision: each part of each entry
+    # of U and U^-1 is the exact integer times the pivot's scale, rounded
+    # once, as a real entry is
+    big = 10**70
+    gram = [[big + 1, [big // 10 + 3, big // 100 + 7]], [[big // 10 + 3, -(big // 100 + 7)], 3 * big + 5]]
+    den, step, rows = gram_ldl(gram, 30)[1]
+    assert step == 2 and max(abs(x) for row in rows for x in row) > 10**40
+    with mp.workdps(40):
+        up, inv = flatmodel._cholesky_pair((den, step, rows))
+
+        def once(a, s):
+            # a times the mpf s, exact, then one rounding
+            man, exp = s.man_exp
+            return mp.ldexp(mp.mpf(a * man), exp)
+
+        prev = 1
+        for k in range(2):
+            row = rows[2 * k]
+            s = 1 / mp.sqrt(den * row[2 * k] * prev)
+            for j in range(k, 2):
+                assert up[k, j] == mp.mpc(once(row[2 * j], s), once(-row[2 * j + 1], s))
+            for j in range(k + 1):
+                c = 4 + 2 * j
+                assert inv[j, k] == mp.mpc(once(row[c], den * s), once(row[c + 1], den * s))
+            prev = rows[2 * k + 1][2 * k + 1]
+
+
 def test_gram_ldl_refuses_huge_exponents():
     # each would otherwise scale the Gram to a denominator of ~3.3e9 bits
     for g in ([["1e-1000000000"]], [["1", "0"], ["0", "1e-1000000000"]],

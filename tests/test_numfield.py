@@ -35,10 +35,12 @@ from regtor.cli import main
 from support import (
     aberth_roots,
     coprime,
+    fdot_embed,
     field_units,
     fraction_det,
     load_descriptor,
     monic_gcd,
+    raw_value,
     sylvester_resultant,
 )
 
@@ -218,6 +220,53 @@ def test_embed_keeps_one_power_table_per_place():
     assert field._memo["powers", 1] is table
     # the table stays outside equality, repr and copies
     assert field == build_field(field.poly, field.digits) and "_memo" not in repr(field)
+
+
+@pytest.mark.parametrize("digits", (50, 300, 1000))
+def test_embed_rounds_as_fdot(digits):
+    # the integer dot product with one table of powers per place gives the
+    # raw value mp.fdot over the mpf powers gives, real and complex; the
+    # large root of x^2 - (10^41 + 1) spreads the exponents of its powers
+    rng = random.Random(digits)
+    fixed = [[0], [7], [10**20 + 3], [Fraction(7, 10**250)], [Fraction(-1, 3), 10**20 + 3]]
+    for poly in ([-2, 0, 1], [1] * 5, [1] * 11, [-(10**41 + 1), 0, 1]):
+        field = build_field(poly, digits)
+        elems = fixed + [
+            [Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**12)) for _ in poly[1:]]
+            for _ in range(4)
+        ]
+        for coeffs in elems:
+            x = field.element(coeffs)
+            for k in range(field.n_places):
+                assert raw_value(embed(field, x, k)) == raw_value(fdot_embed(field, x, k))
+        for k in range(field.n_places):
+            e, re, im = field._memo["powers", k]
+            assert all(type(v) is int for v in (e, *re, *(im or ())))
+            assert (im is None) == field.is_real_place(k)
+
+
+def test_embed_sums_exactly_where_fdot_drops_a_term():
+    # z^3 = 2: with z^2 rounded to m 2^e and K = 500 - e, the element
+    # -m 2^(e+K) + z + 2^K z^2 is the rounded z, exactly, while mp.fdot,
+    # which drops the term z lying more than twice the precision below the
+    # running sum, returns the cancellation of the other two: 0
+    field = build_field([-2, 0, 0, 1], 50)
+    e, re, _ = numfield._powers(field, 0)
+    k = 500 - e
+    x = field.element([-re[2] * 2 ** (e + k), 1, 2**k])
+    assert fdot_embed(field, x, 0) == 0
+    with mp.workdps(field.digits + 10):
+        assert embed(field, x, 0) == mp.ldexp(re[1], e) == +field.sigma_star[0]
+
+
+def test_known_irreducible_reads_only_the_form_of_p():
+    known = {
+        (0, 1): True, (5, 1): True, (1, 1): True, (1,) * 5: True, (1,) * 61: True,
+        # 1 + x + x^2 + x^3 = (1 + x)(1 + x^2), and 1 + ... + x^5 is Phi_2 Phi_3 Phi_6
+        (1,) * 4: False, (1,) * 6: False, (-2, 0, 1): False, (6, 0, -5, 0, 1): False,
+    }
+    for poly, want in known.items():
+        assert build_field(poly, 30).known_irreducible is want, poly
 
 
 def test_root_finder_failure_is_no_convergence(monkeypatch, tmp_path, capsys):

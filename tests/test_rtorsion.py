@@ -36,8 +36,12 @@ from support import (
     euler_residual_by_classes,
     field_lattice,
     field_units,
+    gram_by_matrix_product,
     random_complex_over,
+    random_pd_gram,
+    raw_matrix,
     torsion_by_coimage,
+    triple_by_matrix_product,
 )
 
 EYE1 = [[1]]
@@ -1220,3 +1224,102 @@ def test_complexes_over_c_keep_the_numeric_zero_products(exact):
         build((1, 1, 1), ([[1]], [[1]]), ((),) * 3, ((),) * 3)
     with pytest.raises(ValidationError, match="a degree-0 representative is not a cocycle"):
         build((1, 1), ([[2]],), (EYE1, ()), ([[1]], ()))
+
+
+# The per-place kernels round as mpmath's own products: the Hermitian Grams
+# formed from half their entries, and the products over row and column lists.
+
+
+def _random_matrix(rng, rows, cols, complex_entries):
+    # entries at the working precision over a spread of scales, a fifth of
+    # them zero, which an mp.matrix does not store
+    def part():
+        return mp.mpf(rng.randint(-10**30, 10**30)) / rng.randint(1, 10**15) * mp.mpf(2) ** rng.randint(-60, 60)
+
+    def entry():
+        if rng.random() < 0.2:
+            return 0
+        return mp.mpc(part(), part()) if complex_entries else part()
+
+    return rtorsion._matrix([[entry() for _ in range(cols)] for _ in range(rows)], cols)
+
+
+@pytest.mark.parametrize("digits", (50, 300, 1000))
+def test_kernels_round_as_mpmath_products(digits):
+    rng = random.Random(digits)
+    cols, product, gram = rtorsion._cols, rtorsion._product, rtorsion._gram
+    with mp.workdps(digits + 10):
+        for complex_entries in (False, True):
+            for r, c in ((0, 3), (3, 0), (1, 1), (2, 3), (4, 2), (3, 3)):
+                a = _random_matrix(rng, r, c, complex_entries)
+                for adjoint_first in (True, False):
+                    want = gram_by_matrix_product(a, adjoint_first)
+                    assert raw_matrix(gram(a, adjoint_first)) == raw_matrix(want)
+            # U d U^-1 and U K with the triangular factors of exact Grams
+            for n, m in ((0, 2), (2, 0), (1, 1), (3, 2), (2, 3)):
+                up, _ = flatmodel._cholesky_pair(gram_ldl(random_pd_gram(rng, m, complex_entries), digits)[1])
+                _, inv = flatmodel._cholesky_pair(gram_ldl(random_pd_gram(rng, n, complex_entries), digits)[1])
+                d = _random_matrix(rng, m, n, complex_entries)
+                got = product(product(up.tolist(), cols(d)).tolist(), cols(inv))
+                assert raw_matrix(got) == raw_matrix(triple_by_matrix_product(up, d, inv))
+                assert raw_matrix(product(up.tolist(), cols(d))) == raw_matrix(up * d)
+            # reidemeister's c^2 Q Q^*
+            q = _random_matrix(rng, 4, 2, complex_entries)
+            c2 = mp.mpf(rng.randint(1, 10**20)) / 7
+            got = product((q * c2).tolist(), q.tolist(), conjugate=True)
+            assert raw_matrix(got) == raw_matrix(q * c2 * q.H)
+
+
+def _cohomology_complexes():
+    field, _ = field_units("zsqrt2")
+    free = _free_cohomology_complex(field)
+    places = [at_place(free, k) for k in range(field.n_places)]
+    places += [metrized_complex_at_place(*_embedded(free, k)) for k in range(field.n_places)]
+    places += [
+        at for at in _corpus_places() if any(at.cohomology_dims) and all(at.lengths)
+    ]
+    return places
+
+
+def test_reidemeister_and_cohomology_convert_no_matrix(monkeypatch):
+    # a scalar times an mp.matrix, scalar first, goes through a failed
+    # conversion whose message holds the repr of the whole matrix
+    places = _cohomology_complexes()
+    assert len(places) > 4
+    ctx = type(mp)
+    calls = []
+    fallback = ctx._convert_fallback
+
+    def spy(self, x, strings):
+        calls.append(type(x).__name__)
+        return fallback(self, x, strings)
+
+    monkeypatch.setattr(ctx, "_convert_fallback", spy)
+    for at in places:
+        reidemeister(at)
+        cohomology(at)
+    assert calls == []
+
+
+def test_basis_determinants_over_a_known_irreducible_take_no_exact_ranks(monkeypatch):
+    # over Z[zeta5], whose p is Phi_5, delta_i != 0 in K settles every place
+    field, _ = field_units("zeta5")
+    assert field.known_irreducible
+    calls = []
+    monkeypatch.setattr(rtorsion, "exact_ranks", _counting(calls, "ranks", rtorsion.exact_ranks))
+    rng = random.Random(505)
+    complexes = [random_complex_over(field, rng) for _ in range(3)]
+    assert calls == []
+    for cplx in complexes:
+        assert all(not d.is_zero() for deltas in cplx.deltas for d in deltas)
+        for k in range(field.n_places):
+            tau = torsion_by_contraction(at_place(cplx, k))
+            with mp.workdps(60):
+                assert abs(tau / reidemeister(at_place(cplx, k)) - 1) < mp.mpf(10) ** -40
+    # a delta_i that is 0 in K is 0 at every place
+    two, zero, one = field.element([2]), field.zero(), field.one()
+    cplx = build_complex_over_r(
+        field, (1, 2), ([[two], [zero]],), [[EYE1] * 2, [EYE2] * 2],
+        [CohomologySpec(0), CohomologySpec(1, ((one,), (zero,)), ([[1]], [[1]]))],
+    )
+    assert calls == [] and all(deltas[1].is_zero() for deltas in cplx.deltas)

@@ -131,6 +131,19 @@ def test_grams_take_no_numeric_factor():
         assert not re.search(r"_inverse_upper|\bmp\.[UL]_solve\b", text), name
 
 
+def test_adjoint_products_go_through_the_gram_helper():
+    # every A^H A and A A^H is rtorsion._gram, which forms the entries on
+    # and above the diagonal once; no other source multiplies by .H
+    product = re.compile(r"\.H\s*\*|\*[^\n#]*\.H\b")
+    sources = {p.name: p.read_text() for p in sorted((SRC / "regtor").glob("*.py"))}
+    text = sources["rtorsion.py"]
+    assert text.count("\ndef _gram(") == 1
+    start = text.index("\ndef _gram(")
+    sources["rtorsion.py"] = text[:start] + text[text.index("\ndef ", start + 1) :]
+    for name, text in sources.items():
+        assert not product.search(text), name
+
+
 def _complex_over_r(field):
     return build_complex_over_r(
         field, (1, 1), ([[field.element([2])]],), [[[[1]], [[1]]]] * 2, [CohomologySpec(0)] * 2
