@@ -42,6 +42,7 @@ from .numfield import (
     NumberField,
     Record,
     _bareiss,
+    dirichlet_rank,
     embed,
     ln,
     rank_cutoff,
@@ -92,7 +93,7 @@ class FormElement(Record):
 
     def norm(self):
         with mp.workdps(self.digits + GUARD):
-            return mp.sqrt(mp.fsum(a * a for a in self.values))
+            return _vec_norm(self.values)
 
     def reduced_b1_coords(self) -> tuple:
         """Coordinates in the basis b_1(sigma_1), ..., b_1(sigma_{N-1}).
@@ -245,7 +246,7 @@ def build_lattice(field: NumberField, units) -> RegulatorLattice:
     images = [unit_log(field, u) for u in units]
     with mp.workdps(field.digits + GUARD):
         basis, star, norms = _lll([f.values for f in images], rank_cutoff(field.digits))
-        if len(basis) > field.r_real + field.r_complex - 1:
+        if len(basis) > dirichlet_rank(field):
             raise ValidationError("lattice rank exceeds the unit-group rank")
         tol = torus_tolerance(field.digits)
         basis, star = tuple(map(tuple, basis)), tuple(map(tuple, star))
@@ -360,9 +361,8 @@ def class_neg(x: PointClass) -> PointClass:
 
 
 def a_map(lattice: RegulatorLattice, f: FormElement) -> PointClass:
-    """The flat insertion: rank 0, trivial class, f modulo the lattice."""
-    t, _ = reduce_mod_lattice(lattice, f)
-    return PointClass(0, _reduce_cls(lattice.field.class_orders, ()), t)
+    """The flat insertion: the point_class of rank 0 and trivial class of f."""
+    return point_class(lattice, 0, (), f)
 
 
 def _positive_pivot(x) -> bool:
@@ -502,8 +502,7 @@ def _cycl_from_lndets(field: NumberField, lattice: RegulatorLattice, rank, lndet
     """cycl_free of a module of the given rank from ln det G_sigma per representative."""
     with mp.workdps(field.digits + GUARD):
         vals = [ld / 4 for ld in lndets]
-    t, _ = reduce_mod_lattice(lattice, make_form(field, 0, vals))
-    return PointClass(rank, _reduce_cls(field.class_orders, ()), t)
+    return point_class(lattice, rank, (), make_form(field, 0, vals))
 
 
 def scale_class(lattice: RegulatorLattice, x: PointClass, lambdas) -> PointClass:

@@ -17,11 +17,12 @@ power-basis integrality only; when R is not the maximal order in the power
 basis, a unit of the field lying outside Z[x] is rejected.
 
 Shared by every module: Record, the base of every immutable value type,
-with the one constructor that binds the fields each type names; the
-polynomial kit over Q (poly_trim, poly_mul, poly_divmod; coefficient lists
-constant first), the one Horner evaluator, the one number conversion to_mp
-and to_exact, the exact value it rounds, the one fraction-free elimination
-_bareiss over Z, and the precision policy.  _bareiss gives every exact
+FieldElement included, with the one constructor that binds the fields each
+type names; the exact polynomial kit over Q (poly_trim, poly_mul,
+poly_divmod; coefficient lists constant first), the one Horner evaluator,
+the one number conversion to_mp and to_exact, the exact value it rounds,
+the one fraction-free elimination _bareiss over Z, and the precision
+policy.  _bareiss gives every exact
 determinant and rank: _int_bareiss_det for norm and the squarefree test
 through _resultant, the determinant of multiplication by q on Z[x]/(p), and
 for modtors.exact_det through Kronecker substitution (_kronecker_matrix),
@@ -40,11 +41,11 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import isqrt, lcm, log2, prod
+from math import lcm, log2, prod
 from operator import mul
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import dps_to_prec, from_int, from_man_exp, fzero, mpf_div, round_nearest
+from mpmath.libmp import dps_to_prec, from_int, from_man_exp, fzero, isprime, mpf_div, round_nearest
 
 from .errors import NoConvergence, NotSquarefree, ValidationError
 
@@ -67,10 +68,10 @@ class Record:
     A subclass names its fields, in constructor order, in _fields, declares
     them in __slots__ (with any private cache after them) and maps each
     field that may be left out to its value in _defaults.  The one
-    constructor below binds arguments to _fields as a written-out signature
-    would, raising its TypeErrors, sets each field through
-    object.__setattr__ and gives a _memo slot a fresh dict; any other
-    assignment raises AttributeError.  Equality and hashing go by the class
+    constructor below, which no subclass overrides, binds arguments to
+    _fields as a written-out signature would, raising its TypeErrors, sets
+    each field through object.__setattr__ and gives a _memo slot a fresh
+    dict; any other assignment raises AttributeError.  Equality and hashing go by the class
     and the tuple of fields, repr lists the fields by name, and copy and
     pickle rebuild through the constructor.  A subclass compared by identity
     sets __eq__ and __hash__ back to object's.  rtorsion's
@@ -131,9 +132,6 @@ class FieldElement(Record):
 
     __slots__ = _fields = ("coeffs",)
 
-    def __init__(self, coeffs: tuple[Fraction, ...]):
-        _set_coeffs(self, coeffs)
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
@@ -142,11 +140,6 @@ class FieldElement(Record):
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coeffs) + ")"
-
-
-# The slot's own setter: FieldElement is built in the exact-arithmetic loops,
-# and this write skips the attribute lookup that object.__setattr__ makes.
-_set_coeffs = FieldElement.coeffs.__set__
 
 
 def rank_cutoff(digits: int):
@@ -208,15 +201,15 @@ def poly_mul(a, b) -> list:
 
 
 def poly_divmod(a, b) -> tuple[list, list]:
-    """Quotient and remainder of a by b, both trimmed; b[-1] must be nonzero.
-    A monic b keeps integer coefficients integer."""
+    """Exact quotient and remainder of a by b over Q, both trimmed; b[-1] must
+    be nonzero.  A monic b keeps integer coefficients integer."""
     nb = len(b)
     rem = list(a)
     quo = [0] * max(len(rem) - nb + 1, 0)
     for k in range(len(quo) - 1, -1, -1):
         c = rem[k + nb - 1]
         if b[-1] != 1:
-            c = c / b[-1]
+            c = Fraction(c, b[-1])
         quo[k] = c
         if c != 0:
             for i in range(nb - 1):
@@ -482,13 +475,14 @@ class NumberField(Record):
         Then an element that is not 0 in K is nonzero at every place.  False
         decides nothing: x^2 - 2 is irreducible too."""
         r = len(self.poly)
-        return r == 2 or (set(self.poly) == {1} and all(r % q for q in range(2, isqrt(r) + 1)))
+        return r == 2 or (set(self.poly) == {1} and isprime(r))
 
     def element(self, coeffs) -> FieldElement:
-        """Coefficients reduced modulo p; a FieldElement is returned as it is."""
+        """Coefficients reduced modulo p; a FieldElement is returned as it is.
+        A str goes through parse_rational's digit limit, any other c is Fraction(c)."""
         if isinstance(coeffs, FieldElement):
             return coeffs
-        vals = [Fraction(c) for c in coeffs]
+        vals = [parse_rational(c) if isinstance(c, str) else Fraction(c) for c in coeffs]
         if len(vals) > self.degree:
             vals = poly_divmod(vals, self.poly)[1]
         return FieldElement(tuple(vals + [Fraction(0)] * (self.degree - len(vals))))

@@ -194,13 +194,14 @@ class MetrizedComplexAtPlace(Record):
     det_cochain[i] is det G_i, an exact Fraction.  cohomology_dims[i] counts
     the chosen classes and det_cohomology[i] is det H_i of their Gram (1
     when there are none), exact too.  Determinants, not their logarithms,
-    are kept, so the torsion routes multiply them.  ranks[i] is
-    the rank of d_i decided exactly in K when the complex comes from a
-    complex over R (at_place), and delta_sq[i] is |sigma(delta_i)|^2 of the
-    exact basis determinant delta_i in K of MetrizedComplexOverR; both are
-    None, their default, for a complex built directly over C, whose ranks
-    only singular values can tell.  reidemeister keeps its tau in _memo, a
-    fresh dict per object outside the constructor, repr and equality.
+    are kept, so the torsion routes multiply them.  at_place alone sets
+    ranks and delta_sq, for a place of a complex over R: ranks[i] is the
+    rank of d_i decided exactly in K, and delta_sq[i] is |sigma(delta_i)|^2
+    of the exact basis determinant delta_i in K of MetrizedComplexOverR.
+    Both are None, their default, for a complex built directly over C
+    (metrized_complex_at_place), whose ranks only singular values can tell.
+    reidemeister keeps its tau in _memo, a fresh dict per object outside
+    the constructor, repr and equality.
 
     It compares by value, but an mp.matrix neither hashes nor pickles
     (mpmath makes its matrix class per context), so this record does
@@ -217,8 +218,7 @@ class MetrizedComplexAtPlace(Record):
 
 
 def metrized_complex_at_place(
-    digits, lengths, diffs, cochain_grams, cohomology_grams, cohomology_maps, ranks=None,
-    delta_sq=None,
+    digits, lengths, diffs, cochain_grams, cohomology_grams, cohomology_maps
 ) -> MetrizedComplexAtPlace:
     """Validate a complex and change it to orthonormal coordinates.
 
@@ -229,21 +229,25 @@ def metrized_complex_at_place(
     cocycle columns numerically, relative to the data, then positive Grams.
     Each Gram is factored once, exactly (flatmodel.gram_ldl): the factor of
     a cochain Gram gives the orthonormal coordinates and its determinant,
-    and that of a cohomology Gram its determinant.  No logarithm is taken.  ranks, the
-    exact rank of each differential, and delta_sq, |sigma(delta_i)|^2 per
-    degree, are kept as given; they do not stand in for any check, which
-    runs for every caller.  at_place builds its places from the same shape
-    checks and assembly, without the numeric d after d and cocycle
-    products, which build_complex_over_r has decided exactly in K.
+    and that of a cohomology Gram its determinant.  No logarithm is taken.
+    The complex has no K, so its ranks and delta_sq are None: both torsion
+    routes decide its ranks numerically.  at_place builds its places from
+    the same shape checks and assembly, without the numeric d after d and
+    cocycle products, which build_complex_over_r has decided exactly in K.
     """
     with mp.workdps(digits + GUARD):
         lengths, dd, kk = _complex_matrices(
             lengths, diffs, cochain_grams, cohomology_grams, cohomology_maps
         )
         _check_zero_products(digits, dd, kk)
-        return _orthonormal_complex(
-            digits, lengths, dd, kk, cochain_grams, cohomology_grams, ranks, delta_sq
-        )
+        return _orthonormal_complex(digits, lengths, dd, kk, cochain_grams, cohomology_grams)
+
+
+def _check_shapes(lengths, diffs):
+    """Each differential i, a list of rows, is lengths[i+1] by lengths[i]."""
+    for i, m in enumerate(diffs):
+        if len(m) != lengths[i + 1] or any(len(r) != lengths[i] for r in m):
+            raise ValidationError(f"differential {i} has the wrong shape")
 
 
 def _complex_matrices(lengths, diffs, cochain_grams, cohomology_grams, cohomology_maps):
@@ -257,9 +261,7 @@ def _complex_matrices(lengths, diffs, cochain_grams, cohomology_grams, cohomolog
     gg, hh = cochain_grams, cohomology_grams  # gram_ldl reads each entry exactly
     if len(dd) != nd - 1 or len(gg) != nd or len(hh) != nd or len(kk) != nd:
         raise ValidationError("degree counts of the complex data disagree")
-    for i in range(nd - 1):
-        if len(dd[i]) != lengths[i + 1] or any(len(r) != lengths[i] for r in dd[i]):
-            raise ValidationError(f"differential {i} has the wrong shape")
+    _check_shapes(lengths, dd)
     reps = []
     for i in range(nd):
         if len(gg[i]) != lengths[i]:
@@ -298,16 +300,13 @@ def _check_zero_products(digits, dd, kk):
             raise ValidationError(f"a degree-{i} representative is not a cocycle")
 
 
-def _orthonormal_complex(digits, lengths, dd, kk, gg, hh, ranks, delta_sq):
+def _orthonormal_complex(digits, lengths, dd, kk, gg, hh, ranks=None, delta_sq=None):
     """The MetrizedComplexAtPlace of checked shapes (_complex_matrices): each
     Gram factored once, exactly, and the differentials and representatives
     in orthonormal coordinates, U_{i+1} d_i U_i^-1 (left to right) and
-    U_i K_i, each a _product over the rows of U."""
+    U_i K_i, each a _product over the rows of U.  Only at_place passes
+    ranks and delta_sq, decided in K."""
     nd = len(lengths)
-    if ranks is not None and len(ranks) != nd - 1:
-        raise ValidationError("expected one rank per differential")
-    if delta_sq is not None and len(delta_sq) != nd:
-        raise ValidationError("expected one basis determinant per degree")
     ups = []
     from_ortho = []
     det_g = []
@@ -406,12 +405,12 @@ def _kernel_dims(lengths, ranks):
     return tuple(n - r[i] - r[i + 1] for i, n in enumerate(lengths))
 
 
-def _check_rep_count(cplx, dims):
-    for i, h in enumerate(dims):
-        given = cplx.cohomology_dims[i]
-        if given != h:
+def _check_rep_count(given, dims):
+    """That degree i lists given[i] cohomology classes, its kernel dimension dims[i]."""
+    for i, (n, h) in enumerate(zip(given, dims)):
+        if n != h:
             raise ValidationError(
-                f"degree {i} supplies {given} cohomology classes but the kernel has dimension {h}"
+                f"degree {i} supplies {n} cohomology classes but the kernel has dimension {h}"
             )
 
 
@@ -531,7 +530,7 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
                 else:
                     even *= factor
             tau2 = even / odd / to_mp(_alternating(cplx.det_cohomology))
-        _check_rep_count(cplx, dims)
+        _check_rep_count(cplx.cohomology_dims, dims)
         tau = cplx._memo["tau"] = mp.sqrt(tau2)
         return tau
 
@@ -637,15 +636,19 @@ def _dependent(i):
     return ValidationError(f"degree {i}: the image, cohomology and coimage columns are dependent")
 
 
+def _gram_ratio(cplx: MetrizedComplexAtPlace) -> Fraction:
+    """prod_i (det G_i / det H_i)^((-1)^i), exact."""
+    return _alternating(g / h for g, h in zip(cplx.det_cochain, cplx.det_cohomology))
+
+
 def _exact_torsion(cplx: MetrizedComplexAtPlace):
     """The basis-chase tau from |sigma(delta_i)|^2 and the exact Gram
     determinants, whose alternating product is rounded once."""
     for i, d2 in enumerate(cplx.delta_sq):
         if not d2:
             raise _dependent(i)
-    grams = _alternating(g / h for g, h in zip(cplx.det_cochain, cplx.det_cohomology))
     with mp.workdps(cplx.digits + GUARD):
-        return mp.sqrt(_alternating(cplx.delta_sq) * to_mp(grams))
+        return mp.sqrt(_alternating(cplx.delta_sq) * to_mp(_gram_ratio(cplx)))
 
 
 class CohomologySpec(Record):
@@ -757,9 +760,7 @@ def build_complex_over_r(field, lengths, diffs, grams, cohomology) -> MetrizedCo
     dd = tuple(tuple(tuple(field.element(x) for x in row) for row in m) for m in diffs)
     if len(dd) != nd - 1:
         raise ValidationError("expected one differential between consecutive degrees")
-    for i in range(nd - 1):
-        if len(dd[i]) != lengths[i + 1] or any(len(r) != lengths[i] for r in dd[i]):
-            raise ValidationError(f"differential {i} has the wrong shape")
+    _check_shapes(lengths, dd)
     for i in range(nd - 2):
         if not _product_is_zero(field, dd[i + 1], dd[i]):
             raise ValidationError(f"d{i + 1} after d{i} is not zero over R")
@@ -785,12 +786,7 @@ def build_complex_over_r(field, lengths, diffs, grams, cohomology) -> MetrizedCo
     pivots = tuple(tuple(p[k] for p in per_diff) for k in range(field.n_places))
     ranks = tuple(tuple(len(p) for p in piv) for piv in pivots)
     for r in ranks:
-        for i, (h, spec) in enumerate(zip(_kernel_dims(lengths, r), specs)):
-            if spec.free_rank != h:
-                raise ValidationError(
-                    f"degree {i} supplies {spec.free_rank} cohomology classes "
-                    f"but the kernel has dimension {h}"
-                )
+        _check_rep_count([spec.free_rank for spec in specs], _kernel_dims(lengths, r))
     deltas = _basis_determinants(field, lengths, dd, specs, pivots)
     return MetrizedComplexOverR(field, lengths, dd, gg, tuple(specs), ranks, deltas)
 
@@ -883,10 +879,9 @@ def verify_euler_identity(
     with mp.workdps(field.digits + GUARD):
         lndets = []
         for k, at in enumerate(places):
-            grams = _alternating(g / h for g, h in zip(at.det_cochain, at.det_cohomology))
             tors = _alternating(
                 mpf(1) if spec.torsion is None else _abs2(embed(field, spec.torsion.det_elem, k))
                 for spec in cplx.cohomology
             )
-            lndets.append(ln(to_mp(grams) * tors / reidemeister(at) ** 2))
+            lndets.append(ln(to_mp(_gram_ratio(at)) * tors / reidemeister(at) ** 2))
     return _cycl_from_lndets(field, lattice, rank, lndets)

@@ -511,6 +511,34 @@ def test_element_reduction_and_arithmetic():
     assert field.mul(u, v).coeffs == (Fraction(1), Fraction(0))
 
 
+def test_element_reads_strings_through_parse_rational():
+    # a string coefficient meets parse_rational's digit limit before a power
+    # of ten of two million digits is built; other inputs keep their values
+    field = build_field([-2, 0, 1], 50)
+    with pytest.raises(ValueError, match="limit"):
+        field.element(["1e2000000"])
+    cases = [("1/3", Fraction(1, 3)), ("0.25", Fraction(1, 4)), ("-2.5e3", Fraction(-2500)),
+             (7, Fraction(7)), (Fraction(2, 9), Fraction(2, 9)), (0.1, Fraction(0.1))]
+    for given_, want in cases:
+        assert field.element([given_, given_]).coeffs == (want, want)
+    assert field.element(["1/2", 0, "3"]).coeffs == (Fraction(13, 2), Fraction(0))
+
+
+@given(
+    a=st.lists(st.integers(-50, 50), max_size=8),
+    b=st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(lambda b: b[-1] not in (0, 1)),
+)
+@settings(max_examples=100, deadline=None)
+def test_poly_divmod_stays_exact_for_non_monic_divisors(a, b):
+    q, r = numfield.poly_divmod(a, b)
+    assert not any(isinstance(c, float) for c in q + r)
+    assert len(r) < len(b)
+    qb = numfield.poly_mul(q, b)
+    size = max(len(qb), len(r), len(a))
+    total = [x + y for x, y in zip(qb + [0] * (size - len(qb)), r + [0] * (size - len(r)))]
+    assert numfield.poly_trim(total) == numfield.poly_trim(list(a))
+
+
 @given(a=small_coeffs, b=small_coeffs, c=small_coeffs)
 @settings(max_examples=60, deadline=None)
 def test_ring_laws(a, b, c):

@@ -7,6 +7,7 @@ unitary base change, degree shift, and direct sum; and the point-level
 Euler-characteristic identity on designed and randomized complexes.
 """
 
+import inspect
 import random
 from fractions import Fraction
 
@@ -1188,7 +1189,7 @@ def test_at_place_takes_no_numeric_zero_product(monkeypatch):
     # K decides d after d = 0 and every cocycle of a complex over R, so its
     # places take neither product, nor the Frobenius norms that only they
     # need; the same data given to metrized_complex_at_place takes both and
-    # gives the same place
+    # gives the same place, less the ranks and basis determinants of K
     field, _ = field_units("zsqrt2")
     complexes = [(field, _free_cohomology_complex(field))]
     complexes += [(f, c) for f, _, c in _corpus_complexes()]
@@ -1203,27 +1204,44 @@ def test_at_place_takes_no_numeric_zero_product(monkeypatch):
             at = at_place(cplx, k)
             assert calls == []
             args = _embedded(cplx, k)
-            over_c = metrized_complex_at_place(*args, cplx.ranks[k], at.delta_sq)
-            assert over_c == at
+            over_c = metrized_complex_at_place(*args)
+            assert over_c.ranks is None and over_c.delta_sq is None
+            same = [f for f in MetrizedComplexAtPlace._fields if f not in ("ranks", "delta_sq")]
+            assert [getattr(over_c, f) for f in same] == [getattr(at, f) for f in same]
             names = [name for name, _ in calls]
             assert names[0] == "check" and names.count("norm") >= len(cplx.diffs)
 
 
-@pytest.mark.parametrize("exact", (False, True))
-def test_complexes_over_c_keep_the_numeric_zero_products(exact):
-    # ranks and basis determinants that a caller passes do not stand in for
-    # the checks: a complex built over C has no K to decide them
+def test_complexes_over_c_keep_the_numeric_zero_products():
+    # a complex built over C has no K to decide d after d or its cocycles
     def build(lengths, diffs, hgrams, hmaps):
-        nd = len(lengths)
-        extra = {"ranks": (1,) * (nd - 1), "delta_sq": (1,) * nd} if exact else {}
-        return metrized_complex_at_place(
-            50, lengths, diffs, (EYE1,) * nd, hgrams, hmaps, **extra
-        )
+        return metrized_complex_at_place(50, lengths, diffs, (EYE1,) * len(lengths), hgrams, hmaps)
 
     with pytest.raises(ValidationError, match="d1 after d0 is not zero"):
         build((1, 1, 1), ([[1]], [[1]]), ((),) * 3, ((),) * 3)
     with pytest.raises(ValidationError, match="a degree-0 representative is not a cocycle"):
         build((1, 1), ([[2]],), (EYE1, ()), ([[1]], ()))
+
+
+def test_complexes_over_c_take_no_ranks_or_basis_determinants():
+    # only at_place, from K, supplies ranks and |sigma(delta_i)|^2; a caller
+    # of metrized_complex_at_place cannot pass values that no check covers,
+    # such as delta_sq = (7, 1), which made the basis-chase read sqrt(7)
+    params = inspect.signature(metrized_complex_at_place).parameters
+    assert list(params) == [
+        "digits", "lengths", "diffs", "cochain_grams", "cohomology_grams", "cohomology_maps"
+    ]
+    args = (50, (1, 1), ([[2]],), (EYE1, EYE1), NOH, NOH)
+    for extra in ({"delta_sq": (7, 1)}, {"ranks": (0,)}):
+        with pytest.raises(TypeError):
+            metrized_complex_at_place(*args, **extra)
+    with pytest.raises(TypeError):
+        metrized_complex_at_place(*args, None, (7, 1))
+    at = metrized_complex_at_place(*args)
+    assert at.ranks is None and at.delta_sq is None
+    with mp.workdps(60):
+        for tau in (reidemeister(at), torsion_by_contraction(at)):
+            assert abs(tau - mp.mpf(1) / 2) < mp.mpf(10) ** -45
 
 
 # The per-place kernels round as mpmath's own products: the Hermitian Grams

@@ -7,9 +7,11 @@ drop a function that perfbench/tracing.py wraps for its per-layer times.
 Each CLI call is a fresh process, so importing regtor.cli must not load the
 code-generation machinery of dataclasses (inspect, ast, dis, tokenize).
 Every logarithm goes through numfield.ln, the one logarithm of the
-precision policy.
+precision policy.  No module keeps an import it does not use, or a private
+module-level name that nothing in the package refers to.
 """
 
+import ast
 import copy
 import importlib
 import importlib.util
@@ -116,6 +118,43 @@ def test_only_numfield_calls_mp_log():
     for path in modules:
         found = call.findall(path.read_text())
         assert len(found) == (path.name == "numfield.py"), path.name
+
+
+def _loads(tree):
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def test_src_keeps_no_unused_import_or_private_name():
+    # no lint tool is installed, so the ast of each module stands in for one
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted((SRC / "regtor").glob("*.py"))}
+    refs = set()
+    for name, tree in trees.items():
+        refs |= _loads(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                refs |= {a.name for a in node.names}
+    for name, tree in trees.items():
+        # the package re-exports what it imports, through __all__
+        used = _loads(tree) | (set(regtor.__all__) if name == "__init__.py" else set())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            assert set(bound) <= used, (name, sorted(set(bound) - used))
+        private = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                private.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                private |= {t.id for t in targets if isinstance(t, ast.Name)}
+        private = {p for p in private if p.startswith("_") and not p.startswith("__")}
+        assert private <= refs, (name, sorted(private - refs))
 
 
 def test_grams_take_no_numeric_factor():
@@ -230,8 +269,7 @@ def _subclasses(cls):
 def test_records_share_one_constructor():
     table = _record_table()
     assert {record for record, *_ in table} == _subclasses(Record)
-    own = [record for record, *_ in table if "__init__" in vars(record)]
-    assert own == [FieldElement]  # its slot setter serves the exact-arithmetic loops
+    assert [record for record, *_ in table if "__init__" in vars(record)] == []
 
     for record, build, _, by_value in table:
         a = build()
