@@ -307,8 +307,9 @@ def cmd_rtorsion(args):
     field, _, digits = _load_field(args)
     cplx = _parse_complex(field, _json_arg(args.complex, "--complex", dict))
     f = rtorsion.rtorsion_form(field, cplx)
-    # rtorsion_form has built every place and its tau; these calls reuse them
-    taus = [rtorsion.reidemeister(rtorsion.at_place(cplx, k)) for k in range(field.n_places)]
+    # the exact basis-chase tau, at the places rtorsion_form has built
+    places = [rtorsion.at_place(cplx, k) for k in range(field.n_places)]
+    taus = [rtorsion.torsion_by_contraction(at) for at in places]
     return {
         "tau": _sigmas(taus, digits),
         "form_canonical": _sigmas(f.values, digits),

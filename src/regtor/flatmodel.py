@@ -350,6 +350,8 @@ def point_class(lattice: RegulatorLattice, rank: int, cls, f: FormElement) -> Po
 
 
 def class_add(x: PointClass, y: PointClass) -> PointClass:
+    if x.torus.lattice != y.torus.lattice:
+        raise ValidationError("the classes belong to different regulator lattices")
     orders = x.torus.lattice.field.class_orders
     cls = _reduce_cls(orders, (a + b for a, b in zip(x.cls, y.cls)))
     return PointClass(x.rank + y.rank, cls, x.torus.add(y.torus))
@@ -500,6 +502,8 @@ def cycl_free(field: NumberField, lattice: RegulatorLattice, grams) -> PointClas
 
 def _cycl_from_lndets(field: NumberField, lattice: RegulatorLattice, rank, lndets) -> PointClass:
     """cycl_free of a module of the given rank from ln det G_sigma per representative."""
+    if lattice.field != field:
+        raise ValidationError("the regulator lattice belongs to another field")
     with mp.workdps(field.digits + GUARD):
         vals = [ld / 4 for ld in lndets]
     return point_class(lattice, rank, (), make_form(field, 0, vals))

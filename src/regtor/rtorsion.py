@@ -7,12 +7,9 @@ complex with the metric induced on the determinant line of its cohomology
 metrized_complex_at_place validates a complex at one place and changes it to
 orthonormal coordinates, once: it factors each cochain and cohomology Gram
 one time, exactly (flatmodel.gram_ldl), and keeps their determinants as
-exact rationals.  Each place and its tau are
-built once per complex object: at_place keeps the MetrizedComplexAtPlace of
-every place it has built on the MetrizedComplexOverR, and reidemeister keeps
-tau on the MetrizedComplexAtPlace, so rtorsion_form and
-verify_euler_identity reuse what a caller has already computed.  Two
-independent algorithms read the result:
+exact rationals.  at_place keeps the MetrizedComplexAtPlace of every place
+it has built on the MetrizedComplexOverR.  Two independent algorithms read
+the result:
 
   reidemeister         Laplacian route: the Ray-Singer product of
                        pseudo-determinants of the combinatorial Laplacians,
@@ -36,7 +33,10 @@ independent algorithms read the result:
                        minors numerically.  It takes no logarithm.
 
 The sign convention is frozen so that the acyclic complex 0 -> C --z--> C -> 0
-with standard metrics has tau = 1/|z|; both routes reproduce it.
+with standard metrics has tau = 1/|z|; both routes reproduce it.  Over R
+every result reads the exact basis-chase tau (rtorsion_form, and through
+the Gram determinants it cancels, verify_euler_identity); the Laplacian
+route only verifies it.
 
 Every per-place matrix is an mp.matrix, and norms and factorizations are
 mpmath's own.  Products are one mp.fdot per entry over row and column
@@ -84,11 +84,9 @@ does not square their conditioning.
 Neither route takes a logarithm: each multiplies determinants, eigenvalues
 and minors and ends in one square root.  Logarithms are taken only where a
 form needs one, each by numfield.ln: rtorsion_form takes ln tau once per
-place, and verify_euler_identity multiplies each place's Gram
-determinants, the |sigma(det T_i)|^2 of its torsion presentations and
-1 / tau^2 into one number and takes one logarithm of it: one per place in
-all.  Where the identity holds that number is 1 up to rounding, and ln
-takes it in two terms of its series.
+place, and verify_euler_identity multiplies each place's
+|sigma(det T_i)|^2 of its torsion presentations and |sigma(delta_i)|^-2
+into one number and takes one logarithm of it: one per place in all.
 """
 
 from __future__ import annotations
@@ -200,19 +198,16 @@ class MetrizedComplexAtPlace(Record):
     of the exact basis determinant delta_i in K of MetrizedComplexOverR.
     Both are None, their default, for a complex built directly over C
     (metrized_complex_at_place), whose ranks only singular values can tell.
-    reidemeister keeps its tau in _memo, a fresh dict per object outside
-    the constructor, repr and equality.
 
     It compares by value, but an mp.matrix neither hashes nor pickles
     (mpmath makes its matrix class per context), so this record does
     neither: __hash__ is None, and hash() raises TypeError naming it.
     """
 
-    _fields = (
+    __slots__ = _fields = (
         "digits", "lengths", "ortho_diffs", "ortho_reps", "from_ortho",
         "det_cochain", "cohomology_dims", "det_cohomology", "ranks", "delta_sq",
     )
-    __slots__ = _fields + ("_memo",)
     _defaults = {"ranks": None, "delta_sq": None}
     __hash__ = None
 
@@ -451,18 +446,14 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
     differential with no nonzero entry is a zero one, read exactly.  The
     product, times the exact alternating product of the det H_i rounded
     once, and one square root give tau; no logarithm is taken.  tau is
-    computed once per MetrizedComplexAtPlace,
-    always at its digits + GUARD, the corrections and the product at GUARD
-    more, and kept on it; a call that raises keeps nothing, so the next
-    call raises again.
+    computed at the complex's digits + GUARD, the corrections and the
+    product at GUARD more.
 
     The route stays numeric even when the complex carries exact ranks, so
     that it checks the basis-chase independently.  A kernel dimension that
     differs from the exact n_i - r_i - r_{i-1} then raises RankAmbiguous:
     the cutoff misjudged an eigenvalue, and more digits would help.
     """
-    if "tau" in cplx._memo:
-        return cplx._memo["tau"]
     with mp.workdps(cplx.digits + GUARD):
         cut2 = rank_cutoff(cplx.digits) ** 2
         ranks = []
@@ -531,8 +522,7 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
                     even *= factor
             tau2 = even / odd / to_mp(_alternating(cplx.det_cohomology))
         _check_rep_count(cplx.cohomology_dims, dims)
-        tau = cplx._memo["tau"] = mp.sqrt(tau2)
-        return tau
+        return mp.sqrt(tau2)
 
 
 def _pivot_columns(d, rank):
@@ -586,9 +576,11 @@ def torsion_by_contraction(cplx: MetrizedComplexAtPlace):
     when the representatives of a degree do not complete its image to the
     kernel, raises ValidationError.  No logarithm is taken.
     """
-    if cplx.delta_sq is not None:
-        return _exact_torsion(cplx)
     with mp.workdps(cplx.digits + GUARD):
+        if cplx.delta_sq is not None:
+            # the alternating product of the Gram determinants, rounded once
+            grams = _alternating(g / h for g, h in zip(cplx.det_cochain, cplx.det_cohomology))
+            return mp.sqrt(_alternating(_delta_sq(cplx)) * to_mp(grams))
         dt = cplx.ortho_diffs
         cut = rank_cutoff(cplx.digits)
         nd = len(cplx.lengths)
@@ -636,19 +628,12 @@ def _dependent(i):
     return ValidationError(f"degree {i}: the image, cohomology and coimage columns are dependent")
 
 
-def _gram_ratio(cplx: MetrizedComplexAtPlace) -> Fraction:
-    """prod_i (det G_i / det H_i)^((-1)^i), exact."""
-    return _alternating(g / h for g, h in zip(cplx.det_cochain, cplx.det_cohomology))
-
-
-def _exact_torsion(cplx: MetrizedComplexAtPlace):
-    """The basis-chase tau from |sigma(delta_i)|^2 and the exact Gram
-    determinants, whose alternating product is rounded once."""
+def _delta_sq(cplx: MetrizedComplexAtPlace):
+    """The place's |sigma(delta_i)|^2, refusing a delta_i that vanishes."""
     for i, d2 in enumerate(cplx.delta_sq):
         if not d2:
             raise _dependent(i)
-    with mp.workdps(cplx.digits + GUARD):
-        return mp.sqrt(_alternating(cplx.delta_sq) * to_mp(_gram_ratio(cplx)))
+    return cplx.delta_sq
 
 
 class CohomologySpec(Record):
@@ -802,9 +787,8 @@ def at_place(cplx: MetrizedComplexOverR, place: int) -> MetrizedComplexAtPlace:
     basis determinant, embedded once here, for the basis-chase.  It shares
     the shape checks and the assembly of metrized_complex_at_place but takes
     no numeric d after d or cocycle product: build_complex_over_r decided
-    both exactly in K.  Each place
-    is built once per complex object: later calls return the same
-    MetrizedComplexAtPlace, and so share its tau.  A call that raises keeps
+    both exactly in K.  Each place is built once per complex object: later
+    calls return the same MetrizedComplexAtPlace.  A call that raises keeps
     nothing.
     """
     if place in cplx._memo:
@@ -835,10 +819,11 @@ def at_place(cplx: MetrizedComplexOverR, place: int) -> MetrizedComplexAtPlace:
 
 
 def rtorsion_form(field: NumberField, cplx: MetrizedComplexOverR) -> FormElement:
-    """The degree-1 vector of per-place ln tau, in quotient coordinates."""
+    """The degree-1 vector of per-place ln tau, in quotient coordinates, with
+    tau the exact basis-chase's (torsion_by_contraction)."""
     with mp.workdps(field.digits + GUARD):
         vals = [
-            ln(reidemeister(at_place(cplx, k))) for k in range(field.n_places)
+            ln(torsion_by_contraction(at_place(cplx, k))) for k in range(field.n_places)
         ]
     return make_form(field, 0, vals)
 
@@ -862,26 +847,29 @@ def verify_euler_identity(
     is sum (-1)^i (n_i - free rank of H^i), and its coefficient at each
     place is
 
-      (1/4) ln [ prod_i (det G_i |sigma(det T_i)|^2 / det H_i)^((-1)^i) / tau^2 ],
+      (1/4) ln [ prod_i (det G_i |sigma(det T_i)|^2 / det H_i)^((-1)^i) / tau^2 ].
 
-    one logarithm per place and one lattice reduction in all.  The Gram
-    determinants are the exact ones that at_place keeps for each place,
-    multiplied exactly and rounded once, so where the identity holds the
-    residual is the rounding of tau alone.  tau is reidemeister's memo, so
-    after a caller has run the routes at every place no Gram is factored
-    again.
+    With the exact basis-chase tau^2 = prod_i (|sigma(delta_i)|^2 det G_i /
+    det H_i)^((-1)^i) the Gram determinants cancel exactly, and it is
+
+      (1/4) ln prod_i (|sigma(det T_i)|^2 / |sigma(delta_i)|^2)^((-1)^i),
+
+    one logarithm per place and one lattice reduction in all, from the
+    |sigma(delta_i)|^2 that at_place embeds; a delta_i that vanishes raises
+    ValidationError, as in torsion_by_contraction.  Every place is built by
+    at_place, which checks its Grams.
     """
-    places = [at_place(cplx, k) for k in range(field.n_places)]
     rank = sum(
         (n - spec.free_rank) * (-1) ** i
         for i, (n, spec) in enumerate(zip(cplx.lengths, cplx.cohomology))
     )
     with mp.workdps(field.digits + GUARD):
         lndets = []
-        for k, at in enumerate(places):
-            tors = _alternating(
+        for k in range(field.n_places):
+            tors = (
                 mpf(1) if spec.torsion is None else _abs2(embed(field, spec.torsion.det_elem, k))
                 for spec in cplx.cohomology
             )
-            lndets.append(ln(to_mp(_gram_ratio(at)) * tors / reidemeister(at) ** 2))
+            delta_sq = _delta_sq(at_place(cplx, k))
+            lndets.append(ln(_alternating(t / d2 for t, d2 in zip(tors, delta_sq))))
     return _cycl_from_lndets(field, lattice, rank, lndets)

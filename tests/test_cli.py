@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp
 
+from regtor import NoConvergence, cli
 from regtor.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -452,23 +453,42 @@ def _diag_complex(small):
     )
 
 
-def test_numerical_exit_code(capsys):
-    # the Laplacian eigenvalue 10^-50 sits at its cutoff 10^-50 |L|_F
-    cplx = _diag_complex("1/1" + "0" * 25)
-    code, _, err = run(capsys, "rtorsion", "--field", Z2, "--complex", cplx)
-    assert code == 3 and "sits at the cutoff" in err
+def test_numerical_exit_code(capsys, monkeypatch):
+    # over R every rank is decided exactly, so no rtorsion input reaches a
+    # NumericalError; a handler that raises one pins main's exit 3
+    def failing(args):
+        raise NoConvergence("iteration did not converge")
+
+    monkeypatch.setattr(cli, "cmd_zeta", failing)
+    code, out, err = run(capsys, "zeta", "--s", "2")
+    assert code == 3 and out == "" and "numerical failure: iteration did not converge" in err
 
 
 def test_misjudged_kernel_exit_code(capsys):
-    # diag(1, 10^-30) has exact rank 2, but at 50 digits the Laplacian
-    # eigenvalue 10^-60 falls below its cutoff 10^-50 |L|_F: more digits
-    # help, so the exit is 3
-    cplx = _diag_complex("1/1" + "0" * 30)
-    code, out, err = run(capsys, "rtorsion", "--field", Z2, "--complex", cplx, "--digits", "50")
-    assert code == 3 and out == "" and "but the exact kernel has dimension 0" in err
-    d = run_json(capsys, "rtorsion", "--field", Z2, "--complex", cplx, "--digits", "130")
-    for k in (0, 1):
-        assert close(d["tau"][f"sigma_{k}"], "1e30", "1e-10")
+    # At 50 digits the Laplacian route misjudges both kernels (see
+    # tests/test_rtorsion.py): the eigenvalue 10^-50 of diag(1, 10^-25) sits
+    # at its cutoff 10^-50 |L|_F, and that of diag(1, 10^-30), 10^-60, falls
+    # below it though the exact rank is 2.  rtorsion prints the exact
+    # basis-chase tau, right in every printed digit.
+    for e in (25, 30):
+        cplx = _diag_complex("1/1" + "0" * e)
+        d = run_json(capsys, "rtorsion", "--field", Z2, "--complex", cplx, "--digits", "50")
+        assert d["tau"] == {f"sigma_{k}": "1" + "0" * e + ".0" for k in (0, 1)}
+
+
+def test_near_singular_differential_prints_every_digit(capsys):
+    # 0 -> R^2 --[[1, 1], [1, 1 + 10^-20]]--> R^2 -> 0 has tau = 10^20 at
+    # both places; the Laplacian tau is off by 1.2e-21 relative here
+    eye = [[1, 0], [0, 1]]
+    cplx = json.dumps(
+        {
+            "lengths": [2, 2],
+            "diffs": [[["1", "1"], ["1", "1." + "0" * 19 + "1"]]],
+            "grams": [[eye, eye], [eye, eye]],
+        }
+    )
+    d = run_json(capsys, "rtorsion", "--field", Z2, "--complex", cplx, "--digits", "50")
+    assert d["tau"] == {f"sigma_{k}": "1" + "0" * 20 + ".0" for k in (0, 1)}
 
 
 @pytest.mark.parametrize("e", (15, 20))

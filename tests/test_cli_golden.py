@@ -9,10 +9,11 @@ Calls whose output prints the rounding noise of an exact zero (the
 cheeger-muller residual) are left out, with two exceptions.  The README's
 own cheeger-muller table is kept because the README shows it; with Li_1 in
 the real closed form -ln(2 sin(theta/2)), its residuals at r = 5 print 0.0.
-The euler-check residual on the free-cohomology complex is kept because its
-noise pins, bit for bit, how the cycle classes are summed from the
-per-place Gram determinants, which are exact, and the Laplacian tau, whose
-rounding is all the noise there is.
+The euler-check residual on the free-cohomology complex is kept because it
+pins how the cycle classes are summed: the Gram determinants cancel
+exactly against those of the exact tau, and each degree's
+|sigma(det T_i)|^2 meets the equal |sigma(delta_i)|^2, so the residual
+prints an exact 0.0.
 
 After an intended change of output, re-record every case, or only the
 named ones, with

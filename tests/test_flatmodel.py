@@ -19,6 +19,7 @@ from regtor import (
     NotPositiveDefinite,
     ValidationError,
     a_map,
+    build_field,
     build_lattice,
     class_add,
     class_neg,
@@ -549,3 +550,18 @@ def test_scale_class_rejects_non_positive():
     field, units, lat = field_lattice("zsqrt2")
     with pytest.raises(ValidationError):
         scale_class(lat, one_class(lat), [1, -2])
+
+
+def test_classes_of_different_fields_do_not_mix():
+    # Q(sqrt3), with a class group of order 2, against the lattice of
+    # Z[sqrt2]: both fields have two real places, so only the check tells
+    # them apart
+    f3 = build_field((-3, 0, 1), 30, class_orders=(2,))
+    lat3 = build_lattice(f3, [f3.element([2, 1])])
+    _, _, lat2 = field_lattice("zsqrt2", 30)
+    with pytest.raises(ValidationError, match="lattice belongs to another field"):
+        cycl_free(f3, lat2, [[[5]], [[7]]])
+    x = point_class(lat3, 0, (1,), zero_form(f3))
+    for add in (lambda: scale_class(lat2, x, [2, 3]), lambda: class_add(one_class(lat2), x)):
+        with pytest.raises(ValidationError, match="different regulator lattices"):
+            add()

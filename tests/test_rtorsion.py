@@ -8,8 +8,10 @@ Euler-characteristic identity on designed and randomized complexes.
 """
 
 import inspect
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import mp
@@ -31,6 +33,7 @@ from regtor import (
     verify_euler_identity,
 )
 from regtor import build_field, flatmodel, modtors, numfield, rtorsion
+from regtor.cli import main
 from regtor.flatmodel import gram_ldl
 from regtor.numfield import rank_cutoff
 from support import (
@@ -48,6 +51,7 @@ from support import (
 EYE1 = [[1]]
 EYE2 = [[1, 0], [0, 1]]
 NOH = ((), ())
+Z2 = Path(__file__).parent / "data" / "zsqrt2.json"
 
 
 def _both(lengths, diffs, grams, hgrams, hmaps, digits=50):
@@ -473,12 +477,14 @@ def test_at_place_is_built_once_per_complex():
     assert at_place(cplx, 0) == at_place(_free_cohomology_complex(field), 0)
 
 
-def test_warm_euler_identity_factors_nothing(monkeypatch):
+def test_warm_euler_identity_factors_nothing(monkeypatch, capsys):
+    # verify_euler_identity and the rtorsion command read the exact
+    # basis-chase, so cold or warm they take no eigenvalue; once at_place has
+    # built every place, verify_euler_identity factors no Gram either
     field, _, lat = field_lattice("zsqrt2")
     warm = _free_cohomology_complex(field)
     for k in range(field.n_places):
-        reidemeister(at_place(warm, k))
-        torsion_by_contraction(at_place(warm, k))
+        at_place(warm, k)
     calls = {"eighe": 0, "factor": 0}
 
     def counting(name, fn):
@@ -488,25 +494,32 @@ def test_warm_euler_identity_factors_nothing(monkeypatch):
 
         return wrapper
 
+    acyclic = json.dumps(
+        {"lengths": [1, 1], "diffs": [[["2"]]], "grams": [[[[1]], [[1]]], [[[1]], [[1]]]]}
+    )
     with monkeypatch.context() as m:
         m.setattr(mp, "eighe", counting("eighe", mp.eighe))
         ldl = counting("factor", gram_ldl)
         m.setattr(rtorsion, "gram_ldl", ldl)
         m.setattr(flatmodel, "gram_ldl", ldl)
         res = verify_euler_identity(field, lat, warm)
-    assert calls == {"eighe": 0, "factor": 0}
+        assert calls == {"eighe": 0, "factor": 0}
+        # a cold complex from the same data gives the same residual, bit for bit
+        cold = verify_euler_identity(field, lat, _free_cohomology_complex(field))
+        assert calls["eighe"] == 0 and calls["factor"] > 0
+        assert main(["rtorsion", "--field", str(Z2), "--complex", acyclic]) == 0
+        assert calls["eighe"] == 0
+    assert '"sigma_0": "0.5"' in capsys.readouterr().out
     assert res.is_zero()
-    # a cold complex from the same data gives the same residual, bit for bit
-    cold = verify_euler_identity(field, lat, _free_cohomology_complex(field))
     assert cold.rank == res.rank and cold.cls == res.cls
     assert cold.torus.values == res.torus.values
     assert all(isinstance(v, mp.mpf) for v in res.torus.values)
 
 
-def _ill_conditioned_over_r(field):
-    # 0 -> R^2 --diag(1, 10^-30)--> R^2 -> 0, of exact rank 2 at every place
+def _ill_conditioned_over_r(field, e=30):
+    # 0 -> R^2 --diag(1, 10^-e)--> R^2 -> 0, of exact rank 2 at every place
     one, zero = field.one(), field.zero()
-    tiny = field.element([Fraction(1, 10**30)])
+    tiny = field.element([Fraction(1, 10**e)])
     return build_complex_over_r(
         field, (2, 2), ([[one, zero], [zero, tiny]],), [[EYE2, EYE2], [EYE2, EYE2]],
         [CohomologySpec(0)] * 2,
@@ -817,6 +830,15 @@ def test_laplacian_misjudged_kernel_over_r_is_ambiguous():
                     reidemeister(at)
             else:
                 assert _is_ten_to(reidemeister(at), 30)
+    # diag(1, 10^-25) puts the eigenvalue 10^-50 at its cutoff instead
+    field, _ = field_units("zsqrt2")
+    cplx = _ill_conditioned_over_r(field, 25)
+    for k in range(field.n_places):
+        at = at_place(cplx, k)
+        assert _is_ten_to(torsion_by_contraction(at), 25)
+        with pytest.raises(RankAmbiguous, match="d0 out of degree 0: eigenvalue 1.0e-50 sits "
+                           "at the cutoff"):
+            reidemeister(at)
 
 
 # Adjacent differentials of very different scale: 0 -> C --(10^-e, 0)^T-->
