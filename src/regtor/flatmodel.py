@@ -380,12 +380,12 @@ def gram_ldl(rows, digits: int):
 
     Each entry is read exactly (numfield.to_exact).  G must be square, and
     Hermitian within rank_cutoff(digits) relative to its largest entry,
-    decided exactly: |g_ij - conj(g_ji)|^2 10^digits <= max |g|^2.  Its
-    lower triangle and the real part of its diagonal then define it.  Over
-    one common denominator den, den G is an integer matrix when G is real;
-    otherwise its real 2n by 2n image, each entry a + bi the block
-    [[a, -b], [b, a]], is, and the LDL^T of the image is the image of the
-    LDL^H of G.  One numfield._bareiss of that matrix beside the identity,
+    decided exactly: |g_ij - conj(g_ji)|^2 10^digits <= max |g|^2, the
+    scale taken only once some pair differs.  Its lower triangle and the
+    real part of its diagonal then define it.  Over one common denominator
+    den, den G is an integer matrix when G is real; otherwise its real 2n
+    by 2n image, each entry a + bi the block [[a, -b], [b, a]], is, and the
+    LDL^T of the image is the image of the LDL^H of G.  One numfield._bareiss of that matrix beside the identity,
     with no pivoting, leaves in row k the k-th leading minor p_k, the
     entries of D L^H times p_{k-1} and beside them those of L^-1 times
     p_{k-1}.  _bareiss scans for a pivot from (k, k), so the first entry
@@ -402,12 +402,15 @@ def gram_ldl(rows, digits: int):
         a = [[to_exact(x) for x in row] for row in rows]
     if any(len(row) != n for row in a):
         raise ValidationError("Gram matrix must be square")
-    scale2 = max((re * re + im * im for row in a for re, im in row), default=0)
+    scale2 = None
     for i in range(n):
         for j in range(i + 1):
             (p, q), (r, s) = a[i][j], a[j][i]
-            if (p != r or q != -s) and ((p - r) ** 2 + (q + s) ** 2) * 10**digits > scale2:
-                raise NotPositiveDefinite("Gram matrix is not Hermitian")
+            if p != r or q != -s:
+                if scale2 is None:
+                    scale2 = max(re * re + im * im for row in a for re, im in row)
+                if ((p - r) ** 2 + (q + s) ** 2) * 10**digits > scale2:
+                    raise NotPositiveDefinite("Gram matrix is not Hermitian")
     herm = [
         [a[i][j] if j < i else (a[i][i][0], _ZERO) if j == i else (a[j][i][0], -a[j][i][1])
          for j in range(n)]

@@ -304,21 +304,27 @@ def _resultant(p, q) -> int:
     return _int_bareiss_det(cols)
 
 
+def _kronecker_lift(field, rows) -> tuple[list[list[list[int]]], int]:
+    """A matrix of field elements lifted to Z[x]: its entries as their
+    degree < n representatives in Q[x] over one common denominator D,
+    which leaves integer polynomials a_ij.  Returns ((a_ij), D)."""
+    lifted = [[field.element(x).coeffs for x in r] for r in rows]
+    den = lcm(*(c.denominator for r in lifted for e in r for c in e))
+    return [[[c.numerator * (den // c.denominator) for c in e] for e in r] for r in lifted], den
+
+
 def _kronecker_matrix(field, rows) -> tuple[list[list[int]], int, int]:
     """A matrix of field elements as one integer matrix (Kronecker substitution).
 
-    Entries are lifted to their degree < n representatives in Q[x] and put
-    over one common denominator D, leaving integer polynomials a_ij.  Each
-    coefficient of any minor of (a_ij) in Z[x] is at most
-    H = prod_i max(1, sum_j ||a_ij||_1) in absolute value, since
-    ||det||_1 <= perm(||a_ij||_1).  Returns (a_ij(2^B), B, D) with
-    B = bitlength(H) + 1: every minor of the integer matrix holds the
-    coefficients of the matching minor in Z[x] as balanced base-2^B digits
-    (von zur Gathen and Gerhard, Modern Computer Algebra, section 8.4).
+    Each coefficient of any minor of the lifted matrix (a_ij) in Z[x]
+    (_kronecker_lift) is at most H = prod_i max(1, sum_j ||a_ij||_1) in
+    absolute value, since ||det||_1 <= perm(||a_ij||_1).  Returns
+    (a_ij(2^B), B, D) with B = bitlength(H) + 1: every minor of the integer
+    matrix holds the coefficients of the matching minor in Z[x] as balanced
+    base-2^B digits (von zur Gathen and Gerhard, Modern Computer Algebra,
+    section 8.4).
     """
-    lifted = [[field.element(x).coeffs for x in r] for r in rows]
-    den = lcm(*(c.denominator for r in lifted for e in r for c in e))
-    a = [[[c.numerator * (den // c.denominator) for c in e] for e in r] for r in lifted]
+    a, den = _kronecker_lift(field, rows)
     bits = prod(max(1, sum(abs(c) for e in r for c in e)) for r in a).bit_length() + 1
     return [[_horner(e, 1 << bits) for e in r] for r in a], bits, den
 

@@ -38,12 +38,12 @@ every result reads the exact basis-chase tau (rtorsion_form, and through
 the Gram determinants it cancels, verify_euler_identity); the Laplacian
 route only verifies it.
 
-Every per-place matrix is an mp.matrix, and norms and factorizations are
-mpmath's own.  Products are one mp.fdot per entry over row and column
-lists (_product), and the Hermitian A^H A and A A^H one per entry on and
-above the diagonal (_gram), with the conjugates below: the values mpmath's
-matrix product gives, with no conjugate transpose copied and no lower
-triangle formed twice.  The orthonormal coordinates come from the exact
+Every per-place matrix is an mp.matrix, and norms, eigenvalues and
+singular values are mpmath's own.  Products are one mp.fdot per entry over
+row and column lists (_product), and the Hermitian A^H A and A A^H one per
+entry on and above the diagonal (_gram), with the conjugates below: the
+values mpmath's matrix product gives, with no conjugate transpose copied
+and no lower triangle formed twice.  The orthonormal coordinates come from the exact
 G = L D L^H of each Gram: U = D^(1/2) L^H and U^-1 = L^-H D^(-1/2), with one
 square root per pivot, so no triangular factor is solved numerically.
 
@@ -72,14 +72,17 @@ a complex built directly over C (metrized_complex_at_place), relative to
 the data: |d_{i+1} d_i|_F must not exceed numfield.residual_tolerance
 (10^(-digits + GUARD)) times |d_{i+1}|_F |d_i|_F, and |d_i K_i|_F that
 times |d_i|_F |K_i|_F.  For a complex over R, build_complex_over_r has
-decided both exactly in K, and at_place builds its places from the same
-shape checks and assembly without these products.  The
+decided both exactly in K, each product entry one integer dot product of
+Kronecker-packed rows and columns reduced mod p (_product_is_zero), and
+at_place builds its places from the same shape checks and assembly
+without these products.  The
 determinant of a Gram is prod D_k of its exact factor, a Fraction, and the
 Gram determinants a route combines are multiplied exactly and rounded
 once.  The one Gram not given is that of the harmonic projections in
-reidemeister: its determinant comes from a QR factor of the
-representatives and one numeric Cholesky factor of a square matrix, which
-does not square their conditioning.
+reidemeister: its determinant comes from the lengths that classical
+Gram-Schmidt, run twice, leaves of the representatives, and the pivots
+of one LDL^H of a square matrix, with no square root, which does not
+square their conditioning.
 
 Neither route takes a logarithm: each multiplies determinants, eigenvalues
 and minors and ends in one square root.  Logarithms are taken only where a
@@ -93,6 +96,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
+from operator import mul
 
 from mpmath import mp, mpf
 
@@ -112,10 +116,14 @@ from .numfield import (
     NumberField,
     Record,
     _abs2,
+    _horner,
+    _kronecker_digits,
+    _kronecker_lift,
     embed,
     exact_pivots,
     exact_ranks,
     ln,
+    poly_divmod,
     rank_cutoff,
     residual_tolerance,
     to_mp,
@@ -123,14 +131,14 @@ from .numfield import (
 
 _AMBIGUITY_FACTOR = 1000
 # Largest number of degrees, and largest rank of each cochain module, of a
-# complex over R.  A 12-degree complex of rank 12 in every degree already
-# costs 10 * 12^3 exact ring products for its d after d check alone.  Over
-# Z[zeta_61] at 50 digits, with each d_i of rank 6 and dense entries (12 x 12
-# blocks mixed by 3 or 8 elementary base changes with coefficients in
-# {-1, 0, 1}), d after d took 2.9 / 6.8 s, the exact ranks of all 11
-# differentials 1.6 / 1.9 s and the 12 basis determinants delta_i 0.15 /
-# 0.23 s, on one core of a 2-core x86 machine with mpmath's pure-Python
-# backend.
+# complex over R.  A 12-degree complex of rank 12 in every degree costs
+# 10 * 12^2 packed integer dot products for its d after d check.  Over
+# Z[zeta_61] at 50 digits, with each d_i of rank 6 (12 x 12 blocks mixed by
+# 30 or 60 random shears by +-1, +-x and 1 + x, so that 1156 or 1537 of the
+# 1584 entries are nonzero), d after d took 0.05 / 0.08 s, the exact pivots
+# of all 11 differentials 0.12 / 0.28 s and the whole build 0.18 / 0.34 s,
+# on one core of a 2-core x86 machine with mpmath's pure-Python backend.
+# Entry by entry through FieldElement products, d after d took 2.4 / 7.0 s.
 COMPLEX_SIZE_MAX = 12
 
 
@@ -150,15 +158,14 @@ def _cols(m):
     return [[m[r, c] for r in range(m.rows)] for c in range(m.cols)]
 
 
-def _product(rows, cols, conjugate=False):
-    """The mp.matrix whose (i, j) entry is mp.fdot(rows[i], cols[j],
-    conjugate): the product of the matrix with these rows and the one with
-    these columns, or with the conjugates of these columns when conjugate
-    is set.  mpmath's own product rounds each entry as the same fdot."""
+def _product(rows, cols):
+    """The mp.matrix whose (i, j) entry is mp.fdot(rows[i], cols[j]): the
+    product of the matrix with these rows and the one with these columns.
+    mpmath's own product rounds each entry as the same fdot."""
     m = mp.matrix(len(rows), len(cols))
     for i, r in enumerate(rows):
         for j, c in enumerate(cols):
-            m[i, j] = mp.fdot(r, c, conjugate)
+            m[i, j] = mp.fdot(r, c)
     return m
 
 
@@ -344,19 +351,17 @@ def _count_below(values, cut, message):
     return k
 
 
-def _laplacian(cplx: MetrizedComplexAtPlace, i, scaled=False):
-    """d_i^* d_i + d_{i-1} d_{i-1}^* in degree i, in orthonormal coordinates,
-    the sum of two _gram products.
-
-    scaled divides each differential by its Frobenius norm first (a zero one
-    stays zero), which keeps the kernel and puts both terms on one scale.
+def _laplacian(cplx: MetrizedComplexAtPlace, i):
+    """d_i^* d_i / |d_i|_F^2 + d_{i-1} d_{i-1}^* / |d_{i-1}|_F^2 in degree i,
+    in orthonormal coordinates, the sum of two _gram products.  Dividing
+    each differential by its Frobenius norm (a zero one stays zero) keeps
+    the kernel and puts both terms on one scale.
     """
     n = cplx.lengths[i]
     dt = cplx.ortho_diffs
     d = dt[i] if i < len(dt) else mp.matrix(0, n)
     e = dt[i - 1] if i > 0 else mp.matrix(n, 0)
-    if scaled:
-        d, e = (m / (mp.norm(m, 2) or 1) for m in (d, e))
+    d, e = (m / (mp.norm(m, 2) or 1) for m in (d, e))
     return _gram(d, True) + _gram(e, False)
 
 
@@ -382,7 +387,7 @@ def cohomology(cplx: MetrizedComplexAtPlace):
                 dims.append(0)
                 bases.append(mp.matrix(0, 0))
                 continue
-            lap = _laplacian(cplx, i, scaled=True)
+            lap = _laplacian(cplx, i)
             evals, q = mp.eighe(lap)
             h = _count_below(
                 [evals[t] for t in range(n)],
@@ -407,6 +412,71 @@ def _check_rep_count(given, dims):
             raise ValidationError(
                 f"degree {i} supplies {n} cohomology classes but the kernel has dimension {h}"
             )
+
+
+def _orthonormalize(cols):
+    """(Q, |prod R_jj|) of K = QR for the columns of K, by classical
+    Gram-Schmidt run twice (CGS2: Giraud, Langou, Rozloznik and van den
+    Eshof, Numer. Math. 101, 2005): each column loses its components along
+    the Q columns before it, twice, and R_jj is the length left, so Q is
+    orthonormal to working precision however close the columns lie.
+    Returns (None, 0) at the first column with nothing left, such as a zero
+    one.  Q is an mp.matrix with one column per column of K.
+    """
+    q = []
+    r = mpf(1)
+    for v in cols:
+        for _ in range(2 if q else 0):
+            c = [mp.fdot(v, u, True) for u in q]
+            v = [x - mp.fdot([u[t] for u in q], c) for t, x in enumerate(v)]
+        length = mp.sqrt(mp.fsum(v, absolute=True, squared=True))
+        if not length:
+            return None, 0
+        r *= length
+        q.append([x / length for x in v])
+    return _matrix(list(zip(*q)), len(q)), r
+
+
+def _ldl_det(low):
+    """det m of a Hermitian matrix m, given as the rows of its lower
+    triangle, diagonal included, from the pivots of its LDL^H: for each
+    row i, a_ij = l_ij d_j = m_ij - sum_k a_ik conj(l_jk) over k < j, and
+    d_i = Re(m_ii - sum_k a_ik conj(l_ik)).  No square root is taken, and,
+    unlike mp.det, no singularity threshold relative to |m| applies: a
+    matrix whose spectrum spans more than the working precision still
+    factors.  Returns 0 at the first pivot <= 0, the pivots
+    mp.cholesky(m, tol=0) refuses.
+    """
+    rows, pivots = [], []
+    for i, row in enumerate(low):
+        a, li = [], []
+        for j in range(i):
+            x = row[j] - mp.fdot(a, rows[j], True)
+            a.append(x)
+            li.append(x / pivots[j])
+        d = mp.re(row[i] - mp.fdot(a, li, True))
+        if d <= 0:
+            return 0
+        rows.append(li)
+        pivots.append(d)
+    return mp.fprod(pivots)
+
+
+def _lemma_det(terms, q):
+    """(det(Lap + c^2 Q Q^*), c^2) for the Laplacian Lap, the sum of the
+    Hermitian Grams in terms, an mp.matrix Q with orthonormal columns, and
+    c^2 = |Lap|_F (1 when Lap = 0).  Q Q^* is a _gram product, and only the
+    entries on and below the diagonal are summed, once each, which is all
+    _ldl_det reads; its determinant is 0 where a pivot is not positive.
+    """
+    n = q.rows
+    qq = _gram(q, False)
+    lap = [[sum(t[a, b] for t in terms) for b in range(a + 1)] for a in range(n)]
+    c2 = mp.sqrt(
+        2 * mp.fsum((x for row in lap for x in row[:-1]), absolute=True, squared=True)
+        + mp.fsum((row[-1] for row in lap), absolute=True, squared=True)
+    ) or mpf(1)
+    return _ldl_det([[x + c2 * qq[a, b] for b, x in enumerate(row)] for a, row in enumerate(lap)]), c2
 
 
 def reidemeister(cplx: MetrizedComplexAtPlace):
@@ -434,37 +504,47 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
       det W_i = |prod R_jj|^2 det(Lap_i + c^2 Q Q^*) / (c^(2 h_i) det'(Lap_i))
 
     with det'(Lap_i) = det'(G_i) det'(G_{i-1}), when the complex lists as
-    many classes as the kernel has dimensions; the determinant on the right
-    comes from a Cholesky factor.  Taking the lemma on Q, not on K_i, keeps
-    the conditioning of K_i out of the determinant, where it would enter
-    squared.  The Laplacian is built only in the degrees that list
-    cohomology.  G_i and the Laplacian are _gram products, and c^2 Q Q^*
-    is the _product of c^2 Q with the conjugates of the rows of Q, the
-    scalar taken into the matrix first, so no scalar meets an mp.matrix on
-    its left, where mpmath fails a conversion whose message holds the repr
-    of the whole matrix before it falls back to the entrywise product.  A
-    differential with no nonzero entry is a zero one, read exactly.  The
-    product, times the exact alternating product of the det H_i rounded
-    once, and one square root give tau; no logarithm is taken.  tau is
-    computed at the complex's digits + GUARD, the corrections and the
-    product at GUARD more.
+    many classes as the kernel has dimensions.  Q and R come from
+    _orthonormalize, at 10 more digits, and the determinant on the right
+    from the pivots of an LDL^H (_ldl_det), with no square root.  Taking
+    the lemma on Q, not on K_i, keeps the conditioning of K_i out of the
+    determinant, where it would enter squared.  Each Gram d_i^* d_i or
+    d_i d_i^* is one _gram product, formed once per call at the precision
+    of the orthonormal entries: the rank of d_i and the Laplacians on
+    either side of it read the same one.  The Laplacian is built only in
+    the degrees that list cohomology, and Lap_i + c^2 Q Q^* in one pass
+    over the entries on and below the diagonal (_lemma_det), with Q Q^* a
+    _gram product too.  A differential with no nonzero entry is
+    a zero one, read exactly.  The product, times the exact alternating
+    product of the det H_i rounded once, and one square root give tau; no
+    logarithm is taken.  tau is computed at the complex's digits + GUARD,
+    the corrections and the product at GUARD more.
 
     The route stays numeric even when the complex carries exact ranks, so
     that it checks the basis-chase independently.  A kernel dimension that
     differs from the exact n_i - r_i - r_{i-1} then raises RankAmbiguous:
     the cutoff misjudged an eigenvalue, and more digits would help.
     """
+    dt = cplx.ortho_diffs
+    grams = {}
+
+    def gram(i, adjoint_first):
+        # d_i^* d_i or d_i d_i^*, formed once per call
+        if (i, adjoint_first) not in grams:
+            grams[i, adjoint_first] = _gram(dt[i], adjoint_first)
+        return grams[i, adjoint_first]
+
     with mp.workdps(cplx.digits + GUARD):
         cut2 = rank_cutoff(cplx.digits) ** 2
         ranks = []
         # det'(G_i), with det'(G_{-1}) = det'(G_{nd-1}) = 1 around them
         dets = [mpf(1)]
-        for i, d in enumerate(cplx.ortho_diffs):
+        for i, d in enumerate(dt):
             if not any(d[r, c] for r in range(d.rows) for c in range(d.cols)):
                 ranks.append(0)
                 dets.append(mpf(1))
                 continue
-            g = _gram(d, d.cols <= d.rows)
+            g = gram(i, d.cols <= d.rows)
             evals = mp.eighe(g, eigvals_only=True)
             evals = [evals[t] for t in range(g.rows)]
             k = _count_below(
@@ -494,28 +574,16 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
                 factor = 1 / dets[i + 1]
                 # a count that differs from the kernel dimension fails below
                 if h and h == cplx.cohomology_dims[i]:
-                    q, r = mp.qr(cplx.ortho_reps[i], mode="skinny")
-                    lap = _laplacian(cplx, i)
-                    c2 = mp.norm(lap, 2) or mpf(1)
-                    m = lap + _product((q * c2).tolist(), q.tolist(), conjugate=True)
-                    for j in range(m.rows):
-                        m[j, j] = mp.re(m[j, j])
-                    # det m from its Cholesky factor, which, unlike mp.det, has
-                    # no singularity threshold relative to |m|: a Laplacian
-                    # whose spectrum spans more than the working precision
-                    # still factors.  It refuses exactly the pivots <= 0.
-                    try:
-                        low = mp.cholesky(m, tol=0)
-                    except (ValueError, ZeroDivisionError):
-                        w = 0
-                    else:
-                        diag = [mp.re(low[j, j]) for j in range(m.rows)]
-                        w = (abs(mp.fprod(r[j, j] for j in range(h))) * mp.fprod(diag)) ** 2
+                    with mp.extradps(10):
+                        q, r = _orthonormalize(_cols(cplx.ortho_reps[i]))
+                    # Lap_i from the Grams of the nonzero differentials beside it
+                    terms = [gram(j, j == i) for j in (i - 1, i) if 0 <= j < len(dt) and ranks[j]]
+                    w, c2 = (0, 1) if q is None else _lemma_det(terms, q)
                     if not w:
                         raise ValidationError(
                             f"degree-{i} representatives do not project onto a cohomology basis"
                         )
-                    factor *= w / (c2**h * dets[i] * dets[i + 1])
+                    factor *= r**2 * w / (c2**h * dets[i] * dets[i + 1])
                 if i % 2:
                     odd *= factor
                 else:
@@ -673,13 +741,37 @@ class MetrizedComplexOverR(Record):
 
 
 def _product_is_zero(field, left, right) -> bool:
-    """Whether the product of two matrices of ring elements is 0 in K."""
-    for row in left:
-        for c in range(len(right[0]) if right else 0):
-            acc = field.zero()
-            for t, x in enumerate(row):
-                acc = field.add(acc, field.mul(x, right[t][c]))
-            if not acc.is_zero():
+    """Whether the product of two matrices of ring elements is 0 in K.
+
+    By Kronecker substitution, as numfield._kronecker_matrix packs a
+    matrix: both factors are lifted to integer polynomials a_ik and b_kj
+    (numfield._kronecker_lift), and each entry c_ij = sum_k a_ik b_kj of
+    their product in Z[x] has every coefficient at most
+    sum_k ||a_ik||_1 ||b_kj||_1 <= H in absolute value, H the largest
+    sum_k ||a_ik||_1 over the rows of the left factor times the largest
+    sum_k ||b_kj||_1 over the columns of the right one.  With
+    B = bitlength(H) + 1, so that 2^(B-1) > H, the integer dot product of
+    row i and column j packed at x = 2^B is c_ij(2^B), whose balanced
+    base-2^B digits (numfield._kronecker_digits) are the coefficients of
+    c_ij; c_ij is 0 in K when p divides it.
+    """
+    if not left or not right or not right[0]:
+        return True
+    a, _ = _kronecker_lift(field, left)
+    b, _ = _kronecker_lift(field, right)
+    cols = [[r[j] for r in b] for j in range(len(b[0]))]
+    norm = max(sum(sum(map(abs, e)) for e in r) for r in a) * max(
+        sum(sum(map(abs, e)) for e in col) for col in cols
+    )
+    bits = norm.bit_length() + 1
+    x = 1 << bits
+    packed_rows = [[_horner(e, x) for e in r] for r in a]
+    packed_cols = [[_horner(e, x) for e in col] for col in cols]
+    poly = list(field.poly)
+    for r in packed_rows:
+        for col in packed_cols:
+            v = sum(map(mul, r, col))
+            if v and poly_divmod(_kronecker_digits(v, bits), poly)[1]:
                 return False
     return True
 

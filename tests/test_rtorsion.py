@@ -686,6 +686,36 @@ def test_laplacian_route_takes_one_eigenvalue_problem_per_differential(monkeypat
     assert [kwargs for _, kwargs in calls] == [{}, {}]
 
 
+def test_laplacian_route_forms_each_gram_once(monkeypatch):
+    # the rank of d_i and the Laplacians beside it read one Gram of d_i per
+    # orientation; the only other Gram is Q Q^*, one per degree that lists
+    # cohomology
+    calls = []
+    gram = rtorsion._gram
+
+    def counting(a, adjoint_first):
+        calls.append((a, adjoint_first))
+        return gram(a, adjoint_first)
+
+    monkeypatch.setattr(rtorsion, "_gram", counting)
+    places = _cohomology_complexes()
+    shared = 0
+    for at in places:
+        calls.clear()
+        reidemeister(at)
+        formed = [(i, t) for a, t in calls for i, d in enumerate(at.ortho_diffs) if a is d]
+        assert len(formed) == len(set(formed))
+        assert len(calls) - len(formed) == sum(1 for h in at.cohomology_dims if h)
+        # a Gram that both the rank and a Laplacian read: the rank's
+        # orientation of a differential beside a degree with cohomology
+        shared += sum(
+            1 for i, d in enumerate(at.ortho_diffs)
+            if (i, d.cols <= d.rows) in formed
+            and at.cohomology_dims[i if d.cols <= d.rows else i + 1]
+        )
+    assert shared
+
+
 def _row_complex(digits, row, reps):
     # 0 -> C^3 --row--> C -> 0, H^0 spanned by the two columns of reps
     return metrized_complex_at_place(
@@ -741,6 +771,59 @@ def test_laplacian_route_keeps_representatives_conditioning(digits):
     with mp.workdps(digits + 10):
         want = mp.sqrt(mp.mpf(tau2.numerator) / tau2.denominator)
         assert abs(got - want) / want < mp.mpf(10) ** -digits
+
+
+@pytest.mark.parametrize("digits", (50, 300))
+@pytest.mark.parametrize("e", (5, 15, 30))
+def test_laplacian_route_resolves_nearly_parallel_representatives_over_c(digits, e):
+    # 0 -> C^3 --(3, 1, -2)--> C -> 0 with standard metrics, and H^0 spanned
+    # by 10^e w and 10^e w + v for Gaussian-integer kernel vectors w and v,
+    # so the two columns point 10^-e apart.  Their harmonic Gram is K^* K,
+    # so tau^2 = det(K^* K) / (det H |d|^2) exactly, here at 200 more
+    # digits.  Q of the representatives must stay orthonormal however close
+    # they lie.
+    big = 10**e
+    w, v = [(2, 2), (-2, 0), (2, 3)], [(1, 0), (1, 0), (2, 0)]
+    k1 = [(big * a, big * b) for a, b in w]
+    k2 = [(a + c, b + d) for (a, b), (c, d) in zip(k1, v)]
+
+    def inner(x, y):
+        # x^* y as (re, im)
+        pairs = list(zip(x, y))
+        return (sum(a * c + b * d for (a, b), (c, d) in pairs),
+                sum(a * d - b * c for (a, b), (c, d) in pairs))
+
+    re, im = inner(k1, k2)
+    det = inner(k1, k1)[0] * inner(k2, k2)[0] - re**2 - im**2
+    cplx = metrized_complex_at_place(
+        digits, (3, 1), ([[3, 1, -2]],), ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], EYE1),
+        ([[2, 1], [1, 7]], ()), ([[list(x), list(y)] for x, y in zip(k1, k2)], ()),
+    )
+    got = reidemeister(cplx)
+    with mp.workdps(digits + 200):
+        want = mp.sqrt(mp.mpf(det) / (13 * 14))
+        assert abs(got - want) / want < mp.mpf(10) ** -digits
+
+
+@pytest.mark.parametrize("reps", (
+    [[0, 0], [0, 1], [0, 0]],
+    [[0, 0], [1, 0], [0, 0]],
+    [[0, 0], [1, 1], [0, 0]],
+    [[1, 0], [0, 1], [0, 0]],
+    [[0, 1], [1, 0], [0, 0]],
+))
+def test_representatives_that_span_no_cohomology_basis_are_refused(reps):
+    # 0 -> C --(2, 0, 0)--> C^3 --0--> C -> 0: the harmonic space in degree 1
+    # is spanned by e_1 and e_2, and e_0 spans the image.  A zero column, a
+    # column that repeats another, or one inside the image leaves no basis
+    # of H^1, and reidemeister says so rather than dividing by zero
+    cplx = metrized_complex_at_place(
+        50, (1, 3, 1), ([[2], [0], [0]], [[0, 0, 0]]),
+        (EYE1, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], EYE1), ((), EYE2, EYE1), ((), reps, [[1]]),
+    )
+    with pytest.raises(ValidationError, match="degree-1 representatives do not project "
+                       "onto a cohomology basis"):
+        reidemeister(cplx)
 
 
 def test_contraction_agrees_with_svd_coimage_oracle():
@@ -1303,11 +1386,6 @@ def test_kernels_round_as_mpmath_products(digits):
                 got = product(product(up.tolist(), cols(d)).tolist(), cols(inv))
                 assert raw_matrix(got) == raw_matrix(triple_by_matrix_product(up, d, inv))
                 assert raw_matrix(product(up.tolist(), cols(d))) == raw_matrix(up * d)
-            # reidemeister's c^2 Q Q^*
-            q = _random_matrix(rng, 4, 2, complex_entries)
-            c2 = mp.mpf(rng.randint(1, 10**20)) / 7
-            got = product((q * c2).tolist(), q.tolist(), conjugate=True)
-            assert raw_matrix(got) == raw_matrix(q * c2 * q.H)
 
 
 def _cohomology_complexes():
@@ -1363,3 +1441,74 @@ def test_basis_determinants_over_a_known_irreducible_take_no_exact_ranks(monkeyp
         [CohomologySpec(0), CohomologySpec(1, ((one,), (zero,)), ([[1]], [[1]]))],
     )
     assert calls == [] and all(deltas[1].is_zero() for deltas in cplx.deltas)
+
+
+
+# The exact zero tests of build_complex_over_r pack both factors of a
+# product (Kronecker substitution); the oracle multiplies FieldElements one
+# term at a time.
+
+
+def _entrywise_product(field, left, right):
+    out = []
+    for row in left:
+        out.append([])
+        for c in range(len(right[0]) if right else 0):
+            acc = field.zero()
+            for t, x in enumerate(row):
+                acc = field.add(acc, field.mul(x, right[t][c]))
+            out[-1].append(acc)
+    return out
+
+
+def _entrywise_product_is_zero(field, left, right):
+    return all(x.is_zero() for row in _entrywise_product(field, left, right) for x in row)
+
+
+def _zero_product_pair(field, rng, m, t, n):
+    # (A | 0) U^-1 and U (0 ; B) for a product U of shears: their product is
+    # 0 in K, though no term of it is
+    def elem():
+        return field.element(
+            [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(field.degree)]
+        )
+
+    k = rng.randint(1, t - 1)
+    u = [[field.one() if i == j else field.zero() for j in range(t)] for i in range(t)]
+    ui = [row[:] for row in u]
+    for _ in range(3 * t):
+        a, b = rng.sample(range(t), 2)
+        c = elem()
+        u[a] = [field.add(x, field.mul(c, y)) for x, y in zip(u[a], u[b])]
+        for row in ui:
+            row[b] = field.sub(row[b], field.mul(row[a], c))
+    left = [[elem() if j < k else field.zero() for j in range(t)] for _ in range(m)]
+    right = [[field.zero() if i < k else elem() for _ in range(n)] for i in range(t)]
+    return _entrywise_product(field, left, ui), _entrywise_product(field, u, right)
+
+
+@pytest.mark.parametrize("poly", ((-2, 0, 1), (1,) * 7), ids=("zsqrt2", "zeta7"))
+def test_packed_zero_products_match_entrywise_products(poly):
+    field = build_field(poly, 50)
+    rng = random.Random(len(poly))
+    is_zero = rtorsion._product_is_zero
+    for m, t, n in ((1, 2, 1), (2, 3, 2), (3, 4, 3), (4, 5, 2)):
+        left, right = _zero_product_pair(field, rng, m, t, n)
+        assert any(not x.is_zero() for row in left for x in row)
+        assert is_zero(field, left, right) and _entrywise_product_is_zero(field, left, right)
+        # one perturbed entry, on a row of right that is not zero
+        j = next(j for j, row in enumerate(right) if any(not x.is_zero() for x in row))
+        bad = [row[:] for row in left]
+        r = rng.randrange(m)
+        bad[r][j] = field.add(bad[r][j], field.element([Fraction(1, 3)]))
+        assert not is_zero(field, bad, right) and not _entrywise_product_is_zero(field, bad, right)
+    # x times x^(n-1) less x^n mod p, of degree < n, is zero only modulo p
+    x = field.gen()
+    high = field.element([0] * (field.degree - 1) + [1])
+    top = field.mul(x, high)
+    for last, zero in ((top, True), (field.add(top, field.one()), False)):
+        args = (field, [[x, field.neg(field.one())]], [[high], [last]])
+        assert is_zero(*args) is zero is _entrywise_product_is_zero(*args)
+    # empty factors
+    for left, right in (([], [[x]]), ([[]], []), ([[x]], [[]])):
+        assert is_zero(field, left, right) and _entrywise_product_is_zero(field, left, right)

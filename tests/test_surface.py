@@ -157,16 +157,21 @@ def test_src_keeps_no_unused_import_or_private_name():
 
 
 def test_grams_take_no_numeric_factor():
-    # every Gram goes through flatmodel.gram_ldl, exactly: mp.cholesky stays
-    # only in reidemeister's correction, and no triangular factor is inverted
-    call = re.compile(r"\bmp\.cholesky\s*\(")
-    sources = {p.name: p.read_text() for p in sorted((SRC / "regtor").glob("*.py"))}
-    assert [name for name, text in sources.items() for _ in call.finditer(text)] == ["rtorsion.py"]
-    text = sources["rtorsion.py"]
-    start = text.index("\ndef reidemeister(")
-    assert call.search(text[start : text.index("\ndef ", start + 1)])
-    for name, text in sources.items():
-        assert not re.search(r"_inverse_upper|\bmp\.[UL]_solve\b", text), name
+    # every Gram goes through flatmodel.gram_ldl, exactly, and reidemeister
+    # takes its correction from CGS2 and the pivots of an LDL^H: no source
+    # names mp.cholesky or mp.qr, and no triangular factor is inverted
+    for path in sorted((SRC / "regtor").glob("*.py")):
+        text = path.read_text()
+        named = [
+            node.attr
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "mp"
+            and node.attr in ("cholesky", "qr")
+        ]
+        assert not named, (path.name, named)
+        assert not re.search(r"_inverse_upper|\bmp\.[UL]_solve\b", text), path.name
 
 
 def test_adjoint_products_go_through_the_gram_helper():
