@@ -27,7 +27,7 @@ from mpmath.libmp import isprime
 
 from . import rtorsion
 from .errors import TrivialHolonomyAtJZero, ValidationError
-from .numfield import DEGREE_MAX, GUARD, NumberField, Record, build_field, ln
+from .numfield import DEFAULT_DIGITS, DEGREE_MAX, GUARD, NumberField, Record, build_field, ln
 from .polylog import (
     BERNOULLI_MAX,
     _check_j,
@@ -67,7 +67,7 @@ class CyclotomicSetup(Record):
     __slots__ = _fields + ("_memo",)
 
 
-def make_cyclotomic_setup(r: int, digits: int = 50) -> CyclotomicSetup:
+def make_cyclotomic_setup(r: int, digits: int = DEFAULT_DIGITS) -> CyclotomicSetup:
     """The ring of prime order r >= 3 with its places and holonomy angles.
 
     The field is build_field((1,) * r, digits), so r - 1 is bounded by
@@ -137,7 +137,7 @@ def torsion_form_coeffs(setup: CyclotomicSetup, jmax: int) -> dict:
     return out
 
 
-def trivial_holonomy_coeff(j: int, digits: int = 50):
+def trivial_holonomy_coeff(j: int, digits: int = DEFAULT_DIGITS):
     """The torsion-form coefficient at holonomy 1.
 
     Odd j vanishes (Im Li_{j+1}(1) = 0); even j >= 2 is (-1)^(j/2) times the
@@ -258,10 +258,10 @@ def x_space_dim(field: NumberField, j: int) -> int:
     return field.r_complex + (field.r_real if j % 2 == 1 else 0)
 
 
-_NORMALIZATION_NAMES = ("bl", "chern", "igusa", "borel")
+NORMALIZATION_NAMES = ("bl", "chern", "igusa", "borel")
 
 
-def normalization_factors(j: int, digits: int = 50):
+def normalization_factors(j: int, digits: int = DEFAULT_DIGITS):
     """The degree-(2j+1) normalization constants relative to the standard one.
 
     Returns (N_Chern, N_Igusa, (N_Borel signed magnitude, i-power)): the
@@ -283,7 +283,7 @@ def normalization_factors(j: int, digits: int = 50):
         return +chern, +igusa, (+borel_signed, (-j) % 4)
 
 
-def convert(values, frm: str, to: str, j: int, digits: int = 50):
+def convert(values, frm: str, to: str, j: int, digits: int = DEFAULT_DIGITS):
     """Re-express Kamber-Tondeur values between normalizations.
 
     A value v in normalization X satisfies v = v_standard / N_X, so the
@@ -291,8 +291,8 @@ def convert(values, frm: str, to: str, j: int, digits: int = 50):
     a sequence; Borel conversions may be complex.  0 <= j < ORDER_MAX.
     """
     _check_j(j, 0, "j must lie")
-    if frm not in _NORMALIZATION_NAMES or to not in _NORMALIZATION_NAMES:
-        raise ValidationError(f"normalizations are named {_NORMALIZATION_NAMES}")
+    if frm not in NORMALIZATION_NAMES or to not in NORMALIZATION_NAMES:
+        raise ValidationError(f"normalizations are named {NORMALIZATION_NAMES}")
     single = not isinstance(values, (list, tuple))
     vals = [values] if single else list(values)
     with mp.workdps(digits + GUARD):
@@ -309,7 +309,7 @@ def convert(values, frm: str, to: str, j: int, digits: int = 50):
     return out[0] if single else out
 
 
-def hatcher_constant(k: int, digits: int = 50):
+def hatcher_constant(k: int, digits: int = DEFAULT_DIGITS):
     """(a_k, kappa_k, a_k kappa_k zeta(2k+1)) for 1 <= k <= HATCHER_K_MAX.
 
     a_k is the denominator of B_{2k}/(4k) in lowest terms (the order of the

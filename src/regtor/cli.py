@@ -20,10 +20,8 @@ from mpmath import mp
 from . import circlebundle, flatmodel, modtors, polylog, rtorsion
 from .errors import NumericalError, ValidationError
 from .numfield import (
-    DEGREE_MAX, GUARD, dirichlet_rank, norm, parse_descriptor, parse_rational, to_mp
+    DEFAULT_DIGITS, DEGREE_MAX, GUARD, dirichlet_rank, norm, parse_descriptor, parse_rational, to_mp
 )
-
-DEFAULT_DIGITS = 50
 
 
 def _resolve_digits(args, descriptor=None) -> int:
@@ -611,8 +609,8 @@ def build_parser() -> argparse.ArgumentParser:
         **{
             "--j": {"type": int, "required": True, "help": f"0..{polylog.ORDER_MAX - 1}"},
             "--value": {"required": True},
-            "--from": {"dest": "frm", "required": True, "choices": ("bl", "chern", "igusa", "borel")},
-            "--to": {"dest": "to", "required": True, "choices": ("bl", "chern", "igusa", "borel")},
+            "--from": {"dest": "frm", "required": True, "choices": circlebundle.NORMALIZATION_NAMES},
+            "--to": {"dest": "to", "required": True, "choices": circlebundle.NORMALIZATION_NAMES},
         },
     )
     add(

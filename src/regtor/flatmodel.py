@@ -42,6 +42,7 @@ from .numfield import (
     NumberField,
     Record,
     _bareiss,
+    _check_field,
     dirichlet_rank,
     embed,
     ln,
@@ -505,8 +506,7 @@ def cycl_free(field: NumberField, lattice: RegulatorLattice, grams) -> PointClas
 
 def _cycl_from_lndets(field: NumberField, lattice: RegulatorLattice, rank, lndets) -> PointClass:
     """cycl_free of a module of the given rank from ln det G_sigma per representative."""
-    if lattice.field != field:
-        raise ValidationError("the regulator lattice belongs to another field")
+    _check_field(field, lattice.field, "the regulator lattice")
     with mp.workdps(field.digits + GUARD):
         vals = [ld / 4 for ld in lndets]
     return point_class(lattice, rank, (), make_form(field, 0, vals))

@@ -51,6 +51,9 @@ from .errors import NoConvergence, NotSquarefree, ValidationError
 
 GUARD = 10
 
+# Working precision, in decimal digits, where none is given.
+DEFAULT_DIGITS = 50
+
 # Largest degree of a defining polynomial; 60 admits Z[zeta_61].  A generic
 # degree-60 p costs about 5 s at 50 digits and 30-45 s at 1000 digits on
 # one core of a 2-core x86 machine with mpmath's pure-Python backend.
@@ -484,9 +487,15 @@ class NumberField(Record):
         return r == 2 or (set(self.poly) == {1} and isprime(r))
 
     def element(self, coeffs) -> FieldElement:
-        """Coefficients reduced modulo p; a FieldElement is returned as it is.
-        A str goes through parse_rational's digit limit, any other c is Fraction(c)."""
+        """Coefficients reduced modulo p; a FieldElement is returned as it is,
+        and refused unless it has one coefficient per degree.  A str goes
+        through parse_rational's digit limit, any other c is Fraction(c)."""
         if isinstance(coeffs, FieldElement):
+            if len(coeffs.coeffs) != self.degree:
+                raise ValidationError(
+                    f"an element with {len(coeffs.coeffs)} coefficients is not in a field of "
+                    f"degree {self.degree}"
+                )
             return coeffs
         vals = [parse_rational(c) if isinstance(c, str) else Fraction(c) for c in coeffs]
         if len(vals) > self.degree:
@@ -513,6 +522,12 @@ class NumberField(Record):
 
     def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
         return self.element(poly_mul(a.coeffs, b.coeffs))
+
+
+def _check_field(field: NumberField, other: NumberField, what: str):
+    """Refuses data that belongs to another field: other is the field of what."""
+    if other != field:
+        raise ValidationError(f"{what} belongs to another field")
 
 
 def build_field(poly, digits: int, class_orders=()) -> NumberField:
@@ -808,7 +823,7 @@ def parse_descriptor(data: dict, digits_override: int | None = None):
         raise ValidationError('field descriptor needs a "poly" coefficient list')
     poly = data["poly"]
     try:
-        digits = digits_override if digits_override is not None else int(data.get("digits", 50))
+        digits = digits_override if digits_override is not None else int(data.get("digits", DEFAULT_DIGITS))
         orders = tuple(int(k) for k in data.get("class_group", {}).get("orders", []))
     except (AttributeError, TypeError, ValueError) as exc:
         raise ValidationError(f"descriptor digits or class-group orders are malformed: {exc}") from exc

@@ -61,7 +61,7 @@ from math import ceil, comb, factorial, log2
 from mpmath import mp, mpc, mpf
 
 from .errors import ThetaOutOfRange, ValidationError
-from .numfield import GUARD, ln
+from .numfield import DEFAULT_DIGITS, GUARD, ln
 
 # Largest polylogarithm order served.  It also bounds the circle-bundle
 # orders, jmax + 1 and j + 1, and the same j in normalize and beta-check
@@ -100,7 +100,7 @@ def bernoulli_polynomial(n: int, x: Fraction) -> Fraction:
     return sum(comb(n, k) * bernoulli(k) * x ** (n - k) for k in range(n + 1))
 
 
-def zeta_int(s: int, digits: int = 50) -> mpf:
+def zeta_int(s: int, digits: int = DEFAULT_DIGITS) -> mpf:
     """zeta(s) for integer s >= 2 at digits + GUARD."""
     if s < 2:
         raise ValidationError("zeta_int requires an integer s >= 2")
@@ -209,7 +209,7 @@ def _series_orders(lo: int, hi: int, th) -> list:
     return out
 
 
-def polylog_orders(lo: int, hi: int, theta, digits: int = 50) -> list:
+def polylog_orders(lo: int, hi: int, theta, digits: int = DEFAULT_DIGITS) -> list:
     """[Li_lo(e^{i theta}), ..., Li_hi(e^{i theta})] in one pass, for integer
     1 <= lo <= hi <= ORDER_MAX and theta in (0, 2pi).
 
@@ -261,14 +261,14 @@ def polylog_orders(lo: int, hi: int, theta, digits: int = 50) -> list:
         return out
 
 
-def polylog_circle(n: int, theta, digits: int = 50) -> mpc:
+def polylog_circle(n: int, theta, digits: int = DEFAULT_DIGITS) -> mpc:
     """Li_n(e^{i theta}) for integer 1 <= n <= ORDER_MAX and theta in (0, 2pi):
     the single order n of polylog_orders.  n = 1 is the principal branch of
     -ln(1 - e^{i theta})."""
     return polylog_orders(n, n, theta, digits)[0]
 
 
-def beta_integral_check(j: int, digits: int = 50) -> tuple[mpf, Fraction]:
+def beta_integral_check(j: int, digits: int = DEFAULT_DIGITS) -> tuple[mpf, Fraction]:
     """Quadrature and exact value of int_0^1 (x^2 - x)^{j-1} dx.
 
     The exact value is (-1)^{j-1} ((j-1)!)^2 / (2j-1)!, the signed beta

@@ -7,7 +7,10 @@ complex with the metric induced on the determinant line of its cohomology
 metrized_complex_at_place validates a complex at one place and changes it to
 orthonormal coordinates, once: it factors each cochain and cohomology Gram
 one time, exactly (flatmodel.gram_ldl), and keeps their determinants as
-exact rationals.  at_place keeps the MetrizedComplexAtPlace of every place
+exact rationals.  A complex over R is checked once, when
+build_complex_over_r builds it: the one count-and-shape check
+(_check_shapes) runs there at every place, and at_place only embeds,
+factors and assembles, keeping the MetrizedComplexAtPlace of every place
 it has built on the MetrizedComplexOverR.  Two independent algorithms read
 the result:
 
@@ -50,21 +53,23 @@ square root per pivot, so no triangular factor is solved numerically.
 Rank decisions.  For a complex over R the rank and pivot columns of each
 differential at each place are decided exactly in K, once, by
 build_complex_over_r (numfield.exact_pivots), and so are the basis
-determinants delta_i and the places where they vanish; at_place hands the
-ranks and |sigma(delta_i)|^2 to the place, so the basis-chase takes no
-singular value, pivot or minor there.  The Laplacian route stays
-numeric, so that the two routes stay independent, and a kernel dimension of
-its own that differs from the exact one raises RankAmbiguous.  Only a
-complex built directly over C, which has no K, has its ranks decided on
-singular values.  Numeric decisions scale with the data and refuse to
-guess, and each is taken on one differential, so that differentials of
-very different scale do not swallow each other's small values.  With
-c = numfield.rank_cutoff (10^(-digits/2)) and G_i the smaller of
-d_i^* d_i and d_i d_i^*, an eigenvalue of G_i counts as zero when it is
-at most c^2 |G_i|_F, and a singular value of d_i when it is at most
-c |d_i|_F, so a zero matrix has rank 0; any value within a factor 10^3 of
-its cut raises RankAmbiguous.  cohomology, which needs the harmonic
-vectors, judges the eigenvalues of each Laplacian with its two
+determinants delta_i and the places where they vanish.  No rank is kept:
+build_complex_over_r matches each free rank against the exact kernel
+dimension at every place, so the cohomology_dims of a place are its exact
+kernel dimensions.  at_place hands |sigma(delta_i)|^2 to the place, so the
+basis-chase takes no singular value, pivot or minor there.  The Laplacian
+route stays numeric, so that the two routes stay independent, and a kernel
+dimension of its own that differs from the exact one raises RankAmbiguous.
+Only a complex built directly over C, which has no K, has its ranks
+decided on singular values.  Numeric decisions scale with the data and
+refuse to guess, and each is taken on one differential, so that
+differentials of very different scale do not swallow each other's small
+values.  With c = numfield.rank_cutoff (10^(-digits/2)) and G_i the
+smaller of d_i^* d_i and d_i d_i^*, an eigenvalue of G_i counts as zero
+when it is at most c^2 |G_i|_F, and a singular value of d_i when it is at
+most c |d_i|_F, so a zero matrix has rank 0; any value within a factor
+10^3 of its cut raises RankAmbiguous.  cohomology, which needs the
+harmonic vectors, judges the eigenvalues of each Laplacian with its two
 differentials divided by their Frobenius norms, which has the same kernel,
 against c^2 times its own Frobenius norm.
 d after d = 0 and the cocycle conditions are checked numerically only for
@@ -74,15 +79,14 @@ the data: |d_{i+1} d_i|_F must not exceed numfield.residual_tolerance
 times |d_i|_F |K_i|_F.  For a complex over R, build_complex_over_r has
 decided both exactly in K, each product entry one integer dot product of
 Kronecker-packed rows and columns reduced mod p (_product_is_zero), and
-at_place builds its places from the same shape checks and assembly
-without these products.  The
-determinant of a Gram is prod D_k of its exact factor, a Fraction, and the
-Gram determinants a route combines are multiplied exactly and rounded
-once.  The one Gram not given is that of the harmonic projections in
-reidemeister: its determinant comes from the lengths that classical
-Gram-Schmidt, run twice, leaves of the representatives, and the pivots
-of one LDL^H of a square matrix, with no square root, which does not
-square their conditioning.
+at_place builds its places with the same assembly but without these
+products or any shape check.  The determinant of a Gram is prod D_k of its
+exact factor, a Fraction, and the Gram determinants a route combines are
+multiplied exactly and rounded once.  The one Gram not given is that of
+the harmonic projections in reidemeister: its determinant comes from the
+lengths that classical Gram-Schmidt, run twice, leaves of the
+representatives, and the pivots of one LDL^H of a square matrix, with no
+square root, which does not square their conditioning.
 
 Neither route takes a logarithm: each multiplies determinants, eigenvalues
 and minors and ends in one square root.  Logarithms are taken only where a
@@ -116,6 +120,7 @@ from .numfield import (
     NumberField,
     Record,
     _abs2,
+    _check_field,
     _horner,
     _kronecker_digits,
     _kronecker_lift,
@@ -142,12 +147,13 @@ _AMBIGUITY_FACTOR = 1000
 COMPLEX_SIZE_MAX = 12
 
 
-def _matrix(rows, cols):
-    """A len(rows) by cols mp.matrix of entries already converted."""
+def _matrix(rows, cols, entry=None):
+    """The len(rows) by cols mp.matrix of the entries rows[r][c], each
+    converted by entry when it is given."""
     m = mp.matrix(len(rows), cols)
     for r, row in enumerate(rows):
         for c, x in enumerate(row):
-            m[r, c] = x
+            m[r, c] = x if entry is None else entry(x)
     return m
 
 
@@ -200,11 +206,13 @@ class MetrizedComplexAtPlace(Record):
     the chosen classes and det_cohomology[i] is det H_i of their Gram (1
     when there are none), exact too.  Determinants, not their logarithms,
     are kept, so the torsion routes multiply them.  at_place alone sets
-    ranks and delta_sq, for a place of a complex over R: ranks[i] is the
-    rank of d_i decided exactly in K, and delta_sq[i] is |sigma(delta_i)|^2
-    of the exact basis determinant delta_i in K of MetrizedComplexOverR.
-    Both are None, their default, for a complex built directly over C
-    (metrized_complex_at_place), whose ranks only singular values can tell.
+    delta_sq, for a place of a complex over R: delta_sq[i] is
+    |sigma(delta_i)|^2 of the exact basis determinant delta_i in K of
+    MetrizedComplexOverR.  Such a place carries no ranks: its kernel
+    dimension in degree i is cohomology_dims[i], the free rank that
+    build_complex_over_r matched against K.  delta_sq is None, its default,
+    for a complex built directly over C (metrized_complex_at_place), whose
+    ranks only singular values can tell.
 
     It compares by value, but an mp.matrix neither hashes nor pickles
     (mpmath makes its matrix class per context), so this record does
@@ -213,9 +221,9 @@ class MetrizedComplexAtPlace(Record):
 
     __slots__ = _fields = (
         "digits", "lengths", "ortho_diffs", "ortho_reps", "from_ortho",
-        "det_cochain", "cohomology_dims", "det_cohomology", "ranks", "delta_sq",
+        "det_cochain", "cohomology_dims", "det_cohomology", "delta_sq",
     )
-    _defaults = {"ranks": None, "delta_sq": None}
+    _defaults = {"delta_sq": None}
     __hash__ = None
 
 
@@ -227,65 +235,53 @@ def metrized_complex_at_place(
     diffs[i] maps degree i to degree i+1 and has shape lengths[i+1] by
     lengths[i]; cohomology_maps[i] has one column per chosen cohomology
     class, each column a cocycle in degree i; cohomology_grams[i] is the
-    chosen metric on those classes.  Checks shapes, d after d = 0 and the
-    cocycle columns numerically, relative to the data, then positive Grams.
-    Each Gram is factored once, exactly (flatmodel.gram_ldl): the factor of
-    a cochain Gram gives the orthonormal coordinates and its determinant,
-    and that of a cohomology Gram its determinant.  No logarithm is taken.
-    The complex has no K, so its ranks and delta_sq are None: both torsion
-    routes decide its ranks numerically.  at_place builds its places from
-    the same shape checks and assembly, without the numeric d after d and
-    cocycle products, which build_complex_over_r has decided exactly in K.
+    chosen metric on those classes.  Checks counts and shapes (_check_shapes),
+    then d after d = 0 and the cocycle columns numerically, relative to the
+    data, then positive Grams.  Each Gram is factored once, exactly
+    (flatmodel.gram_ldl): the factor of a cochain Gram gives the
+    orthonormal coordinates and its determinant, and that of a cohomology
+    Gram its determinant.  No logarithm is taken.  The complex has no K, so
+    its delta_sq is None: both torsion routes decide its ranks numerically.
     """
+    lengths = tuple(int(n) for n in lengths)
+    _check_shapes(lengths, diffs, cochain_grams, cohomology_grams, cohomology_maps)
     with mp.workdps(digits + GUARD):
-        lengths, dd, kk = _complex_matrices(
-            lengths, diffs, cochain_grams, cohomology_grams, cohomology_maps
-        )
+        dd = [_matrix(m, lengths[i], to_mp) for i, m in enumerate(diffs)]
+        kk = [_matrix(k, len(h), to_mp) for k, h in zip(cohomology_maps, cohomology_grams)]
         _check_zero_products(digits, dd, kk)
         return _orthonormal_complex(digits, lengths, dd, kk, cochain_grams, cohomology_grams)
 
 
-def _check_shapes(lengths, diffs):
-    """Each differential i, a list of rows, is lengths[i+1] by lengths[i]."""
+def _check_shapes(lengths, diffs, cochain_grams, cohomology_grams, cohomology_maps):
+    """The counts and shapes of one place's complex data, as plain lists of
+    rows, converting nothing: each differential i is lengths[i+1] by
+    lengths[i], each cochain Gram i has lengths[i] rows, and the
+    representatives of degree i are lengths[i] by h, h the size of its
+    cohomology Gram; a degree with no cohomology Gram lists no
+    representative column, and a zero degree no cohomology.  gram_ldl,
+    which factors each Gram, checks that it is square."""
+    nd = len(lengths)
+    gg, hh, kk = cochain_grams, cohomology_grams, cohomology_maps
+    if len(diffs) != nd - 1 or len(gg) != nd or len(hh) != nd or len(kk) != nd:
+        raise ValidationError("degree counts of the complex data disagree")
     for i, m in enumerate(diffs):
         if len(m) != lengths[i + 1] or any(len(r) != lengths[i] for r in m):
             raise ValidationError(f"differential {i} has the wrong shape")
-
-
-def _complex_matrices(lengths, diffs, cochain_grams, cohomology_grams, cohomology_maps):
-    """The checked shapes: (lengths, diffs, representatives) with the
-    differentials and the representative columns of each degree as
-    mp.matrix, at the working precision."""
-    lengths = tuple(int(n) for n in lengths)
-    nd = len(lengths)
-    dd = [[[to_mp(x) for x in row] for row in m] for m in diffs]
-    kk = [[[to_mp(x) for x in row] for row in m] for m in cohomology_maps]
-    gg, hh = cochain_grams, cohomology_grams  # gram_ldl reads each entry exactly
-    if len(dd) != nd - 1 or len(gg) != nd or len(hh) != nd or len(kk) != nd:
-        raise ValidationError("degree counts of the complex data disagree")
-    _check_shapes(lengths, dd)
-    reps = []
-    for i in range(nd):
-        if len(gg[i]) != lengths[i]:
+    for i, n in enumerate(lengths):
+        if len(gg[i]) != n:
             raise ValidationError(f"cochain Gram {i} has the wrong size")
         h = len(hh[i])
         if h > 0:
-            if len(kk[i]) != lengths[i]:
+            if len(kk[i]) != n:
                 raise ValidationError(f"cohomology representatives {i} have the wrong height")
             if any(len(r) != h for r in kk[i]):
                 raise ValidationError(
                     f"cohomology representatives {i} disagree with the Gram size"
                 )
-            if lengths[i] == 0:
+            if n == 0:
                 raise ValidationError(f"degree {i} is zero but lists cohomology")
-            reps.append(_matrix(kk[i], h))
-        else:
-            if any(len(r) for r in kk[i]):
-                raise ValidationError(
-                    f"degree {i} provides representatives but no cohomology Gram"
-                )
-            reps.append(mp.matrix(lengths[i], 0))
-    return lengths, [_matrix(m, lengths[i]) for i, m in enumerate(dd)], reps
+        elif any(len(r) for r in kk[i]):
+            raise ValidationError(f"degree {i} provides representatives but no cohomology Gram")
 
 
 def _check_zero_products(digits, dd, kk):
@@ -302,12 +298,13 @@ def _check_zero_products(digits, dd, kk):
             raise ValidationError(f"a degree-{i} representative is not a cocycle")
 
 
-def _orthonormal_complex(digits, lengths, dd, kk, gg, hh, ranks=None, delta_sq=None):
-    """The MetrizedComplexAtPlace of checked shapes (_complex_matrices): each
-    Gram factored once, exactly, and the differentials and representatives
-    in orthonormal coordinates, U_{i+1} d_i U_i^-1 (left to right) and
-    U_i K_i, each a _product over the rows of U.  Only at_place passes
-    ranks and delta_sq, decided in K."""
+def _orthonormal_complex(digits, lengths, dd, kk, gg, hh, delta_sq=None):
+    """The MetrizedComplexAtPlace of checked data (_check_shapes) with the
+    differentials dd and representatives kk as mp.matrix: each Gram
+    factored once, exactly, and the differentials and representatives in
+    orthonormal coordinates, U_{i+1} d_i U_i^-1 (left to right) and U_i K_i,
+    each a _product over the rows of U.  Only at_place passes delta_sq,
+    decided in K."""
     nd = len(lengths)
     ups = []
     from_ortho = []
@@ -331,7 +328,6 @@ def _orthonormal_complex(digits, lengths, dd, kk, gg, hh, ranks=None, delta_sq=N
         det_cochain=tuple(det_g),
         cohomology_dims=tuple(len(m) for m in hh),
         det_cohomology=tuple(det_h),
-        ranks=None if ranks is None else tuple(ranks),
         delta_sq=None if delta_sq is None else tuple(delta_sq),
     )
 
@@ -520,10 +516,12 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
     logarithm is taken.  tau is computed at the complex's digits + GUARD,
     the corrections and the product at GUARD more.
 
-    The route stays numeric even when the complex carries exact ranks, so
-    that it checks the basis-chase independently.  A kernel dimension that
-    differs from the exact n_i - r_i - r_{i-1} then raises RankAmbiguous:
-    the cutoff misjudged an eigenvalue, and more digits would help.
+    The route stays numeric on a place of a complex over R too, so that it
+    checks the basis-chase independently.  Such a place carries delta_sq,
+    and its exact kernel dimension in degree i is cohomology_dims[i], the
+    free rank build_complex_over_r matched against K; a kernel dimension
+    that differs from it raises RankAmbiguous: the cutoff misjudged an
+    eigenvalue, and more digits would help.
     """
     dt = cplx.ortho_diffs
     grams = {}
@@ -556,7 +554,6 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
             dets.append(mp.fprod(evals[k:]))
         dets.append(mpf(1))
         dims = _kernel_dims(cplx.lengths, ranks)
-        exact = () if cplx.ranks is None else _kernel_dims(cplx.lengths, cplx.ranks)
         # tau^2 = even / odd, the products of the factors with exponent +1 and
         # -1, over the chosen cohomology Grams' prod_i det H_i^((-1)^i),
         # exact until then: a degree with no classes has det H_i = 1, and a
@@ -565,10 +562,11 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
         # the factors combine at GUARD more digits, so that tau rounds once
         with mp.extradps(GUARD):
             for i, h in enumerate(dims):
-                if exact and h != exact[i]:
+                # over R the free rank is the exact kernel dimension
+                if cplx.delta_sq is not None and h != cplx.cohomology_dims[i]:
                     raise RankAmbiguous(
                         f"Laplacian in degree {i}: {h} eigenvalues fall below the cutoff "
-                        f"but the exact kernel has dimension {exact[i]}"
+                        f"but the exact kernel has dimension {cplx.cohomology_dims[i]}"
                     )
                 # det'(G_i), at dets[i + 1], enters with the opposite exponent
                 factor = 1 / dets[i + 1]
@@ -639,6 +637,9 @@ def torsion_by_contraction(cplx: MetrizedComplexAtPlace):
     rank_cutoff times its Frobenius norm, P_i are the columns complete
     pivoting picks on it, and, expanding along the unit columns, |det M_i|
     is the minor of [ d_{i-1}[:, P_{i-1}] | K_i ] on the rows outside P_i.
+    Before any minor, a degree that lists more or fewer classes than its
+    kernel dimension n_i - r_i - r_{i-1} raises ValidationError, the count
+    check reidemeister and build_complex_over_r make (_check_rep_count).
 
     A delta_i that vanishes, or a minor that is numerically singular, as
     when the representatives of a degree do not complete its image to the
@@ -661,6 +662,7 @@ def torsion_by_contraction(cplx: MetrizedComplexAtPlace):
                 f"singular value {{}} of d{i} sits at the cutoff",
             )
             pivots.append(_pivot_columns(dt[i], keep))
+        _check_rep_count(cplx.cohomology_dims, _kernel_dims(cplx.lengths, map(len, pivots)))
         tau = mpf(1)
         for i in range(nd):
             n = cplx.lengths[i]
@@ -668,11 +670,6 @@ def torsion_by_contraction(cplx: MetrizedComplexAtPlace):
                 continue
             below = pivots[i - 1] if i > 0 else ()
             own = pivots[i] if i < nd - 1 else ()
-            width = len(below) + cplx.cohomology_dims[i] + len(own)
-            if width != n:
-                raise ValidationError(
-                    f"degree {i}: image+cohomology+coimage dimensions {width} != {n}"
-                )
             reps = cplx.ortho_reps[i]
             minor = [
                 [dt[i - 1][r, c] for c in below] + [reps[r, c] for c in range(reps.cols)]
@@ -725,18 +722,18 @@ class MetrizedComplexOverR(Record):
     diffs[i] is a lengths[i+1] by lengths[i] matrix of ring elements with
     exact d d = 0; grams[i][k] is the Gram at degree i, place k.  Conjugate
     places carry the conjugated data by construction, so only the
-    representatives in Sigma* are stored.  ranks[k][i] is the rank of d_i
-    at place k, decided exactly in K; it is the same at every place, since
-    each free rank fixes it degree by degree, but when p factors the pivot
-    columns behind deltas can differ.  deltas[k][i] is the basis determinant
-    delta_i = det [ d_{i-1}[:, P_{i-1}] | K_i | E_{P_i} ] in K for the
-    exact pivot columns P of the differentials at place k and the free
-    representatives K_i, or 0 where it vanishes at place k.  at_place keeps
-    each place it builds in _memo, a fresh dict per object outside the
-    constructor, repr and equality.
+    representatives in Sigma* are stored.  deltas[k][i] is the basis
+    determinant delta_i = det [ d_{i-1}[:, P_{i-1}] | K_i | E_{P_i} ] in K
+    for the exact pivot columns P of the differentials at place k and the
+    free representatives K_i, or 0 where it vanishes at place k.  The rank
+    of each d_i is the same at every place, since each free rank fixes it
+    degree by degree, but when p factors the pivot columns behind deltas
+    can differ.  No rank is stored: the free ranks say all the places need.
+    at_place keeps each place it builds in _memo, a fresh dict per object
+    outside the constructor, repr and equality.
     """
 
-    _fields = ("field", "lengths", "diffs", "grams", "cohomology", "ranks", "deltas")
+    _fields = ("field", "lengths", "diffs", "grams", "cohomology", "deltas")
     __slots__ = _fields + ("_memo",)
 
 
@@ -818,14 +815,23 @@ def build_complex_over_r(field, lengths, diffs, grams, cohomology) -> MetrizedCo
     """Check a complex of free R-modules exactly and store it.
 
     At most COMPLEX_SIZE_MAX degrees, each of rank at most COMPLEX_SIZE_MAX;
-    the bound is checked before any ring element is built.  Everything
-    exact is decided in K: d after d = 0, the pivot columns and so the rank
-    r_i of each d_i at each place (numfield.exact_pivots), that each free
-    representative is a cocycle, and that each free rank is the dimension
-    n_i - r_i - r_{i-1} of the cohomology at every place.  Then the basis
-    determinants delta_i of the basis-chase are taken exactly in K, once
-    per complex; a delta_i that vanishes at a place is kept as 0, and the
-    basis-chase refuses that place.
+    the bound is checked before any ring element is built.  The counts and
+    shapes of every place's data are checked here, once per place, by the
+    check metrized_complex_at_place runs (_check_shapes), on the data
+    at_place will read: every differential, every representative, and the
+    size of every cochain and free cohomology Gram at every place.  A free
+    Gram has the size of the free rank; a spec of free rank 0 lists no
+    representative and no Gram, as a degree over C with no cohomology Gram
+    lists no representative.  A torsion presentation belongs to this field.
+    Everything exact is decided in K: d after d = 0, the pivot columns and
+    so the rank r_i of each d_i at each place (numfield.exact_pivots), that
+    each free representative is a cocycle, and that each free rank is the
+    dimension n_i - r_i - r_{i-1} of the cohomology at every place; the
+    ranks are not stored, since the free ranks now say the same.  Then the
+    basis determinants delta_i of the basis-chase are taken exactly in K,
+    once per complex; a delta_i that vanishes at a place is kept as 0, and
+    the basis-chase refuses that place.  Only the positivity of each Gram
+    is left to its place, where gram_ldl factors it.
     """
     lengths = tuple(int(n) for n in lengths)
     nd = len(lengths)
@@ -834,85 +840,82 @@ def build_complex_over_r(field, lengths, diffs, grams, cohomology) -> MetrizedCo
             f"a complex has at most {COMPLEX_SIZE_MAX} degrees, "
             f"each of length 0..{COMPLEX_SIZE_MAX}"
         )
-    dd = tuple(tuple(tuple(field.element(x) for x in row) for row in m) for m in diffs)
-    if len(dd) != nd - 1:
-        raise ValidationError("expected one differential between consecutive degrees")
-    _check_shapes(lengths, dd)
-    for i in range(nd - 2):
-        if not _product_is_zero(field, dd[i + 1], dd[i]):
-            raise ValidationError(f"d{i + 1} after d{i} is not zero over R")
-    gg = tuple(tuple(m for m in per_degree) for per_degree in grams)
-    if len(gg) != nd or any(len(per) != field.n_places for per in gg):
-        raise ValidationError("expected one Gram per degree and place representative")
     cohomology = tuple(cohomology)
     if len(cohomology) != nd:
         raise ValidationError("expected one cohomology description per degree")
+    gg = tuple(tuple(per_degree) for per_degree in grams)
+    if len(gg) != nd or any(len(per) != field.n_places for per in gg):
+        raise ValidationError("expected one Gram per degree and place representative")
+    dd = tuple(tuple(tuple(field.element(x) for x in row) for row in m) for m in diffs)
     specs = []
     for i, spec in enumerate(cohomology):
+        if spec.free_rank and len(spec.free_grams) != field.n_places:
+            raise ValidationError(f"free cohomology at degree {i} needs a Gram per place")
+        if spec.torsion is not None:
+            _check_field(field, spec.torsion.field, f"the torsion presentation at degree {i}")
         reps = tuple(tuple(field.element(x) for x in row) for row in spec.free_reps)
-        if spec.free_rank:
-            if len(reps) != lengths[i] or any(len(r) != spec.free_rank for r in reps):
-                raise ValidationError(f"free representatives at degree {i} have the wrong shape")
-            if len(spec.free_grams) != field.n_places:
-                raise ValidationError(f"free cohomology at degree {i} needs a Gram per place")
         specs.append(CohomologySpec(spec.free_rank, reps, tuple(spec.free_grams), spec.torsion))
+    # the data at_place reads: a spec of free rank 0 has no Gram there
+    for k in range(field.n_places):
+        hh = [spec.free_grams[k] if spec.free_rank else () for spec in specs]
+        _check_shapes(lengths, dd, [g[k] for g in gg], hh, [spec.free_reps for spec in specs])
+    for i, spec in enumerate(specs):
+        if any(len(h) != spec.free_rank for h in spec.free_grams):
+            raise ValidationError(f"a free cohomology Gram at degree {i} is not of its free rank")
+    for i in range(nd - 2):
+        if not _product_is_zero(field, dd[i + 1], dd[i]):
+            raise ValidationError(f"d{i + 1} after d{i} is not zero over R")
     for i, spec in enumerate(specs[:-1]):
         if spec.free_rank and not _product_is_zero(field, dd[i], spec.free_reps):
             raise ValidationError(f"a degree-{i} representative is not a cocycle")
     per_diff = [exact_pivots(field, m) for m in dd]
     pivots = tuple(tuple(p[k] for p in per_diff) for k in range(field.n_places))
-    ranks = tuple(tuple(len(p) for p in piv) for piv in pivots)
-    for r in ranks:
-        _check_rep_count([spec.free_rank for spec in specs], _kernel_dims(lengths, r))
+    for piv in pivots:
+        _check_rep_count([spec.free_rank for spec in specs], _kernel_dims(lengths, map(len, piv)))
     deltas = _basis_determinants(field, lengths, dd, specs, pivots)
-    return MetrizedComplexOverR(field, lengths, dd, gg, tuple(specs), ranks, deltas)
-
-
-def _embed_matrix(field, rows, place):
-    return tuple(tuple(embed(field, x, place) for x in row) for row in rows)
+    return MetrizedComplexOverR(field, lengths, dd, gg, tuple(specs), deltas)
 
 
 def at_place(cplx: MetrizedComplexOverR, place: int) -> MetrizedComplexAtPlace:
     """The embedded metrized complex at one place representative.
 
-    It carries the exact ranks of the place and |sigma(delta_i)|^2 of each
-    basis determinant, embedded once here, for the basis-chase.  It shares
-    the shape checks and the assembly of metrized_complex_at_place but takes
-    no numeric d after d or cocycle product: build_complex_over_r decided
-    both exactly in K.  Each place is built once per complex object: later
-    calls return the same MetrizedComplexAtPlace.  A call that raises keeps
-    nothing.
+    build_complex_over_r has checked every count and shape, d after d = 0
+    and the cocycles, exactly in K, so this checks none of them: it embeds
+    each ring element once, straight into the place's mp.matrix, and
+    assembles the place as metrized_complex_at_place does (each Gram
+    factored once by gram_ldl, which refuses one that is not positive).
+    The place carries |sigma(delta_i)|^2 of each basis determinant, for the
+    basis-chase, and no ranks: its kernel dimensions are its free ranks.
+    Each place is built once per complex object: later calls return the
+    same MetrizedComplexAtPlace.  A call that raises keeps nothing.
     """
     if place in cplx._memo:
         return cplx._memo[place]
     field = cplx.field
     if not 0 <= place < field.n_places:
         raise ValidationError(f"place {place} is not in 0..{field.n_places - 1}")
-    diffs = [_embed_matrix(field, m, place) for m in cplx.diffs]
-    grams = [cplx.grams[i][place] for i in range(len(cplx.lengths))]
-    hgrams = []
-    hmaps = []
-    for i, spec in enumerate(cplx.cohomology):
-        if spec.free_rank:
-            hgrams.append(spec.free_grams[place])
-            hmaps.append(_embed_matrix(field, spec.free_reps, place))
-        else:
-            hgrams.append(())
-            hmaps.append(())
+
+    def entry(x):
+        return embed(field, x, place)
+
     digits = field.digits
     with mp.workdps(digits + GUARD):
-        delta_sq = [_abs2(embed(field, d, place)) for d in cplx.deltas[place]]
-        # d after d = 0 and the cocycles are decided in K: no numeric products
-        lengths, dd, kk = _complex_matrices(cplx.lengths, diffs, grams, hgrams, hmaps)
+        dd = [_matrix(m, cplx.lengths[i], entry) for i, m in enumerate(cplx.diffs)]
+        kk = [_matrix(spec.free_reps, spec.free_rank, entry) for spec in cplx.cohomology]
+        hh = [spec.free_grams[place] if spec.free_rank else () for spec in cplx.cohomology]
+        gg = [g[place] for g in cplx.grams]
+        delta_sq = [_abs2(entry(d)) for d in cplx.deltas[place]]
         at = cplx._memo[place] = _orthonormal_complex(
-            digits, lengths, dd, kk, grams, hgrams, cplx.ranks[place], delta_sq
+            digits, cplx.lengths, dd, kk, gg, hh, delta_sq
         )
     return at
 
 
 def rtorsion_form(field: NumberField, cplx: MetrizedComplexOverR) -> FormElement:
     """The degree-1 vector of per-place ln tau, in quotient coordinates, with
-    tau the exact basis-chase's (torsion_by_contraction)."""
+    tau the exact basis-chase's (torsion_by_contraction); cplx must be a
+    complex over field."""
+    _check_field(field, cplx.field, "the complex")
     with mp.workdps(field.digits + GUARD):
         vals = [
             ln(torsion_by_contraction(at_place(cplx, k))) for k in range(field.n_places)
@@ -949,8 +952,9 @@ def verify_euler_identity(
     one logarithm per place and one lattice reduction in all, from the
     |sigma(delta_i)|^2 that at_place embeds; a delta_i that vanishes raises
     ValidationError, as in torsion_by_contraction.  Every place is built by
-    at_place, which checks its Grams.
+    at_place, which checks its Grams.  cplx must be a complex over field.
     """
+    _check_field(field, cplx.field, "the complex")
     rank = sum(
         (n - spec.free_rank) * (-1) ** i
         for i, (n, spec) in enumerate(zip(cplx.lengths, cplx.cohomology))

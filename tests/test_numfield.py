@@ -511,6 +511,19 @@ def test_element_reduction_and_arithmetic():
     assert field.mul(u, v).coeffs == (Fraction(1), Fraction(0))
 
 
+def test_element_of_another_degree_is_refused():
+    # an element of Z[zeta5] has four coefficients; Z[sqrt2] took it as it was
+    field, _ = field_units("zsqrt2")
+    other, _ = field_units("zeta5")
+    x = other.element([3, 1, 1, 1])
+    with pytest.raises(ValidationError, match="an element with 4 coefficients is not in a "
+                       "field of degree 2"):
+        field.element(x)
+    assert other.element(x) is x
+    y = field.element([1, 1])
+    assert field.element(y) is y
+
+
 def test_element_reads_strings_through_parse_rational():
     # a string coefficient meets parse_rational's digit limit before a power
     # of ten of two million digits is built; other inputs keep their values

@@ -327,7 +327,7 @@ def test_build_complex_over_r_checks_cohomology_exactly():
         free = CohomologySpec(free_rank, reps, ([[1]] * free_rank,) * 2) if free_rank else CohomologySpec(0)
         return build_complex_over_r(field, (1, 2), ([[two], [zero]],), grams, [CohomologySpec(0), free])
 
-    assert make(((zero,), (one,))).ranks == ((1,), (1,))
+    assert _exact_ranks(make(((zero,), (one,)))) == ((1,), (1,))
     with pytest.raises(ValidationError, match="degree 1 supplies 0 cohomology classes "
                        "but the kernel has dimension 1"):
         make((), 0)
@@ -340,6 +340,79 @@ def test_build_complex_over_r_checks_cohomology_exactly():
     with pytest.raises(ValidationError, match="a degree-0 representative is not a cocycle"):
         build_complex_over_r(field, (2, 1), (row,), [[EYE2, EYE2], [EYE1, EYE1]],
                              [spec, CohomologySpec(0)])
+
+
+def test_build_complex_over_r_checks_every_place_when_built():
+    # every count and shape, at every place, is refused when the complex is
+    # built, not when its place is
+    field, _ = field_units("zsqrt2")
+    two, one, zero = field.element([2]), field.one(), field.zero()
+
+    def acyclic(grams, top):
+        # 0 -> R --2--> R -> 0, tau = 1/2 at standard metrics
+        return build_complex_over_r(field, (1, 1), ([[two]],), grams, [CohomologySpec(0), top])
+
+    with pytest.raises(ValidationError, match="cochain Gram 0 has the wrong size"):
+        acyclic([[EYE1, EYE2], [EYE1, EYE1]], CohomologySpec(0))
+    # free rank 0 with representatives, with or without Grams, is refused as
+    # over C; Grams alone are not of the free rank
+    with pytest.raises(ValidationError, match="degree 1 provides representatives but no "
+                       "cohomology Gram"):
+        acyclic([[EYE1, EYE1]] * 2, CohomologySpec(0, ((one,),), ([[1]], [[1]])))
+    with pytest.raises(ValidationError, match="degree 1 provides representatives but no "
+                       "cohomology Gram"):
+        acyclic([[EYE1, EYE1]] * 2, CohomologySpec(0, ((one,),)))
+    with pytest.raises(ValidationError, match="a free cohomology Gram at degree 1 is not of "
+                       "its free rank"):
+        acyclic([[EYE1, EYE1]] * 2, CohomologySpec(0, (), ([[1]], [[1]])))
+
+    # 0 -> R --(2, 0)^T--> R^2 -> 0, H^1 free of rank 1 represented by (0, 1)
+    def free(grams):
+        return build_complex_over_r(
+            field, (1, 2), ([[two], [zero]],), [[EYE1] * 2, [EYE2] * 2],
+            [CohomologySpec(0), CohomologySpec(1, ((zero,), (one,)), grams)],
+        )
+
+    free(([[1]], [[3]]))
+    with pytest.raises(ValidationError, match="cohomology representatives 1 disagree with "
+                       "the Gram size"):
+        free(([[1]], EYE2))
+
+
+def test_at_place_takes_no_shape_check_or_conversion(monkeypatch):
+    # build_complex_over_r checked every shape, so at_place embeds each ring
+    # element straight into its mp.matrix: no shape check and no to_mp
+    field, _ = field_units("zsqrt2")
+    complexes = [_free_cohomology_complex(field), *(c for _, _, c in _corpus_complexes())]
+    calls = []
+    for name in ("_check_shapes", "to_mp"):
+        monkeypatch.setattr(rtorsion, name, _counting(calls, name, getattr(rtorsion, name)))
+    for cplx in complexes:
+        for k in range(cplx.field.n_places):
+            at_place(cplx, k)
+    assert calls == []
+    # the same data given to metrized_complex_at_place takes both
+    metrized_complex_at_place(*_embedded(complexes[0], 0))
+    assert [name for name, _ in calls].count("_check_shapes") == 1 and len(calls) > 1
+
+
+def test_data_of_another_field_is_refused():
+    # a torsion presentation, or a complex, over Q(sqrt3) against Z[sqrt2]
+    field, _ = field_units("zsqrt2")
+    other = build_field((-3, 0, 1), 50)
+    lat = flatmodel.build_lattice(other, [other.element([2, 1])])
+    tors = presentation(other, [[other.element([2])]])
+    with pytest.raises(ValidationError, match="the torsion presentation at degree 1 belongs "
+                       "to another field"):
+        build_complex_over_r(
+            field, (1, 1), ([[field.element([2])]],), [[EYE1, EYE1]] * 2,
+            [CohomologySpec(0), CohomologySpec(0, torsion=tors)],
+        )
+    cplx = _free_cohomology_complex(field)
+    with pytest.raises(ValidationError, match="the complex belongs to another field"):
+        rtorsion_form(other, cplx)
+    with pytest.raises(ValidationError, match="the complex belongs to another field"):
+        verify_euler_identity(other, lat, cplx)
 
 
 def test_rtorsion_form_of_rational_multiplier_is_balanced():
@@ -606,12 +679,18 @@ def _corpus_places():
             yield at_place(cplx, k)
 
 
+def _exact_ranks(cplx):
+    # the rank of each d_i at each place, decided in K
+    per_diff = [numfield.exact_ranks(cplx.field, d) for d in cplx.diffs]
+    return tuple(tuple(r[k] for r in per_diff) for k in range(cplx.field.n_places))
+
+
 def test_contraction_over_r_takes_no_numeric_rank(monkeypatch):
-    # places of a complex over R carry exact ranks, so the basis-chase takes
-    # no singular value, eigenvalue or logarithm
+    # places of a complex over R carry the exact |sigma(delta_i)|^2, so the
+    # basis-chase takes no singular value, eigenvalue or logarithm
     field, _ = field_units("zsqrt2")
     places = [at_place(_free_cohomology_complex(field), 0), *_corpus_places()]
-    assert all(at.ranks is not None for at in places)
+    assert all(at.delta_sq is not None for at in places)
     calls = []
     for name in ("svd_c", "eighe", "log", "exp"):
         monkeypatch.setattr(mp, name, _counting(calls, name, getattr(mp, name)))
@@ -629,7 +708,7 @@ def test_contraction_on_bare_complexes_takes_singular_values_only(monkeypatch):
     bare = [
         MetrizedComplexAtPlace(
             at.digits, at.lengths, at.ortho_diffs, at.ortho_reps, at.from_ortho,
-            at.det_cochain, at.cohomology_dims, at.det_cohomology, ranks=None,
+            at.det_cochain, at.cohomology_dims, at.det_cohomology,
         )
         for at in over_r
     ]
@@ -649,6 +728,7 @@ def test_exact_ranks_agree_with_singular_values():
     # on the well-conditioned corpus the exact rank of each d_i is the count
     # of its singular values above the cutoff
     for field, _, cplx in _corpus_complexes():
+        exact = _exact_ranks(cplx)
         for k in range(field.n_places):
             at = at_place(cplx, k)
             with mp.workdps(at.digits + 10):
@@ -657,7 +737,7 @@ def test_exact_ranks_agree_with_singular_values():
                     sum(1 for v in mp.svd_c(d, compute_uv=False) if v > cut) if d.rows and d.cols else 0
                     for d in at.ortho_diffs
                 )
-            assert cplx.ranks[k] == at.ranks == numeric
+            assert exact[k] == numeric
 
 
 def test_laplacian_route_takes_one_eigenvalue_problem_per_differential(monkeypatch):
@@ -670,18 +750,22 @@ def test_laplacian_route_takes_one_eigenvalue_problem_per_differential(monkeypat
 
     monkeypatch.setattr(mp, "eighe", counting)
     field, _ = field_units("zsqrt2")
-    places = [at_place(_free_cohomology_complex(field), 0), *_corpus_places()]
-    for at in places:
+    free = _free_cohomology_complex(field)
+    places = [(at_place(free, 0), _exact_ranks(free)[0])]
+    for _, _, cplx in _corpus_complexes():
+        exact = _exact_ranks(cplx)
+        places += [(at_place(cplx, k), exact[k]) for k in range(cplx.field.n_places)]
+    for at, ranks in places:
         calls.clear()
         reidemeister(at)
         # a differential is nonzero at a place exactly when its rank there is
         n = at.lengths
-        want = [min(n[i], n[i + 1]) for i, r in enumerate(at.ranks) if r]
+        want = [min(n[i], n[i + 1]) for i, r in enumerate(ranks) if r]
         assert [size for size, _ in calls] == want
         assert all(kwargs == {"eigvals_only": True} for _, kwargs in calls)
     # cohomology() still returns a basis in every degree
     calls.clear()
-    dims, bases = cohomology(places[0])
+    dims, bases = cohomology(places[0][0])
     assert dims == (0, 1) and bases[1].cols == 1
     assert [kwargs for _, kwargs in calls] == [{}, {}]
 
@@ -850,8 +934,8 @@ def test_error_paths_are_unchanged():
     with pytest.raises(ValidationError, match="degree 0 supplies 0 cohomology classes "
                        "but the kernel has dimension 1"):
         reidemeister(cplx)
-    with pytest.raises(ValidationError, match=r"degree 0: image\+cohomology\+coimage "
-                       "dimensions 0 != 1"):
+    with pytest.raises(ValidationError, match="degree 0 supplies 0 cohomology classes "
+                       "but the kernel has dimension 1"):
         torsion_by_contraction(cplx)
     # listed cohomology with a projection that degenerates comes first
     cplx = metrized_complex_at_place(
@@ -859,7 +943,15 @@ def test_error_paths_are_unchanged():
     )
     with pytest.raises(ValidationError, match="degree-1 representatives do not project"):
         reidemeister(cplx)
-    # the basis-chase refuses the dependent columns instead of dividing by 0
+    # the basis-chase checks every count before any minor: degree 2 has a
+    # kernel that the complex does not list
+    with pytest.raises(ValidationError, match="degree 2 supplies 0 cohomology classes "
+                       "but the kernel has dimension 1"):
+        torsion_by_contraction(cplx)
+    # with H^2 listed too, it refuses the dependent columns instead of dividing by 0
+    cplx = metrized_complex_at_place(
+        50, (1, 2, 1), ([[2], [0]], [[0, 0]]), (EYE1, EYE2, EYE1), ((), EYE1, EYE1), ((), [[5], [0]], EYE1)
+    )
     with pytest.raises(ValidationError, match="degree 1: the image, cohomology and "
                        "coimage columns are dependent"):
         torsion_by_contraction(cplx)
@@ -1015,7 +1107,7 @@ def test_ranks_split_where_p_factors():
             CohomologySpec(1, ((one,), (one,)), ([[1]], [[1]])),
         ],
     )
-    assert cplx.ranks == ((1,), (1,))
+    assert _exact_ranks(cplx) == ((1,), (1,))
     with mp.workdps(60):
         for k in range(field.n_places):
             at = at_place(cplx, k)
@@ -1177,7 +1269,7 @@ def test_exact_basis_chase_takes_pivots_per_branch():
         field, (2, 1), (d0,), [[EYE2, [[2, 1], [1, 3]]] * 2, [EYE1, [[5]]] * 2],
         [CohomologySpec(1, ((b,), (field.neg(a),)), ([[1]], [[2]]) * 2), CohomologySpec(0)],
     )
-    assert cplx.ranks == ((1,),) * 4
+    assert _exact_ranks(cplx) == ((1,),) * 4
     # delta_1 = d0 on the pivot column: a at +-sqrt3, b at +-sqrt2
     assert [deltas[1] for deltas in cplx.deltas] == [a, b, b, a]
     for k in range(field.n_places):
@@ -1281,20 +1373,24 @@ def _embedded(cplx, k):
     field = cplx.field
     hgrams = [spec.free_grams[k] if spec.free_rank else () for spec in cplx.cohomology]
     hmaps = [
-        rtorsion._embed_matrix(field, spec.free_reps, k) if spec.free_rank else ()
+        _embed_rows(field, spec.free_reps, k) if spec.free_rank else ()
         for spec in cplx.cohomology
     ]
     return (
-        field.digits, cplx.lengths, [rtorsion._embed_matrix(field, m, k) for m in cplx.diffs],
+        field.digits, cplx.lengths, [_embed_rows(field, m, k) for m in cplx.diffs],
         [g[k] for g in cplx.grams], hgrams, hmaps,
     )
+
+
+def _embed_rows(field, rows, k):
+    return [[numfield.embed(field, x, k) for x in row] for row in rows]
 
 
 def test_at_place_takes_no_numeric_zero_product(monkeypatch):
     # K decides d after d = 0 and every cocycle of a complex over R, so its
     # places take neither product, nor the Frobenius norms that only they
     # need; the same data given to metrized_complex_at_place takes both and
-    # gives the same place, less the ranks and basis determinants of K
+    # gives the same place, less the basis determinants of K
     field, _ = field_units("zsqrt2")
     complexes = [(field, _free_cohomology_complex(field))]
     complexes += [(f, c) for f, _, c in _corpus_complexes()]
@@ -1310,8 +1406,8 @@ def test_at_place_takes_no_numeric_zero_product(monkeypatch):
             assert calls == []
             args = _embedded(cplx, k)
             over_c = metrized_complex_at_place(*args)
-            assert over_c.ranks is None and over_c.delta_sq is None
-            same = [f for f in MetrizedComplexAtPlace._fields if f not in ("ranks", "delta_sq")]
+            assert over_c.delta_sq is None
+            same = [f for f in MetrizedComplexAtPlace._fields if f != "delta_sq"]
             assert [getattr(over_c, f) for f in same] == [getattr(at, f) for f in same]
             names = [name for name, _ in calls]
             assert names[0] == "check" and names.count("norm") >= len(cplx.diffs)
@@ -1329,7 +1425,7 @@ def test_complexes_over_c_keep_the_numeric_zero_products():
 
 
 def test_complexes_over_c_take_no_ranks_or_basis_determinants():
-    # only at_place, from K, supplies ranks and |sigma(delta_i)|^2; a caller
+    # only at_place, from K, supplies |sigma(delta_i)|^2; a caller
     # of metrized_complex_at_place cannot pass values that no check covers,
     # such as delta_sq = (7, 1), which made the basis-chase read sqrt(7)
     params = inspect.signature(metrized_complex_at_place).parameters
@@ -1343,7 +1439,7 @@ def test_complexes_over_c_take_no_ranks_or_basis_determinants():
     with pytest.raises(TypeError):
         metrized_complex_at_place(*args, None, (7, 1))
     at = metrized_complex_at_place(*args)
-    assert at.ranks is None and at.delta_sq is None
+    assert at.delta_sq is None
     with mp.workdps(60):
         for tau in (reidemeister(at), torsion_by_contraction(at)):
             assert abs(tau - mp.mpf(1) / 2) < mp.mpf(10) ** -45

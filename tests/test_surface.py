@@ -156,6 +156,47 @@ def test_src_keeps_no_unused_import_or_private_name():
         assert private <= refs, (name, sorted(private - refs))
 
 
+def _call_name(call):
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+
+def test_src_sets_every_private_option():
+    # an optional parameter of a private function that no call in the
+    # package passes, by position, by keyword or through * or **, is a knob
+    # that nobody sets
+    trees = [ast.parse(p.read_text()) for p in sorted((SRC / "regtor").glob("*.py"))]
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_call_name(node), []).append(node)
+    methods = {
+        f for tree in trees for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body
+    }
+    unset = []
+    for tree in trees:
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or not re.match(r"_(?!_)", fn.name):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            # a method's call passes no self
+            offset = int(fn in methods and not fn.decorator_list)
+            optional = [(a.arg, i - offset) for i, a in enumerate(positional)]
+            optional = optional[len(positional) - len(args.defaults):]
+            optional += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+            for name, index in optional:
+                if not any(
+                    any(k.arg in (name, None) for k in call.keywords)
+                    or any(isinstance(x, ast.Starred) for x in call.args)
+                    or (index is not None and len(call.args) > index)
+                    for call in calls.get(fn.name, [])
+                ):
+                    unset.append((fn.name, name))
+    assert not unset, unset
+
+
 def test_grams_take_no_numeric_factor():
     # every Gram goes through flatmodel.gram_ldl, exactly, and reidemeister
     # takes its correction from CGS2 and the pivots of an LDL^H: no source
@@ -214,7 +255,7 @@ def _record_table():
         (CyclotomicSetup, lambda: make_cyclotomic_setup(5, 30), "thetas", True),
         (MetrizedComplexAtPlace, _complex_at_place, "lengths", True),
         (CohomologySpec, lambda: CohomologySpec(free_rank=0), "free_rank", True),
-        (MetrizedComplexOverR, lambda: _complex_over_r(field), "ranks", True),
+        (MetrizedComplexOverR, lambda: _complex_over_r(field), "deltas", True),
     ]
 
 
@@ -245,7 +286,7 @@ def test_records_keep_their_semantics():
         "det_cochain", "cohomology_dims", "det_cohomology",
     )
     at = _complex_at_place()
-    assert MetrizedComplexAtPlace(**{f: getattr(at, f) for f in fields}).ranks is None
+    assert MetrizedComplexAtPlace(**{f: getattr(at, f) for f in fields}).delta_sq is None
     # its mp.matrix fields do not hash, so the record says so under its own name
     with pytest.raises(TypeError, match="unhashable type: 'MetrizedComplexAtPlace'"):
         hash(at)
@@ -265,6 +306,18 @@ def test_records_keep_their_semantics():
 
 def _subclasses(cls):
     return {c for sub in cls.__subclasses__() for c in {sub} | _subclasses(sub)}
+
+
+def test_complex_records_keep_no_ranks():
+    # a place carries delta but no ranks, and a complex over R its deltas:
+    # the free ranks say what the ranks would
+    assert MetrizedComplexAtPlace._fields == (
+        "digits", "lengths", "ortho_diffs", "ortho_reps", "from_ortho",
+        "det_cochain", "cohomology_dims", "det_cohomology", "delta_sq",
+    )
+    assert MetrizedComplexOverR._fields == (
+        "field", "lengths", "diffs", "grams", "cohomology", "deltas"
+    )
 
 
 def test_records_share_one_constructor():
