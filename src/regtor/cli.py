@@ -304,10 +304,7 @@ def cmd_zhat(args):
 def cmd_rtorsion(args):
     field, _, digits = _load_field(args)
     cplx = _parse_complex(field, _json_arg(args.complex, "--complex", dict))
-    f = rtorsion.rtorsion_form(field, cplx)
-    # the exact basis-chase tau, at the places rtorsion_form has built
-    places = [rtorsion.at_place(cplx, k) for k in range(field.n_places)]
-    taus = [rtorsion.torsion_by_contraction(at) for at in places]
+    taus, f = rtorsion._taus_and_form(cplx)
     return {
         "tau": _sigmas(taus, digits),
         "form_canonical": _sigmas(f.values, digits),

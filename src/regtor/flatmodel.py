@@ -394,7 +394,8 @@ def gram_ldl(rows, digits: int):
     each p_k <= 0 decides positivity by Sylvester's criterion as the
     pivots come, every D_k = p_k / (den p_{k-1}) > 0, and lets no swap
     happen.  Returns (det G, factor): det G = prod D_k is an exact
-    Fraction, and factor is what _cholesky_pair reads.  Raises
+    Fraction, and factor, immutable so that a complex over R keeping it
+    still hashes, is what _cholesky_pair reads.  Raises
     NotPositiveDefinite on a Gram that is not Hermitian or not positive
     definite.
     """
@@ -433,7 +434,7 @@ def gram_ldl(rows, digits: int):
     _bareiss(m, _positive_pivot, width=size)
     last = m[-1][size - 1] if m else 1
     det = Fraction(last if step == 1 else isqrt(last), den**n)
-    return det, (den, step, m)
+    return det, (den, step, tuple(map(tuple, m)))
 
 
 def _cholesky_pair(factor):

@@ -7,12 +7,13 @@ complex with the metric induced on the determinant line of its cohomology
 metrized_complex_at_place validates a complex at one place and changes it to
 orthonormal coordinates, once: it factors each cochain and cohomology Gram
 one time, exactly (flatmodel.gram_ldl), and keeps their determinants as
-exact rationals.  A complex over R is checked once, when
+exact rationals.  A complex over R is decided in full when
 build_complex_over_r builds it: the one count-and-shape check
-(_check_shapes) runs there at every place, and at_place only embeds,
-factors and assembles, keeping the MetrizedComplexAtPlace of every place
-it has built on the MetrizedComplexOverR.  Two independent algorithms read
-the result:
+(_check_shapes) runs there at every place, every exact fact is decided in
+K, a basis determinant that vanishes at any place is refused, and every
+Gram at every place is factored, once (_factor_grams).  at_place only
+embeds and assembles, from the kept factors, and caches nothing.  Two
+independent algorithms read the result:
 
   reidemeister         Laplacian route: the Ray-Singer product of
                        pseudo-determinants of the combinatorial Laplacians,
@@ -29,17 +30,19 @@ the result:
                        vectors on pivot columns of its differential, and
                        alternate the determinants of these bases.  Over R
                        the determinants are exact: build_complex_over_r
-                       takes each delta_i in K once per complex, at_place
-                       embeds it once, and tau^2 is the alternating product
-                       of |sigma(delta_i)|^2 det G_i / det H_i.  A complex
-                       built directly over C takes the ranks, pivots and
-                       minors numerically.  It takes no logarithm.
+                       takes each delta_i in K once per complex, and tau^2
+                       is the alternating product of |sigma(delta_i)|^2
+                       det G_i / det H_i (_tau).  A complex built directly
+                       over C takes the ranks, pivots and minors
+                       numerically.  It takes no logarithm.
 
 The sign convention is frozen so that the acyclic complex 0 -> C --z--> C -> 0
 with standard metrics has tau = 1/|z|; both routes reproduce it.  Over R
-every result reads the exact basis-chase tau (rtorsion_form, and through
-the Gram determinants it cancels, verify_euler_identity); the Laplacian
-route only verifies it.
+every result reads the exact basis-chase tau straight from the complex,
+with no place built: rtorsion_form and the rtorsion command embed each
+delta_i and read the kept Gram determinants, and verify_euler_identity,
+where the Gram determinants cancel, embeds the delta_i alone.  The
+Laplacian route only verifies it, on the places at_place builds.
 
 Every per-place matrix is an mp.matrix, and norms, eigenvalues and
 singular values are mpmath's own.  Products are one mp.fdot per entry over
@@ -53,13 +56,14 @@ square root per pivot, so no triangular factor is solved numerically.
 Rank decisions.  For a complex over R the rank and pivot columns of each
 differential at each place are decided exactly in K, once, by
 build_complex_over_r (numfield.exact_pivots), and so are the basis
-determinants delta_i and the places where they vanish.  No rank is kept:
-build_complex_over_r matches each free rank against the exact kernel
-dimension at every place, so the cohomology_dims of a place are its exact
-kernel dimensions.  at_place hands |sigma(delta_i)|^2 to the place, so the
-basis-chase takes no singular value, pivot or minor there.  The Laplacian
-route stays numeric, so that the two routes stay independent, and a kernel
-dimension of its own that differs from the exact one raises RankAmbiguous.
+determinants delta_i, which vanish at no place of a complex that builds.
+No rank is kept: build_complex_over_r matches each free rank against the
+exact kernel dimension at every place, so the cohomology_dims of a place
+are its exact kernel dimensions.  at_place hands |sigma(delta_i)|^2 to the
+place, so the basis-chase takes no singular value, pivot or minor there
+either.  The Laplacian route stays numeric, so that the two routes stay
+independent, and a kernel dimension of its own that differs from the
+exact one raises RankAmbiguous.
 Only a complex built directly over C, which has no K, has its ranks
 decided on singular values.  Numeric decisions scale with the data and
 refuse to guess, and each is taken on one differential, so that
@@ -80,13 +84,14 @@ times |d_i|_F |K_i|_F.  For a complex over R, build_complex_over_r has
 decided both exactly in K, each product entry one integer dot product of
 Kronecker-packed rows and columns reduced mod p (_product_is_zero), and
 at_place builds its places with the same assembly but without these
-products or any shape check.  The determinant of a Gram is prod D_k of its
-exact factor, a Fraction, and the Gram determinants a route combines are
-multiplied exactly and rounded once.  The one Gram not given is that of
-the harmonic projections in reidemeister: its determinant comes from the
-lengths that classical Gram-Schmidt, run twice, leaves of the
-representatives, and the pivots of one LDL^H of a square matrix, with no
-square root, which does not square their conditioning.
+products, any shape check or any factoring.  The determinant of a Gram is
+prod D_k of its exact factor, a Fraction, and the Gram determinants a
+route combines are multiplied exactly and rounded once.  The one Gram not
+given is that of the harmonic projections in reidemeister: its
+determinant comes from the lengths that classical Gram-Schmidt, run
+twice, leaves of the representatives, and the pivots of one LDL^H of a
+square matrix, with no square root, which does not square their
+conditioning.
 
 Neither route takes a logarithm: each multiplies determinants, eigenvalues
 and minors and ends in one square root.  Logarithms are taken only where a
@@ -208,11 +213,11 @@ class MetrizedComplexAtPlace(Record):
     are kept, so the torsion routes multiply them.  at_place alone sets
     delta_sq, for a place of a complex over R: delta_sq[i] is
     |sigma(delta_i)|^2 of the exact basis determinant delta_i in K of
-    MetrizedComplexOverR.  Such a place carries no ranks: its kernel
-    dimension in degree i is cohomology_dims[i], the free rank that
-    build_complex_over_r matched against K.  delta_sq is None, its default,
-    for a complex built directly over C (metrized_complex_at_place), whose
-    ranks only singular values can tell.
+    MetrizedComplexOverR, nonzero at the place.  Such a place carries no
+    ranks: its kernel dimension in degree i is cohomology_dims[i], the free
+    rank that build_complex_over_r matched against K.  delta_sq is None,
+    its default, for a complex built directly over C
+    (metrized_complex_at_place), whose ranks only singular values can tell.
 
     It compares by value, but an mp.matrix neither hashes nor pickles
     (mpmath makes its matrix class per context), so this record does
@@ -249,7 +254,9 @@ def metrized_complex_at_place(
         dd = [_matrix(m, lengths[i], to_mp) for i, m in enumerate(diffs)]
         kk = [_matrix(k, len(h), to_mp) for k, h in zip(cohomology_maps, cohomology_grams)]
         _check_zero_products(digits, dd, kk)
-        return _orthonormal_complex(digits, lengths, dd, kk, cochain_grams, cohomology_grams)
+        return _orthonormal_complex(
+            digits, lengths, dd, kk, *_factor_grams(digits, cochain_grams, cohomology_grams)
+        )
 
 
 def _check_shapes(lengths, diffs, cochain_grams, cohomology_grams, cohomology_maps):
@@ -258,8 +265,9 @@ def _check_shapes(lengths, diffs, cochain_grams, cohomology_grams, cohomology_ma
     lengths[i], each cochain Gram i has lengths[i] rows, and the
     representatives of degree i are lengths[i] by h, h the size of its
     cohomology Gram; a degree with no cohomology Gram lists no
-    representative column, and a zero degree no cohomology.  gram_ldl,
-    which factors each Gram, checks that it is square."""
+    representative column, and a zero degree no cohomology.  Whether each
+    Gram is square is decided where it is factored (_factor_grams), after
+    every check here: at build for a complex over R."""
     nd = len(lengths)
     gg, hh, kk = cochain_grams, cohomology_grams, cohomology_maps
     if len(diffs) != nd - 1 or len(gg) != nd or len(hh) != nd or len(kk) != nd:
@@ -298,24 +306,30 @@ def _check_zero_products(digits, dd, kk):
             raise ValidationError(f"a degree-{i} representative is not a cocycle")
 
 
-def _orthonormal_complex(digits, lengths, dd, kk, gg, hh, delta_sq=None):
+def _factor_grams(digits, gg, hh):
+    """(cochain, det_h) of one place's Grams, each factored once, exactly:
+    cochain[i] is gram_ldl's (det G_i, factor) of the cochain Gram gg[i],
+    and det_h[i] is det H_i of the cohomology Gram hh[i], 1 where there is
+    none.  gram_ldl refuses a Gram that is not square, Hermitian and
+    positive definite."""
+    cochain = tuple(gram_ldl(g, digits) for g in gg)
+    return cochain, tuple(gram_ldl(h, digits)[0] if len(h) else Fraction(1) for h in hh)
+
+
+def _orthonormal_complex(digits, lengths, dd, kk, cochain, det_h, delta_sq=None):
     """The MetrizedComplexAtPlace of checked data (_check_shapes) with the
-    differentials dd and representatives kk as mp.matrix: each Gram
-    factored once, exactly, and the differentials and representatives in
+    differentials dd and representatives kk as mp.matrix and the Grams
+    factored (_factor_grams): the differentials and representatives in
     orthonormal coordinates, U_{i+1} d_i U_i^-1 (left to right) and U_i K_i,
     each a _product over the rows of U.  Only at_place passes delta_sq,
     decided in K."""
     nd = len(lengths)
     ups = []
     from_ortho = []
-    det_g = []
-    for g in gg:
-        det, factor = gram_ldl(g, digits)
-        det_g.append(det)
+    for _, factor in cochain:
         up, inv = _cholesky_pair(factor)
         ups.append(up.tolist())
         from_ortho.append(inv)
-    det_h = [gram_ldl(h, digits)[0] if len(h) else Fraction(1) for h in hh]
     return MetrizedComplexAtPlace(
         digits=digits,
         lengths=lengths,
@@ -325,9 +339,9 @@ def _orthonormal_complex(digits, lengths, dd, kk, gg, hh, delta_sq=None):
         ),
         ortho_reps=tuple(_product(up, _cols(k)) for up, k in zip(ups, kk)),
         from_ortho=tuple(from_ortho),
-        det_cochain=tuple(det_g),
-        cohomology_dims=tuple(len(m) for m in hh),
-        det_cohomology=tuple(det_h),
+        det_cochain=tuple(det for det, _ in cochain),
+        cohomology_dims=tuple(k.cols for k in kk),
+        det_cohomology=det_h,
         delta_sq=None if delta_sq is None else tuple(delta_sq),
     )
 
@@ -641,15 +655,14 @@ def torsion_by_contraction(cplx: MetrizedComplexAtPlace):
     kernel dimension n_i - r_i - r_{i-1} raises ValidationError, the count
     check reidemeister and build_complex_over_r make (_check_rep_count).
 
-    A delta_i that vanishes, or a minor that is numerically singular, as
-    when the representatives of a degree do not complete its image to the
-    kernel, raises ValidationError.  No logarithm is taken.
+    Over C a minor that is numerically singular, as when the
+    representatives of a degree do not complete its image to the kernel,
+    raises ValidationError; over R build_complex_over_r has refused a
+    delta_i that vanishes.  No logarithm is taken.
     """
     with mp.workdps(cplx.digits + GUARD):
         if cplx.delta_sq is not None:
-            # the alternating product of the Gram determinants, rounded once
-            grams = _alternating(g / h for g, h in zip(cplx.det_cochain, cplx.det_cohomology))
-            return mp.sqrt(_alternating(_delta_sq(cplx)) * to_mp(grams))
+            return _tau(cplx.delta_sq, cplx.det_cochain, cplx.det_cohomology)
         dt = cplx.ortho_diffs
         cut = rank_cutoff(cplx.digits)
         nd = len(cplx.lengths)
@@ -689,16 +702,16 @@ def _alternating(factors):
     return prod(f if i % 2 == 0 else 1 / f for i, f in enumerate(factors))
 
 
+def _tau(delta_sq, det_g, det_h):
+    """The exact basis-chase tau, the square root of
+    prod_i (|sigma(delta_i)|^2 det G_i / det H_i)^((-1)^i), at the working
+    precision: the Gram determinants alternate exactly and round once."""
+    grams = _alternating(g / h for g, h in zip(det_g, det_h))
+    return mp.sqrt(_alternating(delta_sq) * to_mp(grams))
+
+
 def _dependent(i):
     return ValidationError(f"degree {i}: the image, cohomology and coimage columns are dependent")
-
-
-def _delta_sq(cplx: MetrizedComplexAtPlace):
-    """The place's |sigma(delta_i)|^2, refusing a delta_i that vanishes."""
-    for i, d2 in enumerate(cplx.delta_sq):
-        if not d2:
-            raise _dependent(i)
-    return cplx.delta_sq
 
 
 class CohomologySpec(Record):
@@ -725,16 +738,18 @@ class MetrizedComplexOverR(Record):
     representatives in Sigma* are stored.  deltas[k][i] is the basis
     determinant delta_i = det [ d_{i-1}[:, P_{i-1}] | K_i | E_{P_i} ] in K
     for the exact pivot columns P of the differentials at place k and the
-    free representatives K_i, or 0 where it vanishes at place k.  The rank
-    of each d_i is the same at every place, since each free rank fixes it
-    degree by degree, but when p factors the pivot columns behind deltas
-    can differ.  No rank is stored: the free ranks say all the places need.
-    at_place keeps each place it builds in _memo, a fresh dict per object
-    outside the constructor, repr and equality.
+    free representatives K_i, nonzero at place k.  The rank of each d_i is
+    the same at every place, since each free rank fixes it degree by
+    degree, but when p factors the pivot columns behind deltas can differ.
+    No rank is stored: the free ranks say all the places need.
+    factors[k] is (cochain, det_h) of the Grams at place k (_factor_grams),
+    each factored once, exactly: cochain[i] is the (det G_i, factor) of
+    flatmodel.gram_ldl, which at_place reads, and det_h[i] is det H_i of
+    the free cohomology Gram, 1 where the free rank is 0.  Nothing is
+    cached: every field is set by build_complex_over_r.
     """
 
-    _fields = ("field", "lengths", "diffs", "grams", "cohomology", "deltas")
-    __slots__ = _fields + ("_memo",)
+    __slots__ = _fields = ("field", "lengths", "diffs", "grams", "cohomology", "deltas", "factors")
 
 
 def _product_is_zero(field, left, right) -> bool:
@@ -782,7 +797,9 @@ def _basis_determinants(field, lengths, dd, specs, pivots):
     share its pivots.  When p is known irreducible (degree 1 or Phi_r, r
     prime), delta_i != 0 in K is nonzero at every place; otherwise
     exact_ranks of delta_i tells the places where it vanishes: none when
-    Res(p, delta_i) != 0.
+    Res(p, delta_i) != 0.  A delta_i that vanishes at some place, where the
+    representatives of degree i do not complete its image to the kernel,
+    raises ValidationError at the first such place and degree.
     """
     nd = len(lengths)
     seen = {}
@@ -806,7 +823,9 @@ def _basis_determinants(field, lengths, dd, specs, pivots):
                     nonzero = exact_ranks(field, [[delta]])
                 seen[i, below, own] = (delta, nonzero)
             delta, nonzero = seen[i, below, own]
-            row.append(delta if nonzero[len(out)] else field.zero())
+            if not nonzero[len(out)]:
+                raise _dependent(i)
+            row.append(delta)
         out.append(tuple(row))
     return tuple(out)
 
@@ -829,9 +848,12 @@ def build_complex_over_r(field, lengths, diffs, grams, cohomology) -> MetrizedCo
     dimension n_i - r_i - r_{i-1} of the cohomology at every place; the
     ranks are not stored, since the free ranks now say the same.  Then the
     basis determinants delta_i of the basis-chase are taken exactly in K,
-    once per complex; a delta_i that vanishes at a place is kept as 0, and
-    the basis-chase refuses that place.  Only the positivity of each Gram
-    is left to its place, where gram_ldl factors it.
+    once per complex, and a delta_i that vanishes at any place is refused.
+    Last, every cochain and free cohomology Gram at every place is factored
+    once, exactly (_factor_grams, through flatmodel.gram_ldl), which refuses
+    one that is not square, Hermitian and positive definite.  So a complex
+    that builds has every place well defined, and its exact tau at each
+    place is read from deltas and factors with no place built.
     """
     lengths = tuple(int(n) for n in lengths)
     nd = len(lengths)
@@ -855,10 +877,11 @@ def build_complex_over_r(field, lengths, diffs, grams, cohomology) -> MetrizedCo
             _check_field(field, spec.torsion.field, f"the torsion presentation at degree {i}")
         reps = tuple(tuple(field.element(x) for x in row) for row in spec.free_reps)
         specs.append(CohomologySpec(spec.free_rank, reps, tuple(spec.free_grams), spec.torsion))
-    # the data at_place reads: a spec of free rank 0 has no Gram there
-    for k in range(field.n_places):
-        hh = [spec.free_grams[k] if spec.free_rank else () for spec in specs]
-        _check_shapes(lengths, dd, [g[k] for g in gg], hh, [spec.free_reps for spec in specs])
+    # the Grams of each place: a spec of free rank 0 has no Gram there
+    places = [([g[k] for g in gg], [s.free_grams[k] if s.free_rank else () for s in specs])
+              for k in range(field.n_places)]
+    for g, h in places:
+        _check_shapes(lengths, dd, g, h, [spec.free_reps for spec in specs])
     for i, spec in enumerate(specs):
         if any(len(h) != spec.free_rank for h in spec.free_grams):
             raise ValidationError(f"a free cohomology Gram at degree {i} is not of its free rank")
@@ -873,24 +896,24 @@ def build_complex_over_r(field, lengths, diffs, grams, cohomology) -> MetrizedCo
     for piv in pivots:
         _check_rep_count([spec.free_rank for spec in specs], _kernel_dims(lengths, map(len, piv)))
     deltas = _basis_determinants(field, lengths, dd, specs, pivots)
-    return MetrizedComplexOverR(field, lengths, dd, gg, tuple(specs), deltas)
+    factors = tuple(_factor_grams(field.digits, g, h) for g, h in places)
+    return MetrizedComplexOverR(field, lengths, dd, gg, tuple(specs), deltas, factors)
 
 
 def at_place(cplx: MetrizedComplexOverR, place: int) -> MetrizedComplexAtPlace:
-    """The embedded metrized complex at one place representative.
+    """The embedded metrized complex at one place representative, for the
+    Laplacian route (reidemeister), which verifies the exact tau.
 
-    build_complex_over_r has checked every count and shape, d after d = 0
-    and the cocycles, exactly in K, so this checks none of them: it embeds
+    build_complex_over_r has decided everything exact: every count and
+    shape, d after d = 0 and the cocycles in K, the basis determinants, and
+    the factor of every Gram.  So this checks and factors nothing: it embeds
     each ring element once, straight into the place's mp.matrix, and
-    assembles the place as metrized_complex_at_place does (each Gram
-    factored once by gram_ldl, which refuses one that is not positive).
-    The place carries |sigma(delta_i)|^2 of each basis determinant, for the
-    basis-chase, and no ranks: its kernel dimensions are its free ranks.
-    Each place is built once per complex object: later calls return the
-    same MetrizedComplexAtPlace.  A call that raises keeps nothing.
+    assembles the place from the kept factors as metrized_complex_at_place
+    does.  The place carries |sigma(delta_i)|^2 of each basis determinant,
+    for the basis-chase, and no ranks: its kernel dimensions are its free
+    ranks.  Each call builds the place afresh; it raises only for a place
+    index out of range.
     """
-    if place in cplx._memo:
-        return cplx._memo[place]
     field = cplx.field
     if not 0 <= place < field.n_places:
         raise ValidationError(f"place {place} is not in 0..{field.n_places - 1}")
@@ -902,25 +925,36 @@ def at_place(cplx: MetrizedComplexOverR, place: int) -> MetrizedComplexAtPlace:
     with mp.workdps(digits + GUARD):
         dd = [_matrix(m, cplx.lengths[i], entry) for i, m in enumerate(cplx.diffs)]
         kk = [_matrix(spec.free_reps, spec.free_rank, entry) for spec in cplx.cohomology]
-        hh = [spec.free_grams[place] if spec.free_rank else () for spec in cplx.cohomology]
-        gg = [g[place] for g in cplx.grams]
-        delta_sq = [_abs2(entry(d)) for d in cplx.deltas[place]]
-        at = cplx._memo[place] = _orthonormal_complex(
-            digits, cplx.lengths, dd, kk, gg, hh, delta_sq
+        return _orthonormal_complex(
+            digits, cplx.lengths, dd, kk, *cplx.factors[place], _delta_sq(cplx, place)
         )
-    return at
+
+
+def _delta_sq(cplx: MetrizedComplexOverR, place):
+    """|sigma(delta_i)|^2 of each basis determinant of a complex over R at
+    one place, at the working precision."""
+    return [_abs2(embed(cplx.field, d, place)) for d in cplx.deltas[place]]
+
+
+def _taus_and_form(cplx: MetrizedComplexOverR):
+    """The exact basis-chase tau at each place of a complex over R, read
+    from its deltas and factors with no place built, and the form of their
+    logarithms (rtorsion_form)."""
+    with mp.workdps(cplx.field.digits + GUARD):
+        taus = [
+            _tau(_delta_sq(cplx, k), [d for d, _ in g], h) for k, (g, h) in enumerate(cplx.factors)
+        ]
+        return taus, make_form(cplx.field, 0, [ln(tau) for tau in taus])
 
 
 def rtorsion_form(field: NumberField, cplx: MetrizedComplexOverR) -> FormElement:
     """The degree-1 vector of per-place ln tau, in quotient coordinates, with
-    tau the exact basis-chase's (torsion_by_contraction); cplx must be a
-    complex over field."""
+    tau the exact basis-chase's, the value torsion_by_contraction gives at
+    each place; cplx must be a complex over field.  It reads the basis
+    determinants and Gram determinants build_complex_over_r kept, and
+    builds no place."""
     _check_field(field, cplx.field, "the complex")
-    with mp.workdps(field.digits + GUARD):
-        vals = [
-            ln(torsion_by_contraction(at_place(cplx, k))) for k in range(field.n_places)
-        ]
-    return make_form(field, 0, vals)
+    return _taus_and_form(cplx)[1]
 
 
 def verify_euler_identity(
@@ -950,9 +984,9 @@ def verify_euler_identity(
       (1/4) ln prod_i (|sigma(det T_i)|^2 / |sigma(delta_i)|^2)^((-1)^i),
 
     one logarithm per place and one lattice reduction in all, from the
-    |sigma(delta_i)|^2 that at_place embeds; a delta_i that vanishes raises
-    ValidationError, as in torsion_by_contraction.  Every place is built by
-    at_place, which checks its Grams.  cplx must be a complex over field.
+    |sigma(delta_i)|^2 of each basis determinant, embedded here: no place
+    is built.  build_complex_over_r has refused a delta_i that vanishes and
+    a Gram that is not positive.  cplx must be a complex over field.
     """
     _check_field(field, cplx.field, "the complex")
     rank = sum(
@@ -966,6 +1000,5 @@ def verify_euler_identity(
                 mpf(1) if spec.torsion is None else _abs2(embed(field, spec.torsion.det_elem, k))
                 for spec in cplx.cohomology
             )
-            delta_sq = _delta_sq(at_place(cplx, k))
-            lndets.append(ln(_alternating(t / d2 for t, d2 in zip(tors, delta_sq))))
+            lndets.append(ln(_alternating(t / d2 for t, d2 in zip(tors, _delta_sq(cplx, k)))))
     return _cycl_from_lndets(field, lattice, rank, lndets)

@@ -535,19 +535,94 @@ def _free_cohomology_complex(field, torsion=None):
     )
 
 
-def test_at_place_is_built_once_per_complex():
+def test_at_place_builds_each_place_afresh():
+    # at_place keeps nothing: each call assembles an equal, new place
     field, _ = field_units("zsqrt2")
     cplx = _free_cohomology_complex(field)
     for k in range(field.n_places):
-        assert at_place(cplx, k) is at_place(cplx, k)
-    assert at_place(cplx, 0) is not at_place(cplx, 1)
-    # one key per place: no negative alias of the last one
+        a, b = at_place(cplx, k), at_place(cplx, k)
+        assert a == b and a is not b
+    assert at_place(cplx, 0) != at_place(cplx, 1)
+    # one index per place: no negative alias of the last one
     for k in (-1, field.n_places):
         with pytest.raises(ValidationError, match="not in 0..1"):
             at_place(cplx, k)
-    # the kept places take no part in equality
     assert cplx == _free_cohomology_complex(field)
     assert at_place(cplx, 0) == at_place(_free_cohomology_complex(field), 0)
+
+
+def test_build_factors_every_gram_once(monkeypatch):
+    # build_complex_over_r factors each cochain and free cohomology Gram at
+    # each place once and at_place factors none, so a Gram that is not
+    # square at place 1 alone refuses the complex when it is built
+    field, _ = field_units("zsqrt2")
+    calls = []
+    monkeypatch.setattr(rtorsion, "gram_ldl", _counting(calls, "ldl", gram_ldl))
+    cplx = _free_cohomology_complex(field)
+    assert len(calls) == field.n_places * (len(cplx.lengths) + 1)
+    calls.clear()
+    for k in range(field.n_places):
+        at_place(cplx, k)
+    assert calls == []
+    with pytest.raises(ValidationError, match="Gram matrix must be square"):
+        build_complex_over_r(
+            field, (1, 1), ([[field.element([2])]],), [[EYE1, [[1, 0]]], [EYE1, EYE1]],
+            [CohomologySpec(0)] * 2,
+        )
+    # the kept factors are immutable, so a complex built from tuples hashes
+    built = [
+        build_complex_over_r(
+            field, (1, 1), (((field.element([2]),),),), ((((1,),), ((3,),)),) * 2,
+            [CohomologySpec(0)] * 2,
+        )
+        for _ in range(2)
+    ]
+    assert hash(built[0]) == hash(built[1])
+
+
+def test_exact_readers_build_no_place(monkeypatch, capsys):
+    # rtorsion_form, verify_euler_identity and the rtorsion and euler-check
+    # commands read the exact tau from the complex: outside
+    # build_complex_over_r they build no place, form no Cholesky factor and
+    # factor no Gram
+    field, _, lat = field_lattice("zsqrt2")
+    cplx = _free_cohomology_complex(field)
+    calls = []
+    building = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            if not building:
+                calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def build(*args):
+        building.append(True)
+        try:
+            return build_complex_over_r(*args)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(rtorsion, "build_complex_over_r", build)
+    for mod, name in ((rtorsion, "at_place"), (rtorsion, "_cholesky_pair"),
+                      (rtorsion, "gram_ldl"), (flatmodel, "_cholesky_pair"),
+                      (flatmodel, "gram_ldl")):
+        monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+    free = json.dumps({
+        "lengths": [1, 2],
+        "diffs": [[["2"], ["0"]]],
+        "grams": [[[["2"]], [["1"]]], [[["2", "1"], ["1", "3"]], [["1", "0"], ["0", "5"]]]],
+        "cohomology": [{}, {"free_rank": 1, "free_reps": [["3"], ["1"]],
+                            "free_grams": [[["2"]], [["7"]]], "torsion": [["2"]]}],
+    })
+    rtorsion_form(field, cplx)
+    assert verify_euler_identity(field, lat, cplx).is_zero()
+    for command in ("rtorsion", "euler-check"):
+        assert main([command, "--field", str(Z2), "--complex", free]) == 0
+    assert '"is_zero": true' in capsys.readouterr().out
+    assert calls == []
 
 
 def test_warm_euler_identity_factors_nothing(monkeypatch, capsys):
@@ -609,14 +684,15 @@ def test_failures_are_not_kept():
     for _ in range(2):
         with pytest.raises(RankAmbiguous):
             reidemeister(at)
-    assert at_place(cplx, 0) is at
-    bad = build_complex_over_r(
-        field, (1, 1), ([[tiny]],), [[EYE1, [[-1]]], [EYE1, EYE1]], [CohomologySpec(0)] * 2
-    )
-    assert at_place(bad, 0).lengths == (1, 1)
+    assert at_place(cplx, 0) == at
+    # a Gram that is not positive at place 1 alone refuses the whole
+    # complex when it is built, on every build
     for _ in range(2):
         with pytest.raises(NotPositiveDefinite):
-            at_place(bad, 1)
+            build_complex_over_r(
+                field, (1, 1), ([[tiny]],), [[EYE1, [[-1]]], [EYE1, EYE1]],
+                [CohomologySpec(0)] * 2,
+            )
 
 
 def _alternating(field, degrees):
@@ -1282,35 +1358,27 @@ def test_exact_basis_chase_takes_pivots_per_branch():
 
 def test_exact_basis_chase_refuses_representatives_in_the_image():
     # over Z[sqrt2]: H^1 of 0 -> R --(2, 0)^T--> R^2 -> 0 represented by
-    # (1, 0)^T, which lies in the image, so delta_1 = 0 in K
+    # (1, 0)^T, which lies in the image, so delta_1 = 0 in K and the
+    # complex is refused when it is built
     field, _ = field_units("zsqrt2")
     two, zero, one = field.element([2]), field.zero(), field.one()
-    cplx = build_complex_over_r(
-        field, (1, 2), ([[two], [zero]],), [[EYE1] * 2, [EYE2] * 2],
-        [CohomologySpec(0), CohomologySpec(1, ((one,), (zero,)), ([[1]], [[1]]))],
-    )
-    assert all(deltas[1].is_zero() for deltas in cplx.deltas)
-    for k in range(field.n_places):
-        with pytest.raises(ValidationError, match="degree 1: the image, cohomology and "
-                           "coimage columns are dependent"):
-            torsion_by_contraction(at_place(cplx, k))
+    with pytest.raises(ValidationError, match="degree 1: the image, cohomology and "
+                       "coimage columns are dependent"):
+        build_complex_over_r(
+            field, (1, 2), ([[two], [zero]],), [[EYE1] * 2, [EYE2] * 2],
+            [CohomologySpec(0), CohomologySpec(1, ((one,), (zero,)), ([[1]], [[1]]))],
+        )
     # over (x^2 - 2)(x^2 - 3) the representative (0, x^2 - 2)^T of the same
     # H^1 completes the image only where x^2 - 2 does not vanish: delta_1 is
-    # 0 at +-sqrt2 alone, decided exactly
+    # 0 at +-sqrt2 alone, decided exactly, and that refuses the complex
     field = build_field([6, 0, -5, 0, 1], 50)
     a, one, zero = field.element([-2, 0, 1]), field.one(), field.zero()
-    cplx = build_complex_over_r(
-        field, (1, 2), ([[one], [zero]],), [[EYE1] * 4, [EYE2] * 4],
-        [CohomologySpec(0), CohomologySpec(1, ((zero,), (a,)), ([[1]],) * 4)],
-    )
-    assert [deltas[1] for deltas in cplx.deltas] == [a, zero, zero, a]
-    for k in (1, 2):
-        with pytest.raises(ValidationError, match="dependent"):
-            torsion_by_contraction(at_place(cplx, k))
-    for k in (0, 3):
-        # tau = |sigma(a)| = 1 at +-sqrt3
-        with mp.workdps(60):
-            assert abs(torsion_by_contraction(at_place(cplx, k)) - 1) < mp.mpf(10) ** -48
+    with pytest.raises(ValidationError, match="degree 1: the image, cohomology and "
+                       "coimage columns are dependent"):
+        build_complex_over_r(
+            field, (1, 2), ([[one], [zero]],), [[EYE1] * 4, [EYE2] * 4],
+            [CohomologySpec(0), CohomologySpec(1, ((zero,), (a,)), ([[1]],) * 4)],
+        )
 
 
 def test_exact_basis_chase_keeps_every_digit_of_an_ill_conditioned_differential():
@@ -1530,13 +1598,14 @@ def test_basis_determinants_over_a_known_irreducible_take_no_exact_ranks(monkeyp
             tau = torsion_by_contraction(at_place(cplx, k))
             with mp.workdps(60):
                 assert abs(tau / reidemeister(at_place(cplx, k)) - 1) < mp.mpf(10) ** -40
-    # a delta_i that is 0 in K is 0 at every place
+    # a delta_i that is 0 in K is 0 at every place, and refuses the complex
     two, zero, one = field.element([2]), field.zero(), field.one()
-    cplx = build_complex_over_r(
-        field, (1, 2), ([[two], [zero]],), [[EYE1] * 2, [EYE2] * 2],
-        [CohomologySpec(0), CohomologySpec(1, ((one,), (zero,)), ([[1]], [[1]]))],
-    )
-    assert calls == [] and all(deltas[1].is_zero() for deltas in cplx.deltas)
+    with pytest.raises(ValidationError, match="dependent"):
+        build_complex_over_r(
+            field, (1, 2), ([[two], [zero]],), [[EYE1] * 2, [EYE2] * 2],
+            [CohomologySpec(0), CohomologySpec(1, ((one,), (zero,)), ([[1]], [[1]]))],
+        )
+    assert calls == []
 
 
 

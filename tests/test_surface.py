@@ -215,6 +215,26 @@ def test_grams_take_no_numeric_factor():
         assert not re.search(r"_inverse_upper|\bmp\.[UL]_solve\b", text), path.name
 
 
+def test_nothing_in_the_package_builds_a_place_over_r():
+    # build_complex_over_r keeps everything exact that a complex over R has,
+    # so the exact readers read tau from the complex; at_place serves the
+    # numeric verifier alone, which callers outside the package run
+    callers = []
+    for path in sorted((SRC / "regtor").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        own = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "at_place"
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in own:
+                if getattr(node.func, "id", getattr(node.func, "attr", None)) == "at_place":
+                    callers.append((path.name, node.lineno))
+    assert not callers, callers
+
+
 def test_adjoint_products_go_through_the_gram_helper():
     # every A^H A and A A^H is rtorsion._gram, which forms the entries on
     # and above the diagonal once; no other source multiplies by .H
@@ -291,17 +311,15 @@ def test_records_keep_their_semantics():
     with pytest.raises(TypeError, match="unhashable type: 'MetrizedComplexAtPlace'"):
         hash(at)
 
-    # each complex over R and each cyclotomic setup caches in its own _memo,
-    # outside equality, repr and copies
-    field = build_field((-2, 0, 1), 30)
-    x, y = _complex_over_r(field), _complex_over_r(field)
-    at_place(x, 0)
-    assert x._memo and not y._memo and x == y
+    # each cyclotomic setup caches in its own _memo, outside equality, repr
+    # and copies; a complex over R caches no place
     s, t = make_cyclotomic_setup(5, 30), make_cyclotomic_setup(5, 30)
     torsion_form_coeffs(s, 2)
     assert s._memo and not t._memo and s == t and hash(s) == hash(t)
-    assert "_memo" not in repr(x) + repr(s)
-    assert not any(copy.copy(v)._memo for v in (x, s))
+    assert "_memo" not in repr(s)
+    assert not copy.copy(s)._memo
+    x = _complex_over_r(build_field((-2, 0, 1), 30))
+    assert at_place(x, 0) is not at_place(x, 0) and not hasattr(x, "_memo")
 
 
 def _subclasses(cls):
@@ -309,14 +327,14 @@ def _subclasses(cls):
 
 
 def test_complex_records_keep_no_ranks():
-    # a place carries delta but no ranks, and a complex over R its deltas:
-    # the free ranks say what the ranks would
+    # a place carries delta but no ranks, and a complex over R its deltas
+    # and Gram factors: the free ranks say what the ranks would
     assert MetrizedComplexAtPlace._fields == (
         "digits", "lengths", "ortho_diffs", "ortho_reps", "from_ortho",
         "det_cochain", "cohomology_dims", "det_cohomology", "delta_sq",
     )
     assert MetrizedComplexOverR._fields == (
-        "field", "lengths", "diffs", "grams", "cohomology", "deltas"
+        "field", "lengths", "diffs", "grams", "cohomology", "deltas", "factors"
     )
 
 
