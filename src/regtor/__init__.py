@@ -76,7 +76,7 @@ from .rtorsion import (
     MetrizedComplexOverR,
     at_place,
     build_complex_over_r,
-    cohomology,
+    exact_torsion,
     metrized_complex_at_place,
     reidemeister,
     rtorsion_form,

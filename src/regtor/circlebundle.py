@@ -6,7 +6,7 @@ theta_sigma}, a root of unity taken in closed form; the fiberwise analytic
 torsion forms reduce to explicit polylogarithm values at these roots of
 unity.  This module packages those coefficients, the u_j constants, the
 psi-scaling regulator identity, the degree-zero Cheeger-Mueller cross-check
-against the combinatorial torsion of 0 -> C --(1-sigma(xi))--> C -> 0, the
+against the combinatorial torsion of 0 -> R --(1 - xi)--> R -> 0, the
 four-periodic dimension table, the X-space dimensions, conversion between
 the competing normalizations of the Kamber-Tondeur forms, and the Hatcher
 constants a_k kappa_k zeta(2k+1).
@@ -27,7 +27,7 @@ from mpmath.libmp import isprime
 
 from . import rtorsion
 from .errors import TrivialHolonomyAtJZero, ValidationError
-from .numfield import DEFAULT_DIGITS, DEGREE_MAX, GUARD, NumberField, Record, build_field, ln
+from .numfield import DEFAULT_DIGITS, DEGREE_MAX, GUARD, NumberField, Record, build_field
 from .polylog import (
     BERNOULLI_MAX,
     _check_j,
@@ -207,23 +207,25 @@ def regulator_identity_check(setup: CyclotomicSetup, j: int) -> dict:
 
 
 def cheeger_muller_check(setup: CyclotomicSetup) -> dict:
-    """|T_{sigma,0}| against ln tau of 0 -> C --(1 - sigma(xi))--> C -> 0.
+    """|T_{sigma,0}| against ln tau of 0 -> R --(1 - xi)--> R -> 0.
 
     The combinatorial torsion comes from the independent metrized-complex
-    route; returns (|T_{sigma,0}|, ln tau_sigma, absolute residual) per place.
+    route: the complex is built over the setup's own Z[zeta_r] with trivial
+    Grams and no cohomology, and ln tau = -ln|1 - sigma(xi)| is read at
+    every place from its exact basis-chase tau (rtorsion.exact_torsion).
+    Returns (|T_{sigma,0}|, ln tau_sigma, absolute residual) per place.
     T_{sigma,0} reads Li_1 from the setup when an earlier torsion_form_coeffs
     call left it there, and then takes no sine or logarithm of its own.
     """
-    digits = setup.field.digits
+    field = setup.field
     t0 = torsion_form_coeffs(setup, 0)
+    cplx = rtorsion.build_complex_over_r(
+        field, (1, 1), ([[field.sub(field.one(), field.gen())]],),
+        [[[[1]]] * field.n_places] * 2, [rtorsion.CohomologySpec(0)] * 2,
+    )
     out = {}
-    with mp.workdps(digits + GUARD):
-        for k in range(setup.field.n_places):
-            z = 1 - setup.field.sigma_star[k]
-            cplx = rtorsion.metrized_complex_at_place(
-                digits, [1, 1], [[[z]]], [[[1]], [[1]]], [(), ()], [(), ()]
-            )
-            lntau = ln(rtorsion.reidemeister(cplx))
+    with mp.workdps(field.digits + GUARD):
+        for k, lntau in enumerate(rtorsion.exact_torsion(cplx)[1]):
             resid = abs(abs(t0[(k, 0)]) - abs(lntau))
             out[k] = (abs(t0[(k, 0)]), +lntau, +resid)
     return out

@@ -304,7 +304,8 @@ def cmd_zhat(args):
 def cmd_rtorsion(args):
     field, _, digits = _load_field(args)
     cplx = _parse_complex(field, _json_arg(args.complex, "--complex", dict))
-    taus, f = rtorsion._taus_and_form(cplx)
+    taus, ln_taus = rtorsion.exact_torsion(cplx)
+    f = flatmodel.make_form(field, 0, ln_taus)
     return {
         "tau": _sigmas(taus, digits),
         "form_canonical": _sigmas(f.values, digits),

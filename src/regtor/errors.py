@@ -43,4 +43,5 @@ class NoConvergence(NumericalError):
 
 
 class RankAmbiguous(NumericalError):
-    """An eigenvalue or singular value sits too close to the rank cutoff."""
+    """An eigenvalue sits too close to the rank cutoff, or the eigenvalues
+    below it disagree with the exact kernel dimension."""

@@ -158,9 +158,7 @@ def torus_tolerance(digits: int):
 
 def residual_tolerance(digits: int):
     """10^(-digits + GUARD) at the working precision: the bound on the
-    backward error of each root, and for complexes over C the bound on d
-    after d and on the cocycle conditions relative to the Frobenius norms of
-    their factors."""
+    backward error of each root."""
     return mpf(10) ** (-digits + GUARD)
 
 
@@ -378,7 +376,7 @@ def _subresultant_gcd(f, e) -> list[int]:
             return gcd + [1]
 
 
-def _bareiss_pivots(m, bits, f) -> list[tuple[list[int], tuple[int, ...]]]:
+def _bareiss_pivots(m, bits, f, irreducible) -> list[tuple[list[int], tuple[int, ...]]]:
     """Pivot columns of an integer polynomial matrix modulo the factors of a
     monic, squarefree f, by _bareiss with any entry nonzero mod f as a pivot.
 
@@ -393,7 +391,9 @@ def _bareiss_pivots(m, bits, f) -> list[tuple[list[int], tuple[int, ...]]]:
     Otherwise f splits into g = gcd(f, e), on which e vanishes and
     elimination starts again, and f / g, on which e is a unit and the rank
     is r (dynamic evaluation, D5: Della Dora, Dicrescenzo and Duval, EUROCAL
-    1985).  So f needs one resultant, and one more per split.  Returns
+    1985).  So f needs one resultant, and one more per split, unless f is
+    known irreducible (NumberField.known_irreducible): then every nonzero
+    residue mod f is a unit, and no resultant is taken.  Returns
     (factor, sorted pivot columns) per branch; the factors multiply to f.
     """
     done = []
@@ -407,7 +407,7 @@ def _bareiss_pivots(m, bits, f) -> list[tuple[list[int], tuple[int, ...]]]:
         a = [row[:] for row in m]
         order = list(range(len(a[0])))
         k, _ = _bareiss(a, lambda x: x and mod_f(x), order=order)
-        if k:
+        if k and not irreducible:
             last = mod_f(a[k - 1][k - 1])
             if not _resultant(f, last):
                 g = _subresultant_gcd(f, last)
@@ -431,7 +431,7 @@ def exact_pivots(field, rows) -> tuple[tuple[int, ...], ...]:
     if not rows or not rows[0]:
         return ((),) * field.n_places
     m, bits, _ = _kronecker_matrix(field, rows)
-    branches = _bareiss_pivots(m, bits, list(field.poly))
+    branches = _bareiss_pivots(m, bits, list(field.poly), field.known_irreducible)
     if len(branches) == 1:
         return (branches[0][1],) * field.n_places
     with mp.workdps(field.digits + GUARD):

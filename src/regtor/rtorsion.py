@@ -4,16 +4,16 @@ tau is the positive real comparing the metric on the determinant line of a
 complex with the metric induced on the determinant line of its cohomology
 (with respect to chosen cohomology bases and metrics).
 
-metrized_complex_at_place validates a complex at one place and changes it to
-orthonormal coordinates, once: it factors each cochain and cohomology Gram
-one time, exactly (flatmodel.gram_ldl), and keeps their determinants as
-exact rationals.  A complex over R is decided in full when
+Every complex has a K.  A complex over R is decided in full when
 build_complex_over_r builds it: the one count-and-shape check
 (_check_shapes) runs there at every place, every exact fact is decided in
 K, a basis determinant that vanishes at any place is refused, and every
-Gram at every place is factored, once (_factor_grams).  at_place only
-embeds and assembles, from the kept factors, and caches nothing.  Two
-independent algorithms read the result:
+Gram at every place is factored, once, exactly (_factor_grams, through
+flatmodel.gram_ldl).  A complex given by its numbers at one place
+(metrized_complex_at_place) is read exactly, by numfield.to_exact, and
+built over Q = Z[x]/(x) when every entry is real, over Q(i) = Z[x]/(x^2 + 1)
+otherwise.  at_place only embeds and assembles, from the kept factors, and
+caches nothing.  Two independent algorithms read the result:
 
   reidemeister         Laplacian route: the Ray-Singer product of
                        pseudo-determinants of the combinatorial Laplacians,
@@ -28,63 +28,49 @@ independent algorithms read the result:
                        Basis-chase route: complete the image and
                        representative columns of each degree by the unit
                        vectors on pivot columns of its differential, and
-                       alternate the determinants of these bases.  Over R
-                       the determinants are exact: build_complex_over_r
-                       takes each delta_i in K once per complex, and tau^2
-                       is the alternating product of |sigma(delta_i)|^2
-                       det G_i / det H_i (_tau).  A complex built directly
-                       over C takes the ranks, pivots and minors
-                       numerically.  It takes no logarithm.
+                       alternate the determinants of these bases.  They are
+                       exact: build_complex_over_r takes each delta_i in K
+                       once per complex, and tau^2 is the alternating
+                       product of |sigma(delta_i)|^2 det G_i / det H_i
+                       (_tau).  It takes no logarithm.
 
 The sign convention is frozen so that the acyclic complex 0 -> C --z--> C -> 0
-with standard metrics has tau = 1/|z|; both routes reproduce it.  Over R
-every result reads the exact basis-chase tau straight from the complex,
-with no place built: rtorsion_form and the rtorsion command embed each
-delta_i and read the kept Gram determinants, and verify_euler_identity,
-where the Gram determinants cancel, embeds the delta_i alone.  The
-Laplacian route only verifies it, on the places at_place builds.
+with standard metrics has tau = 1/|z|; both routes reproduce it.  Every
+result reads the exact basis-chase tau straight from the complex, with no
+place built: exact_torsion embeds each delta_i and reads the kept Gram
+determinants, for rtorsion_form, the rtorsion command and
+circlebundle.cheeger_muller_check, and verify_euler_identity, where the
+Gram determinants cancel, embeds the delta_i alone.  The Laplacian route
+only verifies it, on the places at_place builds.
 
-Every per-place matrix is an mp.matrix, and norms, eigenvalues and
-singular values are mpmath's own.  Products are one mp.fdot per entry over
-row and column lists (_product), and the Hermitian A^H A and A A^H one per
-entry on and above the diagonal (_gram), with the conjugates below: the
-values mpmath's matrix product gives, with no conjugate transpose copied
-and no lower triangle formed twice.  The orthonormal coordinates come from the exact
+Every per-place matrix is an mp.matrix, and norms and eigenvalues are
+mpmath's own.  Products are one mp.fdot per entry over row and column
+lists (_product), and the Hermitian A^H A and A A^H one per entry on and
+above the diagonal (_gram), with the conjugates below: the values mpmath's
+matrix product gives, with no conjugate transpose copied and no lower
+triangle formed twice.  The orthonormal coordinates come from the exact
 G = L D L^H of each Gram: U = D^(1/2) L^H and U^-1 = L^-H D^(-1/2), with one
 square root per pivot, so no triangular factor is solved numerically.
 
-Rank decisions.  For a complex over R the rank and pivot columns of each
-differential at each place are decided exactly in K, once, by
-build_complex_over_r (numfield.exact_pivots), and so are the basis
-determinants delta_i, which vanish at no place of a complex that builds.
-No rank is kept: build_complex_over_r matches each free rank against the
-exact kernel dimension at every place, so the cohomology_dims of a place
-are its exact kernel dimensions.  at_place hands |sigma(delta_i)|^2 to the
-place, so the basis-chase takes no singular value, pivot or minor there
-either.  The Laplacian route stays numeric, so that the two routes stay
-independent, and a kernel dimension of its own that differs from the
-exact one raises RankAmbiguous.
-Only a complex built directly over C, which has no K, has its ranks
-decided on singular values.  Numeric decisions scale with the data and
-refuse to guess, and each is taken on one differential, so that
-differentials of very different scale do not swallow each other's small
-values.  With c = numfield.rank_cutoff (10^(-digits/2)) and G_i the
-smaller of d_i^* d_i and d_i d_i^*, an eigenvalue of G_i counts as zero
-when it is at most c^2 |G_i|_F, and a singular value of d_i when it is at
-most c |d_i|_F, so a zero matrix has rank 0; any value within a factor
-10^3 of its cut raises RankAmbiguous.  cohomology, which needs the
-harmonic vectors, judges the eigenvalues of each Laplacian with its two
-differentials divided by their Frobenius norms, which has the same kernel,
-against c^2 times its own Frobenius norm.
-d after d = 0 and the cocycle conditions are checked numerically only for
-a complex built directly over C (metrized_complex_at_place), relative to
-the data: |d_{i+1} d_i|_F must not exceed numfield.residual_tolerance
-(10^(-digits + GUARD)) times |d_{i+1}|_F |d_i|_F, and |d_i K_i|_F that
-times |d_i|_F |K_i|_F.  For a complex over R, build_complex_over_r has
-decided both exactly in K, each product entry one integer dot product of
-Kronecker-packed rows and columns reduced mod p (_product_is_zero), and
-at_place builds its places with the same assembly but without these
-products, any shape check or any factoring.  The determinant of a Gram is
+Rank decisions.  The rank and pivot columns of each differential at each
+place are decided exactly in K, once, by build_complex_over_r
+(numfield.exact_pivots), and so are the basis determinants delta_i, which
+vanish at no place of a complex that builds.  So are d after d = 0 and the
+cocycle conditions, each product entry one integer dot product of
+Kronecker-packed rows and columns reduced mod p (_product_is_zero): a
+d after d that vanishes only to rounding is refused.  No rank is kept:
+build_complex_over_r matches each free rank against the exact kernel
+dimension at every place, so the cohomology_dims of a place are its exact
+kernel dimensions.  at_place hands |sigma(delta_i)|^2 to the place, so the
+basis-chase takes no singular value, pivot or minor there.  The Laplacian
+route stays numeric, so that the two routes stay independent: with
+c = numfield.rank_cutoff (10^(-digits/2)) and G_i the smaller of d_i^* d_i
+and d_i d_i^*, an eigenvalue of G_i counts as zero when it is at most
+c^2 |G_i|_F, so a zero matrix has rank 0, and each is judged on its own
+differential, so that differentials of very different scale do not
+swallow each other's small values.  A value within a factor 10^3 of its
+cut, or a kernel dimension that differs from the exact one, raises
+RankAmbiguous: more digits would help.  The determinant of a Gram is
 prod D_k of its exact factor, a Fraction, and the Gram determinants a
 route combines are multiplied exactly and rounded once.  The one Gram not
 given is that of the harmonic projections in reidemeister: its
@@ -93,9 +79,9 @@ twice, leaves of the representatives, and the pivots of one LDL^H of a
 square matrix, with no square root, which does not square their
 conditioning.
 
-Neither route takes a logarithm: each multiplies determinants, eigenvalues
-and minors and ends in one square root.  Logarithms are taken only where a
-form needs one, each by numfield.ln: rtorsion_form takes ln tau once per
+Neither route takes a logarithm: each multiplies determinants and
+eigenvalues and ends in one square root.  Logarithms are taken only where
+a form needs one, each by numfield.ln: exact_torsion takes ln tau once per
 place, and verify_euler_identity multiplies each place's
 |sigma(det T_i)|^2 of its torsion presentations and |sigma(delta_i)|^-2
 into one number and takes one logarithm of it: one per place in all.
@@ -129,13 +115,14 @@ from .numfield import (
     _horner,
     _kronecker_digits,
     _kronecker_lift,
+    build_field,
     embed,
     exact_pivots,
     exact_ranks,
     ln,
     poly_divmod,
     rank_cutoff,
-    residual_tolerance,
+    to_exact,
     to_mp,
 )
 
@@ -200,7 +187,7 @@ def _gram(a, adjoint_first):
 
 
 class MetrizedComplexAtPlace(Record):
-    """A finite cochain complex over C, validated and factored once.
+    """A finite cochain complex at one place, validated and factored once.
 
     Every matrix field is an mp.matrix, 0 by n or n by 0 where a degree or a
     cohomology is zero.  With the cochain Grams G_i = U_i^* U_i, U_i the
@@ -210,14 +197,12 @@ class MetrizedComplexAtPlace(Record):
     det_cochain[i] is det G_i, an exact Fraction.  cohomology_dims[i] counts
     the chosen classes and det_cohomology[i] is det H_i of their Gram (1
     when there are none), exact too.  Determinants, not their logarithms,
-    are kept, so the torsion routes multiply them.  at_place alone sets
-    delta_sq, for a place of a complex over R: delta_sq[i] is
+    are kept, so the torsion routes multiply them.  delta_sq[i] is
     |sigma(delta_i)|^2 of the exact basis determinant delta_i in K of
-    MetrizedComplexOverR, nonzero at the place.  Such a place carries no
-    ranks: its kernel dimension in degree i is cohomology_dims[i], the free
-    rank that build_complex_over_r matched against K.  delta_sq is None,
-    its default, for a complex built directly over C
-    (metrized_complex_at_place), whose ranks only singular values can tell.
+    MetrizedComplexOverR, nonzero at the place.  A place carries no ranks:
+    its kernel dimension in degree i is cohomology_dims[i], the free rank
+    that build_complex_over_r matched against K.  at_place builds every
+    place, metrized_complex_at_place's too.
 
     It compares by value, but an mp.matrix neither hashes nor pickles
     (mpmath makes its matrix class per context), so this record does
@@ -228,35 +213,44 @@ class MetrizedComplexAtPlace(Record):
         "digits", "lengths", "ortho_diffs", "ortho_reps", "from_ortho",
         "det_cochain", "cohomology_dims", "det_cohomology", "delta_sq",
     )
-    _defaults = {"delta_sq": None}
     __hash__ = None
 
 
 def metrized_complex_at_place(
     digits, lengths, diffs, cochain_grams, cohomology_grams, cohomology_maps
 ) -> MetrizedComplexAtPlace:
-    """Validate a complex and change it to orthonormal coordinates.
+    """The place of a complex given by its numbers at one place.
 
     diffs[i] maps degree i to degree i+1 and has shape lengths[i+1] by
     lengths[i]; cohomology_maps[i] has one column per chosen cohomology
     class, each column a cocycle in degree i; cohomology_grams[i] is the
-    chosen metric on those classes.  Checks counts and shapes (_check_shapes),
-    then d after d = 0 and the cocycle columns numerically, relative to the
-    data, then positive Grams.  Each Gram is factored once, exactly
-    (flatmodel.gram_ldl): the factor of a cochain Gram gives the
-    orthonormal coordinates and its determinant, and that of a cohomology
-    Gram its determinant.  No logarithm is taken.  The complex has no K, so
-    its delta_sq is None: both torsion routes decide its ranks numerically.
+    chosen metric on those classes.  Each differential and representative
+    entry is read exactly by numfield.to_exact, at digits + GUARD, as
+    gram_ldl reads each Gram.  The complex is built over
+    Q = Z[x]/(x) when every entry is real, and over Q(i) = Z[x]/(x^2 + 1)
+    otherwise, each with one place, by build_complex_over_r, which decides
+    everything there exactly and refuses what it refuses: a d after d or a
+    cocycle condition that holds only to rounding, a count of classes that
+    is not the kernel dimension, and representatives that do not complete
+    the image.  The place is at_place's, so it carries delta_sq.
     """
-    lengths = tuple(int(n) for n in lengths)
-    _check_shapes(lengths, diffs, cochain_grams, cohomology_grams, cohomology_maps)
+    if len(cohomology_maps) != len(cohomology_grams):
+        raise ValidationError("degree counts of the complex data disagree")
     with mp.workdps(digits + GUARD):
-        dd = [_matrix(m, lengths[i], to_mp) for i, m in enumerate(diffs)]
-        kk = [_matrix(k, len(h), to_mp) for k, h in zip(cohomology_maps, cohomology_grams)]
-        _check_zero_products(digits, dd, kk)
-        return _orthonormal_complex(
-            digits, lengths, dd, kk, *_factor_grams(digits, cochain_grams, cohomology_grams)
-        )
+        dd = [[[to_exact(x) for x in row] for row in m] for m in diffs]
+        kk = [[[to_exact(x) for x in row] for row in k] for k in cohomology_maps]
+    gaussian = any(im for m in dd + kk for row in m for _, im in row)
+    field = build_field((1, 0, 1) if gaussian else (0, 1), digits)
+
+    def ring(rows):
+        return [[field.element(z if gaussian else z[:1]) for z in row] for row in rows]
+
+    specs = [
+        CohomologySpec(len(h), ring(k), (h,) if len(h) else ())
+        for k, h in zip(kk, cohomology_grams)
+    ]
+    grams = [[g] for g in cochain_grams]
+    return at_place(build_complex_over_r(field, lengths, [ring(m) for m in dd], grams, specs), 0)
 
 
 def _check_shapes(lengths, diffs, cochain_grams, cohomology_grams, cohomology_maps):
@@ -267,7 +261,7 @@ def _check_shapes(lengths, diffs, cochain_grams, cohomology_grams, cohomology_ma
     cohomology Gram; a degree with no cohomology Gram lists no
     representative column, and a zero degree no cohomology.  Whether each
     Gram is square is decided where it is factored (_factor_grams), after
-    every check here: at build for a complex over R."""
+    every check here, when the complex is built."""
     nd = len(lengths)
     gg, hh, kk = cochain_grams, cohomology_grams, cohomology_maps
     if len(diffs) != nd - 1 or len(gg) != nd or len(hh) != nd or len(kk) != nd:
@@ -292,20 +286,6 @@ def _check_shapes(lengths, diffs, cochain_grams, cohomology_grams, cohomology_ma
             raise ValidationError(f"degree {i} provides representatives but no cohomology Gram")
 
 
-def _check_zero_products(digits, dd, kk):
-    """d after d = 0 and d_i K_i = 0 within residual_tolerance, relative to
-    the Frobenius norms of the factors: exact zeros carry the rounding of
-    entries as large as the factors."""
-    tol = residual_tolerance(digits)
-    norms = [mp.norm(m, 2) for m in dd]
-    for i in range(len(dd) - 1):
-        if mp.norm(_product(dd[i + 1].tolist(), _cols(dd[i])), 2) > tol * norms[i + 1] * norms[i]:
-            raise ValidationError(f"d{i + 1} after d{i} is not zero")
-    for i, k in enumerate(kk[:-1]):
-        if k.cols and mp.norm(_product(dd[i].tolist(), _cols(k)), 2) > tol * norms[i] * mp.norm(k, 2):
-            raise ValidationError(f"a degree-{i} representative is not a cocycle")
-
-
 def _factor_grams(digits, gg, hh):
     """(cochain, det_h) of one place's Grams, each factored once, exactly:
     cochain[i] is gram_ldl's (det G_i, factor) of the cochain Gram gg[i],
@@ -316,13 +296,13 @@ def _factor_grams(digits, gg, hh):
     return cochain, tuple(gram_ldl(h, digits)[0] if len(h) else Fraction(1) for h in hh)
 
 
-def _orthonormal_complex(digits, lengths, dd, kk, cochain, det_h, delta_sq=None):
+def _orthonormal_complex(digits, lengths, dd, kk, cochain, det_h, delta_sq):
     """The MetrizedComplexAtPlace of checked data (_check_shapes) with the
-    differentials dd and representatives kk as mp.matrix and the Grams
-    factored (_factor_grams): the differentials and representatives in
-    orthonormal coordinates, U_{i+1} d_i U_i^-1 (left to right) and U_i K_i,
-    each a _product over the rows of U.  Only at_place passes delta_sq,
-    decided in K."""
+    differentials dd and representatives kk as mp.matrix, the Grams
+    factored (_factor_grams) and the |sigma(delta_i)|^2 delta_sq: the
+    differentials and representatives in orthonormal coordinates,
+    U_{i+1} d_i U_i^-1 (left to right) and U_i K_i, each a _product over
+    the rows of U."""
     nd = len(lengths)
     ups = []
     from_ortho = []
@@ -342,7 +322,7 @@ def _orthonormal_complex(digits, lengths, dd, kk, cochain, det_h, delta_sq=None)
         det_cochain=tuple(det for det, _ in cochain),
         cohomology_dims=tuple(k.cols for k in kk),
         det_cohomology=det_h,
-        delta_sq=None if delta_sq is None else tuple(delta_sq),
+        delta_sq=tuple(delta_sq),
     )
 
 
@@ -359,54 +339,6 @@ def _count_below(values, cut, message):
         if v <= cut:
             k += 1
     return k
-
-
-def _laplacian(cplx: MetrizedComplexAtPlace, i):
-    """d_i^* d_i / |d_i|_F^2 + d_{i-1} d_{i-1}^* / |d_{i-1}|_F^2 in degree i,
-    in orthonormal coordinates, the sum of two _gram products.  Dividing
-    each differential by its Frobenius norm (a zero one stays zero) keeps
-    the kernel and puts both terms on one scale.
-    """
-    n = cplx.lengths[i]
-    dt = cplx.ortho_diffs
-    d = dt[i] if i < len(dt) else mp.matrix(0, n)
-    e = dt[i - 1] if i > 0 else mp.matrix(n, 0)
-    d, e = (m / (mp.norm(m, 2) or 1) for m in (d, e))
-    return _gram(d, True) + _gram(e, False)
-
-
-def cohomology(cplx: MetrizedComplexAtPlace):
-    """Kernel dimensions of the Laplacians and orthonormal harmonic bases.
-
-    Each Laplacian is judged with its two terms on one scale:
-    L~_i = d_i^* d_i / |d_i|_F^2 + d_{i-1} d_{i-1}^* / |d_{i-1}|_F^2 has
-    the kernel of L_i, and an eigenvalue of it at most
-    rank_cutoff^2 |L~_i|_F counts toward that kernel, so differentials of
-    very different scale do not swallow each other's small eigenvalues.
-    The eigenvalues come in ascending order, so the eigenvectors of the
-    kernel ones come first and span it.  Returns
-    (dims, bases); bases[i] is a lengths[i] by dims[i] mp.matrix in the
-    original coordinates, orthonormal for the degree-i Gram.
-    """
-    with mp.workdps(cplx.digits + GUARD):
-        cut2 = rank_cutoff(cplx.digits) ** 2
-        dims = []
-        bases = []
-        for i, n in enumerate(cplx.lengths):
-            if n == 0:
-                dims.append(0)
-                bases.append(mp.matrix(0, 0))
-                continue
-            lap = _laplacian(cplx, i)
-            evals, q = mp.eighe(lap)
-            h = _count_below(
-                [evals[t] for t in range(n)],
-                cut2 * mp.norm(lap, 2),
-                f"Laplacian in degree {i}: eigenvalue {{}} sits at the cutoff",
-            )
-            dims.append(h)
-            bases.append(_product(cplx.from_ortho[i].tolist(), _cols(q)[:h]))
-        return tuple(dims), tuple(bases)
 
 
 def _kernel_dims(lengths, ranks):
@@ -513,8 +445,8 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
 
       det W_i = |prod R_jj|^2 det(Lap_i + c^2 Q Q^*) / (c^(2 h_i) det'(Lap_i))
 
-    with det'(Lap_i) = det'(G_i) det'(G_{i-1}), when the complex lists as
-    many classes as the kernel has dimensions.  Q and R come from
+    with det'(Lap_i) = det'(G_i) det'(G_{i-1}), once the kernel has as many
+    dimensions as the complex lists classes.  Q and R come from
     _orthonormalize, at 10 more digits, and the determinant on the right
     from the pivots of an LDL^H (_ldl_det), with no square root.  Taking
     the lemma on Q, not on K_i, keeps the conditioning of K_i out of the
@@ -530,12 +462,11 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
     logarithm is taken.  tau is computed at the complex's digits + GUARD,
     the corrections and the product at GUARD more.
 
-    The route stays numeric on a place of a complex over R too, so that it
-    checks the basis-chase independently.  Such a place carries delta_sq,
-    and its exact kernel dimension in degree i is cohomology_dims[i], the
-    free rank build_complex_over_r matched against K; a kernel dimension
-    that differs from it raises RankAmbiguous: the cutoff misjudged an
-    eigenvalue, and more digits would help.
+    The route stays numeric, so that it checks the basis-chase
+    independently.  The exact kernel dimension in degree i is
+    cohomology_dims[i], the free rank build_complex_over_r matched against
+    K; a kernel dimension that differs from it raises RankAmbiguous: the
+    cutoff misjudged an eigenvalue, and more digits would help.
     """
     dt = cplx.ortho_diffs
     grams = {}
@@ -570,22 +501,20 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
         dims = _kernel_dims(cplx.lengths, ranks)
         # tau^2 = even / odd, the products of the factors with exponent +1 and
         # -1, over the chosen cohomology Grams' prod_i det H_i^((-1)^i),
-        # exact until then: a degree with no classes has det H_i = 1, and a
-        # count that differs from the classes listed fails below
+        # exact until then: a degree with no classes has det H_i = 1
         even, odd = mpf(1), mpf(1)
         # the factors combine at GUARD more digits, so that tau rounds once
         with mp.extradps(GUARD):
             for i, h in enumerate(dims):
-                # over R the free rank is the exact kernel dimension
-                if cplx.delta_sq is not None and h != cplx.cohomology_dims[i]:
+                # the free rank is the exact kernel dimension
+                if h != cplx.cohomology_dims[i]:
                     raise RankAmbiguous(
                         f"Laplacian in degree {i}: {h} eigenvalues fall below the cutoff "
                         f"but the exact kernel has dimension {cplx.cohomology_dims[i]}"
                     )
                 # det'(G_i), at dets[i + 1], enters with the opposite exponent
                 factor = 1 / dets[i + 1]
-                # a count that differs from the kernel dimension fails below
-                if h and h == cplx.cohomology_dims[i]:
+                if h:
                     with mp.extradps(10):
                         q, r = _orthonormalize(_cols(cplx.ortho_reps[i]))
                     # Lap_i from the Grams of the nonzero differentials beside it
@@ -601,29 +530,7 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
                 else:
                     even *= factor
             tau2 = even / odd / to_mp(_alternating(cplx.det_cohomology))
-        _check_rep_count(cplx.cohomology_dims, dims)
         return mp.sqrt(tau2)
-
-
-def _pivot_columns(d, rank):
-    """The rank columns that Gaussian elimination with complete pivoting picks.
-
-    Their unit vectors span a complement of the kernel of the matrix d, one
-    that stays well away from the kernel.
-    """
-    a = d.tolist()
-    live_rows, live_cols = list(range(d.rows)), list(range(d.cols))
-    for _ in range(rank):
-        p, q = max(
-            ((r, c) for r in live_rows for c in live_cols), key=lambda rc: abs(a[rc[0]][rc[1]])
-        )
-        live_rows.remove(p)
-        live_cols.remove(q)
-        for r in live_rows:
-            f = a[r][q] / a[p][q]
-            for c in live_cols:
-                a[r][c] -= f * a[p][c]
-    return tuple(c for c in range(d.cols) if c not in live_cols)
 
 
 def torsion_by_contraction(cplx: MetrizedComplexAtPlace):
@@ -643,57 +550,14 @@ def torsion_by_contraction(cplx: MetrizedComplexAtPlace):
 
       tau^2 = prod_i ( |det M_i|^2 det G_i / det H_i )^((-1)^i).
 
-    A complex over R (at_place) carries |sigma(delta_i)|^2 for the exact
-    delta_i = det M_i in K (delta_sq), and tau comes from it and the Gram
-    determinants the place keeps, with no numeric rank, pivot or minor.
-    A complex built directly over C has none: there the rank of each d_i is
-    the count of its singular values in orthonormal coordinates above
-    rank_cutoff times its Frobenius norm, P_i are the columns complete
-    pivoting picks on it, and, expanding along the unit columns, |det M_i|
-    is the minor of [ d_{i-1}[:, P_{i-1}] | K_i ] on the rows outside P_i.
-    Before any minor, a degree that lists more or fewer classes than its
-    kernel dimension n_i - r_i - r_{i-1} raises ValidationError, the count
-    check reidemeister and build_complex_over_r make (_check_rep_count).
-
-    Over C a minor that is numerically singular, as when the
-    representatives of a degree do not complete its image to the kernel,
-    raises ValidationError; over R build_complex_over_r has refused a
-    delta_i that vanishes.  No logarithm is taken.
+    Every place carries |sigma(delta_i)|^2 for the exact delta_i = det M_i
+    in K (delta_sq), and tau comes from it and the Gram determinants the
+    place keeps (_tau), with no numeric rank, pivot or minor:
+    build_complex_over_r has decided the ranks and pivots in K and refused
+    a delta_i that vanishes.  No logarithm is taken.
     """
     with mp.workdps(cplx.digits + GUARD):
-        if cplx.delta_sq is not None:
-            return _tau(cplx.delta_sq, cplx.det_cochain, cplx.det_cohomology)
-        dt = cplx.ortho_diffs
-        cut = rank_cutoff(cplx.digits)
-        nd = len(cplx.lengths)
-        pivots = []
-        for i in range(nd - 1):
-            svals = mp.svd_c(dt[i], compute_uv=False)
-            keep = svals.rows - _count_below(
-                [svals[t] for t in range(svals.rows)],
-                cut * mp.norm(dt[i], 2),
-                f"singular value {{}} of d{i} sits at the cutoff",
-            )
-            pivots.append(_pivot_columns(dt[i], keep))
-        _check_rep_count(cplx.cohomology_dims, _kernel_dims(cplx.lengths, map(len, pivots)))
-        tau = mpf(1)
-        for i in range(nd):
-            n = cplx.lengths[i]
-            if n == 0:
-                continue
-            below = pivots[i - 1] if i > 0 else ()
-            own = pivots[i] if i < nd - 1 else ()
-            reps = cplx.ortho_reps[i]
-            minor = [
-                [dt[i - 1][r, c] for c in below] + [reps[r, c] for c in range(reps.cols)]
-                for r in range(n)
-                if r not in own
-            ]
-            det = abs(mp.det(mp.matrix(minor))) if minor else mpf(1)
-            if not det:
-                raise _dependent(i)
-            tau = tau / det if i % 2 else tau * det
-        return tau / mp.sqrt(to_mp(_alternating(cplx.det_cohomology)))
+        return _tau(cplx.delta_sq, cplx.det_cochain, cplx.det_cohomology)
 
 
 def _alternating(factors):
@@ -836,12 +700,11 @@ def build_complex_over_r(field, lengths, diffs, grams, cohomology) -> MetrizedCo
     At most COMPLEX_SIZE_MAX degrees, each of rank at most COMPLEX_SIZE_MAX;
     the bound is checked before any ring element is built.  The counts and
     shapes of every place's data are checked here, once per place, by the
-    check metrized_complex_at_place runs (_check_shapes), on the data
-    at_place will read: every differential, every representative, and the
-    size of every cochain and free cohomology Gram at every place.  A free
-    Gram has the size of the free rank; a spec of free rank 0 lists no
-    representative and no Gram, as a degree over C with no cohomology Gram
-    lists no representative.  A torsion presentation belongs to this field.
+    one count-and-shape check (_check_shapes), on the data at_place will
+    read: every differential, every representative, and the size of every
+    cochain and free cohomology Gram at every place.  A free Gram has the
+    size of the free rank; a spec of free rank 0 lists no representative
+    and no Gram.  A torsion presentation belongs to this field.
     Everything exact is decided in K: d after d = 0, the pivot columns and
     so the rank r_i of each d_i at each place (numfield.exact_pivots), that
     each free representative is a cocycle, and that each free rank is the
@@ -908,11 +771,11 @@ def at_place(cplx: MetrizedComplexOverR, place: int) -> MetrizedComplexAtPlace:
     shape, d after d = 0 and the cocycles in K, the basis determinants, and
     the factor of every Gram.  So this checks and factors nothing: it embeds
     each ring element once, straight into the place's mp.matrix, and
-    assembles the place from the kept factors as metrized_complex_at_place
-    does.  The place carries |sigma(delta_i)|^2 of each basis determinant,
-    for the basis-chase, and no ranks: its kernel dimensions are its free
-    ranks.  Each call builds the place afresh; it raises only for a place
-    index out of range.
+    assembles the place from the kept factors (_orthonormal_complex).  The
+    place carries |sigma(delta_i)|^2 of each basis determinant, for the
+    basis-chase, and no ranks: its kernel dimensions are its free ranks.
+    Each call builds the place afresh; it raises only for a place index out
+    of range.  metrized_complex_at_place builds its one place here too.
     """
     field = cplx.field
     if not 0 <= place < field.n_places:
@@ -936,25 +799,25 @@ def _delta_sq(cplx: MetrizedComplexOverR, place):
     return [_abs2(embed(cplx.field, d, place)) for d in cplx.deltas[place]]
 
 
-def _taus_and_form(cplx: MetrizedComplexOverR):
-    """The exact basis-chase tau at each place of a complex over R, read
-    from its deltas and factors with no place built, and the form of their
-    logarithms (rtorsion_form)."""
+def exact_torsion(cplx: MetrizedComplexOverR):
+    """(taus, ln_taus): the exact basis-chase tau at each place of a complex
+    over R, the value torsion_by_contraction gives on the place at_place
+    builds, and its logarithm, each taken once per place at the field's
+    digits + GUARD.  It reads the basis determinants and Gram determinants
+    build_complex_over_r kept, and builds no place."""
     with mp.workdps(cplx.field.digits + GUARD):
-        taus = [
+        taus = tuple(
             _tau(_delta_sq(cplx, k), [d for d, _ in g], h) for k, (g, h) in enumerate(cplx.factors)
-        ]
-        return taus, make_form(cplx.field, 0, [ln(tau) for tau in taus])
+        )
+        return taus, tuple(ln(tau) for tau in taus)
 
 
 def rtorsion_form(field: NumberField, cplx: MetrizedComplexOverR) -> FormElement:
     """The degree-1 vector of per-place ln tau, in quotient coordinates, with
-    tau the exact basis-chase's, the value torsion_by_contraction gives at
-    each place; cplx must be a complex over field.  It reads the basis
-    determinants and Gram determinants build_complex_over_r kept, and
-    builds no place."""
+    tau the exact basis-chase's (exact_torsion); cplx must be a complex over
+    field.  It builds no place."""
     _check_field(field, cplx.field, "the complex")
-    return _taus_and_form(cplx)[1]
+    return make_form(field, 0, exact_torsion(cplx)[1])
 
 
 def verify_euler_identity(

@@ -29,7 +29,7 @@ from regtor import (
     u_coeff,
     x_space_dim,
 )
-from regtor import circlebundle, polylog
+from regtor import circlebundle, polylog, rtorsion
 from regtor.circlebundle import BOREL_INDEX_MAX
 from regtor.numfield import GUARD
 from regtor.polylog import ORDER_MAX
@@ -218,6 +218,34 @@ def test_degree_zero_cross_check_against_combinatorial_torsion():
                 # ln tau = -ln|1 - sigma(xi)| carries the sign of T_0 itself
                 sign = 1 if setup.thetas[k] < mp.pi / 3 else -1
                 assert lntau * sign > 0
+
+
+@pytest.mark.parametrize("digits", (50, 1000))
+@pytest.mark.parametrize("r", (3, 61))
+def test_cheeger_muller_reads_the_exact_tau_over_its_own_ring(monkeypatch, r, digits):
+    # 0 -> R --(1 - xi)--> R -> 0 is built over the setup's Z[zeta_r] and
+    # read through its exact basis-chase tau: no place, no Laplacian route,
+    # no eigenvalue, and ln tau = -ln|1 - sigma(xi)| to 10^-digits
+    setup = make_cyclotomic_setup(r, digits)
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for mod, name in ((rtorsion, "at_place"), (rtorsion, "reidemeister"),
+                      (rtorsion, "metrized_complex_at_place"), (mp, "eighe")):
+        monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+    rows = cheeger_muller_check(setup)
+    assert calls == []
+    assert sorted(rows) == list(range((r - 1) // 2))
+    with mp.workdps(digits + 2 * GUARD):
+        for k, (_, lntau, _) in rows.items():
+            want = -mp.log(abs(1 - mp.expj(setup.thetas[k])))
+            assert abs(lntau - want) < mp.mpf(10) ** -digits
 
 
 def test_borel_dimension_tables():

@@ -484,19 +484,24 @@ def test_exact_ranks_follow_the_factors_of_p(poly, factors):
 
 
 def test_exact_ranks_take_one_resultant_per_matrix(monkeypatch):
-    # over an irreducible p only the last pivot's unit test needs a resultant
-    field, _ = field_units("zeta5")
+    # over an irreducible p only the last pivot's unit test needs a
+    # resultant, and none when the form of p shows it irreducible (Phi_5):
+    # there every nonzero residue is a unit
     calls = []
     resultant = numfield._resultant
     monkeypatch.setattr(numfield, "_resultant", lambda f, e: calls.append(1) or resultant(f, e))
-    rng = random.Random(5)
-    m = _mat_mul(field, _transvections(field, rng, 4, 8), _transvections(field, rng, 4, 8))
-    assert numfield.exact_ranks(field, m) == (4, 4)
-    assert len(calls) == 1
-    calls.clear()
-    assert numfield.exact_ranks(field, [[field.zero()] * 3] * 2) == (0, 0)
-    assert numfield.exact_ranks(field, []) == (0, 0)
-    assert calls == []
+    for name, want in (("zeta5", 0), ("zsqrt2", 1)):
+        field, _ = field_units(name)
+        assert field.known_irreducible == (want == 0)
+        rng = random.Random(5)
+        m = _mat_mul(field, _transvections(field, rng, 4, 8), _transvections(field, rng, 4, 8))
+        calls.clear()
+        assert numfield.exact_ranks(field, m) == (4, 4)
+        assert len(calls) == want
+        calls.clear()
+        assert numfield.exact_ranks(field, [[field.zero()] * 3] * 2) == (0, 0)
+        assert numfield.exact_ranks(field, []) == (0, 0)
+        assert calls == []
 
 
 def test_element_reduction_and_arithmetic():

@@ -24,7 +24,6 @@ from regtor import (
     ValidationError,
     at_place,
     build_complex_over_r,
-    cohomology,
     metrized_complex_at_place,
     presentation,
     reidemeister,
@@ -155,29 +154,14 @@ def test_unitary_base_change_preserves_tau():
         assert abs(base - moved) < mp.mpf(10) ** -45
 
 
-def test_cohomology_dims_and_orthonormal_bases():
-    cplx = metrized_complex_at_place(
-        50, (2, 1), ([[0, 0]],), ([[2, 0], [0, 2]], [[3]]), (EYE2, EYE1), (EYE2, EYE1)
-    )
-    dims, bases = cohomology(cplx)
-    assert dims == (2, 1)
-    with mp.workdps(60):
-        g0 = ((2, 0), (0, 2))
-        b = bases[0]
-        for r in range(2):
-            for s in range(2):
-                val = mp.fsum(
-                    mp.conj(b[i, r]) * g0[i][j] * b[j, s]
-                    for i in range(2)
-                    for j in range(2)
-                )
-                assert abs(val - (1 if r == s else 0)) < mp.mpf(10) ** -45
-
-
 def test_acyclic_two_term_has_no_cohomology():
+    # the exact kernels of 0 -> C --2--> C -> 0 are zero, so the place lists
+    # no class, and a class listed in degree 1 is refused
     cplx = metrized_complex_at_place(50, (1, 1), ([[2]],), (EYE1, EYE1), NOH, NOH)
-    dims, _ = cohomology(cplx)
-    assert dims == (0, 0)
+    assert cplx.cohomology_dims == (0, 0)
+    with pytest.raises(ValidationError, match="degree 1 supplies 1 cohomology classes but "
+                       "the kernel has dimension 0"):
+        metrized_complex_at_place(50, (1, 1), ([[2]],), (EYE1, EYE1), ((), EYE1), ((), [[1]]))
 
 
 def test_rejects_non_complex():
@@ -225,7 +209,6 @@ def test_each_gram_is_factored_once(monkeypatch):
     cplx = metrized_complex_at_place(
         50, (2, 2), ([[1, 0], [0, 0]],), (g0, g1), ([[7]], [[11]]), ([[0], [1]], [[1], [1]])
     )
-    cohomology(cplx)
     reidemeister(cplx)
     torsion_by_contraction(cplx)
     for gram in (g0, g1, [[7]], [[11]]):
@@ -261,20 +244,18 @@ def test_euler_residual_is_the_laplacian_rounding(digits):
 
 
 def test_rejects_wrong_representative_count():
-    cplx = metrized_complex_at_place(
-        50, (1, 1), ([[0]],), (EYE1, EYE1), ((), EYE1), ((), EYE1)
-    )
-    # degree 0 has harmonic dimension 1 but no representatives were given
-    with pytest.raises(ValidationError):
-        reidemeister(cplx)
+    # degree 0 has kernel dimension 1 but no representatives were given:
+    # refused when the place is built
+    with pytest.raises(ValidationError, match="degree 0 supplies 0 cohomology classes"):
+        metrized_complex_at_place(50, (1, 1), ([[0]],), (EYE1, EYE1), ((), EYE1), ((), EYE1))
 
 
 def test_rejects_degenerate_representatives():
-    with pytest.raises(ValidationError):
-        cplx = metrized_complex_at_place(
+    # (5, 0) lies in the image of d0: refused when the place is built
+    with pytest.raises(ValidationError, match="dependent"):
+        metrized_complex_at_place(
             50, (1, 2), ([[2], [0]],), (EYE1, EYE2), ((), EYE1), ((), [[5], [0]])
         )
-        reidemeister(cplx)
 
 
 def _ill_conditioned(small):
@@ -286,13 +267,12 @@ def _ill_conditioned(small):
 
 
 def test_ambiguous_rank_is_reported():
-    # singular value 10^-25 of d sits at its cutoff 10^-25 |d|_F, and the
-    # Laplacian eigenvalue 10^-50 at 10^-50 |L|_F
+    # the Laplacian eigenvalue 10^-50 sits at its cutoff 10^-50 |L|_F; the
+    # basis-chase reads the exact rank 2 and tau = 10^25
     cplx = _ill_conditioned(Fraction(1, 10**25))
     with pytest.raises(RankAmbiguous, match="degree 0: eigenvalue"):
         reidemeister(cplx)
-    with pytest.raises(RankAmbiguous, match="of d0 sits at the cutoff"):
-        torsion_by_contraction(cplx)
+    assert _is_ten_to(torsion_by_contraction(cplx), 25)
 
 
 def test_build_complex_over_r_checks_exactly():
@@ -391,9 +371,10 @@ def test_at_place_takes_no_shape_check_or_conversion(monkeypatch):
         for k in range(cplx.field.n_places):
             at_place(cplx, k)
     assert calls == []
-    # the same data given to metrized_complex_at_place takes both
+    # the same data given to metrized_complex_at_place is checked once, when
+    # its complex over Q is built, and its place converts nothing either
     metrized_complex_at_place(*_embedded(complexes[0], 0))
-    assert [name for name, _ in calls].count("_check_shapes") == 1 and len(calls) > 1
+    assert [name for name, _ in calls] == ["_check_shapes"]
 
 
 def test_data_of_another_field_is_refused():
@@ -775,31 +756,6 @@ def test_contraction_over_r_takes_no_numeric_rank(monkeypatch):
     assert calls == []
 
 
-def test_contraction_on_bare_complexes_takes_singular_values_only(monkeypatch):
-    # a complex built directly over C has no K: its ranks come from singular
-    # values alone, and they agree with the exact ranks where both exist
-    field, _ = field_units("zsqrt2")
-    over_r = [at_place(_free_cohomology_complex(field), 0), *_corpus_places()]
-    want = [torsion_by_contraction(at) for at in over_r]
-    bare = [
-        MetrizedComplexAtPlace(
-            at.digits, at.lengths, at.ortho_diffs, at.ortho_reps, at.from_ortho,
-            at.det_cochain, at.cohomology_dims, at.det_cohomology,
-        )
-        for at in over_r
-    ]
-    calls = []
-    for name in ("svd_c", "eighe", "log", "exp"):
-        monkeypatch.setattr(mp, name, _counting(calls, name, getattr(mp, name)))
-    got = [torsion_by_contraction(at) for at in bare]
-    for at in _pivot_cases(50):
-        torsion_by_contraction(at)
-    assert calls and all(name == "svd_c" for name, _ in calls)
-    assert all(kwargs == {"compute_uv": False} for _, kwargs in calls)
-    with mp.workdps(60):
-        assert all(abs(a / b - 1) < mp.mpf(10) ** -45 for a, b in zip(got, want))
-
-
 def test_exact_ranks_agree_with_singular_values():
     # on the well-conditioned corpus the exact rank of each d_i is the count
     # of its singular values above the cutoff
@@ -839,11 +795,6 @@ def test_laplacian_route_takes_one_eigenvalue_problem_per_differential(monkeypat
         want = [min(n[i], n[i + 1]) for i, r in enumerate(ranks) if r]
         assert [size for size, _ in calls] == want
         assert all(kwargs == {"eigvals_only": True} for _, kwargs in calls)
-    # cohomology() still returns a basis in every degree
-    calls.clear()
-    dims, bases = cohomology(places[0][0])
-    assert dims == (0, 1) and bases[1].cols == 1
-    assert [kwargs for _, kwargs in calls] == [{}, {}]
 
 
 def test_laplacian_route_forms_each_gram_once(monkeypatch):
@@ -976,14 +927,28 @@ def test_representatives_that_span_no_cohomology_basis_are_refused(reps):
     # 0 -> C --(2, 0, 0)--> C^3 --0--> C -> 0: the harmonic space in degree 1
     # is spanned by e_1 and e_2, and e_0 spans the image.  A zero column, a
     # column that repeats another, or one inside the image leaves no basis
-    # of H^1, and reidemeister says so rather than dividing by zero
-    cplx = metrized_complex_at_place(
-        50, (1, 3, 1), ([[2], [0], [0]], [[0, 0, 0]]),
-        (EYE1, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], EYE1), ((), EYE2, EYE1), ((), reps, [[1]]),
-    )
+    # of H^1: delta_1 = 0 in Q, and the place is refused when it is built
+    eye3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+    def build(reps):
+        return metrized_complex_at_place(
+            50, (1, 3, 1), ([[2], [0], [0]], [[0, 0, 0]]),
+            (EYE1, eye3, EYE1), ((), EYE2, EYE1), ((), reps, [[1]]),
+        )
+
+    with pytest.raises(ValidationError, match="degree 1: the image, cohomology and "
+                       "coimage columns are dependent"):
+        build(reps)
+    # the Laplacian route still refuses such columns rather than dividing by
+    # zero, on a place whose representatives are replaced after it was
+    # built; its Grams are identities, so they are its orthonormal columns
+    at = build([[0, 0], [1, 0], [0, 1]])
+    fields = {f: getattr(at, f) for f in MetrizedComplexAtPlace._fields}
+    with mp.workdps(60):
+        fields["ortho_reps"] = (at.ortho_reps[0], rtorsion._matrix(reps, 2), at.ortho_reps[2])
     with pytest.raises(ValidationError, match="degree-1 representatives do not project "
                        "onto a cohomology basis"):
-        reidemeister(cplx)
+        reidemeister(MetrizedComplexAtPlace(**fields))
 
 
 def test_contraction_agrees_with_svd_coimage_oracle():
@@ -1005,40 +970,30 @@ def test_contraction_agrees_with_svd_coimage_oracle():
 
 
 def test_error_paths_are_unchanged():
-    # degree 0 has a kernel that the complex does not list
-    cplx = metrized_complex_at_place(50, (1, 1), ([[0]],), (EYE1, EYE1), ((), EYE1), ((), EYE1))
+    # each refusal keeps its message; a complex given at one place meets
+    # them when its place is built.  Degree 0 has a kernel that the complex
+    # does not list
     with pytest.raises(ValidationError, match="degree 0 supplies 0 cohomology classes "
                        "but the kernel has dimension 1"):
-        reidemeister(cplx)
-    with pytest.raises(ValidationError, match="degree 0 supplies 0 cohomology classes "
-                       "but the kernel has dimension 1"):
-        torsion_by_contraction(cplx)
-    # listed cohomology with a projection that degenerates comes first
-    cplx = metrized_complex_at_place(
-        50, (1, 2, 1), ([[2], [0]], [[0, 0]]), (EYE1, EYE2, EYE1), ((), EYE1, ()), ((), [[5], [0]], ())
-    )
-    with pytest.raises(ValidationError, match="degree-1 representatives do not project"):
-        reidemeister(cplx)
-    # the basis-chase checks every count before any minor: degree 2 has a
+        metrized_complex_at_place(50, (1, 1), ([[0]],), (EYE1, EYE1), ((), EYE1), ((), EYE1))
+    # every count is checked before any basis determinant: degree 2 has a
     # kernel that the complex does not list
+    diffs, grams = ([[2], [0]], [[0, 0]]), (EYE1, EYE2, EYE1)
     with pytest.raises(ValidationError, match="degree 2 supplies 0 cohomology classes "
                        "but the kernel has dimension 1"):
-        torsion_by_contraction(cplx)
-    # with H^2 listed too, it refuses the dependent columns instead of dividing by 0
-    cplx = metrized_complex_at_place(
-        50, (1, 2, 1), ([[2], [0]], [[0, 0]]), (EYE1, EYE2, EYE1), ((), EYE1, EYE1), ((), [[5], [0]], EYE1)
-    )
+        metrized_complex_at_place(50, (1, 2, 1), diffs, grams, ((), EYE1, ()), ((), [[5], [0]], ()))
+    # with H^2 listed too, the representative inside the image is refused
+    # instead of dividing by 0
     with pytest.raises(ValidationError, match="degree 1: the image, cohomology and "
                        "coimage columns are dependent"):
-        torsion_by_contraction(cplx)
-    with pytest.raises(RankAmbiguous, match="of d0 sits at the cutoff"):
-        torsion_by_contraction(_ill_conditioned(Fraction(1, 10**25)))
+        metrized_complex_at_place(
+            50, (1, 2, 1), diffs, grams, ((), EYE1, EYE1), ((), [[5], [0]], EYE1)
+        )
 
 
-# Small-scalar complexes.  Exact ranks over K do not reach them, since they
-# are built directly over C; both routes resolve them because every cutoff
-# scales with the data, so a scalar differential is well-conditioned however
-# small it is.
+# Small-scalar complexes.  The basis-chase reads them exactly, over Q; the
+# Laplacian route resolves them because every cutoff scales with the data,
+# so a scalar differential is well-conditioned however small it is.
 
 
 def _small_scalar(e):
@@ -1141,28 +1096,6 @@ def test_laplacian_resolves_differentials_of_different_scale_over_r(e):
     )
     for k in range(field.n_places):
         _agree_at_ten_to(at_place(cplx, k), 2 * e)
-
-
-@pytest.mark.parametrize("e", (15, 20))
-def test_cohomology_judges_each_differential_on_its_own_scale(e):
-    # the degree-1 Laplacian diag(10^-2e, 10^2e) has no kernel; judged
-    # against its own Frobenius norm its small eigenvalue looked like one
-    diffs = _scale_split_diffs(Fraction(1, 10**e), 10**e, 0)
-    cplx = metrized_complex_at_place(
-        50, (1, 2, 1), diffs, (EYE1, EYE2, EYE1), ((),) * 3, ((),) * 3
-    )
-    dims, bases = cohomology(cplx)
-    assert dims == (0, 0, 0) and [b.cols for b in bases] == [0, 0, 0]
-    # with H^1 = span(e_3) between the same differentials, the kernel stays
-    eye3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    cplx = metrized_complex_at_place(
-        50, (1, 3, 1), ([[Fraction(1, 10**e)], [0], [0]], [[0, 10**e, 0]]),
-        (EYE1, eye3, EYE1), ((), EYE1, ()), ((), [[0], [0], [1]], ()),
-    )
-    dims, bases = cohomology(cplx)
-    assert dims == (0, 1, 0)
-    with mp.workdps(60):
-        assert abs(abs(bases[1][2, 0]) - 1) < mp.mpf(10) ** -45
 
 
 def test_ranks_split_where_p_factors():
@@ -1304,14 +1237,6 @@ def test_euler_identity_matches_per_class_oracle(digits):
 # from the exact basis determinants delta_i in K.
 
 
-def _numeric(at):
-    # the same place as a complex built directly over C
-    return MetrizedComplexAtPlace(
-        at.digits, at.lengths, at.ortho_diffs, at.ortho_reps, at.from_ortho,
-        at.det_cochain, at.cohomology_dims, at.det_cohomology,
-    )
-
-
 @pytest.mark.parametrize("digits", (50, 300))
 def test_exact_basis_chase_matches_numeric_routes(digits):
     count = 0
@@ -1326,7 +1251,7 @@ def test_exact_basis_chase_matches_numeric_routes(digits):
                 got = torsion_by_contraction(at)
                 count += 1
                 with mp.workdps(digits + 10):
-                    for want in (torsion_by_contraction(_numeric(at)), reidemeister(at)):
+                    for want in (torsion_by_coimage(at), reidemeister(at)):
                         assert abs(got - want) / want < mp.mpf(10) ** -digits
     assert count == 6 + 12 + 8
 
@@ -1421,19 +1346,17 @@ def test_exact_basis_chase_keeps_representatives_conditioning(e):
 
 
 def test_contraction_over_r_takes_no_minor_or_pivot(monkeypatch):
+    # the places of complexes over R, and of complexes given at one place,
+    # take no numeric determinant or elimination
     field, _ = field_units("zsqrt2")
     places = [at_place(_free_cohomology_complex(field), 0), *_corpus_places()]
+    places += [metrized_complex_at_place(*_embedded(_free_cohomology_complex(field), 1))]
     calls = []
-    monkeypatch.setattr(mp, "det", _counting(calls, "det", mp.det))
-    pivots = _counting(calls, "pivots", rtorsion._pivot_columns)
-    monkeypatch.setattr(rtorsion, "_pivot_columns", pivots)
+    for name in ("det", "svd_c"):
+        monkeypatch.setattr(mp, name, _counting(calls, name, getattr(mp, name)))
     for at in places:
         torsion_by_contraction(at)
     assert calls == []
-    # the same places built directly over C take both
-    for at in places[:3]:
-        torsion_by_contraction(_numeric(at))
-    assert {name for name, _ in calls} == {"det", "pivots"}
 
 
 def _embedded(cplx, k):
@@ -1455,41 +1378,61 @@ def _embed_rows(field, rows, k):
 
 
 def test_at_place_takes_no_numeric_zero_product(monkeypatch):
-    # K decides d after d = 0 and every cocycle of a complex over R, so its
-    # places take neither product, nor the Frobenius norms that only they
-    # need; the same data given to metrized_complex_at_place takes both and
-    # gives the same place, less the basis determinants of K
+    # K decides d after d = 0 and every cocycle, so no place takes either
+    # product, or the Frobenius norms that only they need: neither a place
+    # of a complex over R nor a complex given at one place, read exactly
+    # over Q.  Given the numbers of a place over R whose d after d is empty,
+    # metrized_complex_at_place gives the same place, its |sigma(delta_i)|^2
+    # to the working precision
     field, _ = field_units("zsqrt2")
-    complexes = [(field, _free_cohomology_complex(field))]
-    complexes += [(f, c) for f, _, c in _corpus_complexes()]
+    free = _free_cohomology_complex(field)
+    complexes = [(field, free), *((f, c) for f, _, c in _corpus_complexes())]
     assert any(spec.free_rank for _, c in complexes for spec in c.cohomology)
     calls = []
     monkeypatch.setattr(mp, "norm", _counting(calls, "norm", mp.norm))
-    checks = _counting(calls, "check", rtorsion._check_zero_products)
-    monkeypatch.setattr(rtorsion, "_check_zero_products", checks)
     for field, cplx in complexes:
         for k in range(field.n_places):
-            calls.clear()
-            at = at_place(cplx, k)
-            assert calls == []
-            args = _embedded(cplx, k)
-            over_c = metrized_complex_at_place(*args)
-            assert over_c.delta_sq is None
-            same = [f for f in MetrizedComplexAtPlace._fields if f != "delta_sq"]
-            assert [getattr(over_c, f) for f in same] == [getattr(at, f) for f in same]
-            names = [name for name, _ in calls]
-            assert names[0] == "check" and names.count("norm") >= len(cplx.diffs)
+            at_place(cplx, k)
+    metrized_complex_at_place(
+        50, (1, 2, 1), ([[1], [Fraction(1, 3)]], [[1, -3]]), (EYE1, EYE2, EYE1), NOH + ((),),
+        NOH + ((),),
+    )
+    assert calls == []
+    field = free.field
+    for k in range(field.n_places):
+        at, over_q = at_place(free, k), metrized_complex_at_place(*_embedded(free, k))
+        same = [f for f in MetrizedComplexAtPlace._fields if f != "delta_sq"]
+        assert [getattr(over_q, f) for f in same] == [getattr(at, f) for f in same]
+        with mp.workdps(field.digits + 10):
+            for a, b in zip(over_q.delta_sq, at.delta_sq):
+                assert abs(a / b - 1) < mp.mpf(10) ** -field.digits
+    assert calls == []
 
 
-def test_complexes_over_c_keep_the_numeric_zero_products():
-    # a complex built over C has no K to decide d after d or its cocycles
+def test_complexes_over_c_decide_zero_products_exactly():
+    # a complex given at one place has a K, Q or Q(i), which decides d after
+    # d and its cocycles exactly
     def build(lengths, diffs, hgrams, hmaps):
-        return metrized_complex_at_place(50, lengths, diffs, (EYE1,) * len(lengths), hgrams, hmaps)
+        grams = [[[int(r == c) for c in range(n)] for r in range(n)] for n in lengths]
+        return metrized_complex_at_place(50, lengths, diffs, grams, hgrams, hmaps)
 
     with pytest.raises(ValidationError, match="d1 after d0 is not zero"):
         build((1, 1, 1), ([[1]], [[1]]), ((),) * 3, ((),) * 3)
     with pytest.raises(ValidationError, match="a degree-0 representative is not a cocycle"):
         build((1, 1), ([[2]],), (EYE1, ()), ([[1]], ()))
+    # d1 d0 = 1 - 3 * (1/3 rounded at 60 digits), or i times it, vanishes
+    # only to rounding, far inside any tolerance relative to the data, and
+    # is refused over Q and over Q(i)
+    with mp.workdps(60):
+        third = mp.mpf(1) / 3
+    for d1 in ([[1, -3]], [[[0, 1], [0, -3]]]):
+        with pytest.raises(ValidationError, match="d1 after d0 is not zero"):
+            build((1, 2, 1), ([[1], [third]], d1), ((),) * 3, ((),) * 3)
+    # the same complex with the exact 1/3 builds: tau = |d1| / |d0| = 3
+    tau = _both((1, 2, 1), ([[1], [Fraction(1, 3)]], [[1, -3]]), (EYE1, EYE2, EYE1),
+                ((),) * 3, ((),) * 3)
+    with mp.workdps(60):
+        assert abs(tau - 3) < mp.mpf(10) ** -45
 
 
 def test_complexes_over_c_take_no_ranks_or_basis_determinants():
@@ -1506,11 +1449,43 @@ def test_complexes_over_c_take_no_ranks_or_basis_determinants():
             metrized_complex_at_place(*args, **extra)
     with pytest.raises(TypeError):
         metrized_complex_at_place(*args, None, (7, 1))
+    # delta_0 = 1 and delta_1 = 2, decided in Q
     at = metrized_complex_at_place(*args)
-    assert at.delta_sq is None
+    assert at.delta_sq == (1, 4)
     with mp.workdps(60):
         for tau in (reidemeister(at), torsion_by_contraction(at)):
             assert abs(tau - mp.mpf(1) / 2) < mp.mpf(10) ** -45
+
+
+def test_complexes_over_c_are_read_over_q_or_q_i(monkeypatch):
+    # every entry is read exactly; real data builds over Q = Z[x]/(x), and an
+    # entry with a nonzero imaginary part, an [re, im] pair or an mpc, in a
+    # differential or a representative, over Q(i) = Z[x]/(x^2 + 1)
+    polys = []
+    monkeypatch.setattr(
+        rtorsion, "build_field", lambda poly, digits: polys.append(poly) or build_field(poly, digits)
+    )
+    with mp.workdps(60):
+        third, z = mp.mpf(1) / 3, mp.mpc(3, 4)
+    # (d, representatives of H^0 and H^1 or None, the poly, tau)
+    for d, reps, want, tau in (
+        ([[2]], None, (0, 1), Fraction(1, 2)),
+        ([[third]], None, (0, 1), Fraction(3)),
+        ([["2.5"]], None, (0, 1), Fraction(2, 5)),
+        ([[[3, 0]]], None, (0, 1), Fraction(1, 3)),
+        ([[mp.mpc(2, 0)]], None, (0, 1), Fraction(1, 2)),
+        ([[[3, 4]]], None, (1, 0, 1), Fraction(1, 5)),
+        ([[z]], None, (1, 0, 1), Fraction(1, 5)),
+        ([[0]], ([[1]], [[mp.mpc(0, 2)]]), (1, 0, 1), Fraction(1, 2)),
+        ([[0]], ([[[1, 0]]], [[2]]), (0, 1), Fraction(1, 2)),
+    ):
+        polys.clear()
+        hgrams, hmaps = ((EYE1, EYE1), reps) if reps else (NOH, NOH)
+        at = metrized_complex_at_place(50, (1, 1), (d,), (EYE1, EYE1), hgrams, hmaps)
+        assert polys == [want]
+        with mp.workdps(60):
+            want_tau = mp.mpf(tau.numerator) / tau.denominator
+            assert abs(torsion_by_contraction(at) - want_tau) < mp.mpf(10) ** -45
 
 
 # The per-place kernels round as mpmath's own products: the Hermitian Grams
@@ -1563,7 +1538,7 @@ def _cohomology_complexes():
     return places
 
 
-def test_reidemeister_and_cohomology_convert_no_matrix(monkeypatch):
+def test_reidemeister_converts_no_matrix(monkeypatch):
     # a scalar times an mp.matrix, scalar first, goes through a failed
     # conversion whose message holds the repr of the whole matrix
     places = _cohomology_complexes()
@@ -1579,7 +1554,6 @@ def test_reidemeister_and_cohomology_convert_no_matrix(monkeypatch):
     monkeypatch.setattr(ctx, "_convert_fallback", spy)
     for at in places:
         reidemeister(at)
-        cohomology(at)
     assert calls == []
 
 

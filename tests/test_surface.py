@@ -62,8 +62,8 @@ PUBLIC = [
     "ValidationError", "a_map", "at_place", "bernoulli", "bernoulli_polynomial",
     "beta_integral_check", "borel_dims", "build_complex_over_r", "build_field",
     "build_lattice", "cheeger_muller_check", "circlebundle", "class_add", "class_neg",
-    "cohomology", "convert", "cycl_free", "dirichlet_rank", "embed", "embed_all",
-    "errors", "exact_det", "flatmodel", "hatcher_constant", "hermitian_cholesky",
+    "convert", "cycl_free", "dirichlet_rank", "embed", "embed_all",
+    "errors", "exact_det", "exact_torsion", "flatmodel", "hatcher_constant", "hermitian_cholesky",
     "lndet_hermitian", "make_cyclotomic_setup", "make_form", "metrized_complex_at_place",
     "modtors", "norm", "normalization_factors", "numfield", "one_class",
     "parse_descriptor", "parse_rational", "point_class", "polylog", "polylog_circle",
@@ -218,14 +218,17 @@ def test_grams_take_no_numeric_factor():
 def test_nothing_in_the_package_builds_a_place_over_r():
     # build_complex_over_r keeps everything exact that a complex over R has,
     # so the exact readers read tau from the complex; at_place serves the
-    # numeric verifier alone, which callers outside the package run
+    # numeric verifier alone, which callers outside the package run.  The
+    # one other place constructor, metrized_complex_at_place, builds its
+    # complex over Q or Q(i) and returns that complex's one place
     callers = []
     for path in sorted((SRC / "regtor").glob("*.py")):
         tree = ast.parse(path.read_text())
         own = {
             id(node)
             for fn in ast.walk(tree)
-            if isinstance(fn, ast.FunctionDef) and fn.name == "at_place"
+            if isinstance(fn, ast.FunctionDef)
+            and fn.name in ("at_place", "metrized_complex_at_place")
             for node in ast.walk(fn)
         }
         for node in ast.walk(tree):
@@ -233,6 +236,33 @@ def test_nothing_in_the_package_builds_a_place_over_r():
                 if getattr(node.func, "id", getattr(node.func, "attr", None)) == "at_place":
                     callers.append((path.name, node.lineno))
     assert not callers, callers
+
+
+def test_no_numeric_rank_minor_or_eigenvector():
+    # every complex has a K, so no rank, pivot or minor is numeric: no
+    # source names mp.svd_c or mp.det, and the Laplacian verifier takes
+    # eigenvalues only, so mp.eighe appears only as a call that passes
+    # eigvals_only=True
+    named = []
+    for path in sorted((SRC / "regtor").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        eigvals_only = {
+            id(node.func)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and any(k.arg == "eigvals_only" and getattr(k.value, "value", None) is True
+                    for k in node.keywords)
+        }
+        named += [
+            (path.name, node.attr, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "mp"
+            and node.attr in ("svd_c", "det", "eighe")
+            and not (node.attr == "eighe" and id(node) in eigvals_only)
+        ]
+    assert not named, named
 
 
 def test_adjoint_products_go_through_the_gram_helper():
@@ -306,7 +336,9 @@ def test_records_keep_their_semantics():
         "det_cochain", "cohomology_dims", "det_cohomology",
     )
     at = _complex_at_place()
-    assert MetrizedComplexAtPlace(**{f: getattr(at, f) for f in fields}).delta_sq is None
+    # every place carries its basis determinants: delta_sq has no default
+    with pytest.raises(TypeError, match="missing .*'delta_sq'"):
+        MetrizedComplexAtPlace(**{f: getattr(at, f) for f in fields})
     # its mp.matrix fields do not hash, so the record says so under its own name
     with pytest.raises(TypeError, match="unhashable type: 'MetrizedComplexAtPlace'"):
         hash(at)
