@@ -78,10 +78,10 @@ class Record:
     and the tuple of fields, repr lists the fields by name, and copy and
     pickle rebuild through the constructor.  A subclass compared by identity
     sets __eq__ and __hash__ back to object's.  rtorsion's
-    MetrizedComplexAtPlace, whose fields are mp.matrix, compares by value
-    but neither hashes (its __hash__ is None) nor pickles.  No code is
-    generated at import: each CLI call is a fresh process and would pay for
-    it.
+    MetrizedComplexAtPlace, a view of its complex with two fields of
+    mp.matrix, compares by value but neither hashes (its __hash__ is None)
+    nor pickles.  No code is generated at import: each CLI call is a fresh
+    process and would pay for it.
     """
 
     __slots__ = ()

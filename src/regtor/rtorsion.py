@@ -12,8 +12,10 @@ Gram at every place is factored, once, exactly (_factor_grams, through
 flatmodel.gram_ldl).  A complex given by its numbers at one place
 (metrized_complex_at_place) is read exactly, by numfield.to_exact, and
 built over Q = Z[x]/(x) when every entry is real, over Q(i) = Z[x]/(x^2 + 1)
-otherwise.  at_place only embeds and assembles, from the kept factors, and
-caches nothing.  Two independent algorithms read the result:
+otherwise.  A place is a view of its complex: at_place embeds the
+differentials and representatives in orthonormal coordinates, for the
+Laplacian route alone, caches nothing, and every exact fact of the place is
+read from its complex.  Two independent algorithms read the result:
 
   reidemeister         Laplacian route: the Ray-Singer product of
                        pseudo-determinants of the combinatorial Laplacians,
@@ -32,16 +34,18 @@ caches nothing.  Two independent algorithms read the result:
                        exact: build_complex_over_r takes each delta_i in K
                        once per complex, and tau^2 is the alternating
                        product of |sigma(delta_i)|^2 det G_i / det H_i
-                       (_tau).  It takes no logarithm.
+                       (_exact_tau, read from the place's complex).  It
+                       takes no logarithm.
 
 The sign convention is frozen so that the acyclic complex 0 -> C --z--> C -> 0
 with standard metrics has tau = 1/|z|; both routes reproduce it.  Every
 result reads the exact basis-chase tau straight from the complex, with no
-place built: exact_torsion embeds each delta_i and reads the kept Gram
-determinants, for rtorsion_form, the rtorsion command and
-circlebundle.cheeger_muller_check, and verify_euler_identity, where the
-Gram determinants cancel, embeds the delta_i alone.  The Laplacian route
-only verifies it, on the places at_place builds.
+place built: exact_torsion reads it through _exact_tau, which embeds each
+delta_i and reads the kept Gram determinants, for rtorsion_form, the
+rtorsion command and circlebundle.cheeger_muller_check, and
+verify_euler_identity, where the Gram determinants cancel, embeds the
+delta_i alone.  The Laplacian route only verifies it, on the places
+at_place builds.
 
 Every per-place matrix is an mp.matrix, and norms and eigenvalues are
 mpmath's own.  Products are one mp.fdot per entry over row and column
@@ -60,9 +64,9 @@ cocycle conditions, each product entry one integer dot product of
 Kronecker-packed rows and columns reduced mod p (_product_is_zero): a
 d after d that vanishes only to rounding is refused.  No rank is kept:
 build_complex_over_r matches each free rank against the exact kernel
-dimension at every place, so the cohomology_dims of a place are its exact
-kernel dimensions.  at_place hands |sigma(delta_i)|^2 to the place, so the
-basis-chase takes no singular value, pivot or minor there.  The Laplacian
+dimension at every place, so the free ranks of a complex are its exact
+kernel dimensions at each place.  The basis-chase embeds each exact delta_i
+at the place, so it takes no singular value, pivot or minor.  The Laplacian
 route stays numeric, so that the two routes stay independent: with
 c = numfield.rank_cutoff (10^(-digits/2)) and G_i the smaller of d_i^* d_i
 and d_i d_i^*, an eigenvalue of G_i counts as zero when it is at most
@@ -187,32 +191,26 @@ def _gram(a, adjoint_first):
 
 
 class MetrizedComplexAtPlace(Record):
-    """A finite cochain complex at one place, validated and factored once.
+    """A finite cochain complex at one place: a view of its complex.
 
-    Every matrix field is an mp.matrix, 0 by n or n by 0 where a degree or a
-    cohomology is zero.  With the cochain Grams G_i = U_i^* U_i, U_i the
-    upper Cholesky factor: ortho_diffs[i] = U_{i+1} d_i U_i^-1,
-    ortho_reps[i] = U_i K_i for the representative columns K_i, and
-    from_ortho[i] = U_i^-1 maps orthonormal coordinates back.
-    det_cochain[i] is det G_i, an exact Fraction.  cohomology_dims[i] counts
-    the chosen classes and det_cohomology[i] is det H_i of their Gram (1
-    when there are none), exact too.  Determinants, not their logarithms,
-    are kept, so the torsion routes multiply them.  delta_sq[i] is
-    |sigma(delta_i)|^2 of the exact basis determinant delta_i in K of
-    MetrizedComplexOverR, nonzero at the place.  A place carries no ranks:
-    its kernel dimension in degree i is cohomology_dims[i], the free rank
-    that build_complex_over_r matched against K.  at_place builds every
-    place, metrized_complex_at_place's too.
+    complex is the MetrizedComplexOverR the place belongs to and place the
+    index of its place representative.  Every exact fact of the place is
+    read from complex: the digits of its field, its lengths, its free ranks
+    (the exact kernel dimensions), its basis determinants and its Gram
+    determinants.  The two matrix fields are the only numbers the place
+    computes, and only the Laplacian route reads them: with the cochain
+    Grams G_i = U_i^* U_i, U_i the upper Cholesky factor,
+    ortho_diffs[i] = U_{i+1} d_i U_i^-1 and ortho_reps[i] = U_i K_i for the
+    representative columns K_i, each an mp.matrix, 0 by n or n by 0 where a
+    degree or a cohomology is zero.  at_place builds every place,
+    metrized_complex_at_place's too.
 
     It compares by value, but an mp.matrix neither hashes nor pickles
     (mpmath makes its matrix class per context), so this record does
     neither: __hash__ is None, and hash() raises TypeError naming it.
     """
 
-    __slots__ = _fields = (
-        "digits", "lengths", "ortho_diffs", "ortho_reps", "from_ortho",
-        "det_cochain", "cohomology_dims", "det_cohomology", "delta_sq",
-    )
+    __slots__ = _fields = ("complex", "place", "ortho_diffs", "ortho_reps")
     __hash__ = None
 
 
@@ -232,7 +230,8 @@ def metrized_complex_at_place(
     everything there exactly and refuses what it refuses: a d after d or a
     cocycle condition that holds only to rounding, a count of classes that
     is not the kernel dimension, and representatives that do not complete
-    the image.  The place is at_place's, so it carries delta_sq.
+    the image.  It returns at_place's place 0 of that complex, so the
+    place's complex is the one over Q or Q(i).
     """
     if len(cohomology_maps) != len(cohomology_grams):
         raise ValidationError("degree counts of the complex data disagree")
@@ -296,36 +295,6 @@ def _factor_grams(digits, gg, hh):
     return cochain, tuple(gram_ldl(h, digits)[0] if len(h) else Fraction(1) for h in hh)
 
 
-def _orthonormal_complex(digits, lengths, dd, kk, cochain, det_h, delta_sq):
-    """The MetrizedComplexAtPlace of checked data (_check_shapes) with the
-    differentials dd and representatives kk as mp.matrix, the Grams
-    factored (_factor_grams) and the |sigma(delta_i)|^2 delta_sq: the
-    differentials and representatives in orthonormal coordinates,
-    U_{i+1} d_i U_i^-1 (left to right) and U_i K_i, each a _product over
-    the rows of U."""
-    nd = len(lengths)
-    ups = []
-    from_ortho = []
-    for _, factor in cochain:
-        up, inv = _cholesky_pair(factor)
-        ups.append(up.tolist())
-        from_ortho.append(inv)
-    return MetrizedComplexAtPlace(
-        digits=digits,
-        lengths=lengths,
-        ortho_diffs=tuple(
-            _product(_product(ups[i + 1], _cols(dd[i])).tolist(), _cols(from_ortho[i]))
-            for i in range(nd - 1)
-        ),
-        ortho_reps=tuple(_product(up, _cols(k)) for up, k in zip(ups, kk)),
-        from_ortho=tuple(from_ortho),
-        det_cochain=tuple(det for det, _ in cochain),
-        cohomology_dims=tuple(k.cols for k in kk),
-        det_cohomology=det_h,
-        delta_sq=tuple(delta_sq),
-    )
-
-
 def _count_below(values, cut, message):
     """How many values lie at or below cut; refuses any within a factor 10^3
     of it.  A zero matrix has cut 0 and all its values count.
@@ -345,15 +314,6 @@ def _kernel_dims(lengths, ranks):
     """n_i - r_i - r_{i-1} per degree, for the ranks r_i of the differentials."""
     r = (0, *ranks, 0)
     return tuple(n - r[i] - r[i + 1] for i, n in enumerate(lengths))
-
-
-def _check_rep_count(given, dims):
-    """That degree i lists given[i] cohomology classes, its kernel dimension dims[i]."""
-    for i, (n, h) in enumerate(zip(given, dims)):
-        if n != h:
-            raise ValidationError(
-                f"degree {i} supplies {n} cohomology classes but the kernel has dimension {h}"
-            )
 
 
 def _orthonormalize(cols):
@@ -463,11 +423,14 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
     the corrections and the product at GUARD more.
 
     The route stays numeric, so that it checks the basis-chase
-    independently.  The exact kernel dimension in degree i is
-    cohomology_dims[i], the free rank build_complex_over_r matched against
-    K; a kernel dimension that differs from it raises RankAmbiguous: the
-    cutoff misjudged an eigenvalue, and more digits would help.
+    independently.  Only the digits, the lengths, the free ranks and the
+    det H_i are read from the place's complex.  The exact kernel dimension
+    in degree i is the free rank build_complex_over_r matched against K; a
+    kernel dimension that differs from it raises RankAmbiguous: the cutoff
+    misjudged an eigenvalue, and more digits would help.
     """
+    whole = cplx.complex
+    digits = whole.field.digits
     dt = cplx.ortho_diffs
     grams = {}
 
@@ -477,8 +440,8 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
             grams[i, adjoint_first] = _gram(dt[i], adjoint_first)
         return grams[i, adjoint_first]
 
-    with mp.workdps(cplx.digits + GUARD):
-        cut2 = rank_cutoff(cplx.digits) ** 2
+    with mp.workdps(digits + GUARD):
+        cut2 = rank_cutoff(digits) ** 2
         ranks = []
         # det'(G_i), with det'(G_{-1}) = det'(G_{nd-1}) = 1 around them
         dets = [mpf(1)]
@@ -498,19 +461,19 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
             ranks.append(g.rows - k)
             dets.append(mp.fprod(evals[k:]))
         dets.append(mpf(1))
-        dims = _kernel_dims(cplx.lengths, ranks)
+        dims = _kernel_dims(whole.lengths, ranks)
         # tau^2 = even / odd, the products of the factors with exponent +1 and
         # -1, over the chosen cohomology Grams' prod_i det H_i^((-1)^i),
         # exact until then: a degree with no classes has det H_i = 1
         even, odd = mpf(1), mpf(1)
         # the factors combine at GUARD more digits, so that tau rounds once
         with mp.extradps(GUARD):
-            for i, h in enumerate(dims):
+            for i, (h, spec) in enumerate(zip(dims, whole.cohomology)):
                 # the free rank is the exact kernel dimension
-                if h != cplx.cohomology_dims[i]:
+                if h != spec.free_rank:
                     raise RankAmbiguous(
                         f"Laplacian in degree {i}: {h} eigenvalues fall below the cutoff "
-                        f"but the exact kernel has dimension {cplx.cohomology_dims[i]}"
+                        f"but the exact kernel has dimension {spec.free_rank}"
                     )
                 # det'(G_i), at dets[i + 1], enters with the opposite exponent
                 factor = 1 / dets[i + 1]
@@ -529,7 +492,7 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
                     odd *= factor
                 else:
                     even *= factor
-            tau2 = even / odd / to_mp(_alternating(cplx.det_cohomology))
+            tau2 = even / odd / to_mp(_alternating(whole.factors[cplx.place][1]))
         return mp.sqrt(tau2)
 
 
@@ -550,14 +513,15 @@ def torsion_by_contraction(cplx: MetrizedComplexAtPlace):
 
       tau^2 = prod_i ( |det M_i|^2 det G_i / det H_i )^((-1)^i).
 
-    Every place carries |sigma(delta_i)|^2 for the exact delta_i = det M_i
-    in K (delta_sq), and tau comes from it and the Gram determinants the
-    place keeps (_tau), with no numeric rank, pivot or minor:
+    The place's complex keeps the exact delta_i = det M_i in K and the Gram
+    determinants, and tau is read from them at the place (_exact_tau, as
+    exact_torsion reads it), with no numeric rank, pivot or minor:
     build_complex_over_r has decided the ranks and pivots in K and refused
-    a delta_i that vanishes.  No logarithm is taken.
+    a delta_i that vanishes.  The place's matrices are not read.  No
+    logarithm is taken.
     """
-    with mp.workdps(cplx.digits + GUARD):
-        return _tau(cplx.delta_sq, cplx.det_cochain, cplx.det_cohomology)
+    with mp.workdps(cplx.complex.field.digits + GUARD):
+        return _exact_tau(cplx.complex, cplx.place)
 
 
 def _alternating(factors):
@@ -566,16 +530,14 @@ def _alternating(factors):
     return prod(f if i % 2 == 0 else 1 / f for i, f in enumerate(factors))
 
 
-def _tau(delta_sq, det_g, det_h):
-    """The exact basis-chase tau, the square root of
-    prod_i (|sigma(delta_i)|^2 det G_i / det H_i)^((-1)^i), at the working
-    precision: the Gram determinants alternate exactly and round once."""
-    grams = _alternating(g / h for g, h in zip(det_g, det_h))
-    return mp.sqrt(_alternating(delta_sq) * to_mp(grams))
-
-
-def _dependent(i):
-    return ValidationError(f"degree {i}: the image, cohomology and coimage columns are dependent")
+def _exact_tau(cplx: MetrizedComplexOverR, k):
+    """The exact basis-chase tau of a complex over R at place k, the square
+    root of prod_i (|sigma(delta_i)|^2 det G_i / det H_i)^((-1)^i), at the
+    working precision, from the basis and Gram determinants the complex
+    keeps: the Gram determinants alternate exactly and round once."""
+    cochain, det_h = cplx.factors[k]
+    grams = _alternating(g / h for (g, _), h in zip(cochain, det_h))
+    return mp.sqrt(_alternating(_delta_sq(cplx, k)) * to_mp(grams))
 
 
 class CohomologySpec(Record):
@@ -688,7 +650,9 @@ def _basis_determinants(field, lengths, dd, specs, pivots):
                 seen[i, below, own] = (delta, nonzero)
             delta, nonzero = seen[i, below, own]
             if not nonzero[len(out)]:
-                raise _dependent(i)
+                raise ValidationError(
+                    f"degree {i}: the image, cohomology and coimage columns are dependent"
+                )
             row.append(delta)
         out.append(tuple(row))
     return tuple(out)
@@ -757,7 +721,12 @@ def build_complex_over_r(field, lengths, diffs, grams, cohomology) -> MetrizedCo
     per_diff = [exact_pivots(field, m) for m in dd]
     pivots = tuple(tuple(p[k] for p in per_diff) for k in range(field.n_places))
     for piv in pivots:
-        _check_rep_count([spec.free_rank for spec in specs], _kernel_dims(lengths, map(len, piv)))
+        for i, (spec, h) in enumerate(zip(specs, _kernel_dims(lengths, map(len, piv)))):
+            if spec.free_rank != h:
+                raise ValidationError(
+                    f"degree {i} supplies {spec.free_rank} cohomology classes "
+                    f"but the kernel has dimension {h}"
+                )
     deltas = _basis_determinants(field, lengths, dd, specs, pivots)
     factors = tuple(_factor_grams(field.digits, g, h) for g, h in places)
     return MetrizedComplexOverR(field, lengths, dd, gg, tuple(specs), deltas, factors)
@@ -770,12 +739,13 @@ def at_place(cplx: MetrizedComplexOverR, place: int) -> MetrizedComplexAtPlace:
     build_complex_over_r has decided everything exact: every count and
     shape, d after d = 0 and the cocycles in K, the basis determinants, and
     the factor of every Gram.  So this checks and factors nothing: it embeds
-    each ring element once, straight into the place's mp.matrix, and
-    assembles the place from the kept factors (_orthonormal_complex).  The
-    place carries |sigma(delta_i)|^2 of each basis determinant, for the
-    basis-chase, and no ranks: its kernel dimensions are its free ranks.
-    Each call builds the place afresh; it raises only for a place index out
-    of range.  metrized_complex_at_place builds its one place here too.
+    each ring element once, straight into an mp.matrix, and puts the
+    differentials and representatives in orthonormal coordinates with the
+    kept factors, U_{i+1} d_i U_i^-1 (left to right) and U_i K_i, each a
+    _product over the rows of U.  Everything exact stays on the complex,
+    which the place carries.  Each call builds the place afresh; it raises
+    only for a place index out of range.  metrized_complex_at_place builds
+    its one place here too.
     """
     field = cplx.field
     if not 0 <= place < field.n_places:
@@ -784,13 +754,17 @@ def at_place(cplx: MetrizedComplexOverR, place: int) -> MetrizedComplexAtPlace:
     def entry(x):
         return embed(field, x, place)
 
-    digits = field.digits
-    with mp.workdps(digits + GUARD):
+    with mp.workdps(field.digits + GUARD):
         dd = [_matrix(m, cplx.lengths[i], entry) for i, m in enumerate(cplx.diffs)]
         kk = [_matrix(spec.free_reps, spec.free_rank, entry) for spec in cplx.cohomology]
-        return _orthonormal_complex(
-            digits, cplx.lengths, dd, kk, *cplx.factors[place], _delta_sq(cplx, place)
+        pairs = [_cholesky_pair(factor) for _, factor in cplx.factors[place][0]]
+        ups = [up.tolist() for up, _ in pairs]
+        diffs = tuple(
+            _product(_product(ups[i + 1], _cols(d)).tolist(), _cols(pairs[i][1]))
+            for i, d in enumerate(dd)
         )
+        reps = tuple(_product(up, _cols(k)) for up, k in zip(ups, kk))
+        return MetrizedComplexAtPlace(cplx, place, diffs, reps)
 
 
 def _delta_sq(cplx: MetrizedComplexOverR, place):
@@ -801,14 +775,12 @@ def _delta_sq(cplx: MetrizedComplexOverR, place):
 
 def exact_torsion(cplx: MetrizedComplexOverR):
     """(taus, ln_taus): the exact basis-chase tau at each place of a complex
-    over R, the value torsion_by_contraction gives on the place at_place
-    builds, and its logarithm, each taken once per place at the field's
-    digits + GUARD.  It reads the basis determinants and Gram determinants
-    build_complex_over_r kept, and builds no place."""
+    over R (_exact_tau, the one per-place reader, which
+    torsion_by_contraction reads too) and its logarithm, each taken once per
+    place at the field's digits + GUARD.  It reads the basis determinants
+    and Gram determinants build_complex_over_r kept, and builds no place."""
     with mp.workdps(cplx.field.digits + GUARD):
-        taus = tuple(
-            _tau(_delta_sq(cplx, k), [d for d, _ in g], h) for k, (g, h) in enumerate(cplx.factors)
-        )
+        taus = tuple(_exact_tau(cplx, k) for k in range(cplx.field.n_places))
         return taus, tuple(ln(tau) for tau in taus)
 
 

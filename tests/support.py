@@ -780,9 +780,11 @@ def torsion_by_coimage(cplx):
     with singular value above the rank cutoff, M_i = [ d_{i-1} V_{i-1} | K_i
     | V_i ], and ln tau = sum (-1)^i [ ln |det M_i| - ln det H_i / 2 ].
     """
-    with mp.workdps(cplx.digits + GUARD):
-        cut = rank_cutoff(cplx.digits)
-        nd = len(cplx.lengths)
+    whole = cplx.complex
+    digits = whole.field.digits
+    with mp.workdps(digits + GUARD):
+        cut = rank_cutoff(digits)
+        nd = len(whole.lengths)
         diffs = cplx.ortho_diffs
         coimage = []
         for d in diffs:
@@ -792,19 +794,20 @@ def torsion_by_coimage(cplx):
                 keep = sum(1 for t in range(svals.rows) if svals[t] > cut)
             coimage.append(vh.H[:, 0:keep] if keep else None)
         lntau = mpf(0)
-        for i, n in enumerate(cplx.lengths):
+        det_h = whole.factors[cplx.place][1]
+        for i, n in enumerate(whole.lengths):
             if n == 0:
                 continue
             blocks = []
             if i > 0 and coimage[i - 1] is not None:
                 blocks.append(diffs[i - 1] * coimage[i - 1])
-            if cplx.cohomology_dims[i]:
+            if whole.cohomology[i].free_rank:
                 blocks.append(cplx.ortho_reps[i])
             if i < nd - 1 and coimage[i] is not None:
                 blocks.append(coimage[i])
             m = mp.matrix([[b[r, c] for b in blocks for c in range(b.cols)] for r in range(n)])
             sign = -1 if i % 2 else 1
-            lntau += sign * (mp.log(abs(mp.det(m))) - mp.log(cplx.det_cohomology[i]) / 2)
+            lntau += sign * (mp.log(abs(mp.det(m))) - mp.log(det_h[i]) / 2)
         return mp.exp(lntau)
 
 

@@ -24,6 +24,7 @@ from regtor import (
     ValidationError,
     at_place,
     build_complex_over_r,
+    exact_torsion,
     metrized_complex_at_place,
     presentation,
     reidemeister,
@@ -158,7 +159,7 @@ def test_acyclic_two_term_has_no_cohomology():
     # the exact kernels of 0 -> C --2--> C -> 0 are zero, so the place lists
     # no class, and a class listed in degree 1 is refused
     cplx = metrized_complex_at_place(50, (1, 1), ([[2]],), (EYE1, EYE1), NOH, NOH)
-    assert cplx.cohomology_dims == (0, 0)
+    assert tuple(spec.free_rank for spec in cplx.complex.cohomology) == (0, 0)
     with pytest.raises(ValidationError, match="degree 1 supplies 1 cohomology classes but "
                        "the kernel has dimension 0"):
         metrized_complex_at_place(50, (1, 1), ([[2]],), (EYE1, EYE1), ((), EYE1), ((), [[1]]))
@@ -226,8 +227,10 @@ def test_gram_determinants_are_exact():
     cplx = metrized_complex_at_place(
         50, (2, 2), ([[0, 0], [0, 0]],), (real, herm), (real, herm), (eye, eye)
     )
-    assert cplx.det_cochain == (5, 4) and cplx.det_cohomology == (5, 4)
-    assert all(isinstance(d, Fraction) for d in cplx.det_cochain + cplx.det_cohomology)
+    cochain, det_h = cplx.complex.factors[0]
+    det_g = tuple(d for d, _ in cochain)
+    assert det_g == (5, 4) and det_h == (5, 4)
+    assert all(isinstance(d, Fraction) for d in det_g + det_h)
     for tau in (reidemeister(cplx), torsion_by_contraction(cplx)):
         assert abs(tau - 1) < mp.mpf(10) ** -50
 
@@ -743,11 +746,11 @@ def _exact_ranks(cplx):
 
 
 def test_contraction_over_r_takes_no_numeric_rank(monkeypatch):
-    # places of a complex over R carry the exact |sigma(delta_i)|^2, so the
+    # the complex of each place keeps its exact delta_i there, so the
     # basis-chase takes no singular value, eigenvalue or logarithm
     field, _ = field_units("zsqrt2")
     places = [at_place(_free_cohomology_complex(field), 0), *_corpus_places()]
-    assert all(at.delta_sq is not None for at in places)
+    assert all(len(at.complex.deltas[at.place]) == len(at.complex.lengths) for at in places)
     calls = []
     for name in ("svd_c", "eighe", "log", "exp"):
         monkeypatch.setattr(mp, name, _counting(calls, name, getattr(mp, name)))
@@ -763,8 +766,8 @@ def test_exact_ranks_agree_with_singular_values():
         exact = _exact_ranks(cplx)
         for k in range(field.n_places):
             at = at_place(cplx, k)
-            with mp.workdps(at.digits + 10):
-                cut = rank_cutoff(at.digits)
+            with mp.workdps(field.digits + 10):
+                cut = rank_cutoff(field.digits)
                 numeric = tuple(
                     sum(1 for v in mp.svd_c(d, compute_uv=False) if v > cut) if d.rows and d.cols else 0
                     for d in at.ortho_diffs
@@ -791,7 +794,7 @@ def test_laplacian_route_takes_one_eigenvalue_problem_per_differential(monkeypat
         calls.clear()
         reidemeister(at)
         # a differential is nonzero at a place exactly when its rank there is
-        n = at.lengths
+        n = at.complex.lengths
         want = [min(n[i], n[i + 1]) for i, r in enumerate(ranks) if r]
         assert [size for size, _ in calls] == want
         assert all(kwargs == {"eigvals_only": True} for _, kwargs in calls)
@@ -816,13 +819,14 @@ def test_laplacian_route_forms_each_gram_once(monkeypatch):
         reidemeister(at)
         formed = [(i, t) for a, t in calls for i, d in enumerate(at.ortho_diffs) if a is d]
         assert len(formed) == len(set(formed))
-        assert len(calls) - len(formed) == sum(1 for h in at.cohomology_dims if h)
+        dims = [spec.free_rank for spec in at.complex.cohomology]
+        assert len(calls) - len(formed) == sum(1 for h in dims if h)
         # a Gram that both the rank and a Laplacian read: the rank's
         # orientation of a differential beside a degree with cohomology
         shared += sum(
             1 for i, d in enumerate(at.ortho_diffs)
             if (i, d.cols <= d.rows) in formed
-            and at.cohomology_dims[i if d.cols <= d.rows else i + 1]
+            and dims[i if d.cols <= d.rows else i + 1]
         )
     assert shared
 
@@ -963,7 +967,7 @@ def test_contraction_agrees_with_svd_coimage_oracle():
             for k in range(field.n_places):
                 at = at_place(cplx, k)
                 got, want = torsion_by_contraction(at), torsion_by_coimage(at)
-                with mp.workdps(at.digits + 10):
+                with mp.workdps(field.digits + 10):
                     worst = max(worst, abs(got - want) / want)
     assert count == 40
     assert worst < mp.mpf(10) ** -field.digits
@@ -1059,8 +1063,9 @@ def _scale_split_diffs(small, big, zero):
 
 def _agree_at_ten_to(at, e):
     a, b = reidemeister(at), torsion_by_contraction(at)
-    with mp.workdps(at.digits + 10):
-        assert abs(a - b) / a < mp.mpf(10) ** -at.digits
+    digits = at.complex.field.digits
+    with mp.workdps(digits + 10):
+        assert abs(a - b) / a < mp.mpf(10) ** -digits
     assert _is_ten_to(a, e)
 
 
@@ -1247,7 +1252,7 @@ def test_exact_basis_chase_matches_numeric_routes(digits):
             cplx = random_complex_over(field, rng)
             for k in range(field.n_places):
                 at = at_place(cplx, k)
-                assert at.delta_sq is not None
+                assert at.complex is cplx and at.place == k
                 got = torsion_by_contraction(at)
                 count += 1
                 with mp.workdps(digits + 10):
@@ -1382,8 +1387,8 @@ def test_at_place_takes_no_numeric_zero_product(monkeypatch):
     # product, or the Frobenius norms that only they need: neither a place
     # of a complex over R nor a complex given at one place, read exactly
     # over Q.  Given the numbers of a place over R whose d after d is empty,
-    # metrized_complex_at_place gives the same place, its |sigma(delta_i)|^2
-    # to the working precision
+    # metrized_complex_at_place gives the same matrices, lengths, free ranks
+    # and Gram determinants, and the same tau to the working precision
     field, _ = field_units("zsqrt2")
     free = _free_cohomology_complex(field)
     complexes = [(field, free), *((f, c) for f, _, c in _corpus_complexes())]
@@ -1401,11 +1406,15 @@ def test_at_place_takes_no_numeric_zero_product(monkeypatch):
     field = free.field
     for k in range(field.n_places):
         at, over_q = at_place(free, k), metrized_complex_at_place(*_embedded(free, k))
-        same = [f for f in MetrizedComplexAtPlace._fields if f != "delta_sq"]
-        assert [getattr(over_q, f) for f in same] == [getattr(at, f) for f in same]
+        assert (over_q.ortho_diffs, over_q.ortho_reps) == (at.ortho_diffs, at.ortho_reps)
+        q = over_q.complex
+        assert q.field.digits == field.digits and q.lengths == free.lengths
+        assert [s.free_rank for s in q.cohomology] == [s.free_rank for s in free.cohomology]
+        assert [d for d, _ in q.factors[0][0]] == [d for d, _ in free.factors[k][0]]
+        assert q.factors[0][1] == free.factors[k][1]
+        a, b = exact_torsion(q)[0][0], exact_torsion(free)[0][k]
         with mp.workdps(field.digits + 10):
-            for a, b in zip(over_q.delta_sq, at.delta_sq):
-                assert abs(a / b - 1) < mp.mpf(10) ** -field.digits
+            assert abs(a / b - 1) < mp.mpf(10) ** -field.digits
     assert calls == []
 
 
@@ -1436,7 +1445,7 @@ def test_complexes_over_c_decide_zero_products_exactly():
 
 
 def test_complexes_over_c_take_no_ranks_or_basis_determinants():
-    # only at_place, from K, supplies |sigma(delta_i)|^2; a caller
+    # only the place's complex, from K, supplies |sigma(delta_i)|^2; a caller
     # of metrized_complex_at_place cannot pass values that no check covers,
     # such as delta_sq = (7, 1), which made the basis-chase read sqrt(7)
     params = inspect.signature(metrized_complex_at_place).parameters
@@ -1449,13 +1458,84 @@ def test_complexes_over_c_take_no_ranks_or_basis_determinants():
             metrized_complex_at_place(*args, **extra)
     with pytest.raises(TypeError):
         metrized_complex_at_place(*args, None, (7, 1))
-    # delta_0 = 1 and delta_1 = 2, decided in Q
+    # delta_0 = 1 and delta_1 = 2, decided in Q and kept by the place's complex
     at = metrized_complex_at_place(*args)
-    assert at.delta_sq == (1, 4)
+    assert rtorsion._delta_sq(at.complex, at.place) == [1, 4]
     with mp.workdps(60):
         for tau in (reidemeister(at), torsion_by_contraction(at)):
             assert abs(tau - mp.mpf(1) / 2) < mp.mpf(10) ** -45
 
+
+
+def test_a_place_reads_every_exact_fact_from_its_complex():
+    # a place keeps its complex and the verifier's matrices, nothing else, so
+    # a place rebuilt from at_place's fields cannot be handed basis
+    # determinants: delta_sq = (7, 1) made the basis-chase read sqrt(7) for
+    # 0 -> C --2--> C -> 0, whose tau is 1/2
+    at = metrized_complex_at_place(50, (1, 1), ([[2]],), ([[1]], [[1]]), ((), ()), ((), ()))
+    fields = {f: getattr(at, f) for f in MetrizedComplexAtPlace._fields}
+    with pytest.raises(TypeError, match="unexpected keyword argument 'delta_sq'"):
+        MetrizedComplexAtPlace(**dict(fields, delta_sq=(7, 1)))
+    rebuilt = MetrizedComplexAtPlace(**fields)
+    with mp.workdps(60):
+        for tau in (reidemeister(rebuilt), torsion_by_contraction(rebuilt)):
+            assert abs(tau - mp.mpf(1) / 2) < mp.mpf(10) ** -45
+    # the Laplacian route still reads the place's own representatives, and
+    # refuses ones that span no cohomology basis: here the degree-1 columns
+    # of a built place are swapped for a zero column and e_1
+    eye3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    at = metrized_complex_at_place(
+        50, (1, 3, 1), ([[2], [0], [0]], [[0, 0, 0]]),
+        (EYE1, eye3, EYE1), ((), EYE2, EYE1), ((), [[0, 0], [1, 0], [0, 1]], [[1]]),
+    )
+    fields = {f: getattr(at, f) for f in MetrizedComplexAtPlace._fields}
+    with mp.workdps(60):
+        swapped = rtorsion._matrix([[0, 0], [0, 1], [0, 0]], 2)
+        fields["ortho_reps"] = (at.ortho_reps[0], swapped, at.ortho_reps[2])
+    with pytest.raises(ValidationError, match="degree-1 representatives do not project "
+                       "onto a cohomology basis"):
+        reidemeister(MetrizedComplexAtPlace(**fields))
+
+
+def _split_complex(field, a, b):
+    # 0 -> R^2 --diag(a, b)--> R^2 -> 0 with ab = 0 in K: rank 1 at every
+    # place, but the pivot column, and with it each delta_i, is that of b
+    # where a vanishes and that of a elsewhere
+    zero, one = field.zero(), field.one()
+    return build_complex_over_r(
+        field, (2, 2), ([[a, zero], [zero, b]],),
+        [[[[2, 1], [1, 3]]] * field.n_places, [EYE2] * field.n_places],
+        [
+            CohomologySpec(1, ((b,), (a,)), ([[3]],) * field.n_places),
+            CohomologySpec(1, ((one,), (one,)), ([[7]],) * field.n_places),
+        ],
+    )
+
+
+def test_both_exact_readers_give_the_same_tau():
+    # torsion_by_contraction on a place and exact_torsion on its complex read
+    # tau through one per-place reader, so they agree to the last bit: over
+    # the corpus, over reducible p = (x + 1)(x^2 + 1) and (x^2 + 1)(x^2 + 2),
+    # whose delta_i differ between places, and over Q and Q(i)
+    complexes = [cplx for _, _, cplx in _corpus_complexes()]
+    for poly, a, b in (([1, 1, 1, 1], [1, 1], [1, 0, 1]), ([2, 0, 3, 0, 1], [1, 0, 1], [2, 0, 1])):
+        field = build_field(poly, 50)
+        split = _split_complex(field, field.element(a), field.element(b))
+        assert split.deltas[0] != split.deltas[1]
+        complexes.append(split)
+    assert {c.field.poly for c in complexes} >= {(-2, 0, 1), (1, 1, 1, 1, 1)}
+    over_c = [
+        metrized_complex_at_place(50, (1, 1), (d,), (EYE1, EYE1), NOH, NOH).complex
+        for d in ([[2]], [[[3, 4]]])
+    ]
+    assert [c.field.poly for c in over_c] == [(0, 1), (1, 0, 1)]
+    count = 0
+    for cplx in complexes + over_c:
+        taus = exact_torsion(cplx)[0]
+        for k in range(cplx.field.n_places):
+            assert repr(torsion_by_contraction(at_place(cplx, k))) == repr(taus[k])
+            count += 1
+    assert count == 6 * 2 + 3 * 2 + 2 + 2 + 2
 
 def test_complexes_over_c_are_read_over_q_or_q_i(monkeypatch):
     # every entry is read exactly; real data builds over Q = Z[x]/(x), and an
@@ -1533,7 +1613,8 @@ def _cohomology_complexes():
     places = [at_place(free, k) for k in range(field.n_places)]
     places += [metrized_complex_at_place(*_embedded(free, k)) for k in range(field.n_places)]
     places += [
-        at for at in _corpus_places() if any(at.cohomology_dims) and all(at.lengths)
+        at for at in _corpus_places()
+        if any(spec.free_rank for spec in at.complex.cohomology) and all(at.complex.lengths)
     ]
     return places
 

@@ -220,21 +220,29 @@ def test_nothing_in_the_package_builds_a_place_over_r():
     # so the exact readers read tau from the complex; at_place serves the
     # numeric verifier alone, which callers outside the package run.  The
     # one other place constructor, metrized_complex_at_place, builds its
-    # complex over Q or Q(i) and returns that complex's one place
+    # complex over Q or Q(i) and returns that complex's one place.  Only
+    # at_place makes the record itself
     callers = []
     for path in sorted((SRC / "regtor").glob("*.py")):
         tree = ast.parse(path.read_text())
+
+        def inside(*names):
+            return {
+                id(node)
+                for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef) and fn.name in names
+                for node in ast.walk(fn)
+            }
+
         own = {
-            id(node)
-            for fn in ast.walk(tree)
-            if isinstance(fn, ast.FunctionDef)
-            and fn.name in ("at_place", "metrized_complex_at_place")
-            for node in ast.walk(fn)
+            "at_place": inside("at_place", "metrized_complex_at_place"),
+            "MetrizedComplexAtPlace": inside("at_place"),
         }
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and id(node) not in own:
-                if getattr(node.func, "id", getattr(node.func, "attr", None)) == "at_place":
-                    callers.append((path.name, node.lineno))
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in own and id(node) not in own[name]:
+                    callers.append((path.name, name, node.lineno))
     assert not callers, callers
 
 
@@ -303,7 +311,7 @@ def _record_table():
         (PointClass, lambda: point_class(lat, 1, (), form), "rank", False),
         (TorsionPresentation, lambda: presentation(field, [[field.element([2])]]), "size", True),
         (CyclotomicSetup, lambda: make_cyclotomic_setup(5, 30), "thetas", True),
-        (MetrizedComplexAtPlace, _complex_at_place, "lengths", True),
+        (MetrizedComplexAtPlace, _complex_at_place, "complex", True),
         (CohomologySpec, lambda: CohomologySpec(free_rank=0), "free_rank", True),
         (MetrizedComplexOverR, lambda: _complex_over_r(field), "deltas", True),
     ]
@@ -331,14 +339,10 @@ def test_records_keep_their_semantics():
 
     spec = CohomologySpec(free_rank=0)
     assert (spec.free_reps, spec.free_grams, spec.torsion) == ((), (), None)
-    fields = (
-        "digits", "lengths", "ortho_diffs", "ortho_reps", "from_ortho",
-        "det_cochain", "cohomology_dims", "det_cohomology",
-    )
     at = _complex_at_place()
-    # every place carries its basis determinants: delta_sq has no default
-    with pytest.raises(TypeError, match="missing .*'delta_sq'"):
-        MetrizedComplexAtPlace(**{f: getattr(at, f) for f in fields})
+    # every place is a view of its complex: complex has no default
+    with pytest.raises(TypeError, match="missing .*'complex'"):
+        MetrizedComplexAtPlace(**{f: getattr(at, f) for f in at._fields if f != "complex"})
     # its mp.matrix fields do not hash, so the record says so under its own name
     with pytest.raises(TypeError, match="unhashable type: 'MetrizedComplexAtPlace'"):
         hash(at)
@@ -359,12 +363,10 @@ def _subclasses(cls):
 
 
 def test_complex_records_keep_no_ranks():
-    # a place carries delta but no ranks, and a complex over R its deltas
-    # and Gram factors: the free ranks say what the ranks would
-    assert MetrizedComplexAtPlace._fields == (
-        "digits", "lengths", "ortho_diffs", "ortho_reps", "from_ortho",
-        "det_cochain", "cohomology_dims", "det_cohomology", "delta_sq",
-    )
+    # a place keeps its complex and the verifier's matrices, and a complex
+    # over R its deltas and Gram factors: the free ranks say what the ranks
+    # would
+    assert MetrizedComplexAtPlace._fields == ("complex", "place", "ortho_diffs", "ortho_reps")
     assert MetrizedComplexOverR._fields == (
         "field", "lengths", "diffs", "grams", "cohomology", "deltas", "factors"
     )
