@@ -75,6 +75,8 @@ def make_cyclotomic_setup(r: int, digits: int = DEFAULT_DIGITS) -> CyclotomicSet
     e^{2 pi i k/r}; the place representatives are k = 1..(r-1)/2, ordered by
     ascending real part, so thetas run from 2 pi (r-1)/(2r) down to 2 pi/r.
     The angles are these closed forms, not arguments taken of the embeddings.
+    Every power of a place, and every backward error the build checks, is
+    read from those closed-form roots, with no product chain.
     """
     r = int(r)
     if r < 3 or not isprime(r):

@@ -10,7 +10,9 @@ roots mp.polyroots returns, with no Newton polish.  Either way build_field
 orders the roots into places and checks their backward errors.  embed keeps
 the powers of each place's root as one table of integers over a common
 power of two, so an element embeds as one exact integer dot product,
-rounded once, and one division.  Norms are exact rationals
+rounded once, and one division.  For p = 1 + x + ... + x^{r-1} every power
+of a place, and every backward error, is read from the closed-form roots
+themselves, with no product chain.  Norms are exact rationals
 computed through the resultant of p with the element polynomial, never
 through floating products.  The integrality test for units checks
 power-basis integrality only; when R is not the maximal order in the power
@@ -543,7 +545,10 @@ def build_field(poly, digits: int, class_orders=()) -> NumberField:
     polish.  Roots within rank_cutoff(digits) of the real axis are real
     places; the rest must pair into complex conjugates.  Every stored
     embedding has backward error |p(z)| / sum |c_i| |z|^i at most
-    residual_tolerance(digits).
+    residual_tolerance(digits).  For p = 1 + x + ... + x^{r-1}, p(z) is the
+    exact sum of the powers z^0, ..., z^{r-1}, each read from the
+    closed-form roots (_unit_powers), with no product chain; every other p
+    is evaluated by Horner.
     """
     try:
         coeffs = tuple(int(c) for c in poly)
@@ -597,8 +602,14 @@ def build_field(poly, digits: int, class_orders=()) -> NumberField:
         # scales the rounding in p(z) and cannot push it over the bound
         resid_bound = residual_tolerance(digits)
         sizes = [abs(c) for c in coeffs]
-        for z in sigma_star:
-            if abs(_horner(coeffs, z)) > resid_bound * _horner(sizes, abs(z)):
+        for i, z in enumerate(sigma_star):
+            if cyclotomic:
+                # p(z) = z^0 + ... + z^(r-1), summed exactly from the closed-form
+                # powers, with no product
+                value = mp.fsum(_unit_powers(sigma_star, n + 1, i, n + 1))
+            else:
+                value = _horner(coeffs, z)
+            if abs(value) > resid_bound * _horner(sizes, abs(z)):
                 raise NoConvergence("root backward error exceeds the precision bound")
         return NumberField(
             poly=coeffs,
@@ -620,20 +631,47 @@ def _horner(coeffs, z):
     return acc
 
 
+def _unit_powers(sigma_star, r: int, place_index: int, count: int) -> list:
+    """z^0, ..., z^(count-1) at a place z of 1 + x + ... + x^(r-1), read
+    from its closed-form roots with no product.  In the documented order
+    place i is zeta^k, zeta = e^{2 pi i/r} and k = r//2 - i, so z^j is
+    zeta^(jk mod r); zeta^0 = 1, zeta^m = sigma_star[r//2 - m] for 2m <= r,
+    and otherwise the conjugate of sigma_star[r//2 - (r - m)], rounded to
+    the working precision."""
+    k = r // 2 - place_index
+    out = []
+    for j in range(count):
+        m = j * k % r
+        if m == 0:
+            out.append(mpf(1))
+        elif 2 * m <= r:
+            out.append(sigma_star[r // 2 - m])
+        else:
+            out.append(mp.conj(sigma_star[r // 2 - (r - m)]))
+    return out
+
+
 def _powers(field: NumberField, place_index: int) -> tuple:
     """The powers z^0, ..., z^(n-1) of a place representative z, each
-    rounded once to digits + GUARD from a product chain at 2 GUARD more
-    digits, kept in the field's _memo as one integer table (e, re, im): the
-    real parts of z^k are re[k] 2^e and the imaginary parts im[k] 2^e, over
-    the least binary exponent e of any part, and im is None at a real place.
+    rounded once to digits + GUARD, kept in the field's _memo as one integer
+    table (e, re, im): the real parts of z^k are re[k] 2^e and the imaginary
+    parts im[k] 2^e, over the least binary exponent e of any part, and im is
+    None at a real place.  For p = 1 + x + ... + x^(r-1) every power is one
+    of the field's closed-form roots or its conjugate (_unit_powers), with
+    no product chain; for every other p the powers come from a product
+    chain at 2 GUARD more digits.
     """
     key = ("powers", place_index)
     if key not in field._memo:
         z = field.sigma_star[place_index]
-        with mp.workdps(field.digits + 3 * GUARD):
-            chain = [mpf(1)]
-            for _ in range(field.degree - 1):
-                chain.append(chain[-1] * z)
+        if set(field.poly) == {1}:
+            with mp.workdps(field.digits + GUARD):
+                chain = _unit_powers(field.sigma_star, len(field.poly), place_index, field.degree)
+        else:
+            with mp.workdps(field.digits + 3 * GUARD):
+                chain = [mpf(1)]
+                for _ in range(field.degree - 1):
+                    chain.append(chain[-1] * z)
         with mp.workdps(field.digits + GUARD):
             chain = [+w for w in chain]
         real = not isinstance(z, mpc)

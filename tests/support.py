@@ -738,21 +738,40 @@ def raw_matrix(m):
     return (m.rows, m.cols, [raw_value(m[i, j]) for i in range(m.rows) for j in range(m.cols)])
 
 
-def fdot_embed(field, elem, place):
-    """An element at a place as mp.fdot of its denominator-cleared numerators
-    with z^0, ..., z^(n-1), each power rounded once to digits + GUARD from a
-    product chain at 2 GUARD more digits, then divided by the common
-    denominator at digits + GUARD."""
+def power_chain(field, place):
+    """z^0, ..., z^(n-1) of a place representative z by a product chain at
+    digits + 3 GUARD, each power rounded once to digits + GUARD."""
     z = field.sigma_star[place]
     with mp.workdps(field.digits + 3 * GUARD):
         chain = [mpf(1)]
         for _ in range(field.degree - 1):
             chain.append(chain[-1] * z)
+    with mp.workdps(field.digits + GUARD):
+        return [+w for w in chain]
+
+
+def chain_table(field, place):
+    """power_chain laid out as numfield._powers keeps its tables: (e, re, im)
+    with the real parts re[k] 2^e and the imaginary parts im[k] 2^e over the
+    least binary exponent e of any nonzero part, im None at a real place."""
+    chain = power_chain(field, place)
+    real = field.is_real_place(place)
+    parts = [w.real for w in chain] + ([] if real else [w.imag for w in chain])
+    e = min(x.man_exp[1] for x in parts if x)
+    ints = [int(mp.ldexp(x, -e)) for x in parts]
+    n = len(chain)
+    return e, tuple(ints[:n]), None if real else tuple(ints[n:])
+
+
+def fdot_embed(field, elem, place):
+    """An element at a place as mp.fdot of its denominator-cleared numerators
+    with the powers of power_chain, then divided by the common denominator at
+    digits + GUARD."""
+    powers = power_chain(field, place)
     den = 1
     for c in elem.coeffs:
         den = den * c.denominator // gcd(den, c.denominator)
     with mp.workdps(field.digits + GUARD):
-        powers = [+w for w in chain]
         nums = [c.numerator * (den // c.denominator) for c in elem.coeffs]
         return mp.fdot(nums, powers) / den
 

@@ -6,6 +6,7 @@ takes from mp.polyroots or from the closed form, the product of embeddings
 for the norm, and exact Fraction arithmetic for ring laws.
 """
 
+import json
 import random
 import sys
 from fractions import Fraction
@@ -34,6 +35,7 @@ from regtor import numfield
 from regtor.cli import main
 from support import (
     aberth_roots,
+    chain_table,
     coprime,
     fdot_embed,
     field_units,
@@ -128,6 +130,90 @@ def test_roots_of_unity_take_the_upper_half(monkeypatch, r, digits):
         # the stored conjugates are the closed forms with 2k > r to rounding
         for z, w in zip(field.all_embeddings[len(want):], lower):
             assert abs(z - w) < mp.mpf(10) ** -(digits + numfield.GUARD)
+    # every power of every place is read from those roots: none is evaluated anew
+    for k in range(field.n_places):
+        numfield._powers(field, k)
+    assert len(calls) == r // 2
+
+
+@pytest.mark.parametrize("digits", (15, 50, 300, 1000))
+def test_unit_power_tables_match_the_product_chain(digits):
+    # every power of a place of 1 + x + ... + x^(r-1) is read from the
+    # closed-form roots; for prime r, and for r = 2 and 4, each table is
+    # bit for bit the one a product chain at digits + 3 GUARD, rounded once
+    # to digits + GUARD, gives
+    for r in (2, 3, 4, 5, 7, 11, 13, 31, 61):
+        field = build_field((1,) * r, digits)
+        for k in range(field.n_places):
+            assert numfield._powers(field, k) == chain_table(field, k), (r, k)
+
+
+@pytest.mark.parametrize("digits", (15, 50, 300, 1000))
+def test_unit_power_tables_of_composite_order_are_exact_at_one(digits):
+    # for composite r the closed form is exact where the product chain
+    # leaves rounding: a power zeta^(jk) with jk = 0 mod r is exactly 1 with
+    # an imaginary part of exactly 0; every other power is within one unit
+    # of digits + GUARD of the chain
+    unit = mp.mpf(10) ** -(digits + numfield.GUARD)
+    for r in (6, 9, 12):
+        field = build_field((1,) * r, digits)
+        for place in range(field.n_places):
+            k = r // 2 - place
+            e, re, im = numfield._powers(field, place)
+            ce, cre, cim = chain_table(field, place)
+            im, cim = im or (0,) * len(re), cim or (0,) * len(cre)
+            with mp.workdps(digits + 3 * numfield.GUARD):
+                for j in range(field.degree):
+                    got = mp.mpc(mp.ldexp(re[j], e), mp.ldexp(im[j], e))
+                    want = mp.mpc(mp.ldexp(cre[j], ce), mp.ldexp(cim[j], ce))
+                    if j * k % r == 0:
+                        assert got == 1 and im[j] == 0, (r, place, j)
+                    assert abs(got - want) <= unit, (r, place, j)
+
+
+@pytest.mark.parametrize("r, digits", [(5, 50), (61, 300)])
+def test_unit_root_backward_error_still_bites(monkeypatch, tmp_path, capsys, r, digits):
+    # one closed-form root off by a relative 10^-(digits - GUARD - 3) is
+    # refused, by build_field and by field-info with exit 3; one off by
+    # 10^-(digits + GUARD) is within the bound
+    expjpi = mp.expjpi
+
+    def perturb_first_root(eps):
+        calls = []
+
+        def perturbed(x):
+            calls.append(x)
+            z = expjpi(x)
+            return z * (1 + eps) if len(calls) == 1 else z
+
+        monkeypatch.setattr(mp, "expjpi", perturbed)
+
+    perturb_first_root(mp.mpf(10) ** -(digits + numfield.GUARD))
+    assert build_field((1,) * r, digits).degree == r - 1
+    far = mp.mpf(10) ** -(digits - numfield.GUARD - 3)
+    perturb_first_root(far)
+    with pytest.raises(NoConvergence, match="^root backward error exceeds the precision bound$"):
+        build_field((1,) * r, digits)
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps({"poly": [1] * r, "digits": digits}))
+    perturb_first_root(far)
+    assert main(["field-info", "--field", str(path)]) == 3
+    assert "root backward error exceeds the precision bound" in capsys.readouterr().err
+
+
+def test_unit_places_take_no_complex_product(monkeypatch):
+    # build_field and every power table of Phi_61 at 1000 digits read the
+    # closed-form roots with additions only: no mpc product runs
+    products = []
+    for name in ("__mul__", "__rmul__"):
+        method = getattr(mp.mpc, name)
+        monkeypatch.setattr(
+            mp.mpc, name, lambda a, b, method=method: products.append(1) or method(a, b)
+        )
+    field = build_field((1,) * 61, 1000)
+    for k in range(field.n_places):
+        numfield._powers(field, k)
+    assert not products
 
 
 def test_rational_field():
@@ -229,7 +315,7 @@ def test_embed_rounds_as_fdot(digits):
     # large root of x^2 - (10^41 + 1) spreads the exponents of its powers
     rng = random.Random(digits)
     fixed = [[0], [7], [10**20 + 3], [Fraction(7, 10**250)], [Fraction(-1, 3), 10**20 + 3]]
-    for poly in ([-2, 0, 1], [1] * 5, [1] * 11, [-(10**41 + 1), 0, 1]):
+    for poly in ([-2, 0, 1], [1] * 4, [1] * 5, [1] * 11, [1] * 61, [-(10**41 + 1), 0, 1]):
         field = build_field(poly, digits)
         elems = fixed + [
             [Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**12)) for _ in poly[1:]]
