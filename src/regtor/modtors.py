@@ -1,19 +1,16 @@
-"""Exact determinants over R and the secondary class of a torsion module.
+"""Torsion presentations over R and their secondary class.
 
 A finite torsion module T enters through a square presentation
-0 -> R^m --M--> R^m -> T -> 0 with injective M (norm of det nonzero).  The
-class depends on M only through its determinant: it is the flat insertion of
--(1/2) sum over Sigma* of ln|sigma(det M)| b_1(sigma).
+0 -> R^m --M--> R^m -> T -> 0 with injective M: det M nonzero at every
+place.  The class depends on M only through its determinant: it is the flat
+insertion of -(1/2) sum over Sigma* of ln|sigma(det M)| b_1(sigma).
 
-Determinants are exact: exact_det substitutes x = 2^B into the integer
-polynomials of the denominator-cleared matrix and runs numfield's one
-fraction-free elimination kernel on the resulting integer matrix (Kronecker
-substitution); no floating point enters before the final embedding.
+Both exact answers are numfield's: exact_det, the Kronecker-substituted
+determinant with no floating point before the final embedding, and
+nonzero_places, which decides det M at every place in K.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from mpmath import mp
 
@@ -21,43 +18,22 @@ from .errors import NotAUnit, SingularPresentation, ValidationError
 from .flatmodel import PointClass, RegulatorLattice, a_map, make_form
 from .numfield import (
     GUARD,
-    FieldElement,
     NumberField,
     Record,
-    _int_bareiss_det,
-    _kronecker_digits,
-    _kronecker_matrix,
     embed,
+    exact_det,
     ln,
-    norm,
+    nonzero_places,
     verify_unit,
 )
 
 # Largest presentation size m.  A dense 12 x 12 presentation over Z[zeta_61]
-# with entries in [-9, 9] costs about 3.4 s at 50 digits (2.1 s exact_det,
-# 1.2 s the norm of its determinant) on one core of a 2-core x86 machine
-# with mpmath's pure-Python backend; 16 x 16 costs 17 s and 20 x 20 75 s,
-# most of it in the big-integer divisions of the elimination.
+# with entries in [-9, 9] costs about 2 s at 50 digits, nearly all of it
+# exact_det (over Phi_61 a determinant that is not 0 in K needs no norm), on
+# one core of a 2-core x86 machine with mpmath's pure-Python backend;
+# 16 x 16 costs about 14 s, most of it in the big-integer divisions of the
+# elimination.
 PRESENTATION_SIZE_MAX = 12
-
-
-def exact_det(field: NumberField, rows) -> FieldElement:
-    """Exact determinant of a square matrix of ring elements.
-
-    _kronecker_matrix puts the entries over one common denominator D and
-    substitutes x = 2^B into the integer polynomials left, with B large
-    enough that the one integer determinant holds the coefficients of the
-    Z[x] determinant as balanced base-2^B digits.  They are divided by D^m
-    and reduced modulo p only at the end.  The Q[x] determinant is unique,
-    so no pivot is chosen in R, and a factoring p raises no zero-divisor
-    case.
-    """
-    m = len(rows)
-    if any(len(r) != m for r in rows):
-        raise ValidationError("matrix must be square")
-    a, bits, den = _kronecker_matrix(field, rows)
-    det = _int_bareiss_det(a)
-    return field.element([Fraction(c, den**m) for c in _kronecker_digits(det, bits)])
 
 
 class TorsionPresentation(Record):
@@ -76,7 +52,7 @@ def presentation(field: NumberField, rows) -> TorsionPresentation:
     if any(len(r) != m for r in ents):
         raise ValidationError("presentation matrix must be square")
     det = exact_det(field, ents)
-    if norm(field, det) == 0:
+    if not all(nonzero_places(field, det)):
         raise SingularPresentation("presentation map is not injective")
     return TorsionPresentation(field=field, size=m, entries=ents, det_elem=det)
 

@@ -20,23 +20,29 @@ basis, a unit of the field lying outside Z[x] is rejected.
 
 Shared by every module: Record, the base of every immutable value type,
 FieldElement included, with the one constructor that binds the fields each
-type names; the exact polynomial kit over Q (poly_trim, poly_mul,
-poly_divmod; coefficient lists constant first), the one Horner evaluator,
-the one number conversion to_mp and to_exact, the exact value it rounds,
-the one fraction-free elimination _bareiss over Z, and the precision
-policy.  _bareiss gives every exact
-determinant and rank: _int_bareiss_det for norm and the squarefree test
-through _resultant, the determinant of multiplication by q on Z[x]/(p), and
-for modtors.exact_det through Kronecker substitution (_kronecker_matrix),
-all the subresultants of one Sylvester matrix S_j for the gcd, the rank and
-the pivot columns at each place, decided exactly in K on the Kronecker form
-of a matrix, for exact_pivots and exact_ranks, splitting p where a pivot is
-a zero divisor, and flatmodel.gram_ldl's exact factor of each Gram.  Each
-public function works at digits + GUARD; the cutoffs rank_cutoff
-(10^(-digits/2)), torus_tolerance (10^(-digits/3)) and residual_tolerance
-(10^(-digits + GUARD)) are evaluated at the caller's working precision, and
-so is ln, the one logarithm every module takes: next to 1, where mp.log
-would double its precision, two terms of the series of ln(1 + t).
+type names; the one number conversion to_mp and to_exact, the exact value
+it rounds; and the precision policy.  Every exact decision over K is made
+here, and no other module reads the polynomial kit over Q (poly_trim,
+poly_mul, poly_divmod; coefficient lists constant first), the one Horner
+evaluator, the Kronecker packing, the resultant or known_irreducible:
+exact_det gives the determinant of a matrix over R, exact_pivots its pivot
+columns at each place, nonzero_places whether an element is nonzero at
+each place, and product_is_zero whether a product of two matrices is 0 in
+K.  Each packs ring elements into integers at x = 2^B (Kronecker
+substitution) through one packing step, _kronecker_pack.  The one
+fraction-free elimination _bareiss over Z gives every exact determinant
+and rank: _int_bareiss_det for norm and the squarefree test through
+_resultant, the determinant of multiplication by q on Z[x]/(p), and for
+exact_det on the Kronecker form of a matrix (_kronecker_matrix); all the
+subresultants of one Sylvester matrix S_j for the gcd; the pivot columns
+at each place for exact_pivots, on the Kronecker form too, splitting p
+where a pivot is a zero divisor; and flatmodel.gram_ldl's exact factor of
+each Gram.  Each public function works at digits + GUARD; the cutoffs
+rank_cutoff (10^(-digits/2)), torus_tolerance (10^(-digits/3)) and
+residual_tolerance (10^(-digits + GUARD)) are evaluated at the caller's
+working precision, and so is ln, the one logarithm every module takes:
+next to 1, where mp.log would double its precision, two terms of the
+series of ln(1 + t).
 """
 
 from __future__ import annotations
@@ -329,7 +335,14 @@ def _kronecker_matrix(field, rows) -> tuple[list[list[int]], int, int]:
     """
     a, den = _kronecker_lift(field, rows)
     bits = prod(max(1, sum(abs(c) for e in r for c in e)) for r in a).bit_length() + 1
-    return [[_horner(e, 1 << bits) for e in r] for r in a], bits, den
+    return _kronecker_pack(a, bits), bits, den
+
+
+def _kronecker_pack(a, bits) -> list[list[int]]:
+    """The integer polynomials a_ij of a lifted matrix at x = 2^bits: the
+    one packing step of exact_det, exact_pivots and product_is_zero."""
+    x = 1 << bits
+    return [[_horner(e, x) for e in r] for r in a]
 
 
 def _kronecker_digits(value: int, bits: int) -> list[int]:
@@ -442,11 +455,65 @@ def exact_pivots(field, rows) -> tuple[tuple[int, ...], ...]:
         )
 
 
-def exact_ranks(field, rows) -> tuple[int, ...]:
-    """Rank of a matrix of field elements at each place, decided in K: the
-    number of its exact_pivots there.  A 1 by 1 matrix tells at which places
-    its entry vanishes."""
-    return tuple(len(p) for p in exact_pivots(field, rows))
+def nonzero_places(field, x) -> tuple[bool, ...]:
+    """Whether an element is nonzero at each place, decided in K: the 1 by 1
+    matrix [[x]] has a pivot (exact_pivots) at exactly the places where x
+    does not vanish.  That takes no resultant when p is known irreducible,
+    where x != 0 in K settles every place, and otherwise one, Res(p, x),
+    with a split of p where it is 0."""
+    return tuple(bool(p) for p in exact_pivots(field, [[x]]))
+
+
+def exact_det(field, rows) -> FieldElement:
+    """Exact determinant of a square matrix of ring elements.
+
+    _kronecker_matrix puts the entries over one common denominator D and
+    substitutes x = 2^B into the integer polynomials left, with B large
+    enough that the one integer determinant holds the coefficients of the
+    Z[x] determinant as balanced base-2^B digits.  They are divided by D^m
+    and reduced modulo p only at the end.  The Q[x] determinant is unique,
+    so no pivot is chosen in R, and a factoring p raises no zero-divisor
+    case.
+    """
+    m = len(rows)
+    if any(len(r) != m for r in rows):
+        raise ValidationError("matrix must be square")
+    a, bits, den = _kronecker_matrix(field, rows)
+    det = _int_bareiss_det(a)
+    return field.element([Fraction(c, den**m) for c in _kronecker_digits(det, bits)])
+
+
+def product_is_zero(field, left, right) -> bool:
+    """Whether the product of two matrices of ring elements is 0 in K.
+
+    By Kronecker substitution: both factors are lifted to integer
+    polynomials a_ik and b_kj (_kronecker_lift), and each entry
+    c_ij = sum_k a_ik b_kj of their product in Z[x] has every coefficient at
+    most sum_k ||a_ik||_1 ||b_kj||_1 <= H in absolute value, H the largest
+    sum_k ||a_ik||_1 over the rows of the left factor times the largest
+    sum_k ||b_kj||_1 over the columns of the right one.  With
+    B = bitlength(H) + 1, so that 2^(B-1) > H, the integer dot product of
+    row i and column j packed at x = 2^B (_kronecker_pack) is c_ij(2^B),
+    whose balanced base-2^B digits (_kronecker_digits) are the coefficients
+    of c_ij; c_ij is 0 in K when p divides it.
+    """
+    if not left or not right or not right[0]:
+        return True
+    a, _ = _kronecker_lift(field, left)
+    b, _ = _kronecker_lift(field, right)
+    cols = list(zip(*b))
+    norm = max(sum(sum(map(abs, e)) for e in r) for r in a) * max(
+        sum(sum(map(abs, e)) for e in col) for col in cols
+    )
+    bits = norm.bit_length() + 1
+    packed_cols = _kronecker_pack(cols, bits)
+    poly = list(field.poly)
+    for r in _kronecker_pack(a, bits):
+        for col in packed_cols:
+            v = sum(map(mul, r, col))
+            if v and poly_divmod(_kronecker_digits(v, bits), poly)[1]:
+                return False
+    return True
 
 
 class NumberField(Record):
@@ -605,11 +672,11 @@ def build_field(poly, digits: int, class_orders=()) -> NumberField:
         for i, z in enumerate(sigma_star):
             if cyclotomic:
                 # p(z) = z^0 + ... + z^(r-1), summed exactly from the closed-form
-                # powers, with no product
-                value = mp.fsum(_unit_powers(sigma_star, n + 1, i, n + 1))
+                # powers, with no product; every |z| is 1, so the size is r
+                value, size = mp.fsum(_unit_powers(sigma_star, n + 1, i, n + 1)), n + 1
             else:
-                value = _horner(coeffs, z)
-            if abs(value) > resid_bound * _horner(sizes, abs(z)):
+                value, size = _horner(coeffs, z), _horner(sizes, abs(z))
+            if abs(value) > resid_bound * size:
                 raise NoConvergence("root backward error exceeds the precision bound")
         return NumberField(
             poly=coeffs,

@@ -47,41 +47,39 @@ verify_euler_identity, where the Gram determinants cancel, embeds the
 delta_i alone.  The Laplacian route only verifies it, on the places
 at_place builds.
 
-Every per-place matrix is an mp.matrix, and norms and eigenvalues are
-mpmath's own.  Products are one mp.fdot per entry over row and column
-lists (_product), and the Hermitian A^H A and A A^H one per entry on and
-above the diagonal (_gram), with the conjugates below: the values mpmath's
-matrix product gives, with no conjugate transpose copied and no lower
-triangle formed twice.  The orthonormal coordinates come from the exact
-G = L D L^H of each Gram: U = D^(1/2) L^H and U^-1 = L^-H D^(-1/2), with one
-square root per pivot, so no triangular factor is solved numerically.
+Every per-place matrix is an mp.matrix, and products, norms and eigenvalues
+are mpmath's own.  The Hermitian A^H A and A A^H take one mp.fdot per entry
+on and above the diagonal (_gram), with the conjugates below: the values
+mpmath's matrix product gives, with no conjugate transpose copied and no
+lower triangle formed twice.  The orthonormal coordinates come from the
+exact G = L D L^H of each Gram: U = D^(1/2) L^H and U^-1 = L^-H D^(-1/2),
+with one square root per pivot, so no triangular factor is solved
+numerically.
 
-Rank decisions.  The rank and pivot columns of each differential at each
-place are decided exactly in K, once, by build_complex_over_r
-(numfield.exact_pivots), and so are the basis determinants delta_i, which
-vanish at no place of a complex that builds.  So are d after d = 0 and the
-cocycle conditions, each product entry one integer dot product of
-Kronecker-packed rows and columns reduced mod p (_product_is_zero): a
-d after d that vanishes only to rounding is refused.  No rank is kept:
-build_complex_over_r matches each free rank against the exact kernel
-dimension at every place, so the free ranks of a complex are its exact
-kernel dimensions at each place.  The basis-chase embeds each exact delta_i
-at the place, so it takes no singular value, pivot or minor.  The Laplacian
-route stays numeric, so that the two routes stay independent: with
-c = numfield.rank_cutoff (10^(-digits/2)) and G_i the smaller of d_i^* d_i
-and d_i d_i^*, an eigenvalue of G_i counts as zero when it is at most
-c^2 |G_i|_F, so a zero matrix has rank 0, and each is judged on its own
-differential, so that differentials of very different scale do not
-swallow each other's small values.  A value within a factor 10^3 of its
-cut, or a kernel dimension that differs from the exact one, raises
-RankAmbiguous: more digits would help.  The determinant of a Gram is
-prod D_k of its exact factor, a Fraction, and the Gram determinants a
-route combines are multiplied exactly and rounded once.  The one Gram not
-given is that of the harmonic projections in reidemeister: its
-determinant comes from the lengths that classical Gram-Schmidt, run
-twice, leaves of the representatives, and the pivots of one LDL^H of a
-square matrix, with no square root, which does not square their
-conditioning.
+Rank decisions.  Every exact decision is numfield's, taken once, in K, by
+build_complex_over_r: the rank and pivot columns of each differential at
+each place (numfield.exact_pivots); the basis determinants delta_i
+(numfield.exact_det), which vanish at no place of a complex that builds
+(numfield.nonzero_places); and d after d = 0 and the cocycle conditions
+(numfield.product_is_zero), so a d after d that vanishes only to rounding
+is refused.  No rank is kept: build_complex_over_r matches each free rank
+against the exact kernel dimension at every place, so the free ranks of a
+complex are its exact kernel dimensions at each place.  The basis-chase
+embeds each exact delta_i at the place, so it takes no singular value,
+pivot or minor.  The Laplacian route stays numeric, so that the two routes
+stay independent: with c = numfield.rank_cutoff (10^(-digits/2)) and G_i
+the smaller of d_i^* d_i and d_i d_i^*, an eigenvalue of G_i counts as zero
+when it is at most c^2 |G_i|_F, so a zero matrix has rank 0, and each is
+judged on its own differential, so that differentials of very different
+scale do not swallow each other's small values.  A value within a factor
+10^3 of its cut, or a kernel dimension that differs from the exact one,
+raises RankAmbiguous: more digits would help.  The determinant of a Gram is
+prod D_k of its exact factor, a Fraction, and the Gram determinants a route
+combines are multiplied exactly and rounded once.  The one Gram not given
+is that of the harmonic projections in reidemeister: its determinant comes
+from the lengths that classical Gram-Schmidt, run twice, leaves of the
+representatives, and the pivots of one LDL^H of a square matrix, with no
+square root, which does not square their conditioning.
 
 Neither route takes a logarithm: each multiplies determinants and
 eigenvalues and ends in one square root.  Logarithms are taken only where
@@ -95,7 +93,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
-from operator import mul
 
 from mpmath import mp, mpf
 
@@ -109,22 +106,19 @@ from .flatmodel import (
     gram_ldl,
     make_form,
 )
-from .modtors import exact_det
 from .numfield import (
     GUARD,
     NumberField,
     Record,
     _abs2,
     _check_field,
-    _horner,
-    _kronecker_digits,
-    _kronecker_lift,
     build_field,
     embed,
+    exact_det,
     exact_pivots,
-    exact_ranks,
     ln,
-    poly_divmod,
+    nonzero_places,
+    product_is_zero,
     rank_cutoff,
     to_exact,
     to_mp,
@@ -158,17 +152,6 @@ def _cols(m):
     zero, reads as mpmath's real zero, as in m.tolist() and in mpmath's own
     product."""
     return [[m[r, c] for r in range(m.rows)] for c in range(m.cols)]
-
-
-def _product(rows, cols):
-    """The mp.matrix whose (i, j) entry is mp.fdot(rows[i], cols[j]): the
-    product of the matrix with these rows and the one with these columns.
-    mpmath's own product rounds each entry as the same fdot."""
-    m = mp.matrix(len(rows), len(cols))
-    for i, r in enumerate(rows):
-        for j, c in enumerate(cols):
-            m[i, j] = mp.fdot(r, c)
-    return m
 
 
 def _gram(a, adjoint_first):
@@ -578,52 +561,14 @@ class MetrizedComplexOverR(Record):
     __slots__ = _fields = ("field", "lengths", "diffs", "grams", "cohomology", "deltas", "factors")
 
 
-def _product_is_zero(field, left, right) -> bool:
-    """Whether the product of two matrices of ring elements is 0 in K.
-
-    By Kronecker substitution, as numfield._kronecker_matrix packs a
-    matrix: both factors are lifted to integer polynomials a_ik and b_kj
-    (numfield._kronecker_lift), and each entry c_ij = sum_k a_ik b_kj of
-    their product in Z[x] has every coefficient at most
-    sum_k ||a_ik||_1 ||b_kj||_1 <= H in absolute value, H the largest
-    sum_k ||a_ik||_1 over the rows of the left factor times the largest
-    sum_k ||b_kj||_1 over the columns of the right one.  With
-    B = bitlength(H) + 1, so that 2^(B-1) > H, the integer dot product of
-    row i and column j packed at x = 2^B is c_ij(2^B), whose balanced
-    base-2^B digits (numfield._kronecker_digits) are the coefficients of
-    c_ij; c_ij is 0 in K when p divides it.
-    """
-    if not left or not right or not right[0]:
-        return True
-    a, _ = _kronecker_lift(field, left)
-    b, _ = _kronecker_lift(field, right)
-    cols = [[r[j] for r in b] for j in range(len(b[0]))]
-    norm = max(sum(sum(map(abs, e)) for e in r) for r in a) * max(
-        sum(sum(map(abs, e)) for e in col) for col in cols
-    )
-    bits = norm.bit_length() + 1
-    x = 1 << bits
-    packed_rows = [[_horner(e, x) for e in r] for r in a]
-    packed_cols = [[_horner(e, x) for e in col] for col in cols]
-    poly = list(field.poly)
-    for r in packed_rows:
-        for col in packed_cols:
-            v = sum(map(mul, r, col))
-            if v and poly_divmod(_kronecker_digits(v, bits), poly)[1]:
-                return False
-    return True
-
-
 def _basis_determinants(field, lengths, dd, specs, pivots):
     """deltas of MetrizedComplexOverR, from the pivot columns at each place.
 
     Expanding M_i along its unit columns leaves the minor of
     [ d_{i-1}[:, P_{i-1}] | K_i ] on the rows outside P_i, whose exact_det
     is delta_i up to sign.  Each minor is taken once, however many places
-    share its pivots.  When p is known irreducible (degree 1 or Phi_r, r
-    prime), delta_i != 0 in K is nonzero at every place; otherwise
-    exact_ranks of delta_i tells the places where it vanishes: none when
-    Res(p, delta_i) != 0.  A delta_i that vanishes at some place, where the
+    share its pivots, and numfield.nonzero_places tells the places where it
+    vanishes.  A delta_i that vanishes at some place, where the
     representatives of degree i do not complete its image to the kernel,
     raises ValidationError at the first such place and degree.
     """
@@ -643,11 +588,7 @@ def _basis_determinants(field, lengths, dd, specs, pivots):
                     if r not in own
                 ]
                 delta = exact_det(field, minor) if minor else field.one()
-                if field.known_irreducible:
-                    nonzero = (not delta.is_zero(),) * field.n_places
-                else:
-                    nonzero = exact_ranks(field, [[delta]])
-                seen[i, below, own] = (delta, nonzero)
+                seen[i, below, own] = (delta, nonzero_places(field, delta))
             delta, nonzero = seen[i, below, own]
             if not nonzero[len(out)]:
                 raise ValidationError(
@@ -713,10 +654,10 @@ def build_complex_over_r(field, lengths, diffs, grams, cohomology) -> MetrizedCo
         if any(len(h) != spec.free_rank for h in spec.free_grams):
             raise ValidationError(f"a free cohomology Gram at degree {i} is not of its free rank")
     for i in range(nd - 2):
-        if not _product_is_zero(field, dd[i + 1], dd[i]):
+        if not product_is_zero(field, dd[i + 1], dd[i]):
             raise ValidationError(f"d{i + 1} after d{i} is not zero over R")
     for i, spec in enumerate(specs[:-1]):
-        if spec.free_rank and not _product_is_zero(field, dd[i], spec.free_reps):
+        if spec.free_rank and not product_is_zero(field, dd[i], spec.free_reps):
             raise ValidationError(f"a degree-{i} representative is not a cocycle")
     per_diff = [exact_pivots(field, m) for m in dd]
     pivots = tuple(tuple(p[k] for p in per_diff) for k in range(field.n_places))
@@ -741,11 +682,11 @@ def at_place(cplx: MetrizedComplexOverR, place: int) -> MetrizedComplexAtPlace:
     the factor of every Gram.  So this checks and factors nothing: it embeds
     each ring element once, straight into an mp.matrix, and puts the
     differentials and representatives in orthonormal coordinates with the
-    kept factors, U_{i+1} d_i U_i^-1 (left to right) and U_i K_i, each a
-    _product over the rows of U.  Everything exact stays on the complex,
-    which the place carries.  Each call builds the place afresh; it raises
-    only for a place index out of range.  metrized_complex_at_place builds
-    its one place here too.
+    kept factors, U_{i+1} d_i U_i^-1 (left to right) and U_i K_i, each
+    mpmath's matrix product; K_i is n_i by 0 where the free rank is 0.
+    Everything exact stays on the complex, which the place carries.  Each
+    call builds the place afresh; it raises only for a place index out of
+    range.  metrized_complex_at_place builds its one place here too.
     """
     field = cplx.field
     if not 0 <= place < field.n_places:
@@ -756,14 +697,13 @@ def at_place(cplx: MetrizedComplexOverR, place: int) -> MetrizedComplexAtPlace:
 
     with mp.workdps(field.digits + GUARD):
         dd = [_matrix(m, cplx.lengths[i], entry) for i, m in enumerate(cplx.diffs)]
-        kk = [_matrix(spec.free_reps, spec.free_rank, entry) for spec in cplx.cohomology]
+        kk = [
+            _matrix(spec.free_reps if spec.free_rank else ((),) * n, spec.free_rank, entry)
+            for n, spec in zip(cplx.lengths, cplx.cohomology)
+        ]
         pairs = [_cholesky_pair(factor) for _, factor in cplx.factors[place][0]]
-        ups = [up.tolist() for up, _ in pairs]
-        diffs = tuple(
-            _product(_product(ups[i + 1], _cols(d)).tolist(), _cols(pairs[i][1]))
-            for i, d in enumerate(dd)
-        )
-        reps = tuple(_product(up, _cols(k)) for up, k in zip(ups, kk))
+        diffs = tuple(pairs[i + 1][0] * d * pairs[i][1] for i, d in enumerate(dd))
+        reps = tuple(up * k for (up, _), k in zip(pairs, kk))
         return MetrizedComplexAtPlace(cplx, place, diffs, reps)
 
 

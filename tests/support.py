@@ -781,11 +781,6 @@ def gram_by_matrix_product(a, adjoint_first):
     return a.H * a if adjoint_first else a * a.H
 
 
-def triple_by_matrix_product(u, d, v):
-    """(u d) v, as mpmath multiplies them."""
-    return (u * d) * v
-
-
 # ---------------------------------------------------------------------------
 # Independent basis-chase oracle: orthonormal coimage bases from the full
 # singular value decomposition, one log per determinant.

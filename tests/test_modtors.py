@@ -27,7 +27,7 @@ from regtor import (
     zhat,
     zhat_wellposed,
 )
-from regtor import modtors
+from regtor import modtors, numfield
 from support import field_lattice, field_units, rmat_mul
 
 small_entry = st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=2)
@@ -187,6 +187,26 @@ def test_presentation_rejects_singular_and_non_square():
     quartic = build_field([6, 0, -5, 0, 1], 50)
     with pytest.raises(SingularPresentation):
         presentation(quartic, [[quartic.element([-2, 0, 1])]])
+
+
+@pytest.mark.parametrize("r", (5, 13))
+def test_presentation_over_phi_r_takes_no_resultant(monkeypatch, r):
+    # p = Phi_r is irreducible, so a determinant that is not 0 in K is
+    # nonzero at every place: injectivity needs no norm
+    field = build_field([1] * r, 50)
+    calls = []
+    resultant = numfield._resultant
+    monkeypatch.setattr(numfield, "_resultant", lambda f, e: calls.append(1) or resultant(f, e))
+    rng = random.Random(r)
+    rows = [
+        [field.element([rng.randint(-3, 3) for _ in range(field.degree)]) for _ in range(3)]
+        for _ in range(3)
+    ]
+    det = presentation(field, rows).det_elem
+    with pytest.raises(SingularPresentation):
+        presentation(field, [rows[0], rows[1], rows[0]])
+    assert calls == []
+    assert norm(field, det) != 0 and len(calls) == 1
 
 
 def test_zhat_worked_quadratic_example():

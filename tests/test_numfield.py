@@ -539,7 +539,7 @@ def _mat_mul(field, a, b):
     return out
 
 
-@pytest.mark.parametrize(
+SPLIT_FIELDS = pytest.mark.parametrize(
     "poly, factors",
     [
         ([2, 0, 3, 0, 1], ([1, 0, 1], [2, 0, 1])),  # (x^2 + 1)(x^2 + 2)
@@ -548,6 +548,15 @@ def _mat_mul(field, a, b):
         ([1, 1, 1, 1, 1], ()),
     ],
 )
+
+
+def _vanishes(field, x, k):
+    # the embedded value, far below any nonzero one of these small elements
+    with mp.workdps(60):
+        return abs(embed(field, x, k)) <= mp.mpf(10) ** -40
+
+
+@SPLIT_FIELDS
 def test_exact_ranks_follow_the_factors_of_p(poly, factors):
     # M = U D V with unimodular U, V and D diagonal in 1, 0 and factors of p:
     # at each place the rank counts the diagonal entries its root keeps
@@ -561,12 +570,26 @@ def test_exact_ranks_follow_the_factors_of_p(poly, factors):
         d = [[diag[r] if r == c else field.zero() for c in range(cols)] for r in range(rows)]
         m = _mat_mul(field, _transvections(field, rng, rows, 4), d)
         m = _mat_mul(field, m, _transvections(field, rng, cols, 4))
-        with mp.workdps(60):
-            want = tuple(
-                sum(1 for x in diag if abs(embed(field, x, k)) > mp.mpf(10) ** -40)
-                for k in range(field.n_places)
-            )
-        assert numfield.exact_ranks(field, m) == want
+        want = tuple(
+            sum(1 for x in diag if not _vanishes(field, x, k)) for k in range(field.n_places)
+        )
+        assert tuple(map(len, numfield.exact_pivots(field, m))) == want
+
+
+@SPLIT_FIELDS
+def test_nonzero_places_follow_the_embedded_values(poly, factors):
+    # products and sums of the factors of p, and of elements that vanish
+    # nowhere, are nonzero exactly at the places where |sigma(x)| is not 0
+    field = build_field(poly, 50)
+    rng = random.Random(len(poly))
+    pool = [field.element(e) for e in [[1], [0], [2, 1], [0, 1], *factors]]
+    elems = pool + [field.mul(rng.choice(pool), rng.choice(pool)) for _ in range(8)]
+    elems += [field.add(rng.choice(pool), rng.choice(pool)) for _ in range(8)]
+    assert any(not x.is_zero() and any(_vanishes(field, x, k) for k in range(field.n_places))
+               for x in elems) == bool(factors)
+    for x in elems:
+        want = tuple(not _vanishes(field, x, k) for k in range(field.n_places))
+        assert numfield.nonzero_places(field, x) == want, x
 
 
 def test_exact_ranks_take_one_resultant_per_matrix(monkeypatch):
@@ -582,11 +605,11 @@ def test_exact_ranks_take_one_resultant_per_matrix(monkeypatch):
         rng = random.Random(5)
         m = _mat_mul(field, _transvections(field, rng, 4, 8), _transvections(field, rng, 4, 8))
         calls.clear()
-        assert numfield.exact_ranks(field, m) == (4, 4)
+        assert tuple(map(len, numfield.exact_pivots(field, m))) == (4, 4)
         assert len(calls) == want
         calls.clear()
-        assert numfield.exact_ranks(field, [[field.zero()] * 3] * 2) == (0, 0)
-        assert numfield.exact_ranks(field, []) == (0, 0)
+        assert numfield.exact_pivots(field, [[field.zero()] * 3] * 2) == ((), ())
+        assert numfield.exact_pivots(field, []) == ((), ())
         assert calls == []
 
 

@@ -42,10 +42,8 @@ from support import (
     field_units,
     gram_by_matrix_product,
     random_complex_over,
-    random_pd_gram,
     raw_matrix,
     torsion_by_coimage,
-    triple_by_matrix_product,
 )
 
 EYE1 = [[1]]
@@ -741,8 +739,8 @@ def _corpus_places():
 
 def _exact_ranks(cplx):
     # the rank of each d_i at each place, decided in K
-    per_diff = [numfield.exact_ranks(cplx.field, d) for d in cplx.diffs]
-    return tuple(tuple(r[k] for r in per_diff) for k in range(cplx.field.n_places))
+    per_diff = [numfield.exact_pivots(cplx.field, d) for d in cplx.diffs]
+    return tuple(tuple(len(p[k]) for p in per_diff) for k in range(cplx.field.n_places))
 
 
 def test_contraction_over_r_takes_no_numeric_rank(monkeypatch):
@@ -1568,8 +1566,8 @@ def test_complexes_over_c_are_read_over_q_or_q_i(monkeypatch):
             assert abs(torsion_by_contraction(at) - want_tau) < mp.mpf(10) ** -45
 
 
-# The per-place kernels round as mpmath's own products: the Hermitian Grams
-# formed from half their entries, and the products over row and column lists.
+# The Hermitian Grams, formed from half their entries, round as mpmath's own
+# products.
 
 
 def _random_matrix(rng, rows, cols, complex_entries):
@@ -1589,7 +1587,7 @@ def _random_matrix(rng, rows, cols, complex_entries):
 @pytest.mark.parametrize("digits", (50, 300, 1000))
 def test_kernels_round_as_mpmath_products(digits):
     rng = random.Random(digits)
-    cols, product, gram = rtorsion._cols, rtorsion._product, rtorsion._gram
+    gram = rtorsion._gram
     with mp.workdps(digits + 10):
         for complex_entries in (False, True):
             for r, c in ((0, 3), (3, 0), (1, 1), (2, 3), (4, 2), (3, 3)):
@@ -1597,14 +1595,6 @@ def test_kernels_round_as_mpmath_products(digits):
                 for adjoint_first in (True, False):
                     want = gram_by_matrix_product(a, adjoint_first)
                     assert raw_matrix(gram(a, adjoint_first)) == raw_matrix(want)
-            # U d U^-1 and U K with the triangular factors of exact Grams
-            for n, m in ((0, 2), (2, 0), (1, 1), (3, 2), (2, 3)):
-                up, _ = flatmodel._cholesky_pair(gram_ldl(random_pd_gram(rng, m, complex_entries), digits)[1])
-                _, inv = flatmodel._cholesky_pair(gram_ldl(random_pd_gram(rng, n, complex_entries), digits)[1])
-                d = _random_matrix(rng, m, n, complex_entries)
-                got = product(product(up.tolist(), cols(d)).tolist(), cols(inv))
-                assert raw_matrix(got) == raw_matrix(triple_by_matrix_product(up, d, inv))
-                assert raw_matrix(product(up.tolist(), cols(d))) == raw_matrix(up * d)
 
 
 def _cohomology_complexes():
@@ -1639,11 +1629,12 @@ def test_reidemeister_converts_no_matrix(monkeypatch):
 
 
 def test_basis_determinants_over_a_known_irreducible_take_no_exact_ranks(monkeypatch):
-    # over Z[zeta5], whose p is Phi_5, delta_i != 0 in K settles every place
+    # over Z[zeta5], whose p is Phi_5, delta_i != 0 in K settles every place:
+    # nonzero_places takes no resultant there
     field, _ = field_units("zeta5")
     assert field.known_irreducible
     calls = []
-    monkeypatch.setattr(rtorsion, "exact_ranks", _counting(calls, "ranks", rtorsion.exact_ranks))
+    monkeypatch.setattr(numfield, "_resultant", _counting(calls, "resultant", numfield._resultant))
     rng = random.Random(505)
     complexes = [random_complex_over(field, rng) for _ in range(3)]
     assert calls == []
@@ -1711,7 +1702,7 @@ def _zero_product_pair(field, rng, m, t, n):
 def test_packed_zero_products_match_entrywise_products(poly):
     field = build_field(poly, 50)
     rng = random.Random(len(poly))
-    is_zero = rtorsion._product_is_zero
+    is_zero = numfield.product_is_zero
     for m, t, n in ((1, 2, 1), (2, 3, 2), (3, 4, 3), (4, 5, 2)):
         left, right = _zero_product_pair(field, rng, m, t, n)
         assert any(not x.is_zero() for row in left for x in row)

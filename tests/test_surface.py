@@ -7,8 +7,9 @@ drop a function that perfbench/tracing.py wraps for its per-layer times.
 Each CLI call is a fresh process, so importing regtor.cli must not load the
 code-generation machinery of dataclasses (inspect, ast, dis, tokenize).
 Every logarithm goes through numfield.ln, the one logarithm of the
-precision policy.  No module keeps an import it does not use, or a private
-module-level name that nothing in the package refers to.
+precision policy.  Every exact decision over K is numfield's.  No module
+keeps an import it does not use, or a private module-level name that
+nothing in the package refers to.
 """
 
 import ast
@@ -154,6 +155,34 @@ def test_src_keeps_no_unused_import_or_private_name():
                 private |= {t.id for t in targets if isinstance(t, ast.Name)}
         private = {p for p in private if p.startswith("_") and not p.startswith("__")}
         assert private <= refs, (name, sorted(private - refs))
+
+
+EXACT_KIT = {
+    "_kronecker_lift", "_kronecker_matrix", "_kronecker_pack", "_kronecker_digits",
+    "_int_bareiss_det", "_resultant", "_horner", "poly_divmod", "known_irreducible",
+}
+
+
+def test_only_numfield_decides_over_k():
+    # every exact decision over K goes through numfield's exact_det,
+    # exact_pivots, nonzero_places and product_is_zero, so no other module
+    # names the Kronecker packing, the integer elimination, the resultant,
+    # the polynomial division or the irreducibility shortcut
+    found = []
+    for path in sorted((SRC / "regtor").glob("*.py")):
+        if path.name == "numfield.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            found += [(path.name, n, node.lineno) for n in names if n in EXACT_KIT]
+    assert not found, found
 
 
 def _call_name(call):
