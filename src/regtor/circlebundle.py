@@ -118,22 +118,17 @@ def torsion_form_coeffs(setup: CyclotomicSetup, jmax: int) -> dict:
     The prefactor times _r_j(Li_{j+1}, j): (-1)^(j/2) Re Li_{j+1} for even
     j, (-1)^((j-1)/2) Im Li_{j+1} for odd j; at j = 0 this reduces to
     -ln|1 - sigma(xi)|.
-    Li_1 .. Li_{jmax+1} come from one polylog_orders pass per place.  Li_1
-    is kept in the setup, and once it is there the pass starts at Li_2.
+    Li_1 is read through _li, kept in the setup as every reader keeps it,
+    and Li_2 .. Li_{jmax+1} come from one polylog_orders pass per place.
     0 <= jmax < ORDER_MAX.
     """
     _check_j(jmax, 0, "jmax must lie")
     digits = setup.field.digits
-    memo = setup._memo
     out = {}
     with mp.workdps(digits + GUARD):
         prefs = [_prefactor(j) for j in range(jmax + 1)]
         for k, th in enumerate(setup.thetas):
-            if (k, 1) in memo:
-                lis = [memo[(k, 1)]] + (polylog_orders(2, jmax + 1, th, digits) if jmax else [])
-            else:
-                lis = polylog_orders(1, jmax + 1, th, digits)
-                memo[(k, 1)] = lis[0]
+            lis = [_li(setup, k, 1)] + (polylog_orders(2, jmax + 1, th, digits) if jmax else [])
             for j, (pref, li) in enumerate(zip(prefs, lis)):
                 out[(k, j)] = +(pref * _r_j(li, j))
     return out

@@ -110,13 +110,19 @@ class FormElement(Record):
 
 
 def make_form(field: NumberField, degree_index: int, values) -> FormElement:
-    """Build a coefficient vector, applying the parity and quotient rules."""
+    """Build a coefficient vector, applying the parity and quotient rules.
+
+    Each coefficient is real: a value with imaginary part 0, an [re, 0]
+    pair too, reads as its real part, and any other is refused."""
     if degree_index < 0:
         raise ValidationError("degree index must be non-negative")
     with mp.workdps(field.digits + GUARD):
         vals = [to_mp(v) for v in values]
         if len(vals) != field.n_places:
             raise ValidationError("expected one coefficient per place representative")
+        if any(mp.im(v) for v in vals):
+            raise ValidationError("form coefficients must be real")
+        vals = [mp.re(v) for v in vals]
         if degree_index % 2 == 1:
             vals = [mpf(0) if k < field.r_real else v for k, v in enumerate(vals)]
         if degree_index == 0:

@@ -615,7 +615,8 @@ def build_field(poly, digits: int, class_orders=()) -> NumberField:
     residual_tolerance(digits).  For p = 1 + x + ... + x^{r-1}, p(z) is the
     exact sum of the powers z^0, ..., z^{r-1}, each read from the
     closed-form roots (_unit_powers), with no product chain; every other p
-    is evaluated by Horner.
+    is evaluated by Horner.  Each class-group order is an integer of at
+    least 1, checked with the other arguments before any root finding.
     """
     try:
         coeffs = tuple(int(c) for c in poly)
@@ -632,6 +633,9 @@ def build_field(poly, digits: int, class_orders=()) -> NumberField:
         raise ValidationError("defining polynomial must be monic")
     if digits < 1:
         raise ValidationError("digits must be positive")
+    class_orders = tuple(int(m) for m in class_orders)
+    if any(m < 1 for m in class_orders):
+        raise ValidationError("class-group orders must be at least 1")
 
     cyclotomic = set(coeffs) == {1}
     if not cyclotomic and _resultant(coeffs, [k * coeffs[k] for k in range(1, n + 1)]) == 0:
@@ -685,7 +689,7 @@ def build_field(poly, digits: int, class_orders=()) -> NumberField:
             all_embeddings=sigma_star + tuple(mp.conj(z) for z in pos),
             r_real=len(reals),
             r_complex=len(pos),
-            class_orders=tuple(int(m) for m in class_orders),
+            class_orders=class_orders,
         )
 
 

@@ -5,11 +5,11 @@ complex with the metric induced on the determinant line of its cohomology
 (with respect to chosen cohomology bases and metrics).
 
 Every complex has a K.  A complex over R is decided in full when
-build_complex_over_r builds it: the one count-and-shape check
-(_check_shapes) runs there at every place, every exact fact is decided in
-K, a basis determinant that vanishes at any place is refused, and every
-Gram at every place is factored, once, exactly (_factor_grams, through
-flatmodel.gram_ldl).  A complex given by its numbers at one place
+build_complex_over_r builds it, in one pass over its data: each count and
+shape is checked once and the size of each Gram at every place, every
+exact fact is decided in K, a basis determinant that vanishes at any place
+is refused, and every Gram at every place is factored, once, exactly
+(flatmodel.gram_ldl).  A complex given by its numbers at one place
 (metrized_complex_at_place) is read exactly, by numfield.to_exact, and
 built over Q = Z[x]/(x) when every entry is real, over Q(i) = Z[x]/(x^2 + 1)
 otherwise.  A place is a view of its complex: at_place embeds the
@@ -233,49 +233,6 @@ def metrized_complex_at_place(
     ]
     grams = [[g] for g in cochain_grams]
     return at_place(build_complex_over_r(field, lengths, [ring(m) for m in dd], grams, specs), 0)
-
-
-def _check_shapes(lengths, diffs, cochain_grams, cohomology_grams, cohomology_maps):
-    """The counts and shapes of one place's complex data, as plain lists of
-    rows, converting nothing: each differential i is lengths[i+1] by
-    lengths[i], each cochain Gram i has lengths[i] rows, and the
-    representatives of degree i are lengths[i] by h, h the size of its
-    cohomology Gram; a degree with no cohomology Gram lists no
-    representative column, and a zero degree no cohomology.  Whether each
-    Gram is square is decided where it is factored (_factor_grams), after
-    every check here, when the complex is built."""
-    nd = len(lengths)
-    gg, hh, kk = cochain_grams, cohomology_grams, cohomology_maps
-    if len(diffs) != nd - 1 or len(gg) != nd or len(hh) != nd or len(kk) != nd:
-        raise ValidationError("degree counts of the complex data disagree")
-    for i, m in enumerate(diffs):
-        if len(m) != lengths[i + 1] or any(len(r) != lengths[i] for r in m):
-            raise ValidationError(f"differential {i} has the wrong shape")
-    for i, n in enumerate(lengths):
-        if len(gg[i]) != n:
-            raise ValidationError(f"cochain Gram {i} has the wrong size")
-        h = len(hh[i])
-        if h > 0:
-            if len(kk[i]) != n:
-                raise ValidationError(f"cohomology representatives {i} have the wrong height")
-            if any(len(r) != h for r in kk[i]):
-                raise ValidationError(
-                    f"cohomology representatives {i} disagree with the Gram size"
-                )
-            if n == 0:
-                raise ValidationError(f"degree {i} is zero but lists cohomology")
-        elif any(len(r) for r in kk[i]):
-            raise ValidationError(f"degree {i} provides representatives but no cohomology Gram")
-
-
-def _factor_grams(digits, gg, hh):
-    """(cochain, det_h) of one place's Grams, each factored once, exactly:
-    cochain[i] is gram_ldl's (det G_i, factor) of the cochain Gram gg[i],
-    and det_h[i] is det H_i of the cohomology Gram hh[i], 1 where there is
-    none.  gram_ldl refuses a Gram that is not square, Hermitian and
-    positive definite."""
-    cochain = tuple(gram_ldl(g, digits) for g in gg)
-    return cochain, tuple(gram_ldl(h, digits)[0] if len(h) else Fraction(1) for h in hh)
 
 
 def _count_below(values, cut, message):
@@ -551,11 +508,11 @@ class MetrizedComplexOverR(Record):
     the same at every place, since each free rank fixes it degree by
     degree, but when p factors the pivot columns behind deltas can differ.
     No rank is stored: the free ranks say all the places need.
-    factors[k] is (cochain, det_h) of the Grams at place k (_factor_grams),
-    each factored once, exactly: cochain[i] is the (det G_i, factor) of
-    flatmodel.gram_ldl, which at_place reads, and det_h[i] is det H_i of
-    the free cohomology Gram, 1 where the free rank is 0.  Nothing is
-    cached: every field is set by build_complex_over_r.
+    factors[k] is (cochain, det_h) of the Grams at place k, each factored
+    once, exactly, when the complex is built: cochain[i] is the
+    (det G_i, factor) of flatmodel.gram_ldl, which at_place reads, and
+    det_h[i] is det H_i of the free cohomology Gram, 1 where the free rank
+    is 0.  Nothing is cached: every field is set by build_complex_over_r.
     """
 
     __slots__ = _fields = ("field", "lengths", "diffs", "grams", "cohomology", "deltas", "factors")
@@ -603,13 +560,14 @@ def build_complex_over_r(field, lengths, diffs, grams, cohomology) -> MetrizedCo
     """Check a complex of free R-modules exactly and store it.
 
     At most COMPLEX_SIZE_MAX degrees, each of rank at most COMPLEX_SIZE_MAX;
-    the bound is checked before any ring element is built.  The counts and
-    shapes of every place's data are checked here, once per place, by the
-    one count-and-shape check (_check_shapes), on the data at_place will
-    read: every differential, every representative, and the size of every
-    cochain and free cohomology Gram at every place.  A free Gram has the
-    size of the free rank; a spec of free rank 0 lists no representative
-    and no Gram.  A torsion presentation belongs to this field.
+    the bound is checked before any ring element is built.  Then one pass
+    over the data, in the order it is read, checks every count and shape
+    at_place will read: the differentials, each once, and degree by degree
+    the size of its cochain Gram at every place, its representatives, once,
+    against its free rank h_i (n_i by h_i in a nonzero degree when h_i > 0,
+    no column when h_i = 0), and the size h_i of its free cohomology Gram
+    at every place; a spec of free rank 0 lists no Gram.  A torsion
+    presentation belongs to this field.
     Everything exact is decided in K: d after d = 0, the pivot columns and
     so the rank r_i of each d_i at each place (numfield.exact_pivots), that
     each free representative is a cocycle, and that each free rank is the
@@ -617,9 +575,9 @@ def build_complex_over_r(field, lengths, diffs, grams, cohomology) -> MetrizedCo
     ranks are not stored, since the free ranks now say the same.  Then the
     basis determinants delta_i of the basis-chase are taken exactly in K,
     once per complex, and a delta_i that vanishes at any place is refused.
-    Last, every cochain and free cohomology Gram at every place is factored
-    once, exactly (_factor_grams, through flatmodel.gram_ldl), which refuses
-    one that is not square, Hermitian and positive definite.  So a complex
+    Last, place by place, every cochain and then every free cohomology Gram
+    is factored once, exactly, by flatmodel.gram_ldl, which refuses one
+    that is not square, Hermitian and positive definite.  So a complex
     that builds has every place well defined, and its exact tau at each
     place is read from deltas and factors with no place built.
     """
@@ -637,22 +595,35 @@ def build_complex_over_r(field, lengths, diffs, grams, cohomology) -> MetrizedCo
     if len(gg) != nd or any(len(per) != field.n_places for per in gg):
         raise ValidationError("expected one Gram per degree and place representative")
     dd = tuple(tuple(tuple(field.element(x) for x in row) for row in m) for m in diffs)
+    if len(dd) != nd - 1:
+        raise ValidationError("degree counts of the complex data disagree")
+    for i, m in enumerate(dd):
+        if len(m) != lengths[i + 1] or any(len(r) != lengths[i] for r in m):
+            raise ValidationError(f"differential {i} has the wrong shape")
     specs = []
-    for i, spec in enumerate(cohomology):
-        if spec.free_rank and len(spec.free_grams) != field.n_places:
+    for i, (n, spec) in enumerate(zip(lengths, cohomology)):
+        if any(len(g) != n for g in gg[i]):
+            raise ValidationError(f"cochain Gram {i} has the wrong size")
+        h = spec.free_rank
+        if h and len(spec.free_grams) != field.n_places:
             raise ValidationError(f"free cohomology at degree {i} needs a Gram per place")
         if spec.torsion is not None:
             _check_field(field, spec.torsion.field, f"the torsion presentation at degree {i}")
         reps = tuple(tuple(field.element(x) for x in row) for row in spec.free_reps)
-        specs.append(CohomologySpec(spec.free_rank, reps, tuple(spec.free_grams), spec.torsion))
-    # the Grams of each place: a spec of free rank 0 has no Gram there
-    places = [([g[k] for g in gg], [s.free_grams[k] if s.free_rank else () for s in specs])
-              for k in range(field.n_places)]
-    for g, h in places:
-        _check_shapes(lengths, dd, g, h, [spec.free_reps for spec in specs])
-    for i, spec in enumerate(specs):
-        if any(len(h) != spec.free_rank for h in spec.free_grams):
+        if h > 0:
+            if len(reps) != n:
+                raise ValidationError(f"cohomology representatives {i} have the wrong height")
+            if any(len(r) != h for r in reps):
+                raise ValidationError(
+                    f"cohomology representatives {i} disagree with the free rank"
+                )
+            if n == 0:
+                raise ValidationError(f"degree {i} is zero but lists cohomology")
+        elif any(len(r) for r in reps):
+            raise ValidationError(f"degree {i} provides representatives but no cohomology Gram")
+        if any(len(g) != h for g in spec.free_grams):
             raise ValidationError(f"a free cohomology Gram at degree {i} is not of its free rank")
+        specs.append(CohomologySpec(h, reps, tuple(spec.free_grams), spec.torsion))
     for i in range(nd - 2):
         if not product_is_zero(field, dd[i + 1], dd[i]):
             raise ValidationError(f"d{i + 1} after d{i} is not zero over R")
@@ -669,8 +640,14 @@ def build_complex_over_r(field, lengths, diffs, grams, cohomology) -> MetrizedCo
                     f"but the kernel has dimension {h}"
                 )
     deltas = _basis_determinants(field, lengths, dd, specs, pivots)
-    factors = tuple(_factor_grams(field.digits, g, h) for g, h in places)
-    return MetrizedComplexOverR(field, lengths, dd, gg, tuple(specs), deltas, factors)
+    digits = field.digits
+    factors = []
+    for k in range(field.n_places):
+        # the cochain Grams, then the free ones; det H_i = 1 where the free rank is 0
+        cochain = tuple(gram_ldl(g[k], digits) for g in gg)
+        free = [gram_ldl(s.free_grams[k], digits)[0] if s.free_rank else Fraction(1) for s in specs]
+        factors.append((cochain, tuple(free)))
+    return MetrizedComplexOverR(field, lengths, dd, gg, tuple(specs), deltas, tuple(factors))
 
 
 def at_place(cplx: MetrizedComplexOverR, place: int) -> MetrizedComplexAtPlace:

@@ -71,7 +71,8 @@ def test_setup_angles_are_the_arguments_of_the_embeddings(digits):
 
 @pytest.mark.parametrize("jmax", (0, 3, 20))
 def test_coefficients_take_one_polylog_pass_per_place(monkeypatch, jmax):
-    # All orders 1..jmax+1 at one angle come from one call of the kernel.
+    # Li_1 at each angle is read through _li, once per setup, and the orders
+    # 2..jmax+1 come from one call of the kernel.
     calls = []
     orders = polylog.polylog_orders
 
@@ -84,7 +85,12 @@ def test_coefficients_take_one_polylog_pass_per_place(monkeypatch, jmax):
     setup = make_cyclotomic_setup(11, 50)
     coeffs = torsion_form_coeffs(setup, jmax)
     assert len(coeffs) == setup.field.n_places * (jmax + 1)
-    assert calls == [(1, jmax + 1)] * setup.field.n_places
+    rest = [(2, jmax + 1)] if jmax else []
+    assert calls == ([(1, 1)] + rest) * setup.field.n_places
+    # a second call finds Li_1 kept in the setup
+    calls.clear()
+    assert torsion_form_coeffs(setup, jmax) == coeffs
+    assert calls == rest * setup.field.n_places
 
 
 def _bits(rows):

@@ -369,6 +369,9 @@ MALFORMED = [
     ["unit-log", "--field", Z2, "--unit", "5"],
     ["reduce", "--field", Z2, "--form", '["x","1"]'],
     ["reduce", "--field", Z2, "--form", "5"],
+    # a form holds one real coefficient per place
+    ["reduce", "--field", Z2, "--form", "[[1,1],2]"],
+    ["scale", "--field", Z2, "--point", '{"rank":1,"torus":{"sigma_0":[1,2]}}', "--lambdas", "[1,2]"],
     ["scale", "--field", Z2, "--point", '{"rank":1,"torus":5}', "--lambdas", '["1","1"]'],
     ["cycl", "--field", Z2, "--grams", '[[["x"]],[["1"]]]'],
     ["cycl", "--field", Z2, "--grams", "[5, 5]"],
@@ -416,6 +419,11 @@ def test_malformed_descriptor_files(capsys, tmp_path):
     for path in (big, deep):
         code, out, err = run(capsys, "field-info", "--field", str(path))
         assert code == 2 and out == "" and err.startswith("error: field descriptor"), path
+    # a class-group order below 1 is refused when the field is built
+    zero = tmp_path / "zero.json"
+    zero.write_text('{"poly": [-2, 0, 1], "units": [[1, 1]], "class_group": {"orders": [0]}}')
+    code, out, err = run(capsys, "cycl", "--field", str(zero), "--grams", '[[["1"]], [["1"]]]')
+    assert code == 2 and out == "" and err.startswith("error: class-group orders"), err
 
 
 @pytest.mark.parametrize(

@@ -812,7 +812,12 @@ def test_parse_descriptor_rejects_garbage():
         parse_descriptor({"poly": [-2, 0, 1], "units": [["x"]]})
     with pytest.raises(ValidationError):
         parse_descriptor({"poly": [-2, 0, "q"]})
-    for bad in ({"class_group": 5}, {"class_group": {"orders": ["x"]}}, {"digits": "x"}):
+    for bad in (
+        {"class_group": 5},
+        {"class_group": {"orders": ["x"]}},
+        {"class_group": {"orders": [0]}},
+        {"digits": "x"},
+    ):
         with pytest.raises(ValidationError):
             parse_descriptor({"poly": [-2, 0, 1], **bad})
 

@@ -355,27 +355,41 @@ def test_build_complex_over_r_checks_every_place_when_built():
         )
 
     free(([[1]], [[3]]))
-    with pytest.raises(ValidationError, match="cohomology representatives 1 disagree with "
-                       "the Gram size"):
+    with pytest.raises(ValidationError, match="a free cohomology Gram at degree 1 is not of "
+                       "its free rank"):
         free(([[1]], EYE2))
+    # each shape is checked once per complex: the count of differentials and
+    # the height and width of the representatives against the free rank
+    with pytest.raises(ValidationError, match="degree counts of the complex data disagree"):
+        build_complex_over_r(field, (1, 1), (), [[EYE1, EYE1]] * 2, [CohomologySpec(0)] * 2)
+    for reps, message in (
+        (((one,),), "cohomology representatives 1 have the wrong height"),
+        (((zero, zero), (one, one)), "cohomology representatives 1 disagree with the free rank"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            build_complex_over_r(
+                field, (1, 2), ([[two], [zero]],), [[EYE1] * 2, [EYE2] * 2],
+                [CohomologySpec(0), CohomologySpec(1, reps, ([[1]], [[1]]))],
+            )
 
 
 def test_at_place_takes_no_shape_check_or_conversion(monkeypatch):
     # build_complex_over_r checked every shape, so at_place embeds each ring
-    # element straight into its mp.matrix: no shape check and no to_mp
+    # element straight into its mp.matrix: no complex built, so no shape
+    # checked, and no to_mp
     field, _ = field_units("zsqrt2")
     complexes = [_free_cohomology_complex(field), *(c for _, _, c in _corpus_complexes())]
     calls = []
-    for name in ("_check_shapes", "to_mp"):
+    for name in ("build_complex_over_r", "to_mp"):
         monkeypatch.setattr(rtorsion, name, _counting(calls, name, getattr(rtorsion, name)))
     for cplx in complexes:
         for k in range(cplx.field.n_places):
             at_place(cplx, k)
     assert calls == []
     # the same data given to metrized_complex_at_place is checked once, when
-    # its complex over Q is built, and its place converts nothing either
+    # its one complex over Q is built, and its place converts nothing either
     metrized_complex_at_place(*_embedded(complexes[0], 0))
-    assert [name for name, _ in calls] == ["_check_shapes"]
+    assert [name for name, _ in calls] == ["build_complex_over_r"]
 
 
 def test_data_of_another_field_is_refused():
