@@ -1,12 +1,18 @@
 """Batch command-line interface.
 
 Every operation is exposed as a subcommand with JSON input arguments and
-JSON (default) or aligned-table output.  All numbers are serialized as
-decimal strings at the working precision, so results survive round-trips
-beyond double precision.  Numbers are formatted here only: _s for one
-value, _sigmas for one value per place, _q for an exact rational; no
-record of the library formats itself.  Exit codes: 0 success, 2 validation
-error, 3 numerical failure; diagnostics go to standard error.
+JSON (default) or aligned-table output.  Each subcommand declares once, in
+build_parser, what it reads (its digits alone, a field and its descriptor
+units, that field and its regulator lattice, or the cyclotomic setup of
+--r) and the range of each work-setting flag the CLI bounds itself (--j,
+--jmax, --imax).  main checks those ranges, then resolves digits (--digits,
+then the descriptor's "digits", then 50) and builds what was declared, so
+a cmd_* handler only computes.  All numbers are serialized as decimal
+strings at the working precision, so results survive round-trips beyond
+double precision.  Numbers are formatted here only: _s for one value,
+_sigmas for one value per place, _q for an exact rational; no record of
+the library formats itself.  Exit codes: 0 success, 2 validation error, 3
+numerical failure; diagnostics go to standard error.
 """
 
 from __future__ import annotations
@@ -26,18 +32,17 @@ from .numfield import (
 
 def _resolve_digits(args, descriptor=None) -> int:
     digits = args.digits
-    if digits is None and descriptor is not None:
+    if digits is None and isinstance(descriptor, dict):
         digits = descriptor.get("digits")
     if digits is None:
         digits = DEFAULT_DIGITS
     digits = _int_arg(digits, "digits")
-    if not 30 <= digits <= 1000:
-        raise ValidationError("digits must lie in [30, 1000]")
+    _bounded(digits, 30, 1000, "digits")
     return digits
 
 
 def _load_field(args):
-    if not getattr(args, "field", None):
+    if not args.field:
         raise ValidationError("this command needs --field with a descriptor file")
     try:
         with open(args.field) as fh:
@@ -51,10 +56,25 @@ def _load_field(args):
     return field, units, digits
 
 
-def _load_lattice(args):
-    """The field, the regulator lattice of its descriptor units, and digits."""
-    field, units, digits = _load_field(args)
-    return field, flatmodel.build_lattice(field, units), digits
+def _context(args) -> argparse.Namespace:
+    """What the subcommand declared it reads, built once its bounded flags are in range.
+
+    Every context holds digits; "field" adds the field and its descriptor
+    units, "lattice" also their regulator lattice, and "setup" the
+    cyclotomic setup of --r.
+    """
+    for flag, dest, lo, hi in args.bounds:
+        _bounded(getattr(args, dest), lo, hi, flag)
+    if args.reads in ("field", "lattice"):
+        field, units, digits = _load_field(args)
+        ctx = argparse.Namespace(digits=digits, field=field, units=units)
+        if args.reads == "lattice":
+            ctx.lattice = flatmodel.build_lattice(field, units)
+        return ctx
+    ctx = argparse.Namespace(digits=_resolve_digits(args))
+    if args.reads == "setup":
+        ctx.setup = circlebundle.make_cyclotomic_setup(args.r, ctx.digits)
+    return ctx
 
 
 def _json_arg(text, what, kind=None):
@@ -215,8 +235,8 @@ def _theta_from_args(args, digits):
     raise ValidationError("give the angle as --theta or --theta-over-2pi")
 
 
-def cmd_field_info(args):
-    field, units, digits = _load_field(args)
+def cmd_field_info(args, ctx):
+    field, digits = ctx.field, ctx.digits
     places = []
     for k, z in enumerate(field.sigma_star):
         places.append(
@@ -235,74 +255,67 @@ def cmd_field_info(args):
         "r_complex": field.r_complex,
         "dirichlet_rank": dirichlet_rank(field),
         "class_orders": list(field.class_orders),
-        "units_in_descriptor": len(units),
+        "units_in_descriptor": len(ctx.units),
         "places": places,
     }
 
 
-def cmd_unit_log(args):
-    field, _, digits = _load_field(args)
+def cmd_unit_log(args, ctx):
     vec = _json_arg(args.unit, "--unit", list)
-    elem = field.element([_rational_arg(c, "--unit") for c in vec])
-    f = flatmodel.unit_log(field, elem)
+    elem = ctx.field.element([_rational_arg(c, "--unit") for c in vec])
+    f = flatmodel.unit_log(ctx.field, elem)
     return {
         "unit": [_q(c) for c in elem.coeffs],
-        "norm": _q(norm(field, elem)),
-        "canonical": _sigmas(f.values, digits),
-        "b1_reduced": _form_reduced(f, digits),
+        "norm": _q(norm(ctx.field, elem)),
+        "canonical": _sigmas(f.values, ctx.digits),
+        "b1_reduced": _form_reduced(f, ctx.digits),
     }
 
 
-def cmd_lattice(args):
-    _, lat, digits = _load_lattice(args)
+def cmd_lattice(args, ctx):
+    lat = ctx.lattice
     return {
         "rank": lat.rank,
         "tol": _s(lat.tol, 8),
         "basis_b1_reduced": [
-            _form_reduced(lat.basis_form(i), digits) for i in range(lat.rank)
+            _form_reduced(lat.basis_form(i), ctx.digits) for i in range(lat.rank)
         ],
     }
 
 
-def cmd_reduce(args):
-    field, lat, digits = _load_lattice(args)
+def cmd_reduce(args, ctx):
     vals = _json_arg(args.form, "--form", list)
-    f = flatmodel.make_form(field, 0, vals)
-    t, is_zero = flatmodel.reduce_mod_lattice(lat, f)
+    f = flatmodel.make_form(ctx.field, 0, vals)
+    t, is_zero = flatmodel.reduce_mod_lattice(ctx.lattice, f)
     return {
         "is_zero": is_zero,
-        "torus": _sigmas(t.values, digits),
-        "b1_reduced": _form_reduced(t.as_form(), digits),
+        "torus": _sigmas(t.values, ctx.digits),
+        "b1_reduced": _form_reduced(t.as_form(), ctx.digits),
     }
 
 
-def cmd_cycl(args):
-    field, lat, digits = _load_lattice(args)
+def cmd_cycl(args, ctx):
     grams = _grams(_json_arg(args.grams, "--grams"), "--grams")
-    x = flatmodel.cycl_free(field, lat, grams)
-    return _point_dict(x, digits)
+    return _point_dict(flatmodel.cycl_free(ctx.field, ctx.lattice, grams), ctx.digits)
 
 
-def cmd_scale(args):
-    _, lat, digits = _load_lattice(args)
-    x = _parse_point(lat, _json_arg(args.point, "--point", dict))
+def cmd_scale(args, ctx):
+    x = _parse_point(ctx.lattice, _json_arg(args.point, "--point", dict))
     lambdas = _json_arg(args.lambdas, "--lambdas", list)
-    y = flatmodel.scale_class(lat, x, lambdas)
-    return _point_dict(y, digits)
+    return _point_dict(flatmodel.scale_class(ctx.lattice, x, lambdas), ctx.digits)
 
 
-def cmd_zhat(args):
-    field, lat, digits = _load_lattice(args)
-    pres = _parse_presentation(field, _json_arg(args.pres, "--pres"))
-    x = modtors.zhat(field, lat, pres)
-    out = _point_dict(x, digits)
+def cmd_zhat(args, ctx):
+    pres = _parse_presentation(ctx.field, _json_arg(args.pres, "--pres"))
+    x = modtors.zhat(ctx.field, ctx.lattice, pres)
+    out = _point_dict(x, ctx.digits)
     out["det"] = [_q(c) for c in pres.det_elem.coeffs]
     out["in_lattice"] = x.torus.is_zero()
     return out
 
 
-def cmd_rtorsion(args):
-    field, _, digits = _load_field(args)
+def cmd_rtorsion(args, ctx):
+    field, digits = ctx.field, ctx.digits
     cplx = _parse_complex(field, _json_arg(args.complex, "--complex", dict))
     taus, ln_taus = rtorsion.exact_torsion(cplx)
     f = flatmodel.make_form(field, 0, ln_taus)
@@ -313,16 +326,14 @@ def cmd_rtorsion(args):
     }
 
 
-def cmd_euler_check(args):
-    field, lat, digits = _load_lattice(args)
-    cplx = _parse_complex(field, _json_arg(args.complex, "--complex", dict))
-    res = rtorsion.verify_euler_identity(field, lat, cplx)
-    out = {"residual": _point_dict(res, digits), "is_zero": res.is_zero()}
-    return out
+def cmd_euler_check(args, ctx):
+    cplx = _parse_complex(ctx.field, _json_arg(args.complex, "--complex", dict))
+    res = rtorsion.verify_euler_identity(ctx.field, ctx.lattice, cplx)
+    return {"residual": _point_dict(res, ctx.digits), "is_zero": res.is_zero()}
 
 
-def cmd_polylog(args):
-    digits = _resolve_digits(args)
+def cmd_polylog(args, ctx):
+    digits = ctx.digits
     theta = _theta_from_args(args, digits)
     val = polylog.polylog_circle(args.n, theta, digits)
     return {
@@ -333,18 +344,16 @@ def cmd_polylog(args):
     }
 
 
-def cmd_zeta(args):
-    digits = _resolve_digits(args)
-    return {"s": args.s, "value": _s(polylog.zeta_int(args.s, digits), digits)}
+def cmd_zeta(args, ctx):
+    return {"s": args.s, "value": _s(polylog.zeta_int(args.s, ctx.digits), ctx.digits)}
 
 
-def cmd_bernoulli(args):
-    _ = _resolve_digits(args)
+def cmd_bernoulli(args, ctx):
     return {"m": args.m, "value": _q(polylog.bernoulli(args.m))}
 
 
-def cmd_beta_check(args):
-    digits = _resolve_digits(args)
+def cmd_beta_check(args, ctx):
+    digits = ctx.digits
     quad, exact = polylog.beta_integral_check(args.j, digits)
     with mp.workdps(digits + GUARD):
         err = abs(quad - to_mp(exact))
@@ -356,10 +365,8 @@ def cmd_beta_check(args):
     }
 
 
-def cmd_circle_torsion(args):
-    digits = _resolve_digits(args)
-    _bounded(args.jmax, 0, polylog.ORDER_MAX - 1, "--jmax")
-    setup = circlebundle.make_cyclotomic_setup(args.r, digits)
+def cmd_circle_torsion(args, ctx):
+    setup, digits = ctx.setup, ctx.digits
     coeffs = circlebundle.torsion_form_coeffs(setup, args.jmax)
     rows = [
         {
@@ -374,20 +381,15 @@ def cmd_circle_torsion(args):
     return {"r": args.r, "rows": rows}
 
 
-def cmd_u_coeff(args):
-    digits = _resolve_digits(args)
-    _bounded(args.j, 1, polylog.ORDER_MAX - 1, "--j")
-    setup = circlebundle.make_cyclotomic_setup(args.r, digits)
-    vals = circlebundle.u_coeff(setup, args.j)
-    rows = [{"sigma": k, "u": _s(vals[k], digits)} for k in sorted(vals)]
+def cmd_u_coeff(args, ctx):
+    vals = circlebundle.u_coeff(ctx.setup, args.j)
+    rows = [{"sigma": k, "u": _s(vals[k], ctx.digits)} for k in sorted(vals)]
     return {"r": args.r, "j": args.j, "rows": rows}
 
 
-def cmd_regulator_check(args):
-    digits = _resolve_digits(args)
-    _bounded(args.j, 1, polylog.ORDER_MAX - 1, "--j")
-    setup = circlebundle.make_cyclotomic_setup(args.r, digits)
-    chk = circlebundle.regulator_identity_check(setup, args.j)
+def cmd_regulator_check(args, ctx):
+    digits = ctx.digits
+    chk = circlebundle.regulator_identity_check(ctx.setup, args.j)
     rows = [
         {
             "sigma": k,
@@ -400,10 +402,9 @@ def cmd_regulator_check(args):
     return {"r": args.r, "j": args.j, "rows": rows}
 
 
-def cmd_cheeger_muller(args):
-    digits = _resolve_digits(args)
-    setup = circlebundle.make_cyclotomic_setup(args.r, digits)
-    chk = circlebundle.cheeger_muller_check(setup)
+def cmd_cheeger_muller(args, ctx):
+    digits = ctx.digits
+    chk = circlebundle.cheeger_muller_check(ctx.setup)
     rows = [
         {
             "sigma": k,
@@ -416,12 +417,10 @@ def cmd_cheeger_muller(args):
     return {"r": args.r, "rows": rows}
 
 
-def cmd_borel_dims(args):
-    _bounded(args.imax, 0, circlebundle.BOREL_INDEX_MAX, "--imax")
-    field, _, _ = _load_field(args)
-    dims = circlebundle.borel_dims(field, args.imax)
+def cmd_borel_dims(args, ctx):
+    dims = circlebundle.borel_dims(ctx.field, args.imax)
     xdims = {
-        str(2 * j - 1): circlebundle.x_space_dim(field, j)
+        str(2 * j - 1): circlebundle.x_space_dim(ctx.field, j)
         for j in range(2, args.imax // 2 + 2)
         if 2 * j - 1 <= args.imax
     }
@@ -432,8 +431,8 @@ def cmd_borel_dims(args):
     }
 
 
-def cmd_normalize(args):
-    digits = _resolve_digits(args)
+def cmd_normalize(args, ctx):
+    digits = ctx.digits
     chern, igusa, (bmag, bpow) = circlebundle.normalization_factors(args.j, digits)
     value = _real_arg(args.value, digits, "--value")
     out = circlebundle.convert(value, args.frm, args.to, args.j, digits)
@@ -452,14 +451,13 @@ def cmd_normalize(args):
     return res
 
 
-def cmd_hatcher(args):
-    digits = _resolve_digits(args)
-    a_k, kappa, value = circlebundle.hatcher_constant(args.k, digits)
+def cmd_hatcher(args, ctx):
+    a_k, kappa, value = circlebundle.hatcher_constant(args.k, ctx.digits)
     return {
         "k": args.k,
         "a": a_k,
         "kappa": f"{kappa.numerator}/{kappa.denominator}",
-        "value": _s(value, digits),
+        "value": _s(value, ctx.digits),
     }
 
 
@@ -505,41 +503,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text, *, field=False, **flags):
+    def add(name, handler, help_text, reads="digits", **flags):
+        """reads is what main builds for handler: "digits", "field" or
+        "lattice" (with --field), or "setup" (with --r).  A flag whose spec
+        has a "range" (lo, hi) gets the help "lo..hi", and main checks it
+        before anything is built."""
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--digits", type=int, default=None, help="working precision (30..1000)")
         p.add_argument("--format", choices=("json", "table"), default="json")
-        if field:
+        if reads in ("field", "lattice"):
             p.add_argument("--field", required=False, help="field descriptor JSON path")
+        if reads == "setup":
+            # The field of order r has degree r - 1, which build_field bounds.
+            p.add_argument(
+                "--r", type=int, required=True, help=f"prime cyclotomic order, 3..{DEGREE_MAX + 1}"
+            )
+        bounds = []
         for flag, spec in flags.items():
-            p.add_argument(flag, **spec)
-        p.set_defaults(handler=handler)
-        return p
+            spec = dict(spec)
+            bound = spec.pop("range", None)
+            if bound:
+                spec["help"] = "{}..{}".format(*bound)
+            action = p.add_argument(flag, **spec)
+            if bound:
+                bounds.append((flag, action.dest, *bound))
+        p.set_defaults(handler=handler, reads=reads, bounds=bounds)
 
-    # The field of order r has degree r - 1, which build_field bounds.
-    r_arg = {"type": int, "required": True, "help": f"prime cyclotomic order, 3..{DEGREE_MAX + 1}"}
     # The degree index j; Li_{j+1} is evaluated, so ORDER_MAX bounds it.
-    j_arg = {"type": int, "required": True, "help": f"1..{polylog.ORDER_MAX - 1}"}
-    add("field-info", cmd_field_info, "embeddings, signature, unit rank", field=True)
+    j_arg = {"type": int, "required": True, "range": (1, polylog.ORDER_MAX - 1)}
+    add("field-info", cmd_field_info, "embeddings, signature, unit rank", "field")
     add(
-        "unit-log", cmd_unit_log, "half-log-absolute-value vector of a unit",
-        field=True,
+        "unit-log", cmd_unit_log, "half-log-absolute-value vector of a unit", "field",
         **{"--unit": {"required": True, "help": 'coefficient vector, e.g. ["1","1"]'}},
     )
-    add("lattice", cmd_lattice, "reduced regulator lattice from descriptor units", field=True)
+    add("lattice", cmd_lattice, "reduced regulator lattice from descriptor units", "lattice")
     add(
-        "reduce", cmd_reduce, "reduce a degree-1 vector modulo the lattice",
-        field=True,
+        "reduce", cmd_reduce, "reduce a degree-1 vector modulo the lattice", "lattice",
         **{"--form": {"required": True, "help": "per-place values as JSON list"}},
     )
     add(
-        "cycl", cmd_cycl, "class of a metrized free module",
-        field=True,
+        "cycl", cmd_cycl, "class of a metrized free module", "lattice",
         **{"--grams": {"required": True, "help": "JSON list of Gram matrices, one per place"}},
     )
     add(
-        "scale", cmd_scale, "rescale the metric of a point class",
-        field=True,
+        "scale", cmd_scale, "rescale the metric of a point class", "lattice",
         **{
             "--point": {"required": True, "help": "point class JSON"},
             "--lambdas": {"required": True, "help": "JSON list of positive scalars per place"},
@@ -547,20 +554,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pres_help = f"presentation matrix JSON, at most {modtors.PRESENTATION_SIZE_MAX} rows"
     add(
-        "zhat", cmd_zhat, "secondary class of a torsion-module presentation",
-        field=True,
+        "zhat", cmd_zhat, "secondary class of a torsion-module presentation", "lattice",
         **{"--pres": {"required": True, "help": pres_help}},
     )
     # build_complex_over_r bounds the degree count and every length
     size = f"at most {rtorsion.COMPLEX_SIZE_MAX} degrees of length 0..{rtorsion.COMPLEX_SIZE_MAX}"
     add(
-        "rtorsion", cmd_rtorsion, "Reidemeister torsion of a metrized complex",
-        field=True,
+        "rtorsion", cmd_rtorsion, "Reidemeister torsion of a metrized complex", "field",
         **{"--complex": {"required": True, "help": f"complex JSON (lengths/diffs/grams/cohomology), {size}"}},
     )
     add(
-        "euler-check", cmd_euler_check, "Euler-characteristic identity residual",
-        field=True,
+        "euler-check", cmd_euler_check, "Euler-characteristic identity residual", "lattice",
         **{"--complex": {"required": True, "help": f"complex JSON with cohomology data, {size}"}},
     )
     add(
@@ -582,25 +586,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add("beta-check", cmd_beta_check, "quadrature vs exact beta integral", **{"--j": j_arg})
     add(
-        "circle-torsion", cmd_circle_torsion, "torsion-form coefficients T_{sigma,j}",
-        **{"--r": r_arg, "--jmax": {"type": int, "default": 4, "help": f"0..{polylog.ORDER_MAX - 1}"}},
+        "circle-torsion", cmd_circle_torsion, "torsion-form coefficients T_{sigma,j}", "setup",
+        **{"--jmax": {"type": int, "default": 4, "range": (0, polylog.ORDER_MAX - 1)}},
     )
+    add("u-coeff", cmd_u_coeff, "the polylogarithmic constants u_j", "setup", **{"--j": j_arg})
     add(
-        "u-coeff", cmd_u_coeff, "the polylogarithmic constants u_j",
-        **{"--r": r_arg, "--j": j_arg},
+        "regulator-check", cmd_regulator_check, "psi-scaling identity, both sides", "setup",
+        **{"--j": j_arg},
     )
+    add("cheeger-muller", cmd_cheeger_muller, "degree-0 torsion cross-check", "setup")
     add(
-        "regulator-check", cmd_regulator_check, "psi-scaling identity, both sides",
-        **{"--r": r_arg, "--j": j_arg},
-    )
-    add(
-        "cheeger-muller", cmd_cheeger_muller, "degree-0 torsion cross-check",
-        **{"--r": r_arg},
-    )
-    add(
-        "borel-dims", cmd_borel_dims, "four-periodic dimension table",
-        field=True,
-        **{"--imax": {"type": int, "default": 13, "help": f"0..{circlebundle.BOREL_INDEX_MAX}"}},
+        "borel-dims", cmd_borel_dims, "four-periodic dimension table", "field",
+        **{"--imax": {"type": int, "default": 13, "range": (0, circlebundle.BOREL_INDEX_MAX)}},
     )
     add(
         "normalize", cmd_normalize, "convert between form normalizations",
@@ -619,10 +616,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        out = args.handler(args)
+        out = args.handler(args, _context(args))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,6 +20,7 @@ from .numfield import (
     GUARD,
     NumberField,
     Record,
+    _check_field,
     embed,
     exact_det,
     ln,
@@ -61,8 +62,11 @@ def zhat(field: NumberField, lattice: RegulatorLattice, pres: TorsionPresentatio
     """Secondary class of the torsion module presented by pres.
 
     The torus part is -(1/2) sum over Sigma* of ln|sigma(det)| b_1(sigma);
-    rank and class-group components vanish.
+    rank and class-group components vanish.  The lattice and the
+    presentation must both belong to field.
     """
+    _check_field(field, lattice.field, "the regulator lattice")
+    _check_field(field, pres.field, "the torsion presentation")
     with mp.workdps(field.digits + GUARD):
         vals = [
             -ln(abs(embed(field, pres.det_elem, k))) / 2

@@ -605,6 +605,8 @@ def build_complex_over_r(field, lengths, diffs, grams, cohomology) -> MetrizedCo
         if any(len(g) != n for g in gg[i]):
             raise ValidationError(f"cochain Gram {i} has the wrong size")
         h = spec.free_rank
+        if h < 0:
+            raise ValidationError(f"the free rank at degree {i} is negative: {h}")
         if h and len(spec.free_grams) != field.n_places:
             raise ValidationError(f"free cohomology at degree {i} needs a Gram per place")
         if spec.torsion is not None:

@@ -385,6 +385,22 @@ MALFORMED = [
     # RecursionError on deep nesting
     ["reduce", "--field", Z2, "--form", "[" + "1" * 5000 + ", 0]"],
     ["reduce", "--field", Z2, "--form", "[" * 3000 + "]" * 3000],
+    # shapes and counts that only the library refuses
+    ["rtorsion", "--field", Z2, "--complex", _complex(diffs=[[["1"], ["1"]]])],
+    ["rtorsion", "--field", Z2, "--complex", _complex(
+        diffs=[[["0"]]],
+        cohomology=[{"free_rank": 1, "free_reps": [["1"]], "free_grams": [[[1]]]}, {}],
+    )],
+    ["rtorsion", "--field", Z2, "--complex", _complex(cohomology=[{"free_rank": -1}, {}])],
+    ["reduce", "--field", Z2, "--form", '["1"]'],
+    ["cycl", "--field", Z2, "--grams", "[[[1]]]"],
+    ["cycl", "--field", Z2, "--grams", "[[[1]],[[1,0],[0,1]]]"],
+    ["scale", "--field", Z2, "--point", '{"rank":1,"cls":[],"torus":{}}', "--lambdas", "[1]"],
+    ["scale", "--field", Z2, "--point", '{"rank":1,"cls":[1],"torus":{}}', "--lambdas", "[1,1]"],
+    ["scale", "--field", Z2, "--point", '{"rank":1,"cls":5,"torus":{}}', "--lambdas", "[1,1]"],
+    ["zhat", "--field", Z2, "--pres", "[[5]]"],
+    ["zhat", "--field", Z2, "--pres", "[5]"],
+    ["zhat", "--field", Z2, "--pres", '{"entries": [["2"]], "size": 2}'],
 ]
 
 
@@ -424,6 +440,31 @@ def test_malformed_descriptor_files(capsys, tmp_path):
     zero.write_text('{"poly": [-2, 0, 1], "units": [[1, 1]], "class_group": {"orders": [0]}}')
     code, out, err = run(capsys, "cycl", "--field", str(zero), "--grams", '[[["1"]], [["1"]]]')
     assert code == 2 and out == "" and err.startswith("error: class-group orders"), err
+    half = tmp_path / "half.json"
+    half.write_text('{"poly": [-2, 0.5, 1]}')
+    code, out, err = run(capsys, "field-info", "--field", str(half))
+    assert code == 2 and out == "" and "integer coefficients" in err, err
+    # digits are resolved against the descriptor before it is parsed, and a
+    # list has no "digits" entry to read
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    code, out, err = run(capsys, "field-info", "--field", str(listed))
+    assert code == 2 and out == "" and err == 'error: field descriptor needs a "poly" coefficient list\n'
+
+
+def test_bounded_flags_are_checked_first(capsys):
+    # main checks --j, --jmax and --imax before it resolves digits or builds
+    # a field or cyclotomic setup
+    for argv, flag in (
+        (["beta-check", "--j", "100"], "--j must lie in [1, 99]"),
+        (["u-coeff", "--r", "4", "--j", "0"], "--j must lie in [1, 99]"),
+        (["regulator-check", "--r", "5", "--j", "100", "--digits", "5"], "--j must lie in [1, 99]"),
+        (["circle-torsion", "--r", "67", "--jmax", "100", "--digits", "5"], "--jmax must lie in [0, 99]"),
+        (["borel-dims", "--field", str(DATA / "missing.json"), "--imax", "-1"],
+         "--imax must lie in [0, 10000]"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {flag}\n"), argv
 
 
 @pytest.mark.parametrize(
@@ -464,7 +505,7 @@ def _diag_complex(small):
 def test_numerical_exit_code(capsys, monkeypatch):
     # over R every rank is decided exactly, so no rtorsion input reaches a
     # NumericalError; a handler that raises one pins main's exit 3
-    def failing(args):
+    def failing(args, ctx):
         raise NoConvergence("iteration did not converge")
 
     monkeypatch.setattr(cli, "cmd_zeta", failing)

@@ -3,8 +3,10 @@
 Each case runs cli.main in process and compares what it prints with
 tests/data/golden/<name>.txt.  The cases are the four README examples,
 one 50-digit call of every other subcommand, two more rtorsion calls (a
-three-term complex and one with free cohomology) and polylog at theta = pi,
-where Li_3(-1) is real and its imaginary part prints as an exact 0.0.
+three-term complex and one with free cohomology), polylog at theta = pi,
+where Li_3(-1) is real and its imaginary part prints as an exact 0.0, and
+field-info and lattice in --format table, whose nested objects and lists
+take the indented layout.
 Calls whose output prints the rounding noise of an exact zero (the
 cheeger-muller residual) are left out, with two exceptions.  The README's
 own cheeger-muller table is kept because the README shows it; with Li_1 in
@@ -90,8 +92,10 @@ CASES = {
     "readme_euler_check": ["euler-check", "--field", Z2, "--complex", README_COMPLEX],
     "euler_check_cohomology": ["euler-check", "--field", Z2, "--complex", FREE_COHOMOLOGY],
     "field_info": ["field-info", "--field", Z5],
+    "field_info_table": ["field-info", "--field", Z5, "--format", "table"],
     "unit_log": ["unit-log", "--field", Z5, "--unit", '["1","1","0","0"]'],
     "lattice": ["lattice", "--field", Z5],
+    "lattice_table": ["lattice", "--field", Z5, "--format", "table"],
     "reduce": ["reduce", "--field", Z5, "--form", '["1/3","-1/7"]'],
     "cycl": ["cycl", "--field", Z2, "--grams", '[[["2","1"],["1","3"]],[["5","0"],["0","1/2"]]]'],
     "scale": ["scale", "--field", Z2, "--point", POINT, "--lambdas", '["2","7/3"]'],

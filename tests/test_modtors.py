@@ -269,3 +269,21 @@ def test_zhat_wellposed_under_unit_diagonals():
     assert zhat_wellposed(field, lat, pres, [u, minus], [minus, u])
     with pytest.raises(NotAUnit):
         zhat_wellposed(field, lat, pres, [field.element([2]), u], [u, u])
+
+
+def test_zhat_refuses_data_of_another_field():
+    # Q(sqrt3) and Z[sqrt2] both have two real places, so only the check
+    # tells them apart: unchecked, zhat read 5 + sqrt3 as 5 + sqrt2, or put
+    # a Q(sqrt3) torus on the Z[sqrt2] lattice
+    f2, _, lat2 = field_lattice("zsqrt2")
+    f3 = build_field((-3, 0, 1), f2.digits)
+    pres2 = presentation(f2, [[f2.element([5, 1])]])
+    pres3 = presentation(f3, [[f3.element([5, 1])]])
+    with pytest.raises(ValidationError, match="the regulator lattice belongs to another field"):
+        zhat(f3, lat2, pres3)
+    with pytest.raises(ValidationError, match="the torsion presentation belongs to another field"):
+        zhat(f2, lat2, pres3)
+    u = f2.element([1, 1])
+    with pytest.raises(ValidationError, match="the torsion presentation belongs to another field"):
+        zhat_wellposed(f2, lat2, pres3, [u], [u])
+    assert not zhat(f2, lat2, pres2).is_zero()

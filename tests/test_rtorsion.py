@@ -299,6 +299,17 @@ def test_build_complex_over_r_checks_exactly():
         )
 
 
+def test_build_complex_over_r_refuses_a_negative_free_rank():
+    # unchecked, the free rank -1 was refused only by a Gram count or size
+    # check, whose message named the Grams
+    field, _ = field_units("zsqrt2")
+    two = field.element([2])
+    for grams in ((), ([], [])):
+        specs = [CohomologySpec(-1, (), grams), CohomologySpec(0)]
+        with pytest.raises(ValidationError, match="the free rank at degree 0 is negative: -1"):
+            build_complex_over_r(field, (1, 1), ([[two]],), [[EYE1, EYE1]] * 2, specs)
+
+
 def test_build_complex_over_r_checks_cohomology_exactly():
     field, _ = field_units("zsqrt2")
     two, one, zero = field.element([2]), field.one(), field.zero()
