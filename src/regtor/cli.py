@@ -7,12 +7,15 @@ units, that field and its regulator lattice, or the cyclotomic setup of
 --r) and the range of each work-setting flag the CLI bounds itself (--j,
 --jmax, --imax).  main checks those ranges, then resolves digits (--digits,
 then the descriptor's "digits", then 50) and builds what was declared, so
-a cmd_* handler only computes.  All numbers are serialized as decimal
-strings at the working precision, so results survive round-trips beyond
-double precision.  Numbers are formatted here only: _s for one value,
-_sigmas for one value per place, _q for an exact rational; no record of
-the library formats itself.  Exit codes: 0 success, 2 validation error, 3
-numerical failure; diagnostics go to standard error.
+a cmd_* handler only computes.  Each number crosses the boundary once in
+each direction.  Every JSON text, the descriptor file's included, is read
+by _json_arg, which reads a JSON number as exactly the decimal it is
+written as.  A handler returns the library's values; main renders them once,
+through _text: each mpf as a decimal string at the working precision, so
+results survive round-trips beyond double precision, and each Fraction in
+full.  Only the four 8-digit diagnostics are formatted in a handler, by
+_short.  No record of the library formats itself.  Exit codes: 0 success,
+2 validation error, 3 numerical failure; diagnostics go to standard error.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from mpmath import mp
 
@@ -45,12 +49,11 @@ def _load_field(args):
     if not args.field:
         raise ValidationError("this command needs --field with a descriptor file")
     try:
-        with open(args.field) as fh:
-            data = json.load(fh)
+        with open(args.field, "rb") as fh:
+            text = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read field descriptor: {exc}") from exc
-    except (ValueError, RecursionError) as exc:
-        raise ValidationError(f"field descriptor is not valid JSON: {exc}") from exc
+    data = _json_arg(text, "field descriptor")
     digits = _resolve_digits(args, data)
     field, units = parse_descriptor(data, digits_override=digits)
     return field, units, digits
@@ -78,9 +81,14 @@ def _context(args) -> argparse.Namespace:
 
 
 def _json_arg(text, what, kind=None):
-    """Parse a JSON argument; kind (list or dict) checks its top-level type."""
+    """Parse a JSON argument; kind (list or dict) checks its top-level type.
+
+    A JSON number with a fraction or exponent is the exact rational its
+    decimal text is (parse_rational), as the same number written as a
+    string would be; one past the int-string limit is not valid JSON.
+    """
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_float=parse_rational)
     except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
     if kind is not None and not isinstance(data, kind):
@@ -88,38 +96,40 @@ def _json_arg(text, what, kind=None):
     return data
 
 
-def _s(x, digits):
-    return mp.nstr(mp.mpf(x) if not isinstance(x, (mp.mpf, mp.mpc)) else x, digits)
+def _text(out, digits):
+    """A handler's result as printed: each mpf to digits, each Fraction in
+    full, and everything else as it is."""
+    if isinstance(out, dict):
+        return {key: _text(val, digits) for key, val in out.items()}
+    if isinstance(out, list):
+        return [_text(val, digits) for val in out]
+    if isinstance(out, mp.mpf):
+        return mp.nstr(out, digits)
+    if isinstance(out, Fraction):
+        return str(out)
+    return out
 
 
-def _sigmas(values, digits) -> dict:
+def _short(x) -> str:
+    """A diagnostic (a tolerance, error, ratio or residual) to 8 digits."""
+    return mp.nstr(x, 8)
+
+
+def _sigmas(values) -> dict:
     """One value per place, keyed sigma_0, sigma_1, ..."""
-    return {f"sigma_{k}": _s(v, digits) for k, v in enumerate(values)}
+    return {f"sigma_{k}": v for k, v in enumerate(values)}
 
 
-def _q(x) -> str:
-    """An exact rational as text of any length: the int-to-string limit guards input only."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(x)
-    finally:
-        sys.set_int_max_str_digits(limit)
+def _form_reduced(f):
+    return {f"b1(sigma_{k + 1})": v for k, v in enumerate(f.reduced_b1_coords())}
 
 
-def _form_reduced(f, digits):
-    return {
-        f"b1(sigma_{k + 1})": _s(v, digits)
-        for k, v in enumerate(f.reduced_b1_coords())
-    }
-
-
-def _point_dict(x, digits):
+def _point_dict(x):
     return {
         "rank": x.rank,
         "cls": list(x.cls),
-        "torus": _sigmas(x.torus.values, digits),
-        "torus_b1_reduced": _form_reduced(x.torus.as_form(), digits),
+        "torus": _sigmas(x.torus.values),
+        "torus_b1_reduced": _form_reduced(x.torus.as_form()),
     }
 
 
@@ -198,10 +208,14 @@ def _parse_complex(field, data):
 
 
 def _int_arg(value, what):
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{what} must be an integer, got {value!r}") from exc
+    """An integer, or an integer written as a string; a JSON decimal (a
+    Fraction from _json_arg) and a boolean are refused."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
 def _bounded(value, lo, hi, flag):
@@ -236,21 +250,16 @@ def _theta_from_args(args, digits):
 
 
 def cmd_field_info(args, ctx):
-    field, digits = ctx.field, ctx.digits
-    places = []
-    for k, z in enumerate(field.sigma_star):
-        places.append(
-            {
-                "index": k,
-                "type": "real" if field.is_real_place(k) else "complex",
-                "re": _s(mp.re(z), digits),
-                "im": _s(mp.im(z), digits),
-            }
-        )
+    field = ctx.field
+    places = [
+        {"index": k, "type": "real" if field.is_real_place(k) else "complex",
+         "re": mp.re(z), "im": mp.im(z)}
+        for k, z in enumerate(field.sigma_star)
+    ]
     return {
         "poly": list(field.poly),
         "degree": field.degree,
-        "digits": digits,
+        "digits": ctx.digits,
         "r_real": field.r_real,
         "r_complex": field.r_complex,
         "dirichlet_rank": dirichlet_rank(field),
@@ -265,10 +274,10 @@ def cmd_unit_log(args, ctx):
     elem = ctx.field.element([_rational_arg(c, "--unit") for c in vec])
     f = flatmodel.unit_log(ctx.field, elem)
     return {
-        "unit": [_q(c) for c in elem.coeffs],
-        "norm": _q(norm(ctx.field, elem)),
-        "canonical": _sigmas(f.values, ctx.digits),
-        "b1_reduced": _form_reduced(f, ctx.digits),
+        "unit": list(elem.coeffs),
+        "norm": norm(ctx.field, elem),
+        "canonical": _sigmas(f.values),
+        "b1_reduced": _form_reduced(f),
     }
 
 
@@ -276,10 +285,8 @@ def cmd_lattice(args, ctx):
     lat = ctx.lattice
     return {
         "rank": lat.rank,
-        "tol": _s(lat.tol, 8),
-        "basis_b1_reduced": [
-            _form_reduced(lat.basis_form(i), ctx.digits) for i in range(lat.rank)
-        ],
+        "tol": _short(lat.tol),
+        "basis_b1_reduced": [_form_reduced(lat.basis_form(i)) for i in range(lat.rank)],
     }
 
 
@@ -289,92 +296,71 @@ def cmd_reduce(args, ctx):
     t, is_zero = flatmodel.reduce_mod_lattice(ctx.lattice, f)
     return {
         "is_zero": is_zero,
-        "torus": _sigmas(t.values, ctx.digits),
-        "b1_reduced": _form_reduced(t.as_form(), ctx.digits),
+        "torus": _sigmas(t.values),
+        "b1_reduced": _form_reduced(t.as_form()),
     }
 
 
 def cmd_cycl(args, ctx):
     grams = _grams(_json_arg(args.grams, "--grams"), "--grams")
-    return _point_dict(flatmodel.cycl_free(ctx.field, ctx.lattice, grams), ctx.digits)
+    return _point_dict(flatmodel.cycl_free(ctx.field, ctx.lattice, grams))
 
 
 def cmd_scale(args, ctx):
     x = _parse_point(ctx.lattice, _json_arg(args.point, "--point", dict))
     lambdas = _json_arg(args.lambdas, "--lambdas", list)
-    return _point_dict(flatmodel.scale_class(ctx.lattice, x, lambdas), ctx.digits)
+    return _point_dict(flatmodel.scale_class(ctx.lattice, x, lambdas))
 
 
 def cmd_zhat(args, ctx):
     pres = _parse_presentation(ctx.field, _json_arg(args.pres, "--pres"))
     x = modtors.zhat(ctx.field, ctx.lattice, pres)
-    out = _point_dict(x, ctx.digits)
-    out["det"] = [_q(c) for c in pres.det_elem.coeffs]
-    out["in_lattice"] = x.torus.is_zero()
-    return out
+    return {**_point_dict(x), "det": list(pres.det_elem.coeffs), "in_lattice": x.torus.is_zero()}
 
 
 def cmd_rtorsion(args, ctx):
-    field, digits = ctx.field, ctx.digits
-    cplx = _parse_complex(field, _json_arg(args.complex, "--complex", dict))
+    cplx = _parse_complex(ctx.field, _json_arg(args.complex, "--complex", dict))
     taus, ln_taus = rtorsion.exact_torsion(cplx)
-    f = flatmodel.make_form(field, 0, ln_taus)
+    f = flatmodel.make_form(ctx.field, 0, ln_taus)
     return {
-        "tau": _sigmas(taus, digits),
-        "form_canonical": _sigmas(f.values, digits),
-        "form_b1_reduced": _form_reduced(f, digits),
+        "tau": _sigmas(taus),
+        "form_canonical": _sigmas(f.values),
+        "form_b1_reduced": _form_reduced(f),
     }
 
 
 def cmd_euler_check(args, ctx):
     cplx = _parse_complex(ctx.field, _json_arg(args.complex, "--complex", dict))
     res = rtorsion.verify_euler_identity(ctx.field, ctx.lattice, cplx)
-    return {"residual": _point_dict(res, ctx.digits), "is_zero": res.is_zero()}
+    return {"residual": _point_dict(res), "is_zero": res.is_zero()}
 
 
 def cmd_polylog(args, ctx):
-    digits = ctx.digits
-    theta = _theta_from_args(args, digits)
-    val = polylog.polylog_circle(args.n, theta, digits)
-    return {
-        "n": args.n,
-        "theta": _s(theta, digits),
-        "re": _s(mp.re(val), digits),
-        "im": _s(mp.im(val), digits),
-    }
+    theta = _theta_from_args(args, ctx.digits)
+    val = polylog.polylog_circle(args.n, theta, ctx.digits)
+    return {"n": args.n, "theta": theta, "re": mp.re(val), "im": mp.im(val)}
 
 
 def cmd_zeta(args, ctx):
-    return {"s": args.s, "value": _s(polylog.zeta_int(args.s, ctx.digits), ctx.digits)}
+    return {"s": args.s, "value": polylog.zeta_int(args.s, ctx.digits)}
 
 
 def cmd_bernoulli(args, ctx):
-    return {"m": args.m, "value": _q(polylog.bernoulli(args.m))}
+    return {"m": args.m, "value": polylog.bernoulli(args.m)}
 
 
 def cmd_beta_check(args, ctx):
-    digits = ctx.digits
-    quad, exact = polylog.beta_integral_check(args.j, digits)
-    with mp.workdps(digits + GUARD):
+    quad, exact = polylog.beta_integral_check(args.j, ctx.digits)
+    with mp.workdps(ctx.digits + GUARD):
         err = abs(quad - to_mp(exact))
-    return {
-        "j": args.j,
-        "quadrature": _s(quad, digits),
-        "exact": _q(exact),
-        "abs_err": _s(err, 8),
-    }
+    return {"j": args.j, "quadrature": quad, "exact": exact, "abs_err": _short(err)}
 
 
 def cmd_circle_torsion(args, ctx):
-    setup, digits = ctx.setup, ctx.digits
+    setup = ctx.setup
     coeffs = circlebundle.torsion_form_coeffs(setup, args.jmax)
     rows = [
-        {
-            "sigma": k,
-            "theta": _s(setup.thetas[k], digits),
-            "j": j,
-            "T": _s(coeffs[(k, j)], digits),
-        }
+        {"sigma": k, "theta": setup.thetas[k], "j": j, "T": coeffs[(k, j)]}
         for k in range(setup.field.n_places)
         for j in range(args.jmax + 1)
     ]
@@ -383,36 +369,23 @@ def cmd_circle_torsion(args, ctx):
 
 def cmd_u_coeff(args, ctx):
     vals = circlebundle.u_coeff(ctx.setup, args.j)
-    rows = [{"sigma": k, "u": _s(vals[k], ctx.digits)} for k in sorted(vals)]
-    return {"r": args.r, "j": args.j, "rows": rows}
+    return {"r": args.r, "j": args.j, "rows": [{"sigma": k, "u": vals[k]} for k in sorted(vals)]}
 
 
 def cmd_regulator_check(args, ctx):
-    digits = ctx.digits
     chk = circlebundle.regulator_identity_check(ctx.setup, args.j)
     rows = [
-        {
-            "sigma": k,
-            "lhs": _s(chk[k][0], digits),
-            "rhs": _s(chk[k][1], digits),
-            "ratio": _s(chk[k][2], 8),
-        }
-        for k in sorted(chk)
+        {"sigma": k, "lhs": lhs, "rhs": rhs, "ratio": _short(ratio)}
+        for k, (lhs, rhs, ratio) in sorted(chk.items())
     ]
     return {"r": args.r, "j": args.j, "rows": rows}
 
 
 def cmd_cheeger_muller(args, ctx):
-    digits = ctx.digits
     chk = circlebundle.cheeger_muller_check(ctx.setup)
     rows = [
-        {
-            "sigma": k,
-            "T0_abs": _s(chk[k][0], digits),
-            "ln_tau": _s(chk[k][1], digits),
-            "residual": _s(chk[k][2], 8),
-        }
-        for k in sorted(chk)
+        {"sigma": k, "T0_abs": t0, "ln_tau": ln_tau, "residual": _short(resid)}
+        for k, (t0, ln_tau, resid) in sorted(chk.items())
     ]
     return {"r": args.r, "rows": rows}
 
@@ -436,29 +409,22 @@ def cmd_normalize(args, ctx):
     chern, igusa, (bmag, bpow) = circlebundle.normalization_factors(args.j, digits)
     value = _real_arg(args.value, digits, "--value")
     out = circlebundle.convert(value, args.frm, args.to, args.j, digits)
-    res = {
+    return {
         "j": args.j,
         "from": args.frm,
         "to": args.to,
-        "N_chern": _s(chern, digits),
-        "N_igusa": _s(igusa, digits),
-        "N_borel": {"magnitude": _s(bmag, digits), "i_power": bpow},
+        "N_chern": chern,
+        "N_igusa": igusa,
+        "N_borel": {"magnitude": bmag, "i_power": bpow},
+        "value": {"re": mp.re(out), "im": mp.im(out)} if isinstance(out, mp.mpc) else out,
     }
-    if isinstance(out, mp.mpc):
-        res["value"] = {"re": _s(mp.re(out), digits), "im": _s(mp.im(out), digits)}
-    else:
-        res["value"] = _s(out, digits)
-    return res
 
 
 def cmd_hatcher(args, ctx):
     a_k, kappa, value = circlebundle.hatcher_constant(args.k, ctx.digits)
-    return {
-        "k": args.k,
-        "a": a_k,
-        "kappa": f"{kappa.numerator}/{kappa.denominator}",
-        "value": _s(value, ctx.digits),
-    }
+    # kappa_k keeps its "p/q" notation when it is 1
+    kappa = f"{kappa.numerator}/{kappa.denominator}"
+    return {"k": args.k, "a": a_k, "kappa": kappa, "value": value}
 
 
 def _render_table(obj, indent=0):
@@ -618,17 +584,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        out = args.handler(args, _context(args))
+        ctx = _context(args)
+        out = args.handler(args, ctx)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    if args.format == "json":
-        print(json.dumps(out, indent=2))
-    else:
-        print(_render_table(out))
+    # The int-string limit guards input only: exact rationals print in full.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        out = _text(out, ctx.digits)
+        print(json.dumps(out, indent=2) if args.format == "json" else _render_table(out))
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0
 
 

@@ -599,6 +599,19 @@ def _check_field(field: NumberField, other: NumberField, what: str):
         raise ValidationError(f"{what} belongs to another field")
 
 
+def _integers(values, message) -> tuple:
+    """values as ints, refusing (with message) a boolean and any value that
+    int() would change or cannot read."""
+    try:
+        values = list(values)
+        ints = tuple(int(v) for v in values)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(message) from exc
+    if any(isinstance(v, bool) or i != v for i, v in zip(ints, values)):
+        raise ValidationError(message)
+    return ints
+
+
 def build_field(poly, digits: int, class_orders=()) -> NumberField:
     """Construct the order Z[x]/(p) with embeddings at the given precision.
 
@@ -617,13 +630,10 @@ def build_field(poly, digits: int, class_orders=()) -> NumberField:
     closed-form roots (_unit_powers), with no product chain; every other p
     is evaluated by Horner.  Each class-group order is an integer of at
     least 1, checked with the other arguments before any root finding.
+    A coefficient or order is an integer when int() leaves it unchanged and
+    it is no boolean (_integers).
     """
-    try:
-        coeffs = tuple(int(c) for c in poly)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError("defining polynomial must have integer coefficients") from exc
-    if list(coeffs) != [c for c in poly]:
-        raise ValidationError("defining polynomial must have integer coefficients")
+    coeffs = _integers(poly, "defining polynomial must have integer coefficients")
     n = len(coeffs) - 1
     if n < 1:
         raise ValidationError("defining polynomial must have degree >= 1")
@@ -633,7 +643,7 @@ def build_field(poly, digits: int, class_orders=()) -> NumberField:
         raise ValidationError("defining polynomial must be monic")
     if digits < 1:
         raise ValidationError("digits must be positive")
-    class_orders = tuple(int(m) for m in class_orders)
+    class_orders = _integers(class_orders, "class-group orders must be integers")
     if any(m < 1 for m in class_orders):
         raise ValidationError("class-group orders must be at least 1")
 
@@ -863,8 +873,8 @@ def to_mp(x):
     rational, or a "p/q" string, is its numerator divided by its denominator
     in one rounding.
 
-    Raises ValidationError on anything that is not a number, a decimal or
-    "p/q" string, or an [re, im] pair of those.
+    Raises ValidationError on anything that is not a finite number, a
+    decimal or "p/q" string, or an [re, im] pair of those.
     """
     if isinstance(x, Fraction):
         return mpf(x.numerator) / x.denominator
@@ -874,9 +884,12 @@ def to_mp(x):
     try:
         if isinstance(x, str) and "/" in x:
             return to_mp(parse_rational(x))
-        return mp.mpmathify(x)
+        v = mp.mpmathify(x)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"not a number: {x!r}") from exc
+    if not mp.isfinite(v):
+        raise ValidationError(f"not a number: {x!r}")
+    return v
 
 
 def to_exact(x) -> tuple[Fraction, Fraction]:
@@ -887,10 +900,10 @@ def to_exact(x) -> tuple[Fraction, Fraction]:
     string are read by parse_rational; anything else goes through to_mp at
     the current working precision, and the parts of the mpf or mpc it gives
     are read as the dyadic rationals they are.  Raises ValidationError on
-    what to_mp refuses, on what is not finite, and on an mpf whose
-    |exponent| passes the bits of an integer of sys.get_int_max_str_digits()
-    digits, the bound parse_rational sets on a decimal: reading it would
-    build a power of two of that many bits.
+    what to_mp refuses, a value that is not finite included, and on an mpf
+    whose |exponent| passes the bits of an integer of
+    sys.get_int_max_str_digits() digits, the bound parse_rational sets on a
+    decimal: reading it would build a power of two of that many bits.
     """
     pair = _pair(x)
     if pair is not None:
@@ -904,8 +917,6 @@ def to_exact(x) -> tuple[Fraction, Fraction]:
         except (ValueError, ZeroDivisionError):
             pass
     z = mpc(to_mp(x))
-    if not mp.isfinite(z):
-        raise ValidationError(f"not a number: {x!r}")
     return _dyadic(z.real), _dyadic(z.imag)
 
 
@@ -930,13 +941,15 @@ def parse_descriptor(data: dict, digits_override: int | None = None):
     """
     if not isinstance(data, dict) or "poly" not in data:
         raise ValidationError('field descriptor needs a "poly" coefficient list')
-    poly = data["poly"]
-    try:
-        digits = digits_override if digits_override is not None else int(data.get("digits", DEFAULT_DIGITS))
-        orders = tuple(int(k) for k in data.get("class_group", {}).get("orders", []))
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ValidationError(f"descriptor digits or class-group orders are malformed: {exc}") from exc
-    field = build_field(poly, digits, class_orders=orders)
+    digits = digits_override
+    if digits is None:
+        (digits,) = _integers(
+            [data.get("digits", DEFAULT_DIGITS)], "descriptor digits must be an integer"
+        )
+    class_group = data.get("class_group", {})
+    if not isinstance(class_group, dict):
+        raise ValidationError('descriptor "class_group" must be an object')
+    field = build_field(data["poly"], digits, class_orders=class_group.get("orders", []))
     try:
         units = [
             field.element([parse_rational(c) for c in vec]) for vec in data.get("units", [])

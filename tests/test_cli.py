@@ -452,6 +452,51 @@ def test_malformed_descriptor_files(capsys, tmp_path):
     assert code == 2 and out == "" and err == 'error: field descriptor needs a "poly" coefficient list\n'
 
 
+@pytest.mark.parametrize(
+    "argv, descriptor",
+    [
+        # integer fields refuse a decimal, even an integral one, and a boolean
+        (["rtorsion", "--complex", _complex(lengths=[1.9, True])], None),
+        (["rtorsion", "--complex", _complex(lengths=[1.0, 1])], None),
+        (["rtorsion", "--complex", _complex(cohomology=[{"free_rank": False}, {}])], None),
+        (["zhat", "--pres", '{"entries": [["2"]], "size": 1.5}'], None),
+        (["scale", "--point", '{"rank": true, "torus": {}}', "--lambdas", "[1, 1]"], None),
+        (["field-info"], {"poly": [-2, 0, 1], "digits": 40.7}),
+        (["field-info"], {"poly": [-2, 0, 1], "class_group": {"orders": [2.5, True]}}),
+        (["field-info"], {"poly": [-2, 0, True]}),
+        # a value that is not finite is not a number
+        (["reduce", "--form", "[NaN, 0]"], None),
+        (["reduce", "--form", '["inf", 0]'], None),
+        (["scale", "--point", '{"rank": 1, "torus": {}}', "--lambdas", "[Infinity, 2]"], None),
+    ],
+    ids=[
+        "lengths", "integral-length", "free_rank", "size", "rank", "descriptor-digits",
+        "class-orders", "poly", "nan-form", "inf-string-form", "infinite-lambda",
+    ],
+)
+def test_numbers_that_are_not_what_they_stand_for_exit_2(capsys, tmp_path, argv, descriptor):
+    field = Z2
+    if descriptor is not None:
+        field = tmp_path / "field.json"
+        field.write_text(json.dumps(descriptor))
+    code, out, err = run(capsys, *argv[:1], "--field", str(field), *argv[1:])
+    assert code == 2 and out == "" and err.startswith("error: "), err
+
+
+def test_json_numbers_read_as_their_decimal_text(capsys):
+    # the binary double nearest 0.1 is 0.1000000000000000055...
+    cplx = _complex(grams=[[[[0.1]], [[1]]], [[[1]], [[1]]]])
+    d = run_json(capsys, "rtorsion", "--field", Z2, "--complex", cplx)
+    with mp.workdps(60):
+        assert close(d["tau"]["sigma_0"], mp.sqrt(mp.mpf(1) / 10) / 2, "1e-49")
+    d = run_json(capsys, "reduce", "--field", Z2, "--form", "[0.1, -0.1]")
+    assert d["torus"] == {"sigma_0": "0.1", "sigma_1": "-0.1"}
+    # a decimal past the double range is the number it is written as
+    d = run_json(capsys, "cycl", "--field", Z2, "--grams", "[[[1e400]], [[1]]]")
+    e = run_json(capsys, "cycl", "--field", Z2, "--grams", '[[["1e400"]], [["1"]]]')
+    assert d == e
+
+
 def test_bounded_flags_are_checked_first(capsys):
     # main checks --j, --jmax and --imax before it resolves digits or builds
     # a field or cyclotomic setup

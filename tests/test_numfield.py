@@ -389,6 +389,17 @@ def test_build_field_rejects_bad_polynomials():
         build_field([0, 0, 1], 50)  # x^2
     with pytest.raises(NotSquarefree):
         build_field([4, 0, -4, 0, 1], 50)  # (x^2 - 2)^2
+    # int() would read 2.5 as 2 and True as 1; an integral Fraction is an integer
+    for poly, orders in (
+        ((-2, 0, True), ()),
+        ((-2, Fraction(1, 2), 1), ()),
+        ((float("inf"), 0, 1), ()),
+        ((-2, 0, 1), (2.5, True)),
+        ((-2, 0, 1), ("2",)),
+    ):
+        with pytest.raises(ValidationError, match="integer"):
+            build_field(poly, 50, class_orders=orders)
+    assert build_field((-2, 0, 1), 50, class_orders=(Fraction(2), 3)).class_orders == (2, 3)
 
 
 def test_build_field_accepts_reducible_squarefree():
@@ -771,12 +782,11 @@ def test_to_exact_is_what_to_mp_rounds():
         # a part that is a pair itself was read as re + i im by one and lost
         # its im by the other
         for bad, message in (("one", "not a number"), ([1, 2, 3], "pairs"),
-                             ([[1, 2], "0.5"], "pairs")):
+                             ([[1, 2], "0.5"], "pairs"), ("inf", "not a number"),
+                             (float("nan"), "not a number"), ([1, "-inf"], "not a number")):
             for read in (numfield.to_exact, numfield.to_mp):
                 with pytest.raises(ValidationError, match=message):
                     read(bad)
-        with pytest.raises(ValidationError, match="not a number"):
-            numfield.to_exact("inf")
 
 
 def test_to_exact_bounds_the_exponent():
@@ -816,7 +826,10 @@ def test_parse_descriptor_rejects_garbage():
         {"class_group": 5},
         {"class_group": {"orders": ["x"]}},
         {"class_group": {"orders": [0]}},
+        {"class_group": {"orders": [True]}},
         {"digits": "x"},
+        {"digits": 40.7},
+        {"digits": True},
     ):
         with pytest.raises(ValidationError):
             parse_descriptor({"poly": [-2, 0, 1], **bad})

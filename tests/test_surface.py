@@ -7,9 +7,10 @@ drop a function that perfbench/tracing.py wraps for its per-layer times.
 Each CLI call is a fresh process, so importing regtor.cli must not load the
 code-generation machinery of dataclasses (inspect, ast, dis, tokenize).
 Every logarithm goes through numfield.ln, the one logarithm of the
-precision policy.  Every exact decision over K is numfield's.  No module
-keeps an import it does not use, or a private module-level name that
-nothing in the package refers to.
+precision policy.  Every exact decision over K is numfield's.  The CLI
+decodes JSON in _json_arg alone and formats numbers in _text and _short
+alone.  No module keeps an import it does not use, or a private
+module-level name that nothing in the package refers to.
 """
 
 import ast
@@ -155,6 +156,20 @@ def test_src_keeps_no_unused_import_or_private_name():
                 private |= {t.id for t in targets if isinstance(t, ast.Name)}
         private = {p for p in private if p.startswith("_") and not p.startswith("__")}
         assert private <= refs, (name, sorted(private - refs))
+
+
+def test_cli_converts_each_number_in_one_place():
+    # every JSON text is decoded by _json_arg, which reads each number
+    # exactly, and every number is formatted by the one walker _text or, for
+    # the 8-digit diagnostics, by _short
+    where = {}
+    for top in ast.parse((SRC / "regtor" / "cli.py").read_text()).body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else "<module>"
+        for node in ast.walk(top):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name in ("nstr", "load", "loads"):
+                where.setdefault(name, set()).add(owner)
+    assert where == {"nstr": {"_text", "_short"}, "loads": {"_json_arg"}}
 
 
 EXACT_KIT = {
