@@ -445,14 +445,14 @@ def _render_table(obj, indent=0):
                 lines.append(pad + "  ".join(str(r[c]).ljust(widths[c]) for c in cols))
         else:
             for key, val in obj.items():
-                if isinstance(val, (dict, list)):
+                if isinstance(val, (dict, list)) and val:
                     lines.append(f"{pad}{key}:")
                     lines.append(_render_table(val, indent + 1))
                 else:
                     lines.append(f"{pad}{key} = {val}")
     elif isinstance(obj, list):
         for k, val in enumerate(obj):
-            if isinstance(val, (dict, list)):
+            if isinstance(val, (dict, list)) and val:
                 lines.append(f"{pad}[{k}]")
                 lines.append(_render_table(val, indent + 1))
             else:

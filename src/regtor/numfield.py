@@ -844,8 +844,11 @@ def parse_rational(text) -> Fraction:
 
     A decimal whose mantissa digits and |exponent| add up to more than
     sys.get_int_max_str_digits() raises ValueError before Fraction builds
-    its power of ten, as the same number written out as digits would.
+    its power of ten, as the same number written out as digits would.  A
+    boolean is no number: it raises ValidationError.
     """
+    if isinstance(text, bool):
+        raise ValidationError(f"not a number: {text!r}")
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
@@ -874,8 +877,11 @@ def to_mp(x):
     in one rounding.
 
     Raises ValidationError on anything that is not a finite number, a
-    decimal or "p/q" string, or an [re, im] pair of those.
+    decimal or "p/q" string, or an [re, im] pair of those; a boolean is not
+    a number.
     """
+    if isinstance(x, bool):
+        raise ValidationError(f"not a number: {x!r}")
     if isinstance(x, Fraction):
         return mpf(x.numerator) / x.denominator
     pair = _pair(x)
@@ -909,9 +915,7 @@ def to_exact(x) -> tuple[Fraction, Fraction]:
     if pair is not None:
         (a, b), (c, d) = to_exact(pair[0]), to_exact(pair[1])
         return a - d, b + c
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x), _ZERO
-    if isinstance(x, str):
+    if isinstance(x, (int, Fraction, str)):
         try:
             return parse_rational(x), _ZERO
         except (ValueError, ZeroDivisionError):

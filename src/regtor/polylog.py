@@ -45,8 +45,20 @@ whatever its guard, so a batched call raises the table's precision no more
 than a single order at the same digits.  A lower precision reads it shifted
 right, a higher one rebuilds it, and a call extends it only as far as its
 own terms need.  The even values zeta(2) .. zeta(hi) of the head come from
-the same table.  Below 2m = prec/6 an entry comes from mpmath's zeta(1-2m),
-which reads mpmath's cached Bernoulli numbers.  Above it, an entry is
+the same table.  Up to 2m = prec/6 an entry comes from the exact tangent
+numbers T_m (tan x = sum T_m x^{2m-1} / (2m-1)!) through
+
+    2 zeta(2m) = T_m pi^{2m} / ((4^m - 1) (2m-1)!).
+
+T_1 .. T_M come from Brent and Harvey's in-place recurrence
+T_j <- (j-k) T_{j-1} + (j-k+2) T_j, M^2/2 products of a long and a small
+integer (R. P. Brent and D. Harvey, "Fast computation of Bernoulli, tangent
+and secant numbers", 2011, arXiv:1108.0286), and pi^{2m} is a running
+fixed-point power, one product of two long integers per entry.  The
+multiplier T_m / ((4^m - 1)(2m-1)!) = 2 zeta(2m) / pi^{2m} is at most 1/3,
+so the m truncations of the power err by at most about m/3 units, and
+bitlength(prec/12) + 2 guard bits keep every entry within one unit of
+floor(2 zeta(2m) 2^prec).  Above 2m = prec/6, an entry is
 1 + sum_{2 <= j <= 64} j^{-2m} in fixed point, and the neglected part, below
 65^{-2m} (1 + 65/(2m-1)), is a few units of 2^-prec at most.  The table has
 at most about prec/2 entries of prec bits each, about prec^2/16 bytes:
@@ -67,9 +79,9 @@ from .numfield import DEFAULT_DIGITS, GUARD, ln
 # orders, jmax + 1 and j + 1, and the same j in normalize and beta-check
 # (_check_j).  At 1000 digits on one core of a 2-core x86 machine with
 # mpmath's pure-Python backend, a cold Li_100 at theta = pi takes 0.7-0.8 s
-# in process (1.0 s as a CLI process), most of it the odd zeta(3)..zeta(99)
-# of the head and the zeta(2m) table, and circle-torsion --r 61 --jmax 99
-# takes 7-8 s as a CLI process.
+# in process (1.1 s as a CLI process), about 0.7 s of it the odd
+# zeta(3)..zeta(99) of the head and 0.05 s the zeta(2m) table, and
+# circle-torsion --r 61 --jmax 99 takes 6-6.5 s as a CLI process.
 ORDER_MAX = 100
 
 # Largest Bernoulli index served; mp.bernfrac(10_000) takes about 0.5 s on
@@ -108,6 +120,18 @@ def zeta_int(s: int, digits: int = DEFAULT_DIGITS) -> mpf:
         return mp.zeta(s)
 
 
+def _tangent_numbers(n: int) -> list:
+    """[0, T_1, ..., T_n]: the tangent numbers, tan x = sum T_k x^{2k-1} / (2k-1)!
+    (OEIS A000182), exactly, by Brent and Harvey's in-place recurrence."""
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
+
+
 class _EvenZetaTable:
     """2 zeta(2m) 2^prec as integers for m = 1 .. len(values) - 1, at one precision."""
 
@@ -125,16 +149,25 @@ class _EvenZetaTable:
 
     def _extend(self, m_max: int) -> None:
         prec, values = self.prec, self.values
-        # 2 zeta(2m) = zeta(1-2m) (-1)^m (4 pi^2)^m / (2m-1)!, with a running factor.
+        # 2 zeta(2m) = T_m pi^{2m} / ((4^m - 1)(2m-1)!) for 2m <= prec/6, with
+        # pi^{2m} a running power at wp bits.  The guard depends on prec
+        # alone, and the power always starts at m = 1, so an entry does not
+        # depend on how far earlier fills went.
         low = min(m_max, prec // 12)
         first = len(values)
         if first <= low:
-            with mp.workprec(prec + 10):
-                step = -4 * mp.pi ** 2
-                factor = step ** first / mp.factorial(2 * first - 1)
-                for m in range(first, low + 1):
-                    values.append(int(mp.ldexp(mp.zeta(1 - 2 * m) * factor, prec)))
-                    factor *= step / (2 * m * (2 * m + 1))
+            guard = (prec // 12).bit_length() + 2
+            wp = prec + guard
+            with mp.workprec(wp + 10):
+                pi2 = int(mp.ldexp(mp.pi ** 2, wp))
+            tangent = _tangent_numbers(low)
+            power, fact = pi2, 1
+            for m in range(1, low + 1):
+                if m > 1:
+                    power = power * pi2 >> wp
+                    fact *= (2 * m - 2) * (2 * m - 1)
+                if m >= first:
+                    values.append(tangent[m] * power // ((4 ** m - 1) * fact << guard))
         # 2m > prec/6: 2 (1 + sum_{2 <= j <= 64} j^{-2m}) from running powers.
         if len(values) <= m_max:
             one = 1 << prec

@@ -483,6 +483,22 @@ def test_numbers_that_are_not_what_they_stand_for_exit_2(capsys, tmp_path, argv,
     assert code == 2 and out == "" and err.startswith("error: "), err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cycl", "--grams", "[[[true]], [[1]]]"],
+        ["reduce", "--form", "[true, 0]"],
+        ["unit-log", "--unit", "[true, true]"],
+    ],
+    ids=["gram", "form", "unit"],
+)
+def test_a_boolean_is_no_rational_or_real_value(capsys, argv):
+    # parse_rational, to_mp and to_exact refuse a boolean, as the integer
+    # fields do, where they read it as 1 before
+    code, out, err = run(capsys, *argv[:1], "--field", Z2, *argv[1:])
+    assert code == 2 and out == "" and err.startswith("error: "), err
+
+
 def test_json_numbers_read_as_their_decimal_text(capsys):
     # the binary double nearest 0.1 is 0.1000000000000000055...
     cplx = _complex(grams=[[[[0.1]], [[1]]], [[[1]], [[1]]]])

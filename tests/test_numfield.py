@@ -783,10 +783,13 @@ def test_to_exact_is_what_to_mp_rounds():
         # its im by the other
         for bad, message in (("one", "not a number"), ([1, 2, 3], "pairs"),
                              ([[1, 2], "0.5"], "pairs"), ("inf", "not a number"),
-                             (float("nan"), "not a number"), ([1, "-inf"], "not a number")):
+                             (float("nan"), "not a number"), ([1, "-inf"], "not a number"),
+                             (True, "not a number"), ([1, False], "not a number")):
             for read in (numfield.to_exact, numfield.to_mp):
                 with pytest.raises(ValidationError, match=message):
                     read(bad)
+        with pytest.raises(ValidationError, match="not a number"):
+            numfield.parse_rational(True)
 
 
 def test_to_exact_bounds_the_exponent():

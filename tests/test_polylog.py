@@ -197,6 +197,54 @@ def test_polylog_at_minus_one_is_real(digits):
                 assert got.imag == 0, n
 
 
+def _table_prec(digits):
+    """The wz bits at which a call at these digits reads the zeta(2m) table."""
+    with mp.workdps(digits + GUARD):
+        return mp.prec + 20
+
+
+def test_tangent_numbers():
+    assert polylog._tangent_numbers(6) == [0, 1, 2, 16, 272, 7936, 353792]
+
+
+@pytest.mark.parametrize("digits", (50, 300, 1000))
+def test_even_zeta_table_against_mpmath(digits):
+    # The entries 2m <= prec/6 come from exact tangent numbers; each is within
+    # one unit of floor(2 zeta(2m) 2^prec), with mpmath's zeta(2m) 40 bits
+    # beyond the table's precision as the oracle.
+    prec = _table_prec(digits)
+    values, shift = polylog._EvenZetaTable().read(prec // 12, prec)
+    assert shift == 0 and len(values) == prec // 12 + 1
+    with mp.workprec(prec + 40):
+        for m in range(1, prec // 12 + 1):
+            want = int(mp.floor(mp.ldexp(2 * mp.zeta(2 * m), prec)))
+            assert abs(values[m] - want) <= 1, m
+
+
+def test_even_zeta_table_fill_does_not_depend_on_its_reads():
+    prec = _table_prec(1000)
+    twice = polylog._EvenZetaTable()
+    twice.read(10, prec)
+    once = polylog._EvenZetaTable()
+    assert twice.read(200, prec) == once.read(200, prec)
+
+
+def test_even_zeta_table_fill_takes_no_bernoulli_numbers(monkeypatch):
+    # mpmath's zeta below 2 reads its Bernoulli numbers, by a recurrence of
+    # cost quadratic in the index; the table needs none of them.
+    args = []
+    zeta = mp.zeta
+
+    def spy(s, *rest, **kwargs):
+        args.append(s)
+        return zeta(s, *rest, **kwargs)
+
+    monkeypatch.setattr(mp, "zeta", spy)
+    prec = _table_prec(1000)
+    polylog._EvenZetaTable().read(prec // 2, prec)
+    assert all(s >= 2 for s in args), min(args)
+
+
 def test_polylog_circle_precision_history(monkeypatch):
     # The zeta(2m) table is shared by every call and kept at the highest
     # precision seen so far; lower precisions read it shifted right.  Values
