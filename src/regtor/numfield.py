@@ -558,7 +558,8 @@ class NumberField(Record):
     def element(self, coeffs) -> FieldElement:
         """Coefficients reduced modulo p; a FieldElement is returned as it is,
         and refused unless it has one coefficient per degree.  A str goes
-        through parse_rational's digit limit, any other c is Fraction(c)."""
+        through parse_rational's digit limit and a boolean through its
+        refusal; any other c is Fraction(c)."""
         if isinstance(coeffs, FieldElement):
             if len(coeffs.coeffs) != self.degree:
                 raise ValidationError(
@@ -566,7 +567,7 @@ class NumberField(Record):
                     f"degree {self.degree}"
                 )
             return coeffs
-        vals = [parse_rational(c) if isinstance(c, str) else Fraction(c) for c in coeffs]
+        vals = [parse_rational(c) if isinstance(c, (str, bool)) else Fraction(c) for c in coeffs]
         if len(vals) > self.degree:
             vals = poly_divmod(vals, self.poly)[1]
         return FieldElement(tuple(vals + [Fraction(0)] * (self.degree - len(vals))))

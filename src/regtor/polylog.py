@@ -1,8 +1,9 @@
 """Exact Bernoulli numbers, integer zeta values, and polylogarithms on the unit circle.
 
 Bernoulli numbers are exact rationals from mpmath's bernfrac, one index at a
-time (convention B_1 = -1/2).  zeta_int is mpmath's zeta at the working
-precision.  polylog_orders evaluates Li_lo(e^{i theta}) .. Li_hi(e^{i theta})
+time (convention B_1 = -1/2).  zeta_int reads zeta(2) .. zeta(ORDER_MAX) from
+the module's zeta tables below, and above ORDER_MAX it is mpmath's zeta.
+polylog_orders evaluates Li_lo(e^{i theta}) .. Li_hi(e^{i theta})
 for integers 1 <= lo <= hi <= ORDER_MAX and theta in (0, 2pi) in one pass;
 polylog_circle is its single-order case lo = hi = n, so every order goes
 through one code path.
@@ -63,6 +64,31 @@ floor(2 zeta(2m) 2^prec).  Above 2m = prec/6, an entry is
 65^{-2m} (1 + 65/(2m-1)), is a few units of 2^-prec at most.  The table has
 at most about prec/2 entries of prec bits each, about prec^2/16 bytes:
 0.7 MB at 1000 digits.
+
+A second table, under the same rules, holds the odd values zeta(2m+1) 2^prec
+for 3 <= 2m+1 <= ORDER_MAX; the odd zeta(3) .. zeta(hi) of the head come from
+it.  A fill runs up to the largest value it is asked for, and a fill that
+extends the table at least doubles it, all in one pass of P. Borwein's
+Algorithm 2 ("An efficient algorithm for the Riemann zeta function", CMS
+Conf. Proc. 27, 2000), the sum mpmath's zeta takes at an integer s that is
+small against the precision, with mpmath's term count
+n = floor(wp / 2.54) + 5 at wp = prec + 20 bits:
+
+    zeta(s) = 2^(s-1) / (2^(s-1) - 1) sum_{k<n} (-1)^k (d_n - d_k) / ((k+1)^s d_n)
+
+with the exact integers d_k = sum_{i<=k} n (n+i-1)! 4^i / ((n-i)! (2i)!), of
+which d_n = ((3+sqrt 8)^n + (3-sqrt 8)^n) / 2.  The integers
+c_k = floor((d_n - d_k) / (k+1)^s) are taken once for s = 1, and each odd s
+in turn divides every c_k in place by (k+1)^2, below 2^30 up to about
+25000 digits, so each step is a division of a long integer by one machine
+digit.  Nested floors are exact, floor(floor(x / a) / b) = floor(x / (ab)),
+so every c_k is within one unit of its quotient for every s, however many
+steps it took.  Per s, the alternating sum is shifted left by wp bits and
+divided once by d_n, which exceeds 2^(wp+9), and once by 1 - 2^(1-s).  The
+n floors thus err by at most n 2^-(wp+9) and truncating the sum after n
+terms by at most 3 / (3+sqrt 8)^n, below 2^-(wp+8): a few units of 2^-wp,
+so every entry is within one unit of floor(zeta(s) 2^prec).  Only the
+entries are kept: the d_k and the c_k are dropped after the fill.
 """
 
 from __future__ import annotations
@@ -78,10 +104,11 @@ from .numfield import DEFAULT_DIGITS, GUARD, ln
 # Largest polylogarithm order served.  It also bounds the circle-bundle
 # orders, jmax + 1 and j + 1, and the same j in normalize and beta-check
 # (_check_j).  At 1000 digits on one core of a 2-core x86 machine with
-# mpmath's pure-Python backend, a cold Li_100 at theta = pi takes 0.7-0.8 s
-# in process (1.1 s as a CLI process), about 0.7 s of it the odd
-# zeta(3)..zeta(99) of the head and 0.05 s the zeta(2m) table, and
-# circle-torsion --r 61 --jmax 99 takes 6-6.5 s as a CLI process.
+# mpmath's pure-Python backend, a cold Li_100 at theta = pi takes 0.1 s in
+# process (0.25 s as a CLI process), about 0.06 s of it the one pass that
+# fills the odd zeta(3)..zeta(99) of the head and 0.02-0.04 s the zeta(2m)
+# table, and circle-torsion --r 61 --jmax 99 takes 4.4-5.3 s as a CLI
+# process.
 ORDER_MAX = 100
 
 # Largest Bernoulli index served; mp.bernfrac(10_000) takes about 0.5 s on
@@ -113,11 +140,21 @@ def bernoulli_polynomial(n: int, x: Fraction) -> Fraction:
 
 
 def zeta_int(s: int, digits: int = DEFAULT_DIGITS) -> mpf:
-    """zeta(s) for integer s >= 2 at digits + GUARD."""
+    """zeta(s) for integer s >= 2 at digits + GUARD.
+
+    Up to s = ORDER_MAX it is read from the module's zeta tables at the
+    precision a polylogarithm at these digits reads them: an even s from the
+    tangent-number table, an odd s from the one Borwein pass, which also
+    fills every odd value below s.  Above ORDER_MAX it is mpmath's zeta,
+    which turns to a short Euler product or the first few powers once s is
+    large against the working precision.
+    """
     if s < 2:
         raise ValidationError("zeta_int requires an integer s >= 2")
     with mp.workdps(digits + GUARD):
-        return mp.zeta(s)
+        if s > ORDER_MAX:
+            return mp.zeta(s)
+        return _table_zeta(s, mp.prec + 20)
 
 
 def _tangent_numbers(n: int) -> list:
@@ -132,8 +169,9 @@ def _tangent_numbers(n: int) -> list:
     return t
 
 
-class _EvenZetaTable:
-    """2 zeta(2m) 2^prec as integers for m = 1 .. len(values) - 1, at one precision."""
+class _ZetaTable:
+    """Integers values[m] for m = 1 .. len(values) - 1 at one precision, the
+    highest read so far; a subclass's _extend fills them up to a given m."""
 
     def __init__(self):
         self.prec = 0
@@ -146,6 +184,10 @@ class _EvenZetaTable:
         if len(self.values) <= m_max:
             self._extend(m_max)
         return self.values, self.prec - wp
+
+
+class _EvenZetaTable(_ZetaTable):
+    """2 zeta(2m) 2^prec."""
 
     def _extend(self, m_max: int) -> None:
         prec, values = self.prec, self.values
@@ -178,7 +220,46 @@ class _EvenZetaTable:
                 powers = [(jj, p // jj) for jj, p in powers if p >= jj]
 
 
+class _OddZetaTable(_ZetaTable):
+    """zeta(2m+1) 2^prec, all from one Borwein pass."""
+
+    def _extend(self, m_max: int) -> None:
+        prec, values = self.prec, self.values
+        wp = prec + 20
+        n = int(wp / 2.54) + 5
+        # d_0 .. d_n, the partial sums of n (n+i-1)! 4^i / ((n-i)! (2i)!).
+        d, term = [1], 1
+        for i in range(1, n + 1):
+            term = term * (4 * (n + i - 1) * (n - i + 1)) // (2 * i * (2 * i - 1))
+            d.append(d[-1] + term)
+        dn = d.pop()
+        # c_k = floor((d_n - d_k) / (k+1)^s), kept from one odd s to the next.
+        chain = [(dn - dk) // (k + 1) for k, dk in enumerate(d)]
+        del d
+        squares = [(k + 1) ** 2 for k in range(n)]
+        first = len(values)
+        # A pass that extends the table at least doubles it, up to
+        # zeta(ORDER_MAX), so reads of ascending s run a few passes, not one each.
+        m_max = max(m_max, min(2 * (first - 1), (ORDER_MAX - 1) // 2))
+        for m in range(1, m_max + 1):
+            for k, q in enumerate(squares):
+                chain[k] //= q
+            if m >= first:
+                # eta(s) 2^wp, then zeta(s) = eta(s) 2^(s-1) / (2^(s-1) - 1).
+                eta = ((sum(chain[::2]) - sum(chain[1::2])) << wp) // dn
+                values.append((eta << 2 * m) // ((1 << 2 * m) - 1) >> 20)
+
+
 _EVEN_ZETA = _EvenZetaTable()
+_ODD_ZETA = _OddZetaTable()
+
+
+def _table_zeta(s: int, wz: int) -> mpf:
+    """zeta(s) for 2 <= s <= ORDER_MAX at the working precision, from the
+    table of its parity read at wz bits."""
+    table, scale = (_ODD_ZETA, wz) if s % 2 else (_EVEN_ZETA, wz + 1)
+    values, shift = table.read(s // 2, wz)
+    return mp.ldexp(mpf(values[s // 2] >> shift), -scale)
 
 
 def _log2(v) -> float:
@@ -193,7 +274,7 @@ def _series_orders(lo: int, hi: int, th) -> list:
     x = th / (2 * mp.pi)
     # Tail: c_m = 2 zeta(2m) x^{2m} (2m-1)! / (2m+lo-1)! in fixed point at wp
     # bits, whose guard bits absorb the factor theta^{n-1} multiplied back
-    # per order.  The zeta table is read at wz bits, whatever the guard.
+    # per order.  The zeta tables are read at wz bits, whatever the guard.
     wz = mp.prec + 20
     wp = wz + max(0, ceil((hi - 1) * _log2(th)))
     # c_m <= x^{2m} 2^wp, so c_m vanishes once 2m log2(1/x) > wp.
@@ -213,15 +294,14 @@ def _series_orders(lo: int, hi: int, th) -> list:
         t = (x2 >> cut) * t >> (wz - cut)
         t = t * (2 * m * (2 * m + 1)) // ((2 * m + lo) * (2 * m + lo + 1))
 
-    # Head: theta^k / k!, zeta(2) .. zeta(hi) (the even ones from the
-    # table), ln theta and the harmonic number, once for all orders.
+    # Head: theta^k / k!, zeta(2) .. zeta(hi) from the tables, ln theta and
+    # the harmonic number, once for all orders.  The first read of the odd
+    # table fills zeta(3) .. zeta(hi) in one Borwein pass.
     powers = [mpf(1)]
     for k in range(1, hi + 1):
         powers.append(powers[-1] * th / k)
-    zetas = [None, None] + [
-        mp.ldexp(mpf(zeta2[s // 2] >> shift), -wz - 1) if s % 2 == 0 else mp.zeta(s)
-        for s in range(2, hi + 1)
-    ]
+    _ODD_ZETA.read((hi - 1) // 2, wz)
+    zetas = [None, None] + [_table_zeta(s, wz) for s in range(2, hi + 1)]
     log_th = ln(th)
     half_pi = mp.pi / 2
     harmonic = sum(mpf(1) / m for m in range(1, lo - 1))

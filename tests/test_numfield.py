@@ -662,6 +662,14 @@ def test_element_reads_strings_through_parse_rational():
     assert field.element(["1/2", 0, "3"]).coeffs == (Fraction(13, 2), Fraction(0))
 
 
+def test_element_refuses_a_boolean():
+    # a boolean is no number, as in parse_rational, not the coefficient 1 or 0
+    field = build_field([-2, 0, 1], 50)
+    for coeffs in ([True, False], [1, False], [True]):
+        with pytest.raises(ValidationError, match="not a number"):
+            field.element(coeffs)
+
+
 @given(
     a=st.lists(st.integers(-50, 50), max_size=8),
     b=st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(lambda b: b[-1] not in (0, 1)),

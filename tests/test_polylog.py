@@ -22,6 +22,7 @@ from regtor import (
     bernoulli,
     bernoulli_polynomial,
     beta_integral_check,
+    hatcher_constant,
     polylog_circle,
     zeta_int,
 )
@@ -245,11 +246,77 @@ def test_even_zeta_table_fill_takes_no_bernoulli_numbers(monkeypatch):
     assert all(s >= 2 for s in args), min(args)
 
 
-def test_polylog_circle_precision_history(monkeypatch):
-    # The zeta(2m) table is shared by every call and kept at the highest
-    # precision seen so far; lower precisions read it shifted right.  Values
-    # must not depend on which precisions came before.
+@pytest.mark.parametrize("digits", (50, 300, 1000))
+def test_odd_zeta_table_against_mpmath(digits):
+    # One Borwein pass fills zeta(3) .. zeta(ORDER_MAX - 1); each entry is
+    # within one unit of floor(zeta(2m+1) 2^prec), with mpmath's zeta 40 bits
+    # beyond the table's precision as the oracle.
+    prec = _table_prec(digits)
+    m_max = (ORDER_MAX - 1) // 2
+    values, shift = polylog._OddZetaTable().read(m_max, prec)
+    assert shift == 0 and len(values) == m_max + 1
+    with mp.workprec(prec + 40):
+        for m in range(1, m_max + 1):
+            want = int(mp.floor(mp.ldexp(mp.zeta(2 * m + 1), prec)))
+            assert abs(values[m] - want) <= 1, 2 * m + 1
+
+
+def test_odd_zeta_table_against_euler_maclaurin():
+    prec = _table_prec(200)
+    values, _ = polylog._OddZetaTable().read(49, prec)
+    with mp.workdps(210):
+        for s in (3, 5, 7, 99):
+            got = mp.ldexp(values[s // 2], -prec)
+            assert abs(got - zeta_euler_maclaurin(s, 200)) < mp.mpf(10) ** -198, s
+
+
+def test_odd_zeta_table_fill_does_not_depend_on_its_reads():
+    # reading zeta(11) fills zeta(3) .. zeta(11); a later read runs the pass
+    # again, keeps them and at least doubles the table: zeta(13) brings
+    # zeta(13) .. zeta(21)
+    prec = _table_prec(1000)
+    twice = polylog._OddZetaTable()
+    assert len(twice.read(5, prec)[0]) == 6
+    assert len(twice.read(6, prec)[0]) == 11
+    once = polylog._OddZetaTable()
+    assert twice.read(49, prec) == once.read(49, prec)
+
+
+def test_integer_zeta_up_to_order_max_takes_no_mpmath_zeta(monkeypatch):
+    # zeta(2) .. zeta(ORDER_MAX) come from the module's tables: the head of a
+    # polylogarithm, zeta_int and the Hatcher constants through it.  Above
+    # ORDER_MAX zeta_int is mpmath's zeta.
+    args = []
+    zeta = mp.zeta
+
+    def spy(s, *rest, **kwargs):
+        args.append(s)
+        return zeta(s, *rest, **kwargs)
+
     monkeypatch.setattr(polylog, "_EVEN_ZETA", polylog._EvenZetaTable())
+    monkeypatch.setattr(polylog, "_ODD_ZETA", polylog._OddZetaTable())
+    monkeypatch.setattr(mp, "zeta", spy)
+    with mp.workdps(1010):
+        th = 2 * mp.pi / 7
+    polylog_orders(2, ORDER_MAX, th, 1000)
+    for digits in (50, 1000):
+        for s in range(2, ORDER_MAX + 1):
+            zeta_int(s, digits)
+    for k in range(1, ORDER_MAX // 2):
+        hatcher_constant(k)
+    assert args == []
+    got = zeta_int(ORDER_MAX + 1, 300)
+    assert args == [ORDER_MAX + 1]
+    with mp.workdps(310):
+        assert got == zeta(ORDER_MAX + 1)
+
+
+def test_polylog_circle_precision_history(monkeypatch):
+    # The zeta tables are shared by every call and kept at the highest
+    # precision seen so far; lower precisions read them shifted right.
+    # Values must not depend on which precisions came before.
+    monkeypatch.setattr(polylog, "_EVEN_ZETA", polylog._EvenZetaTable())
+    monkeypatch.setattr(polylog, "_ODD_ZETA", polylog._OddZetaTable())
 
     def check():
         for digits in (50, 300):
@@ -264,15 +331,16 @@ def test_polylog_circle_precision_history(monkeypatch):
     # A batched call near pi carries guard bits for theta^99 in its tail, but
     # reads the table at the precision a single order at these digits reads.
     single = polylog._EVEN_ZETA.prec
+    assert polylog._ODD_ZETA.prec == single
     with mp.workdps(320):
         polylog_orders(1, ORDER_MAX, mp.pi - mp.mpf("1e-3"), 300)
-    assert polylog._EVEN_ZETA.prec == single
+    assert polylog._EVEN_ZETA.prec == polylog._ODD_ZETA.prec == single
     with mp.workdps(1010):
         polylog_circle(3, mp.pi, 1000)
         thousand = polylog._EVEN_ZETA.prec
-        assert thousand > single
+        assert thousand > single and polylog._ODD_ZETA.prec == thousand
         polylog_orders(1, ORDER_MAX, mp.pi, 1000)
-    assert polylog._EVEN_ZETA.prec == thousand
+    assert polylog._EVEN_ZETA.prec == polylog._ODD_ZETA.prec == thousand
     check()
 
 

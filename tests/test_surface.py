@@ -121,6 +121,29 @@ def test_only_numfield_calls_mp_log():
         assert len(found) == (path.name == "numfield.py"), path.name
 
 
+def test_only_zeta_int_calls_mp_zeta():
+    # zeta(2) .. zeta(ORDER_MAX) come from polylog's tables; mpmath's zeta
+    # serves zeta_int above them and nothing else
+    found = set()
+    for path in sorted((SRC / "regtor").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {
+            id(node): fn.name
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+        }
+        found |= {
+            (path.name, owner.get(id(node), "<module>"))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr == "zeta"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("mp", "mpmath")
+        }
+    assert found == {("polylog.py", "zeta_int")}, found
+
+
 def _loads(tree):
     return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
 
