@@ -42,14 +42,15 @@ rank_cutoff (10^(-digits/2)), torus_tolerance (10^(-digits/3)) and
 residual_tolerance (10^(-digits + GUARD)) are evaluated at the caller's
 working precision, and so is ln, the one logarithm every module takes:
 next to 1, where mp.log would double its precision, two terms of the
-series of ln(1 + t).
+series of ln(1 + t), and above about 1000 bits a double lifted by Newton's
+method.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import lcm, log2, prod
+from math import lcm, log1p, log2, prod
 from operator import mul
 
 from mpmath import mp, mpc, mpf
@@ -68,6 +69,10 @@ DEFAULT_DIGITS = 50
 DEGREE_MAX = 60
 
 _POLYROOTS_STEPS = 400
+
+# Largest working precision, in bits, at which ln takes mp.log: mp.log works
+# 10 bits higher, and past 1024 bits its Taylor table steps up to 2068.
+_LN_MP_LOG_BITS = 1014
 
 _ZERO = Fraction(0)
 _LOG2_10 = log2(10)
@@ -180,12 +185,49 @@ def ln(x):
     ln(1 + t) = t - t^2/2 + t^3/3 - ... suffice once |t| < 2^(-prec/2 - 4):
     the terms left out are below 2^-prec relative to t (Brent and
     Zimmermann, Modern Computer Arithmetic, sections 4.4 and 4.8).  ln(1)
-    is exactly 0, and an x farther from 1 takes mp.log.
+    is exactly 0.
+
+    Farther from 1, ln needs wp = prec + c + 10 bits, where c >= 0 is the
+    cancellation -mag(t).  Up to _LN_MP_LOG_BITS it takes mp.log.  Above,
+    mp.log misses its Taylor table for a fresh argument, or runs an AGM on
+    pure-Python square roots, so ln lifts a double instead (Brent and
+    Zimmermann, sections 4.2 and 4.8).  x = m 2^e with m in [1/2, 2) and
+    e = 0 for x in [1/2, 2), m >= 1 for e > 0 and m < 1 for e < 0, so that
+    ln x = ln m + e ln 2 adds two terms of one sign.  From y = log1p(m - 1)
+    in double precision, with 50 correct bits or more, each step
+    y <- y + u - u^2/2 with u = m exp(-y) - 1 takes the error eps of y to
+    eps^3/3.  The steps run at precisions that triple, c + 4 + b for the b
+    bits each delivers, up to wp, so one exp runs at wp and the others at a
+    third, a ninth, ... of it.  Before the one rounding to prec, y + e ln 2
+    is within about 2^-(prec + 5) of ln x, relative.  On a 2-core x86
+    machine with pure-Python mpmath, a fresh argument at 310 digits took
+    0.14 ms against 0.34 ms for mp.log, at 1010 digits 0.56 ms against
+    0.98 ms (0.3-0.6 ms against 1.0-1.9 ms for 1 + 2^-k, k = 2..1670), at
+    2000 digits 1.8 ms against 3.1 ms; at 200 digits mp.log took 50 us
+    against 100 us.
     """
     t = x - 1
-    if mp.mag(t) < -(mp.prec // 2) - 4:
+    mag = mp.mag(t)
+    if mag < -(mp.prec // 2) - 4:
         return t - t * t / 2
-    return mp.log(x)
+    cancel = max(0, -mag)
+    wp = mp.prec + cancel + 10
+    if wp <= _LN_MP_LOG_BITS:
+        return mp.log(x)
+    m, e = mp.frexp(x)
+    if e > 0:
+        m, e = 2 * m, e - 1
+    y = mpf(log1p(float(m - 1)))
+    precs = [wp]
+    while precs[-1] - cancel > 150:
+        precs.append(cancel + 5 + (precs[-1] - cancel - 4) // 3)
+    for p in reversed(precs):
+        with mp.workprec(p):
+            u = m * mp.exp(-y) - 1
+            y += u - u * u / 2
+    with mp.workprec(wp):
+        y += e * mp.ln2
+    return +y
 
 
 def poly_trim(a: list) -> list:
@@ -622,11 +664,14 @@ def build_field(poly, digits: int, class_orders=()) -> NumberField:
     160 ms at r = 31 / 61: its roots are the distinct closed-form
     e^{2 pi i k/r}, k = 1..r-1.  Only k <= r/2 is evaluated (for even r,
     k = r/2 is the real root -1), and the roots with 2k > r are taken as the
-    conjugates of those with 2k < r.  Every other p goes to mp.polyroots, with no Newton
-    polish.  Roots within rank_cutoff(digits) of the real axis are real
-    places; the rest must pair into complex conjugates.  Every stored
-    embedding has backward error |p(z)| / sum |c_i| |z|^i at most
-    residual_tolerance(digits).  For p = 1 + x + ... + x^{r-1}, p(z) is the
+    conjugates of those with 2k < r.  Each is one mp.expjpi at a reduced
+    angle in [0, pi/4], turned by an exact power of i and a conjugation
+    (_root_of_unity): past pi/4, mpmath 1.3.0 misreads the size of the
+    reduced argument and doubles its precision.  Every other p goes to
+    mp.polyroots, with no Newton polish.  Roots within rank_cutoff(digits)
+    of the real axis are real places; the rest must pair into complex
+    conjugates.  Every stored embedding has backward error
+    |p(z)| / sum |c_i| |z|^i at most residual_tolerance(digits).  For p = 1 + x + ... + x^{r-1}, p(z) is the
     exact sum of the powers z^0, ..., z^{r-1}, each read from the
     closed-form roots (_unit_powers), with no product chain; every other p
     is evaluated by Horner.  Each class-group order is an integer of at
@@ -655,7 +700,7 @@ def build_field(poly, digits: int, class_orders=()) -> NumberField:
     with mp.workdps(digits + 2 * GUARD):
         if cyclotomic:
             # e^{2 pi i k/r} for 2k <= r; those with 2k > r are their conjugates.
-            upper = [mp.expjpi(mpf(2 * k) / (n + 1)) for k in range(1, (n + 1) // 2 + 1)]
+            upper = [_root_of_unity(k, n + 1) for k in range(1, (n + 1) // 2 + 1)]
             roots = upper + [mp.conj(z) for z in upper[: n // 2]]
         else:
             # 2 GUARD extra digits keep each step's rounding, magnified by the
@@ -702,6 +747,28 @@ def build_field(poly, digits: int, class_orders=()) -> NumberField:
             r_complex=len(pos),
             class_orders=class_orders,
         )
+
+
+def _root_of_unity(k: int, r: int):
+    """e^{2 pi i k/r} at the working precision, from one mp.expjpi(a) =
+    e^{i pi a} with a in [0, 1/4].  With 4k = qr + b and 0 <= b < r,
+    e^{2 pi i k/r} is i^q e^{i pi b/(2r)}, and for 2b > r it is i^(q+1)
+    times the conjugate of e^{i pi (r-b)/(2r)}; a power of i and a
+    conjugation are exact, and so is the root wherever 4k = 0 (mod r).
+    expjpi subtracts the nearest multiple of 1/2 from a, which is 0 on
+    [0, 1/4].  Past 1/4 the reduced mantissa is negative, mpmath 1.3.0's
+    pure-Python bitcount returns 0 for it, and expjpi runs at about twice
+    the precision: 6794 bits for 3402 at 1020 digits."""
+    q, b = divmod(4 * k, r)
+    if 2 * b > r:
+        w = mp.conj(mp.expjpi(mpf(r - b) / (2 * r)))
+        q += 1
+    else:
+        w = mp.expjpi(mpf(b) / (2 * r))
+    re, im = w.real, w.imag
+    for _ in range(q % 4):
+        re, im = -im, re
+    return mpc(re, im)
 
 
 def _horner(coeffs, z):

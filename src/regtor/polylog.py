@@ -105,10 +105,10 @@ from .numfield import DEFAULT_DIGITS, GUARD, ln
 # orders, jmax + 1 and j + 1, and the same j in normalize and beta-check
 # (_check_j).  At 1000 digits on one core of a 2-core x86 machine with
 # mpmath's pure-Python backend, a cold Li_100 at theta = pi takes 0.1 s in
-# process (0.25 s as a CLI process), about 0.06 s of it the one pass that
-# fills the odd zeta(3)..zeta(99) of the head and 0.02-0.04 s the zeta(2m)
-# table, and circle-torsion --r 61 --jmax 99 takes 4.4-5.3 s as a CLI
-# process.
+# process (0.18-0.21 s as a CLI process), about 0.06 s of it the one pass
+# that fills the odd zeta(3)..zeta(99) of the head and 0.02-0.04 s the
+# zeta(2m) table, and circle-torsion --r 61 --jmax 99 takes 4.2-4.3 s as a
+# CLI process.
 ORDER_MAX = 100
 
 # Largest Bernoulli index served; mp.bernfrac(10_000) takes about 0.5 s on

@@ -328,6 +328,15 @@ def test_hatcher_constants():
         hatcher_constant(0)
 
 
+def test_hatcher_a_k_is_the_bernoulli_denominator():
+    # the closed form over primes p with (p - 1) | 2k against the denominator
+    # of B_2k/(4k) read from mpmath's exact Bernoulli numbers
+    for k in list(range(1, 301)) + [5000]:
+        a = hatcher_constant(k, 15)[0]
+        assert a == Fraction(polylog.bernoulli(2 * k), 4 * k).denominator, k
+    assert hatcher_constant(5000, 15)[0] == 46764487750200000
+
+
 def test_u_coeff_rejects_degree_zero():
     s5 = make_cyclotomic_setup(5, 40)
     with pytest.raises(ValidationError):

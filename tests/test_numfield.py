@@ -105,31 +105,35 @@ def test_roots_of_unity_field_matches_aberth():
                     assert abs(a - b) < mp.mpf(10) ** -50, r
 
 
-@pytest.mark.parametrize("r, digits", [(r, 50) for r in range(2, 14)] + [(61, 50), (61, 300)])
+@pytest.mark.parametrize(
+    "r, digits",
+    [(r, 50) for r in range(2, 14)] + [(61, 50), (61, 300), (31, 1000), (61, 1000)],
+)
 def test_roots_of_unity_take_the_upper_half(monkeypatch, r, digits):
-    # Only e^{2 pi i k/r} with 2k <= r is evaluated; the field stores what
-    # the full list of r - 1 closed-form roots gives in the documented order:
-    # real roots ascending, then the upper roots by real part, then their
-    # conjugates.
+    # Only e^{2 pi i k/r} with 2k <= r is evaluated, each by one mp.expjpi at
+    # an angle in [0, 1/4]; the field stores the full list of r - 1 roots in
+    # the documented order: real roots ascending, then the upper roots by
+    # real part, then their conjugates, each within one unit of
+    # 10^-(digits + 2 GUARD) of the closed form at twice the digits, and
+    # exactly +-1 or +-i where 4k = 0 (mod r).
     expjpi = mp.expjpi
-    with mp.workdps(digits + 2 * numfield.GUARD):
-        roots = [expjpi(mp.mpf(2 * k) / r) for k in range(1, r)]
-        reals = sorted(z.real for z in roots if z.imag == 0)
-        pos = sorted((z for z in roots if z.imag > 0), key=lambda z: z.real)
-        lower = sorted((z for z in roots if z.imag < 0), key=lambda z: z.real)
+    with mp.workdps(2 * digits):
+        roots = {k: expjpi(mp.mpf(2 * k) / r) for k in range(1, r)}
+    reals = sorted((k for k, z in roots.items() if z.imag == 0), key=lambda k: roots[k].real)
+    upper = sorted((k for k, z in roots.items() if z.imag > 0), key=lambda k: roots[k].real)
+    order = reals + upper + [r - k for k in upper]
     calls = []
     monkeypatch.setattr(mp, "expjpi", lambda x: calls.append(x) or expjpi(x))
     field = build_field((1,) * r, digits)
     assert len(calls) == r // 2
-    want = tuple(reals) + tuple(pos)
+    assert all(0 <= x <= mp.mpf(1) / 4 for x in calls), calls
+    assert field.sigma_star == field.all_embeddings[: len(reals) + len(upper)]
+    assert len(field.all_embeddings) == len(order)
     with mp.workdps(2 * digits):
-        assert [repr(z) for z in field.sigma_star] == [repr(z) for z in want]
-        assert [repr(z) for z in field.all_embeddings] == [
-            repr(z) for z in want + tuple(mp.conj(z) for z in pos)
-        ]
-        # the stored conjugates are the closed forms with 2k > r to rounding
-        for z, w in zip(field.all_embeddings[len(want):], lower):
-            assert abs(z - w) < mp.mpf(10) ** -(digits + numfield.GUARD)
+        for k, z in zip(order, field.all_embeddings):
+            assert abs(z - roots[k]) <= mp.mpf(10) ** -(digits + 2 * numfield.GUARD), k
+            if 4 * k % r == 0:
+                assert z == roots[k] and roots[k] in (1, -1, 1j, -1j), k
     # every power of every place is read from those roots: none is evaluated anew
     for k in range(field.n_places):
         numfield._powers(field, k)
@@ -846,16 +850,21 @@ def test_parse_descriptor_rejects_garbage():
             parse_descriptor({"poly": [-2, 0, 1], **bad})
 
 
-@pytest.mark.parametrize("digits", (50, 300, 1000))
+@pytest.mark.parametrize("digits", (50, 280, 300, 1000, 2000))
 def test_ln_matches_mp_log(digits):
-    # x = 1 +- 2^-k for k from prec/10, where mp.log runs, to past prec/2, on
-    # both sides of the switch to t - t^2/2 at |x - 1| = 2^(-prec/2 - 4), and
-    # far from 1, against mp.log 30 digits higher
+    # x = 1 +- 2^-k for k from 1 to past prec/2, on both sides of the switch
+    # to t - t^2/2 at |x - 1| = 2^(-prec/2 - 4) and, at 280 digits, of the
+    # switch from mp.log to the Newton lift where the cancellation k takes
+    # prec + k + 10 past _LN_MP_LOG_BITS; far from 1 and at m 2^(+-10^6);
+    # against mp.log 30 digits higher
     with mp.workdps(digits + numfield.GUARD):
         prec, half = mp.prec, mp.prec // 2
-        ks = set(range(half - 8, half + 9)) | set(range(prec // 10, half, max(1, prec // 40)))
+        cross = numfield._LN_MP_LOG_BITS - prec - 10
+        ks = set(range(half - 8, half + 9)) | set(range(1, half, max(1, prec // 40)))
+        ks |= {k for k in range(cross - 2, cross + 3) if 0 < k < half}
         xs = [1 + s * mp.ldexp(1, -k) for k in sorted(ks) for s in (1, -1)]
         xs += [mp.mpf(x) for x in ("1e-300", "0.5", "2", "3.25", "1e40")] + [+mp.pi]
+        xs += [mp.ldexp(m, s * 10**6) for m in (1, mp.mpf("0.75"), mp.mpf(1.5)) for s in (1, -1)]
         got = [numfield.ln(x) for x in xs]
         assert numfield.ln(mp.mpf(1)) == 0
     with mp.workdps(digits + numfield.GUARD + 30):
@@ -866,7 +875,8 @@ def test_ln_matches_mp_log(digits):
 
 def test_ln_takes_no_mp_log_next_to_one(monkeypatch):
     # mp.log(1 + 10^-1005) at 1000 digits runs at twice the precision;
-    # ln takes two terms of its series instead
+    # ln takes two terms of its series instead.  Farther from 1, ln takes
+    # mp.log at 50 digits and lifts a double by Newton at 300 and 1000.
     calls = []
     log = mp.log
     monkeypatch.setattr(mp, "log", lambda x: calls.append(x) or log(x))
@@ -875,7 +885,9 @@ def test_ln_takes_no_mp_log_next_to_one(monkeypatch):
         assert x != 1
         y = numfield.ln(x)
         assert calls == []
-        numfield.ln(mp.mpf(2))
-        assert calls == [2]
+    for digits in (1000, 300, 50):
+        with mp.workdps(digits + numfield.GUARD):
+            numfield.ln(mp.mpf(2))
+    assert calls == [2]
     with mp.workdps(1040):
         assert abs(y - log(x)) <= y * mp.mpf(10) ** -1009

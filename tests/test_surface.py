@@ -7,10 +7,11 @@ drop a function that perfbench/tracing.py wraps for its per-layer times.
 Each CLI call is a fresh process, so importing regtor.cli must not load the
 code-generation machinery of dataclasses (inspect, ast, dis, tokenize).
 Every logarithm goes through numfield.ln, the one logarithm of the
-precision policy.  Every exact decision over K is numfield's.  The CLI
-decodes JSON in _json_arg alone and formats numbers in _text and _short
-alone.  No module keeps an import it does not use, or a private
-module-level name that nothing in the package refers to.
+precision policy, and every root of unity through numfield._root_of_unity.
+Every exact decision over K is numfield's.  The CLI decodes JSON in
+_json_arg alone and formats numbers in _text and _short alone.  No module
+keeps an import it does not use, or a private module-level name that
+nothing in the package refers to.
 """
 
 import ast
@@ -121,9 +122,9 @@ def test_only_numfield_calls_mp_log():
         assert len(found) == (path.name == "numfield.py"), path.name
 
 
-def test_only_zeta_int_calls_mp_zeta():
-    # zeta(2) .. zeta(ORDER_MAX) come from polylog's tables; mpmath's zeta
-    # serves zeta_int above them and nothing else
+def _functions_naming(attrs):
+    """(module file, enclosing function) of every mp.<attr> or mpmath.<attr>
+    in src/regtor, for attr in attrs."""
     found = set()
     for path in sorted((SRC / "regtor").glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -137,11 +138,25 @@ def test_only_zeta_int_calls_mp_zeta():
             (path.name, owner.get(id(node), "<module>"))
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
-            and node.attr == "zeta"
+            and node.attr in attrs
             and isinstance(node.value, ast.Name)
             and node.value.id in ("mp", "mpmath")
         }
+    return found
+
+
+def test_only_zeta_int_calls_mp_zeta():
+    # zeta(2) .. zeta(ORDER_MAX) come from polylog's tables; mpmath's zeta
+    # serves zeta_int above them and nothing else
+    found = _functions_naming({"zeta"})
     assert found == {("polylog.py", "zeta_int")}, found
+
+
+def test_only_the_root_helper_calls_mp_expjpi():
+    # mpmath's expjpi, sinpi and cospi double their precision past pi/4;
+    # the one caller keeps every argument in [0, 1/4]
+    found = _functions_naming({"expjpi", "sinpi", "cospi"})
+    assert found == {("numfield.py", "_root_of_unity")}, found
 
 
 def _loads(tree):
