@@ -46,7 +46,9 @@ from .numfield import (
     dirichlet_rank,
     embed,
     ln,
+    quotient,
     rank_cutoff,
+    sqrt,
     to_exact,
     to_mp,
     torus_tolerance,
@@ -55,6 +57,9 @@ from .numfield import (
 
 _LLL_STEP_CAP = 50_000
 _ZERO = Fraction(0)
+# The largest |coefficient| reduce_mod_lattice reduces, GUARD digits of
+# cancellation; an mpf, exact, so that no comparison converts it.
+_REDUCE_MAX = mpf(10**GUARD)
 
 
 class FormElement(Record):
@@ -151,7 +156,7 @@ def _dot(u, v):
 
 
 def _vec_norm(v):
-    return mp.sqrt(_dot(v, v))
+    return sqrt(_dot(v, v))
 
 
 def _lll(vectors, drop):
@@ -300,10 +305,22 @@ class TorusElement(Record):
 
 
 def reduce_mod_lattice(lattice: RegulatorLattice, f: FormElement):
-    """Babai-reduce a degree-1 vector; returns (torus element, is_zero)."""
+    """Babai-reduce a degree-1 vector; returns (torus element, is_zero).
+
+    The basis and the vector carry digits + GUARD digits, and reducing a
+    vector of size 10^m against a lattice of rank >= 1 cancels about m of
+    them: a vector with a coefficient above 10^GUARD would leave fewer
+    correct digits than the field's, so it raises NoConvergence (more
+    digits might help).  A lattice of rank 0 reduces nothing.
+    """
     if f.degree_index != 0:
         raise ValidationError("only degree-1 vectors reduce against the lattice")
     with mp.workdps(lattice.field.digits + GUARD):
+        if lattice.basis and any(abs(v) > _REDUCE_MAX for v in f.values):
+            raise NoConvergence(
+                f"a coefficient above 10^{GUARD} cancels more digits than the lattice "
+                "carries beyond the working precision"
+            )
         red, _ = _babai(lattice, f.values)
         t = TorusElement(lattice, tuple(red))
         return t, t.is_zero()
@@ -450,9 +467,14 @@ def _cholesky_pair(factor):
     With s_k = 1 / sqrt(den p_k p_{k-1}), one square root per pivot, row k
     of U is row k of the elimination times s_k, and column k of U^-1, which
     is L^-H D^(-1/2), the conjugate of its row k beside the identity times
-    den s_k.  For a complex Gram the rows of the real image at 2k carry
-    the real parts and the negated imaginary parts of U, in alternate
-    columns.  Each part of an entry is its exact integer times s_k (or
+    den s_k.  The radicand is an integer, and numfield.sqrt takes its
+    math.isqrt: where it is a perfect square, as every one of an identity
+    or a diagonal Gram of squares is, the root is exact and s_k is one
+    numfield.quotient of 1 by it, where mp.sqrt, on mpmath's pure-Python
+    backend, sheds the trailing zero bits of an exact root a byte at a time
+    (96 us for the root of 9 at 1010 digits).  For a complex Gram the rows
+    of the real image at 2k carry the real parts and the negated imaginary
+    parts of U, in alternate columns.  Each part of an entry is its exact integer times s_k (or
     den s_k), rounded once, as a real entry is.
     """
     den, step, m = factor
@@ -462,7 +484,7 @@ def _cholesky_pair(factor):
     prev = 1
     for k in range(n):
         row = m[step * k]
-        s = 1 / mp.sqrt(den * row[step * k] * prev)
+        s = quotient(1, sqrt(den * row[step * k] * prev))
         t = den * s
         for j in range(k, n):
             up[k, j] = row[j] * s if step == 1 else mpc(row[2 * j] * s, -row[2 * j + 1] * s)

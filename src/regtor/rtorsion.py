@@ -82,11 +82,18 @@ representatives, and the pivots of one LDL^H of a square matrix, with no
 square root, which does not square their conditioning.
 
 Neither route takes a logarithm: each multiplies determinants and
-eigenvalues and ends in one square root.  Logarithms are taken only where
-a form needs one, each by numfield.ln: exact_torsion takes ln tau once per
-place, and verify_euler_identity multiplies each place's
-|sigma(det T_i)|^2 of its torsion presentations and |sigma(delta_i)|^-2
-into one number and takes one logarithm of it: one per place in all.
+eigenvalues into one quotient (_alternating), the factors of exponent +1
+over those of exponent -1, and ends in one square root.  Logarithms are
+taken only where a form needs one, each by numfield.ln: exact_torsion
+takes ln tau once per place, and verify_euler_identity puts each place's
+|sigma(det T_i)|^2 of its torsion presentations and |sigma(delta_i)|^2
+into one such quotient and takes one logarithm of it: one per place in
+all.  That quotient, and every square root here, is numfield's quotient
+and sqrt, each rounded once, and no int is divided by an mpf: on mpmath's
+pure-Python backend an int over an mpf (mpf_rdiv_int) and mp.sqrt shed the
+trailing zero bits of an exact result a byte at a time, and the exact
+values of a complex (delta_i = 1, det' = 1 where a differential is zero,
+the radicands of an identity Gram) are common.
 """
 
 from __future__ import annotations
@@ -119,9 +126,10 @@ from .numfield import (
     ln,
     nonzero_places,
     product_is_zero,
+    quotient,
     rank_cutoff,
+    sqrt,
     to_exact,
-    to_mp,
 )
 
 _AMBIGUITY_FACTOR = 1000
@@ -271,7 +279,7 @@ def _orthonormalize(cols):
         for _ in range(2 if q else 0):
             c = [mp.fdot(v, u, True) for u in q]
             v = [x - mp.fdot([u[t] for u in q], c) for t, x in enumerate(v)]
-        length = mp.sqrt(mp.fsum(v, absolute=True, squared=True))
+        length = sqrt(mp.fsum(v, absolute=True, squared=True))
         if not length:
             return None, 0
         r *= length
@@ -314,7 +322,7 @@ def _lemma_det(terms, q):
     n = q.rows
     qq = _gram(q, False)
     lap = [[sum(t[a, b] for t in terms) for b in range(a + 1)] for a in range(n)]
-    c2 = mp.sqrt(
+    c2 = sqrt(
         2 * mp.fsum((x for row in lap for x in row[:-1]), absolute=True, squared=True)
         + mp.fsum((row[-1] for row in lap), absolute=True, squared=True)
     ) or mpf(1)
@@ -395,17 +403,17 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
             evals = [evals[t] for t in range(g.rows)]
             k = _count_below(
                 evals,
-                cut2 * mp.norm(g, 2),
+                cut2 * sqrt(mp.fsum(g, absolute=True, squared=True)),
                 f"d{i} out of degree {i}: eigenvalue {{}} sits at the cutoff",
             )
             ranks.append(g.rows - k)
             dets.append(mp.fprod(evals[k:]))
         dets.append(mpf(1))
         dims = _kernel_dims(whole.lengths, ranks)
-        # tau^2 = even / odd, the products of the factors with exponent +1 and
-        # -1, over the chosen cohomology Grams' prod_i det H_i^((-1)^i),
-        # exact until then: a degree with no classes has det H_i = 1
-        even, odd = mpf(1), mpf(1)
+        # tau^2 = prod_i (num_i / den_i)^((-1)^i), one quotient, over the
+        # chosen cohomology Grams' prod_i det H_i^((-1)^i), exact until then:
+        # a degree with no classes has det H_i = 1
+        nums, dens = [], []
         # the factors combine at GUARD more digits, so that tau rounds once
         with mp.extradps(GUARD):
             for i, (h, spec) in enumerate(zip(dims, whole.cohomology)):
@@ -416,7 +424,7 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
                         f"but the exact kernel has dimension {spec.free_rank}"
                     )
                 # det'(G_i), at dets[i + 1], enters with the opposite exponent
-                factor = 1 / dets[i + 1]
+                num, den = 1, dets[i + 1]
                 if h:
                     with mp.extradps(10):
                         q, r = _orthonormalize(_cols(cplx.ortho_reps[i]))
@@ -427,13 +435,11 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
                         raise ValidationError(
                             f"degree-{i} representatives do not project onto a cohomology basis"
                         )
-                    factor *= r**2 * w / (c2**h * dets[i] * dets[i + 1])
-                if i % 2:
-                    odd *= factor
-                else:
-                    even *= factor
-            tau2 = even / odd / to_mp(_alternating(whole.factors[cplx.place][1]))
-        return mp.sqrt(tau2)
+                    num, den = r**2 * w, c2**h * dets[i] * den**2
+                nums.append(num)
+                dens.append(den)
+            tau2 = quotient(_alternating(nums, dens), _alternating(whole.factors[cplx.place][1]))
+        return sqrt(tau2)
 
 
 def torsion_by_contraction(cplx: MetrizedComplexAtPlace):
@@ -464,10 +470,14 @@ def torsion_by_contraction(cplx: MetrizedComplexAtPlace):
         return _exact_tau(cplx.complex, cplx.place)
 
 
-def _alternating(factors):
-    """prod_i f_i^((-1)^i): exact for Fractions, at the working precision for
-    mpf."""
-    return prod(f if i % 2 == 0 else 1 / f for i, f in enumerate(factors))
+def _alternating(factors, divisors=()):
+    """prod_i (f_i / g_i)^((-1)^i), each g_i 1 where no divisors are given,
+    at the working precision: the f_i of even i and the g_i of odd i over
+    the others, as one numfield.quotient, so that Fractions multiply
+    exactly and round once, and an exact quotient of mpf, such as 1/1 or
+    9/9, costs what any other does."""
+    f, g = list(factors), list(divisors)
+    return quotient(prod(f[::2] + g[1::2]), prod(f[1::2] + g[::2]))
 
 
 def _exact_tau(cplx: MetrizedComplexOverR, k):
@@ -476,8 +486,8 @@ def _exact_tau(cplx: MetrizedComplexOverR, k):
     working precision, from the basis and Gram determinants the complex
     keeps: the Gram determinants alternate exactly and round once."""
     cochain, det_h = cplx.factors[k]
-    grams = _alternating(g / h for (g, _), h in zip(cochain, det_h))
-    return mp.sqrt(_alternating(_delta_sq(cplx, k)) * to_mp(grams))
+    grams = _alternating((g for g, _ in cochain), det_h)
+    return sqrt(_alternating(_delta_sq(cplx, k)) * grams)
 
 
 class CohomologySpec(Record):
@@ -754,5 +764,5 @@ def verify_euler_identity(
                 mpf(1) if spec.torsion is None else _abs2(embed(field, spec.torsion.det_elem, k))
                 for spec in cplx.cohomology
             )
-            lndets.append(ln(_alternating(t / d2 for t, d2 in zip(tors, _delta_sq(cplx, k)))))
+            lndets.append(ln(_alternating(tors, _delta_sq(cplx, k))))
     return _cycl_from_lndets(field, lattice, rank, lndets)

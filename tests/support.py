@@ -4,7 +4,8 @@ Contains the field loaders, the incremental lattice-basis reduction (the
 oracle for the library's single LLL pass), independent oracles for
 polynomial roots (Aberth-Ehrlich iteration with a Newton polish),
 coprimality (Euclid over Q, against the library's resultant test), the
-Bernoulli numbers (the exact defining recurrence), integer zeta values
+Bernoulli numbers (the exact defining recurrence), the rounding error of
+an mpf against a rational (exact integer arithmetic), integer zeta values
 (Euler-Maclaurin summation) and the polylogarithm (direct partial sum plus
 Euler-Maclaurin tail), exact rational positive-definite Gram generators,
 unimodular base changes over a number ring, the randomized
@@ -722,10 +723,25 @@ def hermitian_det(rows):
 
 
 # ---------------------------------------------------------------------------
-# Rounding oracles for the per-place kernels: an element embedded by mp.fdot
-# over the mpf powers of its place, and mpmath's own matrix products.  The
-# library must give the same raw mpf and mpc values, bit for bit.
+# Rounding oracles: the error of a rounded rational in ulps, and for the
+# per-place kernels an element embedded by mp.fdot over the mpf powers of its
+# place, and mpmath's own matrix products.  The library must give the same
+# raw mpf and mpc values, bit for bit.
 # ---------------------------------------------------------------------------
+
+
+def ulps_off(v, x: Fraction, prec: int) -> Fraction:
+    """|v - x| for an mpf v and a nonzero rational x, exactly, in units of
+    the last place of x at prec bits (2^(e - prec + 1) for
+    2^e <= |x| < 2^(e + 1)), read in integer arithmetic alone: a correctly
+    rounded v is within 1/2."""
+    sign, man, exp, _ = v._mpf_
+    value = Fraction(-man if sign else man) * Fraction(2) ** exp
+    a = abs(x)
+    e = a.numerator.bit_length() - a.denominator.bit_length()
+    if Fraction(2) ** e > a:
+        e -= 1
+    return abs(value - x) / Fraction(2) ** (e - prec + 1)
 
 
 def raw_value(x):

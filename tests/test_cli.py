@@ -513,6 +513,19 @@ def test_json_numbers_read_as_their_decimal_text(capsys):
     assert d == e
 
 
+def test_reduce_exits_3_on_forms_it_cannot_reduce(capsys):
+    # a coefficient above 10^GUARD cancels more digits than the lattice
+    # carries beyond the working precision; a large Gram's coefficients stay
+    # small, since cycl takes a quarter of its log-determinant
+    for form in ('["1e400", "0"]', '["1e60", "-1e60"]', '["2e10", "-2e10"]'):
+        code, out, err = run(capsys, "reduce", "--field", Z2, "--form", form)
+        assert code == 3 and out == "" and "cancels more digits" in err, (form, err)
+    d = run_json(capsys, "reduce", "--field", Z2, "--form", '["1e10", "-1e10"]')
+    assert close(d["torus"]["sigma_0"], "0.057386093735614404049400402935952544328228553219684", "1e-48")
+    d = run_json(capsys, "cycl", "--field", Z2, "--grams", "[[[1e400]], [[1]]]")
+    assert close(d["torus"]["sigma_0"], "0.11000154365191940804405582435531405188015159329523")
+
+
 def test_bounded_flags_are_checked_first(capsys):
     # main checks --j, --jmax and --imax before it resolves digits or builds
     # a field or cyclotomic setup

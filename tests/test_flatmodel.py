@@ -264,6 +264,29 @@ def test_reduce_mod_lattice_membership():
     assert not is_zero2 and not t2.is_zero()
 
 
+def test_reduce_refuses_a_vector_it_cannot_reduce():
+    # the basis and the vector carry digits + GUARD digits, and reducing a
+    # coefficient above 10^GUARD cancels more than GUARD of them: 1e60 gave
+    # (0.25, -0.25) and 1e400 an unreduced 4.56e+338
+    field, _, lat = field_lattice("zsqrt2")
+    for v in ("1e400", "1e60", "10000000001"):
+        f = make_form(field, 0, [v, "-" + v])
+        with pytest.raises(NoConvergence, match="cancels more digits"):
+            reduce_mod_lattice(lat, f)
+        with pytest.raises(NoConvergence, match="cancels more digits"):
+            point_class(lat, 0, (), f)
+    # up to 10^GUARD the reduction keeps the field's digits
+    t, _ = reduce_mod_lattice(lat, make_form(field, 0, ["1e10", "-1e10"]))
+    wide_field, _, wide = field_lattice("zsqrt2", 100)
+    w, _ = reduce_mod_lattice(wide, make_form(wide_field, 0, ["1e10", "-1e10"]))
+    with mp.workdps(110):
+        assert abs(t.values[0] - w.values[0]) < mp.mpf(10) ** -48
+    # a lattice of rank 0 reduces nothing, so it cancels nothing
+    f = make_form(field, 0, ["1e60", "-1e60"])
+    t, _ = reduce_mod_lattice(build_lattice(field, []), f)
+    assert t.values == f.values
+
+
 @given(n=st.integers(min_value=-3, max_value=3), eps=small_ints)
 @settings(max_examples=20, deadline=None)
 def test_reduce_is_shift_invariant(n, eps):

@@ -44,6 +44,7 @@ from support import (
     monic_gcd,
     raw_value,
     sylvester_resultant,
+    ulps_off,
 )
 
 small_coeffs = st.lists(
@@ -802,6 +803,69 @@ def test_to_exact_is_what_to_mp_rounds():
                     read(bad)
         with pytest.raises(ValidationError, match="not a number"):
             numfield.parse_rational(True)
+
+
+@pytest.mark.parametrize("digits", (50, 300, 1000))
+def test_to_mp_rounds_a_rational_once(digits):
+    # mpf(numerator) / denominator rounds twice when the numerator is longer
+    # than the precision, and was off by up to 1.4 ulp
+    rng = random.Random(digits)
+    with mp.workdps(digits):
+        prec = mp.prec
+        for _ in range(200):
+            num = rng.getrandbits(rng.randint(prec + 1, 3 * prec)) | 1
+            x = Fraction(rng.choice((1, -1)) * num, rng.getrandbits(rng.randint(2, 2 * prec)) | 1)
+            assert ulps_off(numfield.to_mp(x), x, prec) <= Fraction(1, 2), x
+        # short and halfway numerators, and exact quotients, which are exact
+        for x in (Fraction(1, 3), Fraction(-2, 7), Fraction(2**prec + 1, 2), Fraction(-(2**prec + 3))):
+            assert ulps_off(numfield.to_mp(x), x, prec) <= Fraction(1, 2), x
+        for x in (Fraction(1), Fraction(-9, 3), Fraction(3, 2**2000), Fraction(-(2**prec - 1) * 2**900)):
+            assert ulps_off(numfield.to_mp(x), x, prec) == 0, x
+        assert numfield.to_mp(Fraction(0)) == 0
+
+
+@pytest.mark.parametrize("digits", (50, 1000))
+def test_quotient_and_sqrt_are_mpmaths_values(digits):
+    # each rounds once, as mpf_div and mpf_sqrt do, so the values are the
+    # same bits, exact ones included, which mpmath normalizes slowly
+    rng = random.Random(digits)
+    with mp.workdps(digits):
+        prec = mp.prec
+
+        def number():
+            x = mp.mpf(rng.getrandbits(rng.randint(1, 2 * prec))) * mp.mpf(2) ** rng.randint(-99, 99)
+            return x * x if rng.random() < 0.3 else x
+
+        for _ in range(200):
+            a, b = number() * rng.choice((1, -1)), number() + 1
+            assert raw_value(numfield.quotient(a, b)) == raw_value(a / b)
+            c = mp.mpf(rng.getrandbits(prec // 2) | 1)
+            assert raw_value(numfield.quotient(c * 3, c)) == raw_value(mp.mpf(3))
+            assert raw_value(numfield.sqrt(b)) == raw_value(mp.sqrt(b))
+            n = rng.getrandbits(rng.randint(1, 3 * prec))
+            for m in (n, n * n):
+                assert raw_value(numfield.sqrt(m)) == raw_value(mp.sqrt(m))
+        x = Fraction(rng.getrandbits(3 * prec), 3)
+        assert ulps_off(numfield.quotient(x, Fraction(-7, 5)), x / Fraction(-7, 5), prec) <= Fraction(1, 2)
+        assert numfield.quotient(0, 3) == 0 and numfield.sqrt(0) == 0 and numfield.sqrt(mp.mpf(0)) == 0
+        assert raw_value(numfield.sqrt(mp.mpf(9) / 4)) == raw_value(mp.mpf(3) / 2)
+        with pytest.raises(ZeroDivisionError):
+            numfield.quotient(1, mp.mpf(0))
+        for bad in (mp.mpf(-4), -1, Fraction(9, 4)):
+            with pytest.raises(ValueError, match="int or an mpf >= 0"):
+                numfield.sqrt(bad)
+
+
+def test_torus_tolerance_is_a_double_precision_power():
+    # at the working precision its fractional exponent cost a full exp and
+    # log (2.6 ms at 1000 digits); a 53-bit value moves an is_zero decision
+    # only within 2^-53 of the cut
+    for digits in (30, 50, 301, 1000):
+        with mp.workdps(digits + 10):
+            tol = numfield.torus_tolerance(digits)
+        assert tol.man.bit_length() <= 53
+        with mp.workdps(2 * digits):
+            assert abs(tol / mp.power(10, -mp.mpf(digits) / 3) - 1) <= mp.mpf(2) ** -53
 
 
 def test_to_exact_bounds_the_exponent():

@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath.ctx_mp_python
 import pytest
 from mpmath import mp
 
@@ -387,15 +388,20 @@ def test_build_complex_over_r_checks_every_place_when_built():
 def test_at_place_takes_no_shape_check_or_conversion(monkeypatch):
     # build_complex_over_r checked every shape, so at_place embeds each ring
     # element straight into its mp.matrix: no complex built, so no shape
-    # checked, and no to_mp
+    # checked, and no to_mp (which rtorsion does not import)
     field, _ = field_units("zsqrt2")
     complexes = [_free_cohomology_complex(field), *(c for _, _, c in _corpus_complexes())]
     calls = []
-    for name in ("build_complex_over_r", "to_mp"):
-        monkeypatch.setattr(rtorsion, name, _counting(calls, name, getattr(rtorsion, name)))
-    for cplx in complexes:
-        for k in range(cplx.field.n_places):
-            at_place(cplx, k)
+    monkeypatch.setattr(
+        rtorsion, "build_complex_over_r",
+        _counting(calls, "build_complex_over_r", rtorsion.build_complex_over_r),
+    )
+    with monkeypatch.context() as m:
+        for mod in (numfield, flatmodel):
+            m.setattr(mod, "to_mp", _counting(calls, "to_mp", mod.to_mp))
+        for cplx in complexes:
+            for k in range(cplx.field.n_places):
+                at_place(cplx, k)
     assert calls == []
     # the same data given to metrized_complex_at_place is checked once, when
     # its one complex over Q is built, and its place converts nothing either
@@ -766,6 +772,54 @@ def _exact_ranks(cplx):
     # the rank of each d_i at each place, decided in K
     per_diff = [numfield.exact_pivots(cplx.field, d) for d in cplx.diffs]
     return tuple(tuple(len(p[k]) for p in per_diff) for k in range(cplx.field.n_places))
+
+
+def test_exact_ones_take_no_slow_exact_quotient(monkeypatch):
+    # on mpmath's pure-Python backend an exact quotient or square root sheds
+    # its trailing zero bits a byte at a time, and int / mpf (mpf_rdiv_int)
+    # has no fast path for one: 1/mpf(1) took 75 us at 1010 digits.  With
+    # identity Grams and delta_i = 1 the torsion routes take no int / mpf,
+    # and the Cholesky pairs no mp.sqrt (of a perfect square, here: the
+    # radicands of identity Grams and of diagonal Grams of squares)
+    field = build_field((-2, 0, 1), 1000)
+    lat = flatmodel.build_lattice(field, [field.element([1, 1])])
+    eye2, squares = [[1, 0], [0, 1]], [[4, 0], [0, 9]]
+    one, zero = field.one(), field.zero()
+    complexes = [
+        _identity(field, 3),
+        _alternating(field, 4),
+        build_complex_over_r(
+            field, (1, 1), ([[zero]],), [[EYE1] * 2] * 2,
+            [CohomologySpec(1, ((one,),), (EYE1, EYE1))] * 2,
+        ),
+        build_complex_over_r(
+            field, (2, 2), ([[one, zero], [zero, one]],), [[squares, eye2], [eye2, squares]],
+            [CohomologySpec(0)] * 2,
+        ),
+    ]
+    assert all(d == one for c in complexes for per in c.deltas for d in per)
+    calls = []
+    monkeypatch.setattr(
+        mpmath.ctx_mp_python, "mpf_rdiv_int",
+        _counting(calls, "mpf_rdiv_int", mpmath.ctx_mp_python.mpf_rdiv_int),
+    )
+    for cplx in complexes:
+        for k in range(field.n_places):
+            with monkeypatch.context() as m:
+                m.setattr(mp, "sqrt", _counting(calls, "sqrt", mp.sqrt))
+                at = at_place(cplx, k)
+            tau = torsion_by_contraction(at)
+            assert abs(reidemeister(at) / tau - 1) < mp.mpf(10) ** -990
+        assert verify_euler_identity(field, lat, cplx).is_zero()
+    assert calls == []
+    # nor does an exact quotient of mpf that is no power of two: 9/9
+    monkeypatch.setattr(
+        mpmath.ctx_mp_python, "mpf_div", _counting(calls, "mpf_div", mpmath.ctx_mp_python.mpf_div)
+    )
+    with mp.workdps(1010):
+        assert rtorsion._alternating([mp.mpf(9), mp.mpf(9)]) == 1
+        assert rtorsion._alternating([mp.mpf(3), mp.mpf(1)], [mp.mpf(1), mp.mpf(3)]) == 9
+    assert calls == []
 
 
 def test_contraction_over_r_takes_no_numeric_rank(monkeypatch):

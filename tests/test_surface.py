@@ -355,6 +355,32 @@ def test_no_numeric_rank_minor_or_eigenvector():
     assert not named, named
 
 
+def test_torsion_route_divides_no_int_literal():
+    # an int over an mpf takes mpmath's mpf_rdiv_int, which has no fast path
+    # for an exact quotient: on the pure-Python backend 1/mpf(1) sheds the
+    # trailing zero bits of its quotient a byte at a time (75 us at 1010
+    # digits), and the exact 1s of a complex are common.  So rtorsion and
+    # flatmodel divide an mpf by an mpf
+    found = [
+        (name, node.lineno)
+        for name in ("rtorsion.py", "flatmodel.py")
+        for node in ast.walk(ast.parse((SRC / "regtor" / name).read_text()))
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Div)
+        and isinstance(node.left, ast.Constant)
+        and type(node.left.value) is int
+    ]
+    assert not found, f"int literal divided by an expression (mpmath's slow mpf_rdiv_int): {found}"
+
+
+def test_torsion_route_takes_numfields_square_root():
+    # mp.sqrt (and mp.norm, which takes it) sheds the trailing zero bits of an
+    # exact root a byte at a time; numfield.sqrt rounds once through
+    # math.isqrt
+    found = {f for f in _functions_naming({"sqrt", "norm"}) if f[0] in ("rtorsion.py", "flatmodel.py")}
+    assert not found, found
+
+
 def test_adjoint_products_go_through_the_gram_helper():
     # every A^H A and A A^H is rtorsion._gram, which forms the entries on
     # and above the diagonal once; no other source multiplies by .H
