@@ -581,8 +581,9 @@ class NumberField(Record):
     real roots, then the complex representatives, then their conjugates in
     matching order.  class_orders, the orders of the cyclic factors of the
     class group, defaults to () (a trivial class group).  embed keeps the
-    powers of each place it has evaluated at in _memo, a fresh dict per
-    object outside the constructor, repr and equality.
+    powers of each place it has evaluated at in _memo (for
+    p = 1 + x + ... + x^(r-1), those of every place at its first call), a
+    fresh dict per object outside the constructor, repr and equality.
     """
 
     _fields = (
@@ -818,32 +819,63 @@ def _powers(field: NumberField, place_index: int) -> tuple:
     """The powers z^0, ..., z^(n-1) of a place representative z, each
     rounded once to digits + GUARD, kept in the field's _memo as one integer
     table (e, re, im): the real parts of z^k are re[k] 2^e and the imaginary
-    parts im[k] 2^e, over the least binary exponent e of any part, and im is
-    None at a real place.  For p = 1 + x + ... + x^(r-1) every power is one
-    of the field's closed-form roots or its conjugate (_unit_powers), with
-    no product chain; for every other p the powers come from a product
-    chain at 2 GUARD more digits.
+    parts im[k] 2^e, and im is None at a real place.  For
+    p = 1 + x + ... + x^(r-1) the first call fills the tables of every
+    place from one field-wide table (_unit_tables), with no product chain;
+    for every other p the powers come from a product chain at 2 GUARD more
+    digits, over the least binary exponent e of any of their parts.
     """
     key = ("powers", place_index)
     if key not in field._memo:
-        z = field.sigma_star[place_index]
         if set(field.poly) == {1}:
-            with mp.workdps(field.digits + GUARD):
-                chain = _unit_powers(field.sigma_star, len(field.poly), place_index, field.degree)
+            field._memo.update(_unit_tables(field))
         else:
+            z = field.sigma_star[place_index]
             with mp.workdps(field.digits + 3 * GUARD):
                 chain = [mpf(1)]
                 for _ in range(field.degree - 1):
                     chain.append(chain[-1] * z)
-        with mp.workdps(field.digits + GUARD):
-            chain = [+w for w in chain]
-        real = not isinstance(z, mpc)
-        parts = [w.real._mpf_ for w in chain] + ([] if real else [w.imag._mpf_ for w in chain])
-        e = min(exp for _, man, exp, _ in parts if man)
-        ints = tuple((-man if sign else man) << (exp - e) for sign, man, exp, _ in parts)
-        n = len(chain)
-        field._memo[key] = (e, ints[:n], None if real else ints[n:])
+            with mp.workdps(field.digits + GUARD):
+                chain = [+w for w in chain]
+            real = not isinstance(z, mpc)
+            e, ints = _int_parts(
+                [w.real for w in chain] + ([] if real else [w.imag for w in chain])
+            )
+            n = len(chain)
+            field._memo[key] = (e, ints[:n], None if real else ints[n:])
     return field._memo[key]
+
+
+def _unit_tables(field: NumberField) -> dict:
+    """The power tables of every place of p = 1 + x + ... + x^(r-1), keyed as
+    _powers keeps them.  Place i is zeta^k with k = r//2 - i (_unit_powers),
+    so its powers z^j = zeta^(jk mod r) are all among zeta^0, ..., zeta^(r-1):
+    1, the closed-form roots zeta^m for 2m <= r, and their conjugates.  Those
+    r//2 + 1 values are rounded once to digits + GUARD and converted to
+    integers once, over the least binary exponent e of any of their parts,
+    and every place indexes them.  Over a lower e a table holds the same
+    values, so every embed, whose dot product is exact, is unchanged."""
+    r = len(field.poly)
+    with mp.workdps(field.digits + GUARD):
+        upper = [mpf(1)] + [+field.sigma_star[r // 2 - m] for m in range(1, r // 2 + 1)]
+    e, ints = _int_parts([w.real for w in upper] + [w.imag for w in upper])
+    half = len(upper)
+    re = [ints[min(m, r - m)] for m in range(r)]
+    im = [ints[half + m] if 2 * m <= r else -ints[half + r - m] for m in range(r)]
+    tables = {}
+    for i in range(field.n_places):
+        index = [j * (r // 2 - i) % r for j in range(field.degree)]
+        row_im = None if field.is_real_place(i) else tuple(im[m] for m in index)
+        tables["powers", i] = (e, tuple(re[m] for m in index), row_im)
+    return tables
+
+
+def _int_parts(parts) -> tuple:
+    """(e, ints): real mpf values as the signed integers ints[k] 2^e over
+    the least binary exponent e of any nonzero value."""
+    raw = [x._mpf_ for x in parts]
+    e = min(exp for _, man, exp, _ in raw if man)
+    return e, tuple((-man if sign else man) << (exp - e) for sign, man, exp, _ in raw)
 
 
 def _round_dot(nums, table, e, prec, den):

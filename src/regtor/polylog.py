@@ -13,31 +13,66 @@ Li_1(e^{i theta}) = -ln(2 sin(theta/2)) + i (pi - theta)/2 on (0, 2pi): one
 real sine and one real logarithm, exact at theta = pi and accurate to the
 last digit near theta = 0 and 2pi, where 1 - e^{i theta} cancels.
 
-For n >= 2, theta is folded into (0, pi] and the logarithmic series about
-mu = i theta is split in two.  Its head, k = 0..n, is real up to powers of
-i; it is summed in mpmath arithmetic from theta^k / k!, ln theta,
-zeta(2) .. zeta(hi) and a running harmonic number, all computed once per
-call.  Its tail holds only the terms k = n-1+2m, m >= 1, because zeta
-vanishes at the negative even integers.  The functional equation
+For n >= 2, theta is folded into (0, pi] and expanded about the nearer of 0
+and pi (L. Lewin, Polylogarithms and Associated Functions, 1981, ch. 7;
+R. E. Crandall, "Note on fast polylogarithm computation", 2006).  Below
+2pi/3 it is the logarithmic series about mu = i theta, and from 2pi/3 on the
+series about pi in w = -i phi, phi = pi - theta, which Li_n(-e^w) =
+-sum_k eta(n-k) w^k / k! makes analytic there.  Each is split in two.  The
+head, k = 0..n, is real up to powers of i; it is summed in mpmath
+arithmetic from t^k / k! (t = theta or phi) and zeta(2) .. zeta(hi), all
+computed once per call.  About 0 it also takes ln theta and a running
+harmonic number; about pi the coefficients are
+eta(s) = (1 - 2^(1-s)) zeta(s), one shift-subtract on each table value,
+eta(1) = ln 2 and eta(0) = 1/2, and it takes no logarithm.  The tail holds
+only the terms k = n-1+2m, m >= 1, because zeta vanishes at the negative
+even integers.  The functional equation
 zeta(1-2m) = (-1)^m 2 (2m-1)! zeta(2m) / (2pi)^{2m} makes each of them real
-up to the factor i^{n-1}:
+up to the factor i^{n-1} or (-i)^{n-1}:
 
-    zeta(1-2m) mu^k / k! = mu^{n-1} 2 zeta(2m) x^{2m} / [(2m)(2m+1)...(2m+n-1)]
+    zeta(1-2m) mu^k / k! = mu^{n-1} 2 zeta(2m) u^{2m} / [(2m)(2m+1)...(2m+n-1)]
+    -eta(1-2m) w^k / k! = w^{n-1} 2 lambda(2m) u^{2m} / [(2m)(2m+1)...(2m+n-1)]
 
-with x = theta / 2pi <= 1/2.  The tail coefficients
-c_m = 2 zeta(2m) x^{2m} (2m-1)! / (2m+lo-1)! are built once in fixed-point
-Python integers, with a running term and no factorial.  Each later order
-divides every c_m by the small integer 2m+n-1, so no order after the first
-takes a product of two long integers.  A call evaluates no order below lo.
-Since x <= 1/2, every c_m after the first wp / (2 log2(1/x)) is below
-2^-wp, so the number of terms is known before the sum starts.
+with u = x = theta / 2pi about 0, u = 1 - 2x = phi / pi about pi, and
+2 lambda(2m) = 2 (1 - 4^-m) zeta(2m), again one shift-subtract on a table
+entry.  The two u meet at x = 1/3, theta = 2pi/3, so u <= 1/3 at every
+angle: every term after the first wp / (2 log2(1/u)) <= wp / (2 log2 3)
+is below 2^-wp, and the number of terms m_max is known before the sum
+starts.  About 0 alone u would reach 1/2 next to pi, and m_max wp / 2.
 
-The factor theta^{n-1} stays outside the fixed point and multiplies the sum
-per order.  It reaches pi^99, about 2^164, while the c_m of high orders are
-tiny, so the fixed point carries ceil((hi-1) log2 theta) guard bits above
-wz = mp.prec + 20: wp = wz + guard.  Both are decided in floats.  Without the
-guard, Li_2 .. Li_100 at theta = pi and 1000 digits were off by up to
-1.2e-965, 45 digits short of the working precision.
+The tail is summed in fixed-point Python integers at wp bits.  A batch
+builds c_m = 2 zeta(2m) u^{2m} (2m-1)! / (2m+lo-1)! (2 lambda(2m) about pi)
+once, with a running term and no factorial, and each later order divides
+every c_m by the small integer 2m+n-1, so no order after the first takes a
+product of two long integers.  A call evaluates no order below lo.  A
+single order n, every polylog_circle call, sums
+sum_m a_m y^m, a_m = 2 zeta(2m) / P(m) and P(m) = (2m)(2m+1)...(2m+n-1),
+by Horner's scheme in y = u^2 from m_max down:
+acc_m = a_m + y acc_{m+1}, and the tail is y acc_1.  P(m) is updated by
+small factors from one m to the next.  Since y^m multiplies acc_m, acc_m
+is kept to p_m = top - floor(m log2(1/y)) bits only, top = wp + guard, so
+each step takes one long product, y cut to p_m bits times acc_{m+1}, of
+length falling with m; the batch takes two per term, the table entry and
+u^2 times the running term.  The guard: at step m the table entry cut to
+p_m bits, the division by P(m) and the shift of the product floor once
+each (an entry read above wz bits is shifted left, exactly), and cutting
+y to p_m bits errs by less than 2^-p_m times acc_{m+1} < 1
+(a_m <= 2 zeta(2) / 6 and y <= 1/9), so acc_m gains less than 4 units of
+2^-p_m, which y^m turns into less than 4 units of 2^-top.  Over m_max
+steps, and the last product by y, that is less than 4 m_max + 1 units of
+2^-top, below one unit of 2^-wp with guard = bitlength(m_max) + 2.  The
+floors of m log2(1/y) are decided in floats; an error there can lower a
+p_m by one bit and double that step's share, still far inside the 20 bits
+by which wz exceeds the working precision.
+
+The factor t^{n-1} stays outside the fixed point and multiplies the sum
+per order.  About 0 it reaches (2pi/3)^99, about 2^106, while the tail
+terms of high orders are tiny, so the fixed point carries
+ceil((hi-1) log2 t) guard bits above wz = mp.prec + 20: wp = wz + guard;
+about pi, t <= pi/3 needs at most 7.  Both are decided in floats.  Without
+that guard, with the series about 0 alone, Li_2 .. Li_100 at theta = pi
+and 1000 digits were off by up to 1.2e-965, 45 digits short of the
+working precision.
 
 The coefficients 2 zeta(2m) depend on neither the angle nor the order.  One
 table for the module holds them as integers 2 zeta(2m) 2^prec, at the
@@ -94,21 +129,21 @@ entries are kept: the d_k and the c_k are dropped after the fill.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, comb, factorial, log2
+from math import ceil, comb, factorial, log2, prod
 
 from mpmath import mp, mpc, mpf
 
 from .errors import ThetaOutOfRange, ValidationError
-from .numfield import DEFAULT_DIGITS, GUARD, ln
+from .numfield import DEFAULT_DIGITS, GUARD, _integers, ln, to_mp
 
 # Largest polylogarithm order served.  It also bounds the circle-bundle
 # orders, jmax + 1 and j + 1, and the same j in normalize and beta-check
 # (_check_j).  At 1000 digits on one core of a 2-core x86 machine with
-# mpmath's pure-Python backend, a cold Li_100 at theta = pi takes 0.1 s in
-# process (0.18-0.21 s as a CLI process), about 0.06 s of it the one pass
-# that fills the odd zeta(3)..zeta(99) of the head and 0.02-0.04 s the
-# zeta(2m) table, and circle-torsion --r 61 --jmax 99 takes 4.2-4.3 s as a
-# CLI process.
+# mpmath's pure-Python backend, a cold Li_100 at theta = pi takes 0.06-0.07 s
+# in process (0.16-0.17 s as a CLI process), nearly all of it the one pass
+# that fills the odd zeta(3)..zeta(99) of the head: at pi the series about
+# pi has no tail, and the zeta(2m) table is filled to m = 50 in about 1 ms.
+# circle-torsion --r 61 --jmax 99 takes 3.5-4.0 s as a CLI process.
 ORDER_MAX = 100
 
 # Largest Bernoulli index served; mp.bernfrac(10_000) takes about 0.5 s on
@@ -254,12 +289,16 @@ _EVEN_ZETA = _EvenZetaTable()
 _ODD_ZETA = _OddZetaTable()
 
 
-def _table_zeta(s: int, wz: int) -> mpf:
-    """zeta(s) for 2 <= s <= ORDER_MAX at the working precision, from the
-    table of its parity read at wz bits."""
+def _table_zeta(s: int, wz: int, eta: bool = False) -> mpf:
+    """zeta(s), or eta(s) = (1 - 2^(1-s)) zeta(s) when eta, for
+    2 <= s <= ORDER_MAX at the working precision, from the table of its
+    parity read at wz bits."""
     table, scale = (_ODD_ZETA, wz) if s % 2 else (_EVEN_ZETA, wz + 1)
     values, shift = table.read(s // 2, wz)
-    return mp.ldexp(mpf(values[s // 2] >> shift), -scale)
+    v = values[s // 2] >> shift
+    if eta:
+        v -= v >> (s - 1)
+    return mp.ldexp(mpf(v), -scale)
 
 
 def _log2(v) -> float:
@@ -270,55 +309,100 @@ def _log2(v) -> float:
 
 def _series_orders(lo: int, hi: int, th) -> list:
     """Li_lo .. Li_hi at e^{i th} for 2 <= lo <= hi and th in (0, pi], at the
-    working precision."""
-    x = th / (2 * mp.pi)
-    # Tail: c_m = 2 zeta(2m) x^{2m} (2m-1)! / (2m+lo-1)! in fixed point at wp
-    # bits, whose guard bits absorb the factor theta^{n-1} multiplied back
-    # per order.  The zeta tables are read at wz bits, whatever the guard.
+    working precision: the series about 0 below th = 2pi/3, the series about
+    pi from there on."""
+    # t = th about 0, t = phi = pi - th about pi (exact: th >= pi/2); the tail
+    # runs in u = x = th / 2pi or u = 1 - 2x = phi / pi, at most 1/3 either way.
+    near_pi = 3 * th >= 2 * mp.pi
+    t = mp.pi - th if near_pi else th
+    u = t / mp.pi if near_pi else th / (2 * mp.pi)
+    # Tail: fixed point at wp bits, whose guard bits absorb the factor t^{n-1}
+    # multiplied back per order.  The zeta table is read at wz bits, whatever
+    # the guard.
     wz = mp.prec + 20
-    wp = wz + max(0, ceil((hi - 1) * _log2(th)))
-    # c_m <= x^{2m} 2^wp, so c_m vanishes once 2m log2(1/x) > wp.
-    m_max = int(wp / (-2 * _log2(x))) + 2
+    wp = wz + (ceil((hi - 1) * _log2(t)) if t > 1 else 0)
+    # Term m is below u^{2m} 2^wp, so it vanishes once 2m log2(1/u) > wp; at
+    # th = pi, u = 0 leaves no tail.
+    m_max = int(wp / (-2 * _log2(u))) + 2 if u else 0
     zeta2, shift = _EVEN_ZETA.read(max(m_max, hi // 2), wz)
-    with mp.workprec(wp):
-        x2 = int(mp.ldexp(x * x, wz))
-        t = int(mp.ldexp(x * x / mp.factorial(lo + 1), wp))
+    # c holds the tail at wp bits: its one sum for a single order, its c_m for a batch.
     c = []
-    for m in range(1, m_max + 1):
-        if not t:
-            break
-        # The table entry and x^2, both at wz bits, are cut to the length of
-        # t first: their lower bits do not reach the floor of the product.
-        cut = max(0, wz - 8 - t.bit_length())
-        c.append((zeta2[m] >> (shift + cut)) * t >> (wz - cut))
-        t = (x2 >> cut) * t >> (wz - cut)
-        t = t * (2 * m * (2 * m + 1)) // ((2 * m + lo) * (2 * m + lo + 1))
+    if m_max and lo == hi:
+        # One order: Horner in y = u^2 from m = m_max down, acc_m = a_m + y acc_{m+1}
+        # with a_m = 2 zeta(2m) / P(m) (or 2 lambda(2m) / P(m)) and
+        # P(m) = (2m)(2m+1)...(2m+lo-1), kept to the top - floor(m log2(1/y))
+        # bits that y^m leaves significant.
+        guard = m_max.bit_length() + 2
+        top = wp + guard
+        log_y = -2 * _log2(u)
+        with mp.workprec(top):
+            y = int(mp.ldexp(u * u, top))
+        den = prod(range(2 * m_max, 2 * m_max + lo))
+        acc = bits = 0
+        for m in range(m_max, 0, -1):
+            p = top - int(m * log_y)
+            if p > 0:
+                s = shift + wz - p
+                a = zeta2[m] >> s if s >= 0 else zeta2[m] << -s
+                if near_pi:
+                    a -= a >> 2 * m
+                acc = a // den + ((y >> (top - p)) * acc >> bits)
+                bits = p
+            den = den * ((2 * m - 2) * (2 * m - 1)) // ((2 * m + lo - 2) * (2 * m + lo - 1))
+        c = [y * acc >> (bits + guard)]
+    elif m_max:
+        # Batch: c_m = 2 zeta(2m) u^{2m} (2m-1)! / (2m+lo-1)! (or 2 lambda(2m)),
+        # from a running term t_m = u^{2m} (2m-1)! / (2m+lo-1)!.
+        with mp.workprec(wp):
+            y = int(mp.ldexp(u * u, wz))
+            term = int(mp.ldexp(u * u / mp.factorial(lo + 1), wp))
+        for m in range(1, m_max + 1):
+            if not term:
+                break
+            # The table entry and y, both at wz bits, are cut to the length of
+            # the term first: their lower bits do not reach the floor of the product.
+            cut = max(0, wz - 8 - term.bit_length())
+            a = zeta2[m] >> (shift + cut)
+            if near_pi:
+                a -= a >> 2 * m
+            c.append(a * term >> (wz - cut))
+            term = (y >> cut) * term >> (wz - cut)
+            term = term * (2 * m * (2 * m + 1)) // ((2 * m + lo) * (2 * m + lo + 1))
 
-    # Head: theta^k / k!, zeta(2) .. zeta(hi) from the tables, ln theta and
-    # the harmonic number, once for all orders.  The first read of the odd
-    # table fills zeta(3) .. zeta(hi) in one Borwein pass.
+    # Head: t^k / k! and zeta(2) .. zeta(hi), or eta(2) .. eta(hi), from the
+    # tables, once for all orders.  The first read of the odd table fills
+    # zeta(3) .. zeta(hi) in one Borwein pass.
     powers = [mpf(1)]
     for k in range(1, hi + 1):
-        powers.append(powers[-1] * th / k)
+        powers.append(powers[-1] * t / k)
     _ODD_ZETA.read((hi - 1) // 2, wz)
-    zetas = [None, None] + [_table_zeta(s, wz) for s in range(2, hi + 1)]
-    log_th = ln(th)
-    half_pi = mp.pi / 2
-    harmonic = sum(mpf(1) / m for m in range(1, lo - 1))
+    zetas = [_table_zeta(s, wz, near_pi) for s in range(2, hi + 1)]
+    head = [None, None] + ([-v for v in zetas] if near_pi else zetas)
+    if not near_pi:
+        log_t = ln(t)
+        half_pi = mp.pi / 2
+        harmonic = sum(mpf(1) / m for m in range(1, lo - 1))
 
     out = []
-    th_pow = th ** (lo - 1)
+    t_pow = t ** (lo - 1)
     for n in range(lo, hi + 1):
         if n > lo:
             c = [cm // (2 * m + n - 1) for m, cm in enumerate(c, 1)]
-            th_pow *= th
-        harmonic += mpf(1) / (n - 1)
+            t_pow *= t
         # quarter[q] collects the real coefficients of i^q.
-        quarter = [mp.fdot((zetas[n - k], powers[k]) for k in range(q, n - 1, 4)) for q in range(4)]
-        tail = th_pow * mp.ldexp(mpf(sum(c)), -wp)
-        quarter[(n - 1) % 4] += powers[n - 1] * (harmonic - log_th) + tail
-        quarter[n % 4] += powers[n - 1] * half_pi - powers[n] / 2
-        out.append(mpc(quarter[0] - quarter[2], quarter[1] - quarter[3]))
+        quarter = [mp.fdot((head[n - k], powers[k]) for k in range(q, n - 1, 4)) for q in range(4)]
+        tail = t_pow * mp.ldexp(mpf(sum(c)), -wp)
+        if near_pi:
+            # -eta(1) = -ln 2 at k = n-1 and -eta(0) = -1/2 at k = n.
+            quarter[(n - 1) % 4] += tail - powers[n - 1] * mp.ln2
+            quarter[n % 4] -= powers[n] / 2
+        else:
+            harmonic += mpf(1) / (n - 1)
+            quarter[(n - 1) % 4] += powers[n - 1] * (harmonic - log_t) + tail
+            quarter[n % 4] += powers[n - 1] * half_pi - powers[n] / 2
+        li = mpc(quarter[0] - quarter[2], quarter[1] - quarter[3])
+        # About pi the sum is Li_n(-e^{i phi}), the conjugate of Li_n(e^{i th}).
+        out.append(mp.conj(li) if near_pi else li)
     return out
 
 
@@ -327,26 +411,39 @@ def polylog_orders(lo: int, hi: int, theta, digits: int = DEFAULT_DIGITS) -> lis
     1 <= lo <= hi <= ORDER_MAX and theta in (0, 2pi).
 
     Order 1 is the closed form -ln(2 sin(theta/2)) + i (pi - theta)/2.  For
-    n >= 2 the series in mu = i theta with integer zeta coefficients is used,
-    with the k = n-1 term carrying the harmonic number and -ln(-mu):
+    n >= 2, arguments above pi are folded to 2pi - theta and conjugated
+    back, keeping x = theta / 2pi at most one half.  Below 2pi/3 the series
+    in mu = i theta with integer zeta coefficients is used, with the
+    k = n-1 term carrying the harmonic number and -ln(-mu):
 
         Li_n(e^mu) = sum_{k >= 0, k != n-1} zeta(n-k) mu^k / k!
                      + mu^{n-1} / (n-1)! (H_{n-1} - ln(-mu)).
 
-    Arguments above pi are folded to 2pi - theta and conjugated back, keeping
-    x = theta / 2pi at most one half.  The head k = 0..n shares theta^k / k!
-    and zeta(2) .. zeta(hi) across orders.  Beyond it only k = n-1+2m is
-    nonzero, and
+    From 2pi/3 on it is the series about pi, in w = -i phi with phi = pi - theta:
 
-        zeta(1-2m) mu^k / k! = mu^{n-1} 2 zeta(2m) x^{2m} / [(2m)...(2m+n-1)].
+        Li_n(-e^w) = -sum_{k >= 0} eta(n-k) w^k / k!,
 
-    This real tail is summed in fixed-point integers over a known number of
-    terms.  c_m = 2 zeta(2m) x^{2m} (2m-1)! / (2m+lo-1)! is built once, and
-    each later order divides every c_m by the small integer 2m+n-1.  No
-    order lower than lo is evaluated.  At theta = pi to the working
-    precision every order is the real Li_n(-1) = -(1 - 2^(1-n)) zeta(n),
-    and its imaginary part is exactly 0.
+    with eta(s) = (1 - 2^(1-s)) zeta(s), eta(1) = ln 2 and eta(0) = 1/2; it
+    takes no logarithm and no harmonic number.  The head k = 0..n shares
+    the powers of the angle and zeta(2) .. zeta(hi) across orders.  Beyond
+    it only k = n-1+2m is nonzero, and with u = x about 0, u = 1 - 2x about pi,
+
+        zeta(1-2m) mu^k / k! = mu^{n-1} 2 zeta(2m) u^{2m} / [(2m)...(2m+n-1)],
+        -eta(1-2m) w^k / k! = w^{n-1} 2 lambda(2m) u^{2m} / [(2m)...(2m+n-1)],
+
+    lambda(2m) = (1 - 4^-m) zeta(2m).  This real tail is summed in
+    fixed-point integers over a known number of terms, by Horner's scheme
+    for a single order, and for a batch from c_m = 2 zeta(2m) u^{2m}
+    (2m-1)! / (2m+lo-1)!, built once, which each later order divides by the
+    small integer 2m+n-1.  No order lower than lo is evaluated.  At theta =
+    pi to the working precision every order is the real
+    Li_n(-1) = -eta(n), and its imaginary part is exactly 0.
+
+    theta is read as any other number (numfield.to_mp: a Fraction is
+    rounded once, a boolean or a complex value is refused) and rounded to
+    the working precision; lo and hi are integers, not booleans.
     """
+    lo, hi = _integers((lo, hi), "polylog order must be an integer")
     if lo < 1:
         raise ValidationError("polylog order must be a positive integer")
     if hi > ORDER_MAX:
@@ -354,7 +451,10 @@ def polylog_orders(lo: int, hi: int, theta, digits: int = DEFAULT_DIGITS) -> lis
     if hi < lo:
         raise ValidationError("polylog orders must satisfy lo <= hi")
     with mp.workdps(digits + GUARD):
-        th = mpf(theta)
+        th = to_mp(theta)
+        if isinstance(th, mpc):
+            raise ValidationError(f"theta must be a real number, got {theta!r}")
+        th = +th
         two_pi = 2 * mp.pi
         if not (0 < th < two_pi):
             raise ThetaOutOfRange(f"theta must lie strictly inside (0, 2pi), got {th}")
@@ -368,9 +468,6 @@ def polylog_orders(lo: int, hi: int, theta, digits: int = DEFAULT_DIGITS) -> lis
                 out += [mp.conj(li) for li in _series_orders(lo, hi, two_pi - th)]
             else:
                 out += _series_orders(lo, hi, th)
-        if th == mp.pi:
-            # Li_n(-1) = -(1 - 2^(1-n)) zeta(n) is real
-            out = [mpc(li.real) for li in out]
         return out
 
 

@@ -10,6 +10,8 @@ import json
 import random
 import sys
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -219,6 +221,54 @@ def test_unit_places_take_no_complex_product(monkeypatch):
     for k in range(field.n_places):
         numfield._powers(field, k)
     assert not products
+
+
+def _per_place_table(field, place):
+    """The powers of one place of 1 + x + ... + x^(r-1), read from the
+    closed-form roots and rounded once to digits + GUARD, as integers over
+    their own least binary exponent: (e, re, im)."""
+    with mp.workdps(field.digits + numfield.GUARD):
+        r = len(field.poly)
+        chain = [+w for w in numfield._unit_powers(field.sigma_star, r, place, field.degree)]
+    parts = [w.real for w in chain] + [w.imag for w in chain]
+    e = min(x.man_exp[1] for x in parts if x)
+    ints = [int(mp.ldexp(x, -e)) for x in parts]
+    return e, ints[: len(chain)], ints[len(chain) :]
+
+
+@pytest.mark.parametrize("digits", (50, 1000))
+def test_unit_places_share_one_power_table(monkeypatch, digits):
+    # Every place of Phi_r reads its powers from one table of 1, the
+    # closed-form roots and their conjugates, converted to integers once per
+    # field at the field-wide least exponent.  Each embed is bit for bit the
+    # one a table of that place alone gives: its exact dot product rounded
+    # once to digits + GUARD, then divided by the common denominator.
+    rng = random.Random(digits)
+    conversions = []
+    int_parts = numfield._int_parts
+    monkeypatch.setattr(numfield, "_int_parts", lambda parts: conversions.append(1) or int_parts(parts))
+    for r in (3, 5, 7, 31, 61):
+        field = build_field((1,) * r, digits)
+        elems = [
+            [Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**9)) for _ in range(r - 1)]
+            for _ in range(3)
+        ] + [[1], [0, 1], [Fraction(-1, 3)] * (r - 1)]
+        conversions.clear()
+        for place in range(field.n_places):
+            e, re, im = _per_place_table(field, place)
+            for coeffs in elems:
+                x = field.element(coeffs)
+                den = 1
+                for c in x.coeffs:
+                    den = den * c.denominator // gcd(den, c.denominator)
+                nums = [c.numerator * (den // c.denominator) for c in x.coeffs]
+                with mp.workdps(digits + numfield.GUARD):
+                    want = mp.mpc(
+                        *(mp.ldexp(mp.mpf(sum(map(mul, nums, t))), e) / den for t in (re, im))
+                    )
+                assert raw_value(embed(field, x, place)) == raw_value(want), (r, place)
+        assert len(conversions) == 1, r
+        assert len({field._memo["powers", k][0] for k in range(field.n_places)}) == 1, r
 
 
 def test_rational_field():

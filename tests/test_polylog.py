@@ -9,7 +9,7 @@ Fraction integration for the beta integral.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from math import ceil, comb, factorial, log2
 
 import pytest
 from hypothesis import given, settings
@@ -400,6 +400,173 @@ def test_polylog_orders_match_single_orders(digits):
     with mp.workdps(digits + GUARD):
         th = mp.mpf("2.5")
         assert polylog_orders(4, 7, th, digits) == polylog_orders(1, 7, th, digits)[3:]
+
+
+def _about_pi(digits):
+    """theta from 2pi/3 on, where the series about pi runs: x = theta / 2pi
+    = 1/3, 11/31, 2/5 and 15/31, pi - 10^-3, pi - 10^-(digits/2) and pi
+    itself, rounded to the working precision of a call at these digits."""
+    with mp.workdps(digits + GUARD):
+        return tuple(2 * mp.pi * p / q for p, q in ((1, 3), (11, 31), (2, 5), (15, 31))) + (
+            mp.pi - mp.mpf(10) ** -3,
+            mp.pi - mp.mpf(10) ** -(digits // 2),
+            +mp.pi,
+        )
+
+
+@pytest.mark.parametrize("digits", (50, 300))
+def test_polylog_about_pi_against_mpmath(digits):
+    # one order and a batch, each with the angle beyond pi, its conjugate
+    for th in _about_pi(digits):
+        with mp.workdps(digits + GUARD):
+            beyond = 2 * mp.pi - th
+        batch = polylog_orders(2, 5, th, digits)
+        with mp.workdps(digits + 20):
+            for n in (2, 3, 5):
+                want = mp.polylog(n, mp.expj(th))
+                for got in (polylog_circle(n, th, digits), batch[n - 2]):
+                    assert abs(got - want) < mp.mpf(10) ** -(digits + 5), (th, n)
+                if th < mp.pi:
+                    got = polylog_circle(n, beyond, digits)
+                    assert abs(got - mp.conj(want)) < mp.mpf(10) ** -(digits + 5), (th, n)
+
+
+def test_polylog_about_pi_at_thousand_digits():
+    # mp.polylog takes 1-12 s per value next to pi at 1000 digits, so it
+    # checks one order at the three angles farthest from pi.  Closer to pi
+    # the references are the duplication Li_n(-w) = 2^(1-n) Li_n(w^2) - Li_n(w)
+    # at w = e^{-i phi}, phi = pi - theta, whose angles phi and 2 phi lie
+    # below 2pi/3, where the series about 0 runs, and the Bernoulli
+    # reflection; at pi it is Li_n(-1) = -(1 - 2^(1-n)) zeta(n).
+    digits = 1000
+    tol = mp.mpf(10) ** -(digits + 5)
+    angles = _about_pi(digits)
+    for th in angles[:3]:
+        got = polylog_circle(3, th, digits)
+        with mp.workdps(digits + 20):
+            assert abs(got - mp.polylog(3, mp.expj(th))) < tol, th
+    for th in angles[3:6]:
+        with mp.workdps(digits + GUARD):
+            phi = mp.pi - th
+            phi2 = 2 * phi
+        batch = polylog_orders(2, 6, th, digits)
+        for n in range(2, 7):
+            got = polylog_circle(n, th, digits)
+            half = polylog_circle(n, phi, digits)
+            double = polylog_circle(n, phi2, digits)
+            with mp.workdps(digits + 20):
+                want = mp.conj(double) / 2 ** (n - 1) - mp.conj(half)
+                assert abs(got - want) < tol and abs(batch[n - 2] - want) < tol, (th, n)
+                b = bernoulli_polynomial(n, Fraction(15, 31)) if th == angles[3] else None
+                if b is not None:
+                    lhs = 2 * got.real if n % 2 == 0 else 2j * got.imag
+                    rhs = -((2j * mp.pi) ** n) * mp.mpf(b.numerator) / b.denominator / mp.factorial(n)
+                    assert abs(lhs - rhs) < tol, n
+    at_pi = polylog_orders(2, 9, angles[6], digits)
+    with mp.workdps(digits + 20):
+        for n, li in enumerate(at_pi, 2):
+            assert abs(li.real + (1 - mp.mpf(2) ** (1 - n)) * mp.zeta(n)) < tol and li.imag == 0, n
+
+
+@pytest.mark.parametrize("digits", (50, 300))
+def test_polylog_is_continuous_across_two_pi_over_three(digits):
+    # 2pi/3 is where the series about 0 hands over to the one about pi.
+    # Next to it on either side, and beyond pi, each order matches mp.polylog,
+    # and the symmetric difference across it is 2 i eps Li_{n-1}(e^{2 pi i/3})
+    # up to eps^3 |Li_{n-3}| / 3, below eps^3 here.
+    with mp.workdps(digits + GUARD):
+        mid, eps = 2 * mp.pi / 3, mp.mpf(2) ** -40
+        below, above = mid - eps, mid + eps
+    tol = mp.mpf(10) ** -(digits + 5)
+    for n in (2, 3, 4, 7):
+        got = {th: polylog_circle(n, th, digits) for th in (below, above)}
+        with mp.workdps(digits + GUARD):
+            for th in (below, above):
+                batch = polylog_orders(2, 7, th, digits)[n - 2]
+                conj = polylog_circle(n, 2 * mp.pi - th, digits)
+                with mp.workdps(digits + 20):
+                    want = mp.polylog(n, mp.expj(th))
+                    assert abs(got[th] - want) < tol and abs(batch - want) < tol, (th, n)
+                    assert abs(conj - mp.conj(want)) < tol, (th, n)
+            slope = 2j * eps * polylog_circle(n - 1, mid, digits)
+            assert abs(got[above] - got[below] - slope) < eps ** 3, n
+
+
+@pytest.mark.parametrize("digits", (50, 300, 1000))
+def test_polylog_tail_takes_at_most_wp_over_2_log2_3_terms(monkeypatch, digits):
+    # Expanding about the nearer of 0 and pi keeps u = x or 1 - 2x at most
+    # 1/3, so the read of the zeta(2m) table, the tail's m_max, is at most
+    # wp / (2 log2 3) + 2, with wp = wz + ceil((n-1) log2 (2pi/3)) above the
+    # tail's precision on either side.  About 0 alone it would reach wp / 2
+    # next to pi.  At pi the tail is empty: the table is read only for the
+    # head's zeta(2) .. zeta(n).
+    reads = []
+
+    class Counting(polylog._EvenZetaTable):
+        def read(self, m_max, wp):
+            reads.append(m_max)
+            return super().read(m_max, wp)
+
+    monkeypatch.setattr(polylog, "_EVEN_ZETA", Counting())
+    with mp.workdps(digits + GUARD):
+        step = 61 if digits < 1000 else 13
+        angles = [2 * mp.pi * k / step for k in range(1, step)]
+        angles += [2 * mp.pi / 3 + s * mp.mpf(2) ** -40 for s in (-1, 1)]
+        angles += [mp.pi - mp.mpf(10) ** -3, +mp.pi]
+        wz = mp.prec + 20
+    for n in (2, 5):
+        with mp.workdps(digits + GUARD):
+            wp = wz + ceil((n - 1) * log2(float(2 * mp.pi / 3)))
+        bound = wp / (2 * log2(3)) + 2
+        for th in angles:
+            for call in (lambda: polylog_circle(n, th, digits), lambda: polylog_orders(1, n, th, digits)):
+                reads.clear()
+                call()
+                assert max(reads) <= bound, (n, th, max(reads), bound)
+                if th == angles[-1]:
+                    assert max(reads) == n // 2, n
+
+
+@pytest.mark.parametrize("digits", (50, 300, 1000))
+def test_single_orders_by_horner_match_batches(digits):
+    # polylog_circle sums one order's tail by Horner's scheme, a batch from
+    # its c_m list: both agree to a few units in the last place, about 0,
+    # about pi, on either side of 2pi/3 and beyond pi
+    with mp.workdps(digits + GUARD):
+        eps = mp.mpf(2) ** -40
+        angles = [2 * mp.pi / 40, 2 * mp.pi / 3 - eps, 2 * mp.pi / 3 + eps]
+        angles += [2 * mp.pi * 2 / 5, 2 * mp.pi * 15 / 31, mp.mpf("5.9")]
+    hi = 24 if digits == 1000 else 40
+    for th in angles:
+        batch = polylog_orders(2, hi, th, digits)
+        with mp.workdps(digits + GUARD):
+            for n, li in enumerate(batch, 2):
+                assert abs(li - polylog_circle(n, th, digits)) < mp.mpf(10) ** -(digits + 9), (th, n)
+
+
+def test_polylog_reads_theta_and_orders_like_every_number():
+    # theta goes through numfield.to_mp: a boolean or a complex value is no
+    # angle, and a Fraction is rounded once; an mpf is rounded to the
+    # working precision, as mpf(theta) rounds it.  A boolean is no order.
+    for bad in (True, False, 1j, mp.mpc(1, 1), [1, 0], "x"):
+        with pytest.raises(ValidationError):
+            polylog_circle(2, bad, 20)
+    for lo, hi in ((True, 2), (1, True), (2, 2.5)):
+        with pytest.raises(ValidationError, match="polylog order must be an integer"):
+            polylog_orders(lo, hi, 1.0, 50)
+    with pytest.raises(ValidationError, match="polylog order must be an integer"):
+        polylog_circle(True, 1.0, 50)
+    with mp.workdps(50 + GUARD):
+        third = mp.mpf(7) / 3
+    assert polylog_circle(2, Fraction(7, 3), 50) == polylog_circle(2, third, 50)
+    assert polylog_orders(1, 3, Fraction(7, 3), 50) == polylog_orders(1, 3, third, 50)
+    with mp.workdps(200):
+        fine = [mp.mpf(k) / 7 for k in range(1, 44, 3)]
+    with mp.workdps(50 + GUARD):
+        rounded = [+th for th in fine]
+    for a, b in zip(fine, rounded):
+        assert polylog_orders(1, 3, a, 50) == polylog_orders(1, 3, b, 50), a
+        assert polylog_circle(2, a, 50) == polylog_circle(2, b, 50), a
 
 
 def test_polylog_orders_bounds():
