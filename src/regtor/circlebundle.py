@@ -27,7 +27,9 @@ from mpmath.libmp import isprime
 
 from . import rtorsion
 from .errors import TrivialHolonomyAtJZero, ValidationError
-from .numfield import DEFAULT_DIGITS, DEGREE_MAX, GUARD, NumberField, Record, build_field
+from .numfield import (
+    DEFAULT_DIGITS, DEGREE_MAX, GUARD, NumberField, Record, _integers, build_field, to_mp
+)
 from .polylog import (
     BERNOULLI_MAX,
     _check_j,
@@ -36,8 +38,9 @@ from .polylog import (
     zeta_int,
 )
 
-# Largest k of hatcher_constant, kept at the Bernoulli index bound.  With
-# a_k in closed form, hatcher --k 5000 takes 0.09-0.10 s as a CLI process at
+# Largest k of hatcher_constant.  It reads no Bernoulli number, since a_k
+# is taken in closed form, and keeps the bound BERNOULLI_MAX // 2 that
+# B_2k once set: hatcher --k 5000 takes 0.09-0.10 s as a CLI process at
 # 50 or 1000 digits, as --k 1 does, on a 2-core x86 machine with
 # pure-Python mpmath.
 HATCHER_K_MAX = BERNOULLI_MAX // 2
@@ -80,7 +83,7 @@ def make_cyclotomic_setup(r: int, digits: int = DEFAULT_DIGITS) -> CyclotomicSet
     Every power of a place, and every backward error the build checks, is
     read from those closed-form roots, with no product chain.
     """
-    r = int(r)
+    (r,) = _integers([r], "the cyclotomic order must be a prime >= 3")
     if r < 3 or not isprime(r):
         raise ValidationError("the cyclotomic order must be a prime >= 3")
     if r - 1 > DEGREE_MAX:  # refused before p = 1 + x + ... + x^{r-1} is built
@@ -124,7 +127,7 @@ def torsion_form_coeffs(setup: CyclotomicSetup, jmax: int) -> dict:
     and Li_2 .. Li_{jmax+1} come from one polylog_orders pass per place.
     0 <= jmax < ORDER_MAX.
     """
-    _check_j(jmax, 0, "jmax must lie")
+    jmax = _check_j(jmax, 0, "jmax must lie")
     digits = setup.field.digits
     out = {}
     with mp.workdps(digits + GUARD):
@@ -145,9 +148,9 @@ def trivial_holonomy_coeff(j: int, digits: int = DEFAULT_DIGITS):
     degree index, j is bounded, 1 <= j < ORDER_MAX: the cost of the
     prefactor's (2j+1)! grows without bound.
     """
+    j = _check_j(j, 0, "j must lie")
     if j == 0:
         raise TrivialHolonomyAtJZero("Li_1(1) diverges; no degree-zero coefficient")
-    _check_j(j, 1, "j must lie")
     with mp.workdps(digits + GUARD):
         if j % 2 == 1:
             return mpf(0)
@@ -166,7 +169,7 @@ def u_coeff(setup: CyclotomicSetup, j: int) -> dict:
     odd j, prefactor times (Re Li_{j+1}(sigma(xi)) - zeta(j+1)) for even j,
     for 1 <= j < ORDER_MAX.  Li_{j+1} is the single-order value, evaluated
     once per place and setup and shared with regulator_identity_check."""
-    _check_j(j, 1, "u_j is defined for j")
+    j = _check_j(j, 1, "u_j is defined for j")
     digits = setup.field.digits
     out = {}
     with mp.workdps(digits + GUARD):
@@ -189,7 +192,7 @@ def regulator_identity_check(setup: CyclotomicSetup, j: int) -> dict:
     place, the single-order value shared with u_coeff through the setup;
     1 <= j < ORDER_MAX.
     """
-    _check_j(j, 1, "the identity is checked for j")
+    j = _check_j(j, 1, "the identity is checked for j")
     digits = setup.field.digits
     out = {}
     with mp.workdps(digits + GUARD):
@@ -234,6 +237,7 @@ def borel_dims(field: NumberField, imax: int) -> dict:
     """Dimensions of A^(-i) for 0 <= i <= imax: 1, r_R + r_C - 1, then the
     four-periodic pattern 0, r_C, 0, r_R + r_C for i = 2, 3, 4, 5 mod 4,
     for 0 <= imax <= BOREL_INDEX_MAX."""
+    (imax,) = _integers([imax], f"imax must lie in [0, {BOREL_INDEX_MAX}]")
     if not 0 <= imax <= BOREL_INDEX_MAX:
         raise ValidationError(f"imax must lie in [0, {BOREL_INDEX_MAX}]")
     rr, rc = field.r_real, field.r_complex
@@ -270,7 +274,7 @@ def normalization_factors(j: int, digits: int = DEFAULT_DIGITS):
     number (-1)^j (2j+1)!/((2 pi)^j j!) together with the power of i (mod 4)
     multiplying it; 0 <= j < ORDER_MAX.
     """
-    _check_j(j, 0, "j must lie")
+    j = _check_j(j, 0, "j must lie")
     with mp.workdps(digits + GUARD):
         chern = (
             (-1) ** j * 2 * mp.pi * mpf(factorial(2 * j + 1))
@@ -291,7 +295,7 @@ def convert(values, frm: str, to: str, j: int, digits: int = DEFAULT_DIGITS):
     conversion multiplies by N_frm and divides by N_to.  Accepts a scalar or
     a sequence; Borel conversions may be complex.  0 <= j < ORDER_MAX.
     """
-    _check_j(j, 0, "j must lie")
+    j = _check_j(j, 0, "j must lie")
     if frm not in NORMALIZATION_NAMES or to not in NORMALIZATION_NAMES:
         raise ValidationError(f"normalizations are named {NORMALIZATION_NAMES}")
     single = not isinstance(values, (list, tuple))
@@ -303,7 +307,7 @@ def convert(values, frm: str, to: str, j: int, digits: int = DEFAULT_DIGITS):
         fac = table[frm] / table[to]
         out = []
         for v in vals:
-            w = mp.mpmathify(v) * fac
+            w = to_mp(v) * fac
             if mp.im(w) == 0:
                 w = mp.re(w)
             out.append(+w)
@@ -321,6 +325,7 @@ def hatcher_constant(k: int, digits: int = DEFAULT_DIGITS):
     divides its numerator (Adams, On the groups J(X) IV, Topology 5, 1966).
     kappa_k is 1 for odd k and 1/2 for even k.
     """
+    (k,) = _integers([k], f"k must lie in [1, {HATCHER_K_MAX}]")
     if not 1 <= k <= HATCHER_K_MAX:
         raise ValidationError(f"k must lie in [1, {HATCHER_K_MAX}]")
     a_k = 1

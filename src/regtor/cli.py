@@ -428,6 +428,7 @@ def cmd_hatcher(args, ctx):
 
 
 def _render_table(obj, indent=0):
+    """A handler's dict, or a non-empty dict or list inside it, as indented text."""
     pad = "  " * indent
     lines = []
     if isinstance(obj, dict):
@@ -450,15 +451,13 @@ def _render_table(obj, indent=0):
                     lines.append(_render_table(val, indent + 1))
                 else:
                     lines.append(f"{pad}{key} = {val}")
-    elif isinstance(obj, list):
+    else:
         for k, val in enumerate(obj):
             if isinstance(val, (dict, list)) and val:
                 lines.append(f"{pad}[{k}]")
                 lines.append(_render_table(val, indent + 1))
             else:
                 lines.append(f"{pad}[{k}] {val}")
-    else:
-        lines.append(f"{pad}{obj}")
     return "\n".join(lines)
 
 

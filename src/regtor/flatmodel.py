@@ -43,6 +43,7 @@ from .numfield import (
     Record,
     _bareiss,
     _check_field,
+    _integers,
     dirichlet_rank,
     embed,
     ln,
@@ -327,7 +328,7 @@ def reduce_mod_lattice(lattice: RegulatorLattice, f: FormElement):
 
 
 def _reduce_cls(orders, cls) -> tuple:
-    vec = list(int(c) for c in cls)
+    vec = list(_integers(cls, "class exponents must be integers"))
     if len(vec) > len(orders):
         raise ValidationError("class vector longer than the list of orders")
     vec += [0] * (len(orders) - len(vec))
@@ -370,7 +371,8 @@ def one_class(lattice: RegulatorLattice) -> PointClass:
 
 def point_class(lattice: RegulatorLattice, rank: int, cls, f: FormElement) -> PointClass:
     t, _ = reduce_mod_lattice(lattice, f)
-    return PointClass(int(rank), _reduce_cls(lattice.field.class_orders, cls), t)
+    (rank,) = _integers([rank], "the rank of a point class must be an integer")
+    return PointClass(rank, _reduce_cls(lattice.field.class_orders, cls), t)
 
 
 def class_add(x: PointClass, y: PointClass) -> PointClass:

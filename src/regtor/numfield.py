@@ -20,10 +20,12 @@ basis, a unit of the field lying outside Z[x] is rejected.
 
 Shared by every module: Record, the base of every immutable value type,
 FieldElement included, with the one constructor that binds the fields each
-type names; the one number conversion to_mp, which rounds a rational once
-(quotient), and to_exact, the exact value it rounds; quotient and sqrt,
-each rounded once, with no byte-at-a-time normalization of an exact
-result; and the precision policy.  Every exact decision over K is made
+type names; one reader per kind of number, _integers for an integer
+argument and _scalar for every other number, whose exact parts to_exact
+gives as rationals, to_mp rounds once each (quotient) and
+NumberField.element takes as coefficients; quotient and sqrt, each
+rounded once, with no byte-at-a-time normalization of an exact result;
+and the precision policy.  Every exact decision over K is made
 here, and no other module reads the polynomial kit over Q (poly_trim,
 poly_mul, poly_divmod; coefficient lists constant first), the one Horner
 evaluator, the Kronecker packing, the resultant or known_irreducible:
@@ -614,9 +616,10 @@ class NumberField(Record):
 
     def element(self, coeffs) -> FieldElement:
         """Coefficients reduced modulo p; a FieldElement is returned as it is,
-        and refused unless it has one coefficient per degree.  A str goes
-        through parse_rational's digit limit and a boolean through its
-        refusal; any other c is Fraction(c)."""
+        and refused unless it has one coefficient per degree.  Each other
+        coefficient is read by the one reader of a number (_scalar), as the
+        rational it is exactly, an mpf as its dyadic value; a complex-typed
+        one is refused, as is anything _scalar refuses."""
         if isinstance(coeffs, FieldElement):
             if len(coeffs.coeffs) != self.degree:
                 raise ValidationError(
@@ -624,7 +627,10 @@ class NumberField(Record):
                     f"degree {self.degree}"
                 )
             return coeffs
-        vals = [parse_rational(c) if isinstance(c, (str, bool)) else Fraction(c) for c in coeffs]
+        parts = [_scalar(c) for c in coeffs]
+        if any(im is not None for _, im in parts):
+            raise ValidationError(f"field coefficients must be real, got {coeffs!r}")
+        vals = [_rational(re) for re, _ in parts]
         if len(vals) > self.degree:
             vals = poly_divmod(vals, self.poly)[1]
         return FieldElement(tuple(vals + [Fraction(0)] * (self.degree - len(vals))))
@@ -658,8 +664,9 @@ def _check_field(field: NumberField, other: NumberField, what: str):
 
 
 def _integers(values, message) -> tuple:
-    """values as ints, refusing (with message) a boolean and any value that
-    int() would change or cannot read."""
+    """values as ints, the one reader of an integer argument: a value is an
+    integer when int() reads it unchanged and it is no boolean, so 3.0 and
+    Fraction(3) are 3, and 2.5, True and "3" are refused with message."""
     try:
         values = list(values)
         ints = tuple(int(v) for v in values)
@@ -688,7 +695,7 @@ def build_field(poly, digits: int, class_orders=()) -> NumberField:
     conjugates.  Every stored embedding has backward error
     |p(z)| / sum |c_i| |z|^i at most residual_tolerance(digits).  For p = 1 + x + ... + x^{r-1}, p(z) is the
     exact sum of the powers z^0, ..., z^{r-1}, each read from the
-    closed-form roots (_unit_powers), with no product chain; every other p
+    closed-form roots, with no product chain; every other p
     is evaluated by Horner.  Each class-group order is an integer of at
     least 1, checked with the other arguments before any root finding.
     A coefficient or order is an integer when int() leaves it unchanged and
@@ -714,9 +721,11 @@ def build_field(poly, digits: int, class_orders=()) -> NumberField:
 
     with mp.workdps(digits + 2 * GUARD):
         if cyclotomic:
-            # e^{2 pi i k/r} for 2k <= r; those with 2k > r are their conjugates.
+            # zeta^m = e^{2 pi i m/r} for m = 0..r-1: the roots with 2m <= r,
+            # and those with 2m > r as their conjugates
             upper = [_root_of_unity(k, n + 1) for k in range(1, (n + 1) // 2 + 1)]
-            roots = upper + [mp.conj(z) for z in upper[: n // 2]]
+            zeta = [mpf(1)] + upper + [mp.conj(z) for z in reversed(upper[: n // 2])]
+            roots = zeta[1:]
         else:
             # 2 GUARD extra digits keep each step's rounding, magnified by the
             # root's condition number (about 10^13 for Wilkinson's degree-20
@@ -746,9 +755,11 @@ def build_field(poly, digits: int, class_orders=()) -> NumberField:
         sizes = [abs(c) for c in coeffs]
         for i, z in enumerate(sigma_star):
             if cyclotomic:
-                # p(z) = z^0 + ... + z^(r-1), summed exactly from the closed-form
-                # powers, with no product; every |z| is 1, so the size is r
-                value, size = mp.fsum(_unit_powers(sigma_star, n + 1, i, n + 1)), n + 1
+                # place i is zeta^k, k = r//2 - i, so p(z) is the exact sum of
+                # the closed-form zeta^(jk mod r), with no product; every |z|
+                # is 1, so the size is r
+                k = (n + 1) // 2 - i
+                value, size = mp.fsum(zeta[j * k % (n + 1)] for j in range(n + 1)), n + 1
             else:
                 value, size = _horner(coeffs, z), _horner(sizes, abs(z))
             if abs(value) > resid_bound * size:
@@ -795,26 +806,6 @@ def _horner(coeffs, z):
     return acc
 
 
-def _unit_powers(sigma_star, r: int, place_index: int, count: int) -> list:
-    """z^0, ..., z^(count-1) at a place z of 1 + x + ... + x^(r-1), read
-    from its closed-form roots with no product.  In the documented order
-    place i is zeta^k, zeta = e^{2 pi i/r} and k = r//2 - i, so z^j is
-    zeta^(jk mod r); zeta^0 = 1, zeta^m = sigma_star[r//2 - m] for 2m <= r,
-    and otherwise the conjugate of sigma_star[r//2 - (r - m)], rounded to
-    the working precision."""
-    k = r // 2 - place_index
-    out = []
-    for j in range(count):
-        m = j * k % r
-        if m == 0:
-            out.append(mpf(1))
-        elif 2 * m <= r:
-            out.append(sigma_star[r // 2 - m])
-        else:
-            out.append(mp.conj(sigma_star[r // 2 - (r - m)]))
-    return out
-
-
 def _powers(field: NumberField, place_index: int) -> tuple:
     """The powers z^0, ..., z^(n-1) of a place representative z, each
     rounded once to digits + GUARD, kept in the field's _memo as one integer
@@ -848,8 +839,9 @@ def _powers(field: NumberField, place_index: int) -> tuple:
 
 def _unit_tables(field: NumberField) -> dict:
     """The power tables of every place of p = 1 + x + ... + x^(r-1), keyed as
-    _powers keeps them.  Place i is zeta^k with k = r//2 - i (_unit_powers),
-    so its powers z^j = zeta^(jk mod r) are all among zeta^0, ..., zeta^(r-1):
+    _powers keeps them.  In the documented order of the places, place i is
+    zeta^k with zeta = e^{2 pi i/r} and k = r//2 - i, so its powers
+    z^j = zeta^(jk mod r) are all among zeta^0, ..., zeta^(r-1):
     1, the closed-form roots zeta^m for 2m <= r, and their conjugates.  Those
     r//2 + 1 values are rounded once to digits + GUARD and converted to
     integers once, over the least binary exponent e of any of their parts,
@@ -1035,9 +1027,7 @@ def parse_rational(text) -> Fraction:
     """
     if isinstance(text, bool):
         raise ValidationError(f"not a number: {text!r}")
-    if isinstance(text, Fraction):
-        return text
-    if isinstance(text, int):
+    if isinstance(text, (int, Fraction)):
         return Fraction(text)
     text = str(text)
     mantissa, e, exponent = text.lower().partition("e")
@@ -1047,80 +1037,86 @@ def parse_rational(text) -> Fraction:
     return Fraction(text)
 
 
-def _pair(x):
-    """The [re, im] parts of a complex scalar input, or None for a real one.
-    A part may not be a pair itself."""
-    if not isinstance(x, (tuple, list)):
-        return None
-    if len(x) != 2 or any(isinstance(v, (tuple, list)) for v in x):
-        raise ValidationError("complex entries must be [re, im] pairs")
-    return x
+def _scalar(x) -> tuple:
+    """(re, im): the exact parts of a scalar input, each an int, a Fraction
+    or a finite mpf, with im None for a real-typed input; the one reader of
+    a number, under to_exact, to_mp and NumberField.element.
 
-
-def to_mp(x):
-    """Exact-aware scalar conversion at the current working precision: a
-    rational, or a "p/q" string, is its numerator divided by its denominator
-    in one rounding to nearest (quotient), so within half an ulp of it.
-    mpf(numerator) / denominator would round twice whenever the numerator
-    is longer than the precision.
-
-    Raises ValidationError on anything that is not a finite number, a
-    decimal or "p/q" string, or an [re, im] pair of those; a boolean is not
-    a number.
+    An int, a Fraction, an mpf (mp.pi and the other constants at the
+    working precision), a "p/q" or decimal string (parse_rational) and any
+    other number Fraction() reads exactly, a float or a Decimal, are
+    real-typed.  A complex, an mpc and an [re, im] pair are complex-typed;
+    each part of a pair is read by this rule, and the two combine exactly
+    as re + i im, so [mpc(1, 2), 3] is 1 + 5i.  Raises ValidationError on
+    a boolean, a value that is not finite, text that is no rational, a part
+    that is a pair itself, and anything past the int-string limit: a
+    decimal whose digits pass it, or an mpf whose binary exponent passes
+    the bits of an integer of that many digits, whose exact value would be
+    a power of two as long.
     """
     if isinstance(x, bool):
         raise ValidationError(f"not a number: {x!r}")
-    if isinstance(x, Fraction):
-        return quotient(x.numerator, x.denominator)
-    pair = _pair(x)
-    if pair is not None:
-        return mpc(to_mp(pair[0]), to_mp(pair[1]))
+    if isinstance(x, (int, Fraction)):
+        return x, None
+    if hasattr(x, "_mpf_"):  # an mpf, or a constant such as mp.pi
+        return _finite(mp.make_mpf(x._mpf_)), None
+    if isinstance(x, mpc):
+        return _finite(x.real), _finite(x.imag)
+    if isinstance(x, (tuple, list)):
+        if len(x) != 2 or any(isinstance(v, (tuple, list)) for v in x):
+            raise ValidationError("complex entries must be [re, im] pairs")
+        (a, b), (c, d) = _scalar(x[0]), _scalar(x[1])
+        if b is None and d is None:
+            return a, c
+        a, b, c, d = (_rational(v or 0) for v in (a, b, c, d))
+        return a - d, b + c
     try:
-        if isinstance(x, str) and "/" in x:
-            return to_mp(parse_rational(x))
-        v = mp.mpmathify(x)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"not a number: {x!r}") from exc
+        if isinstance(x, complex):
+            return Fraction(x.real), Fraction(x.imag)
+        return (parse_rational(x) if isinstance(x, str) else Fraction(x)), None
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise ValidationError(f"not a number: {x!r} ({exc})") from exc
+
+
+def _finite(v):
+    """An mpf part of _scalar, refused when it is not finite or its exponent
+    passes the int-string limit in bits."""
     if not mp.isfinite(v):
-        raise ValidationError(f"not a number: {x!r}")
+        raise ValidationError(f"not a number: {v}")
+    limit = sys.get_int_max_str_digits()
+    if limit and abs(v._mpf_[2]) > limit * _LOG2_10:
+        raise ValidationError(f"number exceeds the limit of {limit} digits: {mp.nstr(v, 8)}")
     return v
 
 
+def _rational(v) -> Fraction:
+    """A part of _scalar as the rational it is exactly."""
+    if isinstance(v, Fraction):
+        return v
+    num, _, exp = _parts(v)
+    return Fraction(num << exp) if exp >= 0 else Fraction(num, 1 << -exp)
+
+
 def to_exact(x) -> tuple[Fraction, Fraction]:
-    """The exact pair (re, im) of rationals that a scalar input is: the
-    value to_mp rounds.
-
-    Reads what to_mp reads.  An int, a Fraction and a "p/q" or decimal
-    string are read by parse_rational; anything else goes through to_mp at
-    the current working precision, and the parts of the mpf or mpc it gives
-    are read as the dyadic rationals they are.  Raises ValidationError on
-    what to_mp refuses, a value that is not finite included, and on an mpf
-    whose |exponent| passes the bits of an integer of
-    sys.get_int_max_str_digits() digits, the bound parse_rational sets on a
-    decimal: reading it would build a power of two of that many bits.
-    """
-    pair = _pair(x)
-    if pair is not None:
-        (a, b), (c, d) = to_exact(pair[0]), to_exact(pair[1])
-        return a - d, b + c
-    if isinstance(x, (int, Fraction, str)):
-        try:
-            return parse_rational(x), _ZERO
-        except (ValueError, ZeroDivisionError):
-            pass
-    z = mpc(to_mp(x))
-    return _dyadic(z.real), _dyadic(z.imag)
+    """The exact pair (re, im) of rationals a scalar input is (_scalar), im
+    0 for a real-typed input; to_mp rounds each part of it once."""
+    re, im = _scalar(x)
+    return _rational(re), _ZERO if im is None else _rational(im)
 
 
-def _dyadic(v) -> Fraction:
-    """The rational an mpf is exactly (man_exp gives |mantissa|), within
-    to_exact's bound on the exponent."""
-    man, exp = v.man_exp
-    limit = sys.get_int_max_str_digits()
-    if limit and abs(exp) > limit * _LOG2_10:
-        raise ValidationError(f"number exceeds the limit of {limit} digits: {mp.nstr(v, 8)}")
-    man = -man if v < 0 else man
-    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+def to_mp(x):
+    """A scalar input (_scalar) at the working precision: each part rounded
+    once to nearest by quotient, so a rational, a decimal string or a longer
+    mpf is within half an ulp of the exact value to_exact gives.  An mpc
+    exactly when the input is complex-typed, an mpf otherwise."""
+    re, im = (None if v is None else _rounded(v) for v in _scalar(x))
+    return re if im is None else mpc(re, im)
+
+
+def _rounded(v):
+    """A part of _scalar rounded once by quotient; an mpf whose mantissa
+    fits the working precision is that value already, and is kept."""
+    return v if isinstance(v, mpf) and v._mpf_[3] <= mp.prec else quotient(v, 1)
 
 
 def parse_descriptor(data: dict, digits_override: int | None = None):
@@ -1143,9 +1139,7 @@ def parse_descriptor(data: dict, digits_override: int | None = None):
         raise ValidationError('descriptor "class_group" must be an object')
     field = build_field(data["poly"], digits, class_orders=class_group.get("orders", []))
     try:
-        units = [
-            field.element([parse_rational(c) for c in vec]) for vec in data.get("units", [])
-        ]
-    except (ValueError, TypeError) as exc:
+        units = [field.element(vec) for vec in data.get("units", [])]
+    except TypeError as exc:
         raise ValidationError(f"descriptor unit vectors are malformed: {exc}") from exc
     return field, units

@@ -151,15 +151,20 @@ ORDER_MAX = 100
 BERNOULLI_MAX = 10_000
 
 
-def _check_j(j: int, lo: int, what: str) -> None:
-    """lo <= j < ORDER_MAX for the degree index j of the circle-bundle forms
-    (Li_{j+1} is a polylogarithm order), their normalizations and beta integrals."""
+def _check_j(j: int, lo: int, what: str) -> int:
+    """The degree index j of the circle-bundle forms (Li_{j+1} is a
+    polylogarithm order), their normalizations and beta integrals, read as
+    an integer (numfield._integers) with lo <= j < ORDER_MAX."""
+    (j,) = _integers([j], f"{what} in [{lo}, {ORDER_MAX - 1}]")
     if not lo <= j < ORDER_MAX:
         raise ValidationError(f"{what} in [{lo}, {ORDER_MAX - 1}]")
+    return j
 
 
 def bernoulli(m: int) -> Fraction:
-    """Exact Bernoulli number B_m with B_1 = -1/2, for 0 <= m <= BERNOULLI_MAX."""
+    """Exact Bernoulli number B_m with B_1 = -1/2, for an integer
+    0 <= m <= BERNOULLI_MAX (numfield._integers)."""
+    (m,) = _integers([m], "Bernoulli index must be an integer")
     if m < 0:
         raise ValidationError("Bernoulli index must be non-negative")
     if m > BERNOULLI_MAX:
@@ -168,14 +173,16 @@ def bernoulli(m: int) -> Fraction:
 
 
 def bernoulli_polynomial(n: int, x: Fraction) -> Fraction:
-    """Exact value of the Bernoulli polynomial B_n(x) at a rational point."""
+    """Exact value of the Bernoulli polynomial B_n(x) at a rational point,
+    for an integer n >= 0 (numfield._integers)."""
+    (n,) = _integers([n], "Bernoulli polynomial degree must be an integer")
     if n < 0:
         raise ValidationError("Bernoulli polynomial degree must be non-negative")
     return sum(comb(n, k) * bernoulli(k) * x ** (n - k) for k in range(n + 1))
 
 
 def zeta_int(s: int, digits: int = DEFAULT_DIGITS) -> mpf:
-    """zeta(s) for integer s >= 2 at digits + GUARD.
+    """zeta(s) for an integer s >= 2 (numfield._integers) at digits + GUARD.
 
     Up to s = ORDER_MAX it is read from the module's zeta tables at the
     precision a polylogarithm at these digits reads them: an even s from the
@@ -184,6 +191,7 @@ def zeta_int(s: int, digits: int = DEFAULT_DIGITS) -> mpf:
     which turns to a short Euler product or the first few powers once s is
     large against the working precision.
     """
+    (s,) = _integers([s], "zeta_int requires an integer s >= 2")
     if s < 2:
         raise ValidationError("zeta_int requires an integer s >= 2")
     with mp.workdps(digits + GUARD):
@@ -439,9 +447,9 @@ def polylog_orders(lo: int, hi: int, theta, digits: int = DEFAULT_DIGITS) -> lis
     pi to the working precision every order is the real
     Li_n(-1) = -eta(n), and its imaginary part is exactly 0.
 
-    theta is read as any other number (numfield.to_mp: a Fraction is
-    rounded once, a boolean or a complex value is refused) and rounded to
-    the working precision; lo and hi are integers, not booleans.
+    theta is read as any other number and rounded once to the working
+    precision (numfield.to_mp); a complex-typed theta is refused.  lo and
+    hi are integers (numfield._integers).
     """
     lo, hi = _integers((lo, hi), "polylog order must be an integer")
     if lo < 1:
@@ -454,7 +462,6 @@ def polylog_orders(lo: int, hi: int, theta, digits: int = DEFAULT_DIGITS) -> lis
         th = to_mp(theta)
         if isinstance(th, mpc):
             raise ValidationError(f"theta must be a real number, got {theta!r}")
-        th = +th
         two_pi = 2 * mp.pi
         if not (0 < th < two_pi):
             raise ThetaOutOfRange(f"theta must lie strictly inside (0, 2pi), got {th}")
@@ -488,7 +495,7 @@ def beta_integral_check(j: int, digits: int = DEFAULT_DIGITS) -> tuple[mpf, Frac
     4^{-(j-1)}, below mp.quad's absolute tolerance, and the quadrature would
     stop too early.
     """
-    _check_j(j, 1, "the beta integral is checked for j")
+    j = _check_j(j, 1, "the beta integral is checked for j")
     exact = Fraction((-1) ** (j - 1) * factorial(j - 1) ** 2, factorial(2 * j - 1))
     with mp.workdps(digits + GUARD):
         scaled = mp.quad(lambda x: (4 * (x - x * x)) ** (j - 1), [0, 1])

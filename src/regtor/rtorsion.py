@@ -119,6 +119,7 @@ from .numfield import (
     Record,
     _abs2,
     _check_field,
+    _integers,
     build_field,
     embed,
     exact_det,
@@ -591,7 +592,7 @@ def build_complex_over_r(field, lengths, diffs, grams, cohomology) -> MetrizedCo
     that builds has every place well defined, and its exact tau at each
     place is read from deltas and factors with no place built.
     """
-    lengths = tuple(int(n) for n in lengths)
+    lengths = _integers(lengths, "the lengths of a complex must be integers")
     nd = len(lengths)
     if nd > COMPLEX_SIZE_MAX or any(not 0 <= n <= COMPLEX_SIZE_MAX for n in lengths):
         raise ValidationError(

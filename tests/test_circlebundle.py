@@ -18,11 +18,14 @@ from regtor import (
     beta_integral_check,
     borel_dims,
     build_field,
+    build_lattice,
     cheeger_muller_check,
     convert,
     hatcher_constant,
     make_cyclotomic_setup,
+    make_form,
     normalization_factors,
+    point_class,
     regulator_identity_check,
     torsion_form_coeffs,
     trivial_holonomy_coeff,
@@ -312,6 +315,69 @@ def test_conversion_round_trips():
         assert abs(mp.re(w)) < TOL and abs(mp.im(w) - 3 / mp.pi) < TOL
     with pytest.raises(ValidationError):
         convert(1, "bl", "unknown", 1)
+
+
+def test_convert_reads_values_like_every_number():
+    # each value goes through numfield.to_mp, where mp.mpmathify read a
+    # boolean as 1 and "nan" as a NaN
+    for bad in (True, float("nan"), "nan", "abc", [1, False]):
+        with pytest.raises(ValidationError, match="not a number"):
+            convert(bad, "bl", "chern", 1, 50)
+    assert convert("1/3", "bl", "bl", 1, 50) == convert(Fraction(1, 3), "bl", "bl", 1, 50)
+
+
+def _integer_calls():
+    """One call per integer argument of the library, each of one value."""
+    setup = make_cyclotomic_setup(5, 20)
+    field = build_field((-2, 0, 1), 20, class_orders=(4,))
+    lattice = build_lattice(field, [field.element([1, 1])])
+    form = make_form(field, 0, [1, -1])
+    line = build_field((0, 1), 20)
+    eye = [[int(i == j) for j in range(3)] for i in range(3)]
+    reps = [[[x] for x in row] for row in eye]
+    return {
+        "bernoulli": lambda v: polylog.bernoulli(v),
+        "bernoulli_polynomial": lambda v: polylog.bernoulli_polynomial(v, Fraction(1, 3)),
+        "zeta_int": lambda v: polylog.zeta_int(v, 20),
+        "hatcher_constant": lambda v: hatcher_constant(v, 20),
+        "borel_dims": lambda v: borel_dims(field, v),
+        "make_cyclotomic_setup": lambda v: make_cyclotomic_setup(v, 20),
+        "torsion_form_coeffs": lambda v: torsion_form_coeffs(setup, v),
+        "trivial_holonomy_coeff": lambda v: trivial_holonomy_coeff(v, 20),
+        "u_coeff": lambda v: u_coeff(setup, v),
+        "regulator_identity_check": lambda v: regulator_identity_check(setup, v),
+        "normalization_factors": lambda v: normalization_factors(v, 20),
+        "convert": lambda v: convert(1, "bl", "chern", v, 20),
+        "beta_integral_check": lambda v: beta_integral_check(v, 20),
+        "complex lengths": lambda v: rtorsion.build_complex_over_r(
+            line, (v,), (), [[eye]], [rtorsion.CohomologySpec(3, reps, (eye,))]
+        ),
+        "point class rank": lambda v: point_class(lattice, v, (), form),
+        "class exponent": lambda v: point_class(lattice, 1, (v,), form),
+    }
+
+
+INTEGER_ARGUMENTS = (
+    "bernoulli", "bernoulli_polynomial", "zeta_int", "hatcher_constant", "borel_dims",
+    "make_cyclotomic_setup", "torsion_form_coeffs", "trivial_holonomy_coeff", "u_coeff",
+    "regulator_identity_check", "normalization_factors", "convert", "beta_integral_check",
+    "complex lengths", "point class rank", "class exponent",
+)
+
+
+@pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
+def test_integer_arguments_are_read_as_build_field_reads_them(name):
+    # every integer argument goes through numfield._integers: 3.0 and
+    # Fraction(3) are 3, bit for bit in every result, and 2.5, a boolean and
+    # a string are refused, where bernoulli(2.5) gave B_2, zeta_int(3.5)
+    # raised a bare TypeError and make_cyclotomic_setup(7.9) built Z[zeta_7]
+    call = _integer_calls()[name]
+    want = repr(call(3))
+    for v in (3.0, Fraction(3)):
+        assert repr(call(v)) == want, v
+    for v in (2.5, True, "3"):
+        with pytest.raises(ValidationError):
+            call(v)
 
 
 def test_hatcher_constants():

@@ -553,6 +553,10 @@ def test_bounded_flags_are_checked_first(capsys):
         ["rtorsion", "--field", Z2, "--complex",
          '{"lengths": [1, 1], "diffs": [[["1"]]], "grams": [[[["1"]], [["1"]]], '
          '[[["1e1000000000"]], [["1"]]]]}'],
+        # every scalar has one reader: a λ of 1e5000 printed a torus, and a
+        # form coefficient exited 3
+        ["scale", "--field", Z2, "--point", '{"rank": 1, "torus": {}}', "--lambdas", '["1e5000", "1"]'],
+        ["reduce", "--field", Z2, "--form", '["1e5000", "0"]'],
     ],
 )
 def test_decimal_exponents_keep_the_int_string_limit(capsys, argv):

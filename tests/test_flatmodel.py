@@ -97,6 +97,22 @@ def test_form_arithmetic_keeps_precision():
         assert f.scale(3).sub(f.add(f).add(f)).norm() < mp.mpf(10) ** -55
 
 
+@pytest.mark.parametrize(
+    "case", ("add across degrees", "coordinates off degree 1", "negative degree", "reduce off degree 0")
+)
+def test_forms_refuse_the_wrong_degree(case):
+    field, _, lattice = field_lattice("zsqrt2")
+    one, three = make_form(field, 0, [1, -1]), make_form(field, 1, [0, 0])
+    call, message = {
+        "add across degrees": (lambda: one.add(three), "different degrees"),
+        "coordinates off degree 1": (three.reduced_b1_coords, "degree 1 only"),
+        "negative degree": (lambda: make_form(field, -1, [0, 0]), "non-negative"),
+        "reduce off degree 0": (lambda: reduce_mod_lattice(lattice, three), "only degree-1"),
+    }[case]
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
 def test_unit_log_fundamental_value():
     field, _ = field_units("zsqrt2")
     f = unit_log(field, field.element([1, 1]))

@@ -271,6 +271,15 @@ def test_zhat_wellposed_under_unit_diagonals():
         zhat_wellposed(field, lat, pres, [field.element([2]), u], [u, u])
 
 
+@pytest.mark.parametrize("left, right", ((1, 2), (2, 3), (0, 2)))
+def test_zhat_wellposed_refuses_diagonals_of_another_size(left, right):
+    field, _, lat = field_lattice("zsqrt2")
+    pres = presentation(field, [[field.element([2]), field.one()], [field.zero(), field.element([5, 1])]])
+    u = field.element([1, 1])
+    with pytest.raises(ValidationError, match="must match the presentation size"):
+        zhat_wellposed(field, lat, pres, [u] * left, [u] * right)
+
+
 def test_zhat_refuses_data_of_another_field():
     # Q(sqrt3) and Z[sqrt2] both have two real places, so only the check
     # tells them apart: unchecked, zhat read 5 + sqrt3 as 5 + sqrt2, or put

@@ -9,6 +9,7 @@ for the norm, and exact Fraction arithmetic for ring laws.
 import json
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -226,10 +227,20 @@ def test_unit_places_take_no_complex_product(monkeypatch):
 def _per_place_table(field, place):
     """The powers of one place of 1 + x + ... + x^(r-1), read from the
     closed-form roots and rounded once to digits + GUARD, as integers over
-    their own least binary exponent: (e, re, im)."""
+    their own least binary exponent: (e, re, im).  Place i is zeta^k with
+    k = r//2 - i, and zeta^m is sigma_star[r//2 - m] for 2m <= r and the
+    conjugate of zeta^(r-m) otherwise."""
+    r = len(field.poly)
+
+    def zeta(m):
+        if m == 0:
+            return mp.mpf(1)
+        if 2 * m <= r:
+            return field.sigma_star[r // 2 - m]
+        return mp.conj(field.sigma_star[r // 2 - (r - m)])
+
     with mp.workdps(field.digits + numfield.GUARD):
-        r = len(field.poly)
-        chain = [+w for w in numfield._unit_powers(field.sigma_star, r, place, field.degree)]
+        chain = [+zeta(j * (r // 2 - place) % r) for j in range(field.degree)]
     parts = [w.real for w in chain] + [w.imag for w in chain]
     e = min(x.man_exp[1] for x in parts if x)
     ints = [int(mp.ldexp(x, -e)) for x in parts]
@@ -455,6 +466,23 @@ def test_build_field_rejects_bad_polynomials():
         with pytest.raises(ValidationError, match="integer"):
             build_field(poly, 50, class_orders=orders)
     assert build_field((-2, 0, 1), 50, class_orders=(Fraction(2), 3)).class_orders == (2, 3)
+
+
+@pytest.mark.parametrize("case", ("delete a field", "compare with a tuple", "non-square", "digits 0"))
+def test_numfield_refusals(case):
+    field = build_field((-2, 0, 1), 30)
+    one = field.one()
+    if case == "compare with a tuple":
+        # a record leaves the comparison with another type to that type
+        assert one.__eq__(one.coeffs) is NotImplemented and one != one.coeffs
+        return
+    call, error, message = {
+        "delete a field": (lambda: delattr(one, "coeffs"), AttributeError, "cannot delete field"),
+        "non-square": (lambda: numfield.exact_det(field, [[one, one]]), ValidationError, "square"),
+        "digits 0": (lambda: build_field((-2, 0, 1), 0), ValidationError, "digits must be positive"),
+    }[case]
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_build_field_accepts_reducible_squarefree():
@@ -717,6 +745,21 @@ def test_element_reads_strings_through_parse_rational():
     assert field.element(["1/2", 0, "3"]).coeffs == (Fraction(13, 2), Fraction(0))
 
 
+def test_element_reads_every_coefficient_as_to_exact_does():
+    # an mpf is the dyadic rational it is; NaN, text that is no number and
+    # a complex value raised a bare ValueError or TypeError
+    field = build_field([-2, 0, 1], 50)
+    third = mp.mpf(1) / 3
+    assert field.element([third]).coeffs == (numfield.to_exact(third)[0], 0)
+    assert field.element([third]).coeffs[0] != Fraction(1, 3)
+    assert field.element([0.5, mp.pi]).coeffs == (Fraction(1, 2), numfield.to_exact(mp.pi)[0])
+    for bad, message in ((float("nan"), "not a number"), (mp.mpf("nan"), "not a number"),
+                         ("abc", "not a number"), (1j, "must be real"),
+                         ([1, 0], "must be real"), (mp.mpc(1, 0), "must be real")):
+        with pytest.raises(ValidationError, match=message):
+            field.element([1, bad])
+
+
 def test_element_refuses_a_boolean():
     # a boolean is no number, as in parse_rational, not the coefficient 1 or 0
     field = build_field([-2, 0, 1], 50)
@@ -855,6 +898,34 @@ def test_to_exact_is_what_to_mp_rounds():
             numfield.parse_rational(True)
 
 
+def test_to_mp_rounds_each_part_of_to_exact_once():
+    # one reader under both: to_mp is quotient of each exact part, bit for
+    # bit, an mpc exactly for a complex-typed input; to_mp gave 1 + 2i for
+    # [mpc(1, 2), 3] where to_exact gave 1 + 5i, and returned a longer mpf
+    # with all its bits
+    with mp.workdps(200):
+        long = mp.mpf(1) / 3
+        table = [[mp.mpc(1, 2), 3], long, -long, mp.mpc(long, -long), [long, "1/7"],
+                 "0.1", "1/3", "-2.5e-7", 3, Fraction(2, 7), 0.1, complex(0.5, -3), mp.pi,
+                 Decimal("0.1"), [mp.mpc(0, 1), mp.mpc(0, 1)], "1e-300", [0, 0]]
+    with mp.workdps(60):
+        assert numfield.to_mp([mp.mpc(1, 2), 3]) == mp.mpc(1, 5)
+        for x in table:
+            re, im = numfield.to_exact(x)
+            got = numfield.to_mp(x)
+            complex_typed = isinstance(x, (list, complex, mp.mpc))
+            assert isinstance(got, mp.mpc if complex_typed else mp.mpf), x
+            parts = (got.real, got.imag) if complex_typed else (got,)
+            for part, exact in zip(parts, (re, im)):
+                assert raw_value(part) == raw_value(numfield.quotient(exact, 1)), x
+                assert part.man.bit_length() <= mp.prec, x
+            assert complex_typed or im == 0, x
+        for bad in ("1e5000", ["1e5000", 0], mp.mpf("1e5000"), Decimal("nan"), object()):
+            for read in (numfield.to_exact, numfield.to_mp):
+                with pytest.raises(ValidationError):
+                    read(bad)
+
+
 @pytest.mark.parametrize("digits", (50, 300, 1000))
 def test_to_mp_rounds_a_rational_once(digits):
     # mpf(numerator) / denominator rounds twice when the numerator is longer
@@ -919,9 +990,9 @@ def test_torus_tolerance_is_a_double_precision_power():
 
 
 def test_to_exact_bounds_the_exponent():
-    # a decimal past parse_rational's bound reaches to_mp, which keeps it as
-    # a cheap mpf; reading that exactly would build a power of two of as many
-    # bits as its exponent, so the exponent has the int-string bound in bits
+    # a decimal past parse_rational's bound is refused as text, and an mpf
+    # read exactly would build a power of two of as many bits as its
+    # exponent, so the exponent has the int-string bound in bits
     limit = sys.get_int_max_str_digits()
     bits = int(limit * 3.3219)
     assert numfield.to_exact(mp.ldexp(1, -bits))[0] == Fraction(1, 2**bits)

@@ -569,6 +569,12 @@ def test_polylog_reads_theta_and_orders_like_every_number():
         assert polylog_circle(2, a, 50) == polylog_circle(2, b, 50), a
 
 
+@pytest.mark.parametrize("n", (-1, -7))
+def test_bernoulli_polynomial_refuses_a_negative_degree(n):
+    with pytest.raises(ValidationError, match="non-negative"):
+        bernoulli_polynomial(n, Fraction(1, 2))
+
+
 def test_polylog_orders_bounds():
     for lo, hi in ((0, 3), (2, ORDER_MAX + 1), (3, 2)):
         with pytest.raises(ValidationError):

@@ -62,6 +62,12 @@ def _both(lengths, diffs, grams, hgrams, hmaps, digits=50):
     return a
 
 
+@pytest.mark.parametrize("maps, grams", (([EYE1], []), ([], [EYE1]), ([EYE1, EYE1], [EYE1])))
+def test_place_data_refuses_mismatched_cohomology_counts(maps, grams):
+    with pytest.raises(ValidationError, match="degree counts of the complex data disagree"):
+        metrized_complex_at_place(30, [1], [], [EYE1], grams, maps)
+
+
 def test_two_term_multiplication_is_inverse_modulus():
     with mp.workdps(60):
         for z in (2, 5, mp.mpc(3, 4)):

@@ -159,6 +159,13 @@ def test_only_the_root_helper_calls_mp_expjpi():
     assert found == {("numfield.py", "_root_of_unity")}, found
 
 
+def test_only_numfield_reads_numbers_through_mpmathify():
+    # every scalar input is read by numfield's one reader, under to_exact,
+    # to_mp and NumberField.element; mp.mpmathify read "nan" and a boolean
+    found = _functions_naming({"mpmathify"})
+    assert {module for module, _ in found} <= {"numfield.py"}, found
+
+
 def _loads(tree):
     return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
 
