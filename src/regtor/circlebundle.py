@@ -256,8 +256,10 @@ def x_space_dim(field: NumberField, j: int) -> int:
     """Dimension of the weight-j regulator target X_{2j-1}.
 
     Complex places always contribute; a real place contributes exactly when
-    conjugation fixes the R(j-1)-line, i.e. for odd j.
+    conjugation fixes the R(j-1)-line, i.e. for odd j.  j is an integer
+    (numfield._integers).
     """
+    (j,) = _integers([j], "the X spaces are indexed by j >= 1")
     if j < 1:
         raise ValidationError("the X spaces are indexed by j >= 1")
     return field.r_complex + (field.r_real if j % 2 == 1 else 0)

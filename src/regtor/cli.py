@@ -10,10 +10,14 @@ then the descriptor's "digits", then 50) and builds what was declared, so
 a cmd_* handler only computes.  Each number crosses the boundary once in
 each direction.  Every JSON text, the descriptor file's included, is read
 by _json_arg, which reads a JSON number as exactly the decimal it is
-written as.  A handler returns the library's values; main renders them once,
-through _text: each mpf as a decimal string at the working precision, so
-results survive round-trips beyond double precision, and each Fraction in
-full.  Only the four 8-digit diagnostics are formatted in a handler, by
+written as.  The CLI checks the shapes of what it decodes and the digits
+bound, but reads no number itself: each goes to the library function that
+reads it, by the library's one rule for an integer (numfield._integers) and
+its one reader of every other number.  A refused --unit, --value or angle
+names its flag (_flag_read).  A handler returns the library's values; main
+renders them once, through _text: each mpf as a decimal string at the
+working precision, so results survive round-trips beyond double
+precision, and each Fraction in full.  Only the four 8-digit diagnostics are formatted in a handler, by
 _short.  No record of the library formats itself.  Exit codes: 0 success,
 2 validation error, 3 numerical failure; diagnostics go to standard error.
 """
@@ -30,7 +34,8 @@ from mpmath import mp
 from . import circlebundle, flatmodel, modtors, polylog, rtorsion
 from .errors import NumericalError, ValidationError
 from .numfield import (
-    DEFAULT_DIGITS, DEGREE_MAX, GUARD, dirichlet_rank, norm, parse_descriptor, parse_rational, to_mp
+    DEFAULT_DIGITS, DEGREE_MAX, GUARD, _integers, dirichlet_rank, norm, parse_descriptor,
+    parse_rational, to_exact, to_mp
 )
 
 
@@ -40,7 +45,7 @@ def _resolve_digits(args, descriptor=None) -> int:
         digits = descriptor.get("digits")
     if digits is None:
         digits = DEFAULT_DIGITS
-    digits = _int_arg(digits, "digits")
+    (digits,) = _integers([digits], "digits must be an integer")
     _bounded(digits, 30, 1000, "digits")
     return digits
 
@@ -142,8 +147,7 @@ def _parse_point(lattice, data):
     cls = data.get("cls", [])
     if not isinstance(cls, list):
         raise ValidationError('"cls" must be a list of integers')
-    cls = [_int_arg(c, "a cls entry") for c in cls]
-    return flatmodel.point_class(lattice, _int_arg(data["rank"], "rank"), cls, f)
+    return flatmodel.point_class(lattice, data["rank"], cls, f)
 
 
 def _ring_cell(field, cell):
@@ -151,7 +155,7 @@ def _ring_cell(field, cell):
         cell = [cell]
     if not isinstance(cell, list):
         raise ValidationError('matrix entries must be "p/q" strings or coefficient lists')
-    return field.element([_rational_arg(c, "a matrix entry") for c in cell])
+    return field.element(cell)
 
 
 def _ring_matrix(field, rows, what):
@@ -175,8 +179,10 @@ def _parse_presentation(field, data):
         # Shorthand: a single row of strings is one entry's coefficient vector.
         if len(entries) == 1 and all(isinstance(c, str) for c in entries[0]):
             rows = [[_ring_cell(field, entries[0])]]
-    if isinstance(data, dict) and "size" in data and _int_arg(data["size"], "size") != len(rows):
-        raise ValidationError("declared presentation size disagrees with the entries")
+    if isinstance(data, dict) and "size" in data:
+        (size,) = _integers([data["size"]], "a presentation size must be an integer")
+        if size != len(rows):
+            raise ValidationError("declared presentation size disagrees with the entries")
     return modtors.presentation(field, rows)
 
 
@@ -184,7 +190,7 @@ def _parse_complex(field, data):
     for key in ("lengths", "diffs", "grams"):
         if not isinstance(data.get(key), list):
             raise ValidationError(f'complex JSON needs a list "{key}"')
-    lengths = [_int_arg(n, "a length") for n in data["lengths"]]
+    lengths = data["lengths"]
     diffs = [_ring_matrix(field, m, "a differential") for m in data["diffs"]]
     cohomology = data.get("cohomology", [{} for _ in lengths])
     if not isinstance(cohomology, list) or not all(isinstance(raw, dict) for raw in cohomology):
@@ -197,7 +203,7 @@ def _parse_complex(field, data):
         reps = _ring_matrix(field, raw.get("free_reps", []), "free_reps")
         specs.append(
             rtorsion.CohomologySpec(
-                free_rank=_int_arg(raw.get("free_rank", 0), "free_rank"),
+                free_rank=raw.get("free_rank", 0),
                 free_reps=tuple(tuple(r) for r in reps),
                 free_grams=tuple(_grams(raw.get("free_grams", []), "free_grams")),
                 torsion=torsion,
@@ -207,45 +213,27 @@ def _parse_complex(field, data):
     return rtorsion.build_complex_over_r(field, lengths, diffs, grams, specs)
 
 
-def _int_arg(value, what):
-    """An integer, or an integer written as a string; a JSON decimal (a
-    Fraction from _json_arg) and a boolean are refused."""
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise ValidationError(f"{what} must be an integer, got {value!r}")
-
-
 def _bounded(value, lo, hi, flag):
     """An integer flag inside its documented range, checked before any work."""
     if not lo <= value <= hi:
         raise ValidationError(f"{flag} must lie in [{lo}, {hi}]")
 
 
-def _rational_arg(text, what):
-    """A decimal or "p/q" argument as an exact rational."""
+def _flag_read(flag, read, *args):
+    """read(*args) for the value of flag; a ValidationError it raises names flag."""
     try:
-        return parse_rational(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"{what} must be a decimal or p/q, got {text!r} ({exc})") from exc
-
-
-def _real_arg(text, digits, what):
-    """A decimal or "p/q" argument at digits + GUARD."""
-    q = _rational_arg(text, what)
-    with mp.workdps(digits + GUARD):
-        return to_mp(q)
+        return read(*args)
+    except ValidationError as exc:
+        raise ValidationError(f"{flag}: {exc}") from exc
 
 
 def _theta_from_args(args, digits):
-    if args.theta_over_2pi is not None:
-        q = _rational_arg(args.theta_over_2pi, "--theta-over-2pi")
-        with mp.workdps(digits + GUARD):
+    with mp.workdps(digits + GUARD):
+        if args.theta_over_2pi is not None:
+            q, _ = _flag_read("--theta-over-2pi", to_exact, args.theta_over_2pi)
             return 2 * mp.pi * q.numerator / q.denominator
-    if args.theta is not None:
-        return _real_arg(args.theta, digits, "--theta")
+        if args.theta is not None:
+            return _flag_read("--theta", to_mp, args.theta)
     raise ValidationError("give the angle as --theta or --theta-over-2pi")
 
 
@@ -271,7 +259,7 @@ def cmd_field_info(args, ctx):
 
 def cmd_unit_log(args, ctx):
     vec = _json_arg(args.unit, "--unit", list)
-    elem = ctx.field.element([_rational_arg(c, "--unit") for c in vec])
+    elem = _flag_read("--unit", ctx.field.element, vec)
     f = flatmodel.unit_log(ctx.field, elem)
     return {
         "unit": list(elem.coeffs),
@@ -407,8 +395,7 @@ def cmd_borel_dims(args, ctx):
 def cmd_normalize(args, ctx):
     digits = ctx.digits
     chern, igusa, (bmag, bpow) = circlebundle.normalization_factors(args.j, digits)
-    value = _real_arg(args.value, digits, "--value")
-    out = circlebundle.convert(value, args.frm, args.to, args.j, digits)
+    out = _flag_read("--value", circlebundle.convert, args.value, args.frm, args.to, args.j, digits)
     return {
         "j": args.j,
         "from": args.frm,

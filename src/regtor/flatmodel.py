@@ -119,7 +119,9 @@ def make_form(field: NumberField, degree_index: int, values) -> FormElement:
     """Build a coefficient vector, applying the parity and quotient rules.
 
     Each coefficient is real: a value with imaginary part 0, an [re, 0]
-    pair too, reads as its real part, and any other is refused."""
+    pair too, reads as its real part, and any other is refused.  The degree
+    index is a non-negative integer (numfield._integers)."""
+    (degree_index,) = _integers([degree_index], "degree index must be non-negative")
     if degree_index < 0:
         raise ValidationError("degree index must be non-negative")
     with mp.workdps(field.digits + GUARD):
@@ -138,7 +140,7 @@ def make_form(field: NumberField, degree_index: int, values) -> FormElement:
 
 
 def zero_form(field: NumberField, degree_index: int = 0) -> FormElement:
-    return FormElement(degree_index, tuple(mpf(0) for _ in range(field.n_places)), field.digits)
+    return make_form(field, degree_index, [0] * field.n_places)
 
 
 def unit_log(field: NumberField, unit: FieldElement) -> FormElement:
@@ -370,9 +372,13 @@ def one_class(lattice: RegulatorLattice) -> PointClass:
 
 
 def point_class(lattice: RegulatorLattice, rank: int, cls, f: FormElement) -> PointClass:
-    t, _ = reduce_mod_lattice(lattice, f)
+    """The class (rank, cls, f mod the lattice).  rank and cls are read
+    before f is reduced, so an integer that is not one is refused
+    (ValidationError) before a reduction that more digits might mend."""
     (rank,) = _integers([rank], "the rank of a point class must be an integer")
-    return PointClass(rank, _reduce_cls(lattice.field.class_orders, cls), t)
+    cls = _reduce_cls(lattice.field.class_orders, cls)
+    t, _ = reduce_mod_lattice(lattice, f)
+    return PointClass(rank, cls, t)
 
 
 def class_add(x: PointClass, y: PointClass) -> PointClass:

@@ -698,8 +698,8 @@ def build_field(poly, digits: int, class_orders=()) -> NumberField:
     closed-form roots, with no product chain; every other p
     is evaluated by Horner.  Each class-group order is an integer of at
     least 1, checked with the other arguments before any root finding.
-    A coefficient or order is an integer when int() leaves it unchanged and
-    it is no boolean (_integers).
+    A coefficient, an order or digits is an integer when int() leaves it
+    unchanged and it is no boolean (_integers).
     """
     coeffs = _integers(poly, "defining polynomial must have integer coefficients")
     n = len(coeffs) - 1
@@ -709,6 +709,7 @@ def build_field(poly, digits: int, class_orders=()) -> NumberField:
         raise ValidationError(f"defining polynomial must have degree at most {DEGREE_MAX}")
     if coeffs[-1] != 1:
         raise ValidationError("defining polynomial must be monic")
+    (digits,) = _integers([digits], "digits must be positive")
     if digits < 1:
         raise ValidationError("digits must be positive")
     class_orders = _integers(class_orders, "class-group orders must be integers")

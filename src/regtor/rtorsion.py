@@ -571,7 +571,8 @@ def build_complex_over_r(field, lengths, diffs, grams, cohomology) -> MetrizedCo
     """Check a complex of free R-modules exactly and store it.
 
     At most COMPLEX_SIZE_MAX degrees, each of rank at most COMPLEX_SIZE_MAX;
-    the bound is checked before any ring element is built.  Then one pass
+    the bound is checked before any ring element is built.  Each length and
+    each free rank is an integer (numfield._integers).  Then one pass
     over the data, in the order it is read, checks every count and shape
     at_place will read: the differentials, each once, and degree by degree
     the size of its cochain Gram at every place, its representatives, once,
@@ -615,7 +616,7 @@ def build_complex_over_r(field, lengths, diffs, grams, cohomology) -> MetrizedCo
     for i, (n, spec) in enumerate(zip(lengths, cohomology)):
         if any(len(g) != n for g in gg[i]):
             raise ValidationError(f"cochain Gram {i} has the wrong size")
-        h = spec.free_rank
+        (h,) = _integers([spec.free_rank], f"the free rank at degree {i} must be an integer")
         if h < 0:
             raise ValidationError(f"the free rank at degree {i} is negative: {h}")
         if h and len(spec.free_grams) != field.n_places:
@@ -675,12 +676,15 @@ def at_place(cplx: MetrizedComplexOverR, place: int) -> MetrizedComplexAtPlace:
     kept factors, U_{i+1} d_i U_i^-1 (left to right) and U_i K_i, each
     mpmath's matrix product; K_i is n_i by 0 where the free rank is 0.
     Everything exact stays on the complex, which the place carries.  Each
-    call builds the place afresh; it raises only for a place index out of
-    range.  metrized_complex_at_place builds its one place here too.
+    call builds the place afresh; it raises only for a place index that is
+    no integer (numfield._integers) in range.  metrized_complex_at_place
+    builds its one place here too.
     """
     field = cplx.field
+    message = f"place {place!r} is not in 0..{field.n_places - 1}"
+    (place,) = _integers([place], message)
     if not 0 <= place < field.n_places:
-        raise ValidationError(f"place {place} is not in 0..{field.n_places - 1}")
+        raise ValidationError(message)
 
     def entry(x):
         return embed(field, x, place)

@@ -31,6 +31,7 @@ from regtor import (
     trivial_holonomy_coeff,
     u_coeff,
     x_space_dim,
+    zero_form,
 )
 from regtor import circlebundle, polylog, rtorsion
 from regtor.circlebundle import BOREL_INDEX_MAX
@@ -335,6 +336,10 @@ def _integer_calls():
     line = build_field((0, 1), 20)
     eye = [[int(i == j) for j in range(3)] for i in range(3)]
     reps = [[[x] for x in row] for row in eye]
+    # Z[zeta_11] has five places, so place 3 is one of them
+    places = build_field((1,) * 11, 20)
+    free = rtorsion.CohomologySpec(1, ([[1]],), ([[1]],) * 5)
+    point = rtorsion.build_complex_over_r(places, (1,), (), [[[[1]]] * 5], [free])
     return {
         "bernoulli": lambda v: polylog.bernoulli(v),
         "bernoulli_polynomial": lambda v: polylog.bernoulli_polynomial(v, Fraction(1, 3)),
@@ -352,8 +357,16 @@ def _integer_calls():
         "complex lengths": lambda v: rtorsion.build_complex_over_r(
             line, (v,), (), [[eye]], [rtorsion.CohomologySpec(3, reps, (eye,))]
         ),
+        "free rank": lambda v: rtorsion.build_complex_over_r(
+            line, (3,), (), [[eye]], [rtorsion.CohomologySpec(v, reps, (eye,))]
+        ),
+        "place": lambda v: rtorsion.at_place(point, v),
         "point class rank": lambda v: point_class(lattice, v, (), form),
         "class exponent": lambda v: point_class(lattice, 1, (v,), form),
+        "field digits": lambda v: build_field((-2, 0, 1), v),
+        "x_space_dim": lambda v: x_space_dim(field, v),
+        "make_form degree": lambda v: make_form(field, v, [1, -1]),
+        "zero_form degree": lambda v: zero_form(field, v),
     }
 
 
@@ -361,7 +374,8 @@ INTEGER_ARGUMENTS = (
     "bernoulli", "bernoulli_polynomial", "zeta_int", "hatcher_constant", "borel_dims",
     "make_cyclotomic_setup", "torsion_form_coeffs", "trivial_holonomy_coeff", "u_coeff",
     "regulator_identity_check", "normalization_factors", "convert", "beta_integral_check",
-    "complex lengths", "point class rank", "class exponent",
+    "complex lengths", "free rank", "place", "point class rank", "class exponent",
+    "field digits", "x_space_dim", "make_form degree", "zero_form degree",
 )
 
 
@@ -370,7 +384,9 @@ def test_integer_arguments_are_read_as_build_field_reads_them(name):
     # every integer argument goes through numfield._integers: 3.0 and
     # Fraction(3) are 3, bit for bit in every result, and 2.5, a boolean and
     # a string are refused, where bernoulli(2.5) gave B_2, zeta_int(3.5)
-    # raised a bare TypeError and make_cyclotomic_setup(7.9) built Z[zeta_7]
+    # raised a bare TypeError, make_cyclotomic_setup(7.9) built Z[zeta_7],
+    # build_field(p, 30.5) stored 30.5, x_space_dim(field, 2.5) was 0,
+    # make_form stored a degree of 0.5 and at_place(c, True) built place 1
     call = _integer_calls()[name]
     want = repr(call(3))
     for v in (3.0, Fraction(3)):

@@ -381,6 +381,9 @@ MALFORMED = [
     ["zhat", "--field", Z2, "--pres", '{"entries": [["2"]], "size": "x"}'],
     ["scale", "--field", Z2, "--point", '{"rank":"x","torus":{}}', "--lambdas", '["1","1"]'],
     ["scale", "--field", Z2, "--point", '{"rank":1,"cls":["x"],"torus":{}}', "--lambdas", '["1","1"]'],
+    # no digits mend a rank that is no integer, though its torus alone exits 3
+    ["scale", "--field", Z2, "--point", '{"rank":"x","torus":{"sigma_0":"1e60","sigma_1":"-1e60"}}',
+     "--lambdas", "[1,1]"],
     # json raises a plain ValueError past the int-string limit, and
     # RecursionError on deep nesting
     ["reduce", "--field", Z2, "--form", "[" + "1" * 5000 + ", 0]"],
@@ -455,9 +458,8 @@ def test_malformed_descriptor_files(capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv, descriptor",
     [
-        # integer fields refuse a decimal, even an integral one, and a boolean
+        # integer fields refuse a fraction and a boolean
         (["rtorsion", "--complex", _complex(lengths=[1.9, True])], None),
-        (["rtorsion", "--complex", _complex(lengths=[1.0, 1])], None),
         (["rtorsion", "--complex", _complex(cohomology=[{"free_rank": False}, {}])], None),
         (["zhat", "--pres", '{"entries": [["2"]], "size": 1.5}'], None),
         (["scale", "--point", '{"rank": true, "torus": {}}', "--lambdas", "[1, 1]"], None),
@@ -470,7 +472,7 @@ def test_malformed_descriptor_files(capsys, tmp_path):
         (["scale", "--point", '{"rank": 1, "torus": {}}', "--lambdas", "[Infinity, 2]"], None),
     ],
     ids=[
-        "lengths", "integral-length", "free_rank", "size", "rank", "descriptor-digits",
+        "lengths", "free_rank", "size", "rank", "descriptor-digits",
         "class-orders", "poly", "nan-form", "inf-string-form", "infinite-lambda",
     ],
 )
@@ -481,6 +483,53 @@ def test_numbers_that_are_not_what_they_stand_for_exit_2(capsys, tmp_path, argv,
         field.write_text(json.dumps(descriptor))
     code, out, err = run(capsys, *argv[:1], "--field", str(field), *argv[1:])
     assert code == 2 and out == "" and err.startswith("error: "), err
+
+
+def _free_complex(h):
+    # 0 -> R --0--> R -> 0, with a free cohomology class in each degree
+    spec = {"free_rank": h, "free_reps": [["1"]], "free_grams": [[[1]], [[1]]]}
+    return _complex(diffs=[[["0"]]], cohomology=[spec, spec])
+
+
+def _point(**fields):
+    point = json.dumps({"rank": 1, "torus": {}, **fields})
+    return ["scale", "--point", point, "--lambdas", "[1, 2]"]
+
+
+CLASS4 = {"poly": [-2, 0, 1], "units": [["1", "1"]], "class_group": {"orders": [4]}}
+
+# Each integer field: the arguments and descriptor (None for Z[sqrt 2]) that
+# carry n in it, and an n it is valid at.
+INTEGER_FIELDS = {
+    "lengths": (lambda n: (["rtorsion", "--complex", _complex(lengths=[n, 1])], None), 1),
+    "free_rank": (lambda n: (["rtorsion", "--complex", _free_complex(n)], None), 1),
+    "size": (lambda n: (["zhat", "--pres", json.dumps({"entries": [["2"]], "size": n})], None), 1),
+    "rank": (lambda n: (_point(rank=n), None), 2),
+    "cls": (lambda n: (_point(cls=[n]), CLASS4), 3),
+    "descriptor-digits": (lambda n: (["field-info"], {"poly": [-2, 0, 1], "digits": n}), 40),
+}
+
+
+@pytest.mark.parametrize("name", INTEGER_FIELDS)
+def test_integer_fields_read_as_the_library_reads_them(capsys, tmp_path, name):
+    # one integer rule, numfield._integers: n.0 is n, byte for byte on
+    # stdout, and the string "n" and n + 1/2 exit with 2
+    make, n = INTEGER_FIELDS[name]
+
+    def run_with(value):
+        argv, descriptor = make(value)
+        field = Z2
+        if descriptor is not None:
+            field = tmp_path / "field.json"
+            field.write_text(json.dumps(descriptor))
+        return run(capsys, *argv[:1], "--field", str(field), *argv[1:])
+
+    code, want, err = run_with(n)
+    assert code == 0 and want, err
+    assert run_with(float(n)) == (0, want, "")
+    for value in (str(n), n + 0.5):
+        code, out, err = run_with(value)
+        assert code == 2 and out == "" and err.startswith("error: "), (value, err)
 
 
 @pytest.mark.parametrize(
@@ -520,6 +569,9 @@ def test_reduce_exits_3_on_forms_it_cannot_reduce(capsys):
     for form in ('["1e400", "0"]', '["1e60", "-1e60"]', '["2e10", "-2e10"]'):
         code, out, err = run(capsys, "reduce", "--field", Z2, "--form", form)
         assert code == 3 and out == "" and "cancels more digits" in err, (form, err)
+    point = '{"rank": 1, "torus": {"sigma_0": "1e60", "sigma_1": "-1e60"}}'
+    code, out, err = run(capsys, "scale", "--field", Z2, "--point", point, "--lambdas", "[1,1]")
+    assert code == 3 and out == "" and "cancels more digits" in err, err
     d = run_json(capsys, "reduce", "--field", Z2, "--form", '["1e10", "-1e10"]')
     assert close(d["torus"]["sigma_0"], "0.057386093735614404049400402935952544328228553219684", "1e-48")
     d = run_json(capsys, "cycl", "--field", Z2, "--grams", "[[[1e400]], [[1]]]")

@@ -303,6 +303,19 @@ def test_reduce_refuses_a_vector_it_cannot_reduce():
     assert t.values == f.values
 
 
+@pytest.mark.parametrize(
+    "rank, cls", [("x", ()), (1.5, ()), (1, ("x",)), (1, (0.5,))],
+    ids=["rank-text", "rank-half", "cls-text", "cls-half"],
+)
+def test_point_class_reads_its_integers_before_it_reduces(rank, cls):
+    # no digits mend a rank or a class exponent that is no integer, so it is
+    # refused (exit 2) before a form that cannot be reduced (exit 3) is tried
+    field, _, lat = field_lattice("zsqrt2")
+    f = make_form(field, 0, ["1e60", "-1e60"])
+    with pytest.raises(ValidationError, match="integer"):
+        point_class(lat, rank, cls, f)
+
+
 @given(n=st.integers(min_value=-3, max_value=3), eps=small_ints)
 @settings(max_examples=20, deadline=None)
 def test_reduce_is_shift_invariant(n, eps):

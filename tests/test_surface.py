@@ -9,9 +9,9 @@ code-generation machinery of dataclasses (inspect, ast, dis, tokenize).
 Every logarithm goes through numfield.ln, the one logarithm of the
 precision policy, and every root of unity through numfield._root_of_unity.
 Every exact decision over K is numfield's.  The CLI decodes JSON in
-_json_arg alone and formats numbers in _text and _short alone.  No module
-keeps an import it does not use, or a private module-level name that
-nothing in the package refers to.
+_json_arg alone, converts no number itself, and formats numbers in _text
+and _short alone.  No module keeps an import it does not use, or a private
+module-level name that nothing in the package refers to.
 """
 
 import ast
@@ -215,6 +215,24 @@ def test_cli_converts_each_number_in_one_place():
             if name in ("nstr", "load", "loads"):
                 where.setdefault(name, set()).add(owner)
     assert where == {"nstr": {"_text", "_short"}, "loads": {"_json_arg"}}
+
+
+def test_cli_reads_no_number_itself():
+    # every number the CLI takes goes to the library's readers, so no
+    # function of cli.py converts one with int() or Fraction(), and only
+    # _json_arg, which decodes a JSON decimal, names parse_rational;
+    # argparse's type=int names int and calls nothing
+    calls, names = set(), set()
+    for top in ast.parse((SRC / "regtor" / "cli.py").read_text()).body:
+        if not isinstance(top, ast.FunctionDef):
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and _call_name(node) in ("int", "Fraction"):
+                calls.add((top.name, _call_name(node), node.lineno))
+            if getattr(node, "id", getattr(node, "attr", None)) == "parse_rational":
+                names.add(top.name)
+    assert not calls, calls
+    assert names == {"_json_arg"}, names
 
 
 EXACT_KIT = {
