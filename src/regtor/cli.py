@@ -228,13 +228,13 @@ def _flag_read(flag, read, *args):
 
 
 def _theta_from_args(args, digits):
+    if (args.theta is None) == (args.theta_over_2pi is None):
+        raise ValidationError("give the angle as one of --theta and --theta-over-2pi")
     with mp.workdps(digits + GUARD):
-        if args.theta_over_2pi is not None:
-            q, _ = _flag_read("--theta-over-2pi", to_exact, args.theta_over_2pi)
-            return 2 * mp.pi * q.numerator / q.denominator
         if args.theta is not None:
             return _flag_read("--theta", to_mp, args.theta)
-    raise ValidationError("give the angle as --theta or --theta-over-2pi")
+        q, _ = _flag_read("--theta-over-2pi", to_exact, args.theta_over_2pi)
+        return 2 * mp.pi * q.numerator / q.denominator
 
 
 def cmd_field_info(args, ctx):

@@ -19,10 +19,10 @@ R. E. Crandall, "Note on fast polylogarithm computation", 2006).  Below
 2pi/3 it is the logarithmic series about mu = i theta, and from 2pi/3 on the
 series about pi in w = -i phi, phi = pi - theta, which Li_n(-e^w) =
 -sum_k eta(n-k) w^k / k! makes analytic there.  Each is split in two.  The
-head, k = 0..n, is real up to powers of i; it is summed in mpmath
-arithmetic from t^k / k! (t = theta or phi) and zeta(2) .. zeta(hi), all
-computed once per call.  About 0 it also takes ln theta and a running
-harmonic number; about pi the coefficients are
+head, k = 0..n, is real up to powers of i; it is summed in the tail's fixed
+point (below) from t^k / k! (t = theta or phi) and zeta(2) .. zeta(hi), all
+computed once per call.  About 0 it also takes ln theta and the harmonic
+number H_{n-1}; about pi the coefficients are
 eta(s) = (1 - 2^(1-s)) zeta(s), one shift-subtract on each table value,
 eta(1) = ln 2 and eta(0) = 1/2, and it takes no logarithm.  The tail holds
 only the terms k = n-1+2m, m >= 1, because zeta vanishes at the negative
@@ -65,14 +65,40 @@ floors of m log2(1/y) are decided in floats; an error there can lower a
 p_m by one bit and double that step's share, still far inside the 20 bits
 by which wz exceeds the working precision.
 
-The factor t^{n-1} stays outside the fixed point and multiplies the sum
-per order.  About 0 it reaches (2pi/3)^99, about 2^106, while the tail
-terms of high orders are tiny, so the fixed point carries
-ceil((hi-1) log2 t) guard bits above wz = mp.prec + 20: wp = wz + guard;
-about pi, t <= pi/3 needs at most 7.  Both are decided in floats.  Without
-that guard, with the series about 0 alone, Li_2 .. Li_100 at theta = pi
-and 1000 digits were off by up to 1.2e-965, 45 digits short of the
-working precision.
+The factor t^{n-1} stays outside the tail's sum and multiplies it per
+order.  About 0 it reaches (2pi/3)^99, about 2^106, while the tail terms of
+high orders are tiny, so the fixed point carries ceil((hi-1) log2 t) guard
+bits above wz = mp.prec + 20: wp = wz + guard; about pi, t <= pi/3 needs
+at most 7.  Below t = 1 the guard is ceil(log2(1/t)) instead, so that the
+imaginary part, of order t, keeps wz bits of its own.  Both are decided in
+floats.  Without the first guard, with the series about 0 alone, Li_2 ..
+Li_100 at theta = pi and 1000 digits were off by up to 1.2e-965, 45 digits
+short of the working precision.
+
+The head is summed in the same fixed point, with no mpf arithmetic but the
+reads of ln t, ln 2 and pi / 2 at the working precision, each shifted to
+wp bits (R. P. Brent and P. Zimmermann, Modern Computer Arithmetic, 2010,
+section 4.4).  T = floor(t 2^wp) is taken once.  t^k 2^wp is a running
+power, one long product by T and one floor per k, and t^k / k! 2^wp is that
+power floored once by k!.  zeta(s) is its table entry read at wz bits and
+shifted left, and eta(s) one shift-subtract more; H_{n-1} is an exact
+Fraction, floored once at wp bits.  Each order's four quarters, the real
+coefficients of 1, i, -1 and -i, are exact sums of products of two wp-bit
+integers, t^{n-1} times the tail's sum among them, and its real and
+imaginary parts are each rounded once to the working precision.  The
+error, in units of 2^-wp: T errs by less than one unit, so the running
+power errs by e_k <= t e_{k-1} + t^{k-1} + 1, less than
+2k max(1, t)^{k-1}, and with t <= 2pi/3 the division by k! leaves t^k / k!
+within 2 t^{k-1} / (k-1)! + 1 < 6 units.  An order's head takes n - 1 of
+these times zeta or eta values below 2, the last two times factors below 7
+(|H_{n-1} - ln t|, pi/2, ln 2 or 1/2, where t >= 1/2), and one floor for
+each eta and for H_{n-1}: less than 12n + 100 units in all, below 2^11 at
+n = 100, far inside the 20 bits by which wz exceeds the working precision.
+Where t > 1 the power t^{n-1} errs by less than 2(n-1) 2^guard units,
+which the tail's sum, below 1/10, turns into less than n units of 2^-wz.
+Below t = 1 every one of these errors is absolute, against an imaginary
+part of order t, and the guard of ceil(log2(1/t)) bits keeps it relative
+to that part.
 
 The coefficients 2 zeta(2m) depend on neither the angle nor the order.  One
 table for the module holds them as integers 2 zeta(2m) 2^prec, at the
@@ -80,9 +106,10 @@ highest working precision requested so far.  Every call reads it at wz bits,
 whatever its guard, so a batched call raises the table's precision no more
 than a single order at the same digits.  A lower precision reads it shifted
 right, a higher one rebuilds it, and a call extends it only as far as its
-own terms need.  The even values zeta(2) .. zeta(hi) of the head come from
-the same table.  Up to 2m = prec/6 an entry comes from the exact tangent
-numbers T_m (tan x = sum T_m x^{2m-1} / (2m-1)!) through
+own terms need.  The even values zeta(2) .. zeta(hi) of the head, and
+zeta_int, read the same table through one integer reader, _table_zeta.
+Up to 2m = prec/6 an entry comes from the exact tangent numbers T_m
+(tan x = sum T_m x^{2m-1} / (2m-1)!) through
 
     2 zeta(2m) = T_m pi^{2m} / ((4^m - 1) (2m-1)!).
 
@@ -139,11 +166,11 @@ from .numfield import DEFAULT_DIGITS, GUARD, _integers, ln, to_mp
 # Largest polylogarithm order served.  It also bounds the circle-bundle
 # orders, jmax + 1 and j + 1, and the same j in normalize and beta-check
 # (_check_j).  At 1000 digits on one core of a 2-core x86 machine with
-# mpmath's pure-Python backend, a cold Li_100 at theta = pi takes 0.06-0.07 s
-# in process (0.16-0.17 s as a CLI process), nearly all of it the one pass
+# mpmath's pure-Python backend, a cold Li_100 at theta = pi takes 0.07 s
+# in process (0.18-0.20 s as a CLI process), nearly all of it the one pass
 # that fills the odd zeta(3)..zeta(99) of the head: at pi the series about
 # pi has no tail, and the zeta(2m) table is filled to m = 50 in about 1 ms.
-# circle-torsion --r 61 --jmax 99 takes 3.5-4.0 s as a CLI process.
+# circle-torsion --r 61 --jmax 99 takes 3.6-4.4 s as a CLI process.
 ORDER_MAX = 100
 
 # Largest Bernoulli index served; mp.bernfrac(10_000) takes about 0.5 s on
@@ -197,7 +224,8 @@ def zeta_int(s: int, digits: int = DEFAULT_DIGITS) -> mpf:
     with mp.workdps(digits + GUARD):
         if s > ORDER_MAX:
             return mp.zeta(s)
-        return _table_zeta(s, mp.prec + 20)
+        wz = mp.prec + 20
+        return mpf((_table_zeta(s, wz, wz + 1), -wz - 1))
 
 
 def _tangent_numbers(n: int) -> list:
@@ -297,16 +325,13 @@ _EVEN_ZETA = _EvenZetaTable()
 _ODD_ZETA = _OddZetaTable()
 
 
-def _table_zeta(s: int, wz: int, eta: bool = False) -> mpf:
-    """zeta(s), or eta(s) = (1 - 2^(1-s)) zeta(s) when eta, for
-    2 <= s <= ORDER_MAX at the working precision, from the table of its
-    parity read at wz bits."""
-    table, scale = (_ODD_ZETA, wz) if s % 2 else (_EVEN_ZETA, wz + 1)
+def _table_zeta(s: int, wz: int, bits: int) -> int:
+    """zeta(s) 2^bits for 2 <= s <= ORDER_MAX and bits >= wz: the table of
+    its parity read at wz bits and shifted left, exactly, but for the halving
+    of an even entry 2 zeta(s), which floors once when bits = wz."""
+    table = _ODD_ZETA if s % 2 else _EVEN_ZETA
     values, shift = table.read(s // 2, wz)
-    v = values[s // 2] >> shift
-    if eta:
-        v -= v >> (s - 1)
-    return mp.ldexp(mpf(v), -scale)
+    return values[s // 2] >> shift << bits - wz >> 1 - s % 2
 
 
 def _log2(v) -> float:
@@ -318,17 +343,20 @@ def _log2(v) -> float:
 def _series_orders(lo: int, hi: int, th) -> list:
     """Li_lo .. Li_hi at e^{i th} for 2 <= lo <= hi and th in (0, pi], at the
     working precision: the series about 0 below th = 2pi/3, the series about
-    pi from there on."""
+    pi from there on.  Head and tail are summed in one fixed point of wp
+    bits, and each order's real and imaginary parts are rounded once; the
+    module docstring derives the guard bits and the error."""
     # t = th about 0, t = phi = pi - th about pi (exact: th >= pi/2); the tail
     # runs in u = x = th / 2pi or u = 1 - 2x = phi / pi, at most 1/3 either way.
     near_pi = 3 * th >= 2 * mp.pi
     t = mp.pi - th if near_pi else th
     u = t / mp.pi if near_pi else th / (2 * mp.pi)
-    # Tail: fixed point at wp bits, whose guard bits absorb the factor t^{n-1}
-    # multiplied back per order.  The zeta table is read at wz bits, whatever
-    # the guard.
+    # Fixed point at wp bits, whose guard bits absorb the factor t^{n-1}
+    # multiplied back per order, or below t = 1 keep the imaginary part, of
+    # order t, to wz bits.  The zeta tables are read at wz bits, whatever the guard.
     wz = mp.prec + 20
-    wp = wz + (ceil((hi - 1) * _log2(t)) if t > 1 else 0)
+    log2_t = _log2(t) if t else 0
+    wp = wz + ceil((hi - 1) * log2_t if log2_t > 0 else -log2_t)
     # Term m is below u^{2m} 2^wp, so it vanishes once 2m log2(1/u) > wp; at
     # th = pi, u = 0 leaves no tail.
     m_max = int(wp / (-2 * _log2(u))) + 2 if u else 0
@@ -377,40 +405,46 @@ def _series_orders(lo: int, hi: int, th) -> list:
             term = (y >> cut) * term >> (wz - cut)
             term = term * (2 * m * (2 * m + 1)) // ((2 * m + lo) * (2 * m + lo + 1))
 
-    # Head: t^k / k! and zeta(2) .. zeta(hi), or eta(2) .. eta(hi), from the
-    # tables, once for all orders.  The first read of the odd table fills
-    # zeta(3) .. zeta(hi) in one Borwein pass.
-    powers = [mpf(1)]
+    # Head, in the same fixed point: tp[k] = t^k 2^wp by one long product per
+    # k from tt = floor(t 2^wp), and pk[k] = t^k / k! 2^wp by one division of it.
+    # The first read of the odd table fills zeta(3) .. zeta(hi) in one
+    # Borwein pass; about pi, -eta(s) = (2^(1-s) - 1) zeta(s).
+    tt = int(mp.ldexp(t, wp))
+    tp, pk, fact = [1 << wp], [1 << wp], 1
     for k in range(1, hi + 1):
-        powers.append(powers[-1] * t / k)
+        fact *= k
+        tp.append(tp[-1] * tt >> wp)
+        pk.append(tp[-1] // fact)
     _ODD_ZETA.read((hi - 1) // 2, wz)
-    zetas = [_table_zeta(s, wz, near_pi) for s in range(2, hi + 1)]
-    head = [None, None] + ([-v for v in zetas] if near_pi else zetas)
-    if not near_pi:
-        log_t = ln(t)
-        half_pi = mp.pi / 2
-        harmonic = sum(mpf(1) / m for m in range(1, lo - 1))
+    zetas = [_table_zeta(s, wz, wp) for s in range(2, hi + 1)]
+    head = [0, 0] + ([(v >> s - 1) - v for s, v in enumerate(zetas, 2)] if near_pi else zetas)
+    if near_pi:
+        ln2 = int(mp.ldexp(mp.ln2, wp))
+    else:
+        log_t = int(mp.ldexp(ln(t), wp))
+        half_pi = int(mp.ldexp(mp.pi, wp - 1))
+        harmonic = sum(Fraction(1, m) for m in range(1, lo - 1))
 
     out = []
-    t_pow = t ** (lo - 1)
     for n in range(lo, hi + 1):
         if n > lo:
             c = [cm // (2 * m + n - 1) for m, cm in enumerate(c, 1)]
-            t_pow *= t
-        # quarter[q] collects the real coefficients of i^q.
-        quarter = [mp.fdot((head[n - k], powers[k]) for k in range(q, n - 1, 4)) for q in range(4)]
-        tail = t_pow * mp.ldexp(mpf(sum(c)), -wp)
+        # quarter[q] collects the real coefficients of i^q at 2wp bits.
+        terms = [head[n - k] * pk[k] for k in range(n - 1)]
+        quarter = [sum(terms[q::4]) for q in range(4)]
+        quarter[(n - 1) % 4] += tp[n - 1] * sum(c)
         if near_pi:
             # -eta(1) = -ln 2 at k = n-1 and -eta(0) = -1/2 at k = n.
-            quarter[(n - 1) % 4] += tail - powers[n - 1] * mp.ln2
-            quarter[n % 4] -= powers[n] / 2
+            quarter[(n - 1) % 4] -= pk[n - 1] * ln2
+            quarter[n % 4] -= pk[n] << wp - 1
         else:
-            harmonic += mpf(1) / (n - 1)
-            quarter[(n - 1) % 4] += powers[n - 1] * (harmonic - log_t) + tail
-            quarter[n % 4] += powers[n - 1] * half_pi - powers[n] / 2
-        li = mpc(quarter[0] - quarter[2], quarter[1] - quarter[3])
+            harmonic += Fraction(1, n - 1)
+            h = (harmonic.numerator << wp) // harmonic.denominator
+            quarter[(n - 1) % 4] += pk[n - 1] * (h - log_t)
+            quarter[n % 4] += pk[n - 1] * half_pi - (pk[n] << wp - 1)
+        re, im = quarter[0] - quarter[2], quarter[1] - quarter[3]
         # About pi the sum is Li_n(-e^{i phi}), the conjugate of Li_n(e^{i th}).
-        out.append(mp.conj(li) if near_pi else li)
+        out.append(mpc(mpf((re, -2 * wp)), mpf((-im if near_pi else im, -2 * wp))))
     return out
 
 

@@ -589,9 +589,10 @@ def build_complex_over_r(field, lengths, diffs, grams, cohomology) -> MetrizedCo
     once per complex, and a delta_i that vanishes at any place is refused.
     Last, place by place, every cochain and then every free cohomology Gram
     is factored once, exactly, by flatmodel.gram_ldl, which refuses one
-    that is not square, Hermitian and positive definite.  So a complex
-    that builds has every place well defined, and its exact tau at each
-    place is read from deltas and factors with no place built.
+    that is not square, Hermitian and positive definite; one Gram object
+    given at several places or degrees is read and factored once.  So a
+    complex that builds has every place well defined, and its exact tau at
+    each place is read from deltas and factors with no place built.
     """
     lengths = _integers(lengths, "the lengths of a complex must be integers")
     nd = len(lengths)
@@ -654,12 +655,19 @@ def build_complex_over_r(field, lengths, diffs, grams, cohomology) -> MetrizedCo
                     f"but the kernel has dimension {h}"
                 )
     deltas = _basis_determinants(field, lengths, dd, specs, pivots)
-    digits = field.digits
+    # keyed by identity, so that no Gram is read twice to make its key
+    memo = {}
+
+    def factor(g):
+        if id(g) not in memo:
+            memo[id(g)] = gram_ldl(g, field.digits)
+        return memo[id(g)]
+
     factors = []
     for k in range(field.n_places):
         # the cochain Grams, then the free ones; det H_i = 1 where the free rank is 0
-        cochain = tuple(gram_ldl(g[k], digits) for g in gg)
-        free = [gram_ldl(s.free_grams[k], digits)[0] if s.free_rank else Fraction(1) for s in specs]
+        cochain = tuple(factor(g[k]) for g in gg)
+        free = [factor(s.free_grams[k])[0] if s.free_rank else Fraction(1) for s in specs]
         factors.append((cochain, tuple(free)))
     return MetrizedComplexOverR(field, lengths, dd, gg, tuple(specs), deltas, tuple(factors))
 

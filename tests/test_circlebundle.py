@@ -258,6 +258,22 @@ def test_cheeger_muller_reads_the_exact_tau_over_its_own_ring(monkeypatch, r, di
             assert abs(lntau - want) < mp.mpf(10) ** -digits
 
 
+def test_cheeger_muller_factors_its_one_gram_once(monkeypatch):
+    # the complex passes the same [[1]] at every place and degree, so its
+    # build reads and factors one Gram, not 2 n_places of them
+    setup = make_cyclotomic_setup(31, 50)
+    calls, ldl = [], rtorsion.gram_ldl
+
+    def counting(rows, digits):
+        calls.append(rows)
+        return ldl(rows, digits)
+
+    monkeypatch.setattr(rtorsion, "gram_ldl", counting)
+    rows = cheeger_muller_check(setup)
+    assert calls == [[[1]]]
+    assert sorted(rows) == list(range(15))
+
+
 def test_borel_dimension_tables():
     z = build_field([0, 1], 30)
     sq2 = build_field([-2, 0, 1], 30)

@@ -424,6 +424,9 @@ def test_validation_exit_codes(capsys):
     assert code == 2
     code, _, err = run(capsys, "polylog", "--n", "2", "--theta", "0")
     assert code == 2
+    # both angles given: neither is dropped in silence
+    code, out, err = run(capsys, "polylog", "--n", "2", "--theta", "1", "--theta-over-2pi", "1/3")
+    assert (code, out, err) == (2, "", "error: give the angle as one of --theta and --theta-over-2pi\n")
     code, _, err = run(capsys, "cheeger-muller", "--r", "4")
     assert code == 2
     for argv in MALFORMED:

@@ -154,21 +154,27 @@ def test_zeta_int_rejects_small_arguments():
 
 
 def test_polylog_circle_against_mpmath():
+    # with the angles 2 pi k / r, r = 31, 23 and 11, of the 50-digit circle
+    # ladders; each order alone and from a batch
     with mp.workdps(70):
-        for n in range(1, 7):
-            for th in (mp.mpf("0.7"), 2 * mp.pi / 3, mp.pi, mp.mpf("4.2"), mp.mpf("6.0")):
-                got = polylog_circle(n, th, 50)
+        angles = [mp.mpf("0.7"), 2 * mp.pi / 3, mp.pi, mp.mpf("4.2"), mp.mpf("6.0")]
+        angles += [2 * mp.pi * k / r for r in (31, 23, 11) for k in range(1, r)]
+        for th in angles:
+            batch = polylog_orders(1, 6, th, 50)
+            for n in range(1, 7):
                 want = mp.polylog(n, mp.expj(th))
-                assert abs(got - want) < mp.mpf(10) ** -45, (n, th)
+                for got in (polylog_circle(n, th, 50), batch[n - 1]):
+                    assert abs(got - want) < mp.mpf(10) ** -45, (n, th)
 
 
 def test_polylog_circle_high_precision_against_mpmath():
     with mp.workdps(310):
-        for n in range(2, 6):
-            for th in (2 * mp.pi / 7, mp.mpf("2.5"), mp.mpf("5.1")):
-                got = polylog_circle(n, th, 300)
+        for th in (2 * mp.pi / 7, 2 * mp.pi / 3, mp.mpf("2.5"), mp.mpf("5.1")):
+            batch = polylog_orders(2, 5, th, 300)
+            for n in range(2, 6):
                 want = mp.polylog(n, mp.expj(th))
-                assert abs(got - want) < mp.mpf(10) ** -295, (n, th)
+                for got in (polylog_circle(n, th, 300), batch[n - 2]):
+                    assert abs(got - want) < mp.mpf(10) ** -295, (n, th)
 
 
 def test_polylog_circle_at_minus_one_thousand_digits():
@@ -605,6 +611,24 @@ def test_polylog_order_one_closed_form_at_the_extremes(digits):
             a = polylog_circle(1, th, digits)
             b = polylog_circle(1, 2 * mp.pi - th, digits)
             assert abs(a - mp.conj(b)) < tol, th
+
+
+@pytest.mark.parametrize("digits", (50, 300))
+def test_polylog_imaginary_part_next_to_zero_keeps_its_digits(digits):
+    # Im Li_n(e^{i theta}), sum sin(k theta) / k^n, is of order theta: the
+    # fixed point carries log2(1/theta) more bits, so at theta = 10^-40 each
+    # order, alone and in a batch, keeps the working precision relative to
+    # its imaginary part, as the real part keeps it.  mp.polylog loses about
+    # 40 digits next to z = 1, so it runs at 60 more.
+    with mp.workdps(digits + GUARD):
+        th = mp.mpf(10) ** -40
+    batch = polylog_orders(2, 5, th, digits)
+    with mp.workdps(digits + 60):
+        for n in range(2, 6):
+            want = mp.polylog(n, mp.expj(th))
+            for got in (polylog_circle(n, th, digits), batch[n - 2]):
+                assert abs(got.imag - want.imag) < abs(want.imag) * mp.mpf(10) ** -(digits + 5), n
+                assert abs(got.real - want.real) < mp.mpf(10) ** -(digits + 5), n
 
 
 def test_polylog_circle_order_bound():

@@ -8,7 +8,8 @@ Each CLI call is a fresh process, so importing regtor.cli must not load the
 code-generation machinery of dataclasses (inspect, ast, dis, tokenize).
 Every logarithm goes through numfield.ln, the one logarithm of the
 precision policy, and every root of unity through numfield._root_of_unity.
-Every exact decision over K is numfield's.  The CLI decodes JSON in
+The polylogarithm series takes no mpmath dot product.  Every exact
+decision over K is numfield's.  The CLI decodes JSON in
 _json_arg alone, converts no number itself, and formats numbers in _text
 and _short alone.  No module keeps an import it does not use, or a private
 module-level name that nothing in the package refers to.
@@ -150,6 +151,13 @@ def test_only_zeta_int_calls_mp_zeta():
     # serves zeta_int above them and nothing else
     found = _functions_naming({"zeta"})
     assert found == {("polylog.py", "zeta_int")}, found
+
+
+def test_polylog_takes_no_mpmath_dot_product():
+    # head and tail of the polylogarithm series are summed in fixed-point
+    # integers, and each order's parts are rounded once
+    found = _functions_naming({"fdot"})
+    assert not {module for module, _ in found} & {"polylog.py"}, found
 
 
 def test_only_the_root_helper_calls_mp_expjpi():
