@@ -12,8 +12,8 @@ the competing normalizations of the Kamber-Tondeur forms, and the Hatcher
 constants a_k kappa_k zeta(2k+1).
 
 The coefficients, u_j, the regulator identity and the Cheeger-Mueller check
-read the same values Li_n(sigma(xi)); a CyclotomicSetup keeps those whose
-bits do not depend on the call that made them, so each is evaluated once per
+read the same values Li_n(sigma(xi)), each correctly rounded by polylog; a
+CyclotomicSetup keeps every one of them, so each is evaluated once per
 setup.
 """
 
@@ -59,13 +59,14 @@ class CyclotomicSetup(Record):
     imaginary part, the arguments land in (0, pi).
 
     _memo, a fresh dict per object outside the constructor, repr and
-    equality, maps (k, n) to Li_n at the k-th place with the bits of
-    polylog_circle(n, thetas[k], digits), so a session that reads several
-    invariants of one setup evaluates each value once: at most ORDER_MAX
-    values per place.  Li_1 of a batched polylog_orders pass is that same
-    closed form and is kept.  Its orders >= 2 are not, because their guard
-    bits depend on the highest order of the pass, and a value read back
-    would then depend on which call ran first.
+    equality, maps (k, n) to Li_n at the k-th place, at most ORDER_MAX
+    values per place, so a session that reads several invariants of one
+    setup evaluates each value once.  polylog rounds every part of every
+    order correctly to the working precision, so a value has the same bits
+    whether a single order or a batched pass computed it, and the setup
+    keeps every order any pass computes: what u_coeff and
+    regulator_identity_check read is what torsion_form_coeffs evaluated,
+    whichever call ran first.
     """
 
     _fields = ("r", "field", "thetas")
@@ -110,7 +111,9 @@ def _r_j(z, j: int):
 
 
 def _li(setup: CyclotomicSetup, k: int, n: int):
-    """polylog_circle(n, thetas[k]) at the setup's digits, evaluated once per setup."""
+    """Li_n at the k-th place, polylog_circle(n, thetas[k]) at the setup's
+    digits, evaluated once per setup unless a torsion_form_coeffs pass has
+    left it there already."""
     key = (k, n)
     if key not in setup._memo:
         setup._memo[key] = polylog_circle(n, setup.thetas[k], setup.field.digits)
@@ -123,19 +126,27 @@ def torsion_form_coeffs(setup: CyclotomicSetup, jmax: int) -> dict:
     The prefactor times _r_j(Li_{j+1}, j): (-1)^(j/2) Re Li_{j+1} for even
     j, (-1)^((j-1)/2) Im Li_{j+1} for odd j; at j = 0 this reduces to
     -ln|1 - sigma(xi)|.
-    Li_1 is read through _li, kept in the setup as every reader keeps it,
-    and Li_2 .. Li_{jmax+1} come from one polylog_orders pass per place.
+    Li_1 is read through _li, and the orders 2 .. jmax+1 that the setup
+    does not hold yet come from one polylog_orders pass per place, from the
+    lowest missing order to the highest; the pass stores every order it
+    computes in the setup, where u_coeff and regulator_identity_check read
+    them.  A place whose orders are all there takes no pass.
     0 <= jmax < ORDER_MAX.
     """
     jmax = _check_j(jmax, 0, "jmax must lie")
     digits = setup.field.digits
+    memo = setup._memo
     out = {}
     with mp.workdps(digits + GUARD):
         prefs = [_prefactor(j) for j in range(jmax + 1)]
         for k, th in enumerate(setup.thetas):
-            lis = [_li(setup, k, 1)] + (polylog_orders(2, jmax + 1, th, digits) if jmax else [])
-            for j, (pref, li) in enumerate(zip(prefs, lis)):
-                out[(k, j)] = +(pref * _r_j(li, j))
+            _li(setup, k, 1)
+            missing = [n for n in range(2, jmax + 2) if (k, n) not in memo]
+            if missing:
+                lis = polylog_orders(missing[0], missing[-1], th, digits)
+                memo.update(((k, n), li) for n, li in enumerate(lis, missing[0]))
+            for j, pref in enumerate(prefs):
+                out[(k, j)] = +(pref * _r_j(memo[(k, j + 1)], j))
     return out
 
 
@@ -167,8 +178,9 @@ def _u_value(j: int, pref, li, zv):
 def u_coeff(setup: CyclotomicSetup, j: int) -> dict:
     """The constants u_j(sigma): prefactor times Im Li_{j+1}(sigma(xi)) for
     odd j, prefactor times (Re Li_{j+1}(sigma(xi)) - zeta(j+1)) for even j,
-    for 1 <= j < ORDER_MAX.  Li_{j+1} is the single-order value, evaluated
-    once per place and setup and shared with regulator_identity_check."""
+    for 1 <= j < ORDER_MAX.  Li_{j+1} is read from the setup (_li), where an
+    earlier torsion_form_coeffs pass or regulator_identity_check may have
+    left it."""
     j = _check_j(j, 1, "u_j is defined for j")
     digits = setup.field.digits
     out = {}
@@ -188,9 +200,8 @@ def regulator_identity_check(setup: CyclotomicSetup, j: int) -> dict:
     (-1)^j (2j+1)!/j!, and divides by (2pi i)^j, which is
     (-1)^j (2j+1)!/j! _r_j(z, j) / (2 pi)^j for that difference z; rhs is
     (-1)^j j! 2^(2j) u_j(sigma).  The ratio is the sign left over after the
-    prefactors cancel.  Both sides come from one evaluation of Li_{j+1} per
-    place, the single-order value shared with u_coeff through the setup;
-    1 <= j < ORDER_MAX.
+    prefactors cancel.  Both sides come from one value of Li_{j+1} per
+    place, read from the setup (_li) as u_coeff reads it; 1 <= j < ORDER_MAX.
     """
     j = _check_j(j, 1, "the identity is checked for j")
     digits = setup.field.digits

@@ -6,12 +6,20 @@ the module's zeta tables below, and above ORDER_MAX it is mpmath's zeta.
 polylog_orders evaluates Li_lo(e^{i theta}) .. Li_hi(e^{i theta})
 for integers 1 <= lo <= hi <= ORDER_MAX and theta in (0, 2pi) in one pass;
 polylog_circle is its single-order case lo = hi = n, so every order goes
-through one code path.
+through one code path.  Each real and imaginary part of an order >= 2, and
+the imaginary part of order 1, is correctly rounded to the working
+precision: it is a function of (n, theta, digits) alone, whether a batch
+or a single order computed it, and whatever precision the zeta tables had
+reached (below).
 
-Order 1 is the real closed form
+Order 1 is the closed form
 Li_1(e^{i theta}) = -ln(2 sin(theta/2)) + i (pi - theta)/2 on (0, 2pi): one
 real sine and one real logarithm, exact at theta = pi and accurate to the
-last digit near theta = 0 and 2pi, where 1 - e^{i theta} cancels.
+last digit near theta = 0 and 2pi, where 1 - e^{i theta} cancels.  Its
+imaginary part is the reduced angle of the series below, halved, and
+correctly rounded; its real part is rounded after the sine and the
+logarithm, each at the working precision, and is not certified: near
+theta = pi/3, where it vanishes, its last digits can be wrong.
 
 For n >= 2, theta is folded into (0, pi] and expanded about the nearer of 0
 and pi (L. Lewin, Polylogarithms and Associated Functions, 1981, ch. 7;
@@ -40,70 +48,112 @@ angle: every term after the first wp / (2 log2(1/u)) <= wp / (2 log2 3)
 is below 2^-wp, and the number of terms m_max is known before the sum
 starts.  About 0 alone u would reach 1/2 next to pi, and m_max wp / 2.
 
-The tail is summed in fixed-point Python integers at wp bits.  A batch
-builds c_m = 2 zeta(2m) u^{2m} (2m-1)! / (2m+lo-1)! (2 lambda(2m) about pi)
-once, with a running term and no factorial, and each later order divides
-every c_m by the small integer 2m+n-1, so no order after the first takes a
-product of two long integers.  A call evaluates no order below lo.  A
-single order n, every polylog_circle call, sums
+The argument is reduced once, in integers.  With phi = min(theta,
+2pi - theta), conjugated back when theta > pi, t = phi about 0 and
+t = pi - phi about pi, so t = j pi + s theta with j in {0, 2, 1, -1} and
+s = +-1.  T = j Pi + s floor(theta 2^wp) is t 2^wp, with Pi = pi 2^wp read
+from mpmath's fixed-point pi at wp + 2 bits, within 1.5 units; theta 2^wp
+is an integer whenever j != 0 (theta >= 2pi/3), so T is within 3 units of
+2^-wp, and close to pi it keeps t to wz bits of its own.  The branch is
+decided from T at wz bits, with 2^(4 - prec) to spare on the side of the
+series about pi, which takes no logarithm: either series converges there.
+theta equal to pi at the working precision is pi: T = 0, every imaginary
+part is exactly 0 and the real part is -eta(n).  u = t / 2pi or t / pi is
+floor(T 2^wp / D), D = 2 Pi or Pi, within 2.2 units.
+
+The tail is summed in fixed-point Python integers at top = wp + extra
+bits.  A batch builds c_m = 2 zeta(2m) u^{2m} (2m-1)! / (2m+lo-1)!
+(2 lambda(2m) about pi) once, with a running term and no factorial, and
+each later order divides every c_m by the small integer 2m+n-1, so no order
+after the first takes a product of two long integers.  A call evaluates no
+order below lo.  A single order n, every polylog_circle call, sums
 sum_m a_m y^m, a_m = 2 zeta(2m) / P(m) and P(m) = (2m)(2m+1)...(2m+n-1),
 by Horner's scheme in y = u^2 from m_max down:
 acc_m = a_m + y acc_{m+1}, and the tail is y acc_1.  P(m) is updated by
 small factors from one m to the next.  Since y^m multiplies acc_m, acc_m
-is kept to p_m = top - floor(m log2(1/y)) bits only, top = wp + guard, so
-each step takes one long product, y cut to p_m bits times acc_{m+1}, of
-length falling with m; the batch takes two per term, the table entry and
-u^2 times the running term.  The guard: at step m the table entry cut to
-p_m bits, the division by P(m) and the shift of the product floor once
-each (an entry read above wz bits is shifted left, exactly), and cutting
-y to p_m bits errs by less than 2^-p_m times acc_{m+1} < 1
-(a_m <= 2 zeta(2) / 6 and y <= 1/9), so acc_m gains less than 4 units of
-2^-p_m, which y^m turns into less than 4 units of 2^-top.  Over m_max
-steps, and the last product by y, that is less than 4 m_max + 1 units of
-2^-top, below one unit of 2^-wp with guard = bitlength(m_max) + 2.  The
-floors of m log2(1/y) are decided in floats; an error there can lower a
-p_m by one bit and double that step's share, still far inside the 20 bits
-by which wz exceeds the working precision.
+is kept to p_m = top - floor(m log2(1/y)) bits only, so each step takes
+one long product, y cut to p_m bits times acc_{m+1}, of length falling
+with m; the batch takes two per term, the table entry and u^2 times the
+running term.  The floors: in Horner's scheme, the table entry cut to p_m
+bits, the division by P(m) and the shift of the product floor once each
+(an entry read above wz bits is shifted left, exactly), and cutting y to
+p_m bits errs by less than 2^-p_m times acc_{m+1} < 1 (a_m <= 2 zeta(2) / 6
+and y <= 1/9), so acc_m gains less than 4 units of 2^-p_m, which y^m turns
+into less than 4 units of 2^-top; the floors of m log2(1/y) are decided in
+floats, and an error there can lower a p_m by one bit and double that
+step's share.  In the batch, the running term errs by less than 2.3 units
+of 2^-top (one floor per step, shrinking by y), each c_m by less than 9,
+and a division by 2m+n-1 >= 3 takes an error e to less than e/3 + 1, so no
+c_m errs by more than 9 at any order.  Either way the floors stay below
+9 (m_max + 1) units of 2^-top, and extra = bitlength(9 m_max + 9) bits
+make that less than one unit of 2^-wp.
 
 The factor t^{n-1} stays outside the tail's sum and multiplies it per
 order.  About 0 it reaches (2pi/3)^99, about 2^106, while the tail terms of
-high orders are tiny, so the fixed point carries ceil((hi-1) log2 t) guard
-bits above wz = mp.prec + 20: wp = wz + guard; about pi, t <= pi/3 needs
-at most 7.  Below t = 1 the guard is ceil(log2(1/t)) instead, so that the
+high orders are tiny, so the fixed point carries g = ceil((hi-1) log2 t)
+guard bits above wz = mp.prec + guard: wp = wz + g; about pi, t <= pi/3
+needs at most 7.  Below t = 1, g = ceil(log2(1/t)) instead, so that the
 imaginary part, of order t, keeps wz bits of its own.  Both are decided in
 floats.  Without the first guard, with the series about 0 alone, Li_2 ..
 Li_100 at theta = pi and 1000 digits were off by up to 1.2e-965, 45 digits
-short of the working precision.
+short of the working precision.  The guard is ZIV_GUARD bits and doubles
+at each retry (below).
 
-The head is summed in the same fixed point, with no mpf arithmetic but the
-reads of ln t, ln 2 and pi / 2 at the working precision, each shifted to
-wp bits (R. P. Brent and P. Zimmermann, Modern Computer Arithmetic, 2010,
-section 4.4).  T = floor(t 2^wp) is taken once.  t^k 2^wp is a running
-power, one long product by T and one floor per k, and t^k / k! 2^wp is that
-power floored once by k!.  zeta(s) is its table entry read at wz bits and
-shifted left, and eta(s) one shift-subtract more; H_{n-1} is an exact
-Fraction, floored once at wp bits.  Each order's four quarters, the real
+The head is summed in the same fixed point, with no mpf arithmetic but
+ln t (R. P. Brent and P. Zimmermann, Modern Computer Arithmetic, 2010,
+section 4.4).  t^k 2^wp is a running power, one long product by T and one
+floor per k, and t^k / k! 2^wp is that power floored once by k!.  zeta(s)
+is its table entry read at wz bits and shifted left, and eta(s) one
+shift-subtract more; H_{n-1} is an exact Fraction, floored once at wp bits;
+ln 2 is mpmath's fixed-point ln 2 at wp + 2 bits, pi/2 is Pi halved, and
+ln t is taken at wz + 8 bits from T.  Each order's four quarters, the real
 coefficients of 1, i, -1 and -i, are exact sums of products of two wp-bit
-integers, t^{n-1} times the tail's sum among them, and its real and
-imaginary parts are each rounded once to the working precision.  The
-error, in units of 2^-wp: T errs by less than one unit, so the running
-power errs by e_k <= t e_{k-1} + t^{k-1} + 1, less than
-2k max(1, t)^{k-1}, and with t <= 2pi/3 the division by k! leaves t^k / k!
-within 2 t^{k-1} / (k-1)! + 1 < 6 units.  An order's head takes n - 1 of
-these times zeta or eta values below 2, the last two times factors below 7
-(|H_{n-1} - ln t|, pi/2, ln 2 or 1/2, where t >= 1/2), and one floor for
-each eta and for H_{n-1}: less than 12n + 100 units in all, below 2^11 at
-n = 100, far inside the 20 bits by which wz exceeds the working precision.
-Where t > 1 the power t^{n-1} errs by less than 2(n-1) 2^guard units,
-which the tail's sum, below 1/10, turns into less than n units of 2^-wz.
-Below t = 1 every one of these errors is absolute, against an imaginary
-part of order t, and the guard of ceil(log2(1/t)) bits keeps it relative
-to that part.
+integers, t^{n-1} times the tail's sum among them.
+
+Each order's error is bounded in units of 2^-wp, t <= 2pi/3 throughout.
+T errs by less than 3, so the running power errs by less than
+4k max(1, t)^{k-1} and t^k / k! by less than 10.  A zeta table entry is
+within 2 units of 2^-wz at any precision the table holds (below), so a
+zeta(s) or eta(s) of the head errs by less than 4 units of 2^-wz,
+2^(g+2) units.  The bound B_n of a part adds
+  18 n for the head's n-1 products, zeta or eta below 1.65 times the error
+      of t^k / k!, plus one unit for each product's own rounding;
+  4 (sum_k t^k/k! 2^g + 1) over the even k for the real part, the odd k for
+      the imaginary part: the table errors times t^k / k!; below t = 1 the
+      odd k sum to less than 2t, and 2^g < 2/t, so this stays a few units;
+  10 L + 40 for the terms k = n-1 and n, L = ceil|H_{n-1} - ln t| + 1 about
+      0 and 1 about pi: t^{n-1}/(n-1)! errs by less than 10, H by 1, ln t by
+      3/t + 1 from T and truncation, pi/2 by 1.75 and ln 2 by 1.5;
+  (t^{n-1} / (n-1)! 2^g + 1)(|ln t| + 2) about 0, for the relative error
+      of ln t at wz + 8 bits, at most 2^-(wz+6) (|ln t| + 1);
+  5 (t^{n-1} + 2) for the tail: less than one unit of floors, one for the
+      shift from top to wp bits, one for the terms past m_max or past the
+      batch's last nonzero term, and about one for the error of y, which
+      S'(y) < 4.2 / (n+1)! carries into the sum S;
+  10 (t^{n-1} 2^g / (n+1)! + 1) for the tail's errors relative to 2^-wz:
+      the table entries, and in the batch y at wz bits (2 units of 2^-wz),
+      against S < 0.41 / (n+1)! and S'(y).
+The powers t^{n-1} and the sums of t^k / k! are read from the integers
+themselves, so every term is an integer known before the rounding.
+
+A part v, at 2wp bits, is returned when v - B_n and v + B_n round to the
+same mpf at the working precision (Ziv's test: A. Ziv, "Fast evaluation of
+elementary mathematical functions with correctly rounded last bit", ACM
+TOMS 17, 1991): the exact value lies between them, so it rounds to that
+mpf too.  Otherwise the whole call is recomputed with twice the guard; a
+table filled at a higher precision is read shifted, not rebuilt.  The
+imaginary part at theta = pi is exactly 0 and takes no test.  A part is
+retried when a rounding boundary falls within its bound: with B_n below
+about 2^11 units of 2^-wz and ZIV_GUARD = 40, that is below 2^-28 for a
+part of order 1 (2^-(28 - k) for a part near 2^-k).  Over every
+polylogarithm of the circle-ladder and cli-cold benchmark ops the bound
+stays below 2^-29.5 of an ulp, 2^-34 in the median, and no call retries.
+Past a guard of 4 mp.prec bits the call raises NoConvergence.
 
 The coefficients 2 zeta(2m) depend on neither the angle nor the order.  One
 table for the module holds them as integers 2 zeta(2m) 2^prec, at the
 highest working precision requested so far.  Every call reads it at wz bits,
-whatever its guard, so a batched call raises the table's precision no more
+whatever its guard g, so a batched call raises the table's precision no more
 than a single order at the same digits.  A lower precision reads it shifted
 right, a higher one rebuilds it, and a call extends it only as far as its
 own terms need.  The even values zeta(2) .. zeta(hi) of the head, and
@@ -159,19 +209,28 @@ from fractions import Fraction
 from math import ceil, comb, factorial, log2, prod
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp, ln2_fixed, mpf_pi, pi_fixed, round_nearest
 
-from .errors import ThetaOutOfRange, ValidationError
+from .errors import NoConvergence, ThetaOutOfRange, ValidationError
 from .numfield import DEFAULT_DIGITS, GUARD, _integers, ln, to_mp
 
 # Largest polylogarithm order served.  It also bounds the circle-bundle
 # orders, jmax + 1 and j + 1, and the same j in normalize and beta-check
 # (_check_j).  At 1000 digits on one core of a 2-core x86 machine with
-# mpmath's pure-Python backend, a cold Li_100 at theta = pi takes 0.07 s
-# in process (0.18-0.20 s as a CLI process), nearly all of it the one pass
-# that fills the odd zeta(3)..zeta(99) of the head: at pi the series about
-# pi has no tail, and the zeta(2m) table is filled to m = 50 in about 1 ms.
-# circle-torsion --r 61 --jmax 99 takes 3.6-4.4 s as a CLI process.
+# mpmath's pure-Python backend, a cold Li_100 at theta = pi takes
+# 0.07-0.09 s in process (0.22-0.24 s as a CLI process), nearly all of it
+# the one pass that fills the odd zeta(3)..zeta(99) of the head: at pi the
+# series about pi has no tail, and the zeta(2m) table is filled to m = 50
+# in about 1 ms.  circle-torsion --r 61 --jmax 99 takes 3.7-3.9 s as a CLI
+# process.
 ORDER_MAX = 100
+
+# Bits by which the polylogarithm's fixed point, and the zeta tables it reads,
+# exceed the working precision, wz = mp.prec + ZIV_GUARD.  A call whose error
+# bound leaves a part undecided by Ziv's test is recomputed with twice the
+# guard; at 40 bits that happens to fewer than 2^-28 of the parts of order 1
+# (module docstring), and to none of the benchmark's.
+ZIV_GUARD = 40
 
 # Largest Bernoulli index served; mp.bernfrac(10_000) takes about 0.5 s on
 # mpmath's pure-Python backend, and the cost grows faster than quadratically.
@@ -224,7 +283,7 @@ def zeta_int(s: int, digits: int = DEFAULT_DIGITS) -> mpf:
     with mp.workdps(digits + GUARD):
         if s > ORDER_MAX:
             return mp.zeta(s)
-        wz = mp.prec + 20
+        wz = mp.prec + ZIV_GUARD
         return mpf((_table_zeta(s, wz, wz + 1), -wz - 1))
 
 
@@ -334,64 +393,118 @@ def _table_zeta(s: int, wz: int, bits: int) -> int:
     return values[s // 2] >> shift << bits - wz >> 1 - s % 2
 
 
+def _fixed(v, bits: int) -> int:
+    """v 2^bits truncated toward 0, for an mpf v."""
+    sign, man, exp, _ = v._mpf_
+    man = man << exp + bits if exp + bits >= 0 else man >> -exp - bits
+    return -man if sign else man
+
+
 def _log2(v) -> float:
     """log2 of a positive mpf, in floats at any exponent."""
     man, exp = mp.frexp(v)
     return log2(float(man)) + exp
 
 
-def _series_orders(lo: int, hi: int, th) -> list:
-    """Li_lo .. Li_hi at e^{i th} for 2 <= lo <= hi and th in (0, pi], at the
-    working precision: the series about 0 below th = 2pi/3, the series about
-    pi from there on.  Head and tail are summed in one fixed point of wp
-    bits, and each order's real and imaginary parts are rounded once; the
-    module docstring derives the guard bits and the error."""
-    # t = th about 0, t = phi = pi - th about pi (exact: th >= pi/2); the tail
-    # runs in u = x = th / 2pi or u = 1 - 2x = phi / pi, at most 1/3 either way.
-    near_pi = 3 * th >= 2 * mp.pi
-    t = mp.pi - th if near_pi else th
-    u = t / mp.pi if near_pi else th / (2 * mp.pi)
-    # Fixed point at wp bits, whose guard bits absorb the factor t^{n-1}
-    # multiplied back per order, or below t = 1 keep the imaginary part, of
-    # order t, to wz bits.  The zeta tables are read at wz bits, whatever the guard.
-    wz = mp.prec + 20
-    log2_t = _log2(t) if t else 0
+def _correctly_rounded(v: int, err: int, exp: int):
+    """v 2^exp rounded to the working precision, when every value within
+    err 2^exp of it rounds to the same mpf (Ziv's test); None otherwise.
+    Integers of n bits round to the multiples of 2^s, s = n - mp.prec, so
+    the test asks that |v| - err and |v| + err have one length and no
+    midpoint between two such multiples lies between them."""
+    low, high = abs(v) - err, abs(v) + err
+    s = high.bit_length() - mp.prec
+    if low <= 0 or s <= 0 or low.bit_length() != high.bit_length():
+        return None
+    half = 1 << s - 1
+    if low + half - 1 >> s != high + half >> s:
+        return None
+    return mp.make_mpf(from_man_exp(v, exp, mp.prec, round_nearest))
+
+
+def _series_orders(lo: int, hi: int, th, guard: int):
+    """Li_lo .. Li_hi at e^{i th} for 1 <= lo <= hi and th in (0, 2pi), each
+    real and imaginary part correctly rounded to the working precision, or
+    None when Ziv's test leaves a part undecided at this guard.  Order 1 is
+    the closed form, from 2 on the series about the nearer of 0 and pi; head
+    and tail are summed in one fixed point of wp = mp.prec + guard + g bits.
+    The module docstring derives g and each order's error bound."""
+    # th folds to phi = min(th, 2pi - th), conjugated back when th > pi, and
+    # t = phi about 0, t = pi - phi about pi: t = j pi + sign th, exact up to
+    # the error of pi.  th equal to pi at the working precision is pi, t = 0.
+    # The branch and the guard bits g are decided from t at wz bits; within
+    # 2^(4 - mp.prec) of 3 th = 2pi or 4pi, as at 2pi/3 rounded to the working
+    # precision, the series about pi runs, which takes no logarithm.
+    wz = mp.prec + guard
+    pi_z, th_z = pi_fixed(wz + 2) >> 2, _fixed(th, wz)
+    at_pi = th._mpf_ == mpf_pi(mp.prec, round_nearest)
+    conj = th_z > pi_z
+    slack = 1 << wz - mp.prec + 4
+    near_pi = 2 * pi_z - slack <= 3 * th_z <= 4 * pi_z + slack
+    if near_pi:
+        j, sign = (-1, 1) if conj else (1, -1)
+    else:
+        j, sign = (2, -1) if conj else (0, 1)
+    log2_t = 0 if at_pi else log2(j * pi_z + sign * th_z) - wz if j else _log2(th)
+    # g absorbs the factor t^{n-1} multiplied back per order, or below t = 1
+    # keeps the imaginary part, of order t, to wz bits.  The zeta tables are
+    # read at wz bits, whatever g.
     wp = wz + ceil((hi - 1) * log2_t if log2_t > 0 else -log2_t)
-    # Term m is below u^{2m} 2^wp, so it vanishes once 2m log2(1/u) > wp; at
-    # th = pi, u = 0 leaves no tail.
-    m_max = int(wp / (-2 * _log2(u))) + 2 if u else 0
+    pi_w = pi_fixed(wp + 2) >> 2
+    tt = 0 if at_pi else j * pi_w + sign * _fixed(th, wp)
+    out = []
+    # The imaginary part's sign: about pi the sum is Li_n(-e^{i phi}), the
+    # conjugate of Li_n(e^{i phi}), and th > pi conjugates once more.
+    flip = -1 if near_pi != conj else 1
+    if lo == 1:
+        # (pi - th) / 2 = +-t / 2 about pi, +-(pi - t) / 2 about 0.
+        half = _correctly_rounded(tt if near_pi else pi_w - tt, 3, -wp - 1) if tt else mpf(0)
+        if half is None:
+            return None
+        out.append(mpc(-ln(2 * mp.sin(th / 2)), -half if conj else half))
+        lo = 2
+    if lo > hi:
+        return out
+
+    # The tail runs in u = t / 2pi about 0, u = t / pi about pi, at most 1/3
+    # either way, taken at wp bits as tt / d.  Term m is below u^{2m} 2^wp,
+    # so it vanishes once 2m log2(1/u) > wp; at th = pi, u = 0 leaves no tail.
+    d = pi_w if near_pi else pi_w << 1
+    u = (tt << wp) // d
+    log_u = log2(u) - wp if u else 0
+    m_max = int(wp / (-2 * log_u)) + 2 if u else 0
     zeta2, shift = _EVEN_ZETA.read(max(m_max, hi // 2), wz)
-    # c holds the tail at wp bits: its one sum for a single order, its c_m for a batch.
+    # c holds the tail at top bits, its one sum for a single order, its c_m
+    # for a batch.  The extra bits keep the floors of either path, less than
+    # 9 (m_max + 1) units of 2^-top, below one unit of 2^-wp.
+    extra = (9 * m_max + 9).bit_length()
+    top = wp + extra
     c = []
     if m_max and lo == hi:
         # One order: Horner in y = u^2 from m = m_max down, acc_m = a_m + y acc_{m+1}
         # with a_m = 2 zeta(2m) / P(m) (or 2 lambda(2m) / P(m)) and
         # P(m) = (2m)(2m+1)...(2m+lo-1), kept to the top - floor(m log2(1/y))
         # bits that y^m leaves significant.
-        guard = m_max.bit_length() + 2
-        top = wp + guard
-        log_y = -2 * _log2(u)
-        with mp.workprec(top):
-            y = int(mp.ldexp(u * u, top))
+        log_y = -2 * log_u
+        y = u * u >> 2 * wp - top
         den = prod(range(2 * m_max, 2 * m_max + lo))
         acc = bits = 0
         for m in range(m_max, 0, -1):
             p = top - int(m * log_y)
             if p > 0:
-                s = shift + wz - p
-                a = zeta2[m] >> s if s >= 0 else zeta2[m] << -s
+                sh = shift + wz - p
+                a = zeta2[m] >> sh if sh >= 0 else zeta2[m] << -sh
                 if near_pi:
                     a -= a >> 2 * m
                 acc = a // den + ((y >> (top - p)) * acc >> bits)
                 bits = p
             den = den * ((2 * m - 2) * (2 * m - 1)) // ((2 * m + lo - 2) * (2 * m + lo - 1))
-        c = [y * acc >> (bits + guard)]
+        c = [y * acc >> bits]
     elif m_max:
         # Batch: c_m = 2 zeta(2m) u^{2m} (2m-1)! / (2m+lo-1)! (or 2 lambda(2m)),
-        # from a running term t_m = u^{2m} (2m-1)! / (2m+lo-1)!.
-        with mp.workprec(wp):
-            y = int(mp.ldexp(u * u, wz))
-            term = int(mp.ldexp(u * u / mp.factorial(lo + 1), wp))
+        # from a running term t_m = u^{2m} (2m-1)! / (2m+lo-1)!, with y at wz bits.
+        y = u * u >> 2 * wp - wz
+        term = (u * u >> 2 * wp - top) // factorial(lo + 1)
         for m in range(1, m_max + 1):
             if not term:
                 break
@@ -406,10 +519,9 @@ def _series_orders(lo: int, hi: int, th) -> list:
             term = term * (2 * m * (2 * m + 1)) // ((2 * m + lo) * (2 * m + lo + 1))
 
     # Head, in the same fixed point: tp[k] = t^k 2^wp by one long product per
-    # k from tt = floor(t 2^wp), and pk[k] = t^k / k! 2^wp by one division of it.
+    # k from tt, and pk[k] = t^k / k! 2^wp by one division of it.
     # The first read of the odd table fills zeta(3) .. zeta(hi) in one
     # Borwein pass; about pi, -eta(s) = (2^(1-s) - 1) zeta(s).
-    tt = int(mp.ldexp(t, wp))
     tp, pk, fact = [1 << wp], [1 << wp], 1
     for k in range(1, hi + 1):
         fact *= k
@@ -419,32 +531,46 @@ def _series_orders(lo: int, hi: int, th) -> list:
     zetas = [_table_zeta(s, wz, wp) for s in range(2, hi + 1)]
     head = [0, 0] + ([(v >> s - 1) - v for s, v in enumerate(zetas, 2)] if near_pi else zetas)
     if near_pi:
-        ln2 = int(mp.ldexp(mp.ln2, wp))
+        ln2 = ln2_fixed(wp + 2) >> 2
     else:
-        log_t = int(mp.ldexp(ln(t), wp))
-        half_pi = int(mp.ldexp(mp.pi, wp - 1))
+        with mp.workprec(wz + 8):
+            log_t = _fixed(ln(mpf((tt, -wp))), wp)
+        ln_size = (abs(log_t) >> wp) + 2
         harmonic = sum(Fraction(1, m) for m in range(1, lo - 1))
+    # Error of the zeta and eta reads, 4 units of 2^-wz, times sum t^k / k!
+    # over the even k (real part) and the odd k (imaginary part).
+    zeta_err = [4 * ((sum(pk[q::2]) >> wz) + 1) for q in (0, 1)]
 
-    out = []
     for n in range(lo, hi + 1):
         if n > lo:
             c = [cm // (2 * m + n - 1) for m, cm in enumerate(c, 1)]
         # quarter[q] collects the real coefficients of i^q at 2wp bits.
         terms = [head[n - k] * pk[k] for k in range(n - 1)]
         quarter = [sum(terms[q::4]) for q in range(4)]
-        quarter[(n - 1) % 4] += tp[n - 1] * sum(c)
+        quarter[(n - 1) % 4] += tp[n - 1] * (sum(c) >> extra)
         if near_pi:
             # -eta(1) = -ln 2 at k = n-1 and -eta(0) = -1/2 at k = n.
             quarter[(n - 1) % 4] -= pk[n - 1] * ln2
             quarter[n % 4] -= pk[n] << wp - 1
+            h_size, ln_err = 1, 0
         else:
             harmonic += Fraction(1, n - 1)
-            h = (harmonic.numerator << wp) // harmonic.denominator
-            quarter[(n - 1) % 4] += pk[n - 1] * (h - log_t)
-            quarter[n % 4] += pk[n - 1] * half_pi - (pk[n] << wp - 1)
-        re, im = quarter[0] - quarter[2], quarter[1] - quarter[3]
-        # About pi the sum is Li_n(-e^{i phi}), the conjugate of Li_n(e^{i th}).
-        out.append(mpc(mpf((re, -2 * wp)), mpf((-im if near_pi else im, -2 * wp))))
+            h = (harmonic.numerator << wp) // harmonic.denominator - log_t
+            quarter[(n - 1) % 4] += pk[n - 1] * h
+            quarter[n % 4] += pk[n - 1] * (pi_w >> 1) - (pk[n] << wp - 1)
+            h_size = (abs(h) >> wp) + 1
+            ln_err = ((pk[n - 1] >> wz) + 1) * ln_size
+        # The bound in units of 2^-wp: the head's terms, the terms k = n-1
+        # and n, the tail's floors times t^{n-1}, and its errors relative to
+        # 2^-wz times t^{n-1} / (n+1)!.
+        err = 18 * n + 10 * h_size + ln_err + 40 + 5 * ((tp[n - 1] >> wp) + 2)
+        err += 10 * ((tp[n - 1] >> wz) // factorial(n + 1) + 1)
+        re = _correctly_rounded(quarter[0] - quarter[2], err + zeta_err[0] << wp, -2 * wp)
+        im = quarter[1] - quarter[3]
+        im = _correctly_rounded(im, err + zeta_err[1] << wp, -2 * wp) if tt else mpf(0)
+        if re is None or im is None:
+            return None
+        out.append(mpc(re, flip * im))
     return out
 
 
@@ -452,9 +578,10 @@ def polylog_orders(lo: int, hi: int, theta, digits: int = DEFAULT_DIGITS) -> lis
     """[Li_lo(e^{i theta}), ..., Li_hi(e^{i theta})] in one pass, for integer
     1 <= lo <= hi <= ORDER_MAX and theta in (0, 2pi).
 
-    Order 1 is the closed form -ln(2 sin(theta/2)) + i (pi - theta)/2.  For
+    Order 1 is the closed form -ln(2 sin(theta/2)) + i (pi - theta)/2, its
+    real part not certified near theta = pi/3, where it vanishes.  For
     n >= 2, arguments above pi are folded to 2pi - theta and conjugated
-    back, keeping x = theta / 2pi at most one half.  Below 2pi/3 the series
+    back, exactly, keeping x = theta / 2pi at most one half.  Below 2pi/3 the series
     in mu = i theta with integer zeta coefficients is used, with the
     k = n-1 term carrying the harmonic number and -ln(-mu):
 
@@ -481,6 +608,12 @@ def polylog_orders(lo: int, hi: int, theta, digits: int = DEFAULT_DIGITS) -> lis
     pi to the working precision every order is the real
     Li_n(-1) = -eta(n), and its imaginary part is exactly 0.
 
+    Each part of every order, but the real part of Li_1, is correctly
+    rounded to the working precision: a batch and a single order give the
+    same bits.  Each order carries an error bound, and a call whose bound
+    leaves a part's rounding undecided is recomputed with a wider guard
+    (Ziv's test; module docstring).
+
     theta is read as any other number and rounded once to the working
     precision (numfield.to_mp); a complex-typed theta is refused.  lo and
     hi are integers (numfield._integers).
@@ -496,19 +629,13 @@ def polylog_orders(lo: int, hi: int, theta, digits: int = DEFAULT_DIGITS) -> lis
         th = to_mp(theta)
         if isinstance(th, mpc):
             raise ValidationError(f"theta must be a real number, got {theta!r}")
-        two_pi = 2 * mp.pi
-        if not (0 < th < two_pi):
+        if not (0 < th < 2 * mp.pi):
             raise ThetaOutOfRange(f"theta must lie strictly inside (0, 2pi), got {th}")
-        out = []
-        if lo == 1:
-            half = th / 2
-            out.append(mpc(-ln(2 * mp.sin(half)), mp.pi / 2 - half))
-            lo = 2
-        if lo <= hi:
-            if th > mp.pi:
-                out += [mp.conj(li) for li in _series_orders(lo, hi, two_pi - th)]
-            else:
-                out += _series_orders(lo, hi, th)
+        guard = ZIV_GUARD
+        while (out := _series_orders(lo, hi, th, guard)) is None:
+            if guard > 4 * mp.prec:
+                raise NoConvergence(f"Li_{lo}..Li_{hi} at theta = {th} did not round at this precision")
+            guard *= 2
         return out
 
 

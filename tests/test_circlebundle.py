@@ -76,7 +76,7 @@ def test_setup_angles_are_the_arguments_of_the_embeddings(digits):
 @pytest.mark.parametrize("jmax", (0, 3, 20))
 def test_coefficients_take_one_polylog_pass_per_place(monkeypatch, jmax):
     # Li_1 at each angle is read through _li, once per setup, and the orders
-    # 2..jmax+1 come from one call of the kernel.
+    # 2..jmax+1 come from one call of the kernel, which the setup keeps.
     calls = []
     orders = polylog.polylog_orders
 
@@ -91,10 +91,10 @@ def test_coefficients_take_one_polylog_pass_per_place(monkeypatch, jmax):
     assert len(coeffs) == setup.field.n_places * (jmax + 1)
     rest = [(2, jmax + 1)] if jmax else []
     assert calls == ([(1, 1)] + rest) * setup.field.n_places
-    # a second call finds Li_1 kept in the setup
+    # a second call finds every order kept in the setup
     calls.clear()
     assert torsion_form_coeffs(setup, jmax) == coeffs
-    assert calls == rest * setup.field.n_places
+    assert calls == []
 
 
 def _bits(rows):
@@ -129,15 +129,45 @@ def test_a_warm_setup_repeats_no_polylog_work(monkeypatch, r, digits, jmax, j):
     cm = cheeger_muller_check(warm)
     reg = regulator_identity_check(warm, j)
     assert calls == []
-    # a second pass needs orders 2..jmax+1 only
+    # a second pass finds every order in the setup
     again = torsion_form_coeffs(warm, jmax)
-    assert calls == [(2, jmax + 1)] * warm.field.n_places
+    assert calls == []
 
     fresh = [make_cyclotomic_setup(r, digits) for _ in range(4)]
     assert _bits(cm) == _bits(cheeger_muller_check(fresh[0]))
     assert _bits(reg) == _bits(regulator_identity_check(fresh[1], j))
     assert _bits(t) == _bits(again) == _bits(torsion_form_coeffs(fresh[2], jmax))
     assert _bits(u) == _bits(u_coeff(fresh[3], j))
+
+
+@pytest.mark.parametrize("digits", (50, 300))
+def test_batches_and_single_orders_give_the_same_bits(digits):
+    # Every part is correctly rounded, so at every place of Z[zeta_r],
+    # r <= 61, a batched pass over 2..jmax+1 and each order alone agree bit
+    # for bit: the value a setup keeps does not depend on the call that made it.
+    for r in (p for p in range(3, 62, 2) if all(p % q for q in range(3, p, 2))):
+        setup = make_cyclotomic_setup(r, digits)
+        for k, th in enumerate(setup.thetas):
+            single = [polylog.polylog_circle(n, th, digits) for n in range(2, 6)]
+            for jmax in (2, 4):
+                assert polylog.polylog_orders(2, jmax + 1, th, digits) == single[:jmax], (r, k, jmax)
+
+
+@pytest.mark.parametrize("r, digits, jmax", [(31, 50, 2), (11, 50, 4), (3, 300, 4)])
+def test_u_and_the_regulator_identity_read_the_torsion_pass(monkeypatch, r, digits, jmax):
+    # After torsion_form_coeffs(setup, jmax), u_j and the regulator identity
+    # for j <= jmax evaluate no polylogarithm, and give a fresh setup's bits.
+    warm = make_cyclotomic_setup(r, digits)
+    torsion_form_coeffs(warm, jmax)
+    calls = []
+    series = polylog._series_orders
+    monkeypatch.setattr(polylog, "_series_orders", lambda *a: calls.append(a) or series(*a))
+    u = [u_coeff(warm, j) for j in range(1, jmax + 1)]
+    reg = [regulator_identity_check(warm, j) for j in range(1, jmax + 1)]
+    assert calls == []
+    for j in range(1, jmax + 1):
+        assert _bits(u[j - 1]) == _bits(u_coeff(make_cyclotomic_setup(r, digits), j)), j
+        assert _bits(reg[j - 1]) == _bits(regulator_identity_check(make_cyclotomic_setup(r, digits), j)), j
 
 
 def test_degree_zero_is_log_of_cyclotomic_unit_norm():

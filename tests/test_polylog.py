@@ -8,6 +8,7 @@ formula, -ln(1 - e^{i theta}) at extra precision for Li_1, and exact
 Fraction integration for the beta integral.
 """
 
+import random
 from fractions import Fraction
 from math import ceil, comb, factorial, log2
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from regtor import (
+    NoConvergence,
     ThetaOutOfRange,
     ValidationError,
     bernoulli,
@@ -207,7 +209,7 @@ def test_polylog_at_minus_one_is_real(digits):
 def _table_prec(digits):
     """The wz bits at which a call at these digits reads the zeta(2m) table."""
     with mp.workdps(digits + GUARD):
-        return mp.prec + 20
+        return mp.prec + polylog.ZIV_GUARD
 
 
 def test_tangent_numbers():
@@ -397,12 +399,11 @@ def test_polylog_orders_near_pi_at_thousand_digits():
 @pytest.mark.parametrize("digits", (50, 300))
 def test_polylog_orders_match_single_orders(digits):
     # Each entry of a batched call is polylog_circle's value for its order,
-    # up to a few units in the last place of the working precision.
+    # bit for bit: both are correctly rounded.
     for th in _angles(digits) + (mp.pi,):
         batch = polylog_orders(1, ORDER_MAX, th, digits)
-        with mp.workdps(digits + GUARD):
-            for n, li in enumerate(batch, 1):
-                assert abs(li - polylog_circle(n, th, digits)) < mp.mpf(10) ** -(digits + 9), (th, n)
+        for n, li in enumerate(batch, 1):
+            assert li == polylog_circle(n, th, digits), (th, n)
     with mp.workdps(digits + GUARD):
         th = mp.mpf("2.5")
         assert polylog_orders(4, 7, th, digits) == polylog_orders(1, 7, th, digits)[3:]
@@ -519,7 +520,7 @@ def test_polylog_tail_takes_at_most_wp_over_2_log2_3_terms(monkeypatch, digits):
         angles = [2 * mp.pi * k / step for k in range(1, step)]
         angles += [2 * mp.pi / 3 + s * mp.mpf(2) ** -40 for s in (-1, 1)]
         angles += [mp.pi - mp.mpf(10) ** -3, +mp.pi]
-        wz = mp.prec + 20
+        wz = mp.prec + polylog.ZIV_GUARD
     for n in (2, 5):
         with mp.workdps(digits + GUARD):
             wp = wz + ceil((n - 1) * log2(float(2 * mp.pi / 3)))
@@ -536,8 +537,8 @@ def test_polylog_tail_takes_at_most_wp_over_2_log2_3_terms(monkeypatch, digits):
 @pytest.mark.parametrize("digits", (50, 300, 1000))
 def test_single_orders_by_horner_match_batches(digits):
     # polylog_circle sums one order's tail by Horner's scheme, a batch from
-    # its c_m list: both agree to a few units in the last place, about 0,
-    # about pi, on either side of 2pi/3 and beyond pi
+    # its c_m list: both give the same bits, about 0, about pi, on either
+    # side of 2pi/3 and beyond pi
     with mp.workdps(digits + GUARD):
         eps = mp.mpf(2) ** -40
         angles = [2 * mp.pi / 40, 2 * mp.pi / 3 - eps, 2 * mp.pi / 3 + eps]
@@ -545,9 +546,8 @@ def test_single_orders_by_horner_match_batches(digits):
     hi = 24 if digits == 1000 else 40
     for th in angles:
         batch = polylog_orders(2, hi, th, digits)
-        with mp.workdps(digits + GUARD):
-            for n, li in enumerate(batch, 2):
-                assert abs(li - polylog_circle(n, th, digits)) < mp.mpf(10) ** -(digits + 9), (th, n)
+        for n, li in enumerate(batch, 2):
+            assert li == polylog_circle(n, th, digits), (th, n)
 
 
 def test_polylog_reads_theta_and_orders_like_every_number():
@@ -629,6 +629,85 @@ def test_polylog_imaginary_part_next_to_zero_keeps_its_digits(digits):
             for got in (polylog_circle(n, th, digits), batch[n - 2]):
                 assert abs(got.imag - want.imag) < abs(want.imag) * mp.mpf(10) ** -(digits + 5), n
                 assert abs(got.real - want.real) < mp.mpf(10) ** -(digits + 5), n
+
+
+def _ulps_from(center, digits):
+    """center and the angles within 8 units in its last place, at the
+    working precision of a call at these digits."""
+    with mp.workdps(digits + GUARD):
+        center = +center
+        ulp = mp.ldexp(1, mp.mag(center) - mp.prec)
+        return [center + k * ulp for k in range(-8, 9)]
+
+
+@pytest.mark.parametrize("digits", (50, 300))
+def test_polylog_order_one_imaginary_part_next_to_pi(digits):
+    # (pi - theta) / 2 is correctly rounded 8 ulps from pi, where pi at the
+    # working precision alone left it 22 % off; at theta equal to pi at the
+    # working precision it is exactly 0.
+    for th in _ulps_from(mp.pi, digits):
+        got = polylog_circle(1, th, digits).imag
+        with mp.workdps(digits + GUARD):
+            at_pi = th == mp.pi
+        with mp.workdps(2 * digits + 40):
+            want = 0 if at_pi else (mp.pi - th) / 2
+        with mp.workdps(digits + GUARD):
+            assert got == +want, th
+
+
+def _correctly_rounded_parts(n, th, digits):
+    """Re and Im Li_n(e^{i th}) by mp.polylog at 2 digits + 40, each rounded
+    to the working precision of a call at these digits; th equal to pi at
+    that precision is pi."""
+    with mp.workdps(digits + GUARD):
+        at_pi = th == mp.pi
+    with mp.workdps(2 * digits + 40):
+        z = mp.polylog(n, -1 if at_pi else mp.expj(th))
+    with mp.workdps(digits + GUARD):
+        return +mp.re(z), +mp.im(z)
+
+
+@pytest.mark.parametrize("digits, count", ((50, 40), (300, 12)))
+def test_every_part_is_correctly_rounded(digits, count):
+    # Each part of Li_2 .. Li_6, one order alone or from a batch, is the
+    # working-precision rounding of the exact value: at random angles, and
+    # at 50 digits within 8 ulps of pi and of 2pi/3 (where the series about
+    # 0 hands over to the one about pi), on both sides of the fold at pi.
+    # mp.polylog takes about 0.25 s per value at 640 digits.
+    rng = random.Random(digits)
+    cases = []
+    for _ in range(count):
+        with mp.workdps(digits + GUARD):
+            th = 2 * mp.pi * mp.mpf(rng.random())
+        cases.append((rng.randint(2, 6), th))
+    for center in (mp.pi, 2 * mp.pi / 3, 4 * mp.pi / 3) if digits == 50 else ():
+        near = _ulps_from(center, digits)
+        cases += [(rng.randint(2, 6), th) for th in near[:3] + near[7:10] + near[-3:]]
+    for n, th in cases:
+        want = _correctly_rounded_parts(n, th, digits)
+        for got in (polylog_circle(n, th, digits), polylog_orders(2, 6, th, digits)[n - 2]):
+            assert (got.real, got.imag) == want, (n, th)
+
+
+def test_a_retry_gives_the_same_bits(monkeypatch):
+    # A guard too narrow for Ziv's test retries each call at twice the
+    # guard, reading the zeta tables shifted from their higher precision,
+    # and gives the bits of the default guard; a part that never rounds
+    # raises NoConvergence.
+    with mp.workdps(60):
+        angles = [2 * mp.pi * k / 11 for k in range(1, 11)] + [+mp.pi]
+    want = [polylog_orders(1, 5, th, 50) for th in angles]
+    polylog_circle(2, 1, 300)
+    prec = polylog._EVEN_ZETA.prec, polylog._ODD_ZETA.prec
+    calls = []
+    series = polylog._series_orders
+    monkeypatch.setattr(polylog, "ZIV_GUARD", 1)
+    monkeypatch.setattr(polylog, "_series_orders", lambda *a: calls.append(a[-1]) or series(*a))
+    assert [polylog_orders(1, 5, th, 50) for th in angles] == want
+    assert max(calls) > 2 and (polylog._EVEN_ZETA.prec, polylog._ODD_ZETA.prec) == prec
+    monkeypatch.setattr(polylog, "_series_orders", lambda *a: None)
+    with pytest.raises(NoConvergence):
+        polylog_circle(3, 1, 50)
 
 
 def test_polylog_circle_order_bound():

@@ -8,7 +8,8 @@ Each CLI call is a fresh process, so importing regtor.cli must not load the
 code-generation machinery of dataclasses (inspect, ast, dis, tokenize).
 Every logarithm goes through numfield.ln, the one logarithm of the
 precision policy, and every root of unity through numfield._root_of_unity.
-The polylogarithm series takes no mpmath dot product.  Every exact
+The polylogarithm series takes no mpmath dot product, and circlebundle
+evaluates polylogarithms only where its setup keeps them.  Every exact
 decision over K is numfield's.  The CLI decodes JSON in
 _json_arg alone, converts no number itself, and formats numbers in _text
 and _short alone.  No module keeps an import it does not use, or a private
@@ -158,6 +159,23 @@ def test_polylog_takes_no_mpmath_dot_product():
     # integers, and each order's parts are rounded once
     found = _functions_naming({"fdot"})
     assert not {module for module, _ in found} & {"polylog.py"}, found
+
+
+def test_circlebundle_reads_every_polylogarithm_through_the_setup():
+    # circlebundle evaluates Li_n in _li, one order, and in the pass of
+    # torsion_form_coeffs, which stores every order it computes in the setup;
+    # every other reader takes its values from the setup's memo
+    tree = ast.parse((SRC / "regtor" / "circlebundle.py").read_text())
+    found = {
+        (fn.name, node.func.id)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("polylog_orders", "polylog_circle")
+    }
+    assert found == {("_li", "polylog_circle"), ("torsion_form_coeffs", "polylog_orders")}, found
 
 
 def test_only_the_root_helper_calls_mp_expjpi():
