@@ -94,10 +94,10 @@ high orders are tiny, so the fixed point carries g = ceil((hi-1) log2 t)
 guard bits above wz = mp.prec + guard: wp = wz + g; about pi, t <= pi/3
 needs at most 7.  Below t = 1, g = ceil(log2(1/t)) instead, so that the
 imaginary part, of order t, keeps wz bits of its own.  Both are decided in
-floats.  Without the first guard, with the series about 0 alone, Li_2 ..
-Li_100 at theta = pi and 1000 digits were off by up to 1.2e-965, 45 digits
-short of the working precision.  The guard is ZIV_GUARD bits and doubles
-at each retry (below).
+floats, from t at wz bits.  Without the first guard, with the series about
+0 alone, Li_2 .. Li_100 at theta = pi and 1000 digits were off by up to
+1.2e-965, 45 digits short of the working precision.  The guard is
+ZIV_GUARD bits and doubles at each retry (below).
 
 The head is summed in the same fixed point, with no mpf arithmetic but
 ln t (R. P. Brent and P. Zimmermann, Modern Computer Arithmetic, 2010,
@@ -641,8 +641,9 @@ def polylog_orders(lo: int, hi: int, theta, digits: int = DEFAULT_DIGITS) -> lis
 
 def polylog_circle(n: int, theta, digits: int = DEFAULT_DIGITS) -> mpc:
     """Li_n(e^{i theta}) for integer 1 <= n <= ORDER_MAX and theta in (0, 2pi):
-    the single order n of polylog_orders.  n = 1 is the principal branch of
-    -ln(1 - e^{i theta})."""
+    the single order n of polylog_orders, with the same bits.  n = 1 is the
+    principal branch of -ln(1 - e^{i theta}), its real part not certified
+    near theta = pi/3."""
     return polylog_orders(n, n, theta, digits)[0]
 
 

@@ -672,10 +672,13 @@ def test_every_part_is_correctly_rounded(digits, count):
     # Each part of Li_2 .. Li_6, one order alone or from a batch, is the
     # working-precision rounding of the exact value: at random angles, and
     # at 50 digits within 8 ulps of pi and of 2pi/3 (where the series about
-    # 0 hands over to the one about pi), on both sides of the fold at pi.
+    # 0 hands over to the one about pi), on both sides of the fold at pi; and
+    # next to the zero of Re Li_2 at pi (1 - 1/sqrt 3), where that part is
+    # far below its bound at the first guard and is decided by retries.
     # mp.polylog takes about 0.25 s per value at 640 digits.
     rng = random.Random(digits)
-    cases = []
+    with mp.workdps(digits + GUARD):
+        cases = [(2, mp.pi * (1 - 1 / mp.sqrt(3)))]
     for _ in range(count):
         with mp.workdps(digits + GUARD):
             th = 2 * mp.pi * mp.mpf(rng.random())
