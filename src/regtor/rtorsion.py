@@ -19,7 +19,7 @@ read from its complex.  Two independent algorithms read the result:
 
   reidemeister         Laplacian route: the Ray-Singer product of
                        pseudo-determinants of the combinatorial Laplacians,
-                       telescoped to one eigenvalue-only problem per
+                       telescoped to one pivoted LDL^H of a Gram per
                        nonzero differential, corrected by the Gram
                        determinants of the harmonically projected
                        cohomology representatives against the chosen
@@ -47,14 +47,14 @@ verify_euler_identity, where the Gram determinants cancel, embeds the
 delta_i alone.  The Laplacian route only verifies it, on the places
 at_place builds.
 
-Every per-place matrix is an mp.matrix, and products, norms and eigenvalues
-are mpmath's own.  The Hermitian A^H A and A A^H take one mp.fdot per entry
-on and above the diagonal (_gram), with the conjugates below: the values
-mpmath's matrix product gives, with no conjugate transpose copied and no
-lower triangle formed twice.  The orthonormal coordinates come from the
-exact G = L D L^H of each Gram: U = D^(1/2) L^H and U^-1 = L^-H D^(-1/2),
-with one square root per pivot, so no triangular factor is solved
-numerically.
+Every per-place matrix is an mp.matrix, and its products are mpmath's own.
+The Hermitian A^H A and A A^H are formed as the rows of their lower
+triangles, one mp.fdot per entry (_gram): the values mpmath's matrix
+product gives there, with no conjugate transpose copied and no upper
+triangle formed, in the one shape the factor (_ldl) reads.  The
+orthonormal coordinates come from the exact G = L D L^H of each Gram:
+U = D^(1/2) L^H and U^-1 = L^-H D^(-1/2), with one square root per pivot,
+so no triangular factor is solved numerically.
 
 Rank decisions.  Every exact decision is numfield's, taken once, in K, by
 build_complex_over_r: the rank and pivot columns of each differential at
@@ -73,16 +73,21 @@ when it is at most c^2 |G_i|_F, so a zero matrix has rank 0, and each is
 judged on its own differential, so that differentials of very different
 scale do not swallow each other's small values.  A value within a factor
 10^3 of its cut, or a kernel dimension that differs from the exact one,
-raises RankAmbiguous: more digits would help.  The determinant of a Gram is
+raises RankAmbiguous: more digits would help.  No eigenvalue is computed:
+one LDL^H of G_i with diagonal pivoting decides the rule (_rank_and_det),
+the trace of the Schur complement it leaves bounding the values counted as
+zero and 1/|G11^-1|_F of its pivoted block the values kept, and a rank is
+returned only where both bounds clear the band.  The determinant of a Gram is
 prod D_k of its exact factor, a Fraction, and the Gram determinants a route
 combines are multiplied exactly and rounded once.  The one Gram not given
 is that of the harmonic projections in reidemeister: its determinant comes
 from the lengths that classical Gram-Schmidt, run twice, leaves of the
-representatives, and the pivots of one LDL^H of a square matrix, with no
-square root, which does not square their conditioning.
+representatives, and the pivots of one LDL^H (_ldl, the same factor) of
+a square matrix, with no square root, which does not square their
+conditioning.
 
 Neither route takes a logarithm: each multiplies determinants and
-eigenvalues into one quotient (_alternating), the factors of exponent +1
+pivots into one quotient (_alternating), the factors of exponent +1
 over those of exponent -1, and ends in one square root.  Logarithms are
 taken only where a form needs one, each by numfield.ln: exact_torsion
 takes ln tau once per place, and verify_euler_identity puts each place's
@@ -165,21 +170,21 @@ def _cols(m):
 
 def _gram(a, adjoint_first):
     """The Hermitian Gram A^H A of an mp.matrix A when adjoint_first, else
-    A A^H.  Each entry on or above the diagonal is one
-    mp.fdot(..., conjugate=True) over two columns (A^H A) or two rows
-    (A A^H) and its conjugate goes below: the rounding of A.H * A and
-    A * A.H, which form both triangles, with no conjugate transpose copied.
+    A A^H, as the rows of its lower triangle, diagonal included: the one
+    shape _ldl reads.  Each entry is one mp.fdot(..., conjugate=True) over
+    two columns (A^H A) or two rows (A A^H), the rounding of A.H * A and
+    A * A.H, with no conjugate transpose copied and no upper triangle formed.
     """
     vecs = _cols(a) if adjoint_first else a.tolist()
-    n = len(vecs)
-    g = mp.matrix(n, n)
-    for i in range(n):
-        for j in range(i, n):
-            u, v = (vecs[j], vecs[i]) if adjoint_first else (vecs[i], vecs[j])
-            x = g[i, j] = mp.fdot(u, v, True)
-            if j > i:
-                g[j, i] = mp.conj(x)
-    return g
+    return [[mp.fdot(*((v, u) if adjoint_first else (u, v)), True) for v in vecs[: i + 1]]
+            for i, u in enumerate(vecs)]
+
+
+def _frobenius2(low):
+    """|M|_F^2 of a Hermitian matrix M given as the rows of its lower
+    triangle: the entries below the diagonal count twice."""
+    off = mp.fsum((x for row in low for x in row[:-1]), absolute=True, squared=True)
+    return 2 * off + mp.fsum((row[-1] for row in low), absolute=True, squared=True)
 
 
 class MetrizedComplexAtPlace(Record):
@@ -244,21 +249,6 @@ def metrized_complex_at_place(
     return at_place(build_complex_over_r(field, lengths, [ring(m) for m in dd], grams, specs), 0)
 
 
-def _count_below(values, cut, message):
-    """How many values lie at or below cut; refuses any within a factor 10^3
-    of it.  A zero matrix has cut 0 and all its values count.
-
-    message names the decision, with {} where the offending value goes.
-    """
-    k = 0
-    for v in values:
-        if cut / _AMBIGUITY_FACTOR < v < cut * _AMBIGUITY_FACTOR:
-            raise RankAmbiguous(message.format(mp.nstr(v, 8)))
-        if v <= cut:
-            k += 1
-    return k
-
-
 def _kernel_dims(lengths, ranks):
     """n_i - r_i - r_{i-1} per degree, for the ranks r_i of the differentials."""
     r = (0, *ranks, 0)
@@ -288,46 +278,109 @@ def _orthonormalize(cols):
     return _matrix(list(zip(*q)), len(q)), r
 
 
-def _ldl_det(low):
-    """det m of a Hermitian matrix m, given as the rows of its lower
-    triangle, diagonal included, from the pivots of its LDL^H: for each
-    row i, a_ij = l_ij d_j = m_ij - sum_k a_ik conj(l_jk) over k < j, and
-    d_i = Re(m_ii - sum_k a_ik conj(l_ik)).  No square root is taken, and,
-    unlike mp.det, no singularity threshold relative to |m| applies: a
-    matrix whose spectrum spans more than the working precision still
-    factors.  Returns 0 at the first pivot <= 0, the pivots
-    mp.cholesky(m, tol=0) refuses.
+def _ldl(low, floor2):
+    """The LDL^H of a Hermitian matrix M, given as the rows of its lower
+    triangle, with diagonal pivoting: (pivots, order, l).
+
+    Step k takes the largest diagonal entry of the Schur complement S left
+    by the steps before it as the pivot d_k, at index order[k] of M, while
+    trace S > 0 and (trace S)^2 > floor2; then the steps stop.  l[q] is the
+    row of the n by r unit trapezoidal factor L at index q: for each k,
+    a_qk = l_qk d_k = m_q,order[k] - sum_j a_qj conj(l_order[k],j), over the
+    steps j < k, and the entry 1 closes the row of order[k].  Each diagonal
+    entry of S is Re(m_qq - sum_j a_qj conj(l_qj)), one mp.fdot, so no
+    square root is taken, and no threshold relative to |M| applies.  With
+    floor2 = 0 every step is taken exactly when M is positive definite, in
+    exact arithmetic: trace S <= 0 leaves an S, and so an M, with an
+    eigenvalue <= 0, and every pivot taken is > 0.
     """
-    rows, pivots = [], []
-    for i, row in enumerate(low):
-        a, li = [], []
-        for j in range(i):
-            x = row[j] - mp.fdot(a, rows[j], True)
-            a.append(x)
-            li.append(x / pivots[j])
-        d = mp.re(row[i] - mp.fdot(a, li, True))
-        if d <= 0:
-            return 0
-        rows.append(li)
+    left, a, l = list(range(len(low))), [[] for _ in low], [[] for _ in low]
+    pivots, order = [], []
+    while left:
+        diag = [mp.re(low[q][q] - mp.fdot(a[q], l[q], True)) for q in left]
+        t = mp.fsum(diag)
+        if t <= 0 or t * t <= floor2:
+            break
+        d = max(diag)
+        p = left.pop(diag.index(d))
+        for q in left:
+            x = (low[q][p] if p < q else mp.conj(low[p][q])) - mp.fdot(a[q], l[p], True)
+            a[q].append(x)
+            l[q].append(x / d)
+        l[p].append(1)
         pivots.append(d)
-    return mp.fprod(pivots)
+        order.append(p)
+    return pivots, order, l
+
+
+def _inverse_frobenius2(pivots, order, l):
+    """|G11^-1|_F^2 for the leading r by r block G11 = L11 D L11^H, in pivot
+    order, of an _ldl factor: with M = L11^-1, by forward substitution, and
+    P = M M^H, G11^-1 = M^H D^-1 M has |G11^-1|_F^2 = sum_jk |P_jk|^2 / (d_j d_k).
+    """
+    m = []
+    for j, p in enumerate(order):
+        m.append([-mp.fdot(l[p][k:j], [row[k] for row in m[k:]]) for k in range(j)] + [1])
+    w = [quotient(1, d) for d in pivots]
+    return mp.fsum((2 - (j == k)) * w[j] * w[k] * _abs2(mp.fdot(m[j], m[k], True))
+                   for j in range(len(m)) for k in range(j + 1))
+
+
+def _rank_and_det(g, cut4, name):
+    """(r, det'(G)) of a Hermitian positive semidefinite Gram G, given as
+    the rows of its lower triangle, by one _ldl, for the eigenvalue rule:
+    with cut = c^2 |G|_F and cut4 = c^4, an eigenvalue at most cut counts as
+    zero, and one within a factor 10^3 of cut raises RankAmbiguous, naming
+    the decision by name and giving the smallest pivot, the one nearest the
+    cut.
+
+    The factor stops once trace S <= cut/10^3, after r steps.  Kernel side:
+    each of the n - r smallest eigenvalues of G is at most the matching one
+    of S (take x = [-G11^-1 G12 y; y] in Courant-Fischer), and so at most
+    trace S: the rule counts them all, none in its band.  Kept side: each of
+    the r largest is at least lambda_min(G11) >= 1/|G11^-1|_F (Cauchy
+    interlacing), for the leading r by r block G11 of the factor in pivot
+    order (_inverse_frobenius2).  That bound is at most the smallest pivot
+    and equals it when r = 1, so a smallest pivot below 10^3 cut refutes it
+    at once; r is returned only when the bound is at least 10^3 cut, so the
+    rule keeps them all, none in its band.  So a rank returned here is the
+    one the eigenvalue rule gives, and RankAmbiguous is raised wherever that
+    rule raises it, and where the bounds are too loose to decide (as on a
+    Kahan matrix, whose pivots lie far above its smallest eigenvalue).  The
+    nonzero eigenvalues of the rank-r part L D L^H multiply to
+    det'(G) = prod d_k det(L^H L), with det(L^H L) = 1 when r = n and one
+    more _ldl when r < n.  Every bound is compared squared, so no square
+    root is taken; a zero G has r = 0 and det' = 1.
+    """
+    band2 = cut4 * _frobenius2(g) * _AMBIGUITY_FACTOR**2
+    pivots, order, l = _ldl(g, band2 / _AMBIGUITY_FACTOR**4)
+    r = len(pivots)
+    smallest = min(pivots, default=0)
+    if smallest**2 < band2 or r > 1 and _inverse_frobenius2(pivots, order, l) * band2 > 1:
+        raise RankAmbiguous(
+            f"{name}: an eigenvalue may sit at the cutoff (smallest pivot {mp.nstr(smallest, 8)})"
+        )
+    det = mp.fprod(pivots)
+    if r < len(g):
+        # det(L^H L), the L^H L of the padded rows of L, by one more _ldl
+        cols = list(zip(*(row + [0] * (r - len(row)) for row in l)))
+        ltl = [[mp.fdot(cols[k], c, True) for k in range(j + 1)] for j, c in enumerate(cols)]
+        det *= mp.fprod(_ldl(ltl, 0)[0])
+    return r, det
 
 
 def _lemma_det(terms, q):
     """(det(Lap + c^2 Q Q^*), c^2) for the Laplacian Lap, the sum of the
     Hermitian Grams in terms, an mp.matrix Q with orthonormal columns, and
-    c^2 = |Lap|_F (1 when Lap = 0).  Q Q^* is a _gram product, and only the
-    entries on and below the diagonal are summed, once each, which is all
-    _ldl_det reads; its determinant is 0 where a pivot is not positive.
+    c^2 = |Lap|_F (1 when Lap = 0).  Q Q^* is a _gram product, every matrix
+    is the rows of its lower triangle, and each entry is summed once; the
+    determinant is the product of _ldl's pivots, and 0 where the factor
+    stops short of n steps: a matrix that is not positive definite.
     """
-    n = q.rows
-    qq = _gram(q, False)
-    lap = [[sum(t[a, b] for t in terms) for b in range(a + 1)] for a in range(n)]
-    c2 = sqrt(
-        2 * mp.fsum((x for row in lap for x in row[:-1]), absolute=True, squared=True)
-        + mp.fsum((row[-1] for row in lap), absolute=True, squared=True)
-    ) or mpf(1)
-    return _ldl_det([[x + c2 * qq[a, b] for b, x in enumerate(row)] for a, row in enumerate(lap)]), c2
+    lap = [[sum(t[a][b] for t in terms) for b in range(a + 1)] for a in range(q.rows)]
+    c2 = sqrt(_frobenius2(lap)) or mpf(1)
+    pivots = _ldl([[x + c2 * y for x, y in zip(u, v)] for u, v in zip(lap, _gram(q, False))], 0)[0]
+    return (mp.fprod(pivots) if len(pivots) == q.rows else 0), c2
 
 
 def reidemeister(cplx: MetrizedComplexAtPlace):
@@ -343,10 +396,11 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
 
     where W_i is the Gram of the harmonic projections of the representative
     columns K_i and H_i the chosen cohomology Gram.  Each nonzero d_i takes
-    one eigenvalue-only problem on G_i: the eigenvalues at most
-    rank_cutoff^2 |G_i|_F count toward its kernel, which gives the rank r_i,
-    and det'(G_i) multiplies the others.  The kernel dimension in degree i
-    is n_i - r_i - r_{i-1}.
+    one LDL^H of G_i with diagonal pivoting (_rank_and_det), which decides
+    the eigenvalue rule with no eigenvalue computed: the eigenvalues at
+    most rank_cutoff^2 |G_i|_F count toward its kernel, which gives the
+    rank r_i, and det'(G_i) multiplies the others, prod d_k det(L^H L) from
+    the factor.  The kernel dimension in degree i is n_i - r_i - r_{i-1}.
 
     det W_i needs no eigenvector.  With K_i = Q R, Q orthonormal, and
     c^2 = |Lap_i|_F (1 when Lap_i = 0), the determinant lemma in the
@@ -357,15 +411,15 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
     with det'(Lap_i) = det'(G_i) det'(G_{i-1}), once the kernel has as many
     dimensions as the complex lists classes.  Q and R come from
     _orthonormalize, at 10 more digits, and the determinant on the right
-    from the pivots of an LDL^H (_ldl_det), with no square root.  Taking
+    from the pivots of an LDL^H (_ldl), with no square root.  Taking
     the lemma on Q, not on K_i, keeps the conditioning of K_i out of the
     determinant, where it would enter squared.  Each Gram d_i^* d_i or
-    d_i d_i^* is one _gram product, formed once per call at the precision
-    of the orthonormal entries: the rank of d_i and the Laplacians on
-    either side of it read the same one.  The Laplacian is built only in
-    the degrees that list cohomology, and Lap_i + c^2 Q Q^* in one pass
-    over the entries on and below the diagonal (_lemma_det), with Q Q^* a
-    _gram product too.  A differential with no nonzero entry is
+    d_i d_i^* is one _gram product, its lower triangle formed once per call
+    at the precision of the orthonormal entries: the rank of d_i and the
+    Laplacians on either side of it read the same one.  The Laplacian is
+    built only in the degrees that list cohomology, and Lap_i + c^2 Q Q^*
+    in one pass over the entries on and below the diagonal (_lemma_det),
+    with Q Q^* a _gram product too.  A differential with no nonzero entry is
     a zero one, read exactly.  The product, times the exact alternating
     product of the det H_i rounded once, and one square root give tau; no
     logarithm is taken.  tau is computed at the complex's digits + GUARD,
@@ -376,7 +430,8 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
     det H_i are read from the place's complex.  The exact kernel dimension
     in degree i is the free rank build_complex_over_r matched against K; a
     kernel dimension that differs from it raises RankAmbiguous: the cutoff
-    misjudged an eigenvalue, and more digits would help.
+    misjudged an eigenvalue, and more digits would help.  So does a rank
+    that the factor cannot certify.
     """
     whole = cplx.complex
     digits = whole.field.digits
@@ -390,26 +445,16 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
         return grams[i, adjoint_first]
 
     with mp.workdps(digits + GUARD):
-        cut2 = rank_cutoff(digits) ** 2
-        ranks = []
+        cut4 = rank_cutoff(digits) ** 4
+        # (r_i, det'(G_i)) of each differential, a zero one read exactly
+        steps = [
+            _rank_and_det(gram(i, d.cols <= d.rows), cut4, f"d{i} out of degree {i}")
+            if any(d[r, c] for r in range(d.rows) for c in range(d.cols)) else (0, mpf(1))
+            for i, d in enumerate(dt)
+        ]
+        ranks = [r for r, _ in steps]
         # det'(G_i), with det'(G_{-1}) = det'(G_{nd-1}) = 1 around them
-        dets = [mpf(1)]
-        for i, d in enumerate(dt):
-            if not any(d[r, c] for r in range(d.rows) for c in range(d.cols)):
-                ranks.append(0)
-                dets.append(mpf(1))
-                continue
-            g = gram(i, d.cols <= d.rows)
-            evals = mp.eighe(g, eigvals_only=True)
-            evals = [evals[t] for t in range(g.rows)]
-            k = _count_below(
-                evals,
-                cut2 * sqrt(mp.fsum(g, absolute=True, squared=True)),
-                f"d{i} out of degree {i}: eigenvalue {{}} sits at the cutoff",
-            )
-            ranks.append(g.rows - k)
-            dets.append(mp.fprod(evals[k:]))
-        dets.append(mpf(1))
+        dets = [mpf(1), *(det for _, det in steps), mpf(1)]
         dims = _kernel_dims(whole.lengths, ranks)
         # tau^2 = prod_i (num_i / den_i)^((-1)^i), one quotient, over the
         # chosen cohomology Grams' prod_i det H_i^((-1)^i), exact until then:

@@ -749,11 +749,6 @@ def raw_value(x):
     return ("mpc", x._mpc_) if isinstance(x, mpc) else ("mpf", x._mpf_)
 
 
-def raw_matrix(m):
-    """Shape and raw entries of an mp.matrix, unstored zeros included."""
-    return (m.rows, m.cols, [raw_value(m[i, j]) for i in range(m.rows) for j in range(m.cols)])
-
-
 def power_chain(field, place):
     """z^0, ..., z^(n-1) of a place representative z by a product chain at
     digits + 3 GUARD, each power rounded once to digits + GUARD."""
@@ -790,6 +785,21 @@ def fdot_embed(field, elem, place):
     with mp.workdps(field.digits + GUARD):
         nums = [c.numerator * (den // c.denominator) for c in elem.coeffs]
         return mp.fdot(nums, powers) / den
+
+
+def eigenvalue_rank(g, digits):
+    """The eigenvalue rule of the Laplacian route on a Hermitian positive
+    semidefinite mp.matrix G, by mp.eighe, at the working precision:
+    (rank, det', smallest kept eigenvalue) with the eigenvalues at most
+    cut = c^2 |G|_F, c = rank_cutoff(digits), counted as zero and the others
+    multiplied; None when an eigenvalue lies within a factor 10^3 of cut."""
+    values = mp.eighe(g, eigvals_only=True)
+    values = [values[i] for i in range(g.rows)]
+    cut = rank_cutoff(digits) ** 2 * mp.sqrt(mp.fsum(g, absolute=True, squared=True))
+    if any(cut / 1000 < v < cut * 1000 for v in values):
+        return None
+    kept = [v for v in values if v > cut]
+    return len(kept), mp.fprod(kept), min(kept, default=None)
 
 
 def gram_by_matrix_product(a, adjoint_first):

@@ -36,14 +36,15 @@ from regtor import (
 from regtor import build_field, flatmodel, modtors, numfield, rtorsion
 from regtor.cli import main
 from regtor.flatmodel import gram_ldl
-from regtor.numfield import rank_cutoff
+from regtor.numfield import GUARD, rank_cutoff
 from support import (
     euler_residual_by_classes,
     field_lattice,
+    eigenvalue_rank,
     field_units,
     gram_by_matrix_product,
     random_complex_over,
-    raw_matrix,
+    raw_value,
     torsion_by_coimage,
 )
 
@@ -278,7 +279,7 @@ def test_ambiguous_rank_is_reported():
     # the Laplacian eigenvalue 10^-50 sits at its cutoff 10^-50 |L|_F; the
     # basis-chase reads the exact rank 2 and tau = 10^25
     cplx = _ill_conditioned(Fraction(1, 10**25))
-    with pytest.raises(RankAmbiguous, match="degree 0: eigenvalue"):
+    with pytest.raises(RankAmbiguous, match="degree 0: an eigenvalue may sit at the cutoff"):
         reidemeister(cplx)
     assert _is_ten_to(torsion_by_contraction(cplx), 25)
 
@@ -858,15 +859,23 @@ def test_exact_ranks_agree_with_singular_values():
             assert exact[k] == numeric
 
 
-def test_laplacian_route_takes_one_eigenvalue_problem_per_differential(monkeypatch):
-    calls = []
-    eighe = mp.eighe
+def test_laplacian_route_takes_one_factorization_per_differential(monkeypatch):
+    # the rank and det' of each nonzero d_i come from one _ldl of its Gram,
+    # and no eigenvalue problem is solved
+    formed, factored, eighe = [], [], []
+    gram, ldl = rtorsion._gram, rtorsion._ldl
 
-    def counting(matrix, **kwargs):
-        calls.append((matrix.rows, kwargs))
-        return eighe(matrix, **kwargs)
+    def counting_gram(a, adjoint_first):
+        formed.append((gram(a, adjoint_first), a))
+        return formed[-1][0]
 
-    monkeypatch.setattr(mp, "eighe", counting)
+    def counting_ldl(low, floor2):
+        factored.append(low)
+        return ldl(low, floor2)
+
+    monkeypatch.setattr(rtorsion, "_gram", counting_gram)
+    monkeypatch.setattr(rtorsion, "_ldl", counting_ldl)
+    monkeypatch.setattr(mp, "eighe", lambda *args, **kwargs: eighe.append(args))
     field, _ = field_units("zsqrt2")
     free = _free_cohomology_complex(field)
     places = [(at_place(free, 0), _exact_ranks(free)[0])]
@@ -874,13 +883,16 @@ def test_laplacian_route_takes_one_eigenvalue_problem_per_differential(monkeypat
         exact = _exact_ranks(cplx)
         places += [(at_place(cplx, k), exact[k]) for k in range(cplx.field.n_places)]
     for at, ranks in places:
-        calls.clear()
+        formed.clear()
+        factored.clear()
         reidemeister(at)
+        grams = [(low, i) for low in factored for g, a in formed if low is g
+                 for i, d in enumerate(at.ortho_diffs) if a is d]
         # a differential is nonzero at a place exactly when its rank there is
         n = at.complex.lengths
-        want = [min(n[i], n[i + 1]) for i, r in enumerate(ranks) if r]
-        assert [size for size, _ in calls] == want
-        assert all(kwargs == {"eigvals_only": True} for _, kwargs in calls)
+        assert [i for _, i in grams] == [i for i, r in enumerate(ranks) if r]
+        assert [len(low) for low, _ in grams] == [min(n[i], n[i + 1]) for _, i in grams]
+    assert eighe == []
 
 
 def test_laplacian_route_forms_each_gram_once(monkeypatch):
@@ -1129,8 +1141,8 @@ def test_laplacian_misjudged_kernel_over_r_is_ambiguous():
     for k in range(field.n_places):
         at = at_place(cplx, k)
         assert _is_ten_to(torsion_by_contraction(at), 25)
-        with pytest.raises(RankAmbiguous, match="d0 out of degree 0: eigenvalue 1.0e-50 sits "
-                           "at the cutoff"):
+        with pytest.raises(RankAmbiguous, match=r"d0 out of degree 0: an eigenvalue may sit at "
+                           r"the cutoff \(smallest pivot 1.0e-50\)"):
             reidemeister(at)
 
 
@@ -1678,8 +1690,114 @@ def test_kernels_round_as_mpmath_products(digits):
             for r, c in ((0, 3), (3, 0), (1, 1), (2, 3), (4, 2), (3, 3)):
                 a = _random_matrix(rng, r, c, complex_entries)
                 for adjoint_first in (True, False):
+                    # _gram forms the lower triangle alone, as rows
                     want = gram_by_matrix_product(a, adjoint_first)
-                    assert raw_matrix(gram(a, adjoint_first)) == raw_matrix(want)
+                    lower = [[raw_value(want[i, j]) for j in range(i + 1)] for i in range(want.rows)]
+                    assert [[raw_value(x) for x in row] for row in gram(a, adjoint_first)] == lower
+
+
+def _factor_against_eigenvalues(g, digits, dropped=0):
+    # the rank step on the mp.matrix G against the eigenvalue rule it
+    # certifies (support.eigenvalue_rank, by mp.eighe): the same rank and
+    # det', or RankAmbiguous, never another rank.  Returns whether the
+    # factor decided.  det' agrees to 10^-digits relative, widened by the
+    # first-order bound r (n 10^-(digits + GUARD) |G|_F + dropped) / lambda_r
+    # over the smallest eigenvalue kept: the rounding of the eigenvalues,
+    # and the part of G below the cut that the factor drops and the
+    # eigenvalues leave out, at most dropped (0 when that part is rounding)
+    want = eigenvalue_rank(g, digits)
+    low = [[g[i, j] for j in range(i + 1)] for i in range(g.rows)]
+    try:
+        r, det = rtorsion._rank_and_det(low, rank_cutoff(digits) ** 4, "G")
+    except RankAmbiguous:
+        return False
+    assert want is not None and r == want[0], (r, want)
+    tol = mp.mpf(10) ** -digits
+    if r:
+        tol += r * (g.rows * mp.mpf(10) ** -(digits + GUARD) * mp.mnorm(g, "F") + dropped) / want[2]
+    assert abs(det - want[1]) <= tol * want[1]
+    return True
+
+
+# every rank of every size at 50 digits; two ranks of each size at 300 and
+# one at 1000, where mp.eighe of a 12 x 12 Gram takes 0.2 s
+_FACTOR_RANKS = {50: lambda n: range(n + 1), 300: lambda n: {n // 2, n - n % 2}, 1000: lambda n: {5 * n % (n + 1)}}
+
+
+@pytest.mark.parametrize("digits", (50, 300, 1000))
+def test_rank_step_matches_eigenvalues_of_random_grams(digits):
+    # G = B B^H for B of n rows and r columns, each column scaled by
+    # 10^-e: e in [0, 4], or for every third G one column next to the cut,
+    # e = digits/2 + [-2.5, 2.5], where eigenvalue and pivots decide alike
+    # only within the band's factor 10^3
+    rng = random.Random(digits)
+    decided = near_decided = near = 0
+    with mp.workdps(digits + GUARD):
+        for n in range(1, rtorsion.COMPLEX_SIZE_MAX + 1):
+            for r in sorted(_FACTOR_RANKS[digits](n)):
+                cplx = (n + r) % 2 == 1
+                scales = [rng.uniform(0, 4) for _ in range(r)]
+                if r and (n + r) % 3 == 0:
+                    scales[rng.randrange(r)] = digits / 2 + rng.uniform(-2.5, 2.5)
+                b = mp.matrix(n, max(r, 1))
+                for j, e in enumerate(scales):
+                    for i in range(n):
+                        x = mp.mpf(rng.gauss(0, 1)) * mp.mpf(10) ** -e
+                        b[i, j] = mp.mpc(x, rng.gauss(0, 1) * mp.mpf(10) ** -e) if cplx else x
+                g = b * b.H
+                if r and (n + r) % 3 == 0:
+                    # that column may fall below the cut, where the factor
+                    # drops at most cut/10^3
+                    cut = rank_cutoff(digits) ** 2 * mp.mnorm(g, "F")
+                    near += 1
+                    near_decided += _factor_against_eigenvalues(g, digits, cut / 1000)
+                else:
+                    ok = _factor_against_eigenvalues(g, digits)
+                    # away from the cut the bounds always decide
+                    assert ok, (n, r)
+                    decided += 1
+    assert decided and near
+
+
+@pytest.mark.parametrize("digits", (50, 300))
+def test_rank_step_on_kahan_grams(digits):
+    # G = R^H R for Kahan's R = diag(1, s, .., s^(n-1)) (I - c U), U the
+    # strict upper ones, c^2 + s^2 = 1: every diagonal entry of G and of
+    # each Schur complement is a tie, so the pivots are s^(2k), and the
+    # smallest eigenvalue lies far below the last pivot.  With s^(2(n-1))
+    # from 10^(3 - digits) to 10^(-7 - digits), the eigenvalue rule gives
+    # n, n - 1 or RankAmbiguous, and the factor the same or RankAmbiguous,
+    # and it refuses a rank the eigenvalue rule gives at least once.  The
+    # factor drops a Schur complement of trace at most cut/10^3 where the
+    # eigenvalues leave out the smallest one
+    refused = 0
+    with mp.workdps(digits + GUARD):
+        for n in (6, 12):
+            for x in range(-3, 8):
+                s = mp.mpf(10) ** (-mp.mpf(digits + x) / (2 * n - 2))
+                c = mp.sqrt(1 - s * s)
+                kahan = mp.matrix(n, n)
+                for i in range(n):
+                    kahan[i, i] = s**i
+                    for j in range(i + 1, n):
+                        kahan[i, j] = -c * s**i
+                g = kahan.H * kahan
+                cut = rank_cutoff(digits) ** 2 * mp.mnorm(g, "F")
+                decided = _factor_against_eigenvalues(g, digits, cut / 1000)
+                refused += not decided and eigenvalue_rank(g, digits) is not None
+    assert refused
+
+
+@pytest.mark.parametrize("digits", (50, 300, 1000))
+def test_rank_step_keeps_a_small_scalar_differential(digits):
+    # the 1 x 1 Grams of 0 -> R --(m/10^e)--> R -> 0 with e near digits/4,
+    # the shape of perfbench's conditioning slice: rank 1 and det' = x^2
+    with mp.workdps(digits + GUARD):
+        for e in range(digits // 4 - 2, digits // 4 + 3):
+            for m in (1, 3, 7, 99):
+                x = mp.mpf(m) / mp.mpf(10) ** e
+                assert _factor_against_eigenvalues(mp.matrix([[x * x]]), digits)
+                assert rtorsion._rank_and_det([[x * x]], rank_cutoff(digits) ** 4, "G") == (1, x * x)
 
 
 def _cohomology_complexes():

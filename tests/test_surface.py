@@ -381,28 +381,17 @@ def test_nothing_in_the_package_builds_a_place_over_r():
 
 def test_no_numeric_rank_minor_or_eigenvector():
     # every complex has a K, so no rank, pivot or minor is numeric: no
-    # source names mp.svd_c or mp.det, and the Laplacian verifier takes
-    # eigenvalues only, so mp.eighe appears only as a call that passes
-    # eigvals_only=True
-    named = []
-    for path in sorted((SRC / "regtor").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        eigvals_only = {
-            id(node.func)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and any(k.arg == "eigvals_only" and getattr(k.value, "value", None) is True
-                    for k in node.keywords)
-        }
-        named += [
-            (path.name, node.attr, node.lineno)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "mp"
-            and node.attr in ("svd_c", "det", "eighe")
-            and not (node.attr == "eighe" and id(node) in eigvals_only)
-        ]
+    # source names mp.svd_c or mp.det, and the Laplacian verifier decides
+    # each rank and det' from one pivoted LDL^H, so none names mp.eighe
+    named = [
+        (path.name, node.attr, node.lineno)
+        for path in sorted((SRC / "regtor").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "mp"
+        and node.attr in ("svd_c", "det", "eighe")
+    ]
     assert not named, named
 
 
