@@ -342,8 +342,8 @@ def _rank_and_det(g, cut4, name):
     interlacing), for the leading r by r block G11 of the factor in pivot
     order (_inverse_frobenius2).  That bound is at most the smallest pivot
     and equals it when r = 1, so a smallest pivot below 10^3 cut refutes it
-    at once; r is returned only when the bound is at least 10^3 cut, so the
-    rule keeps them all, none in its band.  So a rank returned here is the
+    at once and r = 1 needs no more; r is returned only when the bound is
+    at least 10^3 cut, so the rule keeps them all, none in its band.  So a rank returned here is the
     one the eigenvalue rule gives, and RankAmbiguous is raised wherever that
     rule raises it, and where the bounds are too loose to decide (as on a
     Kahan matrix, whose pivots lie far above its smallest eigenvalue).  The

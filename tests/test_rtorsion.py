@@ -1800,6 +1800,36 @@ def test_rank_step_keeps_a_small_scalar_differential(digits):
                 assert rtorsion._rank_and_det([[x * x]], rank_cutoff(digits) ** 4, "G") == (1, x * x)
 
 
+def test_inverse_norm_of_the_factor_is_mpmaths():
+    # the kept side's bound reads |G^-1|_F^2 off the factor of a positive
+    # definite G, every step taken: the square of mpmath's Frobenius norm
+    # of its inverse
+    rng = random.Random(7)
+    with mp.workdps(60):
+        for n in range(1, 7):
+            b = mp.matrix(n, n)
+            for i in range(n):
+                for j in range(n):
+                    b[i, j] = mp.mpc(rng.gauss(0, 1), rng.gauss(0, 1)) if n % 2 else rng.gauss(0, 1)
+            g = b * b.H + mp.eye(n)
+            pivots, order, l = rtorsion._ldl([[g[i, j] for j in range(i + 1)] for i in range(n)], 0)
+            want = mp.mnorm(mp.inverse(g), "F") ** 2
+            assert len(pivots) == n
+            assert abs(rtorsion._inverse_frobenius2(pivots, order, l) / want - 1) < mp.mpf(10) ** -50
+
+
+def test_rank_step_refuses_what_the_eigenvalue_rule_refuses_at_few_digits():
+    # at 1 and 2 digits the band about the cut c^2 |G|_F, a factor 10^3 on
+    # either side, holds the one nonzero eigenvalue of a rank-one Gram: the
+    # eigenvalue rule refuses it, and the factor on its one pivot, though
+    # the Schur complement it leaves is 0
+    for digits in (1, 2):
+        with mp.workdps(digits + GUARD):
+            for g in ([[3]], [[1, 0], [0, 0]], [[4, 2], [2, 1]]):
+                assert eigenvalue_rank(mp.matrix(g), digits) is None
+                assert not _factor_against_eigenvalues(mp.matrix(g), digits)
+
+
 def _cohomology_complexes():
     field, _ = field_units("zsqrt2")
     free = _free_cohomology_complex(field)
