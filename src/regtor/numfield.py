@@ -35,15 +35,16 @@ each place, and product_is_zero whether a product of two matrices is 0 in
 K.  Each packs ring elements into integers at x = 2^B (Kronecker
 substitution) through one packing step, _kronecker_pack.  The one
 fraction-free elimination _bareiss over Z gives every exact determinant
-and rank: _int_bareiss_det for norm and the squarefree test through
-_resultant, the determinant of multiplication by q on Z[x]/(p), and for
-exact_det on the Kronecker form of a matrix (_kronecker_matrix); all the
-subresultants of one Sylvester matrix S_j for the gcd; the pivot columns
-at each place for exact_pivots, on the Kronecker form too, splitting p
-where a pivot is a zero divisor; and flatmodel.gram_ldl's exact factor of
-each Gram.  Each public function works at digits + GUARD; the cutoffs
-rank_cutoff (10^(-digits/2)) and residual_tolerance (10^(-digits + GUARD))
-are evaluated at the caller's working precision, torus_tolerance
+and rank: _int_bareiss_det for exact_det on the Kronecker form of a matrix
+(_kronecker_matrix); the pivot columns at each place for exact_pivots, on
+the Kronecker form too, splitting p where a pivot is a zero divisor; and
+flatmodel.gram_ldl's exact factor of each Gram.  The one subresultant
+remainder sequence _subresultant_prs gives every resultant and polynomial
+gcd: the norm, the squarefree test, the unit test of exact_pivots' last
+pivot and the gcd that splits p.  Each public function works at
+digits + GUARD; the cutoffs rank_cutoff (10^(-digits/2)) and
+residual_tolerance (10^(-digits + GUARD)) are evaluated at the caller's
+working precision, torus_tolerance
 (10^(-digits/3)) at 53 bits, and ln, the one logarithm every module takes,
 at the working precision too:
 next to 1, where mp.log would double its precision, two terms of the
@@ -69,8 +70,10 @@ GUARD = 10
 DEFAULT_DIGITS = 50
 
 # Largest degree of a defining polynomial; 60 admits Z[zeta_61].  A generic
-# degree-60 p costs about 5 s at 50 digits and 30-45 s at 1000 digits on
-# one core of a 2-core x86 machine with mpmath's pure-Python backend.
+# degree-60 p (coefficients in [-9, 9]) costs about 4.4 s at 50 digits and
+# 32 s at 1000 digits on one core of a 2-core x86 machine with mpmath's
+# pure-Python backend, nearly all of it mp.polyroots: its squarefree test
+# takes about 5 ms, 30 ms with coefficients up to 10^6.
 DEGREE_MAX = 60
 
 _POLYROOTS_STEPS = 400
@@ -341,34 +344,57 @@ def _int_bareiss_det(m: list[list[int]]) -> int:
     return _bareiss(m)[1] * m[-1][-1]
 
 
-def _sylvester(f, e, j) -> list[list[int]]:
-    """S_j of two integer polynomials (constant first) of degrees n and m:
-    the coefficient rows, highest power first, of x^(m-j-1) f, ..., f and
-    x^(n-j-1) e, ..., e, with n + m - j columns.  Column n + m - j - 1 - i
-    holds the x^i coefficients."""
-    n, m = len(f) - 1, len(e) - 1
-    f_desc, e_desc = list(f[::-1]), list(e[::-1])
-    rows = [[0] * k + f_desc + [0] * (m - j - 1 - k) for k in range(m - j)]
-    return rows + [[0] * k + e_desc + [0] * (n - j - 1 - k) for k in range(n - j)]
+def _subresultant_prs(p, q) -> tuple[int, list[int]]:
+    """(Res(p, q), monic gcd of p and q) for a monic integer p of degree
+    n >= 1 and an integer q (constant first), by one subresultant polynomial
+    remainder sequence over Z (Collins, J. ACM 14, 1967; Brown and Traub,
+    J. ACM 18, 1971; H. Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 3.3.7).
+
+    Res(p, q) is prod q(a) over the roots a of p, so it is Res(p, q mod p),
+    and the sequence starts from a = p and b = q mod p, which p monic keeps
+    integral.  Each step takes the pseudo-remainder lc(b)^(d+1) a mod b,
+    d = deg a - deg b >= 1, and divides it exactly by g h^d, with g the
+    leading coefficient of the last divisor and h <- g^d / h^(d-1), both 1
+    at the start: every remainder is then a subresultant of p and q, whose
+    coefficients are minors of the Sylvester matrix, so O(n^2) steps on
+    integers within Hadamard's bound take the resultant where the n by n
+    determinant of multiplication by q took O(n^3).  The sequence ends at a
+    constant b, Res = s lc(b)^deg a / h^(deg a - 1), s flipped at each step
+    where deg a and deg b are odd, or at b = 0, Res = 0, and the last
+    nonzero remainder a is then a multiple of gcd(p, q).  A monic factor of
+    the monic integer p is integral (Gauss's lemma), so a divided by lc(a)
+    is the monic gcd exactly.  A q that p divides gives (0, p), a constant
+    c (c^n, [1]); the gcd is [1] whenever Res != 0.
+    """
+    a, b = list(p), poly_divmod(list(q), p)[1]
+    g = h = s = 1
+    while len(b) > 1:
+        d = len(a) - len(b)
+        if len(a) % 2 == len(b) % 2 == 0:
+            s = -s
+        lb, low = b[-1], b[:-1]
+        for k in range(d, -1, -1):
+            # a <- lc(b) a - c x^k b, c the leading coefficient of a
+            c = a.pop()
+            if lb != 1:
+                a = [x * lb for x in a]
+            if c:
+                for i, y in enumerate(low, k):
+                    a[i] -= c * y
+        div = g * h**d
+        a, b = b, poly_trim([x // div for x in a])
+        g = a[-1]
+        h = g**d // h ** (d - 1)
+    if not b:
+        return 0, [x // a[-1] for x in a]
+    return s * b[0] ** (len(a) - 1) // h ** (len(a) - 2), [1]
 
 
 def _resultant(p, q) -> int:
-    """Res(p, q) of a monic integer p of degree n and an integer q (constant
-    first): prod q(a) over the roots a of p, which is det q(C_p), the
-    determinant of multiplication by q on Z[x]/(p).  Column j of that n by n
-    matrix holds x^j q mod p, and p monic keeps each column integral.  A q
-    that p divides gives 0, and a constant q the power q^n."""
-    n = len(p) - 1
-    col = poly_divmod(list(q), p)[1]
-    col += [0] * (n - len(col))
-    cols = []
-    for _ in range(n):
-        cols.append(col)
-        # x col mod p: shift up, and take the x^n coefficient times p away
-        top, col = col[-1], [0] + col[:-1]
-        if top:
-            col = [c - top * a for c, a in zip(col, p)]
-    return _int_bareiss_det(cols)
+    """Res(p, q) of a monic integer p and an integer q (_subresultant_prs):
+    the norm and the squarefree test."""
+    return _subresultant_prs(p, q)[0]
 
 
 def _kronecker_lift(field, rows) -> tuple[list[list[list[int]]], int]:
@@ -415,40 +441,6 @@ def _kronecker_digits(value: int, bits: int) -> list[int]:
     return coeffs
 
 
-def _subresultant_gcd(f, e) -> list[int]:
-    """The monic gcd of a monic integer f and a nonzero integer e of lower
-    degree that share a root, Res(f, e) = 0.
-
-    For deg f = n and deg e = m, S_j (_sylvester) has size = n + m - 2j
-    rows.  The gcd has the least degree d whose principal subresultant
-    psc_d, the determinant of the leading square block of S_d, is nonzero,
-    and the subresultant polynomial of S_d, whose x^i coefficient is the
-    determinant of that block with its last column swapped for the x^i
-    column, is psc_d times the monic gcd (von zur Gathen and Gerhard,
-    Modern Computer Algebra, ch. 6).  The search ends by j = m at the
-    latest, where psc_m = lc(e)^(n-m).  One _bareiss per j, pivoting in
-    the first size - 1 columns only, gives all these determinants: with
-    size - 1 pivots the last row holds the minors bordering them, each the
-    sign of the swaps times one determinant, and the sign cancels in the
-    quotients.  Fewer pivots make psc_j = 0.
-    """
-    n, m = len(f) - 1, len(e) - 1
-    for j in range(1, m + 1):
-        rows = _sylvester(f, e, j)
-        size = n + m - 2 * j
-        if _bareiss(rows, width=size - 1)[0] < size - 1:
-            continue
-        last = rows[-1]
-        psc = last[size - 1]
-        if psc:
-            gcd = []
-            for i in range(j):
-                q, r = divmod(last[n + m - j - 1 - i], psc)
-                assert r == 0
-                gcd.append(q)
-            return gcd + [1]
-
-
 def _bareiss_pivots(m, bits, f, irreducible) -> list[tuple[list[int], tuple[int, ...]]]:
     """Pivot columns of an integer polynomial matrix modulo the factors of a
     monic, squarefree f, by _bareiss with any entry nonzero mod f as a pivot.
@@ -464,9 +456,11 @@ def _bareiss_pivots(m, bits, f, irreducible) -> list[tuple[list[int], tuple[int,
     Otherwise f splits into g = gcd(f, e), on which e vanishes and
     elimination starts again, and f / g, on which e is a unit and the rank
     is r (dynamic evaluation, D5: Della Dora, Dicrescenzo and Duval, EUROCAL
-    1985).  So f needs one resultant, and one more per split, unless f is
-    known irreducible (NumberField.known_irreducible): then every nonzero
-    residue mod f is a unit, and no resultant is taken.  Returns
+    1985).  One subresultant remainder sequence (_subresultant_prs) gives
+    Res(f, e mod f) and, where it is 0, g.  So f needs one sequence, and one
+    more per split, unless f is known irreducible
+    (NumberField.known_irreducible): then every nonzero residue mod f is a
+    unit, and none is run.  Returns
     (factor, sorted pivot columns) per branch; the factors multiply to f.
     """
     done = []
@@ -481,9 +475,8 @@ def _bareiss_pivots(m, bits, f, irreducible) -> list[tuple[list[int], tuple[int,
         order = list(range(len(a[0])))
         k, _ = _bareiss(a, lambda x: x and mod_f(x), order=order)
         if k and not irreducible:
-            last = mod_f(a[k - 1][k - 1])
-            if not _resultant(f, last):
-                g = _subresultant_gcd(f, last)
+            res, g = _subresultant_prs(f, mod_f(a[k - 1][k - 1]))
+            if not res:
                 todo.append(g)
                 f = poly_divmod(f, g)[0]
         done.append((f, tuple(sorted(order[:k]))))
@@ -681,9 +674,9 @@ def build_field(poly, digits: int, class_orders=()) -> NumberField:
     """Construct the order Z[x]/(p) with embeddings at the given precision.
 
     p must be monic with integer coefficients, of degree 1..DEGREE_MAX, and
-    squarefree: Res(p, p') != 0, decided exactly before any root finding.
-    p = 1 + x + ... + x^{r-1} skips that test, which would cost about 20 /
-    160 ms at r = 31 / 61: its roots are the distinct closed-form
+    squarefree: Res(p, p') != 0, decided exactly before any root finding
+    (_subresultant_prs; about 0.04 ms for p = 1 + x + ... + x^60).  For
+    p = 1 + x + ... + x^{r-1} the roots are the closed-form
     e^{2 pi i k/r}, k = 1..r-1.  Only k <= r/2 is evaluated (for even r,
     k = r/2 is the real root -1), and the roots with 2k > r are taken as the
     conjugates of those with 2k < r.  Each is one mp.expjpi at a reduced
@@ -716,9 +709,10 @@ def build_field(poly, digits: int, class_orders=()) -> NumberField:
     if any(m < 1 for m in class_orders):
         raise ValidationError("class-group orders must be at least 1")
 
-    cyclotomic = set(coeffs) == {1}
-    if not cyclotomic and _resultant(coeffs, [k * coeffs[k] for k in range(1, n + 1)]) == 0:
+    if _resultant(coeffs, [k * coeffs[k] for k in range(1, n + 1)]) == 0:
         raise NotSquarefree("defining polynomial has a repeated factor")
+
+    cyclotomic = set(coeffs) == {1}
 
     with mp.workdps(digits + 2 * GUARD):
         if cyclotomic:

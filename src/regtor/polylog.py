@@ -97,7 +97,7 @@ imaginary part, of order t, keeps wz bits of its own.  Both are decided in
 floats, from t at wz bits.  Without the first guard, with the series about
 0 alone, Li_2 .. Li_100 at theta = pi and 1000 digits were off by up to
 1.2e-965, 45 digits short of the working precision.  The guard is
-ZIV_GUARD bits and doubles at each retry (below).
+ZIV_GUARD bits and grows at each retry (below).
 
 The head is summed in the same fixed point, with no mpf arithmetic but
 ln t (R. P. Brent and P. Zimmermann, Modern Computer Arithmetic, 2010,
@@ -140,9 +140,14 @@ A part v, at 2wp bits, is returned when v - B_n and v + B_n round to the
 same mpf at the working precision (Ziv's test: A. Ziv, "Fast evaluation of
 elementary mathematical functions with correctly rounded last bit", ACM
 TOMS 17, 1991): the exact value lies between them, so it rounds to that
-mpf too.  Otherwise the whole call is recomputed with twice the guard; a
-table filled at a higher precision is read shifted, not rebuilt.  The
-imaginary part at theta = pi is exactly 0 and takes no test.  A part is
+mpf too.  Otherwise the part reports its shortfall, the bit length of its
+bound less the s bits its value leaves below the working precision, and
+the whole call is recomputed at a guard wider by that shortfall and
+ZIV_GUARD more, never less than twice the last guard: each bit of guard
+lengthens s by one bit more than the bound, so next to a zero of the part,
+where the value falls short by about mp.prec bits, the second pass decides
+it.  A table filled at a higher precision is read shifted, not rebuilt.
+The imaginary part at theta = pi is exactly 0 and takes no test.  A part is
 retried when a rounding boundary falls within its bound: with B_n below
 about 2^11 units of 2^-wz and ZIV_GUARD = 40, that is below 2^-28 for a
 part of order 1 (2^-(28 - k) for a part near 2^-k).  Over every
@@ -227,7 +232,7 @@ ORDER_MAX = 100
 
 # Bits by which the polylogarithm's fixed point, and the zeta tables it reads,
 # exceed the working precision, wz = mp.prec + ZIV_GUARD.  A call whose error
-# bound leaves a part undecided by Ziv's test is recomputed with twice the
+# bound leaves a part undecided by Ziv's test is recomputed with a wider
 # guard; at 40 bits that happens to fewer than 2^-28 of the parts of order 1
 # (module docstring), and to none of the benchmark's.
 ZIV_GUARD = 40
@@ -406,28 +411,34 @@ def _log2(v) -> float:
     return log2(float(man)) + exp
 
 
+class _Undecided(Exception):
+    """Raised when Ziv's test leaves a part undecided; args[0] is its
+    shortfall in bits (_correctly_rounded)."""
+
+
 def _correctly_rounded(v: int, err: int, exp: int):
     """v 2^exp rounded to the working precision, when every value within
-    err 2^exp of it rounds to the same mpf (Ziv's test); None otherwise.
-    Integers of n bits round to the multiples of 2^s, s = n - mp.prec, so
-    the test asks that |v| - err and |v| + err have one length and no
-    midpoint between two such multiples lies between them."""
+    err 2^exp of it rounds to the same mpf (Ziv's test).  Integers of n
+    bits round to the multiples of 2^s, s = n - mp.prec, so the test asks
+    that |v| - err and |v| + err have one length and no midpoint between
+    two such multiples lies between them.  Otherwise it raises _Undecided
+    with the shortfall bitlength(err) - s, s taken at n = bitlength(|v| + err)."""
     low, high = abs(v) - err, abs(v) + err
     s = high.bit_length() - mp.prec
-    if low <= 0 or s <= 0 or low.bit_length() != high.bit_length():
-        return None
-    half = 1 << s - 1
-    if low + half - 1 >> s != high + half >> s:
-        return None
-    return mp.make_mpf(from_man_exp(v, exp, mp.prec, round_nearest))
+    if low > 0 and s > 0 and low.bit_length() == high.bit_length():
+        half = 1 << s - 1
+        if low + half - 1 >> s == high + half >> s:
+            return mp.make_mpf(from_man_exp(v, exp, mp.prec, round_nearest))
+    raise _Undecided(err.bit_length() - s)
 
 
 def _series_orders(lo: int, hi: int, th, guard: int):
     """Li_lo .. Li_hi at e^{i th} for 1 <= lo <= hi and th in (0, 2pi), each
-    real and imaginary part correctly rounded to the working precision, or
-    None when Ziv's test leaves a part undecided at this guard.  Order 1 is
-    the closed form, from 2 on the series about the nearer of 0 and pi; head
-    and tail are summed in one fixed point of wp = mp.prec + guard + g bits.
+    real and imaginary part correctly rounded to the working precision;
+    raises _Undecided when Ziv's test leaves a part undecided at this guard
+    (_correctly_rounded).  Order 1 is the closed form, from 2 on the series
+    about the nearer of 0 and pi; head and tail are summed in one fixed
+    point of wp = mp.prec + guard + g bits.
     The module docstring derives g and each order's error bound."""
     # th folds to phi = min(th, 2pi - th), conjugated back when th > pi, and
     # t = phi about 0, t = pi - phi about pi: t = j pi + sign th, exact up to
@@ -459,8 +470,6 @@ def _series_orders(lo: int, hi: int, th, guard: int):
     if lo == 1:
         # (pi - th) / 2 = +-t / 2 about pi, +-(pi - t) / 2 about 0.
         half = _correctly_rounded(tt if near_pi else pi_w - tt, 3, -wp - 1) if tt else mpf(0)
-        if half is None:
-            return None
         out.append(mpc(-ln(2 * mp.sin(th / 2)), -half if conj else half))
         lo = 2
     if lo > hi:
@@ -568,8 +577,6 @@ def _series_orders(lo: int, hi: int, th, guard: int):
         re = _correctly_rounded(quarter[0] - quarter[2], err + zeta_err[0] << wp, -2 * wp)
         im = quarter[1] - quarter[3]
         im = _correctly_rounded(im, err + zeta_err[1] << wp, -2 * wp) if tt else mpf(0)
-        if re is None or im is None:
-            return None
         out.append(mpc(re, flip * im))
     return out
 
@@ -611,8 +618,9 @@ def polylog_orders(lo: int, hi: int, theta, digits: int = DEFAULT_DIGITS) -> lis
     Each part of every order, but the real part of Li_1, is correctly
     rounded to the working precision: a batch and a single order give the
     same bits.  Each order carries an error bound, and a call whose bound
-    leaves a part's rounding undecided is recomputed with a wider guard
-    (Ziv's test; module docstring).
+    leaves a part's rounding undecided is recomputed at the guard that part
+    reports it needs, at least twice the last (Ziv's test; module
+    docstring).
 
     theta is read as any other number and rounded once to the working
     precision (numfield.to_mp); a complex-typed theta is refused.  lo and
@@ -632,11 +640,15 @@ def polylog_orders(lo: int, hi: int, theta, digits: int = DEFAULT_DIGITS) -> lis
         if not (0 < th < 2 * mp.pi):
             raise ThetaOutOfRange(f"theta must lie strictly inside (0, 2pi), got {th}")
         guard = ZIV_GUARD
-        while (out := _series_orders(lo, hi, th, guard)) is None:
-            if guard > 4 * mp.prec:
-                raise NoConvergence(f"Li_{lo}..Li_{hi} at theta = {th} did not round at this precision")
-            guard *= 2
-        return out
+        while True:
+            try:
+                return _series_orders(lo, hi, th, guard)
+            except _Undecided as short:
+                if guard > 4 * mp.prec:
+                    raise NoConvergence(
+                        f"Li_{lo}..Li_{hi} at theta = {th} did not round at this precision"
+                    ) from None
+                guard = max(2 * guard, guard + short.args[0] + ZIV_GUARD)
 
 
 def polylog_circle(n: int, theta, digits: int = DEFAULT_DIGITS) -> mpc:

@@ -195,8 +195,8 @@ def test_presentation_over_phi_r_takes_no_resultant(monkeypatch, r):
     # nonzero at every place: injectivity needs no norm
     field = build_field([1] * r, 50)
     calls = []
-    resultant = numfield._resultant
-    monkeypatch.setattr(numfield, "_resultant", lambda f, e: calls.append(1) or resultant(f, e))
+    prs = numfield._subresultant_prs
+    monkeypatch.setattr(numfield, "_subresultant_prs", lambda f, e: calls.append(1) or prs(f, e))
     rng = random.Random(r)
     rows = [
         [field.element([rng.randint(-3, 3) for _ in range(field.degree)]) for _ in range(3)]

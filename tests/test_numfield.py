@@ -516,17 +516,18 @@ def test_squarefree_test_matches_euclid():
     assert rejected >= 15
 
 
-def test_all_ones_polynomial_skips_the_resultant(monkeypatch):
+def test_all_ones_polynomial_passes_the_squarefree_test(monkeypatch):
     # 1 + x + ... + x^{r-1} vanishes at the distinct r-th roots of unity other
-    # than 1, so it is squarefree without a test.
-    def refuse(*args):
-        raise AssertionError("resultant computed for an all-ones polynomial")
-
-    monkeypatch.setattr(numfield, "_resultant", refuse)
+    # than 1: the exact test takes Res(p, p') and passes it for every r, and
+    # refuses a square such as (x^2 + 1)^2
+    calls = []
+    resultant = numfield._resultant
+    monkeypatch.setattr(numfield, "_resultant", lambda p, q: calls.append(p) or resultant(p, q))
     for r in range(2, numfield.DEGREE_MAX + 2):
         assert build_field([1] * r, 30).degree == r - 1
-    with pytest.raises(AssertionError):
-        build_field([2, 1, 1], 30)
+        assert calls.pop() == (1,) * r
+    with pytest.raises(NotSquarefree):
+        build_field([1, 0, 2, 0, 1], 30)
 
 
 def test_int_bareiss_det_matches_fractions():
@@ -578,7 +579,26 @@ def test_resultant_matches_sylvester():
         for m in (n, n + rng.randint(1, 6), rng.randint(1, n)):
             pairs.append((p, poly(m, rng.choice((-3, -1, 1, 2, 7)))))
         pairs.append((p, [rng.choice((-5, 2, 3))]))
-    for p, q in pairs:
+    # sparse pairs whose remainder degree drops by 2 or more after the first
+    # step: x^5 + 1 and x^3 + x (drops 2, 2), x^7 - 1 and x^4 + x^2 + 1
+    # (drops 3, 3)
+    assert numfield._resultant([1, 0, 0, 0, 0, 1], [0, 1, 0, 1]) == -2
+    assert numfield._resultant([-1, 0, 0, 0, 0, 0, 0, 1], [1, 0, 1, 0, 1]) == 3
+
+    def sparse(degree, lead):
+        return [rng.choice((0, 0, 0, rng.randint(-5, 5))) for _ in range(degree)] + [lead]
+
+    batch = [(sparse(rng.randint(1, 14), 1), sparse(rng.randint(0, 16), rng.choice((-3, -1, 1, 2))))
+             for _ in range(300)]
+    abnormal = 0
+    for p, q in batch:
+        # the remainder degrees, by Euclid over Q
+        seq = [p, numfield.poly_divmod(q, p)[1]]
+        while len(seq[-1]) > 1:
+            seq.append(numfield.poly_divmod([Fraction(c) for c in seq[-2]], seq[-1])[1])
+        abnormal += any(len(a) - len(b) >= 2 for a, b in zip(seq[1:], seq[2:]))
+    assert abnormal >= 100, abnormal
+    for p, q in pairs + batch:
         assert numfield._resultant(p, q) == sylvester_resultant(p, q)
     # a shared factor makes both 0, and so does a q that p divides
     g = [-2, 0, 1]
@@ -606,11 +626,31 @@ def test_subresultant_gcd_matches_euclid():
         # deg u < deg h keeps deg e below deg f
         u = [rng.randint(-3, 3) for _ in range(rng.randint(0, len(h) - 2))] + [rng.choice((-2, 1, 3))]
         e = [int(c) for c in numfield.poly_mul(g, u)]
-        assert numfield._resultant(f, e) == 0
         want = monic_gcd(f, e)
-        assert numfield._subresultant_gcd(f, e) == want
+        assert numfield._subresultant_prs(f, e) == (0, want)
         deep += len(want) > 3
     assert deep >= 10
+    # sparse, with remainder degrees 4, 2: gcd(x^6 + 1, x^4 + x^2) is the
+    # shared x^2 + 1
+    f, e = [1, 0, 0, 0, 0, 0, 1], [0, 0, 1, 0, 1]
+    assert numfield._subresultant_prs(f, e) == (0, [1, 0, 1]) and monic_gcd(f, e) == [1, 0, 1]
+    assert numfield._subresultant_prs([-2, 0, 1], [3]) == (9, [1])
+
+
+def test_norms_and_the_squarefree_test_take_no_elimination(monkeypatch):
+    # norm, verify_unit and build_field's squarefree test take their
+    # resultant by the remainder sequence, with no _bareiss call
+    calls = []
+    monkeypatch.setattr(numfield, "_bareiss", lambda *a, **k: calls.append(1))
+    field = build_field([-3, 1, 0, 2, 0, 1], 30)
+    assert norm(field, field.element([1, 1])) == sylvester_resultant(field.poly, [1, 1])
+    assert not verify_unit(field, field.element([2]))
+    with pytest.raises(NotSquarefree):
+        build_field([4, 0, -4, 0, 1], 30)
+    for name in ("zeta5", "zsqrt2"):
+        field, units = field_units(name)
+        assert all(verify_unit(field, v) for v in units)
+    assert calls == []
 
 
 def _transvections(field, rng, n, count):
@@ -691,8 +731,8 @@ def test_exact_ranks_take_one_resultant_per_matrix(monkeypatch):
     # resultant, and none when the form of p shows it irreducible (Phi_5):
     # there every nonzero residue is a unit
     calls = []
-    resultant = numfield._resultant
-    monkeypatch.setattr(numfield, "_resultant", lambda f, e: calls.append(1) or resultant(f, e))
+    prs = numfield._subresultant_prs
+    monkeypatch.setattr(numfield, "_subresultant_prs", lambda f, e: calls.append(1) or prs(f, e))
     for name, want in (("zeta5", 0), ("zsqrt2", 1)):
         field, _ = field_units(name)
         assert field.known_irreducible == (want == 0)

@@ -693,10 +693,10 @@ def test_every_part_is_correctly_rounded(digits, count):
 
 
 def test_a_retry_gives_the_same_bits(monkeypatch):
-    # A guard too narrow for Ziv's test retries each call at twice the
-    # guard, reading the zeta tables shifted from their higher precision,
-    # and gives the bits of the default guard; a part that never rounds
-    # raises NoConvergence.
+    # A guard too narrow for Ziv's test retries each call at a wider guard,
+    # at least twice the last, reading the zeta tables shifted from their
+    # higher precision, and gives the bits of the default guard; a part
+    # that never rounds raises NoConvergence.
     with mp.workdps(60):
         angles = [2 * mp.pi * k / 11 for k in range(1, 11)] + [+mp.pi]
     want = [polylog_orders(1, 5, th, 50) for th in angles]
@@ -708,9 +708,36 @@ def test_a_retry_gives_the_same_bits(monkeypatch):
     monkeypatch.setattr(polylog, "_series_orders", lambda *a: calls.append(a[-1]) or series(*a))
     assert [polylog_orders(1, 5, th, 50) for th in angles] == want
     assert max(calls) > 2 and (polylog._EVEN_ZETA.prec, polylog._ODD_ZETA.prec) == prec
-    monkeypatch.setattr(polylog, "_series_orders", lambda *a: None)
+
+    def undecided(lo, hi, th, guard):
+        calls.append(guard)
+        raise polylog._Undecided(0)
+
+    calls.clear()
+    monkeypatch.setattr(polylog, "_series_orders", undecided)
     with pytest.raises(NoConvergence):
         polylog_circle(3, 1, 50)
+    assert all(b >= 2 * a for a, b in zip(calls, calls[1:]))
+
+
+@pytest.mark.parametrize("digits", (50, 300))
+def test_a_retry_jumps_to_the_guard_the_part_needs(monkeypatch, digits):
+    # Re Li_2 vanishes at pi (1 - 1/sqrt 3); next to it, the part falls
+    # about mp.prec bits short of Ziv's test at the first guard and reports
+    # it, so the second pass, at the guard it needs, gives the correctly
+    # rounded bits, where doubling the guard took 4 passes at 50 digits and
+    # 6 at 300
+    with mp.workdps(digits + GUARD):
+        th = mp.pi * (1 - 1 / mp.sqrt(3))
+        prec = mp.prec
+    guards = []
+    series = polylog._series_orders
+    monkeypatch.setattr(polylog, "_series_orders", lambda *a: guards.append(a[-1]) or series(*a))
+    got = polylog_circle(2, th, digits)
+    assert (got.real, got.imag) == _correctly_rounded_parts(2, th, digits)
+    assert len(guards) == 2 and guards[0] == polylog.ZIV_GUARD and guards[1] > prec
+    guards.clear()
+    assert polylog_orders(2, 5, th, digits)[0] == got and len(guards) == 2
 
 
 def test_polylog_circle_order_bound():

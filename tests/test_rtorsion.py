@@ -1867,7 +1867,9 @@ def test_basis_determinants_over_a_known_irreducible_take_no_exact_ranks(monkeyp
     field, _ = field_units("zeta5")
     assert field.known_irreducible
     calls = []
-    monkeypatch.setattr(numfield, "_resultant", _counting(calls, "resultant", numfield._resultant))
+    monkeypatch.setattr(
+        numfield, "_subresultant_prs", _counting(calls, "resultant", numfield._subresultant_prs)
+    )
     rng = random.Random(505)
     complexes = [random_complex_over(field, rng) for _ in range(3)]
     assert calls == []

@@ -263,7 +263,8 @@ def test_cli_reads_no_number_itself():
 
 EXACT_KIT = {
     "_kronecker_lift", "_kronecker_matrix", "_kronecker_pack", "_kronecker_digits",
-    "_int_bareiss_det", "_resultant", "_horner", "poly_divmod", "known_irreducible",
+    "_int_bareiss_det", "_resultant", "_subresultant_prs", "_horner", "poly_divmod",
+    "known_irreducible",
 }
 
 
