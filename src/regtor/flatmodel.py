@@ -83,6 +83,8 @@ class FormElement(Record):
     def add(self, other: "FormElement") -> "FormElement":
         if other.degree_index != self.degree_index:
             raise ValidationError("cannot add coefficient vectors of different degrees")
+        if len(other.values) != len(self.values):
+            raise ValidationError("cannot add coefficient vectors of different lengths")
         with mp.workdps(self.digits + GUARD):
             return self._like(a + b for a, b in zip(self.values, other.values))
 
@@ -94,8 +96,13 @@ class FormElement(Record):
             return self._like(-a for a in self.values)
 
     def scale(self, c) -> "FormElement":
+        """c times the vector, for a real c, read as make_form reads a
+        coefficient: an imaginary part other than 0 is refused."""
         with mp.workdps(self.digits + GUARD):
             s = to_mp(c)
+            if mp.im(s):
+                raise ValidationError("a coefficient vector scales by a real number only")
+            s = mp.re(s)
             return self._like(s * a for a in self.values)
 
     def norm(self):
@@ -289,6 +296,8 @@ class TorusElement(Record):
         return self.norm() < self.lattice.tol
 
     def add(self, other: "TorusElement") -> "TorusElement":
+        if other.lattice != self.lattice:
+            raise ValidationError("the classes belong to different regulator lattices")
         with mp.workdps(self.lattice.field.digits + GUARD):
             s = [a + b for a, b in zip(self.values, other.values)]
             red, _ = _babai(self.lattice, s)
@@ -314,10 +323,13 @@ def reduce_mod_lattice(lattice: RegulatorLattice, f: FormElement):
     vector of size 10^m against a lattice of rank >= 1 cancels about m of
     them: a vector with a coefficient above 10^GUARD would leave fewer
     correct digits than the field's, so it raises NoConvergence (more
-    digits might help).  A lattice of rank 0 reduces nothing.
+    digits might help).  A lattice of rank 0 reduces nothing.  f has one
+    coefficient per place representative of the lattice's field.
     """
     if f.degree_index != 0:
         raise ValidationError("only degree-1 vectors reduce against the lattice")
+    if len(f.values) != lattice.field.n_places:
+        raise ValidationError("expected one coefficient per place representative")
     with mp.workdps(lattice.field.digits + GUARD):
         if lattice.basis and any(abs(v) > _REDUCE_MAX for v in f.values):
             raise NoConvergence(
@@ -382,8 +394,8 @@ def point_class(lattice: RegulatorLattice, rank: int, cls, f: FormElement) -> Po
 
 
 def class_add(x: PointClass, y: PointClass) -> PointClass:
-    if x.torus.lattice != y.torus.lattice:
-        raise ValidationError("the classes belong to different regulator lattices")
+    """x + y componentwise; TorusElement.add refuses classes of different
+    regulator lattices."""
     orders = x.torus.lattice.field.class_orders
     cls = _reduce_cls(orders, (a + b for a, b in zip(x.cls, y.cls)))
     return PointClass(x.rank + y.rank, cls, x.torus.add(y.torus))
@@ -470,7 +482,8 @@ def gram_ldl(rows, digits: int):
 
 def _cholesky_pair(factor):
     """(U, U^-1) at the working precision for the upper Cholesky factor
-    U = D^(1/2) L^H of gram_ldl's exact factor.
+    U = D^(1/2) L^H of gram_ldl's exact factor, each given as its n rows,
+    with mp.zero below the diagonal.
 
     With s_k = 1 / sqrt(den p_k p_{k-1}), one square root per pivot, row k
     of U is row k of the elimination times s_k, and column k of U^-1, which
@@ -488,17 +501,17 @@ def _cholesky_pair(factor):
     den, step, m = factor
     size = len(m)
     n = size // step
-    up, inv = mp.matrix(n, n), mp.matrix(n, n)
+    up, inv = [[mp.zero] * n for _ in range(n)], [[mp.zero] * n for _ in range(n)]
     prev = 1
     for k in range(n):
         row = m[step * k]
         s = quotient(1, sqrt(den * row[step * k] * prev))
         t = den * s
         for j in range(k, n):
-            up[k, j] = row[j] * s if step == 1 else mpc(row[2 * j] * s, -row[2 * j + 1] * s)
+            up[k][j] = row[j] * s if step == 1 else mpc(row[2 * j] * s, -row[2 * j + 1] * s)
         for j in range(k + 1):
             c = size + step * j
-            inv[j, k] = row[c] * t if step == 1 else mpc(row[c] * t, row[c + 1] * t)
+            inv[j][k] = row[c] * t if step == 1 else mpc(row[c] * t, row[c + 1] * t)
         prev = m[step * k + step - 1][step * k + step - 1]
     return up, inv
 
@@ -513,7 +526,8 @@ def hermitian_cholesky(rows, digits: int):
     exactly.
     """
     with mp.workdps(digits + GUARD):
-        return _cholesky_pair(gram_ldl(rows, digits)[1])[0].H
+        up = _cholesky_pair(gram_ldl(rows, digits)[1])[0]
+        return mp.matrix(up).H if up else mp.matrix(0, 0)
 
 
 def lndet_hermitian(rows, digits: int):

@@ -97,12 +97,10 @@ class Record:
     each field through object.__setattr__ and gives a _memo slot a fresh
     dict; any other assignment raises AttributeError.  Equality and hashing go by the class
     and the tuple of fields, repr lists the fields by name, and copy and
-    pickle rebuild through the constructor.  A subclass compared by identity
-    sets __eq__ and __hash__ back to object's.  rtorsion's
-    MetrizedComplexAtPlace, a view of its complex with two fields of
-    mp.matrix, compares by value but neither hashes (its __hash__ is None)
-    nor pickles.  No code is generated at import: each CLI call is a fresh
-    process and would pay for it.
+    pickle rebuild through the constructor, for every record.  A subclass
+    compared by identity sets __eq__ and __hash__ back to object's.  No code
+    is generated at import: each CLI call is a fresh process and would pay
+    for it.
     """
 
     __slots__ = ()

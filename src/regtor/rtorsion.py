@@ -12,10 +12,12 @@ is refused, and every Gram at every place is factored, once, exactly
 (flatmodel.gram_ldl).  A complex given by its numbers at one place
 (metrized_complex_at_place) is read exactly, by numfield.to_exact, and
 built over Q = Z[x]/(x) when every entry is real, over Q(i) = Z[x]/(x^2 + 1)
-otherwise.  A place is a view of its complex: at_place embeds the
-differentials and representatives in orthonormal coordinates, for the
-Laplacian route alone, caches nothing, and every exact fact of the place is
-read from its complex.  Two independent algorithms read the result:
+otherwise.  A place is its complex and the index of its place
+representative, and nothing else: at_place checks the index, and every
+number either route reads at a place comes from its complex.  The
+Laplacian route embeds the differentials and representatives in
+orthonormal coordinates itself (_orthonormal_rows), afresh on each call.
+Two independent algorithms read the result:
 
   reidemeister         Laplacian route: the Ray-Singer product of
                        pseudo-determinants of the combinatorial Laplacians,
@@ -47,14 +49,15 @@ verify_euler_identity, where the Gram determinants cancel, embeds the
 delta_i alone.  The Laplacian route only verifies it, on the places
 at_place builds.
 
-Every per-place matrix is an mp.matrix, and its products are mpmath's own.
-The Hermitian A^H A and A A^H are formed as the rows of their lower
-triangles, one mp.fdot per entry (_gram): the values mpmath's matrix
-product gives there, with no conjugate transpose copied and no upper
-triangle formed, in the one shape the factor (_ldl) reads.  The
-orthonormal coordinates come from the exact G = L D L^H of each Gram:
-U = D^(1/2) L^H and U^-1 = L^-H D^(-1/2), with one square root per pivot,
-so no triangular factor is solved numerically.
+Every per-place matrix is the list of its rows, and each entry of a
+product is one mp.fdot of a row and a column (_product), the sum mpmath's
+matrix product takes, rounded once.  The Hermitian A^H A and A A^H are
+formed as the rows of their lower triangles, one mp.fdot per entry
+(_gram): the values mpmath's matrix product gives there, with no conjugate
+transpose copied and no upper triangle formed, in the one shape the factor
+(_ldl) reads.  The orthonormal coordinates come from the exact
+G = L D L^H of each Gram: U = D^(1/2) L^H and U^-1 = L^-H D^(-1/2), with
+one square root per pivot, so no triangular factor is solved numerically.
 
 Rank decisions.  Every exact decision is numfield's, taken once, in K, by
 build_complex_over_r: the rank and pivot columns of each differential at
@@ -151,31 +154,15 @@ _AMBIGUITY_FACTOR = 1000
 COMPLEX_SIZE_MAX = 12
 
 
-def _matrix(rows, cols, entry=None):
-    """The len(rows) by cols mp.matrix of the entries rows[r][c], each
-    converted by entry when it is given."""
-    m = mp.matrix(len(rows), cols)
-    for r, row in enumerate(rows):
-        for c, x in enumerate(row):
-            m[r, c] = x if entry is None else entry(x)
-    return m
-
-
-def _cols(m):
-    """The columns of an mp.matrix as lists.  An entry it does not store, a
-    zero, reads as mpmath's real zero, as in m.tolist() and in mpmath's own
-    product."""
-    return [[m[r, c] for r in range(m.rows)] for c in range(m.cols)]
-
-
 def _gram(a, adjoint_first):
-    """The Hermitian Gram A^H A of an mp.matrix A when adjoint_first, else
-    A A^H, as the rows of its lower triangle, diagonal included: the one
-    shape _ldl reads.  Each entry is one mp.fdot(..., conjugate=True) over
-    two columns (A^H A) or two rows (A A^H), the rounding of A.H * A and
-    A * A.H, with no conjugate transpose copied and no upper triangle formed.
+    """The Hermitian Gram A^H A of a matrix A, given as its rows, when
+    adjoint_first, else A A^H, as the rows of its lower triangle, diagonal
+    included: the one shape _ldl reads.  Each entry is one
+    mp.fdot(..., conjugate=True) over two columns (A^H A, read through zip)
+    or two rows (A A^H), the rounding of mpmath's A.H * A and A * A.H, with
+    no conjugate transpose copied and no upper triangle formed.
     """
-    vecs = _cols(a) if adjoint_first else a.tolist()
+    vecs = list(zip(*a)) if adjoint_first else a
     return [[mp.fdot(*((v, u) if adjoint_first else (u, v)), True) for v in vecs[: i + 1]]
             for i, u in enumerate(vecs)]
 
@@ -191,24 +178,16 @@ class MetrizedComplexAtPlace(Record):
     """A finite cochain complex at one place: a view of its complex.
 
     complex is the MetrizedComplexOverR the place belongs to and place the
-    index of its place representative.  Every exact fact of the place is
-    read from complex: the digits of its field, its lengths, its free ranks
-    (the exact kernel dimensions), its basis determinants and its Gram
-    determinants.  The two matrix fields are the only numbers the place
-    computes, and only the Laplacian route reads them: with the cochain
-    Grams G_i = U_i^* U_i, U_i the upper Cholesky factor,
-    ortho_diffs[i] = U_{i+1} d_i U_i^-1 and ortho_reps[i] = U_i K_i for the
-    representative columns K_i, each an mp.matrix, 0 by n or n by 0 where a
-    degree or a cohomology is zero.  at_place builds every place,
-    metrized_complex_at_place's too.
-
-    It compares by value, but an mp.matrix neither hashes nor pickles
-    (mpmath makes its matrix class per context), so this record does
-    neither: __hash__ is None, and hash() raises TypeError naming it.
+    index of its place representative, and that is all the place keeps.
+    Every fact of the place is read from complex: the digits of its field,
+    its lengths, its free ranks (the exact kernel dimensions), its basis
+    determinants and its Gram determinants, and, for the Laplacian route
+    alone, the orthonormal coordinates _orthonormal_rows embeds from it.
+    So no number that its complex did not produce reaches either route.
+    at_place builds every place, metrized_complex_at_place's too.
     """
 
-    __slots__ = _fields = ("complex", "place", "ortho_diffs", "ortho_reps")
-    __hash__ = None
+    __slots__ = _fields = ("complex", "place")
 
 
 def metrized_complex_at_place(
@@ -262,7 +241,7 @@ def _orthonormalize(cols):
     the Q columns before it, twice, and R_jj is the length left, so Q is
     orthonormal to working precision however close the columns lie.
     Returns (None, 0) at the first column with nothing left, such as a zero
-    one.  Q is an mp.matrix with one column per column of K.
+    one.  Q is given as its rows, with one entry per column of K.
     """
     q = []
     r = mpf(1)
@@ -275,7 +254,7 @@ def _orthonormalize(cols):
             return None, 0
         r *= length
         q.append([x / length for x in v])
-    return _matrix(list(zip(*q)), len(q)), r
+    return [list(row) for row in zip(*q)], r
 
 
 def _ldl(low, floor2):
@@ -371,16 +350,55 @@ def _rank_and_det(g, cut4, name):
 
 def _lemma_det(terms, q):
     """(det(Lap + c^2 Q Q^*), c^2) for the Laplacian Lap, the sum of the
-    Hermitian Grams in terms, an mp.matrix Q with orthonormal columns, and
-    c^2 = |Lap|_F (1 when Lap = 0).  Q Q^* is a _gram product, every matrix
-    is the rows of its lower triangle, and each entry is summed once; the
-    determinant is the product of _ldl's pivots, and 0 where the factor
-    stops short of n steps: a matrix that is not positive definite.
+    Hermitian Grams in terms, the rows of Q, whose columns are orthonormal,
+    and c^2 = |Lap|_F (1 when Lap = 0).  Q Q^* is a _gram product, every
+    matrix is the rows of its lower triangle, and each entry is summed
+    once; the determinant is the product of _ldl's pivots, and 0 where the
+    factor stops short of n steps: a matrix that is not positive definite.
     """
-    lap = [[sum(t[a][b] for t in terms) for b in range(a + 1)] for a in range(q.rows)]
+    lap = [[sum(t[a][b] for t in terms) for b in range(a + 1)] for a in range(len(q))]
     c2 = sqrt(_frobenius2(lap)) or mpf(1)
     pivots = _ldl([[x + c2 * y for x, y in zip(u, v)] for u, v in zip(lap, _gram(q, False))], 0)[0]
-    return (mp.fprod(pivots) if len(pivots) == q.rows else 0), c2
+    return (mp.fprod(pivots) if len(pivots) == len(q) else 0), c2
+
+
+def _product(a, b):
+    """The rows of A B for matrices given as their rows: each entry one
+    mp.fdot of a row of A and a column of B, read through zip, which is the
+    product mpmath's matrix multiply takes."""
+    cols = list(zip(*b))
+    return [[mp.fdot(row, col) for col in cols] for row in a]
+
+
+def _orthonormal_rows(cplx: MetrizedComplexAtPlace):
+    """(diffs, reps): the differentials and representatives of a place in
+    orthonormal coordinates, for reidemeister alone, each a matrix given as
+    its rows, at the field's digits + GUARD.
+
+    With the cochain Grams G_i = U_i^* U_i, U_i the upper Cholesky factor
+    that flatmodel._cholesky_pair reads off the exact factor the complex
+    keeps, diffs[i] = U_{i+1} d_i U_i^-1 (multiplied left to right) and
+    reps[i] = U_i K_i for the representative columns K_i, each ring element
+    embedded once.  diffs[i] has lengths[i+1] rows of lengths[i] entries and
+    reps[i] lengths[i] rows of free_rank entries, so a row is empty where a
+    degree or a cohomology is zero.  Nothing is kept: each call embeds and
+    multiplies afresh.
+    """
+    whole, place = cplx.complex, cplx.place
+    field = whole.field
+
+    def rows(m):
+        return [[embed(field, x, place) for x in row] for row in m]
+
+    with mp.workdps(field.digits + GUARD):
+        pairs = [_cholesky_pair(factor) for _, factor in whole.factors[place][0]]
+        diffs = [
+            _product(_product(pairs[i + 1][0], rows(d)), pairs[i][1])
+            for i, d in enumerate(whole.diffs)
+        ]
+        # U_i K_i has a row of no entries per row of U_i where K_i has no column
+        reps = [_product(up, rows(s.free_reps)) for (up, _), s in zip(pairs, whole.cohomology)]
+        return diffs, reps
 
 
 def reidemeister(cplx: MetrizedComplexAtPlace):
@@ -426,16 +444,21 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
     the corrections and the product at GUARD more.
 
     The route stays numeric, so that it checks the basis-chase
-    independently.  Only the digits, the lengths, the free ranks and the
-    det H_i are read from the place's complex.  The exact kernel dimension
-    in degree i is the free rank build_complex_over_r matched against K; a
-    kernel dimension that differs from it raises RankAmbiguous: the cutoff
-    misjudged an eigenvalue, and more digits would help.  So does a rank
-    that the factor cannot certify.
+    independently.  Its matrices are the orthonormal rows _orthonormal_rows
+    embeds from the place's complex, and besides them only the digits, the
+    lengths, the free ranks and the det H_i are read from it.  The exact
+    kernel dimension in degree i is the free rank build_complex_over_r
+    matched against K; a kernel dimension that differs from it raises
+    RankAmbiguous: the cutoff misjudged an eigenvalue, and more digits
+    would help.  So does a rank that the factor cannot certify, and
+    representatives whose harmonic projections leave det W_i = 0: a
+    complex that builds has delta_i != 0 exactly, so its representatives
+    complete the image to the kernel, and only rounding can lose them.
     """
     whole = cplx.complex
     digits = whole.field.digits
-    dt = cplx.ortho_diffs
+    n = whole.lengths
+    dt, reps = _orthonormal_rows(cplx)
     grams = {}
 
     def gram(i, adjoint_first):
@@ -448,8 +471,8 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
         cut4 = rank_cutoff(digits) ** 4
         # (r_i, det'(G_i)) of each differential, a zero one read exactly
         steps = [
-            _rank_and_det(gram(i, d.cols <= d.rows), cut4, f"d{i} out of degree {i}")
-            if any(d[r, c] for r in range(d.rows) for c in range(d.cols)) else (0, mpf(1))
+            _rank_and_det(gram(i, n[i] <= n[i + 1]), cut4, f"d{i} out of degree {i}")
+            if any(x for row in d for x in row) else (0, mpf(1))
             for i, d in enumerate(dt)
         ]
         ranks = [r for r, _ in steps]
@@ -473,12 +496,12 @@ def reidemeister(cplx: MetrizedComplexAtPlace):
                 num, den = 1, dets[i + 1]
                 if h:
                     with mp.extradps(10):
-                        q, r = _orthonormalize(_cols(cplx.ortho_reps[i]))
+                        q, r = _orthonormalize(zip(*reps[i]))
                     # Lap_i from the Grams of the nonzero differentials beside it
                     terms = [gram(j, j == i) for j in (i - 1, i) if 0 <= j < len(dt) and ranks[j]]
                     w, c2 = (0, 1) if q is None else _lemma_det(terms, q)
                     if not w:
-                        raise ValidationError(
+                        raise RankAmbiguous(
                             f"degree-{i} representatives do not project onto a cohomology basis"
                         )
                     num, den = r**2 * w, c2**h * dets[i] * den**2
@@ -566,9 +589,10 @@ class MetrizedComplexOverR(Record):
     No rank is stored: the free ranks say all the places need.
     factors[k] is (cochain, det_h) of the Grams at place k, each factored
     once, exactly, when the complex is built: cochain[i] is the
-    (det G_i, factor) of flatmodel.gram_ldl, which at_place reads, and
-    det_h[i] is det H_i of the free cohomology Gram, 1 where the free rank
-    is 0.  Nothing is cached: every field is set by build_complex_over_r.
+    (det G_i, factor) of flatmodel.gram_ldl, which the Laplacian route
+    reads, and det_h[i] is det H_i of the free cohomology Gram, 1 where the
+    free rank is 0.  Nothing is cached: every field is set by
+    build_complex_over_r.
     """
 
     __slots__ = _fields = ("field", "lengths", "diffs", "grams", "cohomology", "deltas", "factors")
@@ -619,7 +643,7 @@ def build_complex_over_r(field, lengths, diffs, grams, cohomology) -> MetrizedCo
     the bound is checked before any ring element is built.  Each length and
     each free rank is an integer (numfield._integers).  Then one pass
     over the data, in the order it is read, checks every count and shape
-    at_place will read: the differentials, each once, and degree by degree
+    either route will read: the differentials, each once, and degree by degree
     the size of its cochain Gram at every place, its representatives, once,
     against its free rank h_i (n_i by h_i in a nonzero degree when h_i > 0,
     no column when h_i = 0), and the size h_i of its free cohomology Gram
@@ -635,9 +659,11 @@ def build_complex_over_r(field, lengths, diffs, grams, cohomology) -> MetrizedCo
     Last, place by place, every cochain and then every free cohomology Gram
     is factored once, exactly, by flatmodel.gram_ldl, which refuses one
     that is not square, Hermitian and positive definite; one Gram object
-    given at several places or degrees is read and factored once.  So a
-    complex that builds has every place well defined, and its exact tau at
-    each place is read from deltas and factors with no place built.
+    given at several places or degrees is read and factored once.  Each
+    Gram is kept as given, with its rows and [re, im] pairs as tuples, so
+    that the complex hashes however its Grams were given.  So a complex
+    that builds has every place well defined, and its exact tau at each
+    place is read from deltas and factors with no place built.
     """
     lengths = _integers(lengths, "the lengths of a complex must be integers")
     nd = len(lengths)
@@ -714,44 +740,38 @@ def build_complex_over_r(field, lengths, diffs, grams, cohomology) -> MetrizedCo
         cochain = tuple(factor(g[k]) for g in gg)
         free = [factor(s.free_grams[k])[0] if s.free_rank else Fraction(1) for s in specs]
         factors.append((cochain, tuple(free)))
-    return MetrizedComplexOverR(field, lengths, dd, gg, tuple(specs), deltas, tuple(factors))
+
+    def frozen(grams):
+        # each Gram, read and factored above, with its rows and pairs as tuples
+        return tuple(
+            tuple(tuple(tuple(x) if isinstance(x, list) else x for x in row) for row in g)
+            for g in grams
+        )
+
+    specs = tuple(CohomologySpec(s.free_rank, s.free_reps, frozen(s.free_grams), s.torsion)
+                  for s in specs)
+    return MetrizedComplexOverR(
+        field, lengths, dd, tuple(map(frozen, gg)), specs, deltas, tuple(factors)
+    )
 
 
 def at_place(cplx: MetrizedComplexOverR, place: int) -> MetrizedComplexAtPlace:
-    """The embedded metrized complex at one place representative, for the
-    Laplacian route (reidemeister), which verifies the exact tau.
+    """The metrized complex at one place representative: the complex and
+    the index, which both routes read.
 
     build_complex_over_r has decided everything exact: every count and
     shape, d after d = 0 and the cocycles in K, the basis determinants, and
-    the factor of every Gram.  So this checks and factors nothing: it embeds
-    each ring element once, straight into an mp.matrix, and puts the
-    differentials and representatives in orthonormal coordinates with the
-    kept factors, U_{i+1} d_i U_i^-1 (left to right) and U_i K_i, each
-    mpmath's matrix product; K_i is n_i by 0 where the free rank is 0.
-    Everything exact stays on the complex, which the place carries.  Each
-    call builds the place afresh; it raises only for a place index that is
-    no integer (numfield._integers) in range.  metrized_complex_at_place
-    builds its one place here too.
+    the factor of every Gram.  So this checks only the index, which must
+    be an integer (numfield._integers) in range, and embeds nothing: the
+    Laplacian route embeds the place's orthonormal coordinates itself
+    (_orthonormal_rows), and the basis-chase reads the exact tau from the
+    complex.  metrized_complex_at_place builds its one place here too.
     """
-    field = cplx.field
-    message = f"place {place!r} is not in 0..{field.n_places - 1}"
+    message = f"place {place!r} is not in 0..{cplx.field.n_places - 1}"
     (place,) = _integers([place], message)
-    if not 0 <= place < field.n_places:
+    if not 0 <= place < cplx.field.n_places:
         raise ValidationError(message)
-
-    def entry(x):
-        return embed(field, x, place)
-
-    with mp.workdps(field.digits + GUARD):
-        dd = [_matrix(m, cplx.lengths[i], entry) for i, m in enumerate(cplx.diffs)]
-        kk = [
-            _matrix(spec.free_reps if spec.free_rank else ((),) * n, spec.free_rank, entry)
-            for n, spec in zip(cplx.lengths, cplx.cohomology)
-        ]
-        pairs = [_cholesky_pair(factor) for _, factor in cplx.factors[place][0]]
-        diffs = tuple(pairs[i + 1][0] * d * pairs[i][1] for i, d in enumerate(dd))
-        reps = tuple(up * k for (up, _), k in zip(pairs, kk))
-        return MetrizedComplexAtPlace(cplx, place, diffs, reps)
+    return MetrizedComplexAtPlace(cplx, place)
 
 
 def _delta_sq(cplx: MetrizedComplexOverR, place):

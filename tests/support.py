@@ -42,6 +42,7 @@ from regtor import (
     zero_class,
     zhat,
 )
+from regtor import rtorsion
 from regtor.flatmodel import to_mp
 from regtor.numfield import GUARD, poly_divmod, poly_trim, rank_cutoff
 
@@ -813,6 +814,27 @@ def gram_by_matrix_product(a, adjoint_first):
 # ---------------------------------------------------------------------------
 
 
+def as_matrix(rows, cols):
+    """The mp.matrix of a matrix given as its rows, cols columns wide: a
+    list of rows cannot tell its width when it has none."""
+    m = mp.matrix(len(rows), cols)
+    for r, row in enumerate(rows):
+        for c, x in enumerate(row):
+            m[r, c] = x
+    return m
+
+
+def place_matrices(cplx):
+    """(diffs, reps) of a MetrizedComplexAtPlace, the orthonormal rows of
+    the Laplacian route (rtorsion._orthonormal_rows), each an mp.matrix."""
+    whole = cplx.complex
+    diffs, reps = rtorsion._orthonormal_rows(cplx)
+    return (
+        [as_matrix(d, n) for d, n in zip(diffs, whole.lengths)],
+        [as_matrix(k, spec.free_rank) for k, spec in zip(reps, whole.cohomology)],
+    )
+
+
 def torsion_by_coimage(cplx):
     """tau of a MetrizedComplexAtPlace by the basis-chase over SVD coimages.
 
@@ -822,10 +844,10 @@ def torsion_by_coimage(cplx):
     """
     whole = cplx.complex
     digits = whole.field.digits
+    diffs, reps = place_matrices(cplx)
     with mp.workdps(digits + GUARD):
         cut = rank_cutoff(digits)
         nd = len(whole.lengths)
-        diffs = cplx.ortho_diffs
         coimage = []
         for d in diffs:
             keep = 0
@@ -842,7 +864,7 @@ def torsion_by_coimage(cplx):
             if i > 0 and coimage[i - 1] is not None:
                 blocks.append(diffs[i - 1] * coimage[i - 1])
             if whole.cohomology[i].free_rank:
-                blocks.append(cplx.ortho_reps[i])
+                blocks.append(reps[i])
             if i < nd - 1 and coimage[i] is not None:
                 blocks.append(coimage[i])
             m = mp.matrix([[b[r, c] for b in blocks for c in range(b.cols)] for r in range(n)])

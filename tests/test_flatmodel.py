@@ -386,6 +386,10 @@ def test_hermitian_cholesky_reconstructs():
                         else _mpq(g[i][j])
                     )
                     assert abs(got - want) < mp.mpf(10) ** -45
+    # an mp.matrix for every size, the 0 x 0 Gram's included
+    for g in ([], [[4]]):
+        low = hermitian_cholesky(g, 50)
+        assert isinstance(low, mp.matrix) and (low.rows, low.cols) == (len(g), len(g))
 
 
 def test_hermitian_cholesky_rejects_bad_input():
@@ -479,10 +483,10 @@ def test_cholesky_pair_rounds_each_complex_part_once():
             row = rows[2 * k]
             s = 1 / mp.sqrt(den * row[2 * k] * prev)
             for j in range(k, 2):
-                assert up[k, j] == mp.mpc(once(row[2 * j], s), once(-row[2 * j + 1], s))
+                assert up[k][j] == mp.mpc(once(row[2 * j], s), once(-row[2 * j + 1], s))
             for j in range(k + 1):
                 c = 4 + 2 * j
-                assert inv[j, k] == mp.mpc(once(row[c], den * s), once(row[c + 1], den * s))
+                assert inv[j][k] == mp.mpc(once(row[c], den * s), once(row[c + 1], den * s))
             prev = rows[2 * k + 1][2 * k + 1]
 
 
@@ -617,3 +621,66 @@ def test_classes_of_different_fields_do_not_mix():
     for add in (lambda: scale_class(lat2, x, [2, 3]), lambda: class_add(one_class(lat2), x)):
         with pytest.raises(ValidationError, match="different regulator lattices"):
             add()
+
+
+def _lattices_of_other_fields():
+    # Z[sqrt2], then Q(sqrt3), with as many real places, and Z[zeta7], with
+    # three complex ones
+    _, _, lat2 = field_lattice("zsqrt2", 30)
+    f3 = build_field((-3, 0, 1), 30, class_orders=(2,))
+    f7, units7 = cyclotomic_units(7, 30)
+    return lat2, build_lattice(f3, [f3.element([2, 1])]), build_lattice(f7, units7)
+
+
+def _residue(lat):
+    n = lat.field.n_places
+    return reduce_mod_lattice(lat, make_form(lat.field, 0, [k * k for k in range(n)]))[0]
+
+
+def test_torus_elements_of_different_lattices_do_not_add():
+    # TorusElement.add holds the one lattice check, which class_add and
+    # same_as read through it: a residue of another lattice is refused,
+    # not reduced against this one (Q(sqrt3)) or cut to its length
+    # (Z[zeta7])
+    lat2, *others = _lattices_of_other_fields()
+    x = _residue(lat2)
+    for lat in others:
+        y = _residue(lat)
+        for a, b in ((x, y), (y, x)):
+            for op in (a.add, a.same_as):
+                with pytest.raises(ValidationError, match="different regulator lattices"):
+                    op(b)
+        assert y.same_as(_residue(lat))
+    assert x.add(_residue(lat2)).same_as(_residue(lat2).add(x))
+
+
+def test_form_operands_of_another_length_are_refused():
+    # (1, 2) + (1, 2, 3) would zip to two values, and a form of another
+    # length would index past the lattice's places in the reduction
+    lat2, _, lat7 = _lattices_of_other_fields()
+    x = make_form(lat2.field, 0, [1, 2])
+    y = make_form(lat7.field, 0, [1, 2, 3])
+    for op in (lambda: x.add(y), lambda: y.add(x), lambda: x.sub(y)):
+        with pytest.raises(ValidationError, match="different lengths"):
+            op()
+    for lat, f in ((lat2, y), (lat7, x)):
+        for op in (lambda: reduce_mod_lattice(lat, f), lambda: point_class(lat, 1, (), f),
+                   lambda: a_map(lat, f)):
+            with pytest.raises(ValidationError, match="one coefficient per place representative"):
+                op()
+
+
+def test_forms_scale_by_real_numbers_only():
+    # a scalar is read as make_form reads a coefficient: an imaginary part
+    # that is not 0 is refused before it makes a complex coefficient, and
+    # an [re, 0] pair or an mpc of imaginary part 0 reads as its real part
+    lat2 = _lattices_of_other_fields()[0]
+    x = make_form(lat2.field, 0, ["1/3", "2/7"])
+    for c in (1j, mp.mpc(2, 1), [2, 1], ["0", "1e-40"]):
+        with pytest.raises(ValidationError, match="real number only"):
+            x.scale(c)
+    want = x.scale(2)
+    for c in (mp.mpc(2, 0), [2, 0], 2 + 0j, "2"):
+        got = x.scale(c)
+        assert got == want and all(type(v) is mp.mpf for v in got.values)
+    assert reduce_mod_lattice(lat2, x.scale(mp.mpc(2, 0)))[0].same_as(reduce_mod_lattice(lat2, want)[0])

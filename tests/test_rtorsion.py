@@ -38,11 +38,13 @@ from regtor.cli import main
 from regtor.flatmodel import gram_ldl
 from regtor.numfield import GUARD, rank_cutoff
 from support import (
+    as_matrix,
     euler_residual_by_classes,
     field_lattice,
     eigenvalue_rank,
     field_units,
     gram_by_matrix_product,
+    place_matrices,
     random_complex_over,
     raw_value,
     torsion_by_coimage,
@@ -589,7 +591,8 @@ def test_build_factors_every_gram_once(monkeypatch):
             field, (1, 1), ([[field.element([2])]],), [[EYE1, [[1, 0]]], [EYE1, EYE1]],
             [CohomologySpec(0)] * 2,
         )
-    # the kept factors are immutable, so a complex built from tuples hashes
+    # the kept factors are immutable and the Grams kept as tuples, so a
+    # complex hashes, built from tuples or from lists, with [re, im] pairs
     built = [
         build_complex_over_r(
             field, (1, 1), (((field.element([2]),),),), ((((1,),), ((3,),)),) * 2,
@@ -597,7 +600,14 @@ def test_build_factors_every_gram_once(monkeypatch):
         )
         for _ in range(2)
     ]
-    assert hash(built[0]) == hash(built[1])
+    built.append(build_complex_over_r(
+        field, (1, 1), [[[field.element([2])]]], [[[[1]], [[3]]]] * 2, [CohomologySpec(0)] * 2
+    ))
+    assert built[0] == built[2] and hash(built[0]) == hash(built[1]) == hash(built[2])
+    pair = build_complex_over_r(
+        field, (1, 1), [[[field.element([2])]]], [[[[[1, 0]]], [[3]]]] * 2, [CohomologySpec(0)] * 2
+    )
+    assert pair.grams[0][0] == (((1, 0),),) and hash(pair) == hash(pair)
 
 
 def test_exact_readers_build_no_place(monkeypatch, capsys):
@@ -843,6 +853,26 @@ def test_contraction_over_r_takes_no_numeric_rank(monkeypatch):
     assert calls == []
 
 
+def test_basis_chase_forms_no_orthonormal_coordinates(monkeypatch):
+    # a place is its complex and its index: neither at_place nor the
+    # basis-chase forms a Cholesky factor or embeds a matrix; the Laplacian
+    # route alone embeds its orthonormal rows, afresh on each call
+    calls = []
+    for mod in (rtorsion, flatmodel):
+        monkeypatch.setattr(mod, "_cholesky_pair", _counting(calls, "pair", mod._cholesky_pair))
+    monkeypatch.setattr(
+        rtorsion, "_orthonormal_rows", _counting(calls, "rows", rtorsion._orthonormal_rows)
+    )
+    places = list(_corpus_places())
+    for at in places:
+        torsion_by_contraction(at)
+    assert calls == []
+    for _ in range(2):
+        reidemeister(places[0])
+    lengths = places[0].complex.lengths
+    assert [name for name, _ in calls] == (["rows"] + ["pair"] * len(lengths)) * 2
+
+
 def test_exact_ranks_agree_with_singular_values():
     # on the well-conditioned corpus the exact rank of each d_i is the count
     # of its singular values above the cutoff
@@ -854,9 +884,23 @@ def test_exact_ranks_agree_with_singular_values():
                 cut = rank_cutoff(field.digits)
                 numeric = tuple(
                     sum(1 for v in mp.svd_c(d, compute_uv=False) if v > cut) if d.rows and d.cols else 0
-                    for d in at.ortho_diffs
+                    for d in place_matrices(at)[0]
                 )
             assert exact[k] == numeric
+
+
+def _recording_rows(monkeypatch):
+    # the orthonormal rows of each place the Laplacian route reads, so that
+    # a Gram can be told by the differential it was formed from
+    made = []
+    orthonormal = rtorsion._orthonormal_rows
+
+    def recording(at):
+        made.append(orthonormal(at))
+        return made[-1]
+
+    monkeypatch.setattr(rtorsion, "_orthonormal_rows", recording)
+    return made
 
 
 def test_laplacian_route_takes_one_factorization_per_differential(monkeypatch):
@@ -864,6 +908,7 @@ def test_laplacian_route_takes_one_factorization_per_differential(monkeypatch):
     # and no eigenvalue problem is solved
     formed, factored, eighe = [], [], []
     gram, ldl = rtorsion._gram, rtorsion._ldl
+    made = _recording_rows(monkeypatch)
 
     def counting_gram(a, adjoint_first):
         formed.append((gram(a, adjoint_first), a))
@@ -887,7 +932,7 @@ def test_laplacian_route_takes_one_factorization_per_differential(monkeypatch):
         factored.clear()
         reidemeister(at)
         grams = [(low, i) for low in factored for g, a in formed if low is g
-                 for i, d in enumerate(at.ortho_diffs) if a is d]
+                 for i, d in enumerate(made[-1][0]) if a is d]
         # a differential is nonzero at a place exactly when its rank there is
         n = at.complex.lengths
         assert [i for _, i in grams] == [i for i, r in enumerate(ranks) if r]
@@ -907,21 +952,24 @@ def test_laplacian_route_forms_each_gram_once(monkeypatch):
         return gram(a, adjoint_first)
 
     monkeypatch.setattr(rtorsion, "_gram", counting)
+    made = _recording_rows(monkeypatch)
     places = _cohomology_complexes()
     shared = 0
     for at in places:
         calls.clear()
         reidemeister(at)
-        formed = [(i, t) for a, t in calls for i, d in enumerate(at.ortho_diffs) if a is d]
+        diffs = made[-1][0]
+        formed = [(i, t) for a, t in calls for i, d in enumerate(diffs) if a is d]
         assert len(formed) == len(set(formed))
         dims = [spec.free_rank for spec in at.complex.cohomology]
         assert len(calls) - len(formed) == sum(1 for h in dims if h)
         # a Gram that both the rank and a Laplacian read: the rank's
         # orientation of a differential beside a degree with cohomology
+        n = at.complex.lengths
         shared += sum(
-            1 for i, d in enumerate(at.ortho_diffs)
-            if (i, d.cols <= d.rows) in formed
-            and dims[i if d.cols <= d.rows else i + 1]
+            1 for i in range(len(diffs))
+            if (i, n[i] <= n[i + 1]) in formed
+            and dims[i if n[i] <= n[i + 1] else i + 1]
         )
     assert shared
 
@@ -1015,6 +1063,19 @@ def test_laplacian_route_resolves_nearly_parallel_representatives_over_c(digits,
         assert abs(got - want) / want < mp.mpf(10) ** -digits
 
 
+def _swap_degree_one_representatives(monkeypatch, reps):
+    # the Laplacian route reads reps, at the working precision, as the
+    # orthonormal rows of its degree-1 representatives
+    orthonormal = rtorsion._orthonormal_rows
+
+    def swapped(at):
+        diffs, kept = orthonormal(at)
+        with mp.workdps(60):
+            return diffs, [kept[0], [[mp.mpf(x) for x in row] for row in reps], *kept[2:]]
+
+    monkeypatch.setattr(rtorsion, "_orthonormal_rows", swapped)
+
+
 @pytest.mark.parametrize("reps", (
     [[0, 0], [0, 1], [0, 0]],
     [[0, 0], [1, 0], [0, 0]],
@@ -1022,7 +1083,7 @@ def test_laplacian_route_resolves_nearly_parallel_representatives_over_c(digits,
     [[1, 0], [0, 1], [0, 0]],
     [[0, 1], [1, 0], [0, 0]],
 ))
-def test_representatives_that_span_no_cohomology_basis_are_refused(reps):
+def test_representatives_that_span_no_cohomology_basis_are_refused(reps, monkeypatch):
     # 0 -> C --(2, 0, 0)--> C^3 --0--> C -> 0: the harmonic space in degree 1
     # is spanned by e_1 and e_2, and e_0 spans the image.  A zero column, a
     # column that repeats another, or one inside the image leaves no basis
@@ -1038,16 +1099,16 @@ def test_representatives_that_span_no_cohomology_basis_are_refused(reps):
     with pytest.raises(ValidationError, match="degree 1: the image, cohomology and "
                        "coimage columns are dependent"):
         build(reps)
-    # the Laplacian route still refuses such columns rather than dividing by
-    # zero, on a place whose representatives are replaced after it was
-    # built; its Grams are identities, so they are its orthonormal columns
-    at = build([[0, 0], [1, 0], [0, 1]])
-    fields = {f: getattr(at, f) for f in MetrizedComplexAtPlace._fields}
-    with mp.workdps(60):
-        fields["ortho_reps"] = (at.ortho_reps[0], rtorsion._matrix(reps, 2), at.ortho_reps[2])
-    with pytest.raises(ValidationError, match="degree-1 representatives do not project "
+    # a place that builds has delta_1 != 0 exactly, so only rounding could
+    # lose its harmonic projections; the Laplacian route still refuses such
+    # columns rather than dividing by zero, as a rank more digits might
+    # mend, when its orthonormal rows are replaced after they are embedded.
+    # The Grams are identities, so the columns are their own orthonormal
+    # coordinates
+    _swap_degree_one_representatives(monkeypatch, reps)
+    with pytest.raises(RankAmbiguous, match="degree-1 representatives do not project "
                        "onto a cohomology basis"):
-        reidemeister(MetrizedComplexAtPlace(**fields))
+        reidemeister(build([[0, 0], [1, 0], [0, 1]]))
 
 
 def test_contraction_agrees_with_svd_coimage_oracle():
@@ -1501,7 +1562,7 @@ def test_at_place_takes_no_numeric_zero_product(monkeypatch):
     field = free.field
     for k in range(field.n_places):
         at, over_q = at_place(free, k), metrized_complex_at_place(*_embedded(free, k))
-        assert (over_q.ortho_diffs, over_q.ortho_reps) == (at.ortho_diffs, at.ortho_reps)
+        assert rtorsion._orthonormal_rows(over_q) == rtorsion._orthonormal_rows(at)
         q = over_q.complex
         assert q.field.digits == field.digits and q.lengths == free.lengths
         assert [s.free_rank for s in q.cohomology] == [s.free_rank for s in free.cohomology]
@@ -1562,10 +1623,10 @@ def test_complexes_over_c_take_no_ranks_or_basis_determinants():
 
 
 
-def test_a_place_reads_every_exact_fact_from_its_complex():
-    # a place keeps its complex and the verifier's matrices, nothing else, so
-    # a place rebuilt from at_place's fields cannot be handed basis
-    # determinants: delta_sq = (7, 1) made the basis-chase read sqrt(7) for
+def test_a_place_reads_every_exact_fact_from_its_complex(monkeypatch):
+    # a place keeps its complex and its index, nothing else, so a place
+    # rebuilt from at_place's fields cannot be handed basis determinants or
+    # matrices: delta_sq = (7, 1) made the basis-chase read sqrt(7) for
     # 0 -> C --2--> C -> 0, whose tau is 1/2
     at = metrized_complex_at_place(50, (1, 1), ([[2]],), ([[1]], [[1]]), ((), ()), ((), ()))
     fields = {f: getattr(at, f) for f in MetrizedComplexAtPlace._fields}
@@ -1575,21 +1636,20 @@ def test_a_place_reads_every_exact_fact_from_its_complex():
     with mp.workdps(60):
         for tau in (reidemeister(rebuilt), torsion_by_contraction(rebuilt)):
             assert abs(tau - mp.mpf(1) / 2) < mp.mpf(10) ** -45
-    # the Laplacian route still reads the place's own representatives, and
-    # refuses ones that span no cohomology basis: here the degree-1 columns
-    # of a built place are swapped for a zero column and e_1
+    assert rebuilt == at and hash(rebuilt) == hash(at)
+    # the Laplacian route reads the representatives it embeds from the
+    # complex, and refuses ones that span no cohomology basis: here the
+    # degree-1 orthonormal rows of a built place are swapped for a zero
+    # column and e_1
     eye3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     at = metrized_complex_at_place(
         50, (1, 3, 1), ([[2], [0], [0]], [[0, 0, 0]]),
         (EYE1, eye3, EYE1), ((), EYE2, EYE1), ((), [[0, 0], [1, 0], [0, 1]], [[1]]),
     )
-    fields = {f: getattr(at, f) for f in MetrizedComplexAtPlace._fields}
-    with mp.workdps(60):
-        swapped = rtorsion._matrix([[0, 0], [0, 1], [0, 0]], 2)
-        fields["ortho_reps"] = (at.ortho_reps[0], swapped, at.ortho_reps[2])
-    with pytest.raises(ValidationError, match="degree-1 representatives do not project "
+    _swap_degree_one_representatives(monkeypatch, [[0, 0], [0, 1], [0, 0]])
+    with pytest.raises(RankAmbiguous, match="degree-1 representatives do not project "
                        "onto a cohomology basis"):
-        reidemeister(MetrizedComplexAtPlace(**fields))
+        reidemeister(at)
 
 
 def _split_complex(field, a, b):
@@ -1669,7 +1729,8 @@ def test_complexes_over_c_are_read_over_q_or_q_i(monkeypatch):
 
 def _random_matrix(rng, rows, cols, complex_entries):
     # entries at the working precision over a spread of scales, a fifth of
-    # them zero, which an mp.matrix does not store
+    # them zero, which an mp.matrix does not store and reads as mpmath's
+    # real zero
     def part():
         return mp.mpf(rng.randint(-10**30, 10**30)) / rng.randint(1, 10**15) * mp.mpf(2) ** rng.randint(-60, 60)
 
@@ -1678,7 +1739,7 @@ def _random_matrix(rng, rows, cols, complex_entries):
             return 0
         return mp.mpc(part(), part()) if complex_entries else part()
 
-    return rtorsion._matrix([[entry() for _ in range(cols)] for _ in range(rows)], cols)
+    return as_matrix([[entry() for _ in range(cols)] for _ in range(rows)], cols)
 
 
 @pytest.mark.parametrize("digits", (50, 300, 1000))
@@ -1690,10 +1751,16 @@ def test_kernels_round_as_mpmath_products(digits):
             for r, c in ((0, 3), (3, 0), (1, 1), (2, 3), (4, 2), (3, 3)):
                 a = _random_matrix(rng, r, c, complex_entries)
                 for adjoint_first in (True, False):
-                    # _gram forms the lower triangle alone, as rows
+                    # _gram reads the rows of the matrix and forms the lower
+                    # triangle alone, as rows.  With no row the rows hold no
+                    # width, and stand for the 0 x 0 matrix, whose Gram is empty
+                    got = gram(a.tolist(), adjoint_first)
+                    if not r:
+                        assert got == []
+                        continue
                     want = gram_by_matrix_product(a, adjoint_first)
                     lower = [[raw_value(want[i, j]) for j in range(i + 1)] for i in range(want.rows)]
-                    assert [[raw_value(x) for x in row] for row in gram(a, adjoint_first)] == lower
+                    assert [[raw_value(x) for x in row] for row in got] == lower
 
 
 def _factor_against_eigenvalues(g, digits, dropped=0):

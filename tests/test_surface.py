@@ -435,6 +435,12 @@ def test_adjoint_products_go_through_the_gram_helper():
         assert not product.search(text), name
 
 
+def test_torsion_routes_keep_no_mp_matrix():
+    # the Laplacian route reads its orthonormal coordinates as rows, from
+    # the place's complex: no mp.matrix is built, converted or kept there
+    assert "mp.matrix" not in (SRC / "regtor" / "rtorsion.py").read_text()
+
+
 def _complex_over_r(field):
     return build_complex_over_r(
         field, (1, 1), ([[field.element([2])]],), [[[[1]], [[1]]]] * 2, [CohomologySpec(0)] * 2
@@ -476,10 +482,11 @@ def test_records_keep_their_semantics():
         with pytest.raises(AttributeError):
             setattr(a, name, None)
         assert getattr(a, name) is before
+        # every record hashes: by value, or by identity as it compares
         if by_value:
-            assert a == b and copy.copy(a) == a
+            assert a == b and copy.copy(a) == a and hash(a) == hash(b)
         else:
-            assert a == a and a != b
+            assert a == a and a != b and hash(a) != hash(b)
 
     one, two = Fraction(1), Fraction(2)
     assert FieldElement(coeffs=(one, two)) == FieldElement((one, two))
@@ -492,9 +499,8 @@ def test_records_keep_their_semantics():
     # every place is a view of its complex: complex has no default
     with pytest.raises(TypeError, match="missing .*'complex'"):
         MetrizedComplexAtPlace(**{f: getattr(at, f) for f in at._fields if f != "complex"})
-    # its mp.matrix fields do not hash, so the record says so under its own name
-    with pytest.raises(TypeError, match="unhashable type: 'MetrizedComplexAtPlace'"):
-        hash(at)
+    # a place is its complex and its index, so it hashes as they do
+    assert hash(at) == hash(MetrizedComplexAtPlace(_complex_at_place().complex, 0))
 
     # each cyclotomic setup caches in its own _memo, outside equality, repr
     # and copies; a complex over R caches no place
@@ -512,10 +518,9 @@ def _subclasses(cls):
 
 
 def test_complex_records_keep_no_ranks():
-    # a place keeps its complex and the verifier's matrices, and a complex
-    # over R its deltas and Gram factors: the free ranks say what the ranks
-    # would
-    assert MetrizedComplexAtPlace._fields == ("complex", "place", "ortho_diffs", "ortho_reps")
+    # a place keeps its complex and its index, and a complex over R its
+    # deltas and Gram factors: the free ranks say what the ranks would
+    assert MetrizedComplexAtPlace._fields == ("complex", "place")
     assert MetrizedComplexOverR._fields == (
         "field", "lengths", "diffs", "grams", "cohomology", "deltas", "factors"
     )
@@ -531,10 +536,7 @@ def test_records_share_one_constructor():
         names = record._fields
         values = tuple(getattr(a, f) for f in names)
         pos, kw = record(*values), record(**dict(zip(names, values)))
-        copies = [pos, kw, copy.copy(a)]
-        # mpmath makes its matrix class per context, so an mp.matrix field does not pickle
-        if record is not MetrizedComplexAtPlace:
-            copies.append(pickle.loads(pickle.dumps(a)))
+        copies = [pos, kw, copy.copy(a), pickle.loads(pickle.dumps(a))]
         for b in copies:
             assert type(b) is record and repr(b) == repr(a)
             assert not getattr(b, "_memo", None)
