@@ -16,12 +16,12 @@ addition.
 Every Gram is factored by gram_ldl, exactly: its entries are rationals,
 or Gaussian rationals, or mpf and mpc read as the dyadic rationals they
 are, and one fraction-free elimination gives the Hermitian and positivity
-decisions, det G as a Fraction and the unit-lower L of G = L D L^H with
-its inverse.  The Cholesky factor, and in rtorsion the orthonormal
-coordinates, take one square root per pivot from it.  A logarithm is taken
-only where a coefficient vector needs one: lndet_hermitian takes one per
-Gram, of its exact determinant, and callers that combine several
-determinants multiply them first.
+decisions, det G as a Fraction and the unit-lower L of G = L D L^H, and
+nothing else.  The Cholesky factor, which rtorsion's orthonormal
+coordinates read too, takes one square root per pivot from it.  A
+logarithm is taken only where a coefficient vector needs one:
+lndet_hermitian takes one per Gram, of its exact determinant, and callers
+that combine several determinants multiply them first.
 
 Scalars given as input are converted by numfield.to_mp, and Gram entries
 are read by numfield.to_exact as the rationals to_mp rounds.  No record here
@@ -429,16 +429,17 @@ def gram_ldl(rows, digits: int):
     real part of its diagonal then define it.  Over one common denominator
     den, den G is an integer matrix when G is real; otherwise its real 2n
     by 2n image, each entry a + bi the block [[a, -b], [b, a]], is, and the
-    LDL^T of the image is the image of the LDL^H of G.  One numfield._bareiss of that matrix beside the identity,
-    with no pivoting, leaves in row k the k-th leading minor p_k, the
-    entries of D L^H times p_{k-1} and beside them those of L^-1 times
-    p_{k-1}.  _bareiss scans for a pivot from (k, k), so the first entry
-    its live test meets at step k is the pivot p_k: a test that refuses
-    each p_k <= 0 decides positivity by Sylvester's criterion as the
-    pivots come, every D_k = p_k / (den p_{k-1}) > 0, and lets no swap
-    happen.  Returns (det G, factor): det G = prod D_k is an exact
-    Fraction, and factor, immutable so that a complex over R keeping it
-    still hashes, is what _cholesky_pair reads.  Raises
+    LDL^T of the image is the image of the LDL^H of G.  One
+    numfield._bareiss of that matrix alone, with no pivoting, leaves in row
+    k the k-th leading minor p_k and the entries of D L^H times p_{k-1}, so
+    each row holds n step integers, step 1 for a real G and 2 for a complex
+    one.  _bareiss scans for a pivot from (k, k), so the first entry its
+    live test meets at step k is the pivot p_k: a test that refuses each
+    p_k <= 0 decides positivity by Sylvester's criterion as the pivots
+    come, every D_k = p_k / (den p_{k-1}) > 0, and lets no swap happen.
+    Returns (det G, factor): det G = prod D_k is an exact Fraction, and
+    factor = (den, step, rows), immutable so that a complex over R keeping
+    it still hashes, is what _cholesky_upper reads.  Raises
     NotPositiveDefinite on a Gram that is not Hermitian or not positive
     definite.
     """
@@ -464,7 +465,6 @@ def gram_ldl(rows, digits: int):
     den = lcm(*(c.denominator for row in herm for z in row for c in z))
     ints = [[[c.numerator * (den // c.denominator) for c in z] for z in row] for row in herm]
     step = 2 if any(im for row in ints for _, im in row) else 1
-    size = step * n
     m = []
     for row in ints:
         if step == 1:
@@ -472,48 +472,40 @@ def gram_ldl(rows, digits: int):
         else:
             m.append([x for re, im in row for x in (re, -im)])
             m.append([x for re, im in row for x in (im, re)])
-    for r, row in enumerate(m):
-        row.extend(int(r == c) for c in range(size))
-    _bareiss(m, _positive_pivot, width=size)
-    last = m[-1][size - 1] if m else 1
+    _bareiss(m, _positive_pivot)
+    last = m[-1][-1] if m else 1
     det = Fraction(last if step == 1 else isqrt(last), den**n)
     return det, (den, step, tuple(map(tuple, m)))
 
 
-def _cholesky_pair(factor):
-    """(U, U^-1) at the working precision for the upper Cholesky factor
-    U = D^(1/2) L^H of gram_ldl's exact factor, each given as its n rows,
-    with mp.zero below the diagonal.
+def _cholesky_upper(factor):
+    """The upper Cholesky factor U = D^(1/2) L^H of gram_ldl's exact factor
+    at the working precision, given as its n rows, with mp.zero below the
+    diagonal.
 
     With s_k = 1 / sqrt(den p_k p_{k-1}), one square root per pivot, row k
-    of U is row k of the elimination times s_k, and column k of U^-1, which
-    is L^-H D^(-1/2), the conjugate of its row k beside the identity times
-    den s_k.  The radicand is an integer, and numfield.sqrt takes its
-    math.isqrt: where it is a perfect square, as every one of an identity
-    or a diagonal Gram of squares is, the root is exact and s_k is one
-    numfield.quotient of 1 by it, where mp.sqrt, on mpmath's pure-Python
-    backend, sheds the trailing zero bits of an exact root a byte at a time
-    (96 us for the root of 9 at 1010 digits).  For a complex Gram the rows
-    of the real image at 2k carry the real parts and the negated imaginary
-    parts of U, in alternate columns.  Each part of an entry is its exact integer times s_k (or
-    den s_k), rounded once, as a real entry is.
+    of U is row k of the elimination times s_k.  The radicand is an
+    integer, and numfield.sqrt takes its math.isqrt: where it is a perfect
+    square, as every one of an identity or a diagonal Gram of squares is,
+    the root is exact and s_k is one numfield.quotient of 1 by it, where
+    mp.sqrt, on mpmath's pure-Python backend, sheds the trailing zero bits
+    of an exact root a byte at a time (96 us for the root of 9 at 1010
+    digits).  For a complex Gram the rows of the real image at 2k carry the
+    real parts and the negated imaginary parts of U, in alternate columns.
+    Each part of an entry is its exact integer times s_k, rounded once, as
+    a real entry is.
     """
     den, step, m = factor
-    size = len(m)
-    n = size // step
-    up, inv = [[mp.zero] * n for _ in range(n)], [[mp.zero] * n for _ in range(n)]
+    n = len(m) // step
+    up = [[mp.zero] * n for _ in range(n)]
     prev = 1
     for k in range(n):
         row = m[step * k]
         s = quotient(1, sqrt(den * row[step * k] * prev))
-        t = den * s
         for j in range(k, n):
             up[k][j] = row[j] * s if step == 1 else mpc(row[2 * j] * s, -row[2 * j + 1] * s)
-        for j in range(k + 1):
-            c = size + step * j
-            inv[j][k] = row[c] * t if step == 1 else mpc(row[c] * t, row[c + 1] * t)
         prev = m[step * k + step - 1][step * k + step - 1]
-    return up, inv
+    return up
 
 
 def hermitian_cholesky(rows, digits: int):
@@ -526,7 +518,7 @@ def hermitian_cholesky(rows, digits: int):
     exactly.
     """
     with mp.workdps(digits + GUARD):
-        up = _cholesky_pair(gram_ldl(rows, digits)[1])[0]
+        up = _cholesky_upper(gram_ldl(rows, digits)[1])
         return mp.matrix(up).H if up else mp.matrix(0, 0)
 
 

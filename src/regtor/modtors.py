@@ -86,7 +86,9 @@ def zhat_wellposed(
 
     left_unit_diag and right_unit_diag are sequences of units of length
     pres.size; the modified presentation is diag(left) * M * diag(right).
+    The presentation must belong to field.
     """
+    _check_field(field, pres.field, "the torsion presentation")
     left = [field.element(x) for x in left_unit_diag]
     right = [field.element(x) for x in right_unit_diag]
     if len(left) != pres.size or len(right) != pres.size:

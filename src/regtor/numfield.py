@@ -38,11 +38,11 @@ fraction-free elimination _bareiss over Z gives every exact determinant
 and rank: _int_bareiss_det for exact_det on the Kronecker form of a matrix
 (_kronecker_matrix); the pivot columns at each place for exact_pivots, on
 the Kronecker form too, splitting p where a pivot is a zero divisor; and
-flatmodel.gram_ldl's exact factor of each Gram.  The one subresultant
-remainder sequence _subresultant_prs gives every resultant and polynomial
-gcd: the norm, the squarefree test, the unit test of exact_pivots' last
-pivot and the gcd that splits p.  Each public function works at
-digits + GUARD; the cutoffs rank_cutoff (10^(-digits/2)) and
+flatmodel.gram_ldl's exact LDL^H of each Gram, on the Gram alone.  The
+one subresultant remainder sequence _subresultant_prs gives every
+resultant and polynomial gcd: the norm, the squarefree test, the unit
+test of exact_pivots' last pivot and the gcd that splits p.  Each public
+function works at digits + GUARD; the cutoffs rank_cutoff (10^(-digits/2)) and
 residual_tolerance (10^(-digits + GUARD)) are evaluated at the caller's
 working precision, torus_tolerance
 (10^(-digits/3)) at 53 bits, and ln, the one logarithm every module takes,
@@ -150,9 +150,12 @@ class Record:
 
 
 class FieldElement(Record):
-    """Element of R tensor Q in the power basis 1, x, ..., x^{n-1}."""
+    """Element of R tensor Q in the power basis 1, x, ..., x^{n-1}; poly is
+    the defining polynomial of the field that made it, None for a bare
+    record, which NumberField.element adopts."""
 
-    __slots__ = _fields = ("coeffs",)
+    __slots__ = _fields = ("coeffs", "poly")
+    _defaults = {"poly": None}
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -285,23 +288,22 @@ def poly_divmod(a, b) -> tuple[list, list]:
     return poly_trim(quo), poly_trim(rem[: nb - 1])
 
 
-def _bareiss(m, live=bool, width=None, order=None) -> tuple[int, int]:
+def _bareiss(m, live=bool, order=None) -> tuple[int, int]:
     """Fraction-free elimination of an integer matrix in place, with complete
     pivoting (Bareiss, Math. Comp. 22, 1968).
 
     Step k swaps to (k, k) the first entry, scanning rows then columns, of
-    rows k.. and columns k..width-1 (width defaults to all) for which live
-    is true.  Each entry right of and below it becomes, by one exact
-    division by the previous pivot, the minor of the permuted m on the
-    pivots so far and its own row and column.  So the k-th pivot is the
-    leading k-minor, once no entry is live those below the last pivot are
-    the minors that border it, and Hadamard's bound limits every entry.  A
-    list given as order is permuted along with the columns, so that its
-    first k entries name the columns of the first k pivots.  Returns
-    (number of pivots, sign of the swaps' permutation).
+    rows k.. and columns k.. for which live is true.  Each entry right of
+    and below it becomes, by one exact division by the previous pivot, the
+    minor of the permuted m on the pivots so far and its own row and
+    column.  So the k-th pivot is the leading k-minor, once no entry is
+    live those below the last pivot are the minors that border it, and
+    Hadamard's bound limits every entry.  A list given as order is permuted
+    along with the columns, so that its first k entries name the columns of
+    the first k pivots.  Returns (number of pivots, sign of the swaps'
+    permutation).
     """
-    if width is None:
-        width = len(m[0]) if m else 0
+    width = len(m[0]) if m else 0
     sign, prev = 1, 1
     for k in range(min(len(m), width)):
         found = next(
@@ -607,16 +609,22 @@ class NumberField(Record):
 
     def element(self, coeffs) -> FieldElement:
         """Coefficients reduced modulo p; a FieldElement is returned as it is,
-        and refused unless it has one coefficient per degree.  Each other
-        coefficient is read by the one reader of a number (_scalar), as the
-        rational it is exactly, an mpf as its dyadic value; a complex-typed
-        one is refused, as is anything _scalar refuses."""
+        and refused unless it has one coefficient per degree, then unless
+        it belongs to this field: a bare record, of no field, is adopted.
+        Each other coefficient is read by the one reader of a number
+        (_scalar), as the rational it is exactly, an mpf as its dyadic
+        value; a complex-typed one is refused, as is anything _scalar
+        refuses."""
         if isinstance(coeffs, FieldElement):
             if len(coeffs.coeffs) != self.degree:
                 raise ValidationError(
                     f"an element with {len(coeffs.coeffs)} coefficients is not in a field of "
                     f"degree {self.degree}"
                 )
+            if coeffs.poly is None:
+                return FieldElement(coeffs.coeffs, self.poly)
+            if coeffs.poly != self.poly:
+                raise ValidationError("the element belongs to another field")
             return coeffs
         parts = [_scalar(c) for c in coeffs]
         if any(im is not None for _, im in parts):
@@ -624,7 +632,7 @@ class NumberField(Record):
         vals = [_rational(re) for re, _ in parts]
         if len(vals) > self.degree:
             vals = poly_divmod(vals, self.poly)[1]
-        return FieldElement(tuple(vals + [Fraction(0)] * (self.degree - len(vals))))
+        return FieldElement(tuple(vals + [Fraction(0)] * (self.degree - len(vals))), self.poly)
 
     def zero(self) -> FieldElement:
         return self.element([])
@@ -636,16 +644,18 @@ class NumberField(Record):
         return self.element([0, 1])
 
     def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        return FieldElement(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        a, b = self.element(a), self.element(b)
+        return FieldElement(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)), self.poly)
 
     def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        return FieldElement(tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        a, b = self.element(a), self.element(b)
+        return FieldElement(tuple(x - y for x, y in zip(a.coeffs, b.coeffs)), self.poly)
 
     def neg(self, a: FieldElement) -> FieldElement:
-        return FieldElement(tuple(-x for x in a.coeffs))
+        return FieldElement(tuple(-x for x in self.element(a).coeffs), self.poly)
 
     def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        return self.element(poly_mul(a.coeffs, b.coeffs))
+        return self.element(poly_mul(self.element(a).coeffs, self.element(b).coeffs))
 
 
 def _check_field(field: NumberField, other: NumberField, what: str):
@@ -960,8 +970,8 @@ def embed(field: NumberField, elem: FieldElement, place_index: int):
     partial sums lie more than twice the precision apart, where mp.fdot
     drops the smaller one.
     """
+    coeffs = field.element(elem).coeffs
     e, re, im = _powers(field, place_index)
-    coeffs = elem.coeffs
     den = lcm(*(c.denominator for c in coeffs))
     nums = [c.numerator * (den // c.denominator) for c in coeffs]
     prec = dps_to_prec(field.digits + GUARD)
@@ -991,7 +1001,7 @@ def norm(field: NumberField, elem: FieldElement) -> Fraction:
     Res(p, q) of p and the denominator-cleared element polynomial q, divided
     by the cleared denominator to the degree of p.
     """
-    q = poly_trim(list(elem.coeffs))
+    q = poly_trim(list(field.element(elem).coeffs))
     if not q:
         return Fraction(0)
     den = lcm(*(c.denominator for c in q))

@@ -56,8 +56,9 @@ formed as the rows of their lower triangles, one mp.fdot per entry
 (_gram): the values mpmath's matrix product gives there, with no conjugate
 transpose copied and no upper triangle formed, in the one shape the factor
 (_ldl) reads.  The orthonormal coordinates come from the exact
-G = L D L^H of each Gram: U = D^(1/2) L^H and U^-1 = L^-H D^(-1/2), with
-one square root per pivot, so no triangular factor is solved numerically.
+G = L D L^H of each Gram: U = D^(1/2) L^H, with one square root per
+pivot, and a product by U^-1 is taken as a division on the right by U,
+one back substitution per row (_divide_upper).
 
 Rank decisions.  Every exact decision is numfield's, taken once, in K, by
 build_complex_over_r: the rank and pivot columns of each differential at
@@ -116,7 +117,7 @@ from .flatmodel import (
     FormElement,
     PointClass,
     RegulatorLattice,
-    _cholesky_pair,
+    _cholesky_upper,
     _cycl_from_lndets,
     gram_ldl,
     make_form,
@@ -370,19 +371,31 @@ def _product(a, b):
     return [[mp.fdot(row, col) for col in cols] for row in a]
 
 
+def _divide_upper(a, up):
+    """A U^-1 for an upper-triangular U with a real diagonal, each matrix
+    given as its rows: x U = a, row by row, by back substitution in place,
+    x_j = (a_j - sum_(k<j) x_k U_kj) / U_jj, the sum one mp.fdot (which
+    reads x through zip, up to its entry j) and U_jj its real part."""
+    cols = [[-u[j] for u in up[:j]] + [mp.one] for j in range(len(up))]
+    for x in a:
+        for j, col in enumerate(cols):
+            x[j] = mp.fdot(x, col) / up[j][j].real
+    return a
+
+
 def _orthonormal_rows(cplx: MetrizedComplexAtPlace):
     """(diffs, reps): the differentials and representatives of a place in
     orthonormal coordinates, for reidemeister alone, each a matrix given as
     its rows, at the field's digits + GUARD.
 
     With the cochain Grams G_i = U_i^* U_i, U_i the upper Cholesky factor
-    that flatmodel._cholesky_pair reads off the exact factor the complex
-    keeps, diffs[i] = U_{i+1} d_i U_i^-1 (multiplied left to right) and
-    reps[i] = U_i K_i for the representative columns K_i, each ring element
-    embedded once.  diffs[i] has lengths[i+1] rows of lengths[i] entries and
-    reps[i] lengths[i] rows of free_rank entries, so a row is empty where a
-    degree or a cohomology is zero.  Nothing is kept: each call embeds and
-    multiplies afresh.
+    that flatmodel._cholesky_upper reads off the exact factor the complex
+    keeps, diffs[i] = U_{i+1} d_i U_i^-1, the product U_{i+1} d_i divided
+    on the right by U_i (_divide_upper), and reps[i] = U_i K_i for the
+    representative columns K_i, each ring element embedded once.  diffs[i]
+    has lengths[i+1] rows of lengths[i] entries and reps[i] lengths[i] rows
+    of free_rank entries, so a row is empty where a degree or a cohomology
+    is zero.  Nothing is kept: each call embeds and multiplies afresh.
     """
     whole, place = cplx.complex, cplx.place
     field = whole.field
@@ -391,13 +404,13 @@ def _orthonormal_rows(cplx: MetrizedComplexAtPlace):
         return [[embed(field, x, place) for x in row] for row in m]
 
     with mp.workdps(field.digits + GUARD):
-        pairs = [_cholesky_pair(factor) for _, factor in whole.factors[place][0]]
+        ups = [_cholesky_upper(factor) for _, factor in whole.factors[place][0]]
         diffs = [
-            _product(_product(pairs[i + 1][0], rows(d)), pairs[i][1])
+            _divide_upper(_product(ups[i + 1], rows(d)), ups[i])
             for i, d in enumerate(whole.diffs)
         ]
         # U_i K_i has a row of no entries per row of U_i where K_i has no column
-        reps = [_product(up, rows(s.free_reps)) for (up, _), s in zip(pairs, whole.cohomology)]
+        reps = [_product(up, rows(s.free_reps)) for up, s in zip(ups, whole.cohomology)]
         return diffs, reps
 
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from regtor import (
+    FieldElement,
     NoConvergence,
     NotAUnit,
     NotSquarefree,
@@ -557,11 +558,6 @@ def test_int_bareiss_det_matches_fractions():
         before = [row[:] for row in m]
         assert numfield._int_bareiss_det(m) == want
         assert m == before
-        # pivots taken in the first n - 1 columns only need row swaps on a
-        # nonsingular m too; the last entry is then the minor that borders
-        # them, the whole determinant up to the sign of the swaps
-        pivots, sign = numfield._bareiss(m, width=n - 1)
-        assert (sign * m[-1][-1] if pivots == n - 1 else 0) == want
     assert 40 <= singular <= 110
 
 
@@ -770,6 +766,24 @@ def test_element_of_another_degree_is_refused():
     assert other.element(x) is x
     y = field.element([1, 1])
     assert field.element(y) is y
+
+
+def test_element_of_another_field_is_refused():
+    # Q(sqrt3) and Z[sqrt2] share the degree, so only the polynomial an
+    # element keeps tells them apart: unchecked, Z[sqrt2] took sqrt3 as it
+    # was and embed read it as -sqrt2
+    field = build_field((-2, 0, 1), 50)
+    x = build_field((-3, 0, 1), 50).element([0, 1])
+    for use in (field.element, lambda y: embed(field, y, 0), lambda y: norm(field, y),
+                field.neg, lambda y: field.add(field.one(), y), lambda y: field.sub(y, y),
+                lambda y: field.mul(field.one(), y)):
+        with pytest.raises(ValidationError, match="the element belongs to another field"):
+            use(x)
+    # a bare record belongs to no field, and the field that reads it adopts it
+    bare = FieldElement((Fraction(0), Fraction(1)))
+    assert bare.poly is None
+    assert field.element(bare) == field.gen() and field.element(bare).poly == (-2, 0, 1)
+    assert norm(field, bare) == -2
 
 
 def test_element_reads_strings_through_parse_rational():

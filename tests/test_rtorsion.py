@@ -636,8 +636,8 @@ def test_exact_readers_build_no_place(monkeypatch, capsys):
             building.pop()
 
     monkeypatch.setattr(rtorsion, "build_complex_over_r", build)
-    for mod, name in ((rtorsion, "at_place"), (rtorsion, "_cholesky_pair"),
-                      (rtorsion, "gram_ldl"), (flatmodel, "_cholesky_pair"),
+    for mod, name in ((rtorsion, "at_place"), (rtorsion, "_cholesky_upper"),
+                      (rtorsion, "gram_ldl"), (flatmodel, "_cholesky_upper"),
                       (flatmodel, "gram_ldl")):
         monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
     free = json.dumps({
@@ -859,7 +859,7 @@ def test_basis_chase_forms_no_orthonormal_coordinates(monkeypatch):
     # route alone embeds its orthonormal rows, afresh on each call
     calls = []
     for mod in (rtorsion, flatmodel):
-        monkeypatch.setattr(mod, "_cholesky_pair", _counting(calls, "pair", mod._cholesky_pair))
+        monkeypatch.setattr(mod, "_cholesky_upper", _counting(calls, "upper", mod._cholesky_upper))
     monkeypatch.setattr(
         rtorsion, "_orthonormal_rows", _counting(calls, "rows", rtorsion._orthonormal_rows)
     )
@@ -870,7 +870,7 @@ def test_basis_chase_forms_no_orthonormal_coordinates(monkeypatch):
     for _ in range(2):
         reidemeister(places[0])
     lengths = places[0].complex.lengths
-    assert [name for name, _ in calls] == (["rows"] + ["pair"] * len(lengths)) * 2
+    assert [name for name, _ in calls] == (["rows"] + ["upper"] * len(lengths)) * 2
 
 
 def test_exact_ranks_agree_with_singular_values():
@@ -1010,13 +1010,15 @@ def test_pivot_columns_hold_up(digits):
 
 
 @pytest.mark.parametrize("digits", (50, 300))
-def test_laplacian_route_keeps_representatives_conditioning(digits):
+@pytest.mark.parametrize("e", (15, 20))
+def test_both_routes_keep_representatives_conditioning(digits, e):
     # 0 -> C^3 --(3, 1, -2)--> C -> 0 with standard metrics, so orthonormal
-    # coordinates keep the data exact.  H^0 is spanned by two columns 10^15
+    # coordinates keep the data exact.  H^0 is spanned by two columns 10^e
     # long that differ by a short kernel vector, along no coordinate axis;
     # their harmonic Gram is K^T K, so tau^2 = det(K^T K) / (det H |d|^2)
-    # exactly.  The Laplacian route must not square the conditioning of K.
-    big = 10**15
+    # exactly.  The Laplacian route must not square the conditioning of K,
+    # and the basis-chase, which reads the exact delta_i, loses none of it.
+    big = 10**e
     reps = [[big + 1, big + 2], [big - 3, big - 6], [2 * big, 2 * big]]
     cols = list(zip(*reps))
     gram = [[sum(a * b for a, b in zip(u, v)) for v in cols] for u in cols]
@@ -1025,10 +1027,11 @@ def test_laplacian_route_keeps_representatives_conditioning(digits):
         digits, (3, 1), ([[3, 1, -2]],), ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], EYE1),
         ([[2, 1], [1, 7]], ()), (reps, ()),
     )
-    got = reidemeister(cplx)
+    taus = reidemeister(cplx), torsion_by_contraction(cplx)
     with mp.workdps(digits + 10):
         want = mp.sqrt(mp.mpf(tau2.numerator) / tau2.denominator)
-        assert abs(got - want) / want < mp.mpf(10) ** -digits
+        for got in taus:
+            assert abs(got - want) / want < mp.mpf(10) ** -digits
 
 
 @pytest.mark.parametrize("digits", (50, 300))
@@ -1485,7 +1488,7 @@ def test_exact_basis_chase_keeps_every_digit_of_an_ill_conditioned_differential(
 
 @pytest.mark.parametrize("e", (15, 30))
 def test_exact_basis_chase_keeps_representatives_conditioning(e):
-    # the case of test_laplacian_route_keeps_representatives_conditioning
+    # the case of test_both_routes_keep_representatives_conditioning
     # over Z: two H^0 representatives 10^e long and nearly parallel, along
     # no coordinate axis, which the minors of the numeric basis-chase lose
     field, _ = field_units("z")

@@ -20,6 +20,7 @@ import ast
 import copy
 import importlib
 import importlib.util
+import inspect
 import pickle
 import re
 import subprocess
@@ -54,6 +55,8 @@ from regtor import (
     reduce_mod_lattice,
     torsion_form_coeffs,
 )
+from regtor import numfield
+from regtor.flatmodel import gram_ldl
 from regtor.numfield import Record
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -347,6 +350,24 @@ def test_grams_take_no_numeric_factor():
         ]
         assert not named, (path.name, named)
         assert not re.search(r"_inverse_upper|\bmp\.[UL]_solve\b", text), path.name
+
+
+def test_gram_ldl_factors_each_gram_alone():
+    # gram_ldl eliminates den G, or the real 2n by 2n image of a complex G,
+    # with no identity block beside it, so that each row of its factor of an
+    # n by n Gram holds n step integers; the shared elimination takes no width
+    assert "width" not in inspect.signature(numfield._bareiss).parameters
+    grams = (
+        ([[2, 1], [1, 3]], 1),
+        ([[4, 1, 0], [1, 3, "1/2"], [0, "1/2", 5]], 1),
+        ([[2, [1, 1]], [[1, -1], 3]], 2),
+        ([[3, [1, 1], 0], [[1, -1], 4, [0, 2]], [0, [0, -2], 6]], 2),
+    )
+    for gram, step in grams:
+        _, got, rows = gram_ldl(gram, 50)[1]
+        size = step * len(gram)
+        assert got == step and len(rows) == size
+        assert all(len(row) == size for row in rows), gram
 
 
 def test_nothing_in_the_package_builds_a_place_over_r():
